@@ -75,10 +75,10 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
     (:class:`~repro.serve.server.InferenceServer`); any positive count
     selects the multi-process :class:`~repro.serve.fleet.FleetServer`
     with that many engine worker replicas.  SLO class choices come from
-    the fleet's stock admission classes, imported lazily so plain
-    hardware CLIs never pay for the serving stack.
+    the stock admission classes, imported lazily so plain hardware CLIs
+    never pay for the serving stack.
     """
-    from repro.serve.fleet import DEFAULT_SLO_CLASSES
+    from repro.serve.server import DEFAULT_SLO_CLASSES
 
     group = parser.add_argument_group(
         "fleet", "multi-process serving (see repro.serve.fleet)"
@@ -92,8 +92,7 @@ def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
         "--slo-class", choices=sorted(DEFAULT_SLO_CLASSES),
         default="default",
         help="admission class applied to generated requests: per-class "
-             "queue-depth limits and default deadlines (fleet only; "
-             "default: default)",
+             "queue-depth limits and default deadlines (default: default)",
     )
 
 

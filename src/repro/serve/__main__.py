@@ -12,8 +12,9 @@ Examples::
 Spins up a serving stack over the reference model at the chosen design
 point — in-process (:class:`~repro.serve.server.InferenceServer`, the
 default) or a multi-process :class:`~repro.serve.fleet.FleetServer`
-with ``--workers N`` engine replicas — then drives it with a seeded
-request trace in one of two modes:
+with ``--workers N`` engine replicas; every other flag means the same
+for both — then drives it with a seeded request trace in one of two
+modes:
 
 * **closed loop** (default): ``--clients`` client threads, each
   waiting for its previous response before the next send, paced to an
@@ -120,9 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--queue-depth", type=int, default=512, metavar="N",
-        help="in-flight bound before backpressure (default: 512; "
-             "in-process server only — the fleet bounds depth per "
-             "SLO class)",
+        help="in-flight bound of the default SLO class before "
+             "backpressure (default: 512)",
     )
     add_fleet_arguments(parser)
     parser.add_argument(
@@ -139,12 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
         help="per-request queueing deadline; expired requests are shed "
-             "(fleet: defaults to the --slo-class deadline when unset)",
+             "(defaults to the --slo-class deadline when unset)",
     )
     resilience.add_argument(
         "--retries", type=int, default=0, metavar="N",
-        help="retry transient flush failures up to N times (default: 0; "
-             "in-process server only)",
+        help="retry transient flush failures up to N times (default: 0)",
     )
     resilience.add_argument(
         "--breaker-threshold", type=int, default=None, metavar="K",
@@ -157,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience.add_argument(
         "--chaos-flush-p", type=float, default=0.0, metavar="P",
-        help="inject transient flush failures with probability P "
-             "(in-process server only)",
+        help="inject transient flush failures with probability P",
     )
     resilience.add_argument(
         "--chaos-crash-p", type=float, default=0.0, metavar="P",
@@ -181,16 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _submit_with_backpressure(server, index: int, spikes: np.ndarray,
-                              deadline_ms: float | None,
-                              submit_kwargs: dict, retry_s: float):
+def _submit_with_backpressure(server, row: np.ndarray,
+                              deadline_ms: float | None, slo_class: str,
+                              retry_s: float):
     """Submit one trace row, retrying on backpressure and open circuits."""
     while True:
         try:
-            return server.submit(
-                MODEL_NAME, spikes[index], deadline_ms=deadline_ms,
-                **submit_kwargs,
-            )
+            return server.submit(MODEL_NAME, row, deadline_ms=deadline_ms,
+                                 slo_class=slo_class)
         except (QueueFullError, ModelUnavailableError):
             time.sleep(retry_s)
 
@@ -198,7 +194,7 @@ def _submit_with_backpressure(server, index: int, spikes: np.ndarray,
 def _run_clients(server, spikes: np.ndarray,
                  predictions: np.ndarray, rate: float, clients: int,
                  deadline_ms: float | None = None,
-                 submit_kwargs: dict | None = None) -> None:
+                 slo_class: str = "default") -> None:
     """Drive the seeded trace through closed-loop client threads.
 
     Request ``i`` targets wall-clock ``start + i/rate``; each client
@@ -214,7 +210,6 @@ def _run_clients(server, spikes: np.ndarray,
     """
     start = time.monotonic()
     retry_s = max(server.policy.max_wait_ms / 1e3, 1e-3)
-    submit_kwargs = submit_kwargs or {}
     errors: list[Exception] = []
 
     def client(k: int) -> None:
@@ -224,7 +219,7 @@ def _run_clients(server, spikes: np.ndarray,
                 if delay > 0:
                     time.sleep(delay)
                 future = _submit_with_backpressure(
-                    server, i, spikes, deadline_ms, submit_kwargs, retry_s
+                    server, spikes[i], deadline_ms, slo_class, retry_s
                 )
                 try:
                     predictions[i] = future.result(timeout=60.0)
@@ -247,7 +242,7 @@ def _run_clients(server, spikes: np.ndarray,
 
 def run_open_loop(server, spikes: np.ndarray, predictions: np.ndarray,
                   deadline_ms: float | None = None,
-                  submit_kwargs: dict | None = None,
+                  slo_class: str = "default",
                   timeout_s: float = 120.0) -> None:
     """Drive the trace open-loop: saturate, then collect.
 
@@ -263,12 +258,10 @@ def run_open_loop(server, spikes: np.ndarray, predictions: np.ndarray,
     leave their trace row at ``-1``, exactly as in closed-loop mode.
     """
     retry_s = max(server.policy.max_wait_ms / 1e3, 1e-3)
-    submit_kwargs = submit_kwargs or {}
     futures = [
-        _submit_with_backpressure(
-            server, i, spikes, deadline_ms, submit_kwargs, retry_s
-        )
-        for i in range(len(spikes))
+        _submit_with_backpressure(server, row, deadline_ms, slo_class,
+                                  retry_s)
+        for row in spikes
     ]
     for i, future in enumerate(futures):
         try:
@@ -322,24 +315,18 @@ def main(argv: list[str] | None = None) -> int:
             latency_spike_ms=args.chaos_spike_ms,
             latency_spike_p=args.chaos_spike_p,
         )
-        # Serving series land in the run's scoped registry so
-        # --metrics-out exports them alongside everything else.
-        metrics = ServingMetrics(registry=scope.registry)
-        submit_kwargs: dict = {}
+        server_kwargs = dict(
+            policy=policy, max_queue_depth=args.queue_depth,
+            engine=args.engine, retry=retry, chaos=chaos,
+            # Serving series land in the run's scoped registry so
+            # --metrics-out exports them alongside everything else.
+            metrics=ServingMetrics(registry=scope.registry),
+        )
         if args.workers >= 1:
-            server = FleetServer(
-                registry, n_workers=args.workers, policy=policy,
-                engine=args.engine, metrics=metrics,
-                chaos=chaos if chaos.active else None,
-            )
-            submit_kwargs["slo_class"] = args.slo_class
+            server = FleetServer(registry, n_workers=args.workers,
+                                 **server_kwargs)
         else:
-            server = InferenceServer(
-                registry, policy=policy, max_queue_depth=args.queue_depth,
-                engine=args.engine, retry=retry,
-                chaos=chaos if chaos.active else None,
-                metrics=metrics,
-            )
+            server = InferenceServer(registry, **server_kwargs)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -368,11 +355,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.open_loop:
                 run_open_loop(server, spikes, served,
                               deadline_ms=args.deadline_ms,
-                              submit_kwargs=submit_kwargs)
+                              slo_class=args.slo_class)
             else:
                 _run_clients(server, spikes, served, args.rate,
                              args.clients, deadline_ms=args.deadline_ms,
-                             submit_kwargs=submit_kwargs)
+                             slo_class=args.slo_class)
     except Exception as error:  # noqa: BLE001 - CLI boundary
         print(f"error: load generation failed: {error!r}", file=sys.stderr)
         return 1
@@ -408,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
             "clients": args.clients,
             "open_loop": args.open_loop,
             "workers": args.workers,
-            "slo_class": args.slo_class if args.workers >= 1 else None,
+            "slo_class": args.slo_class,
             "model": point.label,
             "policy": {
                 "max_batch_size": args.max_batch,

@@ -1,43 +1,46 @@
-"""The serving fleet: N engine worker processes behind one fabric.
+"""The serving fleet: the serving core with worker-process lanes.
 
-:class:`FleetServer` is the multi-process sibling of
-:class:`~repro.serve.server.InferenceServer`: same client API
-(``submit`` / ``classify`` / context manager), same accounting
-invariant (``submitted == completed + failed + shed``), but every
-micro-batch flushes in one of N ``EngineWorker`` *processes* instead
-of the dispatch thread — so kernel work escapes the GIL and aggregate
-throughput scales with workers (``benchmarks/bench_serving.py``
-measures the curve).
+:class:`FleetServer` is :class:`~repro.serve.server.InferenceServer`
+with N ``EngineWorker`` *processes* as its lanes instead of the
+dispatch thread: admission, SLO classes, micro-batching, deadline
+shedding, retries, chaos and the accounting invariant
+(``submitted == completed + failed + shed``) are the core's, and only
+where a batch is flushed differs — so kernel work escapes the GIL and
+aggregate throughput scales with workers (``benchmarks/
+bench_serving.py`` measures the curve).
 
 The moving parts and who owns what:
 
-* **fabric edge (client threads)** — :meth:`FleetServer.submit`
-  validates the model and spikes exactly once, applies per-SLO-class
-  admission control (:class:`SloClass` depth limits →
-  :class:`~repro.errors.QueueFullError`), consults the registry's
-  circuit breakers, and assigns the request id that routing hashes.
-* **dispatch thread** — drains the inbox into per-(model, replica)
-  :class:`~repro.serve.batcher.MicroBatcher`s (the replica chosen by
-  the seeded :class:`~repro.serve.pool.ConsistentHashRouter`), sheds
-  deadline-expired requests, packs each ready batch bit-packed into a
-  free :class:`~repro.serve.shm.SpikeRing` slot and posts a tiny
-  descriptor to the owning worker's queue.
+* **client threads** — the core's ``submit``: validation, SLO-class
+  admission, breaker check, request-id assignment.
+* **dispatch thread** — the core's loop: routes each request to a
+  replica with the seeded :class:`~repro.serve.pool.ConsistentHashRouter`,
+  batches per (model, replica), sheds deadline-expired requests, then
+  (this module) packs each ready batch bit-packed into a free
+  :class:`~repro.serve.shm.SpikeRing` slot and posts a tiny descriptor
+  to the owning worker's queue.
 * **worker processes** — :func:`~repro.serve.pool.worker_main`: read
-  the slot, classify through the engine backend, post predictions +
-  stats as length-prefixed frames over the worker's private result
-  pipe (one ``os.pipe`` per worker generation, exactly one writer —
-  no cross-process lock a hard-killed worker could leave acquired).
-* **collector thread** — multiplexes the result pipes with ``select``
-  (non-blocking reads only), resolves futures from results, frees
-  ring slots, replays worker stats into the fabric's
-  :class:`~repro.serve.metrics.ServingMetrics` / metric registry
-  (per-replica labels) and records ``fleet.flush`` spans.
-* **supervisor thread** — watches worker liveness; a dead worker's
-  in-flight batches are failed explicitly (never silently dropped),
-  its ring slots freed, and the worker respawned with a fresh queue
-  under the :class:`~repro.resilience.policy.SupervisorPolicy` retry
-  budget.  A worker that exhausts the budget is removed from the
-  routing set; its undispatched requests re-route to the survivors.
+  the slot, run the same :func:`~repro.serve.server.flush_batch` the
+  in-process server runs, post predictions + stats as length-prefixed
+  frames over the worker's private result pipe (one ``os.pipe`` per
+  worker generation, exactly one writer — no cross-process lock a
+  hard-killed worker could leave acquired).
+* **collector thread** — one ``select`` over every result pipe, every
+  worker's process sentinel and a wake-up pipe: resolves futures from
+  results, frees ring slots, replays worker stats into the
+  :class:`~repro.serve.metrics.ServingMetrics` registry (per-replica
+  labels), records ``fleet.flush`` spans — and supervises: a dead
+  worker's pipe is drained once, its in-flight batches are failed
+  explicitly (never silently dropped), its ring slots freed, and the
+  worker respawned with a fresh queue under the
+  :class:`~repro.resilience.policy.SupervisorPolicy` retry budget.  A
+  worker that exhausts the budget is removed from the routing set; its
+  undispatched requests re-route to the survivors.  Nothing polls, so
+  :meth:`~FleetServer.stop` returns as soon as the work is done.
+
+:meth:`~FleetServer.start` returns only after every worker has built
+its engines and reported ready, so model build time never lands in the
+first requests' latency.
 
 Determinism: ``infer_batch`` is split-invariant, so predictions are
 bit-identical to single-process serving for *any* worker count and
@@ -54,87 +57,32 @@ from __future__ import annotations
 import multiprocessing
 import os
 import select
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    DeadlineExceededError,
-    ModelUnavailableError,
-    QueueFullError,
-    ServingError,
-    WorkerCrashError,
-)
+from repro.errors import ConfigurationError, ServingError, WorkerCrashError
 from repro.obs.trace import get_tracer
-from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.policy import SupervisorPolicy
-from repro.serve.batcher import BatchPolicy, MicroBatcher
-from repro.serve.metrics import ServingMetrics
 from repro.serve.pool import (
     ConsistentHashRouter,
     FrameDecoder,
     ModelPayload,
     worker_main,
 )
-from repro.serve.registry import ModelRegistry
-from repro.serve.server import _Request
+from repro.serve.server import InferenceServer
 from repro.serve.shm import RingGeometry, SpikeRing
-from repro.tile.network import validate_engine, validate_spikes
 
-__all__ = ["SloClass", "DEFAULT_SLO_CLASSES", "FleetServer"]
+__all__ = ["FleetServer"]
 
-#: How long the supervisor sleeps between worker liveness sweeps.
-SUPERVISOR_POLL_S = 0.02
-
-
-@dataclass(frozen=True)
-class SloClass:
-    """One admission class at the fabric edge.
-
-    ``max_queue_depth`` bounds how many requests of this class may be
-    in flight at once (beyond it, :meth:`FleetServer.submit` raises
-    :class:`~repro.errors.QueueFullError`); ``deadline_ms``, when set,
-    is the default queueing deadline applied to requests of the class
-    that do not carry an explicit one — expired requests are shed, not
-    served.
-    """
-
-    name: str
-    max_queue_depth: int = 256
-    deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("SLO class name must be non-empty")
-        if self.max_queue_depth < 1:
-            raise ConfigurationError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be > 0 when set, got {self.deadline_ms}"
-            )
-
-
-#: The stock admission classes the CLI exposes via ``--slo-class``.
-#: ``batch`` tolerates deep queues (throughput work), ``default`` is
-#: the balanced middle, ``interactive`` keeps queues shallow and sheds
-#: anything that waited longer than 50 ms.
-DEFAULT_SLO_CLASSES = {
-    "batch": SloClass("batch", max_queue_depth=2048),
-    "default": SloClass("default", max_queue_depth=256),
-    "interactive": SloClass(
-        "interactive", max_queue_depth=64, deadline_ms=50.0
-    ),
-}
+#: How long :meth:`FleetServer.start` waits for every worker's ready
+#: handshake, and a rollout for each replica's drain and swap ack.
+LANE_TIMEOUT_S = 60.0
 
 
 @dataclass
 class _InFlight:
-    """One batch the fabric has handed to a worker."""
+    """One batch the fleet has handed to a worker."""
 
     batch_id: int
     model: str
@@ -147,14 +95,14 @@ class _InFlight:
 class _Worker:
     """Parent-side handle of one EngineWorker process."""
 
-    def __init__(self, worker_id: int) -> None:
+    def __init__(self, worker_id: int, queue) -> None:
         self.worker_id = worker_id
+        self.queue = queue
         self.generation = -1
         self.process = None
-        self.queue = None
         #: Read end of this generation's result pipe (non-blocking)
         #: and its frame reassembly buffer.  Only the collector thread
-        #: ever reads the fd.
+        #: (or ``start`` before it exists) ever reads the fd.
         self.result_rd = -1
         self.decoder = None
         self.ready = False
@@ -166,86 +114,50 @@ class _Worker:
         return self.process is not None and self.process.is_alive()
 
 
-class FleetServer:
+class FleetServer(InferenceServer):
     """Multi-process micro-batching classification service.
+
+    Takes every :class:`~repro.serve.server.InferenceServer` argument
+    (``policy``, ``max_queue_depth``, ``engine``, ``metrics``,
+    ``retry``, ``chaos``, ``slo_classes``, ``clock``, ``tracer``).
+    Retries and flush chaos run inside the workers, where an active
+    ``chaos`` policy's worker-crash schedule also decides which batches
+    crash their worker mid-flight (test harness).  In addition:
 
     Parameters
     ----------
-    registry:
-        The :class:`ModelRegistry` holding the servable networks; must
-        be non-empty at :meth:`start`.  Swaps and weight pushes go
-        through the registry first (interface validation, breaker
-        reset) and then roll out to the workers one replica at a time.
     n_workers:
         Engine worker processes (replicas).  Every model is served by
         every replica; routing spreads the request stream across them.
-    policy:
-        The per-(model, replica) :class:`BatchPolicy`.
-    engine:
-        Engine backend every worker flushes through.
-    slo_classes:
-        Admission classes by name (default
-        :data:`DEFAULT_SLO_CLASSES`).  Must contain ``"default"``.
     supervisor:
         :class:`SupervisorPolicy`; its ``retry_budget`` bounds how
         many times one worker slot may be respawned before it is
         removed from the routing set.
-    chaos:
-        Optional :class:`ChaosPolicy` shipped *into* the workers: its
-        deterministic schedule decides which batches crash their
-        worker mid-flight (test harness; leave ``None`` in real
-        serving).
     route_seed:
         Seed of the consistent-hash routing ring.
     n_slots:
         Shared-memory ring slots (default ``max(2 * n_workers, 4)``);
         bounds how many batches may be in flight across all workers.
+
+    Swaps and weight pushes go through the registry first (interface
+    validation, breaker reset) and then roll out to the workers one
+    replica at a time.
     """
 
-    def __init__(self, registry: ModelRegistry,
-                 n_workers: int = 2,
-                 policy: BatchPolicy | None = None,
-                 engine: str = "fast",
-                 metrics: ServingMetrics | None = None,
-                 slo_classes: dict | None = None,
+    def __init__(self, registry, n_workers: int = 2,
                  supervisor: SupervisorPolicy | None = None,
-                 chaos: ChaosPolicy | None = None,
-                 route_seed: int = 0,
-                 n_slots: int | None = None,
-                 clock=time.monotonic,
-                 tracer=None) -> None:
-        validate_engine(engine)
+                 route_seed: int = 0, n_slots: int | None = None,
+                 **kwargs) -> None:
         if n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {n_workers}"
             )
-        self.registry = registry
+        super().__init__(registry, **kwargs)
         self.n_workers = n_workers
-        self.policy = policy or BatchPolicy()
-        self.engine = engine
-        self.metrics = metrics or ServingMetrics()
-        self.slo_classes = dict(slo_classes or DEFAULT_SLO_CLASSES)
-        if "default" not in self.slo_classes:
-            raise ConfigurationError(
-                'slo_classes must contain a "default" class'
-            )
         self.supervisor = supervisor or SupervisorPolicy()
-        self.chaos = chaos if chaos is not None and chaos.active else None
         self.router = ConsistentHashRouter(range(n_workers), seed=route_seed)
         self.n_slots = (n_slots if n_slots is not None
                         else max(2 * n_workers, 4))
-        self._clock = clock
-        self._tracer = tracer
-        #: One lock for all fabric state: inbox, batchers, in-flight
-        #: map, free slots, class depths, worker handles.
-        self._cond = threading.Condition()
-        self._inbox: list[tuple[int, str, _Request]] = []
-        self._batchers: dict[tuple[str, int], MicroBatcher] = {}
-        self._in_flight_requests = 0
-        self._class_depth: dict[str, int] = {
-            name: 0 for name in self.slo_classes
-        }
-        self._next_request_id = 0
         self._next_batch_id = 0
         self._free_slots: list[int] = []
         self._assigned: dict[int, _InFlight] = {}
@@ -253,58 +165,63 @@ class FleetServer:
         self._swap_acks: dict[int, tuple] = {}
         self._workers: dict[int, _Worker] = {}
         self._ring: SpikeRing | None = None
-        #: Result pipes of dead worker generations, awaiting one final
-        #: collector drain: ``(read_fd, decoder)`` tuples.
-        self._retired_pipes: list[tuple[int, FrameDecoder]] = []
+        #: Self-pipe that wakes the collector out of ``select``.
+        self._wake_rd = self._wake_wr = -1
         self._mp = multiprocessing.get_context()
-        self._running = False
-        self._failed = False
-        self._drain_on_stop = True
-        self._threads: list[threading.Thread] = []
 
-    # -- lifecycle ------------------------------------------------------------------
+    # -- lane lifecycle -------------------------------------------------------------
 
-    def start(self) -> "FleetServer":
-        """Allocate the ring, spawn the workers, start the fabric threads.
-
-        Worker processes are spawned *before* any fabric thread starts,
-        so a fork start method never duplicates a running thread into a
-        child.
-        """
-        with self._cond:
-            if self._running:
-                return self
+    def _start_lanes(self) -> None:
+        """Allocate the ring, spawn the workers, await every handshake."""
         names = self.registry.names()
         if not names:
             raise ConfigurationError(
                 "the registry holds no models; register before start()"
             )
         widths = [self.registry.get(n).tiles[0].n_in for n in names]
-        geometry = RingGeometry(
+        self._ring = SpikeRing(RingGeometry(
             self.n_slots, self.policy.max_batch_size, max(widths)
-        )
-        self._ring = SpikeRing(geometry)
+        ))
         self._free_slots = list(range(self.n_slots))
-        self._retired_pipes = []
-        self._workers = {w: _Worker(w) for w in range(self.n_workers)}
-        for worker in self._workers.values():
-            worker.queue = self._mp.SimpleQueue()
-            self._spawn(worker)
-        with self._cond:
-            self._running = True
-            self._failed = False
-        self._threads = [
-            threading.Thread(target=self._dispatch_loop,
-                             name="repro-fleet-dispatch", daemon=True),
-            threading.Thread(target=self._collector_loop,
-                             name="repro-fleet-collect", daemon=True),
-            threading.Thread(target=self._supervisor_loop,
-                             name="repro-fleet-supervise", daemon=True),
-        ]
-        self.metrics.mark_started()
-        for thread in self._threads:
-            thread.start()
-        return self
+        self._assigned = {}
+        self._wake_rd, self._wake_wr = os.pipe()
+        os.set_blocking(self._wake_rd, False)
+        self._workers = {
+            w: _Worker(w, self._mp.SimpleQueue())
+            for w in range(self.n_workers)
+        }
+        try:
+            for worker in self._workers.values():
+                self._spawn(worker)
+            self._await_ready()
+        except BaseException:
+            self._stop_lanes()
+            raise
+
+    def _await_ready(self) -> None:
+        """Read ready handshakes until every worker has sent one."""
+        deadline = self._clock() + LANE_TIMEOUT_S
+        while True:
+            pending = [w for w in self._workers.values() if not w.ready]
+            if not pending:
+                return
+            dead = [w.worker_id for w in pending if not w.alive]
+            if dead:
+                raise ServingError(
+                    f"fleet workers {dead} died before reporting ready"
+                )
+            left = deadline - self._clock()
+            if left <= 0:
+                raise ServingError(
+                    "timed out waiting for fleet workers to report ready"
+                )
+            readable, _, _ = select.select(
+                [fd for w in pending
+                 for fd in (w.result_rd, w.process.sentinel)], [], [], left,
+            )
+            for worker in pending:
+                if worker.result_rd in readable:
+                    self._drain_pipe(worker)
 
     def _payloads(self) -> list[ModelPayload]:
         return [
@@ -318,7 +235,7 @@ class FleetServer:
         The caller is responsible for having installed a *fresh* queue
         when respawning after a crash — items posted to a dead
         worker's queue must never be double-served by its successor
-        (the supervisor fails them explicitly instead).  Each spawn
+        (the crash handler fails them explicitly instead).  Each spawn
         also gets a fresh result pipe: the dying generation may have
         torn its final frame, and a torn tail must never desync its
         successor's frame stream.
@@ -333,10 +250,10 @@ class FleetServer:
         worker.process = self._mp.Process(
             target=worker_main,
             name=f"repro-fleet-worker-{worker.worker_id}",
-            args=(worker.worker_id, worker.generation, self._ring.name,
+            args=(worker.generation, self._ring.name,
                   self._ring.geometry.to_tuple(), self._payloads(),
                   self.engine, worker.queue, write_fd,
-                  self.chaos),
+                  self.retry, self.chaos),
             daemon=True,
         )
         worker.process.start()
@@ -344,17 +261,8 @@ class FleetServer:
         # parent's keeps the fd table bounded across respawns.
         os.close(write_fd)
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop the fabric; ``drain=True`` serves every admitted request."""
-        with self._cond:
-            if not self._running and not self._threads:
-                return
-            self._running = False
-            self._drain_on_stop = drain
-            self._cond.notify_all()
-        for thread in self._threads:
-            thread.join()
-        self._threads = []
+    def _stop_lanes(self) -> None:
+        """Stop the workers, close every pipe, unlink the ring."""
         for worker in self._workers.values():
             if worker.alive:
                 worker.queue.put(("stop",))
@@ -364,51 +272,90 @@ class FleetServer:
                 if worker.process.is_alive():
                     worker.process.kill()
                     worker.process.join()
-        with self._cond:
-            fds = [w.result_rd for w in self._workers.values()
-                   if w.result_rd >= 0]
-            fds.extend(fd for fd, _ in self._retired_pipes)
-            for worker in self._workers.values():
-                worker.result_rd = -1
-            self._retired_pipes = []
+        fds = [w.result_rd for w in self._workers.values()]
+        fds += [self._wake_rd, self._wake_wr]
         for fd in fds:
-            try:
+            if fd >= 0:
                 os.close(fd)
-            except OSError:
-                pass
+        for worker in self._workers.values():
+            worker.result_rd = -1
+        self._wake_rd = self._wake_wr = -1
         if self._ring is not None:
             self._ring.close()
             self._ring.unlink()
             self._ring = None
-        self.metrics.mark_stopped()
 
-    def __enter__(self) -> "FleetServer":
-        return self.start()
+    def _loops(self) -> list:
+        return [*super()._loops(), (self._collect_forever, "collector")]
 
-    def __exit__(self, *exc_info) -> None:
-        self.stop(drain=True)
+    def _wake(self) -> None:
+        if self._wake_wr >= 0:
+            os.write(self._wake_wr, b"\0")
 
-    @property
-    def running(self) -> bool:
-        return self._running
+    # -- lanes ----------------------------------------------------------------------
 
-    @property
-    def failed(self) -> bool:
+    def _lanes(self) -> list[int]:
+        """Worker ids in the routing set.  (Call under the lock.)"""
+        return [w.worker_id for w in self._workers.values() if not w.removed]
+
+    def _lane_for(self, request) -> int:
+        lanes = self._lanes()
+        if len(lanes) == 1:
+            return lanes[0]
+        return self.router.route(request.request_id, lanes)
+
+    def _accepts(self, lane: int) -> bool:
+        return self._workers[lane].ready and lane not in self._draining
+
+    def _held(self) -> list:
+        held = super()._held()
+        for flight in self._assigned.values():
+            held.extend(flight.requests)
+        self._assigned = {}
+        return held
+
+    def _flush(self, model: str, lane: int, requests: list,
+               site: str) -> None:
+        """Pack the batch into a ring slot and post it to worker ``lane``."""
+        slot = self._acquire_slot()
+        if slot is None:  # failed, or aborted without drain
+            self._fail(requests, ServingError(
+                "fleet stopped before the batch could be dispatched"
+            ))
+            return
+        n_rows = self._ring.pack_into(
+            slot, np.stack([r.spikes for r in requests])
+        )
         with self._cond:
-            return self._failed
+            batch_id = self._next_batch_id
+            self._next_batch_id += 1
+            self._assigned[batch_id] = _InFlight(
+                batch_id=batch_id, model=model, worker_id=lane, slot=slot,
+                requests=requests, dispatched_at=self._clock(),
+            )
+            target_queue = self._workers[lane].queue
+        target_queue.put(("batch", batch_id, model, slot, n_rows, site))
 
-    @property
-    def in_flight(self) -> int:
-        """Requests admitted but not yet resolved."""
+    def _acquire_slot(self) -> int | None:
         with self._cond:
-            return self._in_flight_requests
+            while not self._free_slots:
+                if self._failed or (not self._running
+                                    and not self._drain_on_stop):
+                    return None
+                self._cond.wait()
+            return self._free_slots.pop()
+
+    def _release_slot(self, slot: int) -> None:
+        with self._cond:
+            self._free_slots.append(slot)
+            self._cond.notify_all()
+
+    # -- introspection --------------------------------------------------------------
 
     def live_workers(self) -> set[int]:
         """Worker ids still in the routing set (spawned or respawning)."""
         with self._cond:
-            return {
-                w.worker_id for w in self._workers.values() if not w.removed
-            }
+            return set(self._lanes())
 
     def describe(self) -> dict:
         """JSON-ready fabric summary (CLI reports, tests)."""
@@ -430,81 +377,6 @@ class FleetServer:
             "slo_classes": sorted(self.slo_classes),
             "workers": workers,
         }
-
-    # -- client API -----------------------------------------------------------------
-
-    def submit(self, model: str, spikes: np.ndarray,
-               deadline_ms: float | None = None,
-               slo_class: str = "default"):
-        """Admit one request at the fabric edge; returns its future.
-
-        This is the single validation point: the model name, the spike
-        vector (:func:`validate_spikes`, exactly once — workers never
-        re-check), the SLO class, and the class's depth limit
-        (:class:`QueueFullError`) are all enforced here, then the
-        request id that routing hashes is assigned under the lock.
-        """
-        try:
-            slo = self.slo_classes[slo_class]
-        except KeyError:
-            known = ", ".join(sorted(self.slo_classes))
-            raise ConfigurationError(
-                f"unknown SLO class {slo_class!r} (known: {known})"
-            ) from None
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be > 0 when set, got {deadline_ms}"
-            )
-        if deadline_ms is None:
-            deadline_ms = slo.deadline_ms
-        network = self.registry.get(model)
-        spikes = validate_spikes(spikes, network.tiles[0].n_in)
-        with self._cond:
-            if self._failed:
-                raise ServingError(
-                    "the fleet's fabric crashed; restart before submitting"
-                )
-            if not self._running:
-                raise ServingError("the fleet is not running; call start()")
-            if self._class_depth[slo.name] >= slo.max_queue_depth:
-                self.metrics.record_rejected()
-                raise QueueFullError(
-                    f"SLO class {slo.name!r} is full "
-                    f"({self._class_depth[slo.name]} in flight, "
-                    f"max_queue_depth={slo.max_queue_depth}); retry later"
-                )
-            try:
-                self.registry.check(model)
-            except ModelUnavailableError:
-                self.metrics.record_broken_circuit()
-                raise
-            now = self._clock()
-            deadline_at = (
-                now + deadline_ms / 1e3 if deadline_ms is not None else None
-            )
-            request = _Request(
-                model=model, spikes=spikes, submitted_at=now,
-                deadline_at=deadline_at,
-            )
-            # Stamped on the request so resolution can release the
-            # right class depth (dynamic attribute; _Request has no
-            # __slots__ by design).
-            request.slo_class = slo.name
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._in_flight_requests += 1
-            self._class_depth[slo.name] += 1
-            self._inbox.append((request_id, model, request))
-            self.metrics.record_submitted(
-                queue_depth=self._in_flight_requests
-            )
-            self._cond.notify_all()
-        return request.future
-
-    def classify(self, model: str, spikes: np.ndarray,
-                 timeout: float | None = 30.0) -> int:
-        """Blocking single-request convenience around :meth:`submit`."""
-        return self.submit(model, spikes).result(timeout=timeout)
 
     # -- rolling hot-swap -----------------------------------------------------------
 
@@ -543,11 +415,11 @@ class FleetServer:
                 self._draining.add(worker_id)
             try:
                 self._await(
-                    lambda: not self._busy(worker_id),
+                    lambda: not any(f.worker_id == worker_id
+                                    for f in self._assigned.values()),
                     f"draining replica {worker_id} for {name!r} rollout",
                 )
                 with self._cond:
-                    worker = self._workers[worker_id]
                     if worker.removed:
                         continue
                     self._swap_acks.pop(worker_id, None)
@@ -559,8 +431,8 @@ class FleetServer:
                 self._await(
                     lambda: self._swap_acks.get(worker_id)
                     == (name, payload.versions)
-                    or self._workers[worker_id].generation != sent_generation
-                    or self._workers[worker_id].removed,
+                    or worker.generation != sent_generation
+                    or worker.removed,
                     f"swap ack from replica {worker_id} for {name!r}",
                 )
             finally:
@@ -569,354 +441,117 @@ class FleetServer:
                     self._cond.notify_all()
         return payload.versions
 
-    def _busy(self, worker_id: int) -> bool:
-        """Does ``worker_id`` hold in-flight batches?  (Call under lock.)"""
-        return any(
-            f.worker_id == worker_id for f in self._assigned.values()
-        )
-
-    def _await(self, predicate, what: str, timeout_s: float = 30.0) -> None:
-        """Wait on the fabric condition until ``predicate()`` holds."""
-        deadline = self._clock() + timeout_s
+    def _await(self, predicate, what: str) -> None:
+        """Wait on the server condition until ``predicate()`` holds."""
+        deadline = self._clock() + LANE_TIMEOUT_S
         with self._cond:
             while not predicate():
                 if self._failed:
                     raise ServingError(
                         f"fleet failed while waiting for {what}"
                     )
-                if self._clock() >= deadline:
+                left = deadline - self._clock()
+                if left <= 0:
                     raise ServingError(f"timed out waiting for {what}")
-                self._cond.wait(0.05)
+                self._cond.wait(left)
 
-    # -- dispatch -------------------------------------------------------------------
-
-    def _batcher_for(self, model: str, worker_id: int) -> MicroBatcher:
-        """The (model, replica) batcher.  Call under the fabric lock."""
-        key = (model, worker_id)
-        batcher = self._batchers.get(key)
-        if batcher is None:
-            batcher = MicroBatcher(self.policy, clock=self._clock)
-            self._batchers[key] = batcher
-        return batcher
-
-    def _dispatch_loop(self) -> None:
-        try:
-            self._dispatch_forever()
-        except BaseException as error:  # noqa: BLE001 - must fail pending
-            self._fail_pending(error)
-            raise
-
-    def _dispatch_forever(self) -> None:
-        while True:
-            with self._cond:
-                if self._running and not self._inbox and not self._any_ready():
-                    timeout = 0.05
-                    deadline = self._next_deadline()
-                    if deadline is not None:
-                        timeout = min(
-                            timeout, max(0.0, deadline - self._clock())
-                        )
-                    self._cond.wait(timeout)
-                stopping = not self._running
-                drained = self._inbox
-                self._inbox = []
-                live = {
-                    w.worker_id
-                    for w in self._workers.values() if not w.removed
-                }
-                for request_id, model, request in drained:
-                    worker_id = self.router.route(request_id, live)
-                    self._batcher_for(model, worker_id).add(
-                        request, now=request.submitted_at
-                    )
-            if stopping:
-                self._shutdown_flush()
-                return
-            self._flush_ready()
-
-    def _any_ready(self) -> bool:
-        """Any batcher flushable right now?  (Call under lock.)"""
-        now = self._clock()
-        return any(
-            b.ready(now) and key[1] not in self._draining
-            and self._workers[key[1]].ready
-            for key, b in self._batchers.items()
-        )
-
-    def _next_deadline(self) -> float | None:
-        deadlines = [
-            d for d in (b.next_deadline() for b in self._batchers.values())
-            if d is not None
-        ]
-        return min(deadlines) if deadlines else None
-
-    def _flush_ready(self) -> None:
-        """Take ready batches (one at a time, under the lock) and post them."""
-        while True:
-            with self._cond:
-                job = None
-                now = self._clock()
-                for (model, worker_id), batcher in self._batchers.items():
-                    worker = self._workers[worker_id]
-                    if worker_id in self._draining or not worker.ready:
-                        continue
-                    if batcher.ready(now):
-                        job = (model, worker_id, batcher.take(now))
-                        break
-            if job is None:
-                return
-            self._dispatch_batch(*job)
-
-    def _dispatch_batch(self, model: str, worker_id: int,
-                        requests: list) -> None:
-        """Shed the doomed, pack the live rest into a slot, post it."""
-        if not requests:
-            return
-        now = self._clock()
-        live: list[_Request] = []
-        doomed: list[_Request] = []
-        for request in requests:
-            if request.deadline_at is not None and request.deadline_at <= now:
-                doomed.append(request)
-            else:
-                live.append(request)
-        if doomed:
-            for request in doomed:
-                overdue_ms = (now - request.deadline_at) * 1e3
-                request.future.set_exception(DeadlineExceededError(
-                    f"deadline expired {overdue_ms:.1f} ms before dispatch; "
-                    "request shed"
-                ))
-            self.metrics.record_shed(len(doomed))
-            self._resolve(doomed)
-        if not live:
-            return
-        slot = self._acquire_slot()
-        if slot is None:  # fabric failed / aborted without drain
-            error = ServingError(
-                "fleet stopped before the batch could be dispatched"
-            )
-            for request in live:
-                request.future.set_exception(error)
-            self.metrics.record_failed(len(live))
-            self._resolve(live)
-            return
-        batch = np.stack([r.spikes for r in live])
-        n_rows = self._ring.pack_into(slot, batch)
-        with self._cond:
-            batch_id = self._next_batch_id
-            self._next_batch_id += 1
-            flight = _InFlight(
-                batch_id=batch_id, model=model, worker_id=worker_id,
-                slot=slot, requests=live, dispatched_at=self._clock(),
-            )
-            self._assigned[batch_id] = flight
-            target_queue = self._workers[worker_id].queue
-        target_queue.put(("batch", batch_id, model, slot, n_rows))
-
-    def _acquire_slot(self) -> int | None:
-        with self._cond:
-            while not self._free_slots:
-                if self._failed or (not self._running
-                                    and not self._drain_on_stop):
-                    return None
-                self._cond.wait(0.05)
-            return self._free_slots.pop()
-
-    def _release_slot(self, slot: int) -> None:
-        with self._cond:
-            self._free_slots.append(slot)
-            self._cond.notify_all()
-
-    def _resolve(self, requests: list) -> None:
-        """Account resolved requests out of the in-flight / class depths."""
-        with self._cond:
-            self._in_flight_requests -= len(requests)
-            for request in requests:
-                name = getattr(request, "slo_class", "default")
-                self._class_depth[name] -= 1
-            self._cond.notify_all()
-
-    def _shutdown_flush(self) -> None:
-        with self._cond:
-            tails = [
-                (model, worker_id, batch)
-                for (model, worker_id), batcher in self._batchers.items()
-                for batch in batcher.drain()
-            ]
-        for model, worker_id, batch in tails:
-            if (self._drain_on_stop
-                    and not self._workers[worker_id].removed):
-                self._dispatch_batch(model, worker_id, batch)
-            else:
-                error = ServingError(
-                    "fleet stopped without draining; request abandoned"
-                )
-                for request in batch:
-                    request.future.set_exception(error)
-                self.metrics.record_failed(len(batch))
-                self._resolve(batch)
-        if self._drain_on_stop:
-            self._await(lambda: not self._assigned,
-                        "in-flight batches to drain")
-
-    # -- collection -----------------------------------------------------------------
-
-    def _collector_loop(self) -> None:
-        try:
-            self._collect_forever()
-        except BaseException as error:  # noqa: BLE001 - must fail pending
-            self._fail_pending(error)
-            raise
+    # -- collection and supervision -------------------------------------------------
 
     def _collect_forever(self) -> None:
+        """Collector thread: results, worker deaths and wake-ups from one
+        ``select``.  Exits once stopped and nothing is left in flight."""
         while True:
             with self._cond:
-                if not self._running:
-                    drained = (not self._assigned and not self._inbox
-                               and not any(
-                                   len(b) for b in self._batchers.values()
-                               ))
-                    if self._failed or drained:
-                        return
-                live = [
-                    (w.result_rd, w.decoder)
-                    for w in self._workers.values() if w.result_rd >= 0
-                ]
-                retired = self._retired_pipes
-                self._retired_pipes = []
-            # Retired pipes (dead generations) get one final drain:
-            # every complete frame the worker managed to write is
-            # already in the kernel buffer, a torn tail is discarded
-            # with the decoder.  This thread is the only reader of any
-            # result fd, so a fd showing up both here and in ``live``
-            # (retirement racing the snapshot) is still single-reader.
-            for fd, decoder in retired:
-                self._drain_pipe(fd, decoder)
+                if not self._running and (self._failed
+                                          or self._in_flight == 0):
+                    return
+                workers = [w for w in self._workers.values()
+                           if w.result_rd >= 0]
+            watched = [self._wake_rd]
+            for worker in workers:
+                watched += [worker.result_rd, worker.process.sentinel]
+            readable, _, _ = select.select(watched, [], [])
+            if self._wake_rd in readable:
                 try:
-                    os.close(fd)
-                except OSError:
+                    os.read(self._wake_rd, 1 << 10)
+                except BlockingIOError:
                     pass
-            if not live:
-                time.sleep(0.005)
-                continue
-            try:
-                readable, _, _ = select.select(
-                    [fd for fd, _ in live], [], [], 0.05
-                )
-            except OSError:
-                # A fd was retired+closed between snapshot and select;
-                # re-snapshot.
-                continue
-            for fd, decoder in live:
-                if fd in readable:
-                    self._drain_pipe(fd, decoder)
+            for worker in workers:
+                died = worker.process.sentinel in readable
+                # A dead generation's pipe gets one final drain: every
+                # complete frame it wrote still counts, a torn tail is
+                # discarded with the decoder.
+                if died or worker.result_rd in readable:
+                    self._drain_pipe(worker)
+                if died:
+                    self._handle_crash(worker)
 
-    def _drain_pipe(self, fd: int, decoder: FrameDecoder) -> None:
+    def _drain_pipe(self, worker: _Worker) -> None:
         """Non-blocking read of everything available, frame dispatch."""
         while True:
             try:
-                data = os.read(fd, 1 << 16)
-            except BlockingIOError:
-                break
-            except OSError:
+                data = os.read(worker.result_rd, 1 << 16)
+            except OSError:  # BlockingIOError: nothing more right now
                 break
             if not data:
                 break
-            decoder.feed(data)
-        for message in decoder.frames():
-            self._handle_result(message)
+            worker.decoder.feed(data)
+        for message in worker.decoder.frames():
+            self._handle_result(worker, message)
 
-    def _handle_result(self, message: tuple) -> None:
+    def _handle_result(self, worker: _Worker, message: tuple) -> None:
         kind = message[0]
         if kind == "ready":
-            _, worker_id, generation = message
             with self._cond:
-                worker = self._workers.get(worker_id)
-                if worker is not None and worker.generation == generation:
+                if worker.generation == message[1]:
                     worker.ready = True
                     self._cond.notify_all()
-        elif kind == "swapped":
-            _, worker_id, model, versions = message
+            return
+        if kind == "swapped":
+            _, model, versions = message
             with self._cond:
-                self._swap_acks[worker_id] = (model, versions)
+                self._swap_acks[worker.worker_id] = (model, versions)
                 self._cond.notify_all()
-        elif kind == "ok":
-            _, batch_id, worker_id, slot, predictions, stats = message
-            with self._cond:
-                flight = self._assigned.pop(batch_id, None)
-            if flight is None:
-                # Late result of a batch the supervisor already failed
-                # (its slot was freed there; never free it twice).
-                return
-            self._release_slot(flight.slot)
-            done = self._clock()
-            self.registry.record_flush_success(flight.model)
-            self.metrics.record_batch(len(flight.requests))
-            self._replay_stats(flight, stats, done)
-            for request, prediction in zip(flight.requests, predictions):
-                request.future.set_result(int(prediction))
-                self.metrics.record_completed(done - request.submitted_at)
-            self._resolve(flight.requests)
-        elif kind == "error":
-            _, batch_id, worker_id, slot, text = message
-            with self._cond:
-                flight = self._assigned.pop(batch_id, None)
-            if flight is None:
-                return
-            self._release_slot(flight.slot)
-            self.registry.record_flush_failure(flight.model)
-            error = ServingError(
-                f"worker {worker_id} failed the batch: {text}"
-            )
-            for request in flight.requests:
-                request.future.set_exception(error)
-            self.metrics.record_failed(len(flight.requests))
-            self._resolve(flight.requests)
+            return
+        _, batch_id, outcome, stats = message
+        with self._cond:
+            flight = self._assigned.pop(batch_id, None)
+        if flight is None:
+            # Late result of a batch already failed (its slot was
+            # freed there; never free it twice).
+            return
+        self._release_slot(flight.slot)
+        retried = stats["retried"]
+        if retried:
+            self.metrics.record_retried(retried)
+            for _ in range(retried):
+                self.registry.record_flush_failure(flight.model)
+        done = self._clock()
+        self._replay_stats(flight, stats, done)
+        if kind == "ok":
+            self._complete(flight.model, flight.requests, outcome, done)
+        else:
+            self._fail(flight.requests, outcome, flight.model)
 
     def _replay_stats(self, flight: _InFlight, stats: dict,
                       done: float) -> None:
-        """Fold one worker's batch stats into the fabric's registry."""
+        """Fold one worker's batch stats into the fleet's registry."""
         registry = self.metrics.registry
         labels = {"replica": str(flight.worker_id), "model": flight.model}
         registry.counter("repro_fleet_batches_total", **labels).inc()
-        registry.counter(
-            "repro_fleet_rows_total", **labels
-        ).inc(stats.get("rows", len(flight.requests)))
-        registry.histogram(
-            "repro_fleet_flush_ms", **labels
-        ).observe(round(stats.get("flush_s", 0.0) * 1e3, 3))
-        tracer = self._tracer if self._tracer is not None else get_tracer()
+        registry.counter("repro_fleet_rows_total", **labels).inc(
+            stats["rows"]
+        )
+        registry.histogram("repro_fleet_flush_ms", **labels).observe(
+            round(stats["flush_s"] * 1e3, 3)
+        )
+        tracer = self._active_tracer()
         if tracer.enabled:
             tracer.record(
                 "fleet.flush", flight.dispatched_at, done,
                 model=flight.model, replica=flight.worker_id,
                 size=len(flight.requests), engine=self.engine,
             )
-
-    # -- supervision ----------------------------------------------------------------
-
-    def _supervisor_loop(self) -> None:
-        try:
-            while True:
-                with self._cond:
-                    if self._failed:
-                        return
-                    if not self._running and not self._assigned:
-                        return
-                for worker in list(self._workers.values()):
-                    if (worker.process is not None and not worker.removed
-                            and not worker.alive):
-                        with self._cond:
-                            if not self._running:
-                                # Normal shutdown is stopping workers;
-                                # a death now is not a crash.
-                                continue
-                        self._handle_crash(worker)
-                time.sleep(SUPERVISOR_POLL_S)
-        except BaseException as error:  # noqa: BLE001 - must fail pending
-            self._fail_pending(error)
-            raise
 
     def _handle_crash(self, worker: _Worker) -> None:
         """One worker died: fail its in-flight work, respawn or remove it.
@@ -931,46 +566,32 @@ class FleetServer:
         with self._cond:
             worker.ready = False
             worker.queue = self._mp.SimpleQueue()
-            # Retire the dead generation's result pipe; the collector
-            # gives it one final drain (complete frames still count)
-            # and closes it.  The successor gets a fresh pipe in
-            # ``_spawn`` so a torn final frame cannot desync it.
-            if worker.result_rd >= 0:
-                self._retired_pipes.append(
-                    (worker.result_rd, worker.decoder)
-                )
-                worker.result_rd = -1
-                worker.decoder = None
-            lost = [
-                f for f in self._assigned.values()
-                if f.worker_id == worker.worker_id
-            ]
+            lost = [f for f in self._assigned.values()
+                    if f.worker_id == worker.worker_id]
             for flight in lost:
                 del self._assigned[flight.batch_id]
+            os.close(worker.result_rd)
+            worker.result_rd = -1
         cause = WorkerCrashError(
             f"fleet worker {worker.worker_id} died (exit code {exit_code})"
         )
         registry = self.metrics.registry
+        replica = str(worker.worker_id)
         registry.counter(
-            "repro_fleet_worker_crashes_total",
-            replica=str(worker.worker_id),
+            "repro_fleet_worker_crashes_total", replica=replica
         ).inc()
         for flight in lost:
             self._release_slot(flight.slot)
-            self.registry.record_flush_failure(flight.model)
             error = ServingError(
                 f"fleet worker {worker.worker_id} crashed with the batch "
                 "in flight; request failed explicitly"
             )
             error.__cause__ = cause
-            for request in flight.requests:
-                request.future.set_exception(error)
-            self.metrics.record_failed(len(flight.requests))
-            self._resolve(flight.requests)
+            self._fail(flight.requests, error, flight.model)
         if worker.respawns < self.supervisor.retry_budget:
             worker.respawns += 1
             registry.counter(
-                "repro_fleet_respawns_total", replica=str(worker.worker_id)
+                "repro_fleet_respawns_total", replica=replica
             ).inc()
             self._spawn(worker)
             return
@@ -978,54 +599,20 @@ class FleetServer:
         # re-route its undispatched requests to the survivors.
         with self._cond:
             worker.removed = True
-            survivors = {
-                w.worker_id for w in self._workers.values() if not w.removed
-            }
+            survivors = self._lanes()
             stranded = [
-                (model, request)
-                for (model, worker_id), batcher in self._batchers.items()
-                if worker_id == worker.worker_id
+                request
+                for (_, lane), batcher in self._batchers.items()
+                if lane == worker.worker_id
                 for batch in batcher.drain()
                 for request in batch
             ]
             if survivors:
-                for index, (model, request) in enumerate(stranded):
+                for index, request in enumerate(stranded):
                     target = self.router.route(f"reroute/{index}", survivors)
-                    self._batcher_for(model, target).add(
+                    self._batcher(request.model, target).add(
                         request, now=request.submitted_at
                     )
             self._cond.notify_all()
         if not survivors:
-            self._fail_pending(cause)
-
-    # -- terminal failure -----------------------------------------------------------
-
-    def _fail_pending(self, error: BaseException) -> None:
-        """The fabric died: fail every admitted-but-unresolved future."""
-        failure = ServingError(
-            f"the fleet fabric crashed ({type(error).__name__}: {error}); "
-            "pending requests abandoned"
-        )
-        failure.__cause__ = error
-        with self._cond:
-            if self._failed:
-                return
-            self._failed = True
-            self._running = False
-            pending = [request for _, _, request in self._inbox]
-            self._inbox = []
-            for flight in self._assigned.values():
-                pending.extend(flight.requests)
-            self._assigned = {}
-            for batcher in self._batchers.values():
-                for batch in batcher.drain():
-                    pending.extend(batch)
-            self._cond.notify_all()
-        abandoned = 0
-        for request in pending:
-            if not request.future.done():
-                request.future.set_exception(failure)
-                abandoned += 1
-        if abandoned:
-            self.metrics.record_failed(abandoned)
-        self._resolve(pending)
+            self._fail_pending(cause, "fleet")

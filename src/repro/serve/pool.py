@@ -13,10 +13,11 @@ Three pieces the :class:`~repro.serve.fleet.FleetServer` is built from:
   hot-swap, never per request.
 * :func:`worker_main` — the body of one ``EngineWorker`` process: loop
   over a private work queue, read bit-packed batches out of the shared
-  :class:`~repro.serve.shm.SpikeRing`, classify through the engine
-  backend **without re-validating** (the fabric edge validated every
-  request exactly once at admission), and post predictions + per-batch
-  stats over the worker's private result pipe.
+  :class:`~repro.serve.shm.SpikeRing`, run them through the same
+  :func:`~repro.serve.server.flush_batch` the in-process server runs
+  (retries and flush chaos included) **without re-validating** (the
+  server validated every request exactly once at admission), and post
+  predictions + per-batch stats over the worker's private result pipe.
 
 Results cross the process boundary as length-prefixed pickled frames
 (:func:`send_frame` / :class:`FrameDecoder`) over a raw ``os.pipe``
@@ -27,22 +28,24 @@ leave that lock acquired forever, wedging every surviving replica.
 With one lock-free pipe per worker generation, a dying worker can at
 worst tear its own final frame, which the fabric's decoder discards.
 
-Message vocabulary (plain tuples, first element the kind):
+Message vocabulary (plain tuples, first element the kind; a result
+pipe belongs to one worker generation, so results name no worker):
 
 ====================  ===========================================
-work queue            ``("batch", batch_id, model, slot, n_rows)``
+work queue            ``("batch", batch_id, model, slot, n_rows,
+                      site)``
                       ``("swap", model, payload)``
                       ``("stop",)``
-result pipe           ``("ready", worker_id, generation)``
-                      ``("ok", batch_id, worker_id, slot,
-                      predictions, stats)``
-                      ``("error", batch_id, worker_id, slot, text)``
-                      ``("swapped", worker_id, model, versions)``
+result pipe           ``("ready", generation)``
+                      ``("ok", batch_id, predictions, stats)``
+                      ``("error", batch_id, exception, stats)``
+                      ``("swapped", model, versions)``
 ====================  ===========================================
 
-A worker that dies mid-batch posts nothing — the fabric's supervisor
-notices the dead process, fails that worker's in-flight batches
-explicitly, and respawns it with a fresh queue and a fresh pipe.
+``stats`` is ``{"rows", "flush_s", "retried"}``.  A worker that dies
+mid-batch posts nothing — the fleet's collector notices the dead
+process, fails that worker's in-flight batches explicitly, and
+respawns it with a fresh queue and a fresh pipe.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ServingError
 from repro.resilience.chaos import ChaosPolicy
+from repro.resilience.policy import RetryPolicy
+from repro.serve.server import flush_batch
 from repro.serve.shm import RingGeometry, SpikeRing
 from repro.tile.network import EsamNetwork
 
@@ -197,17 +202,32 @@ class ModelPayload:
         )
 
 
-def worker_main(worker_id: int, generation: int, ring_name: str,
+def _portable(error: Exception) -> Exception:
+    """``error`` if it survives a pickle round trip, else its text.
+
+    An exception whose constructor does not accept its own ``args``
+    would fail to unpickle in the parent's collector and take the whole
+    fleet down with it; such an error crosses as a :class:`ServingError`.
+    """
+    try:
+        return pickle.loads(pickle.dumps(error))
+    except Exception:  # noqa: BLE001 - any pickling failure
+        return ServingError(f"{type(error).__name__}: {error}")
+
+
+def worker_main(generation: int, ring_name: str,
                 geometry: tuple, payloads: list, engine: str,
                 work_queue, result_fd: int,
+                retry: RetryPolicy | None = None,
                 chaos: ChaosPolicy | None = None) -> None:
     """One ``EngineWorker`` process: serve batches until told to stop.
 
     ``generation`` counts respawns of this worker slot (0 for the
-    original spawn) and is echoed in the ready handshake so the fabric
-    can tell a respawned worker's handshake from a stale one.  The
-    chaos hook runs *before* a batch is processed, keyed on the batch's
-    own site — a deterministic schedule of which batches die mid-flight
+    original spawn) and is echoed in the ready handshake.  Each batch
+    runs through :func:`~repro.serve.server.flush_batch` under
+    ``retry`` and ``chaos``, exactly as an in-process flush.  Before
+    that, the chaos worker-crash hook runs keyed on the batch's site —
+    a deterministic schedule of which batches die mid-flight
     (``os._exit``, the hard death a segfault would be), which the
     acceptance suite uses to prove crash recovery never drops work
     silently.  ``result_fd`` is the write end of this worker's private
@@ -220,7 +240,7 @@ def worker_main(worker_id: int, generation: int, ring_name: str,
         network = payload.build()
         backends[payload.name] = network.engine_backend(engine)
         widths[payload.name] = network.tiles[0].n_in
-    send_frame(result_fd, ("ready", worker_id, generation))
+    send_frame(result_fd, ("ready", generation))
     try:
         while True:
             message = work_queue.get()
@@ -232,33 +252,30 @@ def worker_main(worker_id: int, generation: int, ring_name: str,
                 network = payload.build()
                 backends[model] = network.engine_backend(engine)
                 widths[model] = network.tiles[0].n_in
-                send_frame(
-                    result_fd, ("swapped", worker_id, model, payload.versions)
-                )
+                send_frame(result_fd, ("swapped", model, payload.versions))
                 continue
-            _, batch_id, model, slot, n_rows = message
+            _, batch_id, model, slot, n_rows, site = message
             if chaos is not None:
                 # In a worker process this is os._exit(86): the batch
-                # dies with us and the supervisor must account for it.
-                chaos.maybe_crash_worker(f"fleet/{model}/{batch_id}", 0)
+                # dies with us and the collector must account for it.
+                chaos.maybe_crash_worker(f"fleet/{site}", 0)
+            retries = []
+            flush_s = 0.0
             try:
                 rows = ring.read_rows(slot, n_rows, widths[model])
                 started = time.perf_counter()
-                # Validate-once contract: the fabric edge validated the
-                # spikes at admission, so the worker goes straight to
-                # the engine backend (no validate_spikes re-check).
-                predictions = backends[model].classify_batch(rows)
+                predictions = flush_batch(
+                    backends[model], rows, site, retry=retry, chaos=chaos,
+                    on_retry=lambda *args: retries.append(args),
+                )
                 flush_s = time.perf_counter() - started
             except Exception as error:  # noqa: BLE001 - reported upward
-                send_frame(result_fd, (
-                    "error", batch_id, worker_id, slot,
-                    f"{type(error).__name__}: {error}",
-                ))
+                result = ("error", batch_id, _portable(error))
             else:
-                stats = {"rows": int(n_rows), "flush_s": float(flush_s)}
-                send_frame(result_fd, (
-                    "ok", batch_id, worker_id, slot,
-                    np.asarray(predictions, dtype=np.int64), stats,
-                ))
+                result = ("ok", batch_id,
+                          np.asarray(predictions, dtype=np.int64))
+            stats = {"rows": int(n_rows), "flush_s": flush_s,
+                     "retried": len(retries)}
+            send_frame(result_fd, (*result, stats))
     finally:
         ring.close()

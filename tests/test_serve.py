@@ -51,6 +51,13 @@ def random_spikes(n, width=64, seed=3, density=0.2) -> np.ndarray:
     return np.random.default_rng(seed).random((n, width)) < density
 
 
+#: Both kinds of flush lane, for tests of the shared serving core: the
+#: in-process dispatch thread, and fleet worker processes.
+SERVER_KINDS = [
+    "inproc", pytest.param("fleet", marks=pytest.mark.multiprocess),
+]
+
+
 class FakeClock:
     """Deterministic injectable clock for batcher/metrics tests."""
 

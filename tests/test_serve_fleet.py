@@ -3,7 +3,8 @@
 Covers the three fleet layers bottom-up: the shared-memory spike ring
 (layout, round trips, boundary errors), the worker-pool plumbing
 (consistent-hash router, picklable model payloads), and the
-:class:`FleetServer` fabric itself — admission control per SLO class,
+:class:`FleetServer` fabric itself — admission control per SLO class
+(shared with the in-process server, so those tests run on both),
 dispatch determinism, rolling hot-swap, crash supervision, and the
 ``python -m repro.serve --workers N`` CLI path.
 
@@ -22,6 +23,7 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
+    DeadlineExceededError,
     QueueFullError,
     ServingError,
 )
@@ -31,6 +33,7 @@ from repro.serve import (
     BatchPolicy,
     ConsistentHashRouter,
     FleetServer,
+    InferenceServer,
     ModelPayload,
     ModelRegistry,
     RingGeometry,
@@ -40,7 +43,7 @@ from repro.serve import (
 )
 from repro.tile.backends.bitpacked import pack_spike_rows, packed_width
 
-from tests.test_serve import random_network, random_spikes
+from tests.test_serve import SERVER_KINDS, random_network, random_spikes
 
 
 def fleet(registry=None, n_workers=2, **kwargs):
@@ -348,49 +351,15 @@ class TestFleetServing:
             narrow_served, narrow.classify_batch(narrow_spikes)
         )
 
-    def test_queue_full_per_slo_class(self):
-        registry = ModelRegistry()
-        registry.register_network("demo", random_network())
-        tight = {
-            "default": SloClass("default", max_queue_depth=4),
-            "roomy": SloClass("roomy", max_queue_depth=1024),
-        }
-        spikes = random_spikes(16)
-        # A generous batching window keeps admitted requests queued
-        # while we probe the depth limits.
-        server = fleet(
-            registry, slo_classes=tight,
-            policy=BatchPolicy(max_batch_size=64, max_wait_ms=200.0),
-        )
-        with server:
-            futures = [server.submit("demo", row) for row in spikes[:4]]
-            with pytest.raises(QueueFullError, match="default"):
-                server.submit("demo", spikes[4])
-            # The full default class must not poison other classes.
-            roomy = server.submit("demo", spikes[5], slo_class="roomy")
-            for future in [*futures, roomy]:
-                future.result(timeout=60)
-        assert server.metrics.rejected == 1
-
-    def test_deadline_defaults_to_the_slo_class(self):
-        registry = ModelRegistry()
-        registry.register_network("demo", random_network())
-        classes = {
-            "default": SloClass("default", deadline_ms=60_000.0),
-        }
-        with fleet(registry, slo_classes=classes, n_workers=1) as server:
-            future = server.submit("demo", random_spikes(1)[0])
-            assert future.result(timeout=60) >= 0
-        # The class deadline was applied and not hit: nothing shed.
-        assert server.metrics.shed == 0
-        assert server.metrics.completed == 1
-
     def test_describe_reports_workers(self):
         with fleet(n_workers=2) as server:
             info = server.describe()
             assert info["n_workers"] == 2
             assert len(info["workers"]) == 2
             assert {w["worker_id"] for w in info["workers"]} == {0, 1}
+            # Engine build happens before start() returns, never in
+            # the first requests' latency.
+            assert all(w["ready"] for w in info["workers"])
 
     def test_stop_without_drain_fails_pending_explicitly(self):
         registry = ModelRegistry()
@@ -415,6 +384,84 @@ class TestFleetServing:
         assert outcomes  # every future resolved, none left hanging
         m = server.metrics
         assert m.submitted == m.completed + m.failed + m.shed == 8
+
+
+@pytest.mark.parametrize("kind", SERVER_KINDS)
+class TestSloAdmission:
+    """SLO classes are the shared core's: both servers admit alike."""
+
+    @staticmethod
+    def server(kind, registry, **kwargs):
+        if kind == "fleet":
+            return fleet(registry, n_workers=1, **kwargs)
+        return InferenceServer(registry, **kwargs)
+
+    def test_queue_full_per_slo_class(self, kind):
+        registry = ModelRegistry()
+        registry.register_network("demo", random_network())
+        tight = {
+            "default": SloClass("default", max_queue_depth=4),
+            "roomy": SloClass("roomy", max_queue_depth=1024),
+        }
+        spikes = random_spikes(16)
+        # A generous batching window keeps admitted requests queued
+        # while we probe the depth limits.
+        server = self.server(
+            kind, registry, slo_classes=tight,
+            policy=BatchPolicy(max_batch_size=64, max_wait_ms=200.0),
+        )
+        with server:
+            futures = [server.submit("demo", row) for row in spikes[:4]]
+            with pytest.raises(QueueFullError, match="default"):
+                server.submit("demo", spikes[4])
+            # The full default class must not poison other classes.
+            roomy = server.submit("demo", spikes[5], slo_class="roomy")
+            for future in [*futures, roomy]:
+                future.result(timeout=60)
+        assert server.metrics.rejected == 1
+
+    def test_deadline_defaults_to_the_slo_class(self, kind):
+        registry = ModelRegistry()
+        registry.register_network("demo", random_network())
+        classes = {
+            "default": SloClass("default", deadline_ms=60_000.0),
+            "hasty": SloClass("hasty", deadline_ms=1.0),
+        }
+        spikes = random_spikes(2)
+        # A 200 ms coalescing window outlasts the 1 ms class deadline.
+        server = self.server(
+            kind, registry, slo_classes=classes,
+            policy=BatchPolicy(max_batch_size=64, max_wait_ms=200.0),
+        )
+        with server:
+            served = server.submit("demo", spikes[0])
+            shed = server.submit("demo", spikes[1], slo_class="hasty")
+            assert served.result(timeout=60) >= 0
+            with pytest.raises(DeadlineExceededError):
+                shed.result(timeout=60)
+        # Each class deadline applied: only the hasty request was shed.
+        assert server.metrics.shed == 1
+        assert server.metrics.completed == 1
+
+    def test_max_queue_depth_bounds_the_default_class(self, kind):
+        registry = ModelRegistry()
+        registry.register_network("demo", random_network())
+        server = self.server(
+            kind, registry, max_queue_depth=2,
+            policy=BatchPolicy(max_batch_size=64, max_wait_ms=200.0),
+        )
+        assert server.slo_classes["default"].max_queue_depth == 2
+        assert server.slo_classes["batch"] == DEFAULT_SLO_CLASSES["batch"]
+        with server:
+            futures = [server.submit("demo", row)
+                       for row in random_spikes(2)]
+            with pytest.raises(QueueFullError, match="max_queue_depth=2"):
+                server.submit("demo", random_spikes(1)[0])
+            futures.append(
+                server.submit("demo", random_spikes(1)[0], slo_class="batch")
+            )
+            for future in futures:
+                future.result(timeout=60)
 
 
 @pytest.mark.multiprocess

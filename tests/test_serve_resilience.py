@@ -10,6 +10,7 @@ fails *explicitly*, and ``submitted == completed + failed + shed``.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -26,21 +27,28 @@ from repro.errors import (
     ServingError,
 )
 from repro.resilience import BreakerPolicy, ChaosPolicy, RetryPolicy
-from repro.serve import BatchPolicy, InferenceServer, ModelRegistry
+from repro.serve import BatchPolicy, FleetServer, InferenceServer, ModelRegistry
 from repro.serve.server import _Request
 
-from tests.test_serve import FakeClock, random_network, random_spikes
+from tests.test_serve import (
+    SERVER_KINDS,
+    FakeClock,
+    random_network,
+    random_spikes,
+)
 
 
 def make_stack(*, breaker=None, retry=None, chaos=None, clock=None,
-               max_queue_depth=256, max_wait_ms=0.0, seed=0):
+               max_queue_depth=256, max_wait_ms=0.0, seed=0,
+               kind="inproc"):
     """A registry + server over one small random network."""
     registry = ModelRegistry(
         breaker=breaker, clock=clock or time.monotonic
     )
     network = random_network(seed=seed)
     registry.register_network("m", network)
-    server = InferenceServer(
+    server_cls = FleetServer if kind == "fleet" else InferenceServer
+    server = server_cls(
         registry,
         policy=BatchPolicy(max_batch_size=16, max_wait_ms=max_wait_ms),
         max_queue_depth=max_queue_depth,
@@ -119,11 +127,14 @@ class TestDeadlines:
 # -- retry policy on the flush path ---------------------------------------------------
 
 
+@pytest.mark.parametrize("kind", SERVER_KINDS)
 class TestFlushRetries:
-    def test_transient_faults_are_absorbed_and_counted(self):
+    def test_transient_faults_are_absorbed_and_counted(self, kind):
+        # Sites m/0..m/41 each succeed within 5 attempts under this
+        # schedule, and 32 requests make at most 32 batches.
         chaos = ChaosPolicy(seed=3, flush_error_p=0.4)
         retry = RetryPolicy(retries=4, base_delay_ms=0.0)
-        _, network, server = make_stack(chaos=chaos, retry=retry)
+        _, network, server = make_stack(chaos=chaos, retry=retry, kind=kind)
         spikes = random_spikes(32)
         with server:
             futures = [server.submit("m", row) for row in spikes]
@@ -136,12 +147,13 @@ class TestFlushRetries:
         assert data["retried"] > 0
         assert accounting(server.metrics)[0] == accounting(server.metrics)[1]
 
-    def test_exhausted_retries_fail_the_batch_explicitly(self):
+    def test_exhausted_retries_fail_the_batch_explicitly(self, kind):
         # flush_error_p=1.0 defeats any retry budget; the error reaches
-        # the caller and the accounting still balances.
+        # the caller — across the process boundary too — and the
+        # accounting still balances.
         chaos = ChaosPolicy(seed=3, flush_error_p=1.0)
         retry = RetryPolicy(retries=2, base_delay_ms=0.0)
-        _, _, server = make_stack(chaos=chaos, retry=retry)
+        _, _, server = make_stack(chaos=chaos, retry=retry, kind=kind)
         with server:
             future = server.submit("m", random_spikes(1)[0])
             with pytest.raises(InjectedFaultError):
@@ -233,7 +245,7 @@ class TestDispatchCrash:
     def test_crash_fails_pending_and_is_terminal(self, monkeypatch):
         _, _, server = make_stack()
 
-        def sabotaged(model, requests):
+        def sabotaged(model, requests, lane):
             raise RuntimeError("dispatch bug")
 
         monkeypatch.setattr(server, "_run_batch", sabotaged)
@@ -258,11 +270,12 @@ class TestDispatchCrash:
 
 
 class TestBackpressureHammer:
-    def test_hammer_never_exceeds_depth_and_loses_nothing(self):
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
+    def test_hammer_never_exceeds_depth_and_loses_nothing(self, kind):
         depth = 16
         n_threads, per_thread = 8, 40
         _, network, server = make_stack(
-            max_queue_depth=depth, max_wait_ms=0.5,
+            max_queue_depth=depth, max_wait_ms=0.5, kind=kind,
         )
         spikes = random_spikes(n_threads * per_thread)
         offline = network.classify_batch(spikes)
@@ -282,16 +295,25 @@ class TestBackpressureHammer:
             except Exception as error:  # noqa: BLE001 - asserted below
                 errors.append(error)
 
-        with server:
-            threads = [
-                threading.Thread(target=hammer, args=(k,))
-                for k in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        # A short switch interval interleaves client, dispatch and
+        # collector threads finely enough to expose a lost update.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [
+                    threading.Thread(target=hammer, args=(k,))
+                    for k in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
+        assert server.in_flight == 0
         # No admitted request was lost or reordered across threads.
         assert np.array_equal(results, offline)
         data = server.metrics.to_dict()
