@@ -58,7 +58,7 @@ def test_port_count_design_space(benchmark):
 def test_port_count_system_sweep(benchmark, evaluator):
     """End-to-end view of the same axis: the named ``ports`` sweep."""
     spec = ports_spec(
-        sample_images=evaluator.config.sample_images,
+        sample_images=evaluator.sample_images,
         quality=evaluator.quality,
         seed=evaluator.config.seed,
     )

@@ -14,7 +14,7 @@ from repro.sweep import SweepRunner, vprech_spec
 
 def sweep(evaluator):
     spec = vprech_spec(
-        sample_images=evaluator.config.sample_images,
+        sample_images=evaluator.sample_images,
         quality=evaluator.quality,
         seed=evaluator.config.seed,
     )

@@ -2,8 +2,7 @@
 
 Runs as a named sweep through the sharded sweep engine
 (:mod:`repro.sweep`) rather than a hand-rolled loop, so the benchmark
-exercises the same code path as ``python -m repro.sweep figure8`` and
-``SystemEvaluator.figure8()``.
+exercises the same code path as ``python -m repro.sweep figure8``.
 
 Paper reference trends: 1RW power exceeds 1RW+1R and 1RW+2R (Vprech
 scaling); throughput dips slightly from 1RW to 1RW+1R then climbs with
@@ -21,7 +20,7 @@ from repro.sweep import SweepRunner, figure8_spec
 @pytest.mark.benchmark(group="figure8")
 def test_fig8_system_comparison(benchmark, evaluator):
     spec = figure8_spec(
-        sample_images=evaluator.config.sample_images,
+        sample_images=evaluator.sample_images,
         quality=evaluator.quality,
         seed=evaluator.config.seed,
     )

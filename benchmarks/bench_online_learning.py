@@ -13,6 +13,7 @@ from repro.learning.online import (
     OnlineLearningEngine,
     column_update_comparison,
 )
+from repro.hw.config import HardwareConfig
 from repro.learning.stdp import StochasticSTDP
 from repro.sram.bitcell import CellType
 from repro.tile.tile import Tile
@@ -44,7 +45,7 @@ def test_column_update_costs(benchmark):
 def run_stdp_session(cell_type: CellType, updates: int = 32):
     rng = np.random.default_rng(3)
     w = rng.integers(0, 2, (128, 32)).astype(np.uint8)
-    tile = Tile(w, np.zeros(32), cell_type=cell_type)
+    tile = Tile(w, np.zeros(32), config=HardwareConfig(cell_type=cell_type))
     engine = OnlineLearningEngine(tile, StochasticSTDP(seed=4))
     for i in range(updates):
         pre = (rng.random(128) < 0.3).astype(np.uint8)

@@ -22,7 +22,6 @@ import numpy as np
 from repro.reliability import FaultCampaignSpec, ReliabilityRunner
 from repro.resilience import ChaosPolicy, RetryPolicy, SupervisorPolicy
 from repro.serve import BatchPolicy, InferenceServer, ModelRegistry
-from repro.sram.bitcell import CellType
 from repro.sweep import ResultCache
 from repro.tile.network import EsamNetwork
 
@@ -42,7 +41,7 @@ def _random_network(layers=(64, 32, 10), seed=0) -> EsamNetwork:
         np.full(b, max(1, a // 16), dtype=np.int64)
         for a, b in zip(layers[:-1], layers[1:])
     ]
-    return EsamNetwork(weights, thresholds, cell_type=CellType.C1RW4R)
+    return EsamNetwork(weights, thresholds)
 
 
 def _serve_trace(network: EsamNetwork, spikes: np.ndarray,

@@ -60,7 +60,7 @@ def test_fast_engine_batch_speed(benchmark, evaluator, reference_model):
     """Schedule-based engine on a 256-image cycle-accurate batch."""
     net = evaluator.build_network(CellType.C1RW4R)
     spikes = encode_images(reference_model.dataset.test_images[:BATCH_IMAGES])
-    net.fast_engine()  # build outside the timed region
+    net.engine_backend("fast")  # build outside the timed region
 
     def run():
         net.reset_stats()
@@ -129,12 +129,6 @@ def test_engine_speedup_and_equivalence(evaluator, reference_model,
         "network": "768:256:256:256:10",
         "cell_type": CellType.C1RW4R.value,
         "backends": backends,
-        # Kept for trajectory continuity with pre-registry captures.
-        "cycle_engine": {k: backends["cycle"][k]
-                         for k in ("seconds", "images_per_s")},
-        "fast_engine": {k: backends["fast"][k]
-                        for k in ("seconds", "images_per_s")},
-        "speedup": backends["fast"]["speedup"],
         "bit_identical_traces": True,
     }
     bench_report(BENCH_JSON, payload, net.config)

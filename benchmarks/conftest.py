@@ -17,7 +17,6 @@ from repro.envinfo import environment_info
 from repro.hw.config import HardwareConfig
 from repro.learning.pretrained import ReferenceModel, get_reference_model
 from repro.obs import get_tracer
-from repro.system.config import SystemConfig
 from repro.system.evaluate import SystemEvaluator
 
 
@@ -30,8 +29,7 @@ def reference_model() -> ReferenceModel:
 @pytest.fixture(scope="session")
 def evaluator(reference_model) -> SystemEvaluator:
     """System evaluator over a 32-image cycle-accurate sample."""
-    config = SystemConfig(sample_images=32)
-    return SystemEvaluator(config, quality="full")
+    return SystemEvaluator(sample_images=32, quality="full")
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ Run:  python examples/edge_keyword_spotting.py
 
 import numpy as np
 
-from repro.sram.bitcell import CellType
+from repro.hw.config import HardwareConfig
 from repro.system.energy import SystemEnergyModel
 from repro.tile.network import EsamNetwork, InferenceTrace
 
@@ -27,9 +27,7 @@ def build_detector(rng, n_signatures: int = 8):
     # Fire when at least 80 % of a signature's active bits agree:
     # Vmem = (#matching active bits) - (#active bits missing the weight).
     thresholds = np.maximum(1, (signatures.sum(axis=1) * 0.6).astype(np.int64))
-    network = EsamNetwork(
-        [weights], [thresholds], cell_type=CellType.C1RW4R, vprech=0.5
-    )
+    network = EsamNetwork([weights], [thresholds], config=HardwareConfig())
     return network, signatures
 
 

@@ -10,7 +10,6 @@ Run:  python examples/low_power_modes.py
 """
 
 from repro.sram.bitcell import CellType
-from repro.system.config import SystemConfig
 from repro.system.evaluate import SystemEvaluator
 from repro.system.lowpower import LowPowerScaler
 from repro.tech.finfet import VtFlavor
@@ -18,7 +17,7 @@ from repro.tech.finfet import VtFlavor
 
 def main() -> None:
     print("measuring the nominal 1RW+4R design point ...")
-    evaluator = SystemEvaluator(SystemConfig(sample_images=16), quality="full")
+    evaluator = SystemEvaluator(sample_images=16, quality="full")
     nominal = evaluator.evaluate_cell(CellType.C1RW4R)
     print(f"  nominal: {nominal.throughput_minf_s:.1f} MInf/s, "
           f"{nominal.energy_per_inf_pj:.0f} pJ/Inf, "

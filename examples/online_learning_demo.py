@@ -12,6 +12,7 @@ Run:  python examples/online_learning_demo.py
 import numpy as np
 
 from repro import CellType, EsamSystem
+from repro.hw.config import HardwareConfig
 from repro.learning.online import column_update_comparison
 from repro.learning.stdp import StochasticSTDP
 
@@ -19,7 +20,9 @@ from repro.learning.stdp import StochasticSTDP
 def imprint_patterns(cell_type: CellType, steps: int = 60):
     """Teach neurons 0..3 of a random tile four distinct patterns."""
     rng = np.random.default_rng(11)
-    system = EsamSystem.from_random((128, 32, 10), cell_type=cell_type, seed=5)
+    system = EsamSystem.from_random(
+        (128, 32, 10), seed=5, config=HardwareConfig(cell_type=cell_type)
+    )
     engine = system.online_learning_engine(
         layer=0, rule=StochasticSTDP(p_potentiate=0.4, p_depress=0.2, seed=7)
     )

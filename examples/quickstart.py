@@ -9,7 +9,8 @@ quotes (44 MInf/s, 607 pJ/Inf, 29 mW for the 1RW+4R cell).
 Run:  python examples/quickstart.py
 """
 
-from repro import CellType, EsamSystem
+from repro import EsamSystem
+from repro.hw.config import HardwareConfig
 from repro.learning.pretrained import get_reference_model
 
 
@@ -19,7 +20,8 @@ def main() -> None:
     print(f"  test accuracy (functional model): "
           f"{reference.test_accuracy * 100:.2f}%")
 
-    system = EsamSystem(reference.snn, cell_type=CellType.C1RW4R, vprech=0.500)
+    # The paper's design point: 1RW+4R cell, 500 mV precharge, 3nm.
+    system = EsamSystem(reference.snn, config=HardwareConfig())
     print(f"\nbuilt {system!r}")
     print(f"  neurons:  {system.network.neuron_count}")
     print(f"  synapses: {system.network.synapse_count}")

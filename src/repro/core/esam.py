@@ -3,9 +3,9 @@
 Typical use::
 
     from repro import EsamSystem
-    from repro.sram.bitcell import CellType
+    from repro.hw.config import HardwareConfig
 
-    system = EsamSystem.from_pretrained(cell_type=CellType.C1RW4R)
+    system = EsamSystem.from_pretrained(config=HardwareConfig())
     result = system.classify_images(images, labels)
     print(result.accuracy, result.report.summary())
 
@@ -26,7 +26,6 @@ from repro.learning.pretrained import get_reference_model
 from repro.learning.stdp import StochasticSTDP
 from repro.snn.encode import encode_images
 from repro.snn.model import BinarySNN
-from repro.sram.bitcell import CellType
 from repro.system.energy import SystemEnergyModel
 from repro.tile.network import EsamNetwork, InferenceTrace
 
@@ -34,13 +33,9 @@ from repro.tile.network import EsamNetwork, InferenceTrace
 class EsamSystem:
     """A configured ESAM accelerator holding one trained network."""
 
-    def __init__(self, snn: ConvertedSNN, cell_type: CellType = CellType.C1RW4R,
-                 vprech: float = 0.500,
+    def __init__(self, snn: ConvertedSNN,
                  config: HardwareConfig | None = None) -> None:
         self.snn = snn
-        if config is None:
-            # Legacy kwarg shim (deprecated, kept for one release).
-            config = HardwareConfig(cell_type=cell_type, vprech=vprech)
         self.network = EsamNetwork(
             snn.weights, snn.thresholds, output_bias=snn.output_bias,
             config=config,
@@ -54,27 +49,19 @@ class EsamSystem:
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def from_pretrained(cls, cell_type: CellType = CellType.C1RW4R,
-                        vprech: float = 0.500, quality: str = "full",
-                        seed: int | None = None,
-                        config: HardwareConfig | None = None) -> "EsamSystem":
+    def from_pretrained(cls, config: HardwareConfig | None = None,
+                        quality: str = "full") -> "EsamSystem":
         """Build the paper's system with the cached trained network.
 
-        Pass a :class:`HardwareConfig` to select node/corner as well;
-        its ``seed`` picks the trained model unless ``seed`` is given
-        explicitly.
+        ``config`` (default: the paper's design point) selects the
+        hardware; its ``seed`` picks the trained model.
         """
-        if config is None:
-            config = HardwareConfig(cell_type=cell_type, vprech=vprech)
-        if seed is not None:
-            config = config.replace(seed=seed)
+        config = config or HardwareConfig()
         reference = get_reference_model(quality, config.seed)
         return cls(reference.snn, config=config)
 
     @classmethod
-    def from_random(cls, layer_sizes: tuple[int, ...],
-                    cell_type: CellType = CellType.C1RW4R,
-                    vprech: float = 0.500, seed: int = 0,
+    def from_random(cls, layer_sizes: tuple[int, ...], seed: int = 0,
                     config: HardwareConfig | None = None) -> "EsamSystem":
         """Random binary network (workload studies, not classification)."""
         if len(layer_sizes) < 2:
@@ -93,8 +80,6 @@ class EsamSystem:
             thresholds=thresholds,
             output_bias=np.zeros(layer_sizes[-1]),
         )
-        if config is None:
-            config = HardwareConfig(cell_type=cell_type, vprech=vprech)
         return cls(snn, config=config)
 
     # -- inference ------------------------------------------------------------------

@@ -44,8 +44,7 @@ from repro.tech.corners import (
     resolve_corner,
 )
 
-#: The paper's network topology for MNIST (section 4.4.2).  This is the
-#: canonical definition; ``repro.system.config`` re-exports it.
+#: The paper's network topology for MNIST (section 4.4.2).
 PAPER_LAYER_SIZES = (768, 256, 256, 256, 10)
 
 #: The paper's read-port precharge voltage (section 4.2 sweet spot).

@@ -42,7 +42,7 @@ from repro.reliability.spec import (
     cells_spec,
     reliability_spec,
 )
-from repro.reliability.store import (
+from repro.reliability.results import (
     CampaignResult,
     ReliabilityRow,
     YieldCurve,

@@ -23,7 +23,7 @@ from repro.hw.config import HardwareConfig
 from repro.reliability.spec import FaultPoint
 from repro.sram.variation_study import VariationStudy
 from repro.system.report import render_table
-from repro.sweep.store import SweepStats
+from repro.sweep.results import SweepStats
 from repro.tech.constants import DEFAULT_NODE
 from repro.tech.corners import DEFAULT_CORNER, ProcessVariation
 from repro.sram.readport import CLOCK_PERIOD_NS

@@ -26,7 +26,7 @@ import pathlib
 from repro.errors import ConfigurationError
 from repro.learning.pretrained import get_reference_model
 from repro.reliability.spec import FaultCampaignSpec, FaultPoint
-from repro.reliability.store import (
+from repro.reliability.results import (
     CampaignResult,
     ReliabilityRow,
     TIMING_YIELD_SAMPLES,

@@ -35,8 +35,7 @@ from repro.tech.corners import DEFAULT_CORNER
 from repro.tile.network import validate_engine
 
 #: The default bit-error-rate axis: clean anchor, the regime isolated
-#: flips are absorbed in, and the collapse region (matches the
-#: historical ``FaultInjector.sweep`` grid plus the 0.2 stress point).
+#: flips are absorbed in, and the collapse region.
 DEFAULT_BER_GRID = (0.0, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2)
 
 #: The corner axis of the named "reliability" campaign: nominal

@@ -15,7 +15,6 @@ from repro.sram.bitcell import CellType
 from repro.sram.electrical import TransposedPortModel
 from repro.sram.readport import ReadPortModel
 from repro.system.comparison import table3, this_work_row
-from repro.system.config import SystemConfig
 from repro.system.evaluate import SystemEvaluator
 from repro.system.export import (
     export_figure6,
@@ -57,9 +56,7 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
     sections.append(render_table2(table2))
 
     print(f"running the system sweep ({sample_images} images/cell) ...")
-    evaluator = SystemEvaluator(
-        SystemConfig(sample_images=sample_images), quality=quality
-    )
+    evaluator = SystemEvaluator(sample_images=sample_images, quality=quality)
     fig8 = evaluator.figure8()
     print(render_figure8(fig8), "\n")
     artifacts["figure8"] = export_figure8(fig8, outdir / "figure8.csv")

@@ -14,9 +14,9 @@ campaign runners (:mod:`repro.sweep`, :mod:`repro.reliability`):
   after a cooldown.  An open circuit turns a stream of doomed requests
   into immediate :class:`~repro.errors.ModelUnavailableError`\\ s
   instead of queue pressure.
-* :class:`SupervisorPolicy` — how the sharded campaign executor
-  (:func:`repro.sweep.runner.shard_map`) survives worker-process
-  crashes: a bounded per-point retry budget and an optional worker-side
+* :class:`SupervisorPolicy` — how the campaign executors
+  (:mod:`repro.store.executors`) survive worker-process crashes: a
+  bounded per-point retry budget and an optional worker-side
   wall-clock watchdog that converts a hung point into a crash the
   supervisor can handle.
 

@@ -192,7 +192,7 @@ class ModelRegistry:
                            max_drop: float = 0.05) -> float:
         """Record a model's measured accuracy floor from a campaign.
 
-        ``campaign`` is a :class:`~repro.reliability.store.
+        ``campaign`` is a :class:`~repro.reliability.results.
         CampaignResult` (duck-typed on ``accuracy_floor_for`` to keep
         the serving layer import-free of the reliability package): the
         floor of the model's own hardware group — cell option, node,

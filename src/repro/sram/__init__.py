@@ -19,7 +19,6 @@ from repro.sram.macro import SramMacro, MacroEnergyLedger
 from repro.sram.variation_study import VariationStudy, ReadTimingDistribution
 from repro.sram.faults import (
     FaultInjector,
-    FaultSweepPoint,
     flip_bits,
     trial_seed_sequence,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "VariationStudy",
     "ReadTimingDistribution",
     "FaultInjector",
-    "FaultSweepPoint",
     "flip_bits",
     "trial_seed_sequence",
     "CellType",

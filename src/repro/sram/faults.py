@@ -10,18 +10,18 @@ foundation of the Monte-Carlo campaigns in :mod:`repro.reliability`.
 Two injection targets, driven by the *same* random draws so they are
 provably interchangeable (``tests/test_reliability_differential.py``):
 
-* :func:`flip_bits` — pure-array fault injection for the functional
-  model (fast, used for bit-error-rate sweeps);
-* :meth:`FaultInjector.inject_network` / :meth:`FaultInjector.apply_trial`
-  — injection into a hardware network's macros through their normal
-  load path, so the cycle-accurate and fast engines see the same
-  faults.
+* :meth:`FaultInjector.faulty_model_for_trial` — pure-array fault
+  injection (:func:`flip_bits`) into the functional model (fast, used
+  for bit-error-rate sweeps);
+* :meth:`FaultInjector.apply_trial` — injection into a hardware
+  network's macros through their normal load path, so the
+  cycle-accurate and fast engines see the same faults.
 
 Seeding contract
 ----------------
 Fault masks derive from the network's :class:`~repro.hw.config.
-HardwareConfig` seed (pass ``config=``), never from a hidden module
-default: two configs that differ only by seed draw *different* masks,
+HardwareConfig` seed (``config=``, default the paper's design point):
+two configs that differ only by seed draw *different* masks,
 and two runs of the same config draw identical ones.  Per-trial streams
 come from :func:`trial_seed_sequence` — a ``np.random.SeedSequence``
 spawned off the config seed keyed by (bit-error rate, trial index) —
@@ -31,20 +31,10 @@ matter how trials are partitioned across points, shards or workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.snn.model import BinarySNN
-
-#: Historical default seed for call sites passing neither ``config``
-#: nor ``seed``.  It keeps the *sequential* stream
-#: (``faulty_model``/``sweep``) reproducing its old masks;
-#: ``inject_network`` draws differently than it used to regardless —
-#: it now masks the logical weight matrices (matching ``flip_bits``
-#: draw for draw) instead of padded per-macro blocks.
-LEGACY_FAULT_SEED = 77
 
 
 def trial_seed_sequence(seed: int, bit_error_rate: float,
@@ -92,15 +82,6 @@ def flip_bits(weights: np.ndarray, bit_error_rate: float,
     return faulty, int(mask.sum())
 
 
-@dataclass(frozen=True)
-class FaultSweepPoint:
-    """Accuracy at one bit-error rate."""
-
-    bit_error_rate: float
-    flipped_bits: int
-    accuracy: float
-
-
 class FaultInjector:
     """Injects weight-bit faults into functional models and networks.
 
@@ -111,25 +92,22 @@ class FaultInjector:
         always starts from these, never from previously-faulted state.
     config:
         The :class:`~repro.hw.config.HardwareConfig` whose ``seed``
-        drives every fault mask.  Preferred over ``seed``.
-    seed:
-        Explicit seed override (legacy call sites).  When neither
-        ``config`` nor ``seed`` is given the historical default
-        :data:`LEGACY_FAULT_SEED` applies.
+        drives every fault mask (default: the paper's design point).
     """
 
     def __init__(self, weights: list[np.ndarray], thresholds: list[np.ndarray],
-                 output_bias: np.ndarray | None = None,
-                 seed: int | None = None, config=None) -> None:
+                 output_bias: np.ndarray | None = None, config=None) -> None:
         if not weights:
             raise ConfigurationError("at least one layer required")
+        if config is None:
+            # Imported here: repro.hw imports repro.sram.
+            from repro.hw.config import HardwareConfig
+
+            config = HardwareConfig()
         self.weights = [np.asarray(w).astype(np.uint8) for w in weights]
         self.thresholds = [np.asarray(t) for t in thresholds]
         self.output_bias = output_bias
-        if seed is None:
-            seed = config.seed if config is not None else LEGACY_FAULT_SEED
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
+        self.seed = config.seed
 
     # -- per-trial streams (Monte-Carlo campaigns) --------------------------------
 
@@ -175,10 +153,6 @@ class FaultInjector:
         self._load_network(network, faulty)
         return flips
 
-    def restore_network(self, network) -> None:
-        """Reload the clean weights into ``network`` (end of campaign)."""
-        self._load_network(network, self.weights)
-
     def _load_network(self, network, matrices: list[np.ndarray]) -> None:
         if len(network.tiles) != len(matrices):
             raise ConfigurationError(
@@ -197,64 +171,3 @@ class FaultInjector:
                         tile.mapping.block_weights(matrix, rb, cb)
                     )
             tile.note_weight_update()
-
-    # -- sequential sweep API (legacy stream) --------------------------------------
-
-    def faulty_model(self, bit_error_rate: float) -> tuple[BinarySNN, int]:
-        """A functional model with faults from the sequential stream."""
-        faulty_weights = []
-        total_flips = 0
-        for w in self.weights:
-            faulty, flips = flip_bits(w, bit_error_rate, self._rng)
-            faulty_weights.append(faulty)
-            total_flips += flips
-        model = BinarySNN(faulty_weights, self.thresholds, self.output_bias)
-        return model, total_flips
-
-    def sweep(self, spikes: np.ndarray, labels: np.ndarray,
-              rates: tuple[float, ...] = (0.0, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2),
-              trials: int = 3) -> list[FaultSweepPoint]:
-        """Accuracy vs bit-error rate, averaged over ``trials`` seeds."""
-        if trials < 1:
-            raise ConfigurationError("trials must be >= 1")
-        labels = np.asarray(labels)
-        points = []
-        for rate in rates:
-            accuracies = []
-            flips = 0
-            for _ in range(trials if rate > 0.0 else 1):
-                model, n_flips = self.faulty_model(rate)
-                predictions = model.classify(spikes)
-                accuracies.append(float((predictions == labels).mean()))
-                flips = n_flips
-            points.append(
-                FaultSweepPoint(
-                    bit_error_rate=rate,
-                    flipped_bits=flips,
-                    accuracy=float(np.mean(accuracies)),
-                )
-            )
-        return points
-
-    def inject_network(self, network, bit_error_rate: float,
-                       rng: np.random.Generator | None = None) -> int:
-        """Flip bits inside a hardware network's macros (in place).
-
-        Masks are drawn over each tile's *logical* weight matrix —
-        identical draw order and shapes to :func:`flip_bits` on the
-        layer list — so a generator seeded like the functional path
-        flips exactly the same bits (padding cells are never touched).
-        Cumulative: flips apply on top of the network's current
-        contents.  Returns the number of flipped bits.
-        """
-        rng = rng if rng is not None else self._rng
-        total = 0
-        faulty_matrices = []
-        for tile in network.tiles:
-            faulty, flips = flip_bits(
-                tile.weight_matrix(), bit_error_rate, rng
-            )
-            faulty_matrices.append(faulty)
-            total += flips
-        self._load_network(network, faulty_matrices)
-        return total

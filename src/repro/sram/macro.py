@@ -17,11 +17,9 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.sram.array import SramArray
-from repro.sram.bitcell import CellType
 from repro.sram.electrical import TransposedPortModel
 from repro.sram.layout import TRANSPOSED_MUX_FACTOR
 from repro.sram.readport import ReadPortModel
-from repro.tech.constants import IMEC_3NM, TechnologyNode
 
 if TYPE_CHECKING:  # repro.hw imports repro.sram; avoid the cycle at runtime
     from repro.hw.config import HardwareConfig
@@ -63,42 +61,33 @@ class MacroEnergyLedger:
 class SramMacro:
     """One physical SRAM array with its periphery and cost models.
 
-    The canonical description of the macro's electrical identity is a
-    :class:`~repro.hw.config.HardwareConfig` (``config=``); the loose
-    ``cell_type``/``vprech``/``node`` kwargs remain as a deprecated
-    shim for one release and are ignored when ``config`` is given.
+    The macro's electrical identity (cell option, Vprech, technology
+    node) is one :class:`~repro.hw.config.HardwareConfig`; ``None``
+    means the paper's design point.
     """
 
-    def __init__(self, cell_type: CellType | None = None, rows: int = 128,
-                 cols: int = 128, vprech: float = 0.500,
-                 node: TechnologyNode = IMEC_3NM,
+    def __init__(self, config: "HardwareConfig | None" = None,
+                 rows: int = 128, cols: int = 128,
                  read_port_model: ReadPortModel | None = None,
-                 transposed_model: TransposedPortModel | None = None,
-                 config: "HardwareConfig | None" = None) -> None:
-        if config is not None:
-            cell_type = config.cell_type
-            vprech = config.vprech
-            node = config.technology
-        elif cell_type is None:
-            raise ConfigurationError(
-                "SramMacro needs either a config or a cell_type"
-            )
-        self.array = SramArray(cell_type, rows, cols, node)
-        self.cell_type = cell_type
+                 transposed_model: TransposedPortModel | None = None) -> None:
+        if config is None:
+            # Imported here: repro.hw imports repro.sram.
+            from repro.hw.config import HardwareConfig
+
+            config = HardwareConfig()
+        node = config.technology
+        self.array = SramArray(config.cell_type, rows, cols, node)
+        self.cell_type = config.cell_type
         self.rows = rows
         self.cols = cols
         self.node = node
-        self.vprech = vprech
+        self.vprech = config.vprech
         self.read_ports = read_port_model or ReadPortModel(rows, cols, node)
         self.transposed = transposed_model or TransposedPortModel(rows, cols, node)
         self.ledger = MacroEnergyLedger()
-        self._operating_point = self.read_ports.operating_point(cell_type, vprech)
-
-    @classmethod
-    def from_config(cls, config: "HardwareConfig", rows: int = 128,
-                    cols: int = 128, **kwargs) -> "SramMacro":
-        """Build a macro directly from a hardware descriptor."""
-        return cls(rows=rows, cols=cols, config=config, **kwargs)
+        self._operating_point = self.read_ports.operating_point(
+            self.cell_type, self.vprech
+        )
 
     # -- static properties ------------------------------------------------------
 

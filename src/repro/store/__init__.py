@@ -12,12 +12,12 @@ execution substrate:
     re-evaluation: ``python -m repro.sweep --query "cell=6T"``.
 
 Executors (:mod:`repro.store.executors`)
-    ``local-pool`` — the historical in-process/ProcessPool sharding,
-    bit-identical for any worker count; ``job-dir`` — work stealing
-    over a shared directory where independent claimant processes (any
-    host with the filesystem mounted; join with ``python -m
-    repro.store work <dir>``) claim points via atomic renames.  Both
-    commit through the same cache+journal path.
+    ``local-pool`` — in-process or ProcessPool sharding, bit-identical
+    for any worker count; ``job-dir`` — work stealing over a shared
+    directory where independent claimant processes (any host with the
+    filesystem mounted; join with ``python -m repro.store work <dir>``)
+    claim points via atomic renames.  Both commit through the same
+    cache+journal path.
 
 See ``docs/sweep.md`` ("Result store & executors") for the guide.
 """
@@ -28,7 +28,6 @@ from repro.store.executors import (
     LocalPoolExecutor,
     claim_work,
     make_executor,
-    shard_map,
 )
 from repro.store.index import (
     Aggregate,
@@ -55,5 +54,4 @@ __all__ = [
     "make_executor",
     "parse_filter",
     "render_records",
-    "shard_map",
 ]

@@ -6,10 +6,10 @@ payloads, *, supervisor, chaos, on_done)`` method returning results in
 input order.  Two backends ship:
 
 ``local-pool`` (:class:`LocalPoolExecutor`)
-    The historical ``shard_map`` semantics: a plain in-process loop or
-    ``ProcessPoolExecutor`` shards, switching to per-payload supervised
-    submission (crash recovery, bounded retries, chaos injection,
-    incremental ``on_done``) when any supervision feature is requested.
+    A plain in-process loop or ``ProcessPoolExecutor`` shards,
+    switching to per-payload supervised submission (crash recovery,
+    bounded retries, chaos injection, incremental ``on_done``) when
+    any supervision feature is requested.
     Bit-identical for any worker count by construction.
 
 ``job-dir`` (:class:`JobDirExecutor`)
@@ -54,9 +54,8 @@ CLOSED_SENTINEL = "CLOSED"
 
 # -- supervised execution core --------------------------------------------------------
 #
-# Shared by both backends (and by ``shard_map``, the historical entry
-# point the sweep/reliability runners still expose): one payload runs
-# under the chaos schedule and the worker-side watchdog.
+# Shared by both backends: one payload runs under the chaos schedule
+# and the worker-side watchdog.
 
 
 def _watchdog_kill(site, watchdog_s: float) -> None:
@@ -204,11 +203,23 @@ def _supervised_pool(task, payloads: list, n_workers: int,
 
 
 class LocalPoolExecutor:
-    """The historical ``shard_map`` semantics as an executor object.
+    """``[task(p) for p in payloads]``, optionally across processes.
 
     ``n_workers=1`` evaluates in-process; ``>1`` shards across a
-    ``ProcessPoolExecutor``.  Results come back in input order, so
-    callers are bit-identical for any worker count by construction.
+    ``ProcessPoolExecutor`` (``task`` must then be a module-level,
+    picklable callable).  Results come back in input order, so callers
+    are bit-identical for any worker count by construction.
+
+    Supervision (any of ``supervisor``, an active ``chaos`` policy, or
+    an ``on_done`` callback) switches :meth:`map` to per-payload
+    submission with crash recovery: worker deaths re-queue the
+    unfinished payloads to a rebuilt pool under a bounded retry budget,
+    a hung payload is killed by the worker-side watchdog and retried
+    the same way, and ``on_done(index, result)`` fires in the parent as
+    each payload completes (this is what makes campaign caching
+    incremental, hence crash-safe).  Because tasks are pure functions
+    of their payloads, re-execution cannot change any result —
+    supervised runs stay bit-identical to fault-free ones.
     """
 
     name = "local-pool"
@@ -252,36 +263,6 @@ class LocalPoolExecutor:
 
     def __repr__(self) -> str:
         return f"LocalPoolExecutor(n_workers={self.n_workers})"
-
-
-def shard_map(task, payloads: list, n_workers: int, *,
-              supervisor: SupervisorPolicy | None = None,
-              chaos: ChaosPolicy | None = None,
-              on_done=None) -> list:
-    """``[task(p) for p in payloads]``, optionally across processes.
-
-    ``task`` must be a module-level (picklable) callable when
-    ``n_workers > 1``.  Results come back in input order, so callers
-    are bit-identical for any worker count by construction.
-
-    Supervision (any of ``supervisor``, an active ``chaos`` policy, or
-    an ``on_done`` callback) switches to per-payload submission with
-    crash recovery: worker deaths re-queue the unfinished payloads to a
-    rebuilt pool under a bounded retry budget, a hung payload is killed
-    by the worker-side watchdog and retried the same way, and
-    ``on_done(index, result)`` fires in the parent as each payload
-    completes (this is what makes campaign caching incremental, hence
-    crash-safe).  Because tasks are pure functions of their payloads,
-    re-execution cannot change any result — supervised runs stay
-    bit-identical to fault-free ones.
-
-    This is :class:`LocalPoolExecutor` behind the historical function
-    signature; the executor object form exists so campaign runners can
-    swap in other backends (:class:`JobDirExecutor`).
-    """
-    return LocalPoolExecutor(n_workers).map(
-        task, payloads, supervisor=supervisor, chaos=chaos, on_done=on_done,
-    )
 
 
 # -- the job-dir backend --------------------------------------------------------------

@@ -36,7 +36,6 @@ from repro.sweep.runner import (
     SweepRunner,
     evaluate_point,
     run_cached_points,
-    shard_map,
 )
 from repro.sweep.spec import (
     NAMED_SWEEPS,
@@ -48,7 +47,7 @@ from repro.sweep.spec import (
     ports_spec,
     vprech_spec,
 )
-from repro.sweep.store import SweepResult, SweepRow, SweepStats
+from repro.sweep.results import SweepResult, SweepRow, SweepStats
 
 __all__ = [
     "DesignPoint",
@@ -69,5 +68,4 @@ __all__ = [
     "point_key",
     "weights_fingerprint",
     "run_cached_points",
-    "shard_map",
 ]

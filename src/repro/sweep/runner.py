@@ -9,8 +9,8 @@ three sources, in order:
    fingerprint.  Hits are loaded without touching the simulator;
 2. **injected evaluator** — an existing
    :class:`~repro.system.evaluate.SystemEvaluator` (in-process only),
-   which is how ``SystemEvaluator.figure8()`` routes through the sweep
-   engine without changing behaviour;
+   so a caller that already holds the model and spike sample reuses
+   them;
 3. **executor shards** — the cache misses run on a pluggable executor
    (:mod:`repro.store.executors`): the default local pool (a plain
    in-process loop for ``n_workers == 1``, ``ProcessPoolExecutor``
@@ -19,8 +19,8 @@ three sources, in order:
 Because every :class:`DesignPoint` carries its own seed and the
 evaluation builds a fresh network per point, results are bit-identical
 regardless of worker count, shard assignment or execution order — the
-test suite asserts ``n_workers=4`` equals ``n_workers=1`` equals the
-historical serial ``figure8()`` loop, float for float.
+test suite asserts ``n_workers=4`` equals ``n_workers=1`` equals
+``SystemEvaluator.figure8()``, float for float.
 """
 
 from __future__ import annotations
@@ -37,24 +37,12 @@ from repro.learning.pretrained import get_reference_model
 from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.journal import CampaignJournal, run_id_for
 from repro.resilience.policy import SupervisorPolicy
-# The supervised sharding machinery lives in repro.store.executors now
-# (it is executor plumbing, not sweep logic); re-exported here because
-# this module was its historical home.
-from repro.store.executors import (  # noqa: F401 — re-exports
-    LocalPoolExecutor,
-    _supervised_call,
-    _supervised_pool,
-    _supervised_serial,
-    _supervised_task,
-    _watchdog_kill,
-    shard_map,
-)
-from repro.system.config import SystemConfig
+from repro.store.executors import LocalPoolExecutor
 from repro.system.energy import SystemMetrics
 from repro.system.evaluate import SystemEvaluator
 from repro.sweep.cache import ResultCache, point_key, weights_fingerprint
 from repro.sweep.spec import DesignPoint, SweepSpec
-from repro.sweep.store import SweepResult, SweepRow, SweepStats
+from repro.sweep.results import SweepResult, SweepRow, SweepStats
 
 #: Per-process memo of evaluators, keyed by ``(quality, seed,
 #: sample_images)``.  Points of one sweep share the trained model and
@@ -75,10 +63,10 @@ def evaluate_point(point: DesignPoint,
     evaluation semantics are defined.
     """
     if snn is not None:
-        config = SystemConfig.from_hardware(
-            point.hardware, sample_images=point.sample_images,
+        evaluator = SystemEvaluator(
+            point.hardware, sample_images=point.sample_images, snn=snn,
+            quality=point.quality,
         )
-        evaluator = SystemEvaluator(config, snn=snn, quality=point.quality)
     else:
         # Memoized per (quality, seed, sample size): the trained model
         # and encoded spike sample are hardware-independent, so points
@@ -86,10 +74,10 @@ def evaluate_point(point: DesignPoint,
         memo_key = (point.quality, point.seed, point.sample_images)
         evaluator = _EVALUATOR_MEMO.get(memo_key)
         if evaluator is None:
-            config = SystemConfig.from_hardware(
+            evaluator = SystemEvaluator(
                 point.hardware, sample_images=point.sample_images,
+                quality=point.quality,
             )
-            evaluator = SystemEvaluator(config, quality=point.quality)
             _EVALUATOR_MEMO[memo_key] = evaluator
     row = evaluator.evaluate_cell(
         engine=point.engine, hardware=point.hardware,
@@ -152,7 +140,8 @@ def run_cached_points(points: list, *, cache: ResultCache | None,
         ``row -> dict`` persisted for freshly evaluated points.
     evaluate:
         ``list of miss points -> list of rows`` in input order (this is
-        where callers shard across workers, e.g. via :func:`shard_map`).
+        where callers shard across workers, e.g. via an executor's
+        ``map``).
         When the callable accepts an ``on_done(position, row)`` keyword
         it is invoked with one, and each completed row is cached (and
         journaled) the moment it lands — so an interrupted run keeps
@@ -305,7 +294,7 @@ class SweepRunner:
     evaluator:
         Optional existing :class:`SystemEvaluator` to evaluate through
         (in-process only; mutually exclusive with ``snn`` and
-        ``n_workers > 1``).  Used by ``SystemEvaluator.figure8()``.
+        ``n_workers > 1``).
     supervisor:
         Crash-recovery policy for worker shards (retry budget,
         watchdog); the default :class:`SupervisorPolicy` already
@@ -352,10 +341,10 @@ class SweepRunner:
             )
         if evaluator is not None:
             # An injected evaluator brings its own spike sample (its
-            # config's sample size/seed), so every point must agree
+            # sample size and config seed), so every point must agree
             # with it — otherwise rows (and cache entries) would claim
             # a configuration they were not evaluated under.
-            have = (evaluator.config.sample_images, evaluator.config.seed,
+            have = (evaluator.sample_images, evaluator.config.seed,
                     evaluator.quality)
             for point in spec.expand():
                 want = (point.sample_images, point.seed, point.quality)

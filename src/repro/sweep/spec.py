@@ -52,11 +52,12 @@ class DesignPoint:
     the same design point, which is what the on-disk result cache keys
     on (together with the network-weights fingerprint).
 
-    The hardware identity lives in :attr:`hardware`; the historical
-    flat kwargs (``cell_type``, ``vprech``, ``seed``, plus the new
-    ``node``/``corner``) are kept as a constructor shim and readable
-    properties, so ``DesignPoint(cell_type=..., vprech=...)`` and
-    ``dataclasses.replace(point, vprech=...)`` keep working.
+    The hardware identity lives in :attr:`hardware`.  Pass a full
+    ``hardware`` descriptor, or build a point from flat axes —
+    ``DesignPoint(cell_type=..., vprech=..., node=..., corner=...,
+    seed=...)`` overrides those fields of ``hardware`` (default: the
+    paper's point), which is how :meth:`SweepSpec.expand` walks a grid.
+    The same names read back as properties.
     """
 
     hardware: HardwareConfig

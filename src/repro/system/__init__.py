@@ -1,6 +1,5 @@
 """System-level evaluation: energy, power, throughput, area (section 4.4)."""
 
-from repro.system.config import SystemConfig
 from repro.system.area import neuron_array_area_um2, system_area_um2
 from repro.system.energy import SystemEnergyModel, SystemMetrics
 from repro.system.evaluate import SystemEvaluator, Figure8Row
@@ -10,7 +9,6 @@ from repro.system.lowpower import LowPowerScaler, OperatingPoint
 __all__ = [
     "LowPowerScaler",
     "OperatingPoint",
-    "SystemConfig",
     "neuron_array_area_um2",
     "system_area_um2",
     "SystemEnergyModel",

@@ -1,23 +1,11 @@
-"""System-level configuration and calibration constants.
+"""System-level calibration constants.
 
-The hardware description itself lives in :mod:`repro.hw.config`;
-:class:`SystemConfig` pairs one :class:`HardwareConfig` with the
-*evaluation* choices (cycle-accurate sample size) the system evaluator
-needs, keeping the historical flat-kwarg surface as a shim.
+The hardware description itself lives in :mod:`repro.hw.config`; this
+module holds the system-energy calibration the evaluator applies on top
+of the per-macro models.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.errors import ConfigurationError
-from repro.hw.config import (
-    PAPER_LAYER_SIZES,
-    HardwareConfig,
-)
-from repro.sram.bitcell import CellType
-from repro.tech.constants import DEFAULT_NODE
-from repro.tech.corners import DEFAULT_CORNER
 
 #: Clock-tree + pipeline-register energy per tile per clock cycle (pJ).
 #: Covers clock distribution, the request/grant registers and the
@@ -28,68 +16,3 @@ CLOCK_ENERGY_PER_TILE_CYCLE_PJ = 2.60
 #: Static power of the non-SRAM periphery (neuron registers, clock
 #: buffers kept alive, bias generators), in mW.
 PERIPHERY_STATIC_MW = 2.2
-
-
-@dataclass(frozen=True)
-class SystemConfig:
-    """Configuration of one ESAM system evaluation.
-
-    The hardware axes (``cell_type``, ``vprech``, ``node``, ``corner``,
-    ``layer_sizes``, ``seed``) mirror :class:`HardwareConfig` — see
-    :attr:`hardware` for the assembled descriptor; ``sample_images`` is
-    an evaluation axis, not a hardware property.
-    """
-
-    cell_type: CellType = CellType.C1RW4R
-    vprech: float = 0.500
-    layer_sizes: tuple[int, ...] = PAPER_LAYER_SIZES
-    #: Images simulated cycle-accurately for the energy/throughput
-    #: estimate (accuracy uses the functional model over the full set).
-    sample_images: int = 64
-    seed: int = 42
-    node: str = DEFAULT_NODE
-    corner: str = DEFAULT_CORNER
-    clock_period_ns: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.sample_images < 1:
-            raise ConfigurationError("sample_images must be >= 1")
-        # Delegate every hardware-field rule (vprech range, topology,
-        # node/corner keys) to the central HardwareConfig validation.
-        self.hardware
-
-    @property
-    def hardware(self) -> HardwareConfig:
-        """The hardware descriptor these fields describe."""
-        return HardwareConfig(
-            cell_type=self.cell_type,
-            vprech=self.vprech,
-            node=self.node,
-            corner=self.corner,
-            layer_sizes=self.layer_sizes,
-            clock_period_ns=self.clock_period_ns,
-            seed=self.seed,
-        )
-
-    @classmethod
-    def from_hardware(cls, hardware: HardwareConfig,
-                      sample_images: int = 64) -> "SystemConfig":
-        """Build a system evaluation config around a hardware descriptor."""
-        return cls(
-            cell_type=hardware.cell_type,
-            vprech=hardware.vprech,
-            layer_sizes=hardware.layer_sizes,
-            sample_images=sample_images,
-            seed=hardware.seed,
-            node=hardware.node,
-            corner=hardware.corner,
-            clock_period_ns=hardware.clock_period_ns,
-        )
-
-
-__all__ = [
-    "SystemConfig",
-    "PAPER_LAYER_SIZES",
-    "CLOCK_ENERGY_PER_TILE_CYCLE_PJ",
-    "PERIPHERY_STATIC_MW",
-]

@@ -18,9 +18,8 @@ from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
 from repro.learning.convert import ConvertedSNN
 from repro.learning.pretrained import get_reference_model
-from repro.sram.bitcell import CellType
+from repro.sram.bitcell import ALL_CELLS, CellType
 from repro.snn.encode import encode_images
-from repro.system.config import SystemConfig
 from repro.system.energy import SystemEnergyModel, SystemMetrics
 from repro.tile.network import EsamNetwork, InferenceTrace, validate_engine
 
@@ -91,12 +90,23 @@ def claims_from_rows(rows: list[Figure8Row],
 
 
 class SystemEvaluator:
-    """Runs the Figure-8 sweep over the five cell options."""
+    """Runs the Figure-8 sweep over the five cell options.
 
-    def __init__(self, config: SystemConfig | None = None,
+    ``config`` is the hardware every evaluation starts from (default:
+    the paper's design point); its seed picks the trained model and the
+    spike sample.  ``sample_images`` is how many images are simulated
+    cycle-accurately for the energy/throughput estimate (accuracy uses
+    the functional model over the full set).
+    """
+
+    def __init__(self, config: HardwareConfig | None = None,
+                 sample_images: int = 64,
                  snn: ConvertedSNN | None = None,
                  quality: str = "full") -> None:
-        self.config = config or SystemConfig()
+        if sample_images < 1:
+            raise ConfigurationError("sample_images must be >= 1")
+        self.config = config or HardwareConfig()
+        self.sample_images = sample_images
         self.quality = quality
         if snn is None:
             reference = get_reference_model(quality, self.config.seed)
@@ -116,37 +126,27 @@ class SystemEvaluator:
 
     def _sample_spikes(self) -> np.ndarray:
         if self._dataset is not None:
-            images = self._dataset.test_images[: self.config.sample_images]
+            images = self._dataset.test_images[: self.sample_images]
             return encode_images(images)
         rng = np.random.default_rng(self.config.seed)
         n_in = self._snn.layer_sizes[0]
         return (
-            rng.random((self.config.sample_images, n_in)) < 0.16
+            rng.random((self.sample_images, n_in)) < 0.16
         ).astype(np.uint8)
 
     # -- single design point ------------------------------------------------------
 
-    def _hardware_for(self, cell_type: CellType, vprech: float | None,
-                      node: str | None, corner: str | None) -> HardwareConfig:
-        """This evaluator's hardware descriptor with per-call overrides."""
-        return self.config.hardware.replace(
-            cell_type=cell_type,
-            vprech=self.config.vprech if vprech is None else vprech,
-            node=self.config.node if node is None else node,
-            corner=self.config.corner if corner is None else corner,
-        )
-
     def build_network(self, cell_type: CellType | None = None,
-                      vprech: float | None = None,
-                      node: str | None = None,
-                      corner: str | None = None,
                       hardware: HardwareConfig | None = None) -> EsamNetwork:
+        """The network on a full ``hardware`` descriptor, else on this
+        evaluator's config with ``cell_type`` swapped in (every other
+        field carried)."""
         if hardware is None:
             if cell_type is None:
                 raise ConfigurationError(
-                    "build_network needs a cell_type or a hardware config"
+                    "need a cell_type or a hardware config"
                 )
-            hardware = self._hardware_for(cell_type, vprech, node, corner)
+            hardware = self.config.replace(cell_type=cell_type)
         return EsamNetwork(
             self._snn.weights,
             self._snn.thresholds,
@@ -155,64 +155,38 @@ class SystemEvaluator:
         )
 
     def evaluate_cell(self, cell_type: CellType | None = None,
-                      vprech: float | None = None,
                       engine: str = "fast",
-                      node: str | None = None,
-                      corner: str | None = None,
                       hardware: HardwareConfig | None = None) -> Figure8Row:
         """Hardware-accurate evaluation of one cell option.
 
         ``engine`` selects any registered backend (``"fast"`` default —
         identical traces and energies to every other backend, orders of
         magnitude faster than the per-cycle reference for the sweep).
-        ``node``/``corner`` default to the
-        evaluator's configuration (the paper's 3nm node at the typical
-        corner).  A full ``hardware`` descriptor overrides everything
-        else — the sweep runner uses this so a point's clock override
-        (or any future hardware field) cannot be silently dropped.
+        The hardware is this evaluator's config at ``cell_type``, or a
+        full ``hardware`` descriptor — the sweep runner passes each
+        point's, so no hardware field can be silently dropped.
         """
         # Fail on an unknown engine before building the network, not
         # deep inside the inference call stack.
         validate_engine(engine)
-        if hardware is None:
-            if cell_type is None:
-                raise ConfigurationError(
-                    "evaluate_cell needs a cell_type or a hardware config"
-                )
-            hardware = self._hardware_for(cell_type, vprech, node, corner)
-        network = self.build_network(hardware=hardware)
+        network = self.build_network(cell_type, hardware)
         trace = InferenceTrace()
         network.infer_batch(self._spikes, trace, engine=engine)
         metrics = SystemEnergyModel(network).metrics(trace)
-        return Figure8Row(cell_type=hardware.cell_type, metrics=metrics)
+        return Figure8Row(cell_type=network.cell_type, metrics=metrics)
 
     # -- the full figure -----------------------------------------------------------
 
     def figure8(self, engine: str = "fast") -> list[Figure8Row]:
         """All five cell options (Figure 8's x-axis).
 
-        Routed through the sweep engine (:mod:`repro.sweep`) with this
-        evaluator injected, so the same code path serves the library
-        call, the benchmarks and the ``python -m repro.sweep`` CLI.
-        Caching and multi-process sharding are opt-in there; this
-        in-memory entry point stays side-effect free.  ``engine``
-        selects any registered backend; every backend renders identical
-        rows (pinned by the golden-parity suite).
+        Each row is :meth:`evaluate_cell` at this evaluator's config
+        with only the cell option changed, so a clock override, node or
+        corner holds for every bar.  ``engine`` selects any registered
+        backend; every backend renders identical rows (pinned by the
+        golden-parity suite).
         """
-        # Imported lazily: repro.sweep depends on this module.
-        from repro.sweep import SweepRunner, figure8_spec
-
-        spec = figure8_spec(
-            sample_images=self.config.sample_images,
-            quality=self.quality,
-            seed=self.config.seed,
-            vprech=self.config.vprech,
-            engine=engine,
-            node=self.config.node,
-            corner=self.config.corner,
-        )
-        runner = SweepRunner(spec, cache=None, evaluator=self)
-        return runner.run().figure8_rows()
+        return [self.evaluate_cell(cell, engine=engine) for cell in ALL_CELLS]
 
     def headline_claims(self, rows: list[Figure8Row] | None = None) -> HeadlineClaims:
         """The abstract's 3.1x / 2.2x / 44 MInf/s / 607 pJ / 29 mW set."""

@@ -25,7 +25,6 @@ from repro.sram.bitcell import CellType
 from repro.sram.electrical import TransposedPortModel
 from repro.sram.readport import ReadPortModel
 from repro.tile.backends import ENGINES, backend_factory, engines_doc
-from repro.tile.engine import FastEngine
 from repro.tile.mapping import ARRAY_DIM
 from repro.tile.pipeline import PipelineModel
 from repro.tile.tile import Tile
@@ -135,8 +134,6 @@ class EsamNetwork:
 
     def __init__(self, weights: list[np.ndarray], thresholds: list[np.ndarray],
                  output_bias: np.ndarray | None = None,
-                 cell_type: CellType = CellType.C1RW4R,
-                 vprech: float = 0.500,
                  config: HardwareConfig | None = None) -> None:
         if not weights:
             raise ConfigurationError("at least one layer is required")
@@ -151,9 +148,7 @@ class EsamNetwork:
                     f"layer {k} output width {weights[k].shape[1]} != "
                     f"layer {k + 1} input width {weights[k + 1].shape[0]}"
                 )
-        if config is None:
-            # Legacy kwarg shim (deprecated, kept for one release).
-            config = HardwareConfig(cell_type=cell_type, vprech=vprech)
+        config = config or HardwareConfig()
         # The descriptor records the topology actually instantiated.
         actual_sizes = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
         if config.layer_sizes != actual_sizes:
@@ -282,14 +277,6 @@ class EsamNetwork:
             cached = (backend_factory(engine)(self), versions)
             self._engines[engine] = cached
         return cached[0]
-
-    def fast_engine(self, refresh: bool = False) -> FastEngine:
-        """The schedule-based batched engine (``engine="fast"``).
-
-        Kept as a convenience alias for the historical API;
-        equivalent to ``engine_backend("fast", refresh=refresh)``.
-        """
-        return self.engine_backend("fast", refresh=refresh)
 
     def infer_batch(self, spikes: np.ndarray,
                     trace: InferenceTrace | None = None,

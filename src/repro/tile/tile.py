@@ -29,7 +29,6 @@ from repro.arbiter.cascaded import MultiPortArbiter
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw.config import HardwareConfig
 from repro.neuron.array import NeuronArray
-from repro.sram.bitcell import CellType
 from repro.sram.macro import SramMacro
 from repro.sram.readport import ReadPortModel
 from repro.sram.electrical import TransposedPortModel
@@ -56,11 +55,10 @@ class Tile:
     """One layer of the ESAM system, simulated spike-by-spike."""
 
     def __init__(self, weights: np.ndarray, thresholds: np.ndarray,
-                 cell_type: CellType = CellType.C1RW4R, vprech: float = 0.500,
+                 config: HardwareConfig | None = None,
                  read_port_model: ReadPortModel | None = None,
                  transposed_model: TransposedPortModel | None = None,
-                 name: str = "tile",
-                 config: HardwareConfig | None = None) -> None:
+                 name: str = "tile") -> None:
         weights = np.asarray(weights)
         thresholds = np.asarray(thresholds)
         if weights.ndim != 2:
@@ -69,11 +67,7 @@ class Tile:
             raise ConfigurationError(
                 f"thresholds shape {thresholds.shape} != ({weights.shape[1]},)"
             )
-        if config is None:
-            # Legacy kwarg shim (deprecated, kept for one release): the
-            # loose (cell_type, vprech) pair describes the paper's node
-            # at the typical corner.
-            config = HardwareConfig(cell_type=cell_type, vprech=vprech)
+        config = config or HardwareConfig()
         self.config = config
         node = config.technology
         self.name = name
@@ -114,7 +108,7 @@ class Tile:
                 NeuronArray(
                     thresholds[cs],
                     ports=self.ports * self.mapping.row_blocks,
-                    multiport=cell_type.is_multiport,
+                    multiport=self.cell_type.is_multiport,
                 )
             )
         self._arbiter_cycle_energy_pj = arbiter_energy_per_cycle_pj(

@@ -211,7 +211,7 @@ class TestMutationConformance:
             [np.concatenate([n.thresholds for n in t.neurons])
              for t in net.tiles],
         )
-        flips = injector.inject_network(net, 0.05)
+        flips = injector.apply_trial(net, 0.05, trial=0)
         assert flips > 0
         scores = net.infer_batch(spikes, engine=backend)
         reference = np.stack([net.infer(row) for row in spikes])

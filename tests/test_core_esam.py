@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.esam import EsamSystem
 from repro.errors import ConfigurationError
-from repro.sram.bitcell import CellType
 
 
 @pytest.fixture()
@@ -71,7 +70,7 @@ class TestOnlineLearning:
 
 class TestPretrainedPath:
     def test_from_pretrained_fast(self, fast_model):
-        system = EsamSystem(fast_model.snn, cell_type=CellType.C1RW4R)
+        system = EsamSystem(fast_model.snn)
         assert system.snn.layer_sizes == [768, 256, 256, 256, 10]
 
     def test_pretrained_accuracy_reasonable(self, fast_model):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.esam import EsamSystem
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import CellType
 from repro.tile.network import EsamNetwork, InferenceTrace
 
@@ -40,7 +41,7 @@ def make_network(cell_type: CellType, vprech: float,
     bias = rng.normal(0.0, 0.5, LAYER_SIZES[-1])
     return EsamNetwork(
         weights, thresholds, output_bias=bias,
-        cell_type=cell_type, vprech=vprech,
+        config=HardwareConfig(cell_type=cell_type, vprech=vprech),
     )
 
 
@@ -127,8 +128,8 @@ class TestBatchedInferenceEquivalence:
 
     def test_fast_engine_cached_and_refreshable(self):
         net = make_network(CellType.C1RW4R, 0.5)
-        first = net.fast_engine()
-        assert net.fast_engine() is first
+        first = net.engine_backend("fast")
+        assert net.engine_backend("fast") is first
         tile = net.tiles[0]
         flipped = 1 - tile.weight_matrix()
         for rb in range(tile.mapping.row_blocks):
@@ -136,7 +137,7 @@ class TestBatchedInferenceEquivalence:
                 tile.macros[rb][cb].load_weights(
                     tile.mapping.block_weights(flipped, rb, cb)
                 )
-        refreshed = net.fast_engine(refresh=True)
+        refreshed = net.engine_backend("fast", refresh=True)
         assert refreshed is not first
         assert np.array_equal(
             refreshed._kernels[0].signed, 2.0 * flipped.astype(np.float64) - 1.0
@@ -264,7 +265,7 @@ class TestSystemFacadeEquivalence:
             [t.weight_matrix() for t in net.tiles],
             [np.concatenate([n.thresholds for n in t.neurons]) for t in net.tiles],
         )
-        flips = injector.inject_network(net, 0.05)
+        flips = injector.apply_trial(net, 0.05, trial=0)
         assert flips > 0
         fast = net.infer_batch(spikes, engine="fast")
         cycle = np.stack([net.infer(row) for row in spikes])
@@ -278,7 +279,7 @@ class TestSystemFacadeEquivalence:
         system.classify_spikes(spikes)  # caches the fast engine
         learner = system.online_learning_engine(layer=0)
         learner.learn(rng.random(96) < 0.5, np.arange(48))
-        engine = system.network.fast_engine()
+        engine = system.network.engine_backend("fast")
         current = system.network.tiles[0].weight_matrix()
         assert np.array_equal(
             engine._kernels[0].signed, 2.0 * current.astype(np.float64) - 1.0

@@ -1,28 +1,143 @@
-"""Smoke tests: every example must at least import and expose main().
+"""Smoke tests for the scripts tier-1 never runs end to end.
 
-Running the examples end-to-end needs the full trained model; importing
-them catches API drift, typos and missing modules cheaply in CI.
+Running the examples and the benchmarks needs the full trained model.
+Importing them, and checking every keyword they pass to the library
+against the callee's signature, catches API drift, typos and missing
+modules cheaply in CI.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[1] / "examples"
-EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+EXAMPLE_FILES = sorted((ROOT / "examples").glob("*.py"))
+BENCHMARK_FILES = sorted((ROOT / "benchmarks").glob("*.py"))
+SCRIPT_FILES = EXAMPLE_FILES + BENCHMARK_FILES
+
+
+def _load(path: pathlib.Path):
+    name = f"{path.parent.name}_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _repro_names(tree: ast.AST) -> dict:
+    """Local name -> object for every ``from repro... import`` in ``tree``."""
+    names = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "repro"):
+            continue
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            obj = getattr(module, alias.name, None)
+            if obj is None:
+                obj = importlib.import_module(f"{node.module}.{alias.name}")
+            names[alias.asname or alias.name] = obj
+    return names
+
+
+def _callee(func: ast.expr, names: dict):
+    """The library object a call resolves to: ``Name(...)`` or
+    ``Name.method(...)`` for a name imported from ``repro``."""
+    if isinstance(func, ast.Name):
+        return names.get(func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        owner = names.get(func.value.id)
+        return None if owner is None else getattr(owner, func.attr, None)
+    return None
+
+
+def stale_keywords(source: str, filename: str) -> tuple[int, list[str]]:
+    """Check each keyword passed to a ``repro`` callable in ``source``.
+
+    Returns how many keywords were checked and one message per keyword
+    the callee does not accept.  Callees taking ``**kwargs`` are
+    skipped: any keyword is valid there.
+    """
+    tree = ast.parse(source, filename=filename)
+    names = _repro_names(tree)
+    checked, stale = 0, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = _callee(node.func, names)
+        if callee is None or not callable(callee):
+            continue
+        try:
+            parameters = inspect.signature(callee).parameters
+        except (TypeError, ValueError):
+            continue
+        if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
+            continue
+        for keyword in node.keywords:
+            if keyword.arg is None:  # a **mapping splat
+                continue
+            checked += 1
+            parameter = parameters.get(keyword.arg)
+            if (parameter is None
+                    or parameter.kind is parameter.POSITIONAL_ONLY):
+                stale.append(
+                    f"{filename}:{node.lineno}: {ast.unparse(node.func)}() "
+                    f"takes no keyword {keyword.arg!r}"
+                )
+    return checked, stale
 
 
 @pytest.mark.parametrize(
     "path", EXAMPLE_FILES, ids=[p.stem for p in EXAMPLE_FILES]
 )
 def test_example_imports_and_has_main(path):
-    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load(path)
     assert callable(getattr(module, "main", None)), (
         f"{path.name} must define a main() entry point"
     )
+
+
+@pytest.mark.parametrize(
+    "path", BENCHMARK_FILES, ids=[p.stem for p in BENCHMARK_FILES]
+)
+def test_benchmark_imports(path):
+    _load(path)
+
+
+@pytest.mark.parametrize(
+    "path", SCRIPT_FILES,
+    ids=[f"{p.parent.name}/{p.stem}" for p in SCRIPT_FILES],
+)
+def test_script_keywords_match_library_signatures(path):
+    _, stale = stale_keywords(path.read_text(), path.name)
+    assert not stale, "\n".join(stale)
+
+
+def test_keyword_check_covers_the_scripts():
+    """The check is not vacuous: the scripts pass many library keywords."""
+    checked = sum(
+        stale_keywords(path.read_text(), path.name)[0]
+        for path in SCRIPT_FILES
+    )
+    assert checked >= 50
+
+
+def test_keyword_check_flags_a_stale_keyword():
+    source = (
+        "from repro.tile.network import EsamNetwork\n"
+        "from repro.hw.config import HardwareConfig as HW\n"
+        "EsamNetwork([], [], cell_type=None, config=HW())\n"
+        "HW.for_cell(None, vprech=0.5)\n"
+    )
+    checked, stale = stale_keywords(source, "snippet.py")
+    assert checked == 2  # for_cell takes **changes, so it is skipped
+    assert stale == [
+        "snippet.py:3: EsamNetwork() takes no keyword 'cell_type'"
+    ]
 
 
 def test_at_least_three_examples_present():

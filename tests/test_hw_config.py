@@ -11,11 +11,12 @@ macro -> tile -> network stack.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 
-from repro import HardwareConfig, paper_point, validate_vprech
+from repro import EsamSystem, HardwareConfig, paper_point, validate_vprech
 from repro.errors import ConfigurationError
 from repro.hw.cli import add_hardware_arguments, hardware_from_args
 from repro.hw.config import PAPER_LAYER_SIZES, PRESETS
@@ -24,6 +25,7 @@ from repro.sram.macro import SramMacro
 from repro.tech.constants import IMEC_3NM, IMEC_5NM, TECHNOLOGY_NODES
 from repro.tech.corners import PROCESS_CORNERS
 from repro.tile.network import EsamNetwork
+from repro.tile.tile import Tile
 
 #: Pinned SHA-256 of the paper design point's sweep-cache key under an
 #: all-'f' weights fingerprint.  If this changes, every on-disk sweep
@@ -187,18 +189,33 @@ class TestCornerPhysics:
 
 
 class TestThreading:
-    def test_macro_from_config_matches_legacy_kwargs(self):
-        config = HardwareConfig(cell_type=CellType.C1RW2R, vprech=0.6)
-        via_config = SramMacro.from_config(config, rows=16, cols=16)
-        legacy = SramMacro(CellType.C1RW2R, 16, 16, 0.6)
-        assert via_config.cell_type is legacy.cell_type
-        assert via_config.vprech == legacy.vprech
-        assert via_config.node is legacy.node
-        assert via_config.leakage_power_mw == legacy.leakage_power_mw
+    @pytest.mark.parametrize("callee", [
+        SramMacro, Tile, EsamNetwork, EsamSystem, EsamSystem.from_pretrained,
+        EsamSystem.from_random,
+    ], ids=lambda c: c.__qualname__)
+    def test_config_is_the_only_hardware_argument(self, callee):
+        parameters = inspect.signature(callee).parameters
+        assert "config" in parameters
+        assert not {"cell_type", "vprech", "node", "corner"} & set(parameters)
 
-    def test_macro_needs_config_or_cell(self):
-        with pytest.raises(ConfigurationError, match="cell_type"):
-            SramMacro(rows=16, cols=16)
+    def test_macro_defaults_to_the_paper_point(self):
+        default = SramMacro(rows=16, cols=16)
+        paper = SramMacro(config=HardwareConfig(), rows=16, cols=16)
+        assert default.cell_type is CellType.C1RW4R
+        assert default.vprech == paper.vprech == 0.500
+        assert default.node is paper.node is IMEC_3NM
+        assert default.leakage_power_mw == paper.leakage_power_mw
+
+    def test_network_neurons_follow_the_config_cell(self):
+        """A 6T network's neurons take the single-input update path."""
+        import numpy as np
+
+        weights = [np.eye(8, dtype=np.uint8)]
+        net = EsamNetwork(weights, [np.zeros(8)],
+                          config=HardwareConfig(cell_type=CellType.C6T))
+        segments = net.tiles[0].neurons
+        assert not any(segment.multiport for segment in segments)
+        assert all(segment.add_time_ns == 0.20 for segment in segments)
 
     def test_network_records_actual_topology(self):
         net = tiny_network(HardwareConfig())
@@ -215,18 +232,6 @@ class TestThreading:
         assert fast.clock_period_ns < base.clock_period_ns
         assert slow.leakage_power_mw() < base.leakage_power_mw()
         assert fast.leakage_power_mw() > base.leakage_power_mw()
-
-    def test_network_typical_corner_is_bit_identical_to_legacy(self):
-        import numpy as np
-
-        weights = [np.eye(8, dtype=np.uint8)]
-        thresholds = [np.zeros(8)]
-        legacy = EsamNetwork(weights, thresholds,
-                             cell_type=CellType.C1RW4R, vprech=0.5)
-        config = EsamNetwork(weights, thresholds, config=HardwareConfig())
-        assert legacy.clock_period_ns == config.clock_period_ns
-        assert legacy.leakage_power_mw() == config.leakage_power_mw()
-        assert legacy.area_um2() == config.area_um2()
 
     def test_clock_override(self):
         pinned = tiny_network(HardwareConfig(clock_period_ns=2.0))
@@ -245,19 +250,6 @@ class TestThreading:
         assert net_5.tiles[0].macros[0][0].node is IMEC_5NM
         # The 5nm 6T footprint is larger, so the macro area must grow.
         assert net_5.area_um2() > net_3.area_um2()
-
-    def test_system_config_delegates_to_hardware(self):
-        from repro.system.config import SystemConfig
-
-        config = SystemConfig(node="5nm", corner="slow", vprech=0.72)
-        assert config.hardware == HardwareConfig(
-            node="5nm", corner="slow", vprech=0.72,
-        )
-        round_trip = SystemConfig.from_hardware(config.hardware,
-                                                sample_images=64)
-        assert round_trip == config
-        with pytest.raises(ConfigurationError, match="vprech"):
-            SystemConfig(vprech=0.72)  # fine on 5nm, out of range on 3nm
 
 
 class TestSharedCliSurface:

@@ -1,12 +1,14 @@
 """Cross-module integration: trained network through the full stack."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import ALL_CELLS, CellType
 from repro.snn.encode import encode_images
 from repro.snn.simulate import evaluate_accuracy
-from repro.system.config import SystemConfig
 from repro.system.evaluate import SystemEvaluator
 from repro.tile.network import EsamNetwork, InferenceTrace
 
@@ -20,7 +22,7 @@ class TestHardwareVsFunctional:
         snn = fast_model.snn
         network = EsamNetwork(
             snn.weights, snn.thresholds, output_bias=snn.output_bias,
-            cell_type=cell,
+            config=HardwareConfig(cell_type=cell),
         )
         spikes = encode_images(fast_model.dataset.test_images[:8])
         functional = snn.to_model().classify(spikes)
@@ -82,8 +84,7 @@ class TestAccuracyPipeline:
 class TestEvaluatorSweep:
     @pytest.fixture(scope="class")
     def evaluator(self, fast_model):
-        config = SystemConfig(sample_images=6)
-        return SystemEvaluator(config, snn=fast_model.snn)
+        return SystemEvaluator(sample_images=6, snn=fast_model.snn)
 
     def test_throughput_improves_with_ports(self, evaluator):
         rows = [
@@ -105,9 +106,30 @@ class TestEvaluatorSweep:
 
     def test_vprech_override(self, evaluator):
         """Running the decoupled ports at VDD must cost energy."""
-        e500 = evaluator.evaluate_cell(CellType.C1RW4R, vprech=0.5)
-        e700 = evaluator.evaluate_cell(CellType.C1RW4R, vprech=0.7)
+        e500 = evaluator.evaluate_cell(CellType.C1RW4R)
+        e700 = evaluator.evaluate_cell(
+            hardware=evaluator.config.replace(vprech=0.7)
+        )
         assert e700.energy_per_inf_pj > e500.energy_per_inf_pj
+
+    def test_cell_is_the_only_per_call_hardware_axis(self, evaluator):
+        for method in (evaluator.evaluate_cell, evaluator.build_network):
+            parameters = inspect.signature(method).parameters
+            assert {"cell_type", "hardware"} <= set(parameters)
+            assert not {"vprech", "node", "corner"} & set(parameters)
+
+    def test_figure8_keeps_the_clock_override(self, fast_model):
+        """Every figure-8 bar is evaluate_cell at the evaluator's config:
+        a pinned clock holds for all five cells."""
+        evaluator = SystemEvaluator(
+            HardwareConfig(clock_period_ns=3.0), sample_images=2,
+            snn=fast_model.snn,
+        )
+        rows = evaluator.figure8()
+        assert [row.cell_type for row in rows] == list(ALL_CELLS)
+        for row in rows:
+            assert row.metrics.clock_period_ns == 3.0
+            assert row == evaluator.evaluate_cell(row.cell_type)
 
 
 class TestTraceConsistency:

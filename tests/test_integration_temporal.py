@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.snn.model import BinarySNN
 from repro.snn.temporal import TemporalBinarySNN, rate_encode
 from repro.sram.bitcell import CellType
@@ -17,9 +18,7 @@ def build_pair(rng, sizes=(64, 32, 8)):
     ]
     thresholds = [rng.integers(2, 8, b) for b in sizes[1:]]
     bias = rng.normal(0, 1, sizes[-1])
-    network = EsamNetwork(
-        weights, thresholds, output_bias=bias, cell_type=CellType.C1RW4R
-    )
+    network = EsamNetwork(weights, thresholds, output_bias=bias)
     functional = TemporalBinarySNN(BinarySNN(weights, thresholds, bias))
     return network, functional
 
@@ -47,7 +46,8 @@ class TestHardwareFunctionalEquivalence:
         """Sub-threshold charge must carry over on the hardware."""
         w = np.ones((64, 4), dtype=np.uint8)
         network = EsamNetwork(
-            [w], [np.full(4, 5)], cell_type=CellType.C1RW2R
+            [w], [np.full(4, 5)],
+            config=HardwareConfig(cell_type=CellType.C1RW2R),
         )
         spikes = np.zeros(64, dtype=bool)
         spikes[:2] = True  # +2 per timestep, threshold 5

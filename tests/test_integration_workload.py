@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hw.config import HardwareConfig
 from repro.snn.encode import encode_images
 from repro.sram.bitcell import CellType
 from repro.tile.network import EsamNetwork, InferenceTrace
@@ -16,7 +17,7 @@ class TestPaperWorkloadArithmetic:
         snn = fast_model.snn
         network = EsamNetwork(
             snn.weights, snn.thresholds, output_bias=snn.output_bias,
-            cell_type=CellType.C1RW4R,
+            config=HardwareConfig(cell_type=CellType.C1RW4R),
         )
         trace = InferenceTrace()
         spikes = encode_images(fast_model.dataset.test_images[:12])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.learning.online import (
     OnlineLearningEngine,
     column_update_comparison,
@@ -16,7 +17,7 @@ from repro.tile.tile import Tile
 @pytest.fixture()
 def tile(rng) -> Tile:
     w = rng.integers(0, 2, (256, 64)).astype(np.uint8)
-    return Tile(w, np.zeros(64), cell_type=CellType.C1RW4R)
+    return Tile(w, np.zeros(64))
 
 
 class TestEngine:
@@ -57,7 +58,8 @@ class TestEngine:
 
     def test_cost_accounting_6t(self, rng):
         w = rng.integers(0, 2, (128, 32)).astype(np.uint8)
-        tile = Tile(w, np.zeros(32), cell_type=CellType.C6T)
+        tile = Tile(w, np.zeros(32),
+                    config=HardwareConfig(cell_type=CellType.C6T))
         engine = OnlineLearningEngine(tile)
         engine.learn(rng.integers(0, 2, 128), np.array([3]))
         assert engine.report.transposed_accesses == 256
@@ -94,7 +96,8 @@ class TestClosedLoopLearning:
     def test_stdp_imprints_a_pattern(self, rng):
         """Repeated coincident activity imprints the pattern column."""
         w = rng.integers(0, 2, (128, 16)).astype(np.uint8)
-        tile = Tile(w, np.zeros(16), cell_type=CellType.C1RW2R)
+        tile = Tile(w, np.zeros(16),
+                    config=HardwareConfig(cell_type=CellType.C1RW2R))
         engine = OnlineLearningEngine(
             tile, StochasticSTDP(p_potentiate=0.5, p_depress=0.5, seed=8)
         )

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.obs import (
     MetricRegistry,
     NullTracer,
@@ -64,7 +65,8 @@ def random_network(layers=(64, 32, 10), seed=0,
         np.full(b, max(1, a // 16), dtype=np.int64)
         for a, b in zip(layers[:-1], layers[1:])
     ]
-    return EsamNetwork(weights, thresholds, cell_type=cell_type)
+    return EsamNetwork(weights, thresholds,
+                       config=HardwareConfig(cell_type=cell_type))
 
 
 def random_spikes(n, width=64, seed=3, density=0.2) -> np.ndarray:

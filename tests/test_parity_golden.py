@@ -1,8 +1,8 @@
 """Refactor parity: the config path reproduces the pre-refactor seed.
 
 ``tests/golden/figure8_fast8.json`` was captured from the repository
-state *before* the ``HardwareConfig`` refactor (PR 4), by evaluating
-``SystemEvaluator(SystemConfig(sample_images=8), quality="fast")`` —
+state *before* the ``HardwareConfig`` refactor, by evaluating the
+paper's design point at 8 sample images with the ``"fast"`` model —
 figure8 rows plus headline claims, stored with full ``repr`` float
 precision.  The refactor threads a frozen descriptor through every
 layer, and at the default point (3nm node, typical corner) that must
@@ -21,7 +21,6 @@ import pathlib
 import pytest
 
 from repro.hw.config import HardwareConfig
-from repro.system.config import SystemConfig
 from repro.system.evaluate import SystemEvaluator
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "figure8_fast8.json"
@@ -35,11 +34,11 @@ def golden() -> dict:
 
 @pytest.fixture(scope="module")
 def evaluator(golden) -> SystemEvaluator:
-    config = SystemConfig.from_hardware(
+    return SystemEvaluator(
         HardwareConfig(seed=golden["config"]["seed"]),
         sample_images=golden["config"]["sample_images"],
+        quality=golden["config"]["quality"],
     )
-    return SystemEvaluator(config, quality=golden["config"]["quality"])
 
 
 @pytest.fixture(scope="module")

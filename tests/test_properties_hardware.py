@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arbiter.cascaded import MultiPortArbiter
+from repro.hw.config import HardwareConfig
 from repro.sram.array import SramArray
 from repro.sram.bitcell import CellType
 from repro.tile.tile import Tile
@@ -82,8 +83,8 @@ class TestTileInvariants:
         w = rng.integers(0, 2, (128, 32)).astype(np.uint8)
         th = rng.integers(-4, 12, 32)
         spikes = rng.random(128) < 0.35
-        tile_a = Tile(w, th, cell_type=CellType.C1RW4R)
-        tile_b = Tile(w, th, cell_type=CellType.C1RW1R)
+        tile_a = Tile(w, th, config=HardwareConfig(cell_type=CellType.C1RW4R))
+        tile_b = Tile(w, th, config=HardwareConfig(cell_type=CellType.C1RW1R))
         out_a = tile_a.run_inference(spikes)
         out_b = tile_b.run_inference(spikes)
         assert (out_a == out_b).all()
@@ -93,7 +94,8 @@ class TestTileInvariants:
     def test_grants_equal_input_spikes(self, seed):
         rng = np.random.default_rng(seed)
         w = rng.integers(0, 2, (128, 16)).astype(np.uint8)
-        tile = Tile(w, np.zeros(16), cell_type=CellType.C1RW3R)
+        tile = Tile(w, np.zeros(16),
+                    config=HardwareConfig(cell_type=CellType.C1RW3R))
         spikes = rng.random(128) < 0.4
         tile.run_inference(spikes)
         assert tile.stats.grants == int(spikes.sum())

@@ -32,7 +32,7 @@ from repro.reliability import (
 from repro.reliability.__main__ import main as reliability_main
 from repro.sram.bitcell import CellType
 from repro.sweep import ResultCache, SweepRunner, entry_key, figure8_spec
-from repro.sweep.store import SweepStats
+from repro.sweep.results import SweepStats
 
 QUALITY = "fast"
 SAMPLE = 8

@@ -1,6 +1,6 @@
 """Differential testing: every engine pair agrees on faulted networks.
 
-Three pins, each over a grid of (cell x BER x corner):
+Two pins, each over a grid of (cell x BER x corner):
 
 1. the *functional* fault path (``flip_bits`` on the layer matrices)
    and the *hardware* fault path (``FaultInjector`` loading macros
@@ -8,10 +8,9 @@ Three pins, each over a grid of (cell x BER x corner):
 2. the fast and cycle engines stay trace-identical on faulted
    networks — extending ``test_engine_equivalence.py`` to the fault
    scenario, so the reliability campaigns may run entirely on the
-   fast engine;
-3. the legacy cumulative ``inject_network`` draws the same masks as
-   ``flip_bits`` when seeded identically (the two paths share one
-   random stream by construction).
+   fast engine.
+
+The per-trial mask streams themselves are pinned to the config seed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import pytest
 from repro.hw.config import HardwareConfig
 from repro.snn.model import BinarySNN
 from repro.sram.bitcell import CellType
-from repro.sram.faults import FaultInjector, flip_bits, trial_seed_sequence
+from repro.sram.faults import FaultInjector, trial_seed_sequence
 from repro.tile.network import EsamNetwork
 from tests.test_engine_equivalence import assert_hardware_state_equal
 
@@ -108,27 +107,7 @@ class TestFaultPathEquivalence:
         assert_hardware_state_equal(fast_net, cycle_net)
 
 
-class TestLegacyInjectorEquivalence:
-    def test_inject_network_matches_flip_bits_draw_for_draw(self):
-        """The cumulative in-place path consumes the random stream
-        exactly like the functional path (logical matrices, layer
-        order), so identically-seeded generators flip the same bits."""
-        config = HardwareConfig(seed=5)
-        weights, thresholds, bias = clean_parameters()
-        injector = FaultInjector(weights, thresholds, bias, config=config)
-        network = make_network(config)
-
-        rng = np.random.default_rng(31)
-        flips_hw = injector.inject_network(network, 0.02, rng=rng)
-
-        rng_ref = np.random.default_rng(31)
-        flips_fn = 0
-        for k, w in enumerate(weights):
-            faulty, flips = flip_bits(w, 0.02, rng_ref)
-            flips_fn += flips
-            assert np.array_equal(network.tiles[k].weight_matrix(), faulty)
-        assert flips_hw == flips_fn
-
+class TestInjectorStreams:
     def test_injector_seed_follows_config(self):
         """Regression (latent seed bug): the injector's stream derives
         from the HardwareConfig seed, so configs differing only by seed

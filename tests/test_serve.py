@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, QueueFullError, ServingError
+from repro.hw.config import HardwareConfig
 from repro.serve import (
     BatchPolicy,
     InferenceServer,
@@ -44,7 +45,8 @@ def random_network(layers=(64, 32, 10), seed=0,
         np.full(b, max(1, a // 16), dtype=np.int64)
         for a, b in zip(layers[:-1], layers[1:])
     ]
-    return EsamNetwork(weights, thresholds, cell_type=cell_type)
+    return EsamNetwork(weights, thresholds,
+                       config=HardwareConfig(cell_type=cell_type))
 
 
 def random_spikes(n, width=64, seed=3, density=0.2) -> np.ndarray:

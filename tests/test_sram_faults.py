@@ -1,9 +1,12 @@
 """Weight-memory fault injection."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.snn.encode import encode_images
 from repro.sram.bitcell import CellType
 from repro.sram.faults import FaultInjector, flip_bits
@@ -45,6 +48,15 @@ class TestFlipBits:
             flip_bits(np.full((4, 4), 2), 0.1, rng)
 
 
+def mean_accuracy(injector, spikes, labels, rate, trials):
+    """Mean functional-model accuracy over ``trials`` fault masks."""
+    accuracies = []
+    for trial in range(trials if rate > 0.0 else 1):
+        model, _ = injector.faulty_model_for_trial(rate, trial)
+        accuracies.append(float((model.classify(spikes) == labels).mean()))
+    return float(np.mean(accuracies))
+
+
 class TestFaultSweep:
     def test_accuracy_degrades_monotonically_on_average(self, fast_model):
         injector = FaultInjector(
@@ -54,10 +66,10 @@ class TestFaultSweep:
         )
         spikes = encode_images(fast_model.dataset.test_images[:300])
         labels = fast_model.dataset.test_labels[:300]
-        points = injector.sweep(
-            spikes, labels, rates=(0.0, 1e-3, 5e-2, 0.3), trials=2
-        )
-        accuracies = [p.accuracy for p in points]
+        accuracies = [
+            mean_accuracy(injector, spikes, labels, rate, trials=2)
+            for rate in (0.0, 1e-3, 5e-2, 0.3)
+        ]
         # Clean accuracy first; heavy corruption approaches chance.
         assert accuracies[0] > 0.9
         assert accuracies[0] >= accuracies[1] - 0.02
@@ -73,27 +85,25 @@ class TestFaultSweep:
         )
         spikes = encode_images(fast_model.dataset.test_images[:300])
         labels = fast_model.dataset.test_labels[:300]
-        points = injector.sweep(spikes, labels, rates=(0.0, 1e-3), trials=3)
-        assert points[1].accuracy > points[0].accuracy - 0.03
+        clean = mean_accuracy(injector, spikes, labels, 0.0, trials=3)
+        faulty = mean_accuracy(injector, spikes, labels, 1e-3, trials=3)
+        assert faulty > clean - 0.03
 
     def test_zero_rate_reports_zero_flips(self, fast_model):
         injector = FaultInjector(
             fast_model.snn.weights, fast_model.snn.thresholds,
         )
-        spikes = encode_images(fast_model.dataset.test_images[:20])
-        points = injector.sweep(
-            spikes, fast_model.dataset.test_labels[:20], rates=(0.0,)
-        )
-        assert points[0].flipped_bits == 0
+        _, flips = injector.faulty_model_for_trial(0.0, trial=0)
+        assert flips == 0
 
 
 class TestNetworkInjection:
-    def test_inject_network_changes_weights(self, rng):
+    def test_apply_trial_changes_weights(self, rng):
         weights = [rng.integers(0, 2, (128, 16)).astype(np.uint8)]
         net = EsamNetwork(weights, [np.full(16, 511)],
-                          cell_type=CellType.C1RW2R)
+                          config=HardwareConfig(cell_type=CellType.C1RW2R))
         injector = FaultInjector(weights, [np.full(16, 511)])
-        flips = injector.inject_network(net, 0.05)
+        flips = injector.apply_trial(net, 0.05, trial=0)
         assert flips > 0
         # The network's stored bits now differ from the originals.
         stored = net.tiles[0].weight_matrix()
@@ -104,9 +114,10 @@ class TestNetworkInjection:
         the functional model (same math, same storage)."""
         weights = [rng.integers(0, 2, (64, 12)).astype(np.uint8)]
         thresholds = [np.full(12, 511)]
-        net = EsamNetwork(weights, thresholds, cell_type=CellType.C1RW4R)
-        injector = FaultInjector(weights, thresholds, seed=3)
-        injector.inject_network(net, 0.1)
+        net = EsamNetwork(weights, thresholds)
+        injector = FaultInjector(weights, thresholds,
+                                 config=HardwareConfig(seed=3))
+        injector.apply_trial(net, 0.1, trial=0)
         faulty_bits = net.tiles[0].weight_matrix()
         from repro.snn.model import BinarySNN
 
@@ -127,8 +138,6 @@ class TestSeedDerivation:
     configs differing only by seed shared fault masks."""
 
     def make_injectors(self, rng, seed_a: int, seed_b: int):
-        from repro.hw.config import HardwareConfig
-
         weights = [rng.integers(0, 2, (64, 12)).astype(np.uint8)]
         thresholds = [np.full(12, 511)]
         return (
@@ -143,10 +152,6 @@ class TestSeedDerivation:
         fa, _ = a.faulty_weights_for_trial(0.1, trial=0)
         fb, _ = b.faulty_weights_for_trial(0.1, trial=0)
         assert not np.array_equal(fa[0], fb[0])
-        # The legacy sequential stream diverges too.
-        ma, _ = a.faulty_model(0.1)
-        mb, _ = b.faulty_model(0.1)
-        assert not np.array_equal(ma.weights[0], mb.weights[0])
 
     def test_equal_config_seeds_reproduce_masks(self, rng):
         a, b = self.make_injectors(rng, 5, 5)
@@ -155,20 +160,11 @@ class TestSeedDerivation:
         assert na == nb
         assert np.array_equal(fa[0], fb[0])
 
-    def test_explicit_seed_overrides_config(self, rng):
-        from repro.hw.config import HardwareConfig
-
+    def test_seed_comes_only_from_the_config(self, rng):
         weights = [rng.integers(0, 2, (16, 8)).astype(np.uint8)]
-        injector = FaultInjector(weights, [np.full(8, 511)], seed=9,
-                                 config=HardwareConfig(seed=1))
-        assert injector.seed == 9
-
-    def test_legacy_default_seed_is_preserved(self, rng):
-        from repro.sram.faults import LEGACY_FAULT_SEED
-
-        weights = [rng.integers(0, 2, (16, 8)).astype(np.uint8)]
-        assert (FaultInjector(weights, [np.full(8, 511)]).seed
-                == LEGACY_FAULT_SEED)
+        assert "seed" not in inspect.signature(FaultInjector).parameters
+        default = FaultInjector(weights, [np.full(8, 511)])
+        assert default.seed == HardwareConfig().seed
 
     def test_negative_trial_rejected(self, rng):
         from repro.sram.faults import trial_seed_sequence

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import CellType
 from repro.sram.macro import MacroEnergyLedger, SramMacro
 
 
 @pytest.fixture()
 def macro(rng) -> SramMacro:
-    m = SramMacro(CellType.C1RW4R, vprech=0.5)
+    m = SramMacro(HardwareConfig(cell_type=CellType.C1RW4R, vprech=0.5))
     m.load_weights(rng.integers(0, 2, (128, 128)))
     return m
 
@@ -50,7 +51,7 @@ class TestLearningPath:
         assert macro.ledger.transposed_time_ns == pytest.approx(9.9 + 8.04, rel=1e-3)
 
     def test_6t_column_update_costs_full_sweep(self, rng):
-        m = SramMacro(CellType.C6T)
+        m = SramMacro(HardwareConfig(cell_type=CellType.C6T))
         m.load_weights(rng.integers(0, 2, (128, 128)))
         m.update_column_6t(5, rng.integers(0, 2, 128))
         assert m.ledger.transposed_reads == 128
@@ -89,6 +90,6 @@ class TestStatics:
             macro.leakage_energy_pj(-1.0)
 
     def test_area_positive_and_grows_with_ports(self):
-        a6 = SramMacro(CellType.C6T).area_um2
-        a4 = SramMacro(CellType.C1RW4R).area_um2
+        a6 = SramMacro(HardwareConfig(cell_type=CellType.C6T)).area_um2
+        a4 = SramMacro(HardwareConfig(cell_type=CellType.C1RW4R)).area_um2
         assert 0.0 < a6 < a4

@@ -9,8 +9,8 @@ content-addressed cache is the durable truth and everything else
   never observe a half-written entry;
 * the SQLite store: ingest-on-put, idempotent backfill, filters,
   aggregation, CSV export, CLI and dashboard wiring;
-* pluggable executors: the local pool keeps the historical shard_map
-  semantics, the job-dir backend partitions work across independent
+* pluggable executors: the local pool returns results in input order
+  for any worker count, the job-dir backend partitions work across independent
   claimant processes with bit-identical results;
 * journal consistency: a journal without a cache is rejected, and an
   interrupted ``--no-cache`` run reports honestly that nothing was
@@ -37,7 +37,6 @@ from repro.store import (
     make_executor,
     parse_filter,
     render_records,
-    shard_map,
 )
 from repro.sweep.cache import ResultCache
 
@@ -317,10 +316,10 @@ def _fragile(value: int) -> float:
 
 
 class TestLocalPoolExecutor:
-    def test_matches_shard_map_exactly(self):
+    def test_in_process_map_is_a_plain_loop(self):
         payloads = list(range(6))
         pool = LocalPoolExecutor(1)
-        assert pool.map(_double, payloads) == shard_map(_double, payloads, 1)
+        assert pool.map(_double, payloads) == [_double(p) for p in payloads]
         assert not pool.uses_processes
         assert LocalPoolExecutor(3).uses_processes
 

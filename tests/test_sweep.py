@@ -29,7 +29,6 @@ from repro.sweep import (
     weights_fingerprint,
 )
 from repro.sweep.__main__ import main as sweep_main
-from repro.system.config import SystemConfig
 from repro.system.evaluate import SystemEvaluator
 
 QUALITY = "fast"
@@ -145,7 +144,7 @@ class TestShardingParity:
     def test_sharded_figure8_matches_evaluator_bit_identically(self, tmp_path):
         """Acceptance: n_workers=4 reproduces SystemEvaluator.figure8()."""
         evaluator = SystemEvaluator(
-            SystemConfig(sample_images=SAMPLE), quality=QUALITY,
+            sample_images=SAMPLE, quality=QUALITY,
         )
         expected = evaluator.figure8()
         result = SweepRunner(
@@ -159,7 +158,7 @@ class TestShardingParity:
 
     def test_injected_evaluator_requires_single_worker(self):
         evaluator = SystemEvaluator(
-            SystemConfig(sample_images=SAMPLE), quality=QUALITY,
+            sample_images=SAMPLE, quality=QUALITY,
         )
         with pytest.raises(ConfigurationError, match="sharded"):
             SweepRunner(small_spec(), n_workers=2, evaluator=evaluator)
@@ -167,7 +166,7 @@ class TestShardingParity:
     def test_injected_evaluator_must_match_spec(self):
         """A mismatched evaluator would cache rows under the wrong config."""
         evaluator = SystemEvaluator(
-            SystemConfig(sample_images=4), quality=QUALITY,
+            sample_images=4, quality=QUALITY,
         )
         with pytest.raises(ConfigurationError, match="does not match"):
             SweepRunner(small_spec(sample_images=8), evaluator=evaluator)
@@ -327,7 +326,7 @@ class TestHardwareFidelity:
     def test_claims_on_corner_grid_use_the_nominal_group(self):
         """A node/corner grid derives claims at 3nm/typical, not at
         whichever group happens to sort last."""
-        from repro.sweep.store import SweepRow
+        from repro.sweep.results import SweepRow
         from repro.system.energy import SystemMetrics
 
         def metrics(label, t_ns):
@@ -366,7 +365,7 @@ class TestEarlyEngineValidation:
     def test_evaluate_cell_rejects_unknown_engine_before_simulation(
             self, fast_model):
         evaluator = SystemEvaluator(
-            SystemConfig(sample_images=2), snn=fast_model.snn,
+            sample_images=2, snn=fast_model.snn,
         )
         with pytest.raises(ConfigurationError, match="engine"):
             evaluator.evaluate_cell(CellType.C6T, engine="fats")

@@ -51,7 +51,7 @@ class TestMeasuredRow:
         from repro.tile.network import EsamNetwork, InferenceTrace
 
         weights = [rng.integers(0, 2, (128, 10)).astype(np.uint8)]
-        net = EsamNetwork(weights, [np.full(10, 511)], cell_type=CellType.C1RW4R)
+        net = EsamNetwork(weights, [np.full(10, 511)])
         trace = InferenceTrace()
         net.infer(rng.random(128) < 0.3, trace)
         metrics = SystemEnergyModel(net).metrics(trace)

@@ -1,25 +1,27 @@
-"""System configuration and result containers."""
+"""System configuration (hardware topology, evaluator sample size,
+calibration constants) and result containers."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import PAPER_LAYER_SIZES, HardwareConfig
 from repro.sram.bitcell import CellType
 from repro.system.config import (
     CLOCK_ENERGY_PER_TILE_CYCLE_PJ,
-    PAPER_LAYER_SIZES,
     PERIPHERY_STATIC_MW,
-    SystemConfig,
 )
 from repro.system.energy import SystemMetrics
+from repro.system.evaluate import SystemEvaluator
 
 
-class TestSystemConfig:
-    def test_defaults_match_paper(self):
-        config = SystemConfig()
-        assert config.layer_sizes == (768, 256, 256, 256, 10)
-        assert config.cell_type is CellType.C1RW4R
-        assert config.vprech == 0.500
+class TestConfiguration:
+    def test_evaluator_defaults_match_paper(self, fast_model):
+        evaluator = SystemEvaluator(sample_images=2, snn=fast_model.snn)
+        assert evaluator.config.layer_sizes == (768, 256, 256, 256, 10)
+        assert evaluator.config.cell_type is CellType.C1RW4R
+        assert evaluator.config.vprech == 0.500
+        assert evaluator.sample_images == 2
 
     def test_paper_layer_sizes_constant(self):
         assert PAPER_LAYER_SIZES[0] == 768
@@ -31,15 +33,15 @@ class TestSystemConfig:
 
     def test_rejects_single_layer(self):
         with pytest.raises(ConfigurationError):
-            SystemConfig(layer_sizes=(128,))
+            HardwareConfig(layer_sizes=(128,))
 
     def test_rejects_zero_samples(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig(sample_images=0)
+        with pytest.raises(ConfigurationError, match="sample_images"):
+            SystemEvaluator(sample_images=0)
 
     def test_rejects_bad_vprech(self):
         with pytest.raises(ConfigurationError):
-            SystemConfig(vprech=0.9)
+            HardwareConfig(vprech=0.9)
 
 
 class TestResultContainers:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sram.bitcell import CellType
 from repro.system.energy import SystemEnergyModel, SystemMetrics
 from repro.tile.network import EsamNetwork, InferenceTrace
 
@@ -17,7 +16,7 @@ def small_network(rng) -> EsamNetwork:
         for a, b in zip(sizes[:-1], sizes[1:])
     ]
     thresholds = [rng.integers(-5, 10, 64), np.full(10, 511)]
-    return EsamNetwork(weights, thresholds, cell_type=CellType.C1RW4R)
+    return EsamNetwork(weights, thresholds)
 
 
 class TestMetrics:

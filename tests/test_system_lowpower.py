@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sram.bitcell import CellType
 from repro.system.energy import SystemEnergyModel
 from repro.system.lowpower import LowPowerScaler, OperatingPoint
 from repro.tech.finfet import VtFlavor
@@ -17,7 +16,7 @@ def nominal_metrics():
     weights = [rng.integers(0, 2, (128, 64)).astype(np.uint8),
                rng.integers(0, 2, (64, 10)).astype(np.uint8)]
     thresholds = [rng.integers(-5, 10, 64), np.full(10, 511)]
-    net = EsamNetwork(weights, thresholds, cell_type=CellType.C1RW4R)
+    net = EsamNetwork(weights, thresholds)
     trace = InferenceTrace()
     for _ in range(4):
         net.infer(rng.random(128) < 0.3, trace)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.snn.model import BinarySNN
 from repro.sram.bitcell import CellType
 from repro.tile.network import EsamNetwork, InferenceTrace
@@ -19,7 +20,8 @@ def build_random_network(rng, sizes=(256, 128, 64, 10),
         rng.integers(-5, 15, b) for b in sizes[1:-1]
     ] + [np.full(sizes[-1], 511)]
     bias = rng.normal(0, 2, sizes[-1])
-    net = EsamNetwork(weights, thresholds, output_bias=bias, cell_type=cell)
+    net = EsamNetwork(weights, thresholds, output_bias=bias,
+                      config=HardwareConfig(cell_type=cell))
     ref = BinarySNN(weights, thresholds, bias)
     return net, ref
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import CellType
 from repro.tile.network import EsamNetwork, InferenceTrace
 from repro.tile.scheduler import PipelinedScheduler
@@ -17,7 +18,8 @@ def build_network(rng, sizes=(128, 64, 32, 10), cell=CellType.C1RW4R):
     thresholds = [rng.integers(-5, 10, b) for b in sizes[1:-1]]
     thresholds.append(np.full(sizes[-1], 511))
     bias = rng.normal(0, 1, sizes[-1])
-    return EsamNetwork(weights, thresholds, output_bias=bias, cell_type=cell)
+    return EsamNetwork(weights, thresholds, output_bias=bias,
+                       config=HardwareConfig(cell_type=cell))
 
 
 class TestCorrectness:
@@ -97,7 +99,7 @@ class TestThroughputModel:
             rng.integers(0, 2, (128, 10)).astype(np.uint8),
         ]
         thresholds = [np.full(128, -200), np.full(10, 511)]  # all fire
-        net = EsamNetwork(weights, thresholds, cell_type=CellType.C1RW4R)
+        net = EsamNetwork(weights, thresholds)
         spikes = np.random.default_rng(10).random((6, 128)) < 0.1
         report = PipelinedScheduler(net).run(spikes)
         # Tile 2 always drains 128 spikes; tile 1 only ~13 -> stalls.

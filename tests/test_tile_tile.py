@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import ALL_CELLS, CellType
 from repro.tile.tile import Tile
 
@@ -19,7 +20,7 @@ def reference_outputs(weights: np.ndarray, thresholds: np.ndarray,
 def small_tile(rng) -> Tile:
     w = rng.integers(0, 2, (256, 128)).astype(np.uint8)
     th = rng.integers(-10, 25, 128)
-    return Tile(w, th, cell_type=CellType.C1RW4R)
+    return Tile(w, th)
 
 
 class TestFunctionalCorrectness:
@@ -27,7 +28,7 @@ class TestFunctionalCorrectness:
     def test_matches_matrix_math(self, cell, rng):
         w = rng.integers(0, 2, (256, 96)).astype(np.uint8)
         th = rng.integers(-5, 20, 96)
-        tile = Tile(w, th, cell_type=cell)
+        tile = Tile(w, th, config=HardwareConfig(cell_type=cell))
         spikes = rng.random(256) < 0.3
         out = tile.run_inference(spikes)
         assert (out == reference_outputs(w, th, spikes)).all()
@@ -45,7 +46,7 @@ class TestFunctionalCorrectness:
     def test_readout_returns_vmem(self, rng):
         w = rng.integers(0, 2, (128, 10)).astype(np.uint8)
         th = np.full(10, 511)
-        tile = Tile(w, th, cell_type=CellType.C1RW2R)
+        tile = Tile(w, th, config=HardwareConfig(cell_type=CellType.C1RW2R))
         spikes = rng.random(128) < 0.5
         vmem = tile.run_inference(spikes, readout=True)
         expected = spikes.astype(np.int64) @ (2 * w.astype(np.int64) - 1)
@@ -61,7 +62,7 @@ class TestCycleCounts:
     def test_cycles_bounded_by_spikes_over_ports(self, rng):
         """Per row block: ceil(spikes_in_block / ports) cycles."""
         w = rng.integers(0, 2, (256, 64)).astype(np.uint8)
-        tile = Tile(w, np.zeros(64), cell_type=CellType.C1RW4R)
+        tile = Tile(w, np.zeros(64))
         spikes = np.zeros(256, dtype=bool)
         spikes[:16] = True   # 16 spikes in row block 0 only
         tile.run_inference(spikes)
@@ -70,7 +71,8 @@ class TestCycleCounts:
 
     def test_single_port_serialises(self, rng):
         w = rng.integers(0, 2, (128, 64)).astype(np.uint8)
-        tile = Tile(w, np.zeros(64), cell_type=CellType.C6T)
+        tile = Tile(w, np.zeros(64),
+                    config=HardwareConfig(cell_type=CellType.C6T))
         spikes = np.zeros(128, dtype=bool)
         spikes[:10] = True
         tile.run_inference(spikes)
@@ -79,7 +81,7 @@ class TestCycleCounts:
     def test_row_blocks_work_in_parallel(self, rng):
         """Two arbiters grant simultaneously: 2 x p spikes per cycle."""
         w = rng.integers(0, 2, (256, 64)).astype(np.uint8)
-        tile = Tile(w, np.zeros(64), cell_type=CellType.C1RW4R)
+        tile = Tile(w, np.zeros(64))
         spikes = np.zeros(256, dtype=bool)
         spikes[:8] = True      # block 0
         spikes[128:136] = True  # block 1
@@ -89,7 +91,7 @@ class TestCycleCounts:
 
     def test_array_reads_count_column_blocks(self, rng):
         w = rng.integers(0, 2, (128, 256)).astype(np.uint8)  # 2 col blocks
-        tile = Tile(w, np.zeros(256), cell_type=CellType.C1RW4R)
+        tile = Tile(w, np.zeros(256))
         spikes = np.zeros(128, dtype=bool)
         spikes[:4] = True
         tile.run_inference(spikes)
@@ -109,21 +111,26 @@ class TestEnergyAccounting:
 
     def test_leakage_grows_with_cell(self, rng):
         w = rng.integers(0, 2, (128, 128)).astype(np.uint8)
-        t1 = Tile(w, np.zeros(128), cell_type=CellType.C1RW1R)
-        t4 = Tile(w, np.zeros(128), cell_type=CellType.C1RW4R)
+        t1 = Tile(w, np.zeros(128),
+                  config=HardwareConfig(cell_type=CellType.C1RW1R))
+        t4 = Tile(w, np.zeros(128),
+                  config=HardwareConfig(cell_type=CellType.C1RW4R))
         assert t4.leakage_power_mw() > t1.leakage_power_mw()
 
     def test_area_grows_with_cell(self, rng):
         w = rng.integers(0, 2, (128, 128)).astype(np.uint8)
-        t6 = Tile(w, np.zeros(128), cell_type=CellType.C6T)
-        t4 = Tile(w, np.zeros(128), cell_type=CellType.C1RW4R)
+        t6 = Tile(w, np.zeros(128),
+                  config=HardwareConfig(cell_type=CellType.C6T))
+        t4 = Tile(w, np.zeros(128),
+                  config=HardwareConfig(cell_type=CellType.C1RW4R))
         assert t4.area_um2() > 1.5 * t6.area_um2()
 
 
 class TestStructure:
     def test_macro_for_neuron(self, rng):
         w = rng.integers(0, 2, (256, 200)).astype(np.uint8)
-        tile = Tile(w, np.zeros(200), cell_type=CellType.C1RW2R)
+        tile = Tile(w, np.zeros(200),
+                    config=HardwareConfig(cell_type=CellType.C1RW2R))
         macro, col = tile.macro_for_neuron(130, row_block=1)
         assert col == 2
         assert macro is tile.macros[1][1]
@@ -134,7 +141,8 @@ class TestStructure:
 
     def test_weight_matrix_roundtrip(self, rng):
         w = rng.integers(0, 2, (300, 140)).astype(np.uint8)
-        tile = Tile(w, np.zeros(140), cell_type=CellType.C1RW3R)
+        tile = Tile(w, np.zeros(140),
+                    config=HardwareConfig(cell_type=CellType.C1RW3R))
         assert (tile.weight_matrix() == w).all()
 
     def test_fire_before_drain_rejected(self, small_tile, rng):
