@@ -167,6 +167,7 @@ def arbiter_area_um2(width: int = 128, ports: int = 4, tree: bool = True,
     return area_gate_equivalents(width, ports, tree, base_width) * GATE_EQUIVALENT_AREA_UM2
 
 
+@lru_cache(maxsize=None)
 def arbiter_energy_per_cycle_pj(width: int = 128, ports: int = 4,
                                 tree: bool = True,
                                 base_width: int = DEFAULT_BASE_WIDTH,
@@ -174,7 +175,9 @@ def arbiter_energy_per_cycle_pj(width: int = 128, ports: int = 4,
     """Dynamic arbiter energy per clock cycle.
 
     Derived from the netlist's per-gate switching energies at the given
-    toggle activity; used by the system-level energy model.
+    toggle activity; used by the system-level energy model.  Memoized
+    like :func:`analyze`: every tile reads it, and building the netlist
+    behind it costs milliseconds.
     """
     netlist = build_cascaded_netlist(width, ports, tree=tree, base_width=base_width)
     return netlist.switching_energy_fj(activity) * 1e-3

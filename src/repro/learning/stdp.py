@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.binary import is_binary
 from repro.errors import ConfigurationError
 
 
@@ -51,7 +52,7 @@ class StochasticSTDP:
             raise ConfigurationError(
                 f"weights {w.shape} and pre_spikes {pre.shape} must align"
             )
-        if not np.isin(w, (0, 1)).all():
+        if not is_binary(w):
             raise ConfigurationError("weights must be binary 0/1")
         draw = self._rng.random(w.shape)
         potentiate = pre & (draw < self.p_potentiate)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.binary import is_binary
 from repro.errors import ConfigurationError
 
 
@@ -35,7 +36,7 @@ class BinarySNN:
         for k, (w, t) in enumerate(zip(weights, thresholds)):
             w = np.asarray(w)
             t = np.asarray(t)
-            if not np.isin(w, (0, 1)).all():
+            if not is_binary(w):
                 raise ConfigurationError(f"layer {k}: weights must be binary 0/1")
             if t.shape != (w.shape[1],):
                 raise ConfigurationError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.binary import is_binary
 from repro.errors import ConfigurationError, SimulationError
 from repro.sram.bitcell import BitcellSpec, CellType, bitcell_spec
 from repro.sram.layout import ArrayFloorplan
@@ -53,7 +54,7 @@ class SramArray:
             raise ConfigurationError(
                 f"weight shape {bits.shape} != array {self.rows}x{self.cols}"
             )
-        if not np.isin(bits, (0, 1)).all():
+        if not is_binary(bits):
             raise ConfigurationError("weights must be binary (0/1)")
         self._bits = bits.astype(np.uint8).copy()
 
@@ -103,7 +104,7 @@ class SramArray:
             raise ConfigurationError(
                 f"column data shape {bits.shape} != ({self.rows},)"
             )
-        if not np.isin(bits, (0, 1)).all():
+        if not is_binary(bits):
             raise ConfigurationError("column data must be binary (0/1)")
         self._bits[:, col] = bits.astype(np.uint8)
 
@@ -118,7 +119,7 @@ class SramArray:
         bits = np.asarray(bits)
         if bits.shape != (self.cols,):
             raise ConfigurationError(f"row data shape {bits.shape} != ({self.cols},)")
-        if not np.isin(bits, (0, 1)).all():
+        if not is_binary(bits):
             raise ConfigurationError("row data must be binary (0/1)")
         self._bits[row, :] = bits.astype(np.uint8)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.binary import is_binary
 from repro.errors import ConfigurationError
 from repro.snn.model import BinarySNN
 
@@ -75,7 +76,7 @@ def flip_bits(weights: np.ndarray, bit_error_rate: float,
             f"bit_error_rate must be in [0, 1], got {bit_error_rate}"
         )
     weights = np.asarray(weights)
-    if not np.isin(weights, (0, 1)).all():
+    if not is_binary(weights):
         raise ConfigurationError("weights must be binary 0/1")
     mask = rng.random(weights.shape) < bit_error_rate
     faulty = weights.astype(np.uint8) ^ mask.astype(np.uint8)

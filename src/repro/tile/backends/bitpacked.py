@@ -1,11 +1,10 @@
 """Bit-packed popcount engine: spikes and weights as uint64 words.
 
-Spikes are binary, yet the fast engine drains them through dense
-float64 matmuls.  This backend packs each ``(B, n_in)`` spike batch
-into ``ceil(n_in / 64)`` uint64 words per image (:func:`pack_spike_rows`
-via ``np.packbits``) and packs each output neuron's weight column into
-the same word layout (a *weight bitplane*).  One drain then reduces to
-popcounts::
+Spikes and weights are binary, so a drain only counts bits.  This
+backend packs each ``(B, n_in)`` spike batch into ``ceil(n_in / 64)``
+uint64 words per image (:func:`pack_spike_rows` via ``np.packbits``)
+and packs each output neuron's weight column into the same word layout
+(a *weight bitplane*).  One drain then reduces to popcounts::
 
     delta[b, j] = 2 * popcount(x[b] & plane[j]) - popcount(x[b])
 
@@ -261,17 +260,9 @@ class _BitpackedKernel(_TileKernel):
             ports=ports,
         )
         out = np.clip(vmem + delta, self.vmem_min, self.vmem_max)
-        # Same mid-drain saturation guard as the dense kernel: rows
-        # that could touch a rail partway replay in exact grant order.
-        pending = schedule.grants
-        spikes2d = np.atleast_2d(spikes)
-        needs_exact = np.flatnonzero(
-            (vmem.max(axis=1, initial=0) + pending > self.vmem_max)
-            | (vmem.min(axis=1, initial=0) - pending < self.vmem_min)
+        return schedule, self._recompute_saturating_rows(
+            vmem, out, np.atleast_2d(spikes), schedule.grants
         )
-        for b in needs_exact:
-            out[b] = self._accumulate_in_grant_order(vmem[b], spikes2d[b])
-        return schedule, out
 
 
 class BitpackedEngine(FastEngine):

@@ -68,21 +68,25 @@ class _TileKernel:
         schedule = drain_schedule(
             spikes, self.tile.ports, self.tile.mapping.array_dim
         )
-        return schedule, self.accumulate(vmem, spikes)
-
-    def accumulate(self, vmem: np.ndarray, spikes: np.ndarray) -> np.ndarray:
-        """Drain a spike batch into the membranes, exactly.
-
-        The one-matmul-then-clip form is exact unless a membrane could
-        cross a register rail *mid*-drain (start magnitude + pending
-        spikes beyond the rail); those rare rows are recomputed in
-        grant order with per-accumulate clipping, so the result always
-        equals the per-cycle reference.
-        """
         out = saturating_accumulate(
             vmem, spikes, self.signed, self.vmem_min, self.vmem_max
         )
-        pending = spikes.sum(axis=1)
+        return schedule, self._recompute_saturating_rows(
+            vmem, out, spikes, schedule.grants
+        )
+
+    def _recompute_saturating_rows(self, vmem: np.ndarray, out: np.ndarray,
+                                   spikes: np.ndarray,
+                                   pending: np.ndarray) -> np.ndarray:
+        """Make a clipped one-shot drain ``out`` exact, in place.
+
+        Clipping once per drain is exact unless a membrane could cross
+        a register rail *mid*-drain: its start magnitude plus the
+        image's ``pending`` spikes (the schedule's grants) lies beyond
+        the rail.  Those rare rows are recomputed in grant order with
+        per-accumulate clipping, so the result always equals the
+        per-cycle reference.
+        """
         needs_exact = np.flatnonzero(
             (vmem.max(axis=1, initial=0) + pending > self.vmem_max)
             | (vmem.min(axis=1, initial=0) - pending < self.vmem_min)
@@ -117,9 +121,7 @@ class _TileKernel:
             for rows, cycles in blocks:
                 granted = rows[cycles == cycle]
                 if granted.size:
-                    delta = np.rint(
-                        self.signed[granted].sum(axis=0)
-                    ).astype(np.int64)
+                    delta = self.signed[granted].sum(axis=0).astype(np.int64)
                     vmem = np.clip(vmem + delta, self.vmem_min, self.vmem_max)
         return vmem
 

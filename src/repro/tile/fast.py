@@ -122,12 +122,13 @@ def grant_cycle_of_rows(block_spikes: np.ndarray,
 def signed_weights(weights: np.ndarray) -> np.ndarray:
     """Binary weight bits mapped to the +-1 contribution matrix.
 
-    Returned as float64 so the batched accumulate can run through BLAS
-    (``B x n_in @ n_in x n_out``); products of +-1 entries stay exact
-    integers far below 2**53.
+    Returned as float32 so the batched accumulate runs through a
+    single-precision BLAS matmul (``B x n_in @ n_in x n_out``).  That
+    is exact: every partial sum of a drain is an integer of magnitude
+    at most the fan-in, and float32 holds every integer up to 2**24
+    exactly, whatever order BLAS adds in.
     """
-    w = np.asarray(weights)
-    return 2.0 * w.astype(np.float64) - 1.0
+    return 2 * np.asarray(weights, dtype=np.float32) - 1
 
 
 def saturating_accumulate(vmem: np.ndarray, spikes: np.ndarray,
@@ -135,11 +136,13 @@ def saturating_accumulate(vmem: np.ndarray, spikes: np.ndarray,
                           vmem_max: int) -> np.ndarray:
     """One full drain of accumulation, with m-bit register saturation.
 
-    Collapses the per-cycle +-1 adds into one matmul and clips to the
-    register range — identical to the per-cycle reference whenever no
-    membrane crosses a rail mid-drain (always true in time-static mode:
-    the partial sums are bounded by the layer fan-in, far below the
-    12-bit rails for every supported layer width).
+    Collapses the per-cycle +-1 adds into one matmul in the dtype of
+    ``signed`` (float32, exact while |delta| <= fan-in < 2**24, so no
+    rounding is needed) and clips to the register range — identical to
+    the per-cycle reference whenever no membrane crosses a rail
+    mid-drain (always true in time-static mode: the partial sums are
+    bounded by the layer fan-in, far below the 12-bit rails for every
+    supported layer width).
     """
-    delta = np.rint(spikes.astype(np.float64) @ signed).astype(np.int64)
+    delta = (spikes.astype(signed.dtype) @ signed).astype(np.int64)
     return np.clip(vmem + delta, vmem_min, vmem_max)

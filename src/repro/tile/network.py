@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.binary import is_binary
 from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import CellType
@@ -76,7 +77,7 @@ def validate_spikes(spikes: np.ndarray, n_in: int, *,
             f"spike vector shape {arr.shape} is not {expected}"
         )
     if arr.dtype != np.bool_:
-        if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
+        if not is_binary(arr):
             raise ConfigurationError(
                 "spikes must be boolean or contain only 0/1 values "
                 f"(expected bool/uint8 of shape {expected}, got dtype "

@@ -71,3 +71,32 @@ def read_port_model() -> ReadPortModel:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+# One accept/reject table for every 0/1 input boundary (weight loads,
+# column/row writes, the functional model, STDP, spike validation).
+
+@pytest.fixture(params=[np.bool_, np.uint8, np.int64, np.float64],
+                ids=["bool", "uint8", "int64", "float64"])
+def binary_dtype(request):
+    """A dtype in which 0/1 data must be accepted."""
+    return request.param
+
+
+@pytest.fixture(params=[2, -1, 0.5, np.nan, "1"],
+                ids=["two", "minus_one", "half", "nan", "string"])
+def non_binary(request):
+    """Factory ``shape -> array``: zeros holding one rejected value.
+
+    The array takes the bad value's dtype (int, float, or a string
+    array of "0"/"1" characters), so every case must be refused by
+    value or by dtype, never by shape.
+    """
+    value = request.param
+
+    def make(shape) -> np.ndarray:
+        arr = np.zeros(shape, dtype=np.int64).astype(np.asarray(value).dtype)
+        arr.flat[-1] = value
+        return arr
+
+    return make

@@ -1,5 +1,6 @@
 """Arbiter synthesis claims (paper section 3.3 and Table 2)."""
 
+import numpy as np
 import pytest
 
 from repro.arbiter.analysis import (
@@ -80,6 +81,36 @@ class TestAreaAndEnergy:
     def test_energy_reasonable_magnitude(self):
         e = arbiter_energy_per_cycle_pj(128, 4)
         assert 0.005 < e < 0.5
+
+    def test_energy_netlist_built_once_per_config(self, monkeypatch, rng):
+        """Every tile reads the per-cycle energy; the netlist behind it
+        is built once per configuration, not once per tile."""
+        from repro.arbiter import analysis
+        from repro.hw.config import HardwareConfig
+        from repro.tile.network import EsamNetwork
+
+        real_build = analysis.build_cascaded_netlist
+        builds = []
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        arbiter_energy_per_cycle_pj.cache_clear()
+        monkeypatch.setattr(analysis, "build_cascaded_netlist",
+                            counting_build)
+        config = HardwareConfig()
+        sizes = config.layer_sizes
+        weights = [rng.integers(0, 2, (a, b)).astype(np.uint8)
+                   for a, b in zip(sizes[:-1], sizes[1:])]
+        thresholds = [np.zeros(b, dtype=np.int64) for b in sizes[1:]]
+        for _ in range(2):
+            EsamNetwork(weights, thresholds, config=config)
+        assert len(builds) == 1
+        ports = config.cell_type.inference_ports
+        assert arbiter_energy_per_cycle_pj(128, ports, tree=True) == (
+            real_build(128, ports).switching_energy_fj(0.15) * 1e-3
+        )
 
 
 class TestValidation:

@@ -25,9 +25,9 @@ class TestUpdateColumn:
         new = rule.update_column(w, pre)
         assert new.tolist() == [1, 0, 1, 0]
 
-    def test_zero_probability_is_identity(self, rng):
+    def test_zero_probability_is_identity(self, rng, binary_dtype):
         rule = StochasticSTDP(p_potentiate=0.0, p_depress=0.0, seed=3)
-        w = rng.integers(0, 2, 32)
+        w = rng.integers(0, 2, 32).astype(binary_dtype)
         assert (rule.update_column(w, rng.integers(0, 2, 32)) == w).all()
 
     def test_does_not_mutate_input(self, rng):
@@ -41,10 +41,12 @@ class TestUpdateColumn:
         with pytest.raises(ConfigurationError):
             rule.update_column(np.zeros(8), np.zeros(4))
 
-    def test_non_binary_weights_rejected(self):
+    def test_non_binary_weights_rejected(self, non_binary):
         rule = StochasticSTDP()
         with pytest.raises(ConfigurationError):
             rule.update_column(np.full(8, 2), np.zeros(8))
+        with pytest.raises(ConfigurationError, match="binary"):
+            rule.update_column(non_binary(8), np.zeros(8))
 
 
 class TestStationaryDistribution:

@@ -19,9 +19,9 @@ def tiny_model(rng) -> BinarySNN:
 
 
 class TestMembranePotentials:
-    def test_plus_minus_one_semantics(self):
+    def test_plus_minus_one_semantics(self, binary_dtype):
         """w=1 contributes +1, w=0 contributes -1, silent inputs nothing."""
-        w = np.array([[1], [0], [1]], dtype=np.uint8)
+        w = np.array([[1], [0], [1]]).astype(binary_dtype)
         model = BinarySNN([w], [np.zeros(1)])
         vmem = model.membrane_potentials(np.array([1, 1, 0]), layer=0)
         assert vmem[0, 0] == 0  # +1 - 1 + nothing
@@ -70,9 +70,11 @@ class TestForward:
 
 
 class TestValidation:
-    def test_rejects_non_binary_weights(self):
+    def test_rejects_non_binary_weights(self, non_binary):
         with pytest.raises(ConfigurationError):
             BinarySNN([np.full((4, 2), 2)], [np.zeros(2)])
+        with pytest.raises(ConfigurationError, match="binary"):
+            BinarySNN([non_binary((4, 2))], [np.zeros(2)])
 
     def test_rejects_threshold_mismatch(self, rng):
         w = rng.integers(0, 2, (4, 2)).astype(np.uint8)

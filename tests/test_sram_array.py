@@ -34,8 +34,8 @@ class TestConstruction:
 
 
 class TestLoadDump:
-    def test_roundtrip(self, array, rng):
-        bits = rng.integers(0, 2, (128, 128))
+    def test_roundtrip(self, array, rng, binary_dtype):
+        bits = rng.integers(0, 2, (128, 128)).astype(binary_dtype)
         array.load_weights(bits)
         assert (array.dump_weights() == bits).all()
 
@@ -48,9 +48,11 @@ class TestLoadDump:
         with pytest.raises(ConfigurationError):
             array.load_weights(np.zeros((64, 128)))
 
-    def test_rejects_non_binary(self, array):
+    def test_rejects_non_binary(self, array, non_binary):
         with pytest.raises(ConfigurationError):
             array.load_weights(np.full((128, 128), 2))
+        with pytest.raises(ConfigurationError, match="binary"):
+            array.load_weights(non_binary((128, 128)))
 
 
 class TestInferenceReads:
@@ -82,8 +84,8 @@ class TestInferenceReads:
 
 
 class TestTransposedPort:
-    def test_column_roundtrip(self, array, rng):
-        col = rng.integers(0, 2, 128)
+    def test_column_roundtrip(self, array, rng, binary_dtype):
+        col = rng.integers(0, 2, 128).astype(binary_dtype)
         array.write_column(17, col)
         assert (array.read_column(17) == col).all()
 
@@ -102,13 +104,17 @@ class TestTransposedPort:
         with pytest.raises(SimulationError):
             arr.write_column(0, np.zeros(128))
 
-    def test_6t_row_rmw_path(self, rng):
+    def test_6t_row_rmw_path(self, rng, binary_dtype):
         arr = SramArray(CellType.C6T)
         arr.load_weights(rng.integers(0, 2, (128, 128)))
         row = arr.read_row_rw(9)
         row[42] ^= 1
-        arr.write_row_rw(9, row)
-        assert arr.dump_weights()[9, 42] == row[42]
+        arr.write_row_rw(9, row.astype(binary_dtype))
+        assert (arr.dump_weights()[9] == row).all()
+
+    def test_row_binary_checked(self, array, non_binary):
+        with pytest.raises(ConfigurationError, match="binary"):
+            array.write_row_rw(0, non_binary(128))
 
     def test_column_index_checked(self, array):
         with pytest.raises(SimulationError):
@@ -118,6 +124,8 @@ class TestTransposedPort:
         with pytest.raises(ConfigurationError):
             array.write_column(0, np.zeros(64))
 
-    def test_column_binary_checked(self, array):
+    def test_column_binary_checked(self, array, non_binary):
         with pytest.raises(ConfigurationError):
             array.write_column(0, np.full(128, 3))
+        with pytest.raises(ConfigurationError, match="binary"):
+            array.write_column(0, non_binary(128))

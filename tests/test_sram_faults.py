@@ -14,8 +14,8 @@ from repro.tile.network import EsamNetwork
 
 
 class TestFlipBits:
-    def test_zero_rate_is_identity(self, rng):
-        w = rng.integers(0, 2, (32, 32))
+    def test_zero_rate_is_identity(self, rng, binary_dtype):
+        w = rng.integers(0, 2, (32, 32)).astype(binary_dtype)
         faulty, flips = flip_bits(w, 0.0, rng)
         assert flips == 0
         assert (faulty == w).all()
@@ -41,11 +41,13 @@ class TestFlipBits:
         flip_bits(w, 1.0, rng)
         assert (w == 0).all()
 
-    def test_validation(self, rng):
+    def test_validation(self, rng, non_binary):
         with pytest.raises(ConfigurationError):
             flip_bits(np.zeros((4, 4)), 1.5, rng)
         with pytest.raises(ConfigurationError):
             flip_bits(np.full((4, 4), 2), 0.1, rng)
+        with pytest.raises(ConfigurationError, match="binary"):
+            flip_bits(non_binary((4, 4)), 0.1, rng)
 
 
 def mean_accuracy(injector, spikes, labels, rate, trials):

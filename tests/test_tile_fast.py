@@ -96,6 +96,31 @@ class TestSaturatingAccumulate:
         expected = spikes.astype(np.int64) @ (2 * weights.astype(np.int64) - 1)
         assert np.array_equal(out, expected)
 
+    def test_signed_weights_are_float32(self):
+        signed = signed_weights(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+        assert signed.dtype == np.float32
+        assert signed.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
+
+    @pytest.mark.parametrize("rails", [(-2048, 2047), (-2**31, 2**31 - 1)],
+                             ids=["12bit", "unclipped"])
+    def test_float32_exact_at_full_fan_in(self, rng, rails):
+        """|delta| reaches the fan-in when every input spikes over
+        all-one or all-zero weights; float32 stays exact there, far
+        past the reference network's 768 inputs."""
+        fan_in = 8192
+        weights = rng.integers(0, 2, (fan_in, 6)).astype(np.uint8)
+        weights[:, 0] = 1
+        weights[:, 1] = 0
+        spikes = rng.random((8, fan_in)) < 0.5
+        spikes[0] = True
+        vmem = rng.integers(-100, 100, (8, 6))
+        out = saturating_accumulate(
+            vmem, spikes, signed_weights(weights), *rails
+        )
+        delta = spikes.astype(np.int64) @ (2 * weights.astype(np.int64) - 1)
+        assert np.array_equal(out, np.clip(vmem + delta, *rails))
+        assert delta[0, 0] == fan_in and delta[0, 1] == -fan_in
+
     def test_clips_to_register_rails(self):
         signed = signed_weights(np.ones((4, 2), dtype=np.uint8))
         spikes = np.ones((1, 4), dtype=bool)

@@ -7,7 +7,7 @@ from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
 from repro.snn.model import BinarySNN
 from repro.sram.bitcell import CellType
-from repro.tile.network import EsamNetwork, InferenceTrace
+from repro.tile.network import EsamNetwork, InferenceTrace, validate_spikes
 
 
 def build_random_network(rng, sizes=(256, 128, 64, 10),
@@ -24,6 +24,20 @@ def build_random_network(rng, sizes=(256, 128, 64, 10),
                       config=HardwareConfig(cell_type=cell))
     ref = BinarySNN(weights, thresholds, bias)
     return net, ref
+
+
+class TestSpikeValidation:
+    def test_accepts_01_in_every_binary_dtype(self, rng, binary_dtype):
+        spikes = rng.random((3, 64)) < 0.3
+        for batch, x in ((False, spikes[0]), (True, spikes)):
+            out = validate_spikes(x.astype(binary_dtype), 64, batch=batch)
+            assert out.dtype == np.bool_ and (out == x).all()
+
+    def test_rejects_non_binary(self, non_binary):
+        with pytest.raises(ConfigurationError, match="0/1"):
+            validate_spikes(non_binary(64), 64)
+        with pytest.raises(ConfigurationError, match="0/1"):
+            validate_spikes(non_binary((2, 64)), 64, batch=True)
 
 
 class TestEquivalenceWithFunctionalModel:
