@@ -62,7 +62,7 @@ def test_port_count_system_sweep(benchmark, evaluator):
         quality=evaluator.quality,
         seed=evaluator.config.seed,
     )
-    runner = SweepRunner(spec, cache=None, evaluator=evaluator)
+    runner = SweepRunner(spec, cache=None)
     result = benchmark.pedantic(runner.run, rounds=1, iterations=1)
     print()
     print(result.render())

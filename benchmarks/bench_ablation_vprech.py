@@ -18,7 +18,7 @@ def sweep(evaluator):
         quality=evaluator.quality,
         seed=evaluator.config.seed,
     )
-    runner = SweepRunner(spec, cache=None, evaluator=evaluator)
+    runner = SweepRunner(spec, cache=None)
     return {
         row.point.vprech: row.to_figure8_row()
         for row in runner.run().rows

@@ -24,7 +24,7 @@ def test_fig8_system_comparison(benchmark, evaluator):
         quality=evaluator.quality,
         seed=evaluator.config.seed,
     )
-    runner = SweepRunner(spec, cache=None, evaluator=evaluator)
+    runner = SweepRunner(spec, cache=None)
     result = benchmark.pedantic(runner.run, rounds=1, iterations=1)
     assert result.stats.evaluated == len(spec)
     rows = result.figure8_rows()

@@ -94,7 +94,7 @@ class EsamSystem:
         """Hardware-accurate classification of encoded spike vectors.
 
         ``engine`` selects any registered backend
-        (:data:`repro.tile.ENGINES`; ``"fast"`` default).  Predictions,
+        (:func:`repro.tile.backend_names`; ``"fast"`` default).  Predictions,
         traces and the hardware report are identical for every backend
         (proven trace-equivalent by the conformance suite) — keep
         ``"cycle"`` for auditing against the bit-true reference.

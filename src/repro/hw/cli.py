@@ -21,7 +21,7 @@ from repro.obs.trace import Tracer, set_tracer
 from repro.sram.bitcell import ALL_CELLS, SELECTED_CELL, CellType
 from repro.tech.constants import DEFAULT_NODE, TECHNOLOGY_NODES
 from repro.tech.corners import DEFAULT_CORNER, PROCESS_CORNERS
-from repro.tile.backends import ENGINES
+from repro.tile.backends import backend_names
 
 
 def add_engine_argument(parser: argparse.ArgumentParser, *,
@@ -30,14 +30,14 @@ def add_engine_argument(parser: argparse.ArgumentParser, *,
     """Attach the shared ``--engine`` flag to ``parser``.
 
     Choices come straight from the engine-backend registry
-    (:data:`repro.tile.backends.ENGINES`), so every CLI exposes exactly
+    (:func:`repro.tile.backends.backend_names`), so every CLI exposes exactly
     the registered backends — a backend registered before argument
     parsing shows up in ``--help`` without a CLI edit.  Pass
     ``default=None`` for CLIs that must distinguish "not given" (e.g.
     to narrow a swept engine axis only when the user pinned one).
     """
     parser.add_argument(
-        "--engine", choices=ENGINES, default=default,
+        "--engine", choices=backend_names(), default=default,
         help="simulation engine backend "
              f"(default: {default if default is not None else 'fast'})"
              + (f"; {help_suffix}" if help_suffix else ""),

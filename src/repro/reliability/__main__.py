@@ -33,29 +33,13 @@ instead of the local pool (see :mod:`repro.store`).
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
-from repro.errors import ReproError
-from repro.hw.cli import (
-    ObservabilityScope,
-    add_engine_argument,
-    add_hardware_arguments,
-    add_observability_arguments,
-    hardware_from_args,
-    narrowed_axes,
-)
-from repro.learning.pretrained import QUALITY_PRESETS
-from repro.reliability.spec import NAMED_CAMPAIGNS
+from repro.hw.cli import add_engine_argument, add_hardware_arguments
+from repro.reliability.results import CampaignResult
 from repro.reliability.runner import ReliabilityRunner
-from repro.resilience.cli import print_interrupted, report_resume
-from repro.store.cli import (
-    add_campaign_arguments,
-    executor_from_args,
-    open_store,
-    run_query,
-)
-from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.reliability.spec import NAMED_CAMPAIGNS
+from repro.store.cli import CampaignCli
 
 
 def _parse_bers(text: str) -> tuple[float, ...]:
@@ -67,165 +51,42 @@ def _parse_bers(text: str) -> tuple[float, ...]:
         ) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.reliability",
-        description="Run a Monte-Carlo weight-fault campaign.",
-    )
-    parser.add_argument(
-        "campaign", nargs="?", choices=sorted(NAMED_CAMPAIGNS),
-        default="reliability",
-        help="named campaign to run (default: reliability; see --list)",
-    )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the named campaigns and exit",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for cache misses (default: 1)",
-    )
-    parser.add_argument(
-        "--trials", type=int, default=4, metavar="N",
-        help="Monte-Carlo trials per BER point (default: 4)",
-    )
-    parser.add_argument(
-        "--bers", type=_parse_bers, default=None, metavar="B0,B1,...",
-        help="bit-error-rate axis as comma-separated floats",
-    )
-    parser.add_argument(
-        "--sample-images", type=int, default=64, metavar="N",
-        help="images classified per trial (default: 64)",
-    )
-    parser.add_argument(
-        "--quality", choices=QUALITY_PRESETS, default="full",
-        help="reference-model preset (default: full)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="model/mask seed (default: the --config file's seed, else 42)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", help="write the result as JSON",
-    )
-    parser.add_argument(
-        "--csv", metavar="PATH", help="write the result as flat CSV",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="evaluate every point fresh, do not read or write the cache",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted run: report the journal state, then "
-             "evaluate only the unfinished points (needs the cache)",
-    )
-    parser.add_argument(
-        "--claims", action="store_true",
-        help="also print the degradation claims derived from the curves",
-    )
-    add_campaign_arguments(parser)
-    add_hardware_arguments(parser)
-    add_engine_argument(parser, help_suffix="applies to every trial")
-    add_observability_arguments(parser)
-    return parser
+class ReliabilityCli(CampaignCli):
+    prog = "python -m repro.reliability"
+    description = "Run a Monte-Carlo weight-fault campaign."
+    noun = "campaign"
+    named = NAMED_CAMPAIGNS
+    default = "reliability"
+    runner_type = ReliabilityRunner
+    sample_help = "images classified per trial"
+    seed_help = "model/mask seed"
+    claims_help = "also print the degradation claims derived from the curves"
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in sorted(NAMED_CAMPAIGNS):
-            spec = NAMED_CAMPAIGNS[name]()
-            print(f"{name:12s} {len(spec):3d} points x {spec.trials} trials  "
-                  f"({NAMED_CAMPAIGNS[name].__doc__.splitlines()[0]})")
-        return 0
-    if args.query is not None:
-        if args.no_cache:
-            parser.error("--query answers from the cache's result store; "
-                         "drop --no-cache")
-        cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-        try:
-            return run_query(cache, "reliability", args.query,
-                             csv_path=args.csv)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-
-    try:
-        hardware = hardware_from_args(args, seed=args.seed)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-    factory = NAMED_CAMPAIGNS[args.campaign]
-    accepted = inspect.signature(factory).parameters
-    kwargs = {
-        key: value
-        for key, value in (
-            ("trials", args.trials),
-            ("sample_images", args.sample_images),
-            ("quality", args.quality),
-            ("seed", hardware.seed),
-            ("vprech", hardware.vprech),
-            ("engine", args.engine),
+    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(
+            "--trials", type=int, default=4, metavar="N",
+            help="Monte-Carlo trials per BER point (default: 4)",
         )
-        if key in accepted
-    }
-    if args.bers is not None and "bers" in accepted:
-        kwargs["bers"] = args.bers
-    # A pinned scalar whose axis the factory sweeps narrows that axis
-    # (shared contract with the sweep CLI — see narrowed_axes).
-    kwargs.update(narrowed_axes(args, hardware, accepted))
-
-    try:
-        spec = factory(**kwargs)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-    if args.no_cache:
-        if args.resume:
-            parser.error("--resume needs the cache; drop --no-cache")
-        cache: ResultCache | None = None
-    else:
-        cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-        if not args.no_store:
-            cache.store = open_store(cache)
-
-    try:
-        runner = ReliabilityRunner(
-            spec, n_workers=args.workers, cache=cache,
-            executor=executor_from_args(args),
+        parser.add_argument(
+            "--bers", type=_parse_bers, default=None, metavar="B0,B1,...",
+            help="bit-error-rate axis as comma-separated floats",
         )
-        if args.resume:
-            report_resume(runner, "campaign")
-        with ObservabilityScope(args):
-            result = runner.run()
-    except KeyboardInterrupt:
-        return print_interrupted("python -m repro.reliability", argv,
-                                 cached=cache is not None)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if cache is not None and cache.store is not None:
-            cache.store.close()
+        add_hardware_arguments(parser)
+        add_engine_argument(parser, help_suffix="applies to every trial")
 
-    print(result.render())
-    if args.claims:
-        print()
-        print(result.render_claims())
-    if args.out:
-        print(f"wrote {result.to_json(args.out)}")
-    if args.csv:
-        print(f"wrote {result.to_csv(args.csv)}")
-    return 0
+    def grid_kwargs(self, args: argparse.Namespace) -> dict:
+        return {"trials": args.trials, "bers": args.bers}
+
+    def list_line(self, name: str, spec) -> str:
+        summary = self.named[name].__doc__.splitlines()[0]
+        return (f"{name:12s} {len(spec):3d} points x {spec.trials} trials  "
+                f"({summary})")
+
+    def claims(self, result: CampaignResult) -> str:
+        return result.render_claims()
+
+
+main = ReliabilityCli().main
 
 
 if __name__ == "__main__":

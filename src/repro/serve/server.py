@@ -187,7 +187,7 @@ class InferenceServer:
         bound (256 for the stock classes).
     engine:
         Simulation engine used for every flush: any registered backend
-        (:data:`repro.tile.ENGINES`; ``"fast"`` default).  Every
+        (:func:`repro.tile.backend_names`; ``"fast"`` default).  Every
         backend serves bit-identical predictions — only the flush
         latency differs.
     metrics:

@@ -1,15 +1,15 @@
 """Pluggable campaign executors: how miss points get evaluated.
 
-The satisfy-from-cache loop (:func:`repro.sweep.runner.run_cached_points`)
-hands its misses to an *executor* — anything with a ``map(task,
+The campaign core (:meth:`repro.sweep.runner.CampaignRunner.run`)
+hands its cache misses to an *executor* — anything with a ``map(task,
 payloads, *, supervisor, chaos, on_done)`` method returning results in
-input order.  Two backends ship:
+input order and firing ``on_done(index, result)`` as each payload
+completes.  Two backends ship:
 
 ``local-pool`` (:class:`LocalPoolExecutor`)
-    A plain in-process loop or ``ProcessPoolExecutor`` shards,
-    switching to per-payload supervised submission (crash recovery,
-    bounded retries, chaos injection, incremental ``on_done``) when
-    any supervision feature is requested.
+    An in-process loop or ``ProcessPoolExecutor`` shards, both with
+    per-payload supervised submission (crash recovery, bounded
+    retries, chaos injection, incremental ``on_done``).
     Bit-identical for any worker count by construction.
 
 ``job-dir`` (:class:`JobDirExecutor`)
@@ -210,16 +210,15 @@ class LocalPoolExecutor:
     picklable callable).  Results come back in input order, so callers
     are bit-identical for any worker count by construction.
 
-    Supervision (any of ``supervisor``, an active ``chaos`` policy, or
-    an ``on_done`` callback) switches :meth:`map` to per-payload
-    submission with crash recovery: worker deaths re-queue the
-    unfinished payloads to a rebuilt pool under a bounded retry budget,
-    a hung payload is killed by the worker-side watchdog and retried
-    the same way, and ``on_done(index, result)`` fires in the parent as
-    each payload completes (this is what makes campaign caching
-    incremental, hence crash-safe).  Because tasks are pure functions
-    of their payloads, re-execution cannot change any result —
-    supervised runs stay bit-identical to fault-free ones.
+    Both paths submit payload by payload under supervision (the
+    default :class:`SupervisorPolicy` unless one is given): worker
+    deaths re-queue the unfinished payloads to a rebuilt pool under a
+    bounded retry budget, a hung payload is killed by the worker-side
+    watchdog and retried the same way, and ``on_done(index, result)``
+    fires in the parent as each payload completes (this is what makes
+    campaign caching incremental, hence crash-safe).  Because tasks
+    are pure functions of their payloads, re-execution cannot change
+    any result — supervised runs stay bit-identical to fault-free ones.
     """
 
     name = "local-pool"
@@ -241,24 +240,12 @@ class LocalPoolExecutor:
             chaos: ChaosPolicy | None = None,
             on_done=None) -> list:
         payloads = list(payloads)
-        chaos_active = chaos is not None and chaos.active
-        plain = supervisor is None and not chaos_active and on_done is None
+        policy = supervisor or SupervisorPolicy()
+        chaos = chaos if (chaos is not None and chaos.active) else None
         if self.n_workers == 1 or len(payloads) <= 1:
-            if plain:
-                return [task(payload) for payload in payloads]
-            return _supervised_serial(
-                task, payloads, supervisor or SupervisorPolicy(),
-                chaos if chaos_active else None, on_done,
-            )
-        if plain:
-            workers = min(self.n_workers, len(payloads))
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers) as pool:
-                return list(pool.map(task, payloads))
+            return _supervised_serial(task, payloads, policy, chaos, on_done)
         return _supervised_pool(
-            task, payloads, self.n_workers,
-            supervisor or SupervisorPolicy(),
-            chaos if chaos_active else None, on_done,
+            task, payloads, self.n_workers, policy, chaos, on_done,
         )
 
     def __repr__(self) -> str:

@@ -11,6 +11,8 @@ package turns those walks into first-class objects:
     Shards points across worker processes (``n_workers``) with an
     on-disk :class:`ResultCache` keyed by a stable config+weights hash,
     so re-runs and overlapping sweeps skip already-evaluated points.
+    It is one family of :class:`CampaignRunner`, the campaign core the
+    fault campaigns (:mod:`repro.reliability`) share.
 :class:`SweepResult`
     Ordered rows serializable to JSON/CSV; re-renders Figure 8 and the
     headline claims from cached rows without re-simulation.
@@ -29,14 +31,9 @@ See ``docs/sweep.md`` for the full guide.
 from repro.sweep.cache import (
     ResultCache,
     entry_key,
-    point_key,
     weights_fingerprint,
 )
-from repro.sweep.runner import (
-    SweepRunner,
-    evaluate_point,
-    run_cached_points,
-)
+from repro.sweep.runner import CampaignRunner, SweepRunner, evaluate_point
 from repro.sweep.spec import (
     NAMED_SWEEPS,
     DesignPoint,
@@ -52,6 +49,7 @@ from repro.sweep.results import SweepResult, SweepRow, SweepStats
 __all__ = [
     "DesignPoint",
     "SweepSpec",
+    "CampaignRunner",
     "SweepRunner",
     "SweepResult",
     "SweepRow",
@@ -65,7 +63,5 @@ __all__ = [
     "corners_spec",
     "evaluate_point",
     "entry_key",
-    "point_key",
     "weights_fingerprint",
-    "run_cached_points",
 ]

@@ -35,199 +35,70 @@ processes instead of the local pool (see :mod:`repro.store`).
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
-from repro.errors import ReproError
-from repro.hw.cli import (
-    ObservabilityScope,
-    add_engine_argument,
-    add_hardware_arguments,
-    add_observability_arguments,
-    hardware_from_args,
-    narrowed_axes,
-)
-from repro.learning.pretrained import QUALITY_PRESETS
-from repro.resilience.cli import print_interrupted, report_resume
-from repro.store.cli import (
-    add_campaign_arguments,
-    executor_from_args,
-    open_store,
-    run_query,
-)
-from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.errors import ConfigurationError, ReproError
+from repro.hw.cli import add_engine_argument, add_hardware_arguments
+from repro.store.cli import CampaignCli
+from repro.sweep.results import SweepResult
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import NAMED_SWEEPS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sweep",
-        description="Run a named ESAM design-space sweep.",
-    )
-    parser.add_argument(
-        "sweep", nargs="?", choices=sorted(NAMED_SWEEPS),
-        help="named sweep to run (see --list)",
-    )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list the named sweeps and exit",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for cache misses (default: 1)",
-    )
-    parser.add_argument(
-        "--sample-images", type=int, default=64, metavar="N",
-        help="images simulated hardware-accurately per point (default: 64)",
-    )
-    parser.add_argument(
-        "--quality", choices=QUALITY_PRESETS, default="full",
-        help="reference-model preset (default: full)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="model/sampling seed (default: the --config file's seed, "
-             "else 42)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", help="write the result as JSON",
-    )
-    parser.add_argument(
-        "--csv", metavar="PATH", help="write the result as flat CSV",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="evaluate every point fresh, do not read or write the cache",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted run: report the journal state, then "
-             "evaluate only the unfinished points (needs the cache)",
-    )
-    parser.add_argument(
-        "--claims", action="store_true",
-        help="also print the headline claims derived from the rows",
-    )
-    add_campaign_arguments(parser)
-    # The cell option is a swept axis for every named sweep, so only
-    # the scalar hardware flags are exposed here.
-    add_hardware_arguments(parser, cell=False)
-    add_engine_argument(
-        parser, default=None,
-        help_suffix="narrows the engines sweep's axis when given",
-    )
-    add_observability_arguments(parser)
-    return parser
+class SweepCli(CampaignCli):
+    prog = "python -m repro.sweep"
+    description = "Run a named ESAM design-space sweep."
+    noun = "sweep"
+    named = NAMED_SWEEPS
+    runner_type = SweepRunner
+    sample_help = "images simulated hardware-accurately per point"
+    seed_help = "model/sampling seed"
+    claims_help = "also print the headline claims derived from the rows"
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in sorted(NAMED_SWEEPS):
-            spec = NAMED_SWEEPS[name]()
-            print(f"{name:10s} {len(spec):3d} points  "
-                  f"({NAMED_SWEEPS[name].__doc__.splitlines()[0]})")
-        return 0
-    if args.query is not None:
-        if args.no_cache:
-            parser.error("--query answers from the cache's result store; "
-                         "drop --no-cache")
-        cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-        try:
-            return run_query(cache, "sweep", args.query, csv_path=args.csv)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-    if args.sweep is None:
-        parser.error("a sweep name, --list or --query is required")
-
-    try:
-        hardware = hardware_from_args(args, seed=args.seed)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-    factory = NAMED_SWEEPS[args.sweep]
-    # Every factory takes the evaluation scalars; each consumes only
-    # the hardware scalars it does not itself sweep (e.g. the corners
-    # sweep has no scalar `corner`), so filter by signature.
-    available = {
-        "sample_images": args.sample_images, "quality": args.quality,
-        "seed": hardware.seed, "vprech": hardware.vprech,
-        "node": hardware.node, "corner": hardware.corner,
-        "engine": args.engine or "fast",
-    }
-    accepted = inspect.signature(factory).parameters
-    kwargs = {k: v for k, v in available.items() if k in accepted}
-    # A pinned scalar whose axis the factory sweeps narrows that axis
-    # (shared contract with the reliability CLI — see narrowed_axes).
-    kwargs.update(narrowed_axes(args, hardware, accepted))
-    if "engines" in accepted and args.engine is not None:
-        kwargs["engines"] = (args.engine,)
-    spec = factory(**kwargs)
-    if args.no_cache:
-        if args.resume:
-            parser.error("--resume needs the cache; drop --no-cache")
-        cache: ResultCache | None = None
-    else:
-        cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-        if not args.no_store:
-            cache.store = open_store(cache)
-
-    try:
-        runner = SweepRunner(
-            spec, n_workers=args.workers, cache=cache,
-            executor=executor_from_args(args),
+    def add_arguments(self, parser: argparse.ArgumentParser) -> None:
+        # The cell option is a swept axis for every named sweep, so only
+        # the scalar hardware flags are exposed here.
+        add_hardware_arguments(parser, cell=False)
+        add_engine_argument(
+            parser, default=None,
+            help_suffix="narrows the engines sweep's axis when given",
         )
-        if args.resume:
-            report_resume(runner, "sweep")
-        with ObservabilityScope(args):
-            result = runner.run()
-    except KeyboardInterrupt:
-        return print_interrupted("python -m repro.sweep", argv,
-                                 cached=cache is not None)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if cache is not None and cache.store is not None:
-            cache.store.close()
 
-    print(result.render())
-    if args.claims:
+    def grid_kwargs(self, args: argparse.Namespace) -> dict:
+        return {"engines": (args.engine,) if args.engine else None}
+
+    def list_line(self, name: str, spec) -> str:
+        summary = self.named[name].__doc__.splitlines()[0]
+        return f"{name:10s} {len(spec):3d} points  ({summary})"
+
+    def claims(self, result: SweepResult) -> str:
         try:
             claims = result.headline_claims()
         except ReproError as error:
-            print(f"error: --claims needs figure-8 rows ({error})",
-                  file=sys.stderr)
-            return 1
-        print()
+            raise ConfigurationError(
+                f"--claims needs figure-8 rows ({error})"
+            ) from None
         claims_at = result.claims_group()
-        if {(r.point.node, r.point.corner) for r in result.rows} != {claims_at}:
-            print(f"headline claims at {claims_at[0]}/{claims_at[1]} "
-                  "(paper -> measured):")
+        groups = {(r.point.node, r.point.corner) for r in result.rows}
+        if groups != {claims_at}:
+            title = (f"headline claims at {claims_at[0]}/{claims_at[1]} "
+                     "(paper -> measured):")
         else:
-            print("headline claims (paper -> measured):")
-        print(f"  speedup vs 1RW:      3.1x  -> {claims.speedup_vs_1rw:.2f}x")
-        print(f"  energy efficiency:   2.2x  -> "
-              f"{claims.energy_efficiency_vs_1rw:.2f}x")
-        print(f"  throughput:     44 MInf/s  -> "
-              f"{claims.throughput_minf_s:.1f} MInf/s")
-        print(f"  energy/inference: 607 pJ   -> "
-              f"{claims.energy_per_inf_pj:.0f} pJ")
-        print(f"  power:             29 mW   -> {claims.power_mw:.1f} mW")
-    if args.out:
-        print(f"wrote {result.to_json(args.out)}")
-    if args.csv:
-        print(f"wrote {result.to_csv(args.csv)}")
-    return 0
+            title = "headline claims (paper -> measured):"
+        return "\n".join([
+            title,
+            f"  speedup vs 1RW:      3.1x  -> {claims.speedup_vs_1rw:.2f}x",
+            f"  energy efficiency:   2.2x  -> "
+            f"{claims.energy_efficiency_vs_1rw:.2f}x",
+            f"  throughput:     44 MInf/s  -> "
+            f"{claims.throughput_minf_s:.1f} MInf/s",
+            f"  energy/inference: 607 pJ   -> "
+            f"{claims.energy_per_inf_pj:.0f} pJ",
+            f"  power:             29 mW   -> {claims.power_mw:.1f} mW",
+        ])
+
+
+main = SweepCli().main
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ import time
 import numpy as np
 
 from repro.learning.convert import ConvertedSNN
-from repro.sweep.spec import DesignPoint
 
 #: Bump when the cached-row schema or evaluation semantics change.
 #: v2: design points carry explicit ``node``/``corner`` fields
@@ -93,11 +92,6 @@ def entry_key(kind: str, point_dict: dict, fingerprint: str) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def point_key(point: DesignPoint, fingerprint: str) -> str:
-    """Cache key of one design point under one network fingerprint."""
-    return entry_key("sweep", point.to_dict(), fingerprint)
 
 
 class ResultCache:

@@ -1,46 +1,46 @@
-"""Sharded, cached execution of design-space sweeps.
+"""One campaign core: cached, sharded, resumable grid evaluation.
 
-The :class:`SweepRunner` takes a :class:`~repro.sweep.spec.SweepSpec`,
-expands it into design points and satisfies each point from one of
-three sources, in order:
+Two grid walks produce the paper's results: the design-space sweeps
+(:class:`SweepRunner` — Figure 8 and its ablations) and the fault
+campaigns (:class:`~repro.reliability.runner.ReliabilityRunner`).  Both
+are small subclasses of :class:`CampaignRunner`, which satisfies every
+point of a spec's ``expand()`` in three steps:
 
-1. **cache** — the on-disk :class:`~repro.sweep.cache.ResultCache`,
-   keyed by the point's canonical dict plus the network-weights
-   fingerprint.  Hits are loaded without touching the simulator;
-2. **injected evaluator** — an existing
-   :class:`~repro.system.evaluate.SystemEvaluator` (in-process only),
-   so a caller that already holds the model and spike sample reuses
-   them;
-3. **executor shards** — the cache misses run on a pluggable executor
-   (:mod:`repro.store.executors`): the default local pool (a plain
-   in-process loop for ``n_workers == 1``, ``ProcessPoolExecutor``
-   shards above that) or the work-stealing job-dir backend.
+1. **cache scan** — a point's entry key is ``entry_key(kind,
+   point.to_dict(), weights_fingerprint(snn))``, the fingerprint taken
+   once per ``(quality, seed)`` model; hits load without touching the
+   simulator;
+2. **evaluate** — the misses go to a pluggable executor
+   (:mod:`repro.store.executors`): the default local pool (in-process
+   for ``n_workers == 1``, supervised ``ProcessPoolExecutor`` shards
+   above that) or the work-stealing job-dir backend;
+3. **commit** — each row is cached, journaled and traced the moment it
+   arrives, so an interrupted run keeps everything finished so far.
 
-Because every :class:`DesignPoint` carries its own seed and the
-evaluation builds a fresh network per point, results are bit-identical
-regardless of worker count, shard assignment or execution order — the
-test suite asserts ``n_workers=4`` equals ``n_workers=1`` equals
+Because every point carries its own seed and the evaluation builds a
+fresh network per point, results are bit-identical regardless of
+worker count, executor backend, shard assignment or execution order —
+the test suite asserts ``n_workers=4`` equals ``n_workers=1`` equals
 ``SystemEvaluator.figure8()``, float for float.
 """
 
 from __future__ import annotations
 
-import inspect
+import functools
 import pathlib
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.learning.convert import ConvertedSNN
+from repro.learning.pretrained import get_reference_model
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.learning.pretrained import get_reference_model
 from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.journal import CampaignJournal, run_id_for
 from repro.resilience.policy import SupervisorPolicy
 from repro.store.executors import LocalPoolExecutor
 from repro.system.energy import SystemMetrics
 from repro.system.evaluate import SystemEvaluator
-from repro.sweep.cache import ResultCache, point_key, weights_fingerprint
+from repro.sweep.cache import ResultCache, entry_key, weights_fingerprint
 from repro.sweep.spec import DesignPoint, SweepSpec
 from repro.sweep.results import SweepResult, SweepRow, SweepStats
 
@@ -85,291 +85,89 @@ def evaluate_point(point: DesignPoint,
     return row.metrics
 
 
-@dataclass
-class _WorkItem:
-    """One cache miss: its position in the sweep, point and cache key."""
-
-    index: int
-    point: DesignPoint
-    key: str
-
-
-def _evaluate_task(payload: tuple[DesignPoint, ConvertedSNN | None],
-                   ) -> SystemMetrics:
-    """Module-level worker entry point (must be picklable)."""
-    point, snn = payload
-    return evaluate_point(point, snn)
-
-
-# -- generic sharded-cache machinery -------------------------------------------------
-#
-# The satisfy-from-cache-then-evaluate-misses loop is not
-# sweep-specific: the reliability campaign runner
-# (:mod:`repro.reliability.runner`) executes fault points through the
-# exact same cache discipline, and both runners hand their misses to a
-# pluggable executor (:mod:`repro.store.executors`) — so the
-# determinism contract — bit-identical results for any worker count or
-# executor backend, corrupt entry == miss, parent-side hit accounting —
-# is implemented once.
-
-
-def _accepts_on_done(evaluate) -> bool:
-    """Does the evaluate callback take an ``on_done`` keyword?"""
-    try:
-        parameters = inspect.signature(evaluate).parameters
-    except (TypeError, ValueError):
-        return False
-    return "on_done" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-
-
-def run_cached_points(points: list, *, cache: ResultCache | None,
-                      key_fn, load_row, dump_row, evaluate,
-                      journal_dir=None, kind: str = "entries",
-                      ) -> tuple[list, SweepStats]:
-    """Satisfy ``points`` from ``cache``, evaluating only the misses.
-
-    Parameters
-    ----------
-    key_fn:
-        ``point -> cache key`` (only called when ``cache`` is set).
-    load_row:
-        ``stored dict -> row`` for cache hits.
-    dump_row:
-        ``row -> dict`` persisted for freshly evaluated points.
-    evaluate:
-        ``list of miss points -> list of rows`` in input order (this is
-        where callers shard across workers, e.g. via an executor's
-        ``map``).
-        When the callable accepts an ``on_done(position, row)`` keyword
-        it is invoked with one, and each completed row is cached (and
-        journaled) the moment it lands — so an interrupted run keeps
-        everything finished so far.
-    journal_dir:
-        Directory for the crash-safe :class:`CampaignJournal` (usually
-        ``<cache root>/journal``); ``None`` disables journaling.  The
-        journal file is named from ``kind`` plus a run id derived from
-        the full key set, so re-running the same campaign resumes the
-        same journal.
-
-    Returns the rows in ``points`` order plus hit/evaluated statistics.
-    ``KeyboardInterrupt`` marks the journal interrupted and propagates
-    — partial results are already cached, so a ``--resume`` re-run
-    recomputes nothing that finished.
-
-    ``journal_dir`` without a ``cache`` is rejected outright: the
-    journal's whole promise is that a point marked done is durably
-    committed, and a cacheless run commits nothing — silently dropping
-    the journal (the historical behaviour) made ``--no-cache`` runs
-    look resumable when they were not.
-
-    Observability: cache hits/misses are also counted into the process
-    metric registry (``repro_cache_{hits,misses}_total{kind=...}`` —
-    the registry is cross-campaign where :class:`SweepStats` is
-    per-run), and with a real tracer installed the run records a
-    ``campaign.cache_scan`` span, a ``campaign.evaluate`` span around
-    the miss evaluation, and one ``campaign.point`` span per completed
-    point.  Point spans measure the interval since the *previous*
-    completion in the parent process — with worker shards that is
-    completion cadence, not worker-side compute time.
-    """
-    if journal_dir is not None and cache is None:
-        raise ConfigurationError(
-            "journal_dir without a cache: the journal marks points as "
-            "durably committed, which a cacheless run cannot honour — "
-            "pass a cache or drop journal_dir"
-        )
-    tracer = get_tracer()
-    stats = SweepStats()
-    rows: list = [None] * len(points)
-    misses: list[_WorkItem] = []
-    all_keys: list[str] = []
-    scan_started = tracer.now() if tracer.enabled else 0.0
-    if cache is not None:
-        for index, point in enumerate(points):
-            key = key_fn(point)
-            all_keys.append(key)
-            cached = cache.get(key)
-            if cached is not None:
-                rows[index] = load_row(cached)
-                stats.cache_hits += 1
-            else:
-                misses.append(_WorkItem(index=index, point=point, key=key))
-        registry = get_registry()
-        registry.counter("repro_cache_hits_total", kind=kind).inc(
-            stats.cache_hits
-        )
-        registry.counter("repro_cache_misses_total", kind=kind).inc(
-            len(misses)
-        )
-    else:
-        misses = [
-            _WorkItem(index=i, point=p, key="") for i, p in enumerate(points)
-        ]
-    if tracer.enabled:
-        tracer.record("campaign.cache_scan", scan_started, tracer.now(),
-                      kind=kind, points=len(points),
-                      hits=stats.cache_hits, misses=len(misses))
-
-    journal: CampaignJournal | None = None
-    if journal_dir is not None and cache is not None:
-        run_id = run_id_for(all_keys)
-        journal = CampaignJournal(
-            pathlib.Path(journal_dir) / f"{kind}-{run_id}.jsonl"
-        )
-        journal.begin(
-            run_id=run_id, kind=kind, total=len(points),
-            cache_hits=stats.cache_hits,
-            pending=[item.key for item in misses],
-        )
-
-    done_positions: set[int] = set()
-    last_done_at = [tracer.now() if tracer.enabled else 0.0]
-
-    def on_done(position: int, row) -> None:
-        item = misses[position]
-        if cache is not None:
-            cache.put(item.key, dump_row(row))
-        if journal is not None:
-            journal.mark_done(item.key)
-        rows[item.index] = row
-        stats.evaluated += 1
-        done_positions.add(position)
-        if tracer.enabled:
-            done_at = tracer.now()
-            tracer.record("campaign.point", last_done_at[0], done_at,
-                          kind=kind, index=item.index)
-            last_done_at[0] = done_at
-
-    miss_points = [item.point for item in misses]
-    evaluate_started = tracer.now() if tracer.enabled else 0.0
-    try:
-        if _accepts_on_done(evaluate):
-            evaluated = evaluate(miss_points, on_done=on_done)
-        else:
-            evaluated = evaluate(miss_points)
-        if tracer.enabled:
-            tracer.record("campaign.evaluate", evaluate_started,
-                          tracer.now(), kind=kind,
-                          evaluated=len(miss_points))
-        for position, (item, row) in enumerate(zip(misses, evaluated)):
-            if position in done_positions:
-                continue
-            if cache is not None:
-                cache.put(item.key, dump_row(row))
-            if journal is not None:
-                journal.mark_done(item.key)
-            rows[item.index] = row
-            stats.evaluated += 1
-        if journal is not None:
-            journal.mark_complete()
-    except KeyboardInterrupt:
-        if journal is not None:
-            journal.mark_interrupted()
-        raise
-    finally:
-        if journal is not None:
-            journal.close()
-    return rows, stats
-
-
-class SweepRunner:
-    """Shards a sweep's design points across workers, with caching.
+class CampaignRunner:
+    """Evaluates a campaign grid through the result cache.
 
     Parameters
     ----------
     spec:
-        The grid to evaluate.
+        The grid; its ``expand()`` yields hashable points carrying
+        ``quality``, ``seed`` and a canonical ``to_dict()``.
     n_workers:
         ``1`` (default) evaluates in-process; ``>1`` shards cache
         misses across that many worker processes.
     cache:
-        A :class:`ResultCache`, ``True`` for the default on-disk cache
-        under ``.artifacts/sweep_cache/``, or ``None``/``False`` to
-        disable caching entirely.
-    snn:
-        Optional explicit network; by default each point evaluates the
-        reference model of its ``quality``/``seed``.
-    evaluator:
-        Optional existing :class:`SystemEvaluator` to evaluate through
-        (in-process only; mutually exclusive with ``snn`` and
-        ``n_workers > 1``).
+        A :class:`ResultCache`, ``True`` for the shared default on-disk
+        cache under ``.artifacts/sweep_cache/`` (entry kinds keep the
+        campaign families apart), or ``None``/``False`` to disable
+        caching entirely.
     supervisor:
         Crash-recovery policy for worker shards (retry budget,
         watchdog); the default :class:`SupervisorPolicy` already
         survives worker crashes.
     chaos:
         Optional :class:`ChaosPolicy` injecting deterministic worker
-        crashes into the shards — the harness the acceptance suite
-        proves the supervisor with.
+        crashes; recovered results stay bit-identical to a fault-free
+        run (the chaos acceptance suite pins this).
     journal:
         ``True`` (default) journals progress next to the cache
-        (``<cache root>/journal/``) so interrupted runs resume with
-        zero recomputation; ``False`` disables journaling.  Ignored
-        without a cache.
+        (``<cache root>/journal/<kind>-<run id>.jsonl``) so interrupted
+        runs resume with zero recomputation; ignored without a cache.
     executor:
         Optional executor backend (see :mod:`repro.store.executors`,
         e.g. :class:`~repro.store.executors.JobDirExecutor`) that
         evaluates the cache misses instead of the default local pool
-        built from ``n_workers``.  Results are bit-identical across
-        backends — points are self-seeded pure functions — so the
-        choice is purely about where the work runs.
+        built from ``n_workers``.
+
+    A subclass states only what differs between campaign families:
+    :attr:`kind`, :attr:`row_type`, the worker task (:meth:`_task`),
+    how a task's output becomes a row (:meth:`_row`) and how rows
+    become a result (:meth:`_result`).
     """
 
-    def __init__(self, spec: SweepSpec, *, n_workers: int = 1,
+    #: Entry family: the cache-key namespace, the ``kind`` stored with
+    #: each row and the journal file prefix.
+    kind: str
+    #: Row class; ``row_type.from_dict(data, cached=True)`` loads a hit.
+    row_type: type
+
+    def __init__(self, spec, *, n_workers: int = 1,
                  cache: ResultCache | bool | None = True,
-                 snn: ConvertedSNN | None = None,
-                 evaluator: SystemEvaluator | None = None,
                  supervisor: SupervisorPolicy | None = None,
                  chaos: ChaosPolicy | None = None,
                  journal: bool = True,
                  executor=None) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-        if evaluator is not None and snn is not None:
-            raise ConfigurationError("pass either evaluator or snn, not both")
-        if evaluator is not None and n_workers > 1:
-            raise ConfigurationError(
-                "an injected evaluator cannot be sharded across processes; "
-                "use n_workers=1 or let the runner build its own evaluators"
-            )
-        if evaluator is not None and executor is not None:
-            raise ConfigurationError(
-                "an injected evaluator is in-process only and cannot run "
-                "under a custom executor"
-            )
-        if evaluator is not None:
-            # An injected evaluator brings its own spike sample (its
-            # sample size and config seed), so every point must agree
-            # with it — otherwise rows (and cache entries) would claim
-            # a configuration they were not evaluated under.
-            have = (evaluator.sample_images, evaluator.config.seed,
-                    evaluator.quality)
-            for point in spec.expand():
-                want = (point.sample_images, point.seed, point.quality)
-                if want != have:
-                    raise ConfigurationError(
-                        f"sweep point {point.label} (sample_images/seed/"
-                        f"quality {want}) does not match the injected "
-                        f"evaluator's configuration {have}"
-                    )
         self.spec = spec
         self.n_workers = n_workers
         if cache is True:
-            self.cache: ResultCache | None = ResultCache()
-        elif cache is False or cache is None:
-            self.cache = None
-        else:
-            self.cache = cache
-        self._snn = snn
-        self._evaluator = evaluator
+            cache = ResultCache()
+        self.cache: ResultCache | None = None if cache is False else cache
         self.supervisor = supervisor
         self.chaos = chaos
         self.executor = executor
         self._journal_enabled = bool(journal)
 
-    # -- internals -------------------------------------------------------------------
+    # -- what a campaign family states -----------------------------------------------
+
+    def _task(self):
+        """The picklable ``point -> output`` callable workers run."""
+        raise NotImplementedError
+
+    def _row(self, point, output):
+        """The freshly evaluated row a task's output becomes."""
+        raise NotImplementedError
+
+    def _result(self, rows: list, stats: SweepStats):
+        """The campaign result, from rows in expansion order."""
+        raise NotImplementedError
+
+    def _network(self, quality: str, seed: int) -> ConvertedSNN:
+        """The network the points of one ``(quality, seed)`` evaluate."""
+        return get_reference_model(quality, seed).snn
+
+    # -- the shared core -------------------------------------------------------------
 
     @property
     def journal_dir(self) -> pathlib.Path | None:
@@ -381,114 +179,178 @@ class SweepRunner:
     def journal(self) -> CampaignJournal | None:
         """The journal the next :meth:`run` will write (for ``--resume``).
 
-        Derives the same run id :func:`run_cached_points` will — from
-        the full set of cache entry keys — without evaluating anything,
-        so CLIs can report prior progress before re-running.
+        Derives the same run id :meth:`run` will — from the full set of
+        entry keys — without evaluating anything, so CLIs can report
+        prior progress before re-running.
         """
         if self.journal_dir is None:
             return None
         points = self.spec.expand()
-        fingerprints = self._fingerprints(points)
-        keys = [point_key(p, fingerprints[p]) for p in points]
+        keys = self._keys(points, self._fingerprints(points))
+        return self._journal_for(keys)
+
+    def _journal_for(self, keys: list[str]) -> CampaignJournal:
         return CampaignJournal(
-            self.journal_dir / f"sweep-{run_id_for(keys)}.jsonl"
+            self.journal_dir / f"{self.kind}-{run_id_for(keys)}.jsonl"
         )
 
-    def _fingerprints(self, points: list[DesignPoint]) -> dict[DesignPoint, str]:
-        """Weights fingerprint per point (shared per quality/seed model)."""
-        if self._evaluator is not None:
-            fp = weights_fingerprint(self._evaluator.snn)
-            return {p: fp for p in points}
-        if self._snn is not None:
-            fp = weights_fingerprint(self._snn)
-            return {p: fp for p in points}
-        per_model: dict[tuple[str, int], str] = {}
-        out: dict[DesignPoint, str] = {}
-        for point in points:
-            model_key = (point.quality, point.seed)
-            if model_key not in per_model:
-                reference = get_reference_model(point.quality, point.seed)
-                per_model[model_key] = weights_fingerprint(reference.snn)
-            out[point] = per_model[model_key]
-        return out
+    def _fingerprints(self, points: list) -> list[str]:
+        """Weights fingerprint per point, hashed once per model.
 
-    def _evaluate_misses(self, points: list[DesignPoint],
-                         on_done=None) -> list[SweepRow]:
-        """Evaluate cache misses, sharded or in-process, in input order.
-
-        ``on_done(position, row)`` fires as each point completes (in
-        completion order) so the caller can cache and journal rows
-        incrementally — the crash-safety half of the resumable-campaign
-        contract.
+        Resolving them loads every model in this process before any
+        work is handed out, so forked workers inherit it and spawned
+        ones load the disk cache instead of re-training.
         """
-        if not points:
-            return []
-        if self._evaluator is not None:
-            rows = []
-            for position, point in enumerate(points):
-                metrics = self._evaluator.evaluate_cell(
-                    engine=point.engine, hardware=point.hardware,
-                ).metrics
-                row = SweepRow(point=point, metrics=metrics, cached=False)
-                rows.append(row)
-                if on_done is not None:
-                    on_done(position, row)
-            return rows
-        executor = self.executor or LocalPoolExecutor(self.n_workers)
-        # Pre-warm the trained-model caches in the parent: on
-        # fork-based platforms the workers inherit the in-memory
-        # model; elsewhere they hit the .npz disk cache instead of
-        # re-training.
-        if self._snn is None and executor.uses_processes and len(points) > 1:
-            for model_key in {(p.quality, p.seed) for p in points}:
-                get_reference_model(*model_key)
-        row_cache: dict[int, SweepRow] = {}
+        per_model: dict[tuple[str, int], str] = {}
+        for point in points:
+            model = (point.quality, point.seed)
+            if model not in per_model:
+                per_model[model] = weights_fingerprint(self._network(*model))
+        return [per_model[(p.quality, p.seed)] for p in points]
 
-        def metrics_done(position: int, metrics: SystemMetrics) -> None:
-            row = SweepRow(
-                point=points[position], metrics=metrics, cached=False,
-            )
-            row_cache[position] = row
-            if on_done is not None:
-                on_done(position, row)
-
-        metrics = executor.map(
-            _evaluate_task, [(p, self._snn) for p in points],
-            supervisor=self.supervisor, chaos=self.chaos,
-            on_done=metrics_done,
-        )
+    def _keys(self, points: list, fingerprints: list[str]) -> list[str]:
         return [
-            row_cache.get(position)
-            or SweepRow(point=point, metrics=m, cached=False)
-            for position, (point, m) in enumerate(zip(points, metrics))
+            entry_key(self.kind, point.to_dict(), fingerprint)
+            for point, fingerprint in zip(points, fingerprints)
         ]
 
-    # -- API -------------------------------------------------------------------------
+    def run(self):
+        """Evaluate the grid; rows follow the spec's expansion order.
 
-    def run(self) -> SweepResult:
-        """Evaluate the grid; returns rows in the spec's expansion order."""
+        ``KeyboardInterrupt`` marks the journal interrupted and
+        propagates — finished rows are already committed, so a
+        ``--resume`` re-run recomputes nothing that finished.
+
+        Observability: with a cache, hits and misses are counted into
+        the process metric registry
+        (``repro_cache_{hits,misses}_total{kind=...}`` — cross-campaign,
+        where :class:`SweepStats` is per-run).  With a real tracer
+        installed the run records a ``campaign.cache_scan`` span, a
+        ``campaign.evaluate`` span around the misses and one
+        ``campaign.point`` span per committed row.  Point spans measure
+        the interval since the previous commit in this process — with
+        worker shards that is completion cadence, not worker-side
+        compute time.
+        """
+        tracer = get_tracer()
         points = self.spec.expand()
+        fingerprints = self._fingerprints(points)
+        keys = self._keys(points, fingerprints)
+        stats = SweepStats()
+        rows: list = [None] * len(points)
+        misses = list(range(len(points)))
+        scan_started = tracer.now() if tracer.enabled else 0.0
         if self.cache is not None:
-            fingerprints = self._fingerprints(points)
-            key_fn = lambda point: point_key(point, fingerprints[point])  # noqa: E731
-            # kind + fingerprint travel inside the stored JSON so the
-            # result store can index an entry without recomputing
-            # hashes; from_dict ignores the extra keys on reload.
-            dump_row = lambda row: {  # noqa: E731
-                **row.to_dict(), "kind": "sweep",
-                "fingerprint": fingerprints[row.point],
-            }
-        else:
-            key_fn = None
-            dump_row = lambda row: row.to_dict()  # noqa: E731
-        rows, stats = run_cached_points(
-            points,
-            cache=self.cache,
-            key_fn=key_fn,
-            load_row=lambda data: SweepRow.from_dict(data, cached=True),
-            dump_row=dump_row,
-            evaluate=self._evaluate_misses,
-            journal_dir=self.journal_dir,
-            kind="sweep",
-        )
+            misses = []
+            for index, key in enumerate(keys):
+                cached = self.cache.get(key)
+                if cached is None:
+                    misses.append(index)
+                else:
+                    rows[index] = self.row_type.from_dict(cached, cached=True)
+                    stats.cache_hits += 1
+            registry = get_registry()
+            registry.counter("repro_cache_hits_total", kind=self.kind).inc(
+                stats.cache_hits
+            )
+            registry.counter("repro_cache_misses_total", kind=self.kind).inc(
+                len(misses)
+            )
+        if tracer.enabled:
+            tracer.record("campaign.cache_scan", scan_started, tracer.now(),
+                          kind=self.kind, points=len(points),
+                          hits=stats.cache_hits, misses=len(misses))
+
+        journal = None
+        if self.journal_dir is not None:
+            journal = self._journal_for(keys)
+            journal.begin(
+                run_id=run_id_for(keys), kind=self.kind, total=len(points),
+                cache_hits=stats.cache_hits,
+                pending=[keys[index] for index in misses],
+            )
+
+        evaluate_started = tracer.now() if tracer.enabled else 0.0
+        last_done_at = evaluate_started
+
+        def commit(position: int, output) -> None:
+            nonlocal last_done_at
+            index = misses[position]
+            row = self._row(points[index], output)
+            if self.cache is not None:
+                # kind + fingerprint travel inside the stored JSON so
+                # the result store can index an entry without
+                # recomputing hashes; from_dict ignores them on reload.
+                self.cache.put(keys[index], {
+                    **row.to_dict(), "kind": self.kind,
+                    "fingerprint": fingerprints[index],
+                })
+            if journal is not None:
+                journal.mark_done(keys[index])
+            rows[index] = row
+            stats.evaluated += 1
+            if tracer.enabled:
+                done_at = tracer.now()
+                tracer.record("campaign.point", last_done_at, done_at,
+                              kind=self.kind, index=index)
+                last_done_at = done_at
+
+        executor = self.executor or LocalPoolExecutor(self.n_workers)
+        try:
+            executor.map(
+                self._task(), [points[index] for index in misses],
+                supervisor=self.supervisor, chaos=self.chaos, on_done=commit,
+            )
+            if tracer.enabled:
+                tracer.record("campaign.evaluate", evaluate_started,
+                              tracer.now(), kind=self.kind,
+                              evaluated=len(misses))
+            if journal is not None:
+                journal.mark_complete()
+        except KeyboardInterrupt:
+            if journal is not None:
+                journal.mark_interrupted()
+            raise
+        finally:
+            if journal is not None:
+                journal.close()
+        return self._result(rows, stats)
+
+
+class SweepRunner(CampaignRunner):
+    """Runs a design-space sweep: each point evaluates to
+    :class:`SystemMetrics` through :func:`evaluate_point`.
+
+    ``snn`` optionally evaluates that network instead of each point's
+    reference model (``quality``/``seed``); every other keyword is
+    :class:`CampaignRunner`'s.
+    """
+
+    kind = "sweep"
+    row_type = SweepRow
+
+    def __init__(self, spec: SweepSpec, *, n_workers: int = 1,
+                 cache: ResultCache | bool | None = True,
+                 snn: ConvertedSNN | None = None,
+                 supervisor: SupervisorPolicy | None = None,
+                 chaos: ChaosPolicy | None = None,
+                 journal: bool = True,
+                 executor=None) -> None:
+        super().__init__(spec, n_workers=n_workers, cache=cache,
+                         supervisor=supervisor, chaos=chaos,
+                         journal=journal, executor=executor)
+        self._snn = snn
+
+    def _network(self, quality: str, seed: int) -> ConvertedSNN:
+        if self._snn is not None:
+            return self._snn
+        return super()._network(quality, seed)
+
+    def _task(self):
+        return functools.partial(evaluate_point, snn=self._snn)
+
+    def _row(self, point: DesignPoint, output: SystemMetrics) -> SweepRow:
+        return SweepRow(point=point, metrics=output, cached=False)
+
+    def _result(self, rows: list[SweepRow], stats: SweepStats) -> SweepResult:
         return SweepResult(spec_name=self.spec.name, rows=rows, stats=stats)

@@ -211,6 +211,13 @@ class SweepSpec:
         ):
             if not values:
                 raise ConfigurationError(f"sweep axis {axis} is empty")
+            # A duplicated axis value would evaluate the same point
+            # twice (both as cache misses within one run) and journal a
+            # total the distinct cache entries can never reach.
+            if len(set(values)) != len(values):
+                raise ConfigurationError(
+                    f"sweep axis {axis} contains duplicates: {values}"
+                )
 
     @classmethod
     def over_ports(cls, ports: Iterable[int], name: str = "ports",

@@ -11,7 +11,6 @@ from repro.tile.tile import Tile, TileInferenceStats
 from repro.tile.fast import DrainSchedule, drain_schedule, grant_cycle_of_rows
 from repro.tile.engine import FastEngine
 from repro.tile.backends import (
-    ENGINES,
     backend_factory,
     backend_names,
     engines_doc,
@@ -34,7 +33,6 @@ __all__ = [
     "FastEngine",
     "BitpackedEngine",
     "CycleEngine",
-    "ENGINES",
     "backend_factory",
     "backend_names",
     "engines_doc",

@@ -35,7 +35,6 @@ Built-in backends (registered at import):
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -103,41 +102,6 @@ def engines_doc() -> str:
     return "\n".join(lines)
 
 
-class _EngineRegistryView(Sequence):
-    """Live, sequence-like view of the registered backend names.
-
-    Exists so ``ENGINES`` keeps working everywhere the historical
-    tuple did (``"fast" in ENGINES``, ``choices=ENGINES`` in argparse,
-    f-string interpolation) while always reflecting the registry —
-    including backends registered after import.
-    """
-
-    def __iter__(self):
-        return iter(_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __getitem__(self, index):
-        return tuple(_REGISTRY)[index]
-
-    def __contains__(self, name) -> bool:
-        return name in _REGISTRY
-
-    def __eq__(self, other) -> bool:
-        return tuple(_REGISTRY) == other
-
-    def __hash__(self):
-        return hash(tuple(_REGISTRY))
-
-    def __repr__(self) -> str:
-        return repr(tuple(_REGISTRY))
-
-
-#: Registered engine names (live view over the registration table).
-ENGINES = _EngineRegistryView()
-
-
 def _register_builtin_backends() -> None:
     # Imported here, not at module top: the engine modules import
     # repro.tile internals that in turn import this registry.
@@ -153,7 +117,6 @@ def _register_builtin_backends() -> None:
 _register_builtin_backends()
 
 __all__ = [
-    "ENGINES",
     "backend_factory",
     "backend_names",
     "engines_doc",

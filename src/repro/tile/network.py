@@ -25,14 +25,13 @@ from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import CellType
 from repro.sram.electrical import TransposedPortModel
 from repro.sram.readport import ReadPortModel
-from repro.tile.backends import ENGINES, backend_factory, engines_doc
+from repro.tile.backends import backend_factory, engines_doc
 from repro.tile.mapping import ARRAY_DIM
 from repro.tile.pipeline import PipelineModel
 from repro.tile.tile import Tile
 
-# ENGINES (re-exported above) is a live view over the engine-backend
-# registration table (repro.tile.backends) — the authoritative engine
-# list and per-engine summaries are *derived* from the registry, never
+# The engine list and per-engine summaries are *derived* from the
+# engine-backend registration table (repro.tile.backends), never
 # enumerated by hand, so this module's documentation cannot drift when
 # a backend is registered:
 __doc__ += "\nRegistered simulation engines:\n\n" + engines_doc() + "\n"
@@ -285,10 +284,11 @@ class EsamNetwork:
         """Run a ``(B, n_in)`` spike batch through every tile.
 
         Returns output membrane readouts ``(B, n_classes)``.
-        ``engine`` selects any registered backend (see ``ENGINES`` and
-        :mod:`repro.tile.backends`); every backend produces identical
-        results, traces and energy ledgers (asserted per backend by the
-        conformance suite, ``tests/test_backend_conformance.py``).
+        ``engine`` selects any registered backend (see
+        :func:`~repro.tile.backends.backend_names`); every backend
+        produces identical results, traces and energy ledgers (asserted
+        per backend by the conformance suite,
+        ``tests/test_backend_conformance.py``).
         """
         spikes = validate_spikes(spikes, self.tiles[0].n_in, batch=True)
         return self.engine_backend(engine).infer_batch(spikes, trace)

@@ -30,7 +30,6 @@ from test_engine_equivalence import (
 from repro.errors import ConfigurationError
 from repro.sram.bitcell import CellType
 from repro.tile.backends import (
-    ENGINES,
     backend_factory,
     backend_names,
     engines_doc,
@@ -53,13 +52,6 @@ def cycle_reference(spikes, cell_type=CellType.C1RW4R, vprech=0.5):
 class TestRegistry:
     def test_builtin_backends_registered(self):
         assert {"fast", "cycle", "bitpacked"} <= set(backend_names())
-
-    def test_engines_view_behaves_like_the_historical_tuple(self):
-        assert tuple(ENGINES) == backend_names()
-        assert "fast" in ENGINES
-        assert len(ENGINES) == len(backend_names())
-        assert ENGINES[0] == backend_names()[0]
-        assert ENGINES == backend_names()
 
     def test_unknown_backend_rejected_with_full_list(self):
         with pytest.raises(ConfigurationError, match="fast"):

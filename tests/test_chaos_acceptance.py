@@ -138,7 +138,7 @@ class TestResume:
         ).run()
 
         cache = ResultCache(tmp_path / "interrupted")
-        real_task = reliability_runner._evaluate_task
+        real_task = reliability_runner.evaluate_fault_point
         evaluated: list = []
         interrupt_after = 2
 
@@ -150,7 +150,7 @@ class TestResume:
             return result
 
         monkeypatch.setattr(
-            reliability_runner, "_evaluate_task", interruptible
+            reliability_runner, "evaluate_fault_point", interruptible
         )
         first = ReliabilityRunner(spec, cache=cache)
         with pytest.raises(KeyboardInterrupt):
@@ -163,7 +163,9 @@ class TestResume:
         # Resume: only the unfinished points are evaluated; the two
         # finished ones are cache hits (zero recomputation).
         evaluated.clear()
-        monkeypatch.setattr(reliability_runner, "_evaluate_task", real_task)
+        monkeypatch.setattr(
+            reliability_runner, "evaluate_fault_point", real_task
+        )
         second = ReliabilityRunner(spec, cache=cache)
         result = second.run()
         assert result.stats.cache_hits == interrupt_after

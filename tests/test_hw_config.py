@@ -35,6 +35,12 @@ GOLDEN_PAPER_POINT_KEY = (
     "dffe3a876447d2e763eb5dc715eb27cdd967a8f7f440693ceaf8d539eb5785d5"
 )
 
+#: The same pin for the paper point's fault-campaign entry
+#: (``FaultPoint(hardware=HardwareConfig())`` under ``kind="reliability"``).
+GOLDEN_PAPER_FAULT_POINT_KEY = (
+    "00a890e338ba85df5d9a040cb34345828f5288fdb99b737bf30b2bb2fb75be4a"
+)
+
 
 def tiny_network(config: HardwareConfig) -> EsamNetwork:
     import numpy as np
@@ -153,7 +159,7 @@ class TestRoundTripAndHashing:
 class TestGoldenCacheKey:
     def test_paper_point_cache_key_is_pinned(self):
         """Golden key: changing the derivation invalidates on-disk caches."""
-        from repro.sweep import DesignPoint, point_key
+        from repro.sweep import DesignPoint, entry_key
 
         point = DesignPoint(hardware=HardwareConfig())
         assert point.to_dict() == {
@@ -162,16 +168,65 @@ class TestGoldenCacheKey:
             "clock_period_ns": None, "sample_images": 64, "engine": "fast",
             "quality": "full", "seed": 42,
         }
-        assert point_key(point, "f" * 64) == GOLDEN_PAPER_POINT_KEY
+        assert (entry_key("sweep", point.to_dict(), "f" * 64)
+                == GOLDEN_PAPER_POINT_KEY)
+
+    def test_paper_fault_point_cache_key_is_pinned(self):
+        from repro.reliability import FaultPoint
+        from repro.sweep import entry_key
+
+        point = FaultPoint(hardware=HardwareConfig())
+        assert entry_key("reliability", point.to_dict(), "f" * 64) == \
+            GOLDEN_PAPER_FAULT_POINT_KEY
+
+    @pytest.mark.parametrize("kind", ["sweep", "reliability"])
+    def test_runner_writes_its_entry_under_the_entry_key(self, kind,
+                                                         tmp_path):
+        """Each campaign runner commits a point's row under
+        ``entry_key(kind, point.to_dict(), weights_fingerprint(snn))``,
+        with ``kind`` and ``fingerprint`` stored beside the row."""
+        from repro.learning.pretrained import get_reference_model
+        from repro.reliability import FaultCampaignSpec, ReliabilityRunner
+        from repro.sweep import (
+            ResultCache, SweepRunner, SweepSpec, entry_key,
+            weights_fingerprint,
+        )
+
+        if kind == "sweep":
+            runner = SweepRunner(
+                SweepSpec(name="key", cell_types=(CellType.C1RW4R,),
+                          sample_images=(2,), quality="fast"),
+                cache=ResultCache(tmp_path),
+            )
+        else:
+            runner = ReliabilityRunner(
+                FaultCampaignSpec(name="key", bit_error_rates=(1e-3,),
+                                  trials=1, sample_images=2,
+                                  quality="fast"),
+                cache=ResultCache(tmp_path),
+            )
+        (point,) = runner.spec.expand()
+        fingerprint = weights_fingerprint(
+            get_reference_model("fast", point.seed).snn
+        )
+        key = entry_key(kind, point.to_dict(), fingerprint)
+        result = runner.run()
+        assert result.stats.evaluated == 1
+        assert len(runner.cache) == 1 and key in runner.cache
+        stored = runner.cache.get(key)
+        assert stored["kind"] == kind
+        assert stored["fingerprint"] == fingerprint
+        assert stored["point"] == point.to_dict()
 
     def test_clock_override_changes_the_key_and_the_evaluation(self):
         """A clock-pinned point must not alias the nominal point."""
-        from repro.sweep import DesignPoint, point_key
+        from repro.sweep import DesignPoint, entry_key
 
         nominal = DesignPoint(hardware=HardwareConfig())
         pinned = DesignPoint(hardware=HardwareConfig(clock_period_ns=2.0))
         assert nominal != pinned
-        assert point_key(nominal, "f" * 64) != point_key(pinned, "f" * 64)
+        assert (entry_key("sweep", nominal.to_dict(), "f" * 64)
+                != entry_key("sweep", pinned.to_dict(), "f" * 64))
         assert DesignPoint.from_dict(pinned.to_dict()) == pinned
 
 

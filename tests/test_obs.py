@@ -385,45 +385,47 @@ class TestServerInstrumentation:
 
 
 class TestCampaignInstrumentation:
-    def test_run_cached_points_counts_and_traces(self, tmp_path,
-                                                 installed_tracer):
-        from repro.sweep.cache import ResultCache
-        from repro.sweep.runner import run_cached_points
+    def test_runner_counts_and_traces(self, tmp_path, installed_tracer):
+        from repro.sweep import ResultCache, SweepRunner, SweepSpec
 
         registry = get_registry()
         hits_before = registry.counter(
-            "repro_cache_hits_total", kind="obs-test"
+            "repro_cache_hits_total", kind="sweep"
         ).value
         misses_before = registry.counter(
-            "repro_cache_misses_total", kind="obs-test"
+            "repro_cache_misses_total", kind="sweep"
         ).value
 
+        spec = SweepSpec(name="obs", cell_types=(CellType.C1RW4R,),
+                         vprechs=(0.5, 0.6, 0.7), sample_images=(2,),
+                         quality="fast")
         cache = ResultCache(tmp_path / "cache")
-        kwargs = dict(
-            cache=cache, key_fn=lambda p: f"obs-{p}",
-            load_row=lambda data: data["value"],
-            dump_row=lambda row: {"value": row},
-            evaluate=lambda points: [p * 10 for p in points],
-            kind="obs-test",
-        )
-        rows, stats = run_cached_points([1, 2, 3], **kwargs)
-        assert rows == [10, 20, 30]
-        assert (stats.cache_hits, stats.evaluated) == (0, 3)
-        rows, stats = run_cached_points([1, 2, 3], **kwargs)
-        assert rows == [10, 20, 30]
-        assert (stats.cache_hits, stats.evaluated) == (3, 0)
+        cold = SweepRunner(spec, cache=cache).run()
+        assert (cold.stats.cache_hits, cold.stats.evaluated) == (0, 3)
+        warm = SweepRunner(spec, cache=cache).run()
+        assert (warm.stats.cache_hits, warm.stats.evaluated) == (3, 0)
+        assert [r.metrics for r in warm.rows] == \
+            [r.metrics for r in cold.rows]
 
         hits = registry.counter(
-            "repro_cache_hits_total", kind="obs-test"
+            "repro_cache_hits_total", kind="sweep"
         ).value
         misses = registry.counter(
-            "repro_cache_misses_total", kind="obs-test"
+            "repro_cache_misses_total", kind="sweep"
         ).value
         assert hits - hits_before == 3
         assert misses - misses_before == 3
-        names = [s.name for s in installed_tracer.spans()]
+        spans = installed_tracer.spans()
+        names = [s.name for s in spans]
         assert names.count("campaign.cache_scan") == 2
         assert names.count("campaign.evaluate") == 2
+        scans = [s.attrs for s in spans if s.name == "campaign.cache_scan"]
+        assert scans == [
+            {"kind": "sweep", "points": 3, "hits": 0, "misses": 3},
+            {"kind": "sweep", "points": 3, "hits": 3, "misses": 0},
+        ]
+        points = [s.attrs for s in spans if s.name == "campaign.point"]
+        assert points == [{"kind": "sweep", "index": i} for i in range(3)]
 
 
 # -- the dashboard -------------------------------------------------------------------

@@ -21,6 +21,10 @@ import pathlib
 import pytest
 
 from repro.hw.config import HardwareConfig
+from repro.sram.bitcell import CellType
+from repro.sweep import DesignPoint, SweepResult, SweepRow, SweepStats
+from repro.sweep.__main__ import main as sweep_main
+from repro.system.energy import SystemMetrics
 from repro.system.evaluate import SystemEvaluator
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "figure8_fast8.json"
@@ -86,3 +90,44 @@ class TestParity:
         # separately because NaN != NaN.
         assert claims.pop("accuracy") == want.pop("accuracy")
         assert claims == want
+
+    def test_cli_claims_output_pinned(self, golden, capsys):
+        """`python -m repro.sweep figure8 --claims` prints exactly the
+        golden headline claims for the golden configuration."""
+        config = golden["config"]
+        code = sweep_main([
+            "figure8", "--quality", config["quality"],
+            "--sample-images", str(config["sample_images"]),
+            "--seed", str(config["seed"]), "--no-cache", "--claims",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        table = SweepResult(
+            spec_name="figure8",
+            rows=[
+                SweepRow(
+                    point=DesignPoint(
+                        cell_type=CellType(row["cell_type"]),
+                        sample_images=config["sample_images"],
+                        quality=config["quality"], seed=config["seed"],
+                    ),
+                    metrics=SystemMetrics(**row["metrics"]),
+                )
+                for row in golden["rows"]
+            ],
+            stats=SweepStats(evaluated=len(golden["rows"])),
+        ).render()
+        assert out.startswith(table + "\n")
+        claims = golden["claims"]
+        assert "\n".join([
+            "headline claims (paper -> measured):",
+            f"  speedup vs 1RW:      3.1x  -> "
+            f"{claims['speedup_vs_1rw']:.2f}x",
+            f"  energy efficiency:   2.2x  -> "
+            f"{claims['energy_efficiency_vs_1rw']:.2f}x",
+            f"  throughput:     44 MInf/s  -> "
+            f"{claims['throughput_minf_s']:.1f} MInf/s",
+            f"  energy/inference: 607 pJ   -> "
+            f"{claims['energy_per_inf_pj']:.0f} pJ",
+            f"  power:             29 mW   -> {claims['power_mw']:.1f} mW",
+        ]) in out

@@ -412,17 +412,6 @@ class TestJobDirExecutor:
 
 
 class TestJournalConsistency:
-    def test_run_cached_points_rejects_journal_without_cache(self, tmp_path):
-        from repro.sweep.runner import run_cached_points
-
-        with pytest.raises(ConfigurationError, match="journal"):
-            run_cached_points(
-                [1], cache=None, key_fn=None,
-                load_row=lambda d: d, dump_row=lambda r: r,
-                evaluate=lambda points: points,
-                journal_dir=tmp_path / "journal",
-            )
-
     def test_sweep_cli_rejects_resume_without_cache(self):
         from repro.sweep.__main__ import main as sweep_main
 
@@ -445,7 +434,7 @@ class TestJournalConsistency:
             reliability_main(["--query", "", "--no-cache"])
 
     def test_interrupt_message_is_honest_about_no_cache(self, capsys):
-        from repro.resilience.cli import SIGINT_EXIT, print_interrupted
+        from repro.store.cli import SIGINT_EXIT, print_interrupted
 
         assert print_interrupted("python -m repro.sweep", ["vprech"],
                                  cached=False) == SIGINT_EXIT

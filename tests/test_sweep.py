@@ -23,8 +23,8 @@ from repro.sweep import (
     SweepResult,
     SweepRunner,
     SweepSpec,
+    entry_key,
     figure8_spec,
-    point_key,
     vprech_spec,
     weights_fingerprint,
 )
@@ -85,6 +85,15 @@ class TestSpec:
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError, match="axis"):
             SweepSpec(name="bad", cell_types=())
+
+    def test_duplicate_axis_values_rejected(self):
+        """A repeated axis value would evaluate the same point twice in
+        one run and journal a total the cache can never reach."""
+        with pytest.raises(ConfigurationError, match="duplicates"):
+            SweepSpec(name="dup", cell_types=(CellType.C6T, CellType.C6T),
+                      sample_images=(4,), quality=QUALITY)
+        with pytest.raises(ConfigurationError, match="vprechs"):
+            SweepSpec(name="dup", vprechs=(0.5, 0.5), quality=QUALITY)
 
     def test_named_sweeps_registry(self):
         assert set(NAMED_SWEEPS) == {
@@ -156,21 +165,6 @@ class TestShardingParity:
             assert got.cell_type == want.cell_type
             assert got.metrics == want.metrics  # bit-identical
 
-    def test_injected_evaluator_requires_single_worker(self):
-        evaluator = SystemEvaluator(
-            sample_images=SAMPLE, quality=QUALITY,
-        )
-        with pytest.raises(ConfigurationError, match="sharded"):
-            SweepRunner(small_spec(), n_workers=2, evaluator=evaluator)
-
-    def test_injected_evaluator_must_match_spec(self):
-        """A mismatched evaluator would cache rows under the wrong config."""
-        evaluator = SystemEvaluator(
-            sample_images=4, quality=QUALITY,
-        )
-        with pytest.raises(ConfigurationError, match="does not match"):
-            SweepRunner(small_spec(sample_images=8), evaluator=evaluator)
-
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError, match="n_workers"):
             SweepRunner(small_spec(), n_workers=0)
@@ -233,7 +227,7 @@ class TestCache:
     def test_point_key_depends_on_every_field(self, fast_model):
         fp = weights_fingerprint(fast_model.snn)
         base = DesignPoint(cell_type=CellType.C6T, quality=QUALITY)
-        keys = {point_key(base, fp)}
+        keys = {entry_key("sweep", base.to_dict(), fp)}
         for variant in (
             dataclasses.replace(base, cell_type=CellType.C1RW4R),
             dataclasses.replace(base, vprech=0.6),
@@ -243,8 +237,8 @@ class TestCache:
             dataclasses.replace(base, node="5nm"),
             dataclasses.replace(base, corner="slow"),
         ):
-            keys.add(point_key(variant, fp))
-        keys.add(point_key(base, "0" * 64))
+            keys.add(entry_key("sweep", variant.to_dict(), fp))
+        keys.add(entry_key("sweep", base.to_dict(), "0" * 64))
         assert len(keys) == 9
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
