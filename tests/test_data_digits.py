@@ -1,11 +1,47 @@
 """Synthetic digit dataset (the MNIST substitute)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data.digits import IMAGE_SIZE, DigitGenerator, render_digit
 from repro.data.loader import load_dataset
 from repro.errors import ConfigurationError
+from repro.learning.pretrained import _PRESETS
+
+#: sha256 of ``images.tobytes()`` (float32) and ``labels.tobytes()``
+#: (int64) for both splits of both reference-model presets at seed 42.
+#: The trained models, the golden captures and every accuracy figure
+#: rest on these images, so the renderer must reproduce them bit for
+#: bit.
+PINNED_SHA256 = {
+    ("full", "train"): (
+        "6c81ddc98c7b8d22d2fe1a09768715a957aa9d4dc1eb4b421f8702f56dd2887e",
+        "12db8473149cd1d40974fb0d6bc3db3875cf860430742a3d88c4bfd8c05416bf",
+    ),
+    ("full", "test"): (
+        "5de19ddb579f40789821470e4977dd5b1ab43b62781f04ebeeb5f933c6448749",
+        "5dfaf326c928927d2549a5d42acc5da1b365020833f33472d8a91e21d2ae2d43",
+    ),
+    ("fast", "train"): (
+        "b7382833dd81b82545a3732b935e5c369ee2caa6bce8b9d49b2139a29cf9d005",
+        "34347b0cdc7156e7e9b8f7ef8effe7ce3a3b169e1f01767e80e90c2f8e6809b1",
+    ),
+    ("fast", "test"): (
+        "8100e647e15af2c463131b4e5ad4185e3a70f0c060224b253ad77e5c5a63b905",
+        "4194f0621e336b410c317484190612475eac41e99b8f9bcd9f3e293fc9af34a8",
+    ),
+}
+
+
+def split_sha256(dataset, split: str) -> tuple[str, str]:
+    """sha256 of one split's images and labels, checking their dtypes."""
+    images = getattr(dataset, f"{split}_images")
+    labels = getattr(dataset, f"{split}_labels")
+    assert images.dtype == np.float32 and labels.dtype == np.int64
+    return (hashlib.sha256(images.tobytes()).hexdigest(),
+            hashlib.sha256(labels.tobytes()).hexdigest())
 
 
 class TestRenderDigit:
@@ -80,3 +116,10 @@ class TestLoader:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ConfigurationError):
             load_dataset(0, 10)
+
+    @pytest.mark.parametrize("quality,split", list(PINNED_SHA256),
+                             ids=lambda v: str(v))
+    def test_reference_splits_pinned(self, quality, split):
+        preset = _PRESETS[quality]
+        ds = load_dataset(preset["n_train"], preset["n_test"], seed=42)
+        assert split_sha256(ds, split) == PINNED_SHA256[quality, split]
