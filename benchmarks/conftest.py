@@ -2,7 +2,8 @@
 
 The benchmarks regenerate every table and figure of the paper's
 evaluation section; each prints a paper-vs-measured comparison so the
-console log doubles as the reproduction record (EXPERIMENTS.md).
+console log doubles as the reproduction record (see PAPER.md;
+``python -m repro.reproduce`` writes every table and figure).
 """
 
 from __future__ import annotations

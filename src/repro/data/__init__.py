@@ -6,7 +6,8 @@ procedurally (stroke-skeleton rendering with random affine jitter,
 stroke-width variation and pixel noise).  The full pipeline — corner
 cropping to 768 inputs, binarisation, BNN training, SNN conversion,
 spike-by-spike hardware simulation — is identical to the paper's; only
-the absolute accuracy value is dataset-dependent (see EXPERIMENTS.md).
+the absolute accuracy value is dataset-dependent (see the note on the
+MNIST substitute in PAPER.md).
 """
 
 from repro.data.digits import DigitGenerator, render_digit

@@ -8,6 +8,7 @@ re-rendering across benchmarks in the same session.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,16 +18,31 @@ from repro.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class DigitDataset:
-    """Float images in [0, 1] plus integer labels."""
+    """Float images in [0, 1] plus integer labels.
 
-    train_images: np.ndarray
-    train_labels: np.ndarray
+    The test split is rendered when the dataset is built.  The training
+    split is rendered on the first read of ``train_images``,
+    ``train_labels`` or :meth:`class_balance`, since only training reads
+    it.  The two splits draw from separate generators, so when the
+    training split is rendered cannot change either split.
+    """
+
     test_images: np.ndarray
     test_labels: np.ndarray
+    n_train: int
+    _train_seed: int
+
+    @cached_property
+    def _train_split(self) -> tuple[np.ndarray, np.ndarray]:
+        return DigitGenerator(seed=self._train_seed).generate(self.n_train)
 
     @property
-    def n_train(self) -> int:
-        return self.train_images.shape[0]
+    def train_images(self) -> np.ndarray:
+        return self._train_split[0]
+
+    @property
+    def train_labels(self) -> np.ndarray:
+        return self._train_split[1]
 
     @property
     def n_test(self) -> int:
@@ -48,14 +64,13 @@ def load_dataset(n_train: int = 6000, n_test: int = 1500,
         raise ConfigurationError("n_train and n_test must be >= 1")
     key = (seed, n_train, n_test)
     if key not in _CACHE:
-        train_gen = DigitGenerator(seed=seed)
-        test_gen = DigitGenerator(seed=seed + 1_000_003)
-        train_images, train_labels = train_gen.generate(n_train)
-        test_images, test_labels = test_gen.generate(n_test)
+        test_images, test_labels = DigitGenerator(
+            seed=seed + 1_000_003
+        ).generate(n_test)
         _CACHE[key] = DigitDataset(
-            train_images=train_images,
-            train_labels=train_labels,
             test_images=test_images,
             test_labels=test_labels,
+            n_train=n_train,
+            _train_seed=seed,
         )
     return _CACHE[key]

@@ -88,6 +88,8 @@ def get_reference_model(quality: str = "full", seed: int = 42,
     if key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
     preset = _PRESETS[quality]
+    # Renders the test split only; the training split is rendered when
+    # the training branch below reads it.
     dataset = load_dataset(preset["n_train"], preset["n_test"], seed)
     path = _cache_path(quality, seed)
     if use_disk_cache and path.exists():

@@ -230,11 +230,6 @@ class LocalPoolExecutor:
             )
         self.n_workers = n_workers
 
-    @property
-    def uses_processes(self) -> bool:
-        """Whether payloads may run outside the calling process."""
-        return self.n_workers > 1
-
     def map(self, task, payloads: list, *,
             supervisor: SupervisorPolicy | None = None,
             chaos: ChaosPolicy | None = None,
@@ -370,7 +365,6 @@ class JobDirExecutor:
     """
 
     name = "job-dir"
-    uses_processes = True
 
     def __init__(self, job_dir, *, n_claimants: int = 2,
                  poll_s: float = 0.05) -> None:

@@ -1,7 +1,7 @@
 """Plain-text renderers for the reproduced tables and figures.
 
 Benchmarks print these so their output can be compared side by side
-with the paper; EXPERIMENTS.md embeds them.
+with the paper; ``python -m repro.reproduce`` writes them all.
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.data import digits, loader
 from repro.data.digits import IMAGE_SIZE, DigitGenerator, render_digit
 from repro.data.loader import load_dataset
 from repro.errors import ConfigurationError
-from repro.learning.pretrained import _PRESETS
+from repro.learning import pretrained
+from repro.learning.pretrained import _PRESETS, get_reference_model
 
 #: sha256 of ``images.tobytes()`` (float32) and ``labels.tobytes()``
 #: (int64) for both splits of both reference-model presets at seed 42.
@@ -74,12 +76,48 @@ class TestRenderDigit:
             render_digit(10)
 
 
+def per_segment_ink(a, b, pen):
+    """Reference rasteriser: every segment against every pixel, in turn."""
+    gy, gx = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE].astype(np.float64)
+    img = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
+    for a_k, b_k in zip(a, b):
+        ab = b_k - a_k
+        t = np.clip(((gx - a_k[0]) * ab[0] + (gy - a_k[1]) * ab[1])
+                    / float(ab @ ab), 0.0, 1.0)
+        dist = np.hypot(gx - (a_k[0] + t * ab[0]), gy - (a_k[1] + t * ab[1]))
+        img = np.maximum(img, np.clip(1.0 + pen - dist, 0.0, 1.0))
+    return img
+
+
+class TestRasteriserBitExact:
+    """The vectorised passes against plain references, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ink_matches_per_segment_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        # Segments of 0.5-20 px, some reaching past the image's edges.
+        a = rng.uniform(-4.0, IMAGE_SIZE + 3.0, (30, 2))
+        step = rng.uniform(0.5, 20.0, (30, 1))
+        angle = rng.uniform(0.0, 2.0 * np.pi, (30, 1))
+        b = a + step * np.hstack([np.cos(angle), np.sin(angle)])
+        pen = rng.uniform(0.95, 1.45)
+        assert digits._ink(a, b, pen).tobytes() == (
+            per_segment_ink(a, b, pen).tobytes())
+
+    def test_blur_matches_convolve(self):
+        img = np.random.default_rng(3).random((IMAGE_SIZE, IMAGE_SIZE))
+        k = np.array([0.25, 0.5, 0.25])
+        rows = np.apply_along_axis(np.convolve, 1, img, k, mode="same")
+        both = np.apply_along_axis(np.convolve, 0, rows, k, mode="same")
+        assert digits._blur3(img).tobytes() == both.tobytes()
+
+
 class TestDigitGenerator:
     def test_deterministic(self):
         a_imgs, a_labels = DigitGenerator(seed=3).generate(20)
         b_imgs, b_labels = DigitGenerator(seed=3).generate(20)
-        assert (a_labels == b_labels).all()
-        assert np.allclose(a_imgs, b_imgs)
+        assert a_labels.tobytes() == b_labels.tobytes()
+        assert a_imgs.tobytes() == b_imgs.tobytes()
 
     def test_respects_class_subset(self):
         _, labels = DigitGenerator(seed=1).generate(50, classes=(3, 7))
@@ -123,3 +161,33 @@ class TestLoader:
         preset = _PRESETS[quality]
         ds = load_dataset(preset["n_train"], preset["n_test"], seed=42)
         assert split_sha256(ds, split) == PINNED_SHA256[quality, split]
+
+
+class TestLazyTrainingSplit:
+    def test_cached_model_renders_only_the_test_split(
+            self, tmp_path, monkeypatch, fast_model):
+        """A disk-cache hit renders ``n_test`` digits and no more.
+
+        The training split waits for its first read, and then matches
+        its pin.  Fresh in-memory caches keep the session's untouched.
+        """
+        monkeypatch.setattr(pretrained, "_ARTIFACT_DIR", tmp_path)
+        monkeypatch.setattr(pretrained, "_MEMORY_CACHE", {})
+        monkeypatch.setattr(loader, "_CACHE", {})
+        pretrained._save(pretrained._cache_path("fast", 42),
+                         fast_model.snn, fast_model.test_accuracy)
+        rendered = []
+
+        def counting_render(digit, *args, **kwargs):
+            rendered.append(digit)
+            return render_digit(digit, *args, **kwargs)
+
+        monkeypatch.setattr(digits, "render_digit", counting_render)
+        model = get_reference_model("fast", 42)
+        n_test = _PRESETS["fast"]["n_test"]
+        assert len(rendered) == n_test == model.dataset.n_test
+        assert model.dataset.n_train == 1500
+        assert len(rendered) == n_test
+        assert split_sha256(model.dataset, "train") == PINNED_SHA256[
+            "fast", "train"]
+        assert len(rendered) == n_test + 1500

@@ -320,8 +320,6 @@ class TestLocalPoolExecutor:
         payloads = list(range(6))
         pool = LocalPoolExecutor(1)
         assert pool.map(_double, payloads) == [_double(p) for p in payloads]
-        assert not pool.uses_processes
-        assert LocalPoolExecutor(3).uses_processes
 
     def test_on_done_fires_per_payload(self):
         seen = {}
