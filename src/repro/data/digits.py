@@ -132,8 +132,8 @@ def _ink(a: np.ndarray, b: np.ndarray, pen: float) -> np.ndarray:
     """
     ab = b - a
     # Each segment's ``ab @ ab``, summed by the same matmul loop (BLAS's
-    # dot).  ``abx*abx + aby*aby`` rounds differently, and the pinned
-    # images carry this rounding.
+    # dot) as the per-segment form the images were made with;
+    # ``abx*abx + aby*aby`` rounds differently.
     denom = (ab[:, None, :] @ ab[:, :, None]).ravel()
     reach = 2.0 + pen
     lo = np.clip(np.ceil(np.minimum(a, b) - reach), 0, _LAST).astype(np.intp)

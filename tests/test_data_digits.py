@@ -155,8 +155,7 @@ class TestLoader:
         with pytest.raises(ConfigurationError):
             load_dataset(0, 10)
 
-    @pytest.mark.parametrize("quality,split", list(PINNED_SHA256),
-                             ids=lambda v: str(v))
+    @pytest.mark.parametrize("quality,split", list(PINNED_SHA256), ids=str)
     def test_reference_splits_pinned(self, quality, split):
         preset = _PRESETS[quality]
         ds = load_dataset(preset["n_train"], preset["n_test"], seed=42)
@@ -169,7 +168,8 @@ class TestLazyTrainingSplit:
         """A disk-cache hit renders ``n_test`` digits and no more.
 
         The training split waits for its first read, and then matches
-        its pin.  Fresh in-memory caches keep the session's untouched.
+        its pin.  Fresh in-memory caches leave the ones other tests
+        share untouched.
         """
         monkeypatch.setattr(pretrained, "_ARTIFACT_DIR", tmp_path)
         monkeypatch.setattr(pretrained, "_MEMORY_CACHE", {})
