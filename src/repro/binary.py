@@ -14,11 +14,16 @@ import numpy as np
 def is_binary(values: np.ndarray) -> bool:
     """True when ``values`` is boolean, or numeric holding only 0 and 1.
 
-    One elementwise comparison pass, no sort: weight writes call it on
-    every macro load.  NaN, strings, objects and complex numbers are
+    Every served request, batch and macro load calls it, so it takes
+    one pass: integers one ``max`` over their unsigned view (a
+    negative value wraps to a large one), floats one elementwise test
+    (NaN and 0.5 fail it).  Strings, objects and complex numbers are
     not binary.
     """
-    if values.dtype == np.bool_:
+    kind = values.dtype.kind
+    if kind == "b":
         return True
-    return (values.dtype.kind in "iuf"
-            and bool(((values == 0) | (values == 1)).all()))
+    if kind in "iu":
+        unsigned = values.view(values.dtype.str.replace("i", "u"))
+        return bool(unsigned.max(initial=0) <= 1)
+    return kind == "f" and bool(((values == 0) | (values == 1)).all())

@@ -22,8 +22,8 @@ stale planes or schedules cannot survive online learning or fault
 injection.
 
 Saturation is exact by the same argument as the fast engine: the
-closed-form delta is clipped once per drain, and any batch row whose
-membranes could cross a 12-bit rail *mid*-drain falls back to the
+closed-form delta needs no clipping unless a batch row's membranes
+could reach a 12-bit rail *mid*-drain, and those rows fall back to the
 grant-ordered replay inherited from :class:`~repro.tile.engine.
 _TileKernel`.
 """
@@ -36,7 +36,7 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.tile.engine import FastEngine, _TileKernel
-from repro.tile.fast import DrainSchedule, block_pending_counts
+from repro.tile.fast import block_pending_counts
 
 #: Bits per packed word.
 WORD_BITS = 64
@@ -248,21 +248,6 @@ class _BitpackedKernel(_TileKernel):
                     deltas[u].copy(), pendings[u].copy()
                 )
         return pendings[inverse], deltas[inverse]
-
-    def process(self, vmem: np.ndarray,
-                spikes: np.ndarray) -> tuple[DrainSchedule, np.ndarray]:
-        pending_per_block, delta = self._schedule_and_delta(spikes)
-        ports = self.tile.ports
-        schedule = DrainSchedule(
-            pending_per_block=pending_per_block,
-            grants=pending_per_block.sum(axis=1),
-            cycles=(-(-pending_per_block // ports)).max(axis=1),
-            ports=ports,
-        )
-        out = np.clip(vmem + delta, self.vmem_min, self.vmem_max)
-        return schedule, self._recompute_saturating_rows(
-            vmem, out, np.atleast_2d(spikes), schedule.grants
-        )
 
 
 class BitpackedEngine(FastEngine):

@@ -22,10 +22,18 @@ class CycleEngine:
         self.network = network
 
     def infer_batch(self, spikes: np.ndarray, trace=None) -> np.ndarray:
-        """Sequential :meth:`EsamNetwork.infer` over every batch row."""
-        return np.stack(
-            [self.network.infer(row, trace) for row in spikes]
-        )
+        """Sequential :meth:`EsamNetwork.infer` over every batch row.
+
+        The trace records the rows as one batch, an empty one included.
+        """
+        tiles = self.network.tiles
+        cycles_before = [t.stats.total_cycles for t in tiles]
+        scores = np.zeros((len(spikes), tiles[-1].n_out))
+        for b, row in enumerate(spikes):
+            scores[b] = self.network.infer(row)
+        if trace is not None:
+            trace.record(tiles, len(spikes), cycles_before)
+        return scores
 
     def classify_batch(self, spikes: np.ndarray, trace=None) -> np.ndarray:
         """Predicted class per batch row (arg-max readout)."""

@@ -5,9 +5,11 @@ The cycle-accurate path (:class:`~repro.tile.tile.Tile` stepped by
 but its per-cycle Python loop makes large system sweeps impractical.
 Fixed-priority arbitration is deterministic, so the whole drain of an
 input spike vector can be *computed* instead of clocked
-(:mod:`repro.tile.fast`), and the neuron accumulation of a full drain
-collapses to one ``spikes @ (2W - 1)`` matmul per layer with saturating
-clipping.
+(:mod:`repro.tile.fast`).  Each tile pass is one float32 matmul of the
+spikes against ``[2W - 1 | block indicator]``, a matrix built once per
+engine: the left columns give every membrane's drained charge, the
+last ``row_blocks`` columns every image's pending count per arbiter
+block, from which the drain schedule follows.
 
 :class:`FastEngine` runs that closed form over ``(B, n_in)`` batches
 and replays the results into the exact same bookkeeping the per-cycle
@@ -19,11 +21,15 @@ sees numbers *identical* to a sequential cycle-accurate run.  The
 equivalence test suite asserts this across cell types, Vprech regimes
 and temporal mode.
 
-Saturation is handled exactly: the closed form clips once per drain,
-which matches the per-cycle reference whenever no membrane can cross a
-12-bit rail mid-drain; batch rows where that cannot be ruled out
-(start magnitude + pending spikes beyond a rail) are replayed in grant
-order with per-step clipping, so equivalence holds unconditionally.
+Saturation is handled exactly without clipping: a membrane that
+starts at ``v`` and takes ``g`` grants stays within
+``[v - g, v + g]`` for the whole drain, so rows whose start plus
+grants stays inside the 12-bit rails never saturate, and their matmul
+result is the per-cycle result.  The remaining rows are replayed in
+grant order with per-step clipping, so equivalence holds
+unconditionally.  A static batch starts from zero membranes (unless a
+temporal run left residue for its first image), so that check is one
+comparison of the batch's largest grant count with the rails.
 """
 
 from __future__ import annotations
@@ -32,67 +38,86 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.trace import get_tracer
-from repro.tile.fast import (
-    DrainSchedule,
-    drain_schedule,
-    grant_cycle_of_rows,
-    saturating_accumulate,
-    signed_weights,
-)
+from repro.tile.fast import DrainSchedule, drain_matrix, grant_cycle_of_rows
 
 
 class _TileKernel:
     """Precomputed batched view of one tile (weights, limits, shape).
 
     Subclass hook for alternative backends
-    (:mod:`repro.tile.backends`): override :meth:`process` to compute
-    the drain schedule and the accumulated membranes with different
-    arithmetic — the engine replays whatever schedule the kernel
-    returns into the hardware ledgers, so the bookkeeping path is
-    shared by every backend.
+    (:mod:`repro.tile.backends`): override :meth:`_schedule_and_delta`
+    to compute the pending counts and the drained charge with different
+    arithmetic — the schedule, the rail check and the engine's ledger
+    replay are shared by every backend.
     """
 
-    __slots__ = ("tile", "signed", "thresholds", "vmem_min", "vmem_max")
+    __slots__ = ("tile", "matrix", "signed", "thresholds", "vmem_min",
+                 "vmem_max")
 
     def __init__(self, tile) -> None:
         self.tile = tile
-        self.signed = signed_weights(tile.weight_matrix())
-        self.thresholds = np.concatenate([n.thresholds for n in tile.neurons])
+        self.matrix = drain_matrix(
+            tile.weight_matrix(), tile.mapping.array_dim
+        )
+        self.signed = self.matrix[:, :tile.n_out]
+        # Membranes are integers inside the 12-bit rails, and float32
+        # rounds an integer threshold only beyond 2**24, so comparing
+        # in float32 fires exactly the neurons the int64 compare would.
+        self.thresholds = np.concatenate(
+            [n.thresholds for n in tile.neurons]
+        ).astype(np.float32)
         reference = tile.neurons[0]
         self.vmem_min = reference._vmem_min
         self.vmem_max = reference._vmem_max
 
-    def process(self, vmem: np.ndarray,
+    def process(self, start: np.ndarray | None,
                 spikes: np.ndarray) -> tuple[DrainSchedule, np.ndarray]:
-        """One tile pass: the drain schedule and the drained membranes."""
-        schedule = drain_schedule(
-            spikes, self.tile.ports, self.tile.mapping.array_dim
-        )
-        out = saturating_accumulate(
-            vmem, spikes, self.signed, self.vmem_min, self.vmem_max
-        )
-        return schedule, self._recompute_saturating_rows(
-            vmem, out, spikes, schedule.grants
-        )
+        """One tile pass: the drain schedule and the drained membranes.
 
-    def _recompute_saturating_rows(self, vmem: np.ndarray, out: np.ndarray,
-                                   spikes: np.ndarray,
-                                   pending: np.ndarray) -> np.ndarray:
-        """Make a clipped one-shot drain ``out`` exact, in place.
-
-        Clipping once per drain is exact unless a membrane could cross
-        a register rail *mid*-drain: its start magnitude plus the
-        image's ``pending`` spikes (the schedule's grants) lies beyond
-        the rail.  Those rare rows are recomputed in grant order with
-        per-accumulate clipping, so the result always equals the
-        per-cycle reference.
+        ``start`` holds the ``(B, n_out)`` membranes the drain begins
+        from, or is ``None`` when they are all zero.  This kernel
+        returns float32 membranes, exact for every value inside the
+        rails.
         """
+        pending, out = self._schedule_and_delta(spikes)
+        schedule = DrainSchedule.from_pending(pending, self.tile.ports)
+        if start is not None:
+            out += start
+        return schedule, self._recompute_saturating_rows(
+            start, out, spikes, schedule.grants
+        )
+
+    def _schedule_and_delta(
+        self, spikes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-image block pending counts and drained charge: one matmul."""
+        n_out = self.tile.n_out
+        product = spikes.astype(np.float32) @ self.matrix
+        return product[:, n_out:].astype(np.int64), product[:, :n_out]
+
+    def _recompute_saturating_rows(self, start: np.ndarray | None,
+                                   out: np.ndarray, spikes: np.ndarray,
+                                   grants: np.ndarray) -> np.ndarray:
+        """Make the unclipped one-shot drain ``out`` exact, in place.
+
+        The one-shot sum equals the per-cycle reference unless a
+        membrane could reach a register rail during the drain: its start
+        magnitude plus the image's ``grants`` lies beyond the rail.
+        Those rare rows are recomputed in grant order with
+        per-accumulate clipping.  With a zero ``start`` (``None``) only
+        the batch's largest grant count needs checking.
+        """
+        if start is None:
+            reach = min(self.vmem_max, -self.vmem_min)
+            if grants.max(initial=0) <= reach:
+                return out
+            start = np.zeros(out.shape, dtype=np.int64)
         needs_exact = np.flatnonzero(
-            (vmem.max(axis=1, initial=0) + pending > self.vmem_max)
-            | (vmem.min(axis=1, initial=0) - pending < self.vmem_min)
+            (start.max(axis=1, initial=0) + grants > self.vmem_max)
+            | (start.min(axis=1, initial=0) - grants < self.vmem_min)
         )
         for b in needs_exact:
-            out[b] = self._accumulate_in_grant_order(vmem[b], spikes[b])
+            out[b] = self._accumulate_in_grant_order(start[b], spikes[b])
         return out
 
     def _accumulate_in_grant_order(self, vmem_row: np.ndarray,
@@ -127,7 +152,7 @@ class _TileKernel:
 
 
 class FastEngine:
-    """Schedule-based batched engine: closed-form drains over BLAS matmuls.
+    """Schedule-based batched engine: one float32 matmul per tile pass.
 
     The constructor snapshots the weight matrices out of the SRAM
     macros; if weights are later mutated in place (online learning),
@@ -154,7 +179,7 @@ class FastEngine:
     # -- bookkeeping ---------------------------------------------------------
 
     def _process_and_replay(self, index: int, kernel: _TileKernel,
-                            vmem: np.ndarray, x: np.ndarray, tracer):
+                            start: np.ndarray | None, x: np.ndarray, tracer):
         """One tile pass plus ledger replay, per-stage traced when on.
 
         The disabled path pays exactly one ``tracer.enabled`` check per
@@ -163,11 +188,11 @@ class FastEngine:
         if tracer.enabled:
             with tracer.span("engine.kernel", tile=index,
                              batch=int(x.shape[0])):
-                schedule, vmem = kernel.process(vmem, x)
+                schedule, vmem = kernel.process(start, x)
             with tracer.span("engine.replay", tile=index):
                 self._replay(kernel, schedule)
         else:
-            schedule, vmem = kernel.process(vmem, x)
+            schedule, vmem = kernel.process(start, x)
             self._replay(kernel, schedule)
         return schedule, vmem
 
@@ -206,28 +231,31 @@ class FastEngine:
     # -- time-static inference ------------------------------------------------
 
     @staticmethod
-    def _starting_vmem(tile, batch: int) -> np.ndarray:
-        """Membranes at the start of a static batch.
+    def _starting_vmem(tile, batch: int) -> np.ndarray | None:
+        """Membranes at the start of a static batch (``None``: all zero).
 
         The hardware accumulates on top of whatever charge the neurons
         hold (e.g. residue of a preceding temporal run); only the first
         batch image sees it — every fire resets all membranes after.
         """
+        if not batch:
+            return None
+        residual = tile.membrane_potentials()
+        if not residual.any():
+            return None
         start = np.zeros((batch, tile.n_out), dtype=np.int64)
-        if batch:
-            residual = tile.membrane_potentials()
-            if residual.any():
-                start[0] = residual
+        start[0] = residual
         return start
 
     def infer_batch(self, spikes: np.ndarray, trace=None) -> np.ndarray:
-        """Run a ``(B, n_in)`` spike batch through every tile.
+        """Run a validated 0/1 ``(B, n_in)`` spike batch through every tile.
 
         Returns the output-layer membrane readout ``(B, n_classes)``
         (plus the digital bias) and updates ``trace`` and all hardware
-        ledgers exactly as ``B`` sequential ``infer`` calls would.
+        ledgers exactly as ``B`` sequential ``infer`` calls would.  An
+        empty batch leaves every ledger and membrane as it was.
         """
-        x = np.atleast_2d(np.asarray(spikes)).astype(bool)
+        x = np.atleast_2d(np.asarray(spikes))
         tiles = self.network.tiles
         if x.shape[1] != tiles[0].n_in:
             raise ConfigurationError(
@@ -243,7 +271,7 @@ class FastEngine:
             )
             fired = vmem >= kernel.thresholds
             tile.stats.fire_cycles += batch
-            tile.stats.output_spikes += int(fired.sum())
+            tile.stats.output_spikes += np.count_nonzero(fired)
             for neurons in tile.neurons:
                 neurons.fire_checks += batch
                 # fire_check(reset_all=True) clears every membrane.
@@ -259,8 +287,9 @@ class FastEngine:
         tile.stats.fire_cycles += batch
         # The readout path resets the output-tile neurons every image,
         # which also clears their energy ledger — replicate that.
-        for neurons in tile.neurons:
-            neurons.reset()
+        if batch:
+            for neurons in tile.neurons:
+                neurons.reset()
         scores = vmem.astype(np.float64)
         if self.network.output_bias is not None:
             scores = scores + self.network.output_bias

@@ -9,6 +9,14 @@ and the tile reaches ``R_empty`` after the slowest row block.  Nothing
 about the drain needs to be simulated cycle-by-cycle — it can be
 *computed* with batched numpy over ``(B, n_in)`` spike matrices.
 
+The fast engine gets both the schedule and the accumulation from one
+float32 matmul per tile pass, against :func:`drain_matrix`'s
+``[2W - 1 | block indicator]``: the indicator columns count each
+block's pending spikes, and :meth:`DrainSchedule.from_pending` turns
+the counts into grants and cycles.  :func:`drain_schedule` and
+:func:`block_pending_counts` compute the same schedule straight from
+the spikes; the tests hold the engine to them.
+
 This module holds the pure-numpy primitives; the stateful engine that
 replays the schedule into the tile statistics and energy ledgers lives
 in :mod:`repro.tile.engine`.
@@ -41,6 +49,21 @@ class DrainSchedule:
     cycles: np.ndarray
     #: Arbiter grant ports per row block.
     ports: int
+
+    @classmethod
+    def from_pending(cls, pending: np.ndarray, ports: int) -> "DrainSchedule":
+        """The drain of integer ``(B, row_blocks)`` pending counts.
+
+        A block with ``s`` pending spikes drains in ``ceil(s / ports)``
+        cycles and the tile clocks until its fullest block empties;
+        ceil is monotone, so that is ``ceil(max_blocks s / ports)``.
+        """
+        return cls(
+            pending_per_block=pending,
+            grants=pending.sum(axis=1),
+            cycles=-(-pending.max(axis=1) // ports),
+            ports=ports,
+        )
 
     @property
     def batch(self) -> int:
@@ -90,13 +113,8 @@ def drain_schedule(spikes: np.ndarray, ports: int,
     """
     if ports < 1:
         raise ConfigurationError(f"ports must be >= 1, got {ports}")
-    pending = block_pending_counts(spikes, array_dim)
-    cycles = -(-pending // ports)  # ceil division, elementwise
-    return DrainSchedule(
-        pending_per_block=pending,
-        grants=pending.sum(axis=1),
-        cycles=cycles.max(axis=1),
-        ports=ports,
+    return DrainSchedule.from_pending(
+        block_pending_counts(spikes, array_dim), ports
     )
 
 
@@ -119,30 +137,28 @@ def grant_cycle_of_rows(block_spikes: np.ndarray,
     return rows, np.arange(rows.size, dtype=np.int64) // ports
 
 
-def signed_weights(weights: np.ndarray) -> np.ndarray:
-    """Binary weight bits mapped to the +-1 contribution matrix.
+def drain_matrix(weights: np.ndarray,
+                 array_dim: int = ARRAY_DIM) -> np.ndarray:
+    """The matrix one tile pass multiplies its spikes by.
 
-    Returned as float32 so the batched accumulate runs through a
-    single-precision BLAS matmul (``B x n_in @ n_in x n_out``).  That
-    is exact: every partial sum of a drain is an integer of magnitude
-    at most the fan-in, and float32 holds every integer up to 2**24
-    exactly, whatever order BLAS adds in.
+    For binary ``(n_in, n_out)`` weights this is the float32
+    ``[2W - 1 | block indicator]`` of shape
+    ``(n_in, n_out + ceil(n_in / array_dim))``: one single-precision
+    BLAS matmul of a ``(B, n_in)`` spike batch by it gives every
+    membrane's drained charge (the left columns) and every image's
+    pending count per arbiter block (the right ones).  That is exact:
+    every partial sum is an integer of magnitude at most the fan-in,
+    and float32 holds every integer up to 2**24 exactly, whatever
+    order BLAS adds in.
     """
-    return 2 * np.asarray(weights, dtype=np.float32) - 1
-
-
-def saturating_accumulate(vmem: np.ndarray, spikes: np.ndarray,
-                          signed: np.ndarray, vmem_min: int,
-                          vmem_max: int) -> np.ndarray:
-    """One full drain of accumulation, with m-bit register saturation.
-
-    Collapses the per-cycle +-1 adds into one matmul in the dtype of
-    ``signed`` (float32, exact while |delta| <= fan-in < 2**24, so no
-    rounding is needed) and clips to the register range — identical to
-    the per-cycle reference whenever no membrane crosses a rail
-    mid-drain (always true in time-static mode: the partial sums are
-    bounded by the layer fan-in, far below the 12-bit rails for every
-    supported layer width).
-    """
-    delta = (spikes.astype(signed.dtype) @ signed).astype(np.int64)
-    return np.clip(vmem + delta, vmem_min, vmem_max)
+    weights = np.asarray(weights)
+    n_in, n_out = weights.shape
+    rows = np.arange(n_in)
+    matrix = np.zeros(
+        (n_in, n_out + -(-n_in // array_dim)), dtype=np.float32
+    )
+    # int8 arithmetic and one widening copy: a third of the cost of
+    # doing the same passes in float32.
+    matrix[:, :n_out] = 2 * weights.astype(np.int8) - 1
+    matrix[rows, n_out + rows // array_dim] = 1
+    return matrix

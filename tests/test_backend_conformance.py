@@ -127,6 +127,26 @@ class TestStaticConformance:
         assert net.engine_backend(backend, refresh=True) is not first
 
 
+class TestEmptyBatch:
+    def test_empty_batch_is_a_no_op(self, backend, rng):
+        """A ``(0, n_in)`` batch passes validation; every backend returns
+        no predictions and leaves ledgers and membranes, including a
+        temporal run's residue, as they were."""
+        trains = rng.random((3, LAYER_SIZES[0])) < 0.25
+        net = make_network(CellType.C1RW4R, 0.5)
+        untouched = make_network(CellType.C1RW4R, 0.5)
+        for network in (net, untouched):
+            network.run_temporal(trains, engine="cycle")
+        trace = InferenceTrace()
+        predictions = net.classify_batch(
+            np.zeros((0, LAYER_SIZES[0]), dtype=bool), trace, engine=backend
+        )
+        assert predictions.shape == (0,)
+        assert trace.images == 0
+        assert trace.per_tile_cycles == [0] * len(net.tiles)
+        assert_hardware_state_equal(net, untouched)
+
+
 class TestTemporalConformance:
     def test_temporal_run_matches_reference(self, backend, rng):
         trains = rng.random((6, LAYER_SIZES[0])) < 0.25

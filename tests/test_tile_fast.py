@@ -1,19 +1,47 @@
-"""Unit tests for the batched drain-schedule primitives (repro.tile.fast)."""
+"""Unit tests for the batched drain primitives (repro.tile.fast) and
+the fast engine's one-matmul tile kernel (repro.tile.engine)."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.arbiter.cascaded import MultiPortArbiter
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
+from repro.sram.bitcell import CellType
+from repro.tile.engine import _TileKernel
 from repro.tile.fast import (
+    DrainSchedule,
     block_pending_counts,
+    drain_matrix,
     drain_schedule,
     grant_cycle_of_rows,
-    saturating_accumulate,
-    signed_weights,
 )
+from repro.tile.tile import Tile
+
+#: Inference ports -> a cell that offers that many.
+CELL_OF_PORTS = {
+    1: CellType.C1RW1R,
+    2: CellType.C1RW2R,
+    3: CellType.C1RW3R,
+    4: CellType.C1RW4R,
+}
+
+
+def make_kernel(weights: np.ndarray, ports: int = 4) -> _TileKernel:
+    tile = Tile(
+        weights, np.zeros(weights.shape[1], dtype=np.int64),
+        config=HardwareConfig(cell_type=CELL_OF_PORTS[ports]),
+    )
+    return _TileKernel(tile)
+
+
+def reference_delta(spikes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The int64 drain: ``spikes @ (2W - 1)``."""
+    return spikes.astype(np.int64) @ (2 * weights.astype(np.int64) - 1)
 
 
 class TestBlockPendingCounts:
@@ -85,46 +113,78 @@ class TestGrantCycleOfRows:
         assert cycles.tolist() == [0, 0, 1, 1, 2]
 
 
-class TestSaturatingAccumulate:
-    def test_matmul_matches_per_spike_sum(self, rng):
-        weights = rng.integers(0, 2, (32, 8)).astype(np.uint8)
-        spikes = (rng.random((5, 32)) < 0.5).astype(bool)
-        signed = signed_weights(weights)
-        out = saturating_accumulate(
-            np.zeros((5, 8), dtype=np.int64), spikes, signed, -2048, 2047
+class TestDrainMatrix:
+    def test_signed_weights_then_block_indicator(self, rng):
+        weights = rng.integers(0, 2, (300, 3)).astype(np.uint8)
+        matrix = drain_matrix(weights)
+        assert matrix.dtype == np.float32
+        assert matrix.shape == (300, 3 + 3)
+        assert np.array_equal(matrix[:, :3], 2 * weights.astype(np.int64) - 1)
+        # Row r's indicator marks exactly its own 128-row block.
+        assert np.array_equal(
+            matrix[:, 3:], block_pending_counts(np.eye(300, dtype=bool))
         )
-        expected = spikes.astype(np.int64) @ (2 * weights.astype(np.int64) - 1)
-        assert np.array_equal(out, expected)
 
-    def test_signed_weights_are_float32(self):
-        signed = signed_weights(np.array([[0, 1], [1, 0]], dtype=np.uint8))
-        assert signed.dtype == np.float32
-        assert signed.tolist() == [[-1.0, 1.0], [1.0, -1.0]]
 
+class TestTileKernel:
+    @pytest.mark.parametrize("n_in", [1, 127, 128, 129, 300, 768])
+    @pytest.mark.parametrize("ports", [1, 2, 3, 4])
+    @pytest.mark.parametrize("start", ["zero", "residual"])
+    def test_one_matmul_matches_reference_primitives(self, n_in, ports,
+                                                     start, rng):
+        """The kernel's schedule is ``drain_schedule``'s, field by field,
+        and its membranes are the int64 ``clip(vmem + spikes @ (2W-1))``."""
+        weights = rng.integers(0, 2, (n_in, 12)).astype(np.uint8)
+        kernel = make_kernel(weights, ports)
+        spikes = rng.random((9, n_in)) < rng.random((9, 1))
+        spikes[0] = True
+        spikes[1] = False
+        vmem = np.zeros((9, 12), dtype=np.int64)
+        if start == "residual":
+            vmem[0] = rng.integers(-1000, 1000, 12)
+        schedule, out = kernel.process(
+            None if start == "zero" else vmem, spikes
+        )
+        expected = drain_schedule(spikes, ports)
+        for field in dataclasses.fields(DrainSchedule):
+            got = getattr(schedule, field.name)
+            want = getattr(expected, field.name)
+            assert np.array_equal(got, want), field.name
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(
+            out,
+            np.clip(vmem + reference_delta(spikes, weights), -2048, 2047),
+        )
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
     @pytest.mark.parametrize("rails", [(-2048, 2047), (-2**31, 2**31 - 1)],
                              ids=["12bit", "unclipped"])
-    def test_float32_exact_at_full_fan_in(self, rng, rails):
+    def test_float32_exact_at_full_fan_in(self, rng, rails, start):
         """|delta| reaches the fan-in when every input spikes over
         all-one or all-zero weights; float32 stays exact there, far
-        past the reference network's 768 inputs."""
+        past the reference network's 768 inputs, and a 12-bit drain
+        from zero rails out."""
         fan_in = 8192
         weights = rng.integers(0, 2, (fan_in, 6)).astype(np.uint8)
         weights[:, 0] = 1
         weights[:, 1] = 0
+        kernel = make_kernel(weights)
+        kernel.vmem_min, kernel.vmem_max = rails
         spikes = rng.random((8, fan_in)) < 0.5
         spikes[0] = True
-        vmem = rng.integers(-100, 100, (8, 6))
-        out = saturating_accumulate(
-            vmem, spikes, signed_weights(weights), *rails
-        )
-        delta = spikes.astype(np.int64) @ (2 * weights.astype(np.int64) - 1)
+        vmem = np.zeros((8, 6), dtype=np.int64)
+        if start == "random":
+            vmem = rng.integers(-100, 100, (8, 6))
+        _, out = kernel.process(None if start == "zero" else vmem, spikes)
+        delta = reference_delta(spikes, weights)
         assert np.array_equal(out, np.clip(vmem + delta, *rails))
         assert delta[0, 0] == fan_in and delta[0, 1] == -fan_in
 
     def test_clips_to_register_rails(self):
-        signed = signed_weights(np.ones((4, 2), dtype=np.uint8))
-        spikes = np.ones((1, 4), dtype=bool)
-        out = saturating_accumulate(
-            np.array([[2046, -3]], dtype=np.int64), spikes, signed, -4, 2047
-        )
-        assert out.tolist() == [[2047, 1]]
+        """Drains that run into a rail stop there, from either side."""
+        weights = np.zeros((4, 2), dtype=np.uint8)
+        weights[:, 0] = 1
+        kernel = make_kernel(weights)
+        start = np.array([[2046, -3], [0, -2046]], dtype=np.int64)
+        _, out = kernel.process(start, np.ones((2, 4), dtype=bool))
+        assert out.tolist() == [[2047, -7], [4, -2048]]
