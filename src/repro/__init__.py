@@ -40,8 +40,8 @@ Public API overview
 ``repro.resilience``
     The fault-tolerant execution layer shared by serving and the
     campaign runners: retry/backoff policies, per-model circuit
-    breakers, crash-supervised sharding, resumable campaign journals
-    and the seeded chaos harness (``docs/resilience.md``).
+    breakers, crash-supervised sharding and the seeded chaos harness
+    (``docs/resilience.md``).
 """
 
 from repro.core.esam import EsamSystem

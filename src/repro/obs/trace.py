@@ -303,9 +303,8 @@ def spans_from_jsonl(path) -> tuple[Span, ...]:
 
     The inverse of the JSONL exporter: ``spans_from_jsonl(tracer.
     write_jsonl(p)) == tracer.spans()`` bit for bit (the round-trip
-    test pins this).  Meta lines are skipped; a torn trailing line
-    (killed process mid-write) is tolerated the way the campaign
-    journal tolerates torn lines.
+    test pins this).  Meta lines are skipped, and so is a torn
+    trailing line (killed process mid-write).
     """
     spans = []
     for line in pathlib.Path(path).read_text().splitlines():

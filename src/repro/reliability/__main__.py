@@ -7,7 +7,6 @@ Examples::
     python -m repro.reliability --trials 8 --workers 4 --claims
     python -m repro.reliability --corner slow --bers 0,1e-3,5e-2
     python -m repro.reliability cells --out faults.json --csv faults.csv
-    python -m repro.reliability --executor job-dir --job-dir /shared/j1
     python -m repro.reliability --query "ber=0.05,corner=slow"
 
 Hardware scalars come from the same shared config surface as the
@@ -19,15 +18,13 @@ re-runs (and overlaps with earlier campaigns) finish without touching
 the simulator; ``--no-cache`` forces fresh evaluation.
 
 Campaigns are interruptible: every finished fault point is committed
-to the cache (and journaled) as it completes, so Ctrl-C flushes
-partial results, prints a resume hint and exits 130.  ``--resume``
-reports the journal state, then evaluates only the unfinished points.
+to the cache as it completes, so Ctrl-C keeps partial results, prints
+the command that resumes the run and exits 130.  Re-running the same
+command evaluates only the unfinished points.
 
 Cached results are also indexed into the SQLite result store beside
 the cache (``--no-store`` opts out): ``--query "ber=0.05"`` answers
-from past campaigns with zero re-evaluation, and ``--executor job-dir
---job-dir DIR`` shards misses across work-stealing claimant processes
-instead of the local pool (see :mod:`repro.store`).
+from past campaigns with zero re-evaluation (see :mod:`repro.store`).
 """
 
 from __future__ import annotations

@@ -3,11 +3,10 @@
 The :class:`ReliabilityRunner` is the fault-campaign family of the one
 campaign core (:class:`repro.sweep.runner.CampaignRunner`): the same
 on-disk :class:`~repro.sweep.cache.ResultCache` (namespaced by the
-``"reliability"`` entry kind), journal and pluggable executors
-(:mod:`repro.store.executors`) as the sweeps — so campaigns inherit the
-sweep determinism contract: bit-identical results for any
-``n_workers`` or executor backend, corrupt cache entry == miss, warm
-re-runs finish without touching the simulator.
+``"reliability"`` entry kind) and the same supervised worker pool as
+the sweeps — so campaigns inherit the sweep determinism contract:
+bit-identical results for any ``n_workers``, corrupt cache entry ==
+miss, warm re-runs finish without touching the simulator.
 
 One fault point evaluates all of its Monte-Carlo trials against a
 single hardware network: each trial loads its self-seeded fault mask

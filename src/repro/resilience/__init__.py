@@ -11,18 +11,20 @@ story:
   fail-fast after K consecutive flush failures, half-open probe to
   recover.
 * :class:`~repro.resilience.policy.SupervisorPolicy` — bounded crash
-  retry + wall-clock watchdog for sharded campaign workers.
+  retry + wall-clock watchdog for sharded campaign workers, applied by
+  :func:`~repro.resilience.supervisor.supervised_map`.
 * :class:`~repro.resilience.chaos.ChaosPolicy` — seeded, deterministic
   fault injection (worker crashes, flush errors, latency spikes) that
   the acceptance suite drives the whole stack through.
-* :class:`~repro.resilience.journal.CampaignJournal` — crash-safe
-  progress journal making campaigns interruptible and resumable.
+
+An interrupted campaign resumes by being re-run: every finished point
+is already in the result cache, so only the unfinished points are
+evaluated.
 
 See ``docs/resilience.md`` for the failure-semantics walkthrough.
 """
 
 from repro.resilience.chaos import ChaosPolicy
-from repro.resilience.journal import CampaignJournal, JournalState, run_id_for
 from repro.resilience.policy import (
     TRANSIENT_ERRORS,
     BreakerPolicy,
@@ -33,12 +35,9 @@ from repro.resilience.policy import (
 
 __all__ = [
     "BreakerPolicy",
-    "CampaignJournal",
     "ChaosPolicy",
     "CircuitBreaker",
-    "JournalState",
     "RetryPolicy",
     "SupervisorPolicy",
     "TRANSIENT_ERRORS",
-    "run_id_for",
 ]

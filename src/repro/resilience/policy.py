@@ -14,9 +14,10 @@ campaign runners (:mod:`repro.sweep`, :mod:`repro.reliability`):
   after a cooldown.  An open circuit turns a stream of doomed requests
   into immediate :class:`~repro.errors.ModelUnavailableError`\\ s
   instead of queue pressure.
-* :class:`SupervisorPolicy` — how the campaign executors
-  (:mod:`repro.store.executors`) survive worker-process crashes: a
-  bounded per-point retry budget and an optional worker-side
+* :class:`SupervisorPolicy` — how the campaign worker pool
+  (:func:`~repro.resilience.supervisor.supervised_map`) survives
+  worker-process crashes: a bounded per-point retry budget and an
+  optional worker-side
   wall-clock watchdog that converts a hung point into a crash the
   supervisor can handle.
 
@@ -230,7 +231,7 @@ class CircuitBreaker:
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """How the sharded executor survives worker crashes and hangs.
+    """How the campaign worker pool survives worker crashes and hangs.
 
     ``retry_budget`` bounds how many times one payload may be
     re-executed after a crash before the run fails with

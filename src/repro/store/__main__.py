@@ -6,14 +6,11 @@ Subcommands::
     python -m repro.store query --aggregate metrics.latency_ns --by cell,node
     python -m repro.store backfill [--cache-dir DIR]
     python -m repro.store gc [--max-age-s 3600]
-    python -m repro.store work JOB_DIR [--wait]
 
 ``query`` answers from the SQLite index beside the cache with zero
 re-evaluation (backfilling pre-store entries first); ``backfill``
 indexes a cache directory explicitly; ``gc`` removes stale ``*.tmp``
-files stranded by hard-killed writers; ``work`` turns this process
-into a job-dir claimant — run it on any host sharing the campaign's
-``--job-dir`` filesystem to join an in-flight run.
+files stranded by hard-killed writers.
 """
 
 from __future__ import annotations
@@ -89,24 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="age threshold; younger tmp files are presumed in-flight "
              "(default: 3600)",
     )
-
-    work = commands.add_parser(
-        "work",
-        help="claim and evaluate points from a job-dir campaign",
-    )
-    work.add_argument(
-        "job_dir", metavar="JOB_DIR",
-        help="the campaign's --job-dir (must hold task.pkl)",
-    )
-    work.add_argument(
-        "--poll-s", type=float, default=0.05, metavar="S",
-        help="poll interval while waiting for work (default: 0.05)",
-    )
-    work.add_argument(
-        "--wait", action="store_true",
-        help="keep polling for new work until the coordinator closes "
-             "the run (default: exit once pending/ is drained)",
-    )
     return parser
 
 
@@ -159,15 +138,6 @@ def main(argv: list[str] | None = None) -> int:
             removed = cache.gc_stale_tmp(max_age_s=args.max_age_s)
             print(f"removed {removed} stale tmp file"
                   f"{'s' if removed != 1 else ''} under {cache.root}")
-            return 0
-        if args.command == "work":
-            from repro.store.executors import claim_work
-
-            done = claim_work(
-                args.job_dir, poll_s=args.poll_s, wait=args.wait
-            )
-            print(f"claimed and completed {done} point"
-                  f"{'s' if done != 1 else ''}")
             return 0
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

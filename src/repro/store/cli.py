@@ -6,8 +6,9 @@ registry, runner, the flags of its own (``--trials``/``--bers``,
 hardware and engine), how flags map onto a spec factory, and its
 claims block.  The base class owns the rest, so both CLIs behave alike:
 ``--list``, ``--query`` (answered from the result store with zero
-re-evaluation), opening the cache and store, ``--resume``, exit 130 on
-Ctrl-C, closing the store, and rendering with ``--out``/``--csv``.
+re-evaluation), opening the cache and store, exit 130 on Ctrl-C with
+the command that resumes the run, closing the store, and rendering
+with ``--out``/``--csv``.
 The store's own CLI (``python -m repro.store``) opens the store through
 the same :func:`open_store`.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import pathlib
+import shlex
 import sys
 
 from repro.errors import ReproError
@@ -27,7 +29,6 @@ from repro.hw.cli import (
     narrowed_axes,
 )
 from repro.learning.pretrained import QUALITY_PRESETS
-from repro.store.executors import EXECUTOR_NAMES, make_executor
 from repro.store.index import (
     STORE_FILENAME,
     ResultStore,
@@ -59,45 +60,23 @@ def open_store(cache, *, backfill: bool = False) -> ResultStore:
     return store
 
 
-def report_resume(runner, label: str) -> None:
-    """Print what ``--resume`` found in the runner's journal.
-
-    Three cases: no journal (fresh start), a completed run (everything
-    is a cache hit), or an interrupted run (only the remaining points
-    will be evaluated).
-    """
-    journal = runner.journal()
-    if journal is None or not journal.exists():
-        print(f"--resume: no journal for this {label}; starting fresh")
-        return
-    state = journal.load()
-    if state.complete:
-        print(f"--resume: previous run completed "
-              f"({state.finished}/{state.total} points); serving from cache")
-    else:
-        print(f"--resume: {state.finished}/{state.total} points already "
-              f"done, {len(state.remaining)} to evaluate")
-
-
 def print_interrupted(prog: str, argv: list[str] | None, *,
                       cached: bool = True) -> int:
     """Report an interrupt; returns :data:`SIGINT_EXIT`.
 
     With ``cached=True`` (a run backed by the result cache) the
     message names where the partial results live and prints the exact
-    resume command: the invocation's own arguments with ``--resume``
-    appended once.  A ``--no-cache`` run must pass ``cached=False``:
-    nothing was persisted, so claiming otherwise — or suggesting a
-    ``--resume`` command the CLIs reject without a cache — would lie.
+    command that resumes the run: the same invocation, shell-quoted,
+    whose finished points come back as cache hits.  A ``--no-cache``
+    run must pass ``cached=False``: nothing was persisted, so claiming
+    otherwise would lie.
     """
     if cached:
-        arguments = list(argv if argv is not None else sys.argv[1:])
-        if "--resume" not in arguments:
-            arguments.append("--resume")
+        arguments = argv if argv is not None else sys.argv[1:]
+        command = " ".join([prog, *map(shlex.quote, arguments)])
         print("\ninterrupted: partial results are committed to the cache",
               file=sys.stderr)
-        print(f"resume with:\n  {' '.join([prog, *arguments])}",
-              file=sys.stderr)
+        print(f"re-run to resume:\n  {command}", file=sys.stderr)
     else:
         print("\ninterrupted: --no-cache run — partial results were NOT "
               "persisted; re-run with the cache to make campaigns "
@@ -201,31 +180,10 @@ class CampaignCli:
                  "cache",
         )
         parser.add_argument(
-            "--resume", action="store_true",
-            help="resume an interrupted run: report the journal state, "
-                 "then evaluate only the unfinished points (needs the "
-                 "cache)",
-        )
-        parser.add_argument(
             "--claims", action="store_true", help=self.claims_help,
         )
         group = parser.add_argument_group(
-            "execution & result store",
-            "pluggable executors and the queryable SQLite index "
-            "(see repro.store)",
-        )
-        group.add_argument(
-            "--executor", choices=EXECUTOR_NAMES, default="local-pool",
-            help="how cache misses are evaluated: local-pool shards across "
-                 "--workers processes (default); job-dir spawns --workers "
-                 "claimant processes stealing work from --job-dir "
-                 "(external claimants join via `python -m repro.store "
-                 "work`)",
-        )
-        group.add_argument(
-            "--job-dir", metavar="DIR", default=None,
-            help="work-stealing directory for --executor job-dir (a fresh "
-                 "directory on a filesystem every claimant can reach)",
+            "result store", "the queryable SQLite index (see repro.store)",
         )
         group.add_argument(
             "--no-store", action="store_true",
@@ -279,8 +237,6 @@ class CampaignCli:
         if name is None:
             parser.error(f"a {self.noun} name, --list or --query is "
                          "required")
-        if args.no_cache and args.resume:
-            parser.error("--resume needs the cache; drop --no-cache")
 
         hardware = hardware_from_args(args, seed=args.seed)
         factory = self.named[name]
@@ -300,13 +256,8 @@ class CampaignCli:
         if cache is not None and not args.no_store:
             cache.store = open_store(cache)
         try:
-            runner = self.runner_type(
-                spec, n_workers=args.workers, cache=cache,
-                executor=make_executor(args.executor, n_workers=args.workers,
-                                       job_dir=args.job_dir),
-            )
-            if args.resume:
-                report_resume(runner, self.noun)
+            runner = self.runner_type(spec, n_workers=args.workers,
+                                      cache=cache)
             with ObservabilityScope(args):
                 result = runner.run()
         except KeyboardInterrupt:

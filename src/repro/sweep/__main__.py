@@ -8,7 +8,6 @@ Examples::
     python -m repro.sweep figure8 --claims --no-cache
     python -m repro.sweep corners --claims
     python -m repro.sweep figure8 --node 5nm --corner slow
-    python -m repro.sweep figure8 --executor job-dir --job-dir /shared/j1
     python -m repro.sweep --query "cell=1RW+4R,node=3nm"
 
 Hardware scalars come from the shared config surface (``--config`` /
@@ -20,16 +19,15 @@ and finishes in milliseconds; ``--cache-dir`` relocates the cache,
 ``--no-cache`` forces fresh evaluation.
 
 Cached sweeps are interruptible: every finished point is committed to
-the cache (and journaled) as it completes, so Ctrl-C flushes partial
-results, prints a resume hint and exits 130.  ``--resume`` reports the
-journal state before re-running — only unfinished points are
-evaluated, finished ones are cache hits (zero recomputation).
+the cache as it completes, so Ctrl-C keeps partial results, prints the
+command that resumes the run and exits 130.  Re-running the same
+command evaluates only the unfinished points; finished ones are cache
+hits (zero recomputation).
 
 Cached results are also indexed into the SQLite result store beside
 the cache (``--no-store`` opts out): ``--query "cell=6T,node=3nm"``
-answers from past runs with zero re-evaluation, and ``--executor
-job-dir --job-dir DIR`` shards misses across work-stealing claimant
-processes instead of the local pool (see :mod:`repro.store`).
+answers from past runs with zero re-evaluation (see
+:mod:`repro.store`).
 """
 
 from __future__ import annotations

@@ -10,24 +10,24 @@ point of a spec's ``expand()`` in three steps:
    point.to_dict(), weights_fingerprint(snn))``, the fingerprint taken
    once per ``(quality, seed)`` model; hits load without touching the
    simulator;
-2. **evaluate** — the misses go to a pluggable executor
-   (:mod:`repro.store.executors`): the default local pool (in-process
-   for ``n_workers == 1``, supervised ``ProcessPoolExecutor`` shards
-   above that) or the work-stealing job-dir backend;
-3. **commit** — each row is cached, journaled and traced the moment it
-   arrives, so an interrupted run keeps everything finished so far.
+2. **evaluate** — the misses go to
+   :func:`~repro.resilience.supervisor.supervised_map`: in-process for
+   ``n_workers == 1``, supervised ``ProcessPoolExecutor`` shards above
+   that;
+3. **commit** — each row is cached and traced the moment it arrives,
+   so an interrupted run keeps everything finished so far, and
+   re-running it resumes: the finished points come back as cache hits.
 
 Because every point carries its own seed and the evaluation builds a
 fresh network per point, results are bit-identical regardless of
-worker count, executor backend, shard assignment or execution order —
-the test suite asserts ``n_workers=4`` equals ``n_workers=1`` equals
+worker count, shard assignment or execution order — the test suite
+asserts ``n_workers=4`` equals ``n_workers=1`` equals
 ``SystemEvaluator.figure8()``, float for float.
 """
 
 from __future__ import annotations
 
 import functools
-import pathlib
 
 from repro.errors import ConfigurationError
 from repro.learning.convert import ConvertedSNN
@@ -35,9 +35,8 @@ from repro.learning.pretrained import get_reference_model
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.resilience.chaos import ChaosPolicy
-from repro.resilience.journal import CampaignJournal, run_id_for
 from repro.resilience.policy import SupervisorPolicy
-from repro.store.executors import LocalPoolExecutor
+from repro.resilience.supervisor import supervised_map
 from repro.system.energy import SystemMetrics
 from repro.system.evaluate import SystemEvaluator
 from repro.sweep.cache import ResultCache, entry_key, weights_fingerprint
@@ -109,15 +108,6 @@ class CampaignRunner:
         Optional :class:`ChaosPolicy` injecting deterministic worker
         crashes; recovered results stay bit-identical to a fault-free
         run (the chaos acceptance suite pins this).
-    journal:
-        ``True`` (default) journals progress next to the cache
-        (``<cache root>/journal/<kind>-<run id>.jsonl``) so interrupted
-        runs resume with zero recomputation; ignored without a cache.
-    executor:
-        Optional executor backend (see :mod:`repro.store.executors`,
-        e.g. :class:`~repro.store.executors.JobDirExecutor`) that
-        evaluates the cache misses instead of the default local pool
-        built from ``n_workers``.
 
     A subclass states only what differs between campaign families:
     :attr:`kind`, :attr:`row_type`, the worker task (:meth:`_task`),
@@ -125,8 +115,8 @@ class CampaignRunner:
     become a result (:meth:`_result`).
     """
 
-    #: Entry family: the cache-key namespace, the ``kind`` stored with
-    #: each row and the journal file prefix.
+    #: Entry family: the cache-key namespace and the ``kind`` stored
+    #: with each row.
     kind: str
     #: Row class; ``row_type.from_dict(data, cached=True)`` loads a hit.
     row_type: type
@@ -134,9 +124,7 @@ class CampaignRunner:
     def __init__(self, spec, *, n_workers: int = 1,
                  cache: ResultCache | bool | None = True,
                  supervisor: SupervisorPolicy | None = None,
-                 chaos: ChaosPolicy | None = None,
-                 journal: bool = True,
-                 executor=None) -> None:
+                 chaos: ChaosPolicy | None = None) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         self.spec = spec
@@ -146,8 +134,6 @@ class CampaignRunner:
         self.cache: ResultCache | None = None if cache is False else cache
         self.supervisor = supervisor
         self.chaos = chaos
-        self.executor = executor
-        self._journal_enabled = bool(journal)
 
     # -- what a campaign family states -----------------------------------------------
 
@@ -169,31 +155,6 @@ class CampaignRunner:
 
     # -- the shared core -------------------------------------------------------------
 
-    @property
-    def journal_dir(self) -> pathlib.Path | None:
-        """Where this runner journals progress (``None`` disables it)."""
-        if not self._journal_enabled or self.cache is None:
-            return None
-        return self.cache.root / "journal"
-
-    def journal(self) -> CampaignJournal | None:
-        """The journal the next :meth:`run` will write (for ``--resume``).
-
-        Derives the same run id :meth:`run` will — from the full set of
-        entry keys — without evaluating anything, so CLIs can report
-        prior progress before re-running.
-        """
-        if self.journal_dir is None:
-            return None
-        points = self.spec.expand()
-        keys = self._keys(points, self._fingerprints(points))
-        return self._journal_for(keys)
-
-    def _journal_for(self, keys: list[str]) -> CampaignJournal:
-        return CampaignJournal(
-            self.journal_dir / f"{self.kind}-{run_id_for(keys)}.jsonl"
-        )
-
     def _fingerprints(self, points: list) -> list[str]:
         """Weights fingerprint per point, hashed once per model.
 
@@ -208,18 +169,12 @@ class CampaignRunner:
                 per_model[model] = weights_fingerprint(self._network(*model))
         return [per_model[(p.quality, p.seed)] for p in points]
 
-    def _keys(self, points: list, fingerprints: list[str]) -> list[str]:
-        return [
-            entry_key(self.kind, point.to_dict(), fingerprint)
-            for point, fingerprint in zip(points, fingerprints)
-        ]
-
     def run(self):
         """Evaluate the grid; rows follow the spec's expansion order.
 
-        ``KeyboardInterrupt`` marks the journal interrupted and
-        propagates — finished rows are already committed, so a
-        ``--resume`` re-run recomputes nothing that finished.
+        ``KeyboardInterrupt`` propagates; finished rows are already
+        committed, so re-running the campaign recomputes nothing that
+        finished.
 
         Observability: with a cache, hits and misses are counted into
         the process metric registry
@@ -235,7 +190,10 @@ class CampaignRunner:
         tracer = get_tracer()
         points = self.spec.expand()
         fingerprints = self._fingerprints(points)
-        keys = self._keys(points, fingerprints)
+        keys = [
+            entry_key(self.kind, point.to_dict(), fingerprint)
+            for point, fingerprint in zip(points, fingerprints)
+        ]
         stats = SweepStats()
         rows: list = [None] * len(points)
         misses = list(range(len(points)))
@@ -261,15 +219,6 @@ class CampaignRunner:
                           kind=self.kind, points=len(points),
                           hits=stats.cache_hits, misses=len(misses))
 
-        journal = None
-        if self.journal_dir is not None:
-            journal = self._journal_for(keys)
-            journal.begin(
-                run_id=run_id_for(keys), kind=self.kind, total=len(points),
-                cache_hits=stats.cache_hits,
-                pending=[keys[index] for index in misses],
-            )
-
         evaluate_started = tracer.now() if tracer.enabled else 0.0
         last_done_at = evaluate_started
 
@@ -285,8 +234,6 @@ class CampaignRunner:
                     **row.to_dict(), "kind": self.kind,
                     "fingerprint": fingerprints[index],
                 })
-            if journal is not None:
-                journal.mark_done(keys[index])
             rows[index] = row
             stats.evaluated += 1
             if tracer.enabled:
@@ -295,25 +242,15 @@ class CampaignRunner:
                               kind=self.kind, index=index)
                 last_done_at = done_at
 
-        executor = self.executor or LocalPoolExecutor(self.n_workers)
-        try:
-            executor.map(
-                self._task(), [points[index] for index in misses],
-                supervisor=self.supervisor, chaos=self.chaos, on_done=commit,
-            )
-            if tracer.enabled:
-                tracer.record("campaign.evaluate", evaluate_started,
-                              tracer.now(), kind=self.kind,
-                              evaluated=len(misses))
-            if journal is not None:
-                journal.mark_complete()
-        except KeyboardInterrupt:
-            if journal is not None:
-                journal.mark_interrupted()
-            raise
-        finally:
-            if journal is not None:
-                journal.close()
+        supervised_map(
+            self._task(), [points[index] for index in misses],
+            n_workers=self.n_workers, supervisor=self.supervisor,
+            chaos=self.chaos, on_done=commit,
+        )
+        if tracer.enabled:
+            tracer.record("campaign.evaluate", evaluate_started,
+                          tracer.now(), kind=self.kind,
+                          evaluated=len(misses))
         return self._result(rows, stats)
 
 
@@ -333,12 +270,9 @@ class SweepRunner(CampaignRunner):
                  cache: ResultCache | bool | None = True,
                  snn: ConvertedSNN | None = None,
                  supervisor: SupervisorPolicy | None = None,
-                 chaos: ChaosPolicy | None = None,
-                 journal: bool = True,
-                 executor=None) -> None:
+                 chaos: ChaosPolicy | None = None) -> None:
         super().__init__(spec, n_workers=n_workers, cache=cache,
-                         supervisor=supervisor, chaos=chaos,
-                         journal=journal, executor=executor)
+                         supervisor=supervisor, chaos=chaos)
         self._snn = snn
 
     def _network(self, quality: str, seed: int) -> ConvertedSNN:

@@ -212,8 +212,8 @@ class SweepSpec:
             if not values:
                 raise ConfigurationError(f"sweep axis {axis} is empty")
             # A duplicated axis value would evaluate the same point
-            # twice (both as cache misses within one run) and journal a
-            # total the distinct cache entries can never reach.
+            # twice (both as cache misses within one run) and count
+            # more points than the distinct cache entries can hold.
             if len(set(values)) != len(values):
                 raise ConfigurationError(
                     f"sweep axis {axis} contains duplicates: {values}"

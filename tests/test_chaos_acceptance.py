@@ -7,14 +7,17 @@ the real stack with a seeded :class:`ChaosPolicy`:
   the in-process ``WorkerCrashError`` path and real ``os._exit`` in a
   process pool) produces exactly the rows and curves of a fault-free
   run;
-* **zero recomputation on resume** — a campaign killed mid-run resumes
-  from its journal + cache and evaluates only the unfinished points;
+* **zero recomputation on resume** — re-running a campaign killed
+  mid-run serves its finished points from the cache and evaluates
+  only the unfinished ones;
 * **no silent drops** — the campaign CLIs convert Ctrl-C into partial
-  results, a resume hint and exit 130, and a chaos-stressed serving
-  run accounts for every admitted request.
+  results, the exact re-run command and exit 130, and a
+  chaos-stressed serving run accounts for every admitted request.
 """
 
 from __future__ import annotations
+
+import shlex
 
 import numpy as np
 import pytest
@@ -152,49 +155,31 @@ class TestResume:
         monkeypatch.setattr(
             reliability_runner, "evaluate_fault_point", interruptible
         )
-        first = ReliabilityRunner(spec, cache=cache)
         with pytest.raises(KeyboardInterrupt):
-            first.run()
-        state = first.journal().load()
-        assert state.interrupted and not state.complete
-        assert state.finished == interrupt_after
-        assert len(state.remaining) == total - interrupt_after
+            ReliabilityRunner(spec, cache=cache).run()
+        # Every point finished before the interrupt is committed.
+        assert len(cache) == interrupt_after
 
-        # Resume: only the unfinished points are evaluated; the two
+        # Re-run: only the unfinished points are evaluated; the two
         # finished ones are cache hits (zero recomputation).
-        evaluated.clear()
         monkeypatch.setattr(
             reliability_runner, "evaluate_fault_point", real_task
         )
-        second = ReliabilityRunner(spec, cache=cache)
-        result = second.run()
+        result = ReliabilityRunner(spec, cache=cache).run()
         assert result.stats.cache_hits == interrupt_after
         assert result.stats.evaluated == total - interrupt_after
-        final = second.journal().load()
-        assert final.complete and not final.interrupted
-        assert final.finished == final.total == total
+        assert len(cache) == total
         # And the stitched-together result is bit-identical to an
         # uninterrupted run.
         assert campaign_payload(result) == campaign_payload(reference)
 
-    def test_warm_rerun_journals_as_complete(self, tmp_path):
-        spec = small_campaign(trials=1, bers=(0.0, 1e-3))
-        cache = ResultCache(tmp_path / "cache")
-        ReliabilityRunner(spec, cache=cache).run()
-        rerun = ReliabilityRunner(spec, cache=cache)
-        result = rerun.run()
-        assert result.stats.evaluated == 0
-        state = rerun.journal().load()
-        assert state.complete
-        assert state.finished == state.total == len(spec)
-
-    def test_journal_disabled_without_cache(self):
-        runner = ReliabilityRunner(small_campaign(), cache=None)
-        assert runner.journal_dir is None
-        assert runner.journal() is None
-
 
 # -- CLI interrupt contract -----------------------------------------------------------
+
+
+def rerun_command(err: str) -> list[str]:
+    """The re-run command an interrupted campaign CLI printed, as argv."""
+    return shlex.split(err.splitlines()[-1])
 
 
 class TestCliInterrupt:
@@ -211,7 +196,9 @@ class TestCliInterrupt:
         assert reliability_main(argv) == 130
         err = capsys.readouterr().err
         assert "interrupted" in err
-        assert "python -m repro.reliability" in err and "--resume" in err
+        assert rerun_command(err) == \
+            ["python", "-m", "repro.reliability", *argv]
+        assert "--resume" not in err
 
     def test_sweep_cli_exits_130_with_resume_hint(
             self, tmp_path, monkeypatch, capsys):
@@ -225,24 +212,8 @@ class TestCliInterrupt:
                 "--cache-dir", str(tmp_path)]
         assert sweep_main(argv) == 130
         err = capsys.readouterr().err
-        assert "python -m repro.sweep" in err and "--resume" in err
-
-    def test_resume_flag_requires_cache(self, capsys):
-        from repro.sweep.__main__ import main as sweep_main
-
-        with pytest.raises(SystemExit):
-            sweep_main(["vprech", "--resume", "--no-cache"])
-
-    def test_resume_flag_reports_journal_state(self, tmp_path, capsys):
-        from repro.reliability.__main__ import main as reliability_main
-
-        argv = ["cells", "--quality", QUALITY, "--trials", "1",
-                "--sample-images", "2", "--cache-dir", str(tmp_path)]
-        assert reliability_main(argv) == 0
-        capsys.readouterr()
-        assert reliability_main([*argv, "--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "--resume: previous run completed" in out
+        assert rerun_command(err) == ["python", "-m", "repro.sweep", *argv]
+        assert "--resume" not in err
 
 
 # -- serving under chaos --------------------------------------------------------------

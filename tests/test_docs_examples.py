@@ -5,19 +5,26 @@ Extracts the fenced ```python code blocks from README.md and
 share a namespace, so a guide can build state progressively the way a
 reader would type it.  A snippet that raises fails this suite — which
 means any API drift breaks CI instead of silently stranding the docs.
+The ``python -m repro.<cli>`` lines of the fenced ```bash blocks are
+parsed by that CLI's own argument parser, so a removed flag or
+subcommand cannot linger in the docs either.
 
 Conventions for doc authors:
 
 * fence runnable snippets as ```python — they must be self-contained
   per *file* (earlier blocks in the same file are visible);
 * fence non-python or non-runnable material as ```text, ```bash, etc.;
+  shell commands go in ```bash, where their CLI lines are checked;
 * keep snippets fast: quality="fast" models and small sample sizes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -30,6 +37,10 @@ DOC_FILES = sorted(
 )
 
 _PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
+_BASH_BLOCK = re.compile(r"```bash\n(.*?)```", re.DOTALL)
+_CLI_LINE = re.compile(
+    r"^python -m repro\.(sweep|reliability|store|serve|obs)(\s|$)"
+)
 
 
 def extract_python_blocks(path: pathlib.Path) -> list[str]:
@@ -56,3 +67,49 @@ def test_doc_python_blocks_execute(doc, tmp_path, monkeypatch):
     for index, block in enumerate(blocks):
         code = compile(block, f"{doc.name}[block {index}]", "exec")
         exec(code, namespace)  # noqa: S102 - executing our own docs
+
+
+def extract_cli_lines(path: pathlib.Path) -> list[tuple[str, str]]:
+    """``(cli, line)`` for each ``python -m repro.<cli>`` line of the
+    fenced ```bash blocks, backslash continuations joined."""
+    found = []
+    for match in _BASH_BLOCK.finditer(path.read_text()):
+        for line in match.group(1).replace("\\\n", " ").splitlines():
+            cli = _CLI_LINE.match(line.strip())
+            if cli:
+                found.append((cli.group(1), line.strip()))
+    return found
+
+
+def _cli_parsers() -> dict:
+    from repro.obs.__main__ import build_parser as obs_parser
+    from repro.reliability.__main__ import ReliabilityCli
+    from repro.serve.__main__ import build_parser as serve_parser
+    from repro.store.__main__ import build_parser as store_parser
+    from repro.sweep.__main__ import SweepCli
+
+    return {
+        "sweep": SweepCli().build_parser,
+        "reliability": ReliabilityCli().build_parser,
+        "store": store_parser,
+        "serve": serve_parser,
+        "obs": obs_parser,
+    }
+
+
+def test_doc_cli_lines_parse():
+    parsers = _cli_parsers()
+    lines = [(doc.name, *found) for doc in DOC_FILES
+             for found in extract_cli_lines(doc)]
+    assert {cli for _, cli, _ in lines} == set(parsers)
+    stale = []
+    for doc, cli, line in lines:
+        argv = shlex.split(line, comments=True)[3:]
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                parsers[cli]().parse_args(argv)
+        except SystemExit:
+            error = stderr.getvalue().strip().splitlines()[-1]
+            stale.append(f"{doc}: {line}\n  {error}")
+    assert not stale, "doc CLI lines the CLI rejects:\n" + "\n".join(stale)

@@ -1,4 +1,4 @@
-"""Resilience primitives: retry policy, circuit breaker, chaos, journal.
+"""Resilience primitives: retry policy, circuit breaker, chaos, supervisor.
 
 The execution-layer failure handling rests on two determinism claims:
 a :class:`RetryPolicy`'s backoff schedule is a pure function of its
@@ -6,8 +6,7 @@ seed (hypothesis pins this across the parameter space), and a
 :class:`ChaosPolicy`'s fault schedule is a pure hash of
 ``(seed, site, attempt)`` with per-site crash counts capped — which is
 what makes supervised retry provably convergent.  The circuit breaker
-and journal tests drive the full state machines with injected clocks
-and tmp files.
+tests drive the full state machine with an injected clock.
 """
 
 from __future__ import annotations
@@ -20,13 +19,10 @@ from repro.errors import ConfigurationError, InjectedFaultError, WorkerCrashErro
 from repro.resilience import (
     TRANSIENT_ERRORS,
     BreakerPolicy,
-    CampaignJournal,
     ChaosPolicy,
     CircuitBreaker,
-    JournalState,
     RetryPolicy,
     SupervisorPolicy,
-    run_id_for,
 )
 
 
@@ -262,74 +258,6 @@ class TestChaosPolicy:
         clean = ChaosPolicy(seed=1)
         clean.on_flush("m/0", 0, sleep=slept.append)  # no-op
         assert len(slept) == 1
-
-
-# -- campaign journal ----------------------------------------------------------------
-
-
-class TestCampaignJournal:
-    def test_round_trip(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "run.jsonl")
-        assert not journal.exists()
-        journal.begin(run_id="abc", kind="sweep", total=5, cache_hits=2,
-                      pending=["k1", "k2", "k3"])
-        journal.mark_done("k1")
-        state = journal.load()
-        assert state.meta["run_id"] == "abc"
-        assert state.total == 5
-        assert state.finished == 3  # 2 hits + k1
-        assert state.remaining == ["k2", "k3"]
-        assert not state.complete and not state.interrupted
-
-    def test_interrupt_then_resume_header_resets_tallies(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "run.jsonl")
-        journal.begin(run_id="abc", kind="sweep", total=4, cache_hits=0,
-                      pending=["k1", "k2", "k3", "k4"])
-        journal.mark_done("k1")
-        journal.mark_done("k2")
-        journal.mark_interrupted()
-        assert journal.load().interrupted
-        # The resumed attempt counts k1/k2 as cache hits; its header
-        # must reset the per-attempt done list or they'd double-count.
-        journal.begin(run_id="abc", kind="sweep", total=4, cache_hits=2,
-                      pending=["k3", "k4"])
-        journal.mark_done("k3")
-        journal.mark_done("k4")
-        journal.mark_complete()
-        state = journal.load()
-        assert state.complete and not state.interrupted
-        assert state.finished == state.total == 4
-        assert state.remaining == []
-
-    def test_load_survives_torn_lines(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = CampaignJournal(path)
-        journal.begin(run_id="abc", kind="sweep", total=2, cache_hits=0,
-                      pending=["k1", "k2"])
-        journal.mark_done("k1")
-        journal.close()
-        with path.open("a") as handle:
-            handle.write('{"event": "done", "key": "k2"')  # torn write
-        state = journal.load()
-        assert state.finished == 1
-        assert state.remaining == ["k2"]
-
-    def test_missing_journal_loads_empty(self, tmp_path):
-        state = CampaignJournal(tmp_path / "absent.jsonl").load()
-        assert isinstance(state, JournalState)
-        assert state.total == 0 and state.remaining == []
-
-    def test_reset_truncates(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "run.jsonl")
-        journal.begin(run_id="abc", kind="sweep", total=1, cache_hits=0,
-                      pending=["k1"])
-        journal.reset()
-        assert not journal.exists()
-
-    def test_run_id_is_order_independent(self):
-        assert run_id_for(["a", "b", "c"]) == run_id_for(["c", "a", "b"])
-        assert run_id_for(["a", "b"]) != run_id_for(["a", "b", "c"])
-        assert len(run_id_for(["a"])) == 12
 
 
 # -- supervisor policy ----------------------------------------------------------------

@@ -1,20 +1,19 @@
-"""Result store, pluggable executors and cache-hygiene fixes.
+"""Result store, the supervised campaign map and cache-hygiene fixes.
 
 Four concerns share this suite because they share one contract — the
 content-addressed cache is the durable truth and everything else
-(store index, executors, journals) must agree with it:
+(store index, worker pool, CLI messages) must agree with it:
 
 * cache hygiene: corrupt entries are quarantined, stranded tmp files
   of hard-killed writers are garbage-collected, concurrent readers
   never observe a half-written entry;
 * the SQLite store: ingest-on-put, idempotent backfill, filters,
   aggregation, CSV export, CLI and dashboard wiring;
-* pluggable executors: the local pool returns results in input order
-  for any worker count, the job-dir backend partitions work across independent
-  claimant processes with bit-identical results;
-* journal consistency: a journal without a cache is rejected, and an
-  interrupted ``--no-cache`` run reports honestly that nothing was
-  persisted.
+* the supervised map returns results in input order and reports each
+  one as it completes;
+* CLI honesty: ``--query`` needs the cache, an interrupted cached run
+  prints a re-run command the shell splits back into its argv, and an
+  interrupted ``--no-cache`` run reports that nothing was persisted.
 """
 
 from __future__ import annotations
@@ -23,18 +22,16 @@ import json
 import multiprocessing
 import os
 import pathlib
+import shlex
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.resilience.supervisor import supervised_map
 from repro.store import (
     AXIS_COLUMNS,
-    JobDirExecutor,
-    LocalPoolExecutor,
     ResultStore,
-    claim_work,
     flatten_scalars,
-    make_executor,
     parse_filter,
     render_records,
 )
@@ -302,126 +299,32 @@ class TestStoreIndex:
         assert render_records([]) == "store: no matching rows"
 
 
-# -- executors -------------------------------------------------------------------------
+# -- the supervised map ----------------------------------------------------------------
 
 
 def _double(value: int) -> float:
     return value * 2.0
 
 
-def _fragile(value: int) -> float:
-    if value == 2:
-        raise ValueError("payload 2 is cursed")
-    return value * 2.0
-
-
-class TestLocalPoolExecutor:
+class TestSupervisedMap:
     def test_in_process_map_is_a_plain_loop(self):
         payloads = list(range(6))
-        pool = LocalPoolExecutor(1)
-        assert pool.map(_double, payloads) == [_double(p) for p in payloads]
+        assert supervised_map(_double, payloads, n_workers=1) == \
+            [_double(p) for p in payloads]
 
     def test_on_done_fires_per_payload(self):
         seen = {}
-        LocalPoolExecutor(1).map(
-            _double, [3, 4], on_done=lambda i, r: seen.__setitem__(i, r)
+        supervised_map(
+            _double, [3, 4], n_workers=1,
+            on_done=lambda i, r: seen.__setitem__(i, r),
         )
         assert seen == {0: 6.0, 1: 8.0}
 
-    def test_make_executor_registry(self, tmp_path):
-        assert make_executor("local-pool", n_workers=2).n_workers == 2
-        job = make_executor("job-dir", n_workers=3,
-                            job_dir=tmp_path / "jobs")
-        assert job.n_claimants == 3
-        with pytest.raises(ConfigurationError, match="job-dir"):
-            make_executor("local-pool", job_dir=tmp_path)
-        with pytest.raises(ConfigurationError, match="--job-dir"):
-            make_executor("job-dir")
-        with pytest.raises(ConfigurationError, match="unknown"):
-            make_executor("carrier-pigeon")
+
+# -- CLI honesty -----------------------------------------------------------------------
 
 
-@pytest.mark.multiprocess
-class TestJobDirExecutor:
-    def test_two_claimants_match_local_pool_bit_for_bit(self, tmp_path):
-        payloads = list(range(10))
-        expected = LocalPoolExecutor(1).map(_double, payloads)
-        done: dict[int, float] = {}
-        got = JobDirExecutor(tmp_path / "jobs", n_claimants=2).map(
-            _double, payloads,
-            on_done=lambda i, r: done.__setitem__(i, r),
-        )
-        assert got == expected  # input order, bit-identical
-        assert done == dict(enumerate(expected))
-        assert (tmp_path / "jobs" / "CLOSED").exists()
-
-    def test_task_error_propagates_to_coordinator(self, tmp_path):
-        with pytest.raises(ValueError, match="cursed"):
-            JobDirExecutor(tmp_path / "jobs", n_claimants=2).map(
-                _fragile, list(range(5))
-            )
-
-    def test_refuses_unfinished_dir_but_reuses_closed_one(self, tmp_path):
-        jobs = tmp_path / "jobs"
-        executor = JobDirExecutor(jobs, n_claimants=1)
-        assert executor.map(_double, [1, 2]) == [2.0, 4.0]
-        # CLOSED proves clean completion: the dir is reset and reused.
-        assert executor.map(_double, [5]) == [10.0]
-        # Simulate an unfinished run: task.pkl present, CLOSED missing.
-        (jobs / "CLOSED").unlink()
-        with pytest.raises(ConfigurationError, match="unfinished"):
-            JobDirExecutor(jobs, n_claimants=1).map(_double, [1])
-
-    def test_claim_work_requires_seeded_dir(self, tmp_path):
-        (tmp_path / "empty").mkdir()
-        with pytest.raises(ConfigurationError, match="task.pkl"):
-            claim_work(tmp_path / "empty")
-
-    def test_external_claimants_partition_the_work(self, tmp_path):
-        # Two independent claimant processes (what `python -m
-        # repro.store work` runs) drain a seeded dir with no
-        # coordinator-spawned workers at all.
-        jobs = tmp_path / "jobs"
-        payloads = list(range(8))
-        executor = JobDirExecutor(jobs, n_claimants=0)
-        executor._prepare(_double, None, payloads)
-        claimants = [
-            multiprocessing.Process(target=claim_work, args=(str(jobs),))
-            for _ in range(2)
-        ]
-        for process in claimants:
-            process.start()
-        for process in claimants:
-            process.join(timeout=60.0)
-            assert process.exitcode == 0
-        results_dir = jobs / "results"
-        assert len(os.listdir(results_dir)) == len(payloads)
-        from repro.store.executors import _load_pickle
-
-        got = [
-            _load_pickle(results_dir / f"{index:06d}.result")
-            for index in range(len(payloads))
-        ]
-        assert got == [("ok", value) for value in
-                       LocalPoolExecutor(1).map(_double, payloads)]
-
-
-# -- journal consistency ---------------------------------------------------------------
-
-
-class TestJournalConsistency:
-    def test_sweep_cli_rejects_resume_without_cache(self):
-        from repro.sweep.__main__ import main as sweep_main
-
-        with pytest.raises(SystemExit):
-            sweep_main(["vprech", "--resume", "--no-cache"])
-
-    def test_reliability_cli_rejects_resume_without_cache(self):
-        from repro.reliability.__main__ import main as reliability_main
-
-        with pytest.raises(SystemExit):
-            reliability_main(["--resume", "--no-cache"])
-
+class TestCliHonesty:
     def test_query_needs_the_cache(self):
         from repro.reliability.__main__ import main as reliability_main
         from repro.sweep.__main__ import main as sweep_main
@@ -438,12 +341,20 @@ class TestJournalConsistency:
                                  cached=False) == SIGINT_EXIT
         err = capsys.readouterr().err
         assert "NOT persisted" in err
-        assert "--resume" not in err  # no lying resume hint
+        assert "python -m repro.sweep" not in err  # no lying re-run hint
 
         assert print_interrupted("python -m repro.sweep", ["vprech"],
                                  cached=True) == SIGINT_EXIT
         err = capsys.readouterr().err
-        assert "committed to the cache" in err and "--resume" in err
+        assert "committed to the cache" in err
+        assert err.splitlines()[-1] == "  python -m repro.sweep vprech"
+
+        # The re-run command survives the shell: a path with a space
+        # (or a quote) comes back as one argument.
+        argv = ["vprech", "--cache-dir", "/tmp/my cache", "--out", "a'b"]
+        print_interrupted("python -m repro.sweep", argv)
+        command = capsys.readouterr().err.splitlines()[-1]
+        assert shlex.split(command) == ["python", "-m", "repro.sweep", *argv]
 
 
 # -- CLI and dashboard wiring (small real campaigns) -----------------------------------
@@ -539,31 +450,6 @@ class TestCampaignStoreAcceptance:
                            "--csv", str(csv_path)]) == 0
         assert csv_path.exists()
         assert len(csv_path.read_text().splitlines()) == 5  # header + 4
-
-    def test_runner_rows_identical_across_executors(self, tmp_path):
-        from repro.sram.bitcell import CellType
-        from repro.sweep import SweepRunner, SweepSpec
-
-        spec = SweepSpec(
-            name="xcheck", cell_types=(CellType.C6T, CellType.C1RW4R),
-            sample_images=(2,), quality=QUALITY,
-        )
-        local = SweepRunner(
-            spec, n_workers=1, cache=ResultCache(tmp_path / "a")
-        ).run()
-        stolen = SweepRunner(
-            spec, cache=ResultCache(tmp_path / "b"),
-            executor=JobDirExecutor(tmp_path / "jobs", n_claimants=2),
-        ).run()
-        assert stolen.rows == local.rows  # bit-identical across backends
-
-        def payloads(root):
-            return sorted(
-                (path.name, path.read_text())
-                for path in pathlib.Path(root).glob("*/*.json")
-            )
-
-        assert payloads(tmp_path / "a") == payloads(tmp_path / "b")
 
     def test_obs_report_gains_campaign_history(self, tmp_path, capsys):
         from repro.obs.__main__ import main as obs_main

@@ -88,7 +88,7 @@ class TestSpec:
 
     def test_duplicate_axis_values_rejected(self):
         """A repeated axis value would evaluate the same point twice in
-        one run and journal a total the cache can never reach."""
+        one run and count more points than the cache can hold."""
         with pytest.raises(ConfigurationError, match="duplicates"):
             SweepSpec(name="dup", cell_types=(CellType.C6T, CellType.C6T),
                       sample_images=(4,), quality=QUALITY)
