@@ -56,11 +56,6 @@ def _supervised_call(task, payload, chaos: ChaosPolicy | None, site,
             timer.cancel()
 
 
-def _supervised_task(args):
-    """Module-level worker entry point for supervised shards."""
-    return _supervised_call(*args)
-
-
 def _supervised_serial(task, payloads: list, policy: SupervisorPolicy,
                        chaos: ChaosPolicy | None, on_done) -> list:
     """In-process supervised loop (``n_workers == 1``).
@@ -118,9 +113,8 @@ def _supervised_pool(task, payloads: list, n_workers: int,
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         futures = {
             pool.submit(
-                _supervised_task,
-                (task, payloads[i], chaos, i, attempts[i],
-                 policy.watchdog_s),
+                _supervised_call, task, payloads[i], chaos, i,
+                attempts[i], policy.watchdog_s,
             ): i
             for i in sorted(remaining)
         }

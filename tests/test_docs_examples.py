@@ -75,30 +75,27 @@ def extract_cli_lines(path: pathlib.Path) -> list[tuple[str, str]]:
     found = []
     for match in _BASH_BLOCK.finditer(path.read_text()):
         for line in match.group(1).replace("\\\n", " ").splitlines():
-            cli = _CLI_LINE.match(line.strip())
+            line = line.strip()
+            cli = _CLI_LINE.match(line)
             if cli:
-                found.append((cli.group(1), line.strip()))
+                found.append((cli.group(1), line))
     return found
 
 
-def _cli_parsers() -> dict:
+def test_doc_cli_lines_parse():
     from repro.obs.__main__ import build_parser as obs_parser
     from repro.reliability.__main__ import ReliabilityCli
     from repro.serve.__main__ import build_parser as serve_parser
     from repro.store.__main__ import build_parser as store_parser
     from repro.sweep.__main__ import SweepCli
 
-    return {
+    parsers = {
         "sweep": SweepCli().build_parser,
         "reliability": ReliabilityCli().build_parser,
         "store": store_parser,
         "serve": serve_parser,
         "obs": obs_parser,
     }
-
-
-def test_doc_cli_lines_parse():
-    parsers = _cli_parsers()
     lines = [(doc.name, *found) for doc in DOC_FILES
              for found in extract_cli_lines(doc)]
     assert {cli for _, cli, _ in lines} == set(parsers)
