@@ -17,6 +17,7 @@ the real stack with a seeded :class:`ChaosPolicy`:
 
 from __future__ import annotations
 
+import importlib
 import shlex
 
 import numpy as np
@@ -62,6 +63,21 @@ def campaign_payload(result) -> list[dict]:
          "flipped_bits": list(row.flipped_bits)}
         for row in result.rows
     ]
+
+
+def interrupting(task, after: int):
+    """``task`` that raises ``KeyboardInterrupt`` once it has finished
+    ``after`` calls, as a Ctrl-C would land between two points."""
+    finished: list = []
+
+    def interruptible(*args, **kwargs):
+        if len(finished) == after:
+            raise KeyboardInterrupt
+        result = task(*args, **kwargs)
+        finished.append(args)
+        return result
+
+    return interruptible
 
 
 # -- bit-identical recovery -----------------------------------------------------------
@@ -142,18 +158,10 @@ class TestResume:
 
         cache = ResultCache(tmp_path / "interrupted")
         real_task = reliability_runner.evaluate_fault_point
-        evaluated: list = []
         interrupt_after = 2
-
-        def interruptible(point):
-            if len(evaluated) == interrupt_after:
-                raise KeyboardInterrupt
-            result = real_task(point)
-            evaluated.append(point)
-            return result
-
         monkeypatch.setattr(
-            reliability_runner, "evaluate_fault_point", interruptible
+            reliability_runner, "evaluate_fault_point",
+            interrupting(real_task, interrupt_after),
         )
         with pytest.raises(KeyboardInterrupt):
             ReliabilityRunner(spec, cache=cache).run()
@@ -172,6 +180,62 @@ class TestResume:
         # And the stitched-together result is bit-identical to an
         # uninterrupted run.
         assert campaign_payload(result) == campaign_payload(reference)
+
+    def test_each_rerun_counts_only_its_own_work(self, tmp_path, monkeypatch):
+        # Two runs die in turn, one point further each time; the third
+        # reports the two committed points as hits, not as its work.
+        spec = small_campaign()
+        reference = ReliabilityRunner(
+            spec, cache=ResultCache(tmp_path / "reference")
+        ).run()
+        cache = ResultCache(tmp_path / "interrupted")
+        real_task = reliability_runner.evaluate_fault_point
+        for committed in (1, 2):
+            monkeypatch.setattr(
+                reliability_runner, "evaluate_fault_point",
+                interrupting(real_task, 1),
+            )
+            with pytest.raises(KeyboardInterrupt):
+                ReliabilityRunner(spec, cache=cache).run()
+            assert len(cache) == committed
+        monkeypatch.setattr(
+            reliability_runner, "evaluate_fault_point", real_task
+        )
+        result = ReliabilityRunner(spec, cache=cache).run()
+        assert result.stats.cache_hits == 2
+        assert result.stats.evaluated == len(spec) - 2
+        assert len(cache) == len(spec)
+        assert campaign_payload(result) == campaign_payload(reference)
+
+    def test_torn_entry_is_re_evaluated_on_rerun(self, tmp_path):
+        spec = small_campaign(trials=1, bers=(0.0, 1e-3))
+        cache = ResultCache(tmp_path / "cache")
+        reference = ReliabilityRunner(spec, cache=cache).run()
+        # A torn write that still got renamed: valid prefix, cut off.
+        entry = sorted(cache.root.glob("*/*.json"))[0]
+        entry.write_text(entry.read_text()[:40])
+        result = ReliabilityRunner(spec, cache=cache).run()
+        assert result.stats.evaluated == 1
+        assert result.stats.cache_hits == len(spec) - 1
+        assert len(cache) == len(spec)
+        assert campaign_payload(result) == campaign_payload(reference)
+
+    def test_warm_rerun_never_reaches_the_supervisor(self, tmp_path):
+        # Under a schedule that crashes every evaluation beyond its
+        # retry budget, a warm re-run still completes: finished points
+        # are served from the cache and never re-enter the worker path.
+        spec = small_campaign(trials=1, bers=(0.0, 1e-3))
+        cache = ResultCache(tmp_path / "cache")
+        cold = ReliabilityRunner(spec, cache=cache).run()
+        warm = ReliabilityRunner(
+            spec, cache=cache,
+            chaos=ChaosPolicy(seed=0, worker_crash_p=1.0,
+                              max_crashes_per_site=3),
+            supervisor=SupervisorPolicy(retry_budget=1),
+        ).run()
+        assert warm.stats.evaluated == 0
+        assert warm.stats.cache_hits == len(cache) == len(spec)
+        assert campaign_payload(warm) == campaign_payload(cold)
 
 
 # -- CLI interrupt contract -----------------------------------------------------------
@@ -214,6 +278,29 @@ class TestCliInterrupt:
         err = capsys.readouterr().err
         assert rerun_command(err) == ["python", "-m", "repro.sweep", *argv]
         assert "--resume" not in err
+
+    @pytest.mark.parametrize("cli, task, argv", [
+        ("sweep", "evaluate_point",
+         ["vprech", "--quality", QUALITY, "--sample-images", "2"]),
+        ("reliability", "evaluate_fault_point",
+         ["cells", "--quality", QUALITY, "--trials", "1",
+          "--sample-images", "2", "--bers", "0,5e-2"]),
+    ])
+    def test_printed_command_resumes_from_the_cache(
+            self, cli, task, argv, tmp_path, monkeypatch, capsys):
+        main = importlib.import_module(f"repro.{cli}.__main__").main
+        runner = importlib.import_module(f"repro.{cli}.runner")
+        real_task = getattr(runner, task)
+        monkeypatch.setattr(runner, task, interrupting(real_task, 2))
+        argv = [*argv, "--cache-dir", str(tmp_path)]
+        assert main(argv) == 130
+        command = rerun_command(capsys.readouterr().err)
+        assert command[:3] == ["python", "-m", f"repro.{cli}"]
+
+        monkeypatch.setattr(runner, task, real_task)
+        assert main(command[3:]) == 0
+        # Both grids hold 4 points: the re-run evaluates the other two.
+        assert "(2 evaluated, 2 cache hits)" in capsys.readouterr().out
 
 
 # -- serving under chaos --------------------------------------------------------------

@@ -9,15 +9,18 @@ content-addressed cache is the durable truth and everything else
   never observe a half-written entry;
 * the SQLite store: ingest-on-put, idempotent backfill, filters,
   aggregation, CSV export, CLI and dashboard wiring;
-* the supervised map returns results in input order and reports each
-  one as it completes;
+* the supervised map returns results in input order for any worker
+  count, reports each one as it completes and hands a task's own error
+  to the caller;
 * CLI honesty: ``--query`` needs the cache, an interrupted cached run
-  prints a re-run command the shell splits back into its argv, and an
-  interrupted ``--no-cache`` run reports that nothing was persisted.
+  prints a re-run command the shell splits back into its argv, an
+  interrupted ``--no-cache`` run reports that nothing was persisted,
+  and the removed ``--resume``/executor flags exit 2.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -306,6 +309,12 @@ def _double(value: int) -> float:
     return value * 2.0
 
 
+def _fragile(value: int) -> float:
+    if value == 2:
+        raise ValueError("payload 2 is cursed")
+    return value * 2.0
+
+
 class TestSupervisedMap:
     def test_in_process_map_is_a_plain_loop(self):
         payloads = list(range(6))
@@ -319,6 +328,27 @@ class TestSupervisedMap:
             on_done=lambda i, r: seen.__setitem__(i, r),
         )
         assert seen == {0: 6.0, 1: 8.0}
+
+    @pytest.mark.multiprocess
+    def test_pool_matches_in_process_map_bit_for_bit(self):
+        payloads = list(range(10))
+        expected = supervised_map(_double, payloads, n_workers=1)
+        done: dict[int, float] = {}
+        got = supervised_map(
+            _double, payloads, n_workers=2,
+            on_done=lambda i, r: done.__setitem__(i, r),
+        )
+        assert got == expected  # input order, bit-identical
+        assert done == dict(enumerate(expected))
+
+    @pytest.mark.parametrize(
+        "n_workers", [1, pytest.param(2, marks=pytest.mark.multiprocess)],
+    )
+    def test_task_error_propagates_to_the_caller(self, n_workers):
+        # A task's own exception is not a worker crash: the supervisor
+        # hands it to the caller instead of retrying it.
+        with pytest.raises(ValueError, match="cursed"):
+            supervised_map(_fragile, list(range(5)), n_workers=n_workers)
 
 
 # -- CLI honesty -----------------------------------------------------------------------
@@ -355,6 +385,27 @@ class TestCliHonesty:
         print_interrupted("python -m repro.sweep", argv)
         command = capsys.readouterr().err.splitlines()[-1]
         assert shlex.split(command) == ["python", "-m", "repro.sweep", *argv]
+
+    @pytest.mark.parametrize("cli, argv, error", [
+        *[pytest.param(cli, [grid, *flag],
+                       f"unrecognized arguments: {' '.join(flag)}",
+                       id=f"{cli}-{flag[0].lstrip('-')}")
+          for cli, grid in (("sweep", "vprech"), ("reliability", "cells"))
+          for flag in (["--resume"], ["--executor", "job-dir"],
+                       ["--job-dir", "jobs"])],
+        pytest.param("store", ["work", "jobs"], "invalid choice: 'work'",
+                     id="store-work"),
+    ])
+    def test_removed_resume_and_executor_flags_exit_2(
+            self, cli, argv, error, capsys):
+        # A resume is a re-run of the same command and every campaign
+        # runs on the local pool, so these must fail loudly rather than
+        # be taken for something else.
+        main = importlib.import_module(f"repro.{cli}.__main__").main
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert error in capsys.readouterr().err
 
 
 # -- CLI and dashboard wiring (small real campaigns) -----------------------------------
@@ -450,6 +501,31 @@ class TestCampaignStoreAcceptance:
                            "--csv", str(csv_path)]) == 0
         assert csv_path.exists()
         assert len(csv_path.read_text().splitlines()) == 5  # header + 4
+
+    def test_runner_rows_identical_across_worker_counts(self, tmp_path):
+        from repro.sram.bitcell import CellType
+        from repro.sweep import SweepRunner, SweepSpec
+
+        spec = SweepSpec(
+            name="xcheck", cell_types=(CellType.C6T, CellType.C1RW4R),
+            sample_images=(2,), quality=QUALITY,
+        )
+        serial = SweepRunner(
+            spec, n_workers=1, cache=ResultCache(tmp_path / "a")
+        ).run()
+        pooled = SweepRunner(
+            spec, n_workers=2, cache=ResultCache(tmp_path / "b")
+        ).run()
+        assert pooled.rows == serial.rows  # bit-identical across pools
+
+        def payloads(root):
+            return sorted(
+                (path.name, path.read_text())
+                for path in pathlib.Path(root).glob("*/*.json")
+            )
+
+        # The stored entries, byte for byte, whichever process wrote them.
+        assert payloads(tmp_path / "a") == payloads(tmp_path / "b")
 
     def test_obs_report_gains_campaign_history(self, tmp_path, capsys):
         from repro.obs.__main__ import main as obs_main
