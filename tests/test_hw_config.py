@@ -41,6 +41,30 @@ GOLDEN_PAPER_FAULT_POINT_KEY = (
     "00a890e338ba85df5d9a040cb34345828f5288fdb99b737bf30b2bb2fb75be4a"
 )
 
+#: Hardware with every field off its default, behind the two
+#: non-default point pins below.
+OFF_DEFAULT_HARDWARE = dict(
+    cell_type=CellType.C1RW2R, vprech=0.6, node="5nm", corner="slow",
+    layer_sizes=(768, 128, 10), clock_period_ns=2.5, seed=7,
+)
+
+#: ``to_dict()`` of :data:`OFF_DEFAULT_HARDWARE`, in key order: stored
+#: cache entries, ``--out`` files and CSV columns are written in it.
+OFF_DEFAULT_HARDWARE_ITEMS = [
+    ("cell_type", "1RW+2R"), ("vprech", 0.6), ("node", "5nm"),
+    ("corner", "slow"), ("layer_sizes", [768, 128, 10]),
+    ("clock_period_ns", 2.5), ("seed", 7),
+]
+
+#: Cache keys of a design point and a fault point with every field off
+#: its default, under an all-'f' weights fingerprint.
+GOLDEN_OFF_DEFAULT_POINT_KEY = (
+    "bbcdc28a995f0ce2521c996ab26aff48f690b05781257ca8143e8cd520eb91e7"
+)
+GOLDEN_OFF_DEFAULT_FAULT_POINT_KEY = (
+    "d057e4a795634d0fd90b7d8ef486bd9dc826ef35be73eeb2a9be0f6ebc028ef8"
+)
+
 
 def tiny_network(config: HardwareConfig) -> EsamNetwork:
     import numpy as np
@@ -178,6 +202,34 @@ class TestGoldenCacheKey:
         point = FaultPoint(hardware=HardwareConfig())
         assert entry_key("reliability", point.to_dict(), "f" * 64) == \
             GOLDEN_PAPER_FAULT_POINT_KEY
+
+    def test_off_default_design_point_is_pinned(self):
+        from repro.sweep import DesignPoint, entry_key
+
+        point = DesignPoint(hardware=HardwareConfig(**OFF_DEFAULT_HARDWARE),
+                            sample_images=16, engine="cycle",
+                            quality="fast")
+        assert list(point.to_dict().items()) == OFF_DEFAULT_HARDWARE_ITEMS + [
+            ("sample_images", 16), ("engine", "cycle"), ("quality", "fast"),
+        ]
+        assert (entry_key("sweep", point.to_dict(), "f" * 64)
+                == GOLDEN_OFF_DEFAULT_POINT_KEY)
+        assert DesignPoint.from_dict(point.to_dict()) == point
+
+    def test_off_default_fault_point_is_pinned(self):
+        from repro.reliability import FaultPoint
+        from repro.sweep import entry_key
+
+        point = FaultPoint(hardware=HardwareConfig(**OFF_DEFAULT_HARDWARE),
+                           bit_error_rate=1e-3, trials=3, trial_start=5,
+                           sample_images=16, engine="cycle", quality="fast")
+        assert list(point.to_dict().items()) == OFF_DEFAULT_HARDWARE_ITEMS + [
+            ("bit_error_rate", 1e-3), ("trials", 3), ("trial_start", 5),
+            ("sample_images", 16), ("engine", "cycle"), ("quality", "fast"),
+        ]
+        assert (entry_key("reliability", point.to_dict(), "f" * 64)
+                == GOLDEN_OFF_DEFAULT_FAULT_POINT_KEY)
+        assert FaultPoint.from_dict(point.to_dict()) == point
 
     @pytest.mark.parametrize("kind", ["sweep", "reliability"])
     def test_runner_writes_its_entry_under_the_entry_key(self, kind,
