@@ -93,7 +93,7 @@ class EsamSystem:
                         engine: str = "fast") -> ClassificationResult:
         """Hardware-accurate classification of encoded spike vectors.
 
-        ``engine`` selects any registered backend
+        ``engine`` selects any backend
         (:func:`repro.tile.backend_names`; ``"fast"`` default).  Predictions,
         traces and the hardware report are identical for every backend
         (proven trace-equivalent by the conformance suite) — keep

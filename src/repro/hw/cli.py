@@ -29,10 +29,10 @@ def add_engine_argument(parser: argparse.ArgumentParser, *,
                         help_suffix: str = "") -> None:
     """Attach the shared ``--engine`` flag to ``parser``.
 
-    Choices come straight from the engine-backend registry
+    Choices come straight from the engine-backend table
     (:func:`repro.tile.backends.backend_names`), so every CLI exposes exactly
-    the registered backends — a backend registered before argument
-    parsing shows up in ``--help`` without a CLI edit.  Pass
+    the backends — a backend added to the table shows up in ``--help``
+    without a CLI edit.  Pass
     ``default=None`` for CLIs that must distinguish "not given" (e.g.
     to narrow a swept engine axis only when the user pinned one).
     """

@@ -9,7 +9,8 @@ family next to the design-space sweeps:
     Declarative grids over bit-error rate x Monte-Carlo trials x the
     hardware cell/node/corner axes, expanded into hashable,
     self-seeded points (per-trial masks derive from the
-    ``HardwareConfig`` seed, partition-independently).
+    ``HardwareConfig`` seed, partition-independently).  A fault point
+    is a sweep ``DesignPoint`` with a fault condition.
 :class:`ReliabilityRunner`
     Vectorizes each point's trials through ``EsamNetwork.infer_batch``
     on the fast engine and shards cache misses across worker

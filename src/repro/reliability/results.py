@@ -13,9 +13,6 @@ test, like the figure-8 claims).
 
 from __future__ import annotations
 
-import csv
-import json
-import pathlib
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -23,7 +20,7 @@ from repro.hw.config import HardwareConfig
 from repro.reliability.spec import FaultPoint
 from repro.sram.variation_study import VariationStudy
 from repro.system.report import render_table
-from repro.sweep.results import SweepStats
+from repro.sweep.results import GridResult
 from repro.tech.constants import DEFAULT_NODE
 from repro.tech.corners import DEFAULT_CORNER, ProcessVariation
 from repro.sram.readport import CLOCK_PERIOD_NS
@@ -226,19 +223,13 @@ def build_yield_curves(rows: list[ReliabilityRow],
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(GridResult):
     """Ordered rows and aggregated curves of one campaign run."""
 
-    spec_name: str
-    rows: list[ReliabilityRow] = field(default_factory=list)
     curves: list[YieldCurve] = field(default_factory=list)
-    stats: SweepStats = field(default_factory=SweepStats)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
+    row_type = ReliabilityRow
+    noun = "campaign"
 
     # -- lookups -------------------------------------------------------------------
 
@@ -341,46 +332,14 @@ class CampaignResult:
 
     # -- serialization --------------------------------------------------------------
 
-    def to_json(self, path) -> pathlib.Path:
-        """Write the full result (rows + curves + stats) as JSON."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "spec_name": self.spec_name,
-            "stats": self.stats.to_dict(),
-            "rows": [row.to_dict() for row in self.rows],
-            "curves": [curve.to_dict() for curve in self.curves],
-        }
-        with path.open("w") as handle:
-            json.dump(payload, handle, indent=1)
-        return path
+    def to_dict(self) -> dict:
+        """The JSON document :meth:`to_json` writes: rows, then curves."""
+        return {**super().to_dict(),
+                "curves": [curve.to_dict() for curve in self.curves]}
 
     @classmethod
-    def from_json(cls, path) -> "CampaignResult":
-        """Reload a result written by :meth:`to_json`."""
-        path = pathlib.Path(path)
-        with path.open() as handle:
-            payload = json.load(handle)
-        stats = payload.get("stats", {})
-        return cls(
-            spec_name=payload["spec_name"],
-            rows=[ReliabilityRow.from_dict(r) for r in payload["rows"]],
-            curves=[YieldCurve.from_dict(c) for c in payload["curves"]],
-            stats=SweepStats(
-                evaluated=int(stats.get("evaluated", 0)),
-                cache_hits=int(stats.get("cache_hits", 0)),
-            ),
-        )
-
-    def to_csv(self, path) -> pathlib.Path:
-        """Write one flat CSV row per fault point."""
-        if not self.rows:
-            raise ConfigurationError("no campaign rows to export")
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        flats = [row.flat_dict() for row in self.rows]
-        with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(flats[0]))
-            writer.writeheader()
-            writer.writerows(flats)
-        return path
+    def from_dict(cls, payload: dict) -> "CampaignResult":
+        """Inverse of :meth:`to_dict`."""
+        result = super().from_dict(payload)
+        result.curves = [YieldCurve.from_dict(c) for c in payload["curves"]]
+        return result

@@ -95,7 +95,7 @@ class ReliabilityRunner(CampaignRunner):
     """
 
     kind = "reliability"
-    row_type = ReliabilityRow
+    result_type = CampaignResult
 
     def _task(self):
         return evaluate_fault_point

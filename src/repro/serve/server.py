@@ -186,7 +186,7 @@ class InferenceServer:
         explicit backpressure knob.  ``None`` keeps the class's own
         bound (256 for the stock classes).
     engine:
-        Simulation engine used for every flush: any registered backend
+        Simulation engine used for every flush: any backend
         (:func:`repro.tile.backend_names`; ``"fast"`` default).  Every
         backend serves bit-identical predictions — only the flush
         latency differs.

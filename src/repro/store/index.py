@@ -146,7 +146,9 @@ def parse_filter(text: str) -> dict:
     """``"cell=6T,node=3nm"`` → keyword filters for :meth:`filter`.
 
     An empty string means "no constraints".  Axis aliases (``cell``,
-    ``ber``) are accepted; values are coerced to the column's type.
+    ``ber``) are accepted; values are coerced to the column's type, and
+    a value that does not parse is a :class:`ConfigurationError` naming
+    its term.
     """
     filters: dict = {}
     for part in text.split(","):
@@ -160,12 +162,17 @@ def parse_filter(text: str) -> dict:
         name, value = part.split("=", 1)
         name = AXIS_ALIASES.get(name.strip(), name.strip())
         value = value.strip()
-        if name in _FLOAT_AXES:
-            filters[name] = float(value)
-        elif name in _INT_AXES:
-            filters[name] = int(value)
-        else:
-            filters[name] = value
+        try:
+            if name in _FLOAT_AXES:
+                filters[name] = float(value)
+            elif name in _INT_AXES:
+                filters[name] = int(value)
+            else:
+                filters[name] = value
+        except ValueError:
+            raise ConfigurationError(
+                f"bad filter term {part!r}; {value!r} is not a valid {name}"
+            ) from None
     return filters
 
 

@@ -14,9 +14,9 @@ import csv
 import json
 import pathlib
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
-from repro.sram.bitcell import CellType
 from repro.tech.constants import DEFAULT_NODE
 from repro.tech.corners import DEFAULT_CORNER
 from repro.system.energy import SystemMetrics
@@ -91,12 +91,23 @@ class SweepStats:
 
 
 @dataclass
-class SweepResult:
-    """Ordered rows of one sweep run, plus run statistics."""
+class GridResult:
+    """Ordered rows of one campaign run, plus run statistics.
+
+    What every campaign family's result shares: iteration over the
+    rows, a lossless JSON round trip and a flat CSV export.  A family
+    states its :attr:`row_type` and :attr:`noun`, and adds its own
+    views.
+    """
 
     spec_name: str
-    rows: list[SweepRow] = field(default_factory=list)
+    rows: list = field(default_factory=list)
     stats: SweepStats = field(default_factory=SweepStats)
+
+    #: Row class; ``row_type.from_dict`` reloads a serialized row.
+    row_type: ClassVar[type]
+    #: What one run is called in messages ("sweep", "campaign").
+    noun: ClassVar[str]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -104,19 +115,68 @@ class SweepResult:
     def __iter__(self):
         return iter(self.rows)
 
+    # -- serialization --------------------------------------------------------------
+
+    def to_dict(self) -> dict:
+        """The JSON document :meth:`to_json` writes."""
+        return {
+            "spec_name": self.spec_name,
+            "stats": self.stats.to_dict(),
+            "rows": [row.to_dict() for row in self.rows],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "GridResult":
+        """Inverse of :meth:`to_dict`."""
+        stats = payload.get("stats", {})
+        return cls(
+            spec_name=payload["spec_name"],
+            rows=[cls.row_type.from_dict(r) for r in payload["rows"]],
+            stats=SweepStats(
+                evaluated=int(stats.get("evaluated", 0)),
+                cache_hits=int(stats.get("cache_hits", 0)),
+            ),
+        )
+
+    def to_json(self, path) -> pathlib.Path:
+        """Write the full result as one JSON document."""
+        path = pathlib.Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w") as handle:
+            json.dump(self.to_dict(), handle, indent=1)
+        return path
+
+    @classmethod
+    def from_json(cls, path) -> "GridResult":
+        """Reload a result written by :meth:`to_json`."""
+        with pathlib.Path(path).open() as handle:
+            return cls.from_dict(json.load(handle))
+
+    def to_csv(self, path) -> pathlib.Path:
+        """Write one flat CSV row per point."""
+        if not self.rows:
+            raise ConfigurationError(f"no {self.noun} rows to export")
+        path = pathlib.Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        flats = [row.flat_dict() for row in self.rows]
+        with path.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(flats[0]))
+            writer.writeheader()
+            writer.writerows(flats)
+        return path
+
+
+class SweepResult(GridResult):
+    """Ordered rows of one sweep run, plus run statistics."""
+
+    row_type = SweepRow
+    noun = "sweep"
+
     # -- views ---------------------------------------------------------------------
 
     def figure8_rows(self) -> list[Figure8Row]:
         """The rows in the shape ``SystemEvaluator.figure8()`` returns."""
         return [row.to_figure8_row() for row in self.rows]
-
-    def by_cell(self) -> dict[CellType, SweepRow]:
-        """Last row per cell option (the Figure-8 lookup)."""
-        return {row.point.cell_type: row for row in self.rows}
-
-    def by_vprech(self) -> dict[float, SweepRow]:
-        """Last row per precharge voltage (the Vprech-ablation lookup)."""
-        return {row.point.vprech: row for row in self.rows}
 
     def by_corner(self) -> dict[tuple[str, str], SweepRow]:
         """Last row per ``(node, corner)`` pair (the guardband lookup)."""
@@ -191,47 +251,3 @@ class SweepResult:
                   f"({self.stats.evaluated} evaluated, "
                   f"{self.stats.cache_hits} cache hits)",
         )
-
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self, path) -> pathlib.Path:
-        """Write the full result (rows + stats) as one JSON document."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "spec_name": self.spec_name,
-            "stats": self.stats.to_dict(),
-            "rows": [row.to_dict() for row in self.rows],
-        }
-        with path.open("w") as handle:
-            json.dump(payload, handle, indent=1)
-        return path
-
-    @classmethod
-    def from_json(cls, path) -> "SweepResult":
-        """Reload a result written by :meth:`to_json`."""
-        path = pathlib.Path(path)
-        with path.open() as handle:
-            payload = json.load(handle)
-        stats = payload.get("stats", {})
-        return cls(
-            spec_name=payload["spec_name"],
-            rows=[SweepRow.from_dict(r) for r in payload["rows"]],
-            stats=SweepStats(
-                evaluated=int(stats.get("evaluated", 0)),
-                cache_hits=int(stats.get("cache_hits", 0)),
-            ),
-        )
-
-    def to_csv(self, path) -> pathlib.Path:
-        """Write one flat CSV row per design point."""
-        if not self.rows:
-            raise ConfigurationError("no sweep rows to export")
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        flats = [row.flat_dict() for row in self.rows]
-        with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(flats[0]))
-            writer.writeheader()
-            writer.writerows(flats)
-        return path

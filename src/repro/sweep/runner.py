@@ -110,16 +110,16 @@ class CampaignRunner:
         run (the chaos acceptance suite pins this).
 
     A subclass states only what differs between campaign families:
-    :attr:`kind`, :attr:`row_type`, the worker task (:meth:`_task`),
-    how a task's output becomes a row (:meth:`_row`) and how rows
-    become a result (:meth:`_result`).
+    :attr:`kind`, :attr:`result_type`, the worker task (:meth:`_task`)
+    and how a task's output becomes a row (:meth:`_row`).
     """
 
     #: Entry family: the cache-key namespace and the ``kind`` stored
     #: with each row.
     kind: str
-    #: Row class; ``row_type.from_dict(data, cached=True)`` loads a hit.
-    row_type: type
+    #: Result class, a :class:`~repro.sweep.results.GridResult`; its
+    #: ``row_type.from_dict(data, cached=True)`` loads a hit.
+    result_type: type
 
     def __init__(self, spec, *, n_workers: int = 1,
                  cache: ResultCache | bool | None = True,
@@ -147,7 +147,8 @@ class CampaignRunner:
 
     def _result(self, rows: list, stats: SweepStats):
         """The campaign result, from rows in expansion order."""
-        raise NotImplementedError
+        return self.result_type(spec_name=self.spec.name, rows=rows,
+                                stats=stats)
 
     def _network(self, quality: str, seed: int) -> ConvertedSNN:
         """The network the points of one ``(quality, seed)`` evaluate."""
@@ -205,7 +206,8 @@ class CampaignRunner:
                 if cached is None:
                     misses.append(index)
                 else:
-                    rows[index] = self.row_type.from_dict(cached, cached=True)
+                    rows[index] = self.result_type.row_type.from_dict(
+                        cached, cached=True)
                     stats.cache_hits += 1
             registry = get_registry()
             registry.counter("repro_cache_hits_total", kind=self.kind).inc(
@@ -264,7 +266,7 @@ class SweepRunner(CampaignRunner):
     """
 
     kind = "sweep"
-    row_type = SweepRow
+    result_type = SweepResult
 
     def __init__(self, spec: SweepSpec, *, n_workers: int = 1,
                  cache: ResultCache | bool | None = True,
@@ -285,6 +287,3 @@ class SweepRunner(CampaignRunner):
 
     def _row(self, point: DesignPoint, output: SystemMetrics) -> SweepRow:
         return SweepRow(point=point, metrics=output, cached=False)
-
-    def _result(self, rows: list[SweepRow], stats: SweepStats) -> SweepResult:
-        return SweepResult(spec_name=self.spec.name, rows=rows, stats=stats)

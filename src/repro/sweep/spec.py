@@ -14,15 +14,20 @@ process corner, seed) plus the *evaluation* axes (cycle-accurate sample
 size, simulation engine, model-quality preset).  Every point is frozen,
 fully value-typed and carries its own seed, so a point evaluates to the
 same metrics no matter which worker, which shard order, or which
-session runs it.
+session runs it.  The fault campaigns'
+:class:`~repro.reliability.spec.FaultPoint` is a design point with a
+fault condition, and :func:`check_axes` is the grid check both spec
+families run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
@@ -44,6 +49,16 @@ CORNER_SWEEP_NODES = ("3nm", "5nm")
 CORNER_SWEEP_CORNERS = ("typical", "slow", "fast")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a plain ``int``: any integer, numpy's included, but
+    no bool, float or string, so it can neither change a cache key nor
+    be truncated into another Monte-Carlo stream."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, init=False)
 class DesignPoint:
     """One fully-specified evaluation of the ESAM system.
@@ -58,6 +73,14 @@ class DesignPoint:
     seed=...)`` overrides those fields of ``hardware`` (default: the
     paper's point), which is how :meth:`SweepSpec.expand` walks a grid.
     The same names read back as properties.
+
+    A subclass evaluates the hardware under a condition — a
+    :class:`~repro.reliability.spec.FaultPoint` adds a bit-error rate
+    and its Monte-Carlo trials.  It declares only the condition's
+    fields, their checks and :attr:`evaluation_fields`; they are passed
+    to this constructor by keyword.  Every field annotated ``int`` goes
+    through one rule: any integer is stored as an ``int``, anything
+    else is a :class:`ConfigurationError`.
     """
 
     hardware: HardwareConfig
@@ -65,13 +88,23 @@ class DesignPoint:
     engine: str = "fast"
     quality: str = "full"
 
+    #: The fields :meth:`to_dict` writes after the hardware's, in that
+    #: order (the order of stored entries and CSV columns);
+    #: :meth:`from_dict` reads the same names back.
+    evaluation_fields: ClassVar[tuple[str, ...]] = (
+        "sample_images", "engine", "quality",
+    )
+    #: Whether a point must name its hardware (``hardware`` or a flat
+    #: axis); without one, a fault point is the paper's hardware.
+    hardware_required: ClassVar[bool] = True
+
     def __init__(self, cell_type: CellType | None = None,
                  vprech: float | None = None,
                  sample_images: int = 64, engine: str = "fast",
                  quality: str = "full", seed: int | None = None,
                  node: str | None = None, corner: str | None = None,
-                 hardware: HardwareConfig | None = None) -> None:
-        base = hardware if hardware is not None else HardwareConfig()
+                 hardware: HardwareConfig | None = None,
+                 **condition) -> None:
         overrides = {
             key: value
             for key, value in (
@@ -80,16 +113,22 @@ class DesignPoint:
             )
             if value is not None
         }
+        if hardware is None:
+            if self.hardware_required and not overrides:
+                raise ConfigurationError(
+                    "DesignPoint needs a hardware config or a cell_type"
+                )
+            hardware = HardwareConfig()
         if overrides:
-            base = base.replace(**overrides)
-        elif hardware is None and cell_type is None:
-            raise ConfigurationError(
-                "DesignPoint needs a hardware config or a cell_type"
-            )
-        object.__setattr__(self, "hardware", base)
-        object.__setattr__(self, "sample_images", sample_images)
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "quality", quality)
+            hardware = hardware.replace(**overrides)
+        values = dict(condition, hardware=hardware,
+                      sample_images=sample_images, engine=engine,
+                      quality=quality)
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, values.pop(f.name, f.default))
+        if values:
+            raise TypeError(f"{type(self).__name__}() got an unexpected "
+                            f"keyword argument {next(iter(values))!r}")
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -98,6 +137,11 @@ class DesignPoint:
             raise ConfigurationError(
                 f"hardware must be a HardwareConfig, got {self.hardware!r}"
             )
+        for f in dataclasses.fields(self):
+            if f.type in ("int", int):
+                object.__setattr__(
+                    self, f.name, _integer(f.name, getattr(self, f.name))
+                )
         if self.sample_images < 1:
             raise ConfigurationError("sample_images must be >= 1")
         if self.quality not in QUALITY_PRESETS:
@@ -146,16 +190,13 @@ class DesignPoint:
         """JSON-ready representation (``cell_type`` by its paper name).
 
         Flat on purpose, and it covers *every* equality-bearing field
-        (the full hardware dict plus the evaluation axes) — these keys
-        feed the sweep cache key and the CSV export, and the golden
-        cache-key test pins this exact shape.
+        (the full hardware dict, then :attr:`evaluation_fields`) —
+        these keys feed the cache key and the CSV export, and the
+        golden cache-key tests pin this exact shape.
         """
         out = self.hardware.to_dict()
-        out.update(
-            sample_images=self.sample_images,
-            engine=self.engine,
-            quality=self.quality,
-        )
+        out.update((name, getattr(self, name))
+                   for name in self.evaluation_fields)
         return out
 
     @classmethod
@@ -169,12 +210,28 @@ class DesignPoint:
         hardware = HardwareConfig.from_dict(
             {k: v for k, v in data.items() if k in hardware_keys}
         )
-        return cls(
-            hardware=hardware,
-            sample_images=int(data["sample_images"]),
-            engine=str(data["engine"]),
-            quality=str(data["quality"]),
-        )
+        return cls(hardware=hardware,
+                   **{name: data[name] for name in cls.evaluation_fields})
+
+
+def check_axes(noun: str, name: str, axes: dict[str, tuple]) -> None:
+    """The grid check every campaign spec runs: a non-empty name, and
+    each axis non-empty and free of duplicates.
+
+    A duplicated axis value would evaluate the same point twice (both
+    as cache misses within one run), count more points than the
+    distinct cache entries can hold, and fold a fault campaign's copies
+    into one malformed yield curve.
+    """
+    if not name:
+        raise ConfigurationError(f"{noun} name must be non-empty")
+    for axis, values in axes.items():
+        if not values:
+            raise ConfigurationError(f"{noun} axis {axis} is empty")
+        if len(set(values)) != len(values):
+            raise ConfigurationError(
+                f"{noun} axis {axis} contains duplicates: {values}"
+            )
 
 
 @dataclass(frozen=True)
@@ -199,25 +256,14 @@ class SweepSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("sweep name must be non-empty")
-        for axis, values in (
-            ("cell_types", self.cell_types),
-            ("vprechs", self.vprechs),
-            ("sample_images", self.sample_images),
-            ("engines", self.engines),
-            ("nodes", self.nodes),
-            ("corners", self.corners),
-        ):
-            if not values:
-                raise ConfigurationError(f"sweep axis {axis} is empty")
-            # A duplicated axis value would evaluate the same point
-            # twice (both as cache misses within one run) and count
-            # more points than the distinct cache entries can hold.
-            if len(set(values)) != len(values):
-                raise ConfigurationError(
-                    f"sweep axis {axis} contains duplicates: {values}"
-                )
+        check_axes("sweep", self.name, {
+            "cell_types": self.cell_types,
+            "vprechs": self.vprechs,
+            "sample_images": self.sample_images,
+            "engines": self.engines,
+            "nodes": self.nodes,
+            "corners": self.corners,
+        })
 
     @classmethod
     def over_ports(cls, ports: Iterable[int], name: str = "ports",
@@ -297,9 +343,9 @@ def engines_spec(sample_images: int = 64, quality: str = "full",
                  corner: str = DEFAULT_CORNER) -> SweepSpec:
     """Cross-backend audit grid on the selected design point.
 
-    Defaults to *every* registered engine backend
-    (:func:`repro.tile.backends.backend_names`), so a newly registered
-    backend joins the audit sweep without a spec edit.
+    Defaults to *every* engine backend
+    (:func:`repro.tile.backends.backend_names`), so a backend added to
+    the table joins the audit sweep without a spec edit.
     """
     return SweepSpec(
         name="engines", cell_types=(CellType.C1RW4R,),

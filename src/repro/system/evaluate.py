@@ -159,7 +159,7 @@ class SystemEvaluator:
                       hardware: HardwareConfig | None = None) -> Figure8Row:
         """Hardware-accurate evaluation of one cell option.
 
-        ``engine`` selects any registered backend (``"fast"`` default —
+        ``engine`` selects any backend (``"fast"`` default —
         identical traces and energies to every other backend, orders of
         magnitude faster than the per-cycle reference for the sweep).
         The hardware is this evaluator's config at ``cell_type``, or a
@@ -182,8 +182,8 @@ class SystemEvaluator:
 
         Each row is :meth:`evaluate_cell` at this evaluator's config
         with only the cell option changed, so a clock override, node or
-        corner holds for every bar.  ``engine`` selects any registered
-        backend; every backend renders identical rows (pinned by the
+        corner holds for every bar.  ``engine`` selects any backend;
+        every backend renders identical rows (pinned by the
         golden-parity suite).
         """
         return [self.evaluate_cell(cell, engine=engine) for cell in ALL_CELLS]

@@ -10,12 +10,7 @@ from repro.tile.mapping import LayerMapping
 from repro.tile.tile import Tile, TileInferenceStats
 from repro.tile.fast import DrainSchedule, drain_schedule, grant_cycle_of_rows
 from repro.tile.engine import FastEngine
-from repro.tile.backends import (
-    backend_factory,
-    backend_names,
-    engines_doc,
-    register_backend,
-)
+from repro.tile.backends import backend_factory, backend_names
 from repro.tile.backends.bitpacked import BitpackedEngine
 from repro.tile.backends.cycle import CycleEngine
 from repro.tile.network import EsamNetwork, InferenceTrace, validate_engine
@@ -35,8 +30,6 @@ __all__ = [
     "CycleEngine",
     "backend_factory",
     "backend_names",
-    "engines_doc",
-    "register_backend",
     "validate_engine",
     "EsamNetwork",
     "InferenceTrace",

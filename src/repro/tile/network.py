@@ -25,24 +25,18 @@ from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import CellType
 from repro.sram.electrical import TransposedPortModel
 from repro.sram.readport import ReadPortModel
-from repro.tile.backends import backend_factory, engines_doc
+from repro.tile.backends import backend_factory
 from repro.tile.mapping import ARRAY_DIM
 from repro.tile.pipeline import PipelineModel
 from repro.tile.tile import Tile
 
-# The engine list and per-engine summaries are *derived* from the
-# engine-backend registration table (repro.tile.backends), never
-# enumerated by hand, so this module's documentation cannot drift when
-# a backend is registered:
-__doc__ += "\nRegistered simulation engines:\n\n" + engines_doc() + "\n"
-
 
 def validate_engine(engine: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``engine`` is registered.
+    """Raise :class:`ConfigurationError` unless ``engine`` is a backend.
 
-    Delegates to the engine-backend registry
+    Delegates to the engine-backend table
     (:func:`repro.tile.backends.backend_factory`), so the error message
-    always lists every registered backend.  Call this at API boundaries
+    always lists every backend.  Call this at API boundaries
     (evaluators, sweep specs, CLIs) so a typo like ``engine="fats"``
     fails immediately instead of deep inside the inference call stack.
     """
@@ -256,11 +250,11 @@ class EsamNetwork:
         """Predicted class: arg-max over output membrane potentials."""
         return int(np.argmax(self.infer(spikes, trace)))
 
-    # -- batched inference (registered engine backends) ------------------------------
+    # -- batched inference (engine backends) ------------------------------------------
 
     def engine_backend(self, engine: str = "fast",
                        refresh: bool = False):
-        """The (cached) engine instance of a registered backend.
+        """The (cached) engine instance of a backend.
 
         Engines that snapshot state at construction (weight matrices,
         packed bitplanes, memoized schedules) rebuild automatically
@@ -284,7 +278,7 @@ class EsamNetwork:
         """Run a ``(B, n_in)`` spike batch through every tile.
 
         Returns output membrane readouts ``(B, n_classes)``.
-        ``engine`` selects any registered backend (see
+        ``engine`` selects any backend (see
         :func:`~repro.tile.backends.backend_names`); every backend
         produces identical results, traces and energy ledgers (asserted
         per backend by the conformance suite,
@@ -308,7 +302,7 @@ class EsamNetwork:
         readout.  Semantically identical to
         :class:`repro.snn.temporal.TemporalBinarySNN` (asserted by the
         test suite), but executed on the cycle-accurate hardware.
-        ``engine`` selects any registered backend; all backends leave
+        ``engine`` selects any backend; all backends leave
         identical stats, ledgers and membrane state, so engines are
         interchangeable mid-run in any direction.
         """

@@ -18,13 +18,13 @@ from repro.tile.backends import backend_names
 
 @pytest.fixture(params=backend_names())
 def backend(request) -> str:
-    """Every registered engine-backend name, one at a time.
+    """Every engine-backend name, one at a time.
 
-    Parametrized straight off the registry, so registering a new
-    backend automatically runs it through every test using this
-    fixture (the conformance suite's closure property).  Tests using
-    it are auto-marked ``backend`` — see pytest.ini and
-    ``pytest_collection_modifyitems`` below.
+    Parametrized straight off the backend table, so a backend added to
+    it runs through every test using this fixture (the conformance
+    suite's closure property).  Tests using it are auto-marked
+    ``backend`` — see pytest.ini and ``pytest_collection_modifyitems``
+    below.
     """
     return request.param
 

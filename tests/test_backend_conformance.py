@@ -1,14 +1,14 @@
-"""Cross-backend conformance: every registered engine vs the reference.
+"""Cross-backend conformance: every engine vs the reference.
 
-The engine-backend registry (:mod:`repro.tile.backends`) promises that
-every registered backend is *indistinguishable* from the per-cycle
-reference: same predictions, same traces, same stats counters, same
-energy ledgers, same persisted membranes.  This suite enforces that
-promise structurally — the ``backend`` fixture (tests/conftest.py)
-parametrizes over :func:`repro.tile.backends.backend_names`, so
-registering a new backend automatically runs it through the full
-equivalence matrix (cells x Vprech regimes x temporal mode x mid-run
-engine switching x faulted weights) with zero test edits.
+The engine-backend table (:mod:`repro.tile.backends`) promises that
+every backend is *indistinguishable* from the per-cycle reference:
+same predictions, same traces, same stats counters, same energy
+ledgers, same persisted membranes.  This suite enforces that promise
+structurally — the ``backend`` fixture (tests/conftest.py)
+parametrizes over :func:`repro.tile.backends.backend_names`, so a
+backend added to the table runs through the full equivalence matrix
+(cells x Vprech regimes x temporal mode x mid-run engine switching x
+faulted weights) with zero test edits.
 
 The dense-vs-cycle corner cases (mid-drain saturation, temporal
 residue) stay in tests/test_engine_equivalence.py; this suite covers
@@ -29,12 +29,7 @@ from test_engine_equivalence import (
 
 from repro.errors import ConfigurationError
 from repro.sram.bitcell import CellType
-from repro.tile.backends import (
-    backend_factory,
-    backend_names,
-    engines_doc,
-    register_backend,
-)
+from repro.tile.backends import backend_factory, backend_names
 from repro.tile.network import EsamNetwork, InferenceTrace
 
 CELLS = [CellType.C6T, CellType.C1RW2R, CellType.C1RW4R]
@@ -56,30 +51,6 @@ class TestRegistry:
     def test_unknown_backend_rejected_with_full_list(self):
         with pytest.raises(ConfigurationError, match="fast"):
             backend_factory("fats")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend("fast", lambda network: None)
-
-    @pytest.mark.parametrize("name", ["", None, 42])
-    def test_invalid_backend_name_rejected(self, name):
-        with pytest.raises(ConfigurationError, match="name"):
-            register_backend(name, lambda network: None)
-
-    def test_non_callable_factory_rejected(self):
-        with pytest.raises(ConfigurationError, match="callable"):
-            register_backend("not-a-factory", object())
-
-    def test_engines_doc_lists_every_backend(self):
-        doc = engines_doc()
-        for name in backend_names():
-            assert f'``engine="{name}"``' in doc
-
-    def test_network_module_doc_derived_from_registry(self):
-        import repro.tile.network as network_module
-
-        for name in backend_names():
-            assert f'``engine="{name}"``' in network_module.__doc__
 
 
 class TestStaticConformance:

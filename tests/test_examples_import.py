@@ -3,10 +3,12 @@
 Running the examples and the benchmarks needs the full trained model.
 Importing them, and checking every keyword they pass to the library
 against the callee's signature, catches API drift, typos and missing
-modules cheaply in CI.
+modules cheaply in CI.  The repo benchmark's scripts (``perfbench/``)
+get the keyword check only: they are parsed, never imported.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -18,6 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 EXAMPLE_FILES = sorted((ROOT / "examples").glob("*.py"))
 BENCHMARK_FILES = sorted((ROOT / "benchmarks").glob("*.py"))
 SCRIPT_FILES = EXAMPLE_FILES + BENCHMARK_FILES
+PERFBENCH_FILES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _load(path: pathlib.Path):
@@ -60,7 +63,8 @@ def stale_keywords(source: str, filename: str) -> tuple[int, list[str]]:
 
     Returns how many keywords were checked and one message per keyword
     the callee does not accept.  Callees taking ``**kwargs`` are
-    skipped: any keyword is valid there.
+    skipped, since any keyword is valid there, unless the callee is a
+    dataclass: then its fields bound what the ``**kwargs`` take.
     """
     tree = ast.parse(source, filename=filename)
     names = _repro_names(tree)
@@ -75,15 +79,20 @@ def stale_keywords(source: str, filename: str) -> tuple[int, list[str]]:
             parameters = inspect.signature(callee).parameters
         except (TypeError, ValueError):
             continue
+        accepted = {
+            name for name, p in parameters.items()
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        }
         if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
-            continue
+            if not (isinstance(callee, type)
+                    and dataclasses.is_dataclass(callee)):
+                continue
+            accepted |= {f.name for f in dataclasses.fields(callee)}
         for keyword in node.keywords:
             if keyword.arg is None:  # a **mapping splat
                 continue
             checked += 1
-            parameter = parameters.get(keyword.arg)
-            if (parameter is None
-                    or parameter.kind is parameter.POSITIONAL_ONLY):
+            if keyword.arg not in accepted:
                 stale.append(
                     f"{filename}:{node.lineno}: {ast.unparse(node.func)}() "
                     f"takes no keyword {keyword.arg!r}"
@@ -109,8 +118,8 @@ def test_benchmark_imports(path):
 
 
 @pytest.mark.parametrize(
-    "path", SCRIPT_FILES,
-    ids=[f"{p.parent.name}/{p.stem}" for p in SCRIPT_FILES],
+    "path", SCRIPT_FILES + PERFBENCH_FILES,
+    ids=[f"{p.parent.name}/{p.stem}" for p in SCRIPT_FILES + PERFBENCH_FILES],
 )
 def test_script_keywords_match_library_signatures(path):
     _, stale = stale_keywords(path.read_text(), path.name)
@@ -126,6 +135,17 @@ def test_keyword_check_covers_the_scripts():
     assert checked >= 50
 
 
+def test_keyword_check_covers_perfbench():
+    """The benchmark's own library calls are checked too (campaign
+    runner, cache, servers, design points), so a library change that
+    breaks the benchmark fails here."""
+    checked = sum(
+        stale_keywords(path.read_text(), path.name)[0]
+        for path in PERFBENCH_FILES
+    )
+    assert checked >= 18
+
+
 def test_keyword_check_flags_a_stale_keyword():
     source = (
         "from repro.tile.network import EsamNetwork\n"
@@ -137,6 +157,20 @@ def test_keyword_check_flags_a_stale_keyword():
     assert checked == 2  # for_cell takes **changes, so it is skipped
     assert stale == [
         "snippet.py:3: EsamNetwork() takes no keyword 'cell_type'"
+    ]
+
+
+def test_keyword_check_bounds_a_dataclass_kwargs_by_its_fields():
+    source = (
+        "from repro.reliability import FaultPoint\n"
+        "from repro.sweep import DesignPoint\n"
+        "FaultPoint(cell_type=None, bit_error_rate=0.1, trials=2)\n"
+        "DesignPoint(cell_type=None, bit_error_rate=0.1)\n"
+    )
+    checked, stale = stale_keywords(source, "snippet.py")
+    assert checked == 5
+    assert stale == [
+        "snippet.py:4: DesignPoint() takes no keyword 'bit_error_rate'"
     ]
 
 

@@ -282,6 +282,54 @@ class TestGoldenCacheKey:
         assert DesignPoint.from_dict(pinned.to_dict()) == pinned
 
 
+def _campaign_point(kind: str, **fields):
+    """A design point (``kind="sweep"``) or a fault point with ``fields``."""
+    from repro.reliability import FaultPoint
+    from repro.sweep import DesignPoint
+
+    if kind == "sweep":
+        return DesignPoint(cell_type=CellType.C6T, **fields)
+    return FaultPoint(**fields)
+
+
+class TestPointIntegerFields:
+    """A point's integer fields accept any integer, numpy's included,
+    and store a plain ``int``; anything else is a configuration error,
+    never a silently different cache key or Monte-Carlo stream."""
+
+    @pytest.mark.parametrize("kind", ["sweep", "reliability"])
+    def test_numpy_integer_is_stored_as_int(self, kind):
+        import numpy as np
+
+        from repro.sweep import entry_key
+
+        point = _campaign_point(kind, sample_images=np.int64(8))
+        assert type(point.sample_images) is int
+        assert (entry_key(kind, point.to_dict(), "f" * 64)
+                == entry_key(kind, _campaign_point(
+                    kind, sample_images=8).to_dict(), "f" * 64))
+
+    @pytest.mark.parametrize("kind", ["sweep", "reliability"])
+    @pytest.mark.parametrize("value", [8.0, 8.5, "8", True])
+    def test_non_integer_sample_images_rejected(self, kind, value):
+        with pytest.raises(ConfigurationError, match="sample_images"):
+            _campaign_point(kind, sample_images=value)
+
+    def test_numpy_trial_fields_are_stored_as_int(self):
+        import numpy as np
+
+        point = _campaign_point("reliability", trials=np.int32(3),
+                                trial_start=np.uint8(2))
+        assert (type(point.trials), type(point.trial_start)) == (int, int)
+        assert point.trial_indices == range(2, 5)
+
+    @pytest.mark.parametrize("field", ["trials", "trial_start"])
+    @pytest.mark.parametrize("value", [2.9, 2.0, "2"])
+    def test_non_integer_trial_fields_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            _campaign_point("reliability", **{field: value})
+
+
 class TestCornerPhysics:
     def test_typical_corner_is_exactly_neutral(self):
         typical = PROCESS_CORNERS["typical"]

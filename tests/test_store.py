@@ -229,6 +229,25 @@ class TestFlattenAndFilters:
         with pytest.raises(ConfigurationError, match="axis=value"):
             parse_filter("cell")
 
+    @pytest.mark.parametrize("term", ["ber=abc", "seed=x", "trials=2.5",
+                                      "vprech="])
+    def test_parse_filter_rejects_a_value_that_does_not_parse(self, term):
+        with pytest.raises(ConfigurationError, match=f"term {term!r}"):
+            parse_filter(f"node=3nm,{term}")
+
+    @pytest.mark.parametrize("cli, argv", [
+        ("repro.store.__main__", ["query", "--where", "ber=abc"]),
+        ("repro.sweep.__main__", ["--query", "seed=x"]),
+        ("repro.reliability.__main__", ["--query", "trials=2.5"]),
+    ])
+    def test_clis_report_an_unparsable_filter_value(self, cli, argv,
+                                                    tmp_path, capsys):
+        main = importlib.import_module(cli).main
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad filter term")
+        assert "Traceback" not in captured.err
+
 
 class TestStoreIndex:
     def test_ingest_on_put_is_incremental(self, tmp_path, result_store):
