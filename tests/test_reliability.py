@@ -31,7 +31,13 @@ from repro.reliability import (
 )
 from repro.reliability.__main__ import main as reliability_main
 from repro.sram.bitcell import CellType
-from repro.sweep import ResultCache, SweepRunner, entry_key, figure8_spec
+from repro.sweep import (
+    DesignPoint,
+    ResultCache,
+    SweepRunner,
+    entry_key,
+    figure8_spec,
+)
 from repro.sweep.results import SweepStats
 
 QUALITY = "fast"
@@ -88,6 +94,23 @@ class TestSpec:
             sample_images=4, quality=QUALITY, seed=7,
         )
         assert FaultPoint.from_dict(point.to_dict()) == point
+
+    def test_fault_point_is_a_design_point_with_a_fault_condition(self):
+        paper = FaultPoint()
+        assert isinstance(paper, DesignPoint)
+        assert paper.hardware == HardwareConfig()
+        assert (paper.bit_error_rate, paper.trials) == (0.0, 4)
+        with pytest.raises(ConfigurationError, match="needs a hardware"):
+            DesignPoint()
+        with pytest.raises(TypeError, match="bit_error_rate"):
+            DesignPoint(cell_type=CellType.C6T, bit_error_rate=1e-3)
+        # A fault point and a design point of the same hardware and
+        # evaluation fields are different experiments.
+        assert paper != DesignPoint(hardware=HardwareConfig())
+        # The benchmark re-seeds a campaign's points this way.
+        moved = dataclasses.replace(paper, trial_start=8, corner="slow")
+        assert (moved.trial_indices, moved.corner) == (range(8, 12), "slow")
+        assert moved.bit_error_rate == paper.bit_error_rate
 
     def test_point_trial_indices_and_label(self):
         point = FaultPoint(bit_error_rate=1e-3, trials=4, trial_start=8,
