@@ -16,7 +16,7 @@ main thread is wedged.
 test suite uses that to exercise the shim without waiting minutes.
 
 Tests marked ``multiprocess`` (the fleet suite: real worker processes,
-shared-memory rings, crash/respawn supervision) get a *tighter* cap
+worker pipes, crash/respawn supervision) get a *tighter* cap
 (``MULTIPROCESS_CAP_S``): a deadlocked fabric must fail in seconds,
 not ride out the generic budget, and an orphaned worker process must
 be reaped by the dump-and-die path before it can wedge CI.

@@ -1,42 +1,41 @@
-"""The serving fleet: the serving core with worker-process lanes.
+"""The serving fleet: the serving core with its flushes in worker processes.
 
 :class:`FleetServer` is :class:`~repro.serve.server.InferenceServer`
-with N ``EngineWorker`` *processes* as its lanes instead of the
-dispatch thread: admission, SLO classes, micro-batching, deadline
+with its batches flushed in N ``EngineWorker`` *processes* instead of
+the dispatch thread: admission, SLO classes, micro-batching, deadline
 shedding, retries, chaos and the accounting invariant
 (``submitted == completed + failed + shed``) are the core's, and only
 where a batch is flushed differs — so kernel work escapes the GIL and
-aggregate throughput scales with workers (``benchmarks/
+aggregate throughput can scale with workers (``benchmarks/
 bench_serving.py`` measures the curve).
 
 The moving parts and who owns what:
 
 * **client threads** — the core's ``submit``: validation, SLO-class
-  admission, breaker check, request-id assignment.
-* **dispatch thread** — the core's loop: routes each request to a
-  replica with the seeded :class:`~repro.serve.pool.ConsistentHashRouter`,
-  batches per (model, replica), sheds deadline-expired requests, then
-  (this module) packs each ready batch bit-packed into a free
-  :class:`~repro.serve.shm.SpikeRing` slot and posts a tiny descriptor
-  to the owning worker's queue.
-* **worker processes** — :func:`~repro.serve.pool.worker_main`: read
-  the slot, run the same :func:`~repro.serve.server.flush_batch` the
-  in-process server runs, post predictions + stats as length-prefixed
-  frames over the worker's private result pipe (one ``os.pipe`` per
-  worker generation, exactly one writer — no cross-process lock a
-  hard-killed worker could leave acquired).
-* **collector thread** — one ``select`` over every result pipe, every
+  admission, breaker check.
+* **dispatch thread** — the core's loop: batches per model, sheds
+  deadline-expired requests, then (this module) packs each ready batch
+  with :func:`~repro.tile.backends.bitpacked.pack_spike_rows` and sends
+  it to the ready worker with the fewest batches in flight
+  (:func:`choose_worker`), waiting while every worker holds
+  :data:`MAX_IN_FLIGHT` batches.
+* **worker processes** — :func:`~repro.serve.pool.worker_main`: unpack
+  the rows, run the same :func:`~repro.serve.server.flush_batch` the
+  in-process server runs, and send predictions + stats back.  Each
+  worker generation has one ``multiprocessing.Pipe()``: work one way,
+  replies the other.
+* **collector thread** — one wait over every worker's pipe, every
   worker's process sentinel and a wake-up pipe: resolves futures from
-  results, frees ring slots, replays worker stats into the
+  results, replays worker stats into the
   :class:`~repro.serve.metrics.ServingMetrics` registry (per-replica
   labels), records ``fleet.flush`` spans — and supervises: a dead
   worker's pipe is drained once, its in-flight batches are failed
-  explicitly (never silently dropped), its ring slots freed, and the
-  worker respawned with a fresh queue under the
+  explicitly (never silently dropped), and the worker is respawned on
+  a fresh pipe under the
   :class:`~repro.resilience.policy.SupervisorPolicy` retry budget.  A
-  worker that exhausts the budget is removed from the routing set; its
-  undispatched requests re-route to the survivors.  Nothing polls, so
-  :meth:`~FleetServer.stop` returns as soon as the work is done.
+  worker that exhausts the budget is removed; the batches still queued
+  go to the survivors.  Nothing polls, so :meth:`~FleetServer.stop`
+  returns as soon as the work is done.
 
 :meth:`~FleetServer.start` returns only after every worker has built
 its engines and reported ready, so model build time never lands in the
@@ -56,28 +55,64 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import select
+from collections import Counter
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ServingError, WorkerCrashError
-from repro.obs.trace import get_tracer
 from repro.resilience.policy import SupervisorPolicy
-from repro.serve.pool import (
-    ConsistentHashRouter,
-    FrameDecoder,
-    ModelPayload,
-    worker_main,
-)
+from repro.serve.pool import ModelPayload, worker_main
 from repro.serve.server import InferenceServer
-from repro.serve.shm import RingGeometry, SpikeRing
+from repro.sweep.spec import _integer
+from repro.tile.backends.bitpacked import pack_spike_rows
 
-__all__ = ["FleetServer"]
+__all__ = ["MAX_IN_FLIGHT", "FleetServer", "choose_worker", "receive_all"]
 
 #: How long :meth:`FleetServer.start` waits for every worker's ready
 #: handshake, and a rollout for each replica's drain and swap ack.
 LANE_TIMEOUT_S = 60.0
+
+#: Batches one worker may hold at once: one it runs, one waiting in
+#: its pipe, so it never idles between batches.
+MAX_IN_FLIGHT = 2
+
+
+def choose_worker(workers) -> int | None:
+    """The worker the next batch goes to, or ``None`` if none can take it.
+
+    ``workers`` yields ``(worker_id, ready, draining, removed,
+    in_flight)``.  A worker is eligible when it is ready, not draining
+    for a rollout, not removed, and holds fewer than
+    :data:`MAX_IN_FLIGHT` batches.  The pick is the eligible worker
+    with the fewest batches in flight, ties going to the lowest id.
+    """
+    eligible = [
+        (in_flight, worker_id)
+        for worker_id, ready, draining, removed, in_flight in workers
+        if ready and not draining and not removed
+        and in_flight < MAX_IN_FLIGHT
+    ]
+    return min(eligible)[1] if eligible else None
+
+
+def receive_all(conn) -> list:
+    """Every complete message waiting on ``conn``.
+
+    Reads while the pipe polls readable.  Once the writer is gone the
+    pipe polls readable at end of file, where ``recv`` raises: a clean
+    end ends the read, and so does a message the dead writer tore
+    mid-write, which is dropped.  So draining a dead generation's pipe
+    keeps every complete message and never blocks.
+    """
+    messages = []
+    try:
+        while conn.poll():
+            messages.append(conn.recv())
+    except (EOFError, OSError):
+        pass
+    return messages
 
 
 @dataclass
@@ -87,7 +122,6 @@ class _InFlight:
     batch_id: int
     model: str
     worker_id: int
-    slot: int
     requests: list
     dispatched_at: float
 
@@ -95,16 +129,13 @@ class _InFlight:
 class _Worker:
     """Parent-side handle of one EngineWorker process."""
 
-    def __init__(self, worker_id: int, queue) -> None:
+    def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
-        self.queue = queue
         self.generation = -1
         self.process = None
-        #: Read end of this generation's result pipe (non-blocking)
-        #: and its frame reassembly buffer.  Only the collector thread
-        #: (or ``start`` before it exists) ever reads the fd.
-        self.result_rd = -1
-        self.decoder = None
+        #: Parent end of this generation's pipe.  Only the collector
+        #: thread (or ``start`` before it exists) reads it.
+        self.conn = None
         self.ready = False
         self.respawns = 0
         self.removed = False
@@ -128,16 +159,12 @@ class FleetServer(InferenceServer):
     ----------
     n_workers:
         Engine worker processes (replicas).  Every model is served by
-        every replica; routing spreads the request stream across them.
+        every replica; each batch goes to the ready replica with the
+        fewest batches in flight.
     supervisor:
         :class:`SupervisorPolicy`; its ``retry_budget`` bounds how
         many times one worker slot may be respawned before it is
-        removed from the routing set.
-    route_seed:
-        Seed of the consistent-hash routing ring.
-    n_slots:
-        Shared-memory ring slots (default ``max(2 * n_workers, 4)``);
-        bounds how many batches may be in flight across all workers.
+        removed.
 
     Swaps and weight pushes go through the registry first (interface
     validation, breaker reset) and then roll out to the workers one
@@ -146,8 +173,8 @@ class FleetServer(InferenceServer):
 
     def __init__(self, registry, n_workers: int = 2,
                  supervisor: SupervisorPolicy | None = None,
-                 route_seed: int = 0, n_slots: int | None = None,
                  **kwargs) -> None:
+        n_workers = _integer("n_workers", n_workers)
         if n_workers < 1:
             raise ConfigurationError(
                 f"n_workers must be >= 1, got {n_workers}"
@@ -155,41 +182,32 @@ class FleetServer(InferenceServer):
         super().__init__(registry, **kwargs)
         self.n_workers = n_workers
         self.supervisor = supervisor or SupervisorPolicy()
-        self.router = ConsistentHashRouter(range(n_workers), seed=route_seed)
-        self.n_slots = (n_slots if n_slots is not None
-                        else max(2 * n_workers, 4))
         self._next_batch_id = 0
-        self._free_slots: list[int] = []
         self._assigned: dict[int, _InFlight] = {}
         self._draining: set[int] = set()
         self._swap_acks: dict[int, tuple] = {}
         self._workers: dict[int, _Worker] = {}
-        self._ring: SpikeRing | None = None
-        #: Self-pipe that wakes the collector out of ``select``.
+        #: Pipes of dead generations, closed by ``stop``: closing one
+        #: under a sender that raced the crash could hand its
+        #: descriptor number to the next pipe.  The retry budget
+        #: bounds how many there are.
+        self._retired: list = []
+        #: Self-pipe that wakes the collector out of its wait.
         self._wake_rd = self._wake_wr = -1
         self._mp = multiprocessing.get_context()
 
-    # -- lane lifecycle -------------------------------------------------------------
+    # -- worker lifecycle -----------------------------------------------------------
 
     def _start_lanes(self) -> None:
-        """Allocate the ring, spawn the workers, await every handshake."""
-        names = self.registry.names()
-        if not names:
+        """Spawn the workers and await every handshake."""
+        if not self.registry.names():
             raise ConfigurationError(
                 "the registry holds no models; register before start()"
             )
-        widths = [self.registry.get(n).tiles[0].n_in for n in names]
-        self._ring = SpikeRing(RingGeometry(
-            self.n_slots, self.policy.max_batch_size, max(widths)
-        ))
-        self._free_slots = list(range(self.n_slots))
         self._assigned = {}
         self._wake_rd, self._wake_wr = os.pipe()
         os.set_blocking(self._wake_rd, False)
-        self._workers = {
-            w: _Worker(w, self._mp.SimpleQueue())
-            for w in range(self.n_workers)
-        }
+        self._workers = {w: _Worker(w) for w in range(self.n_workers)}
         try:
             for worker in self._workers.values():
                 self._spawn(worker)
@@ -215,13 +233,11 @@ class FleetServer(InferenceServer):
                 raise ServingError(
                     "timed out waiting for fleet workers to report ready"
                 )
-            readable, _, _ = select.select(
-                [fd for w in pending
-                 for fd in (w.result_rd, w.process.sentinel)], [], [], left,
-            )
+            readable = wait([obj for w in pending
+                             for obj in (w.conn, w.process.sentinel)], left)
             for worker in pending:
-                if worker.result_rd in readable:
-                    self._drain_pipe(worker)
+                if worker.conn in readable:
+                    self._receive(worker)
 
     def _payloads(self) -> list[ModelPayload]:
         return [
@@ -230,60 +246,56 @@ class FleetServer(InferenceServer):
         ]
 
     def _spawn(self, worker: _Worker) -> None:
-        """Start one worker process on the slot's current work queue.
+        """Start the worker's next generation on a fresh pipe.
 
-        The caller is responsible for having installed a *fresh* queue
-        when respawning after a crash — items posted to a dead
-        worker's queue must never be double-served by its successor
-        (the crash handler fails them explicitly instead).  Each spawn
-        also gets a fresh result pipe: the dying generation may have
-        torn its final frame, and a torn tail must never desync its
-        successor's frame stream.
+        A dead generation's pipe may hold a torn final message, and a
+        batch sent to it must never reach its successor (the crash
+        handler fails it explicitly instead), so every generation gets
+        its own pipe.
         """
-        read_fd, write_fd = os.pipe()
-        os.set_blocking(read_fd, False)
+        parent_end, child_end = self._mp.Pipe()
         with self._cond:
             worker.generation += 1
             worker.ready = False
-            worker.result_rd = read_fd
-            worker.decoder = FrameDecoder()
+            if worker.conn is not None:
+                self._retired.append(worker.conn)
+            worker.conn = parent_end
         worker.process = self._mp.Process(
             target=worker_main,
             name=f"repro-fleet-worker-{worker.worker_id}",
-            args=(worker.generation, self._ring.name,
-                  self._ring.geometry.to_tuple(), self._payloads(),
-                  self.engine, worker.queue, write_fd,
-                  self.retry, self.chaos),
+            args=(worker.generation, child_end, self._payloads(),
+                  self.engine, self.retry, self.chaos),
             daemon=True,
         )
         worker.process.start()
-        # The child owns its copy of the write end; dropping the
-        # parent's keeps the fd table bounded across respawns.
-        os.close(write_fd)
+        # With the child holding the only copy of its end, the pipe
+        # reads end of file once the child is gone, and a send to the
+        # dead child fails instead of filling a buffer nobody reads.
+        child_end.close()
 
     def _stop_lanes(self) -> None:
-        """Stop the workers, close every pipe, unlink the ring."""
+        """Stop the workers, close every pipe."""
         for worker in self._workers.values():
             if worker.alive:
-                worker.queue.put(("stop",))
+                try:
+                    worker.conn.send(("stop",))
+                except OSError:  # died since: nothing left to stop
+                    pass
         for worker in self._workers.values():
             if worker.process is not None:
                 worker.process.join(timeout=5.0)
                 if worker.process.is_alive():
                     worker.process.kill()
                     worker.process.join()
-        fds = [w.result_rd for w in self._workers.values()]
-        fds += [self._wake_rd, self._wake_wr]
-        for fd in fds:
+        conns = [*self._retired, *(w.conn for w in self._workers.values())]
+        for conn in conns:
+            if conn is not None:
+                conn.close()
+        self._retired = []
+        for fd in (self._wake_rd, self._wake_wr):
             if fd >= 0:
                 os.close(fd)
-        for worker in self._workers.values():
-            worker.result_rd = -1
         self._wake_rd = self._wake_wr = -1
-        if self._ring is not None:
-            self._ring.close()
-            self._ring.unlink()
-            self._ring = None
 
     def _loops(self) -> list:
         return [*super()._loops(), (self._collect_forever, "collector")]
@@ -292,20 +304,7 @@ class FleetServer(InferenceServer):
         if self._wake_wr >= 0:
             os.write(self._wake_wr, b"\0")
 
-    # -- lanes ----------------------------------------------------------------------
-
-    def _lanes(self) -> list[int]:
-        """Worker ids in the routing set.  (Call under the lock.)"""
-        return [w.worker_id for w in self._workers.values() if not w.removed]
-
-    def _lane_for(self, request) -> int:
-        lanes = self._lanes()
-        if len(lanes) == 1:
-            return lanes[0]
-        return self.router.route(request.request_id, lanes)
-
-    def _accepts(self, lane: int) -> bool:
-        return self._workers[lane].ready and lane not in self._draining
+    # -- dispatch -------------------------------------------------------------------
 
     def _held(self) -> list:
         held = super()._held()
@@ -314,51 +313,66 @@ class FleetServer(InferenceServer):
         self._assigned = {}
         return held
 
-    def _flush(self, model: str, lane: int, requests: list,
-               site: str) -> None:
-        """Pack the batch into a ring slot and post it to worker ``lane``."""
-        slot = self._acquire_slot()
-        if slot is None:  # failed, or aborted without drain
+    def _choose(self) -> _Worker | None:
+        """The worker for the next batch.  (Call under the lock.)"""
+        loads = Counter(f.worker_id for f in self._assigned.values())
+        picked = choose_worker(
+            (w.worker_id, w.ready, w.worker_id in self._draining,
+             w.removed, loads[w.worker_id])
+            for w in self._workers.values()
+        )
+        return None if picked is None else self._workers[picked]
+
+    def _flush(self, model: str, requests: list, site: str) -> None:
+        """Pack the batch and send it to the least-loaded ready worker."""
+        packed = pack_spike_rows(np.stack([r.spikes for r in requests]))
+        with self._cond:
+            # Choosing the worker and registering the batch in one
+            # lock hold means a worker the collector removes can never
+            # be handed a batch: either the batch is registered first
+            # and the crash path fails it, or the worker is not chosen.
+            while (worker := self._choose()) is None:
+                if self._failed or (not self._running
+                                    and not self._drain_on_stop):
+                    break
+                self._cond.wait()
+            if worker is not None:
+                batch_id = self._next_batch_id
+                self._next_batch_id += 1
+                self._assigned[batch_id] = _InFlight(
+                    batch_id=batch_id, model=model,
+                    worker_id=worker.worker_id, requests=requests,
+                    dispatched_at=self._clock(),
+                )
+                conn = worker.conn
+        if worker is None:  # failed, or aborted without drain
             self._fail(requests, ServingError(
                 "fleet stopped before the batch could be dispatched"
             ))
             return
-        n_rows = self._ring.pack_into(
-            slot, np.stack([r.spikes for r in requests])
-        )
-        with self._cond:
-            batch_id = self._next_batch_id
-            self._next_batch_id += 1
-            self._assigned[batch_id] = _InFlight(
-                batch_id=batch_id, model=model, worker_id=lane, slot=slot,
-                requests=requests, dispatched_at=self._clock(),
-            )
-            target_queue = self._workers[lane].queue
-        target_queue.put(("batch", batch_id, model, slot, n_rows, site))
-
-    def _acquire_slot(self) -> int | None:
-        with self._cond:
-            while not self._free_slots:
-                if self._failed or (not self._running
-                                    and not self._drain_on_stop):
-                    return None
-                self._cond.wait()
-            return self._free_slots.pop()
-
-    def _release_slot(self, slot: int) -> None:
-        with self._cond:
-            self._free_slots.append(slot)
-            self._cond.notify_all()
+        # Each pipe has one sender at a time: this dispatch thread
+        # sends batches, a rollout sends its swap only once that
+        # replica is ready with nothing in flight (and the dispatcher
+        # skips a draining replica), and ``stop`` goes out after the
+        # server threads have exited.
+        try:
+            conn.send(("batch", batch_id, model, packed, len(requests),
+                       site))
+        except OSError:
+            # The worker died: the batch is registered, so the crash
+            # path fails it explicitly.
+            pass
 
     # -- introspection --------------------------------------------------------------
 
     def live_workers(self) -> set[int]:
-        """Worker ids still in the routing set (spawned or respawning)."""
+        """Ids of the workers not removed (spawned or respawning)."""
         with self._cond:
-            return set(self._lanes())
+            return {w.worker_id for w in self._workers.values()
+                    if not w.removed}
 
     def describe(self) -> dict:
-        """JSON-ready fabric summary (CLI reports, tests)."""
+        """JSON-ready fleet summary (CLI reports, tests)."""
         with self._cond:
             workers = [
                 {
@@ -373,7 +387,6 @@ class FleetServer(InferenceServer):
         return {
             "n_workers": self.n_workers,
             "engine": self.engine,
-            "n_slots": self.n_slots,
             "slo_classes": sorted(self.slo_classes),
             "workers": workers,
         }
@@ -415,8 +428,10 @@ class FleetServer(InferenceServer):
                 self._draining.add(worker_id)
             try:
                 self._await(
-                    lambda: not any(f.worker_id == worker_id
-                                    for f in self._assigned.values()),
+                    lambda: worker.removed or (worker.ready and not any(
+                        f.worker_id == worker_id
+                        for f in self._assigned.values()
+                    )),
                     f"draining replica {worker_id} for {name!r} rollout",
                 )
                 with self._cond:
@@ -424,7 +439,11 @@ class FleetServer(InferenceServer):
                         continue
                     self._swap_acks.pop(worker_id, None)
                     sent_generation = worker.generation
-                    worker.queue.put(("swap", name, payload))
+                    conn = worker.conn
+                try:
+                    conn.send(("swap", name, payload))
+                except OSError:  # died: its successor rebuilds below
+                    pass
                 # A respawn mid-swap is also success: the fresh worker
                 # rebuilt from the registry, which already holds the
                 # new weights (so the lost swap message is moot).
@@ -459,44 +478,33 @@ class FleetServer(InferenceServer):
 
     def _collect_forever(self) -> None:
         """Collector thread: results, worker deaths and wake-ups from one
-        ``select``.  Exits once stopped and nothing is left in flight."""
+        wait.  Exits once stopped and nothing is left in flight."""
         while True:
             with self._cond:
                 if not self._running and (self._failed
                                           or self._in_flight == 0):
                     return
-                workers = [w for w in self._workers.values()
-                           if w.result_rd >= 0]
-            watched = [self._wake_rd]
-            for worker in workers:
-                watched += [worker.result_rd, worker.process.sentinel]
-            readable, _, _ = select.select(watched, [], [])
+                watched = [(w, w.conn, w.process.sentinel)
+                           for w in self._workers.values() if not w.removed]
+            readable = wait([self._wake_rd, *(obj for _, conn, sentinel
+                                              in watched
+                                              for obj in (conn, sentinel))])
             if self._wake_rd in readable:
                 try:
                     os.read(self._wake_rd, 1 << 10)
                 except BlockingIOError:
                     pass
-            for worker in workers:
-                died = worker.process.sentinel in readable
+            for worker, conn, sentinel in watched:
+                died = sentinel in readable
                 # A dead generation's pipe gets one final drain: every
-                # complete frame it wrote still counts, a torn tail is
-                # discarded with the decoder.
-                if died or worker.result_rd in readable:
-                    self._drain_pipe(worker)
+                # complete message it sent still counts.
+                if died or conn in readable:
+                    self._receive(worker)
                 if died:
                     self._handle_crash(worker)
 
-    def _drain_pipe(self, worker: _Worker) -> None:
-        """Non-blocking read of everything available, frame dispatch."""
-        while True:
-            try:
-                data = os.read(worker.result_rd, 1 << 16)
-            except OSError:  # BlockingIOError: nothing more right now
-                break
-            if not data:
-                break
-            worker.decoder.feed(data)
-        for message in worker.decoder.frames():
+    def _receive(self, worker: _Worker) -> None:
+        for message in receive_all(worker.conn):
             self._handle_result(worker, message)
 
     def _handle_result(self, worker: _Worker, message: tuple) -> None:
@@ -516,11 +524,9 @@ class FleetServer(InferenceServer):
         _, batch_id, outcome, stats = message
         with self._cond:
             flight = self._assigned.pop(batch_id, None)
-        if flight is None:
-            # Late result of a batch already failed (its slot was
-            # freed there; never free it twice).
+            self._cond.notify_all()
+        if flight is None:  # late result of a batch already failed
             return
-        self._release_slot(flight.slot)
         retried = stats["retried"]
         if retried:
             self.metrics.record_retried(retried)
@@ -556,22 +562,18 @@ class FleetServer(InferenceServer):
     def _handle_crash(self, worker: _Worker) -> None:
         """One worker died: fail its in-flight work, respawn or remove it.
 
-        Ordering matters: the fresh work queue is installed *before*
-        the in-flight snapshot is taken, so any batch the dispatcher
-        managed to post to the dead queue is provably in the snapshot
-        (batches register in ``_assigned`` before the post) and gets
-        failed here — nothing ever lands in a void.
+        The worker stops being ready in the same lock hold that takes
+        its batches out of ``_assigned``, so the dispatcher either
+        registered a batch before (and it is failed here) or cannot
+        choose this worker — nothing ever lands in a void.
         """
         exit_code = worker.process.exitcode
         with self._cond:
             worker.ready = False
-            worker.queue = self._mp.SimpleQueue()
             lost = [f for f in self._assigned.values()
                     if f.worker_id == worker.worker_id]
             for flight in lost:
                 del self._assigned[flight.batch_id]
-            os.close(worker.result_rd)
-            worker.result_rd = -1
         cause = WorkerCrashError(
             f"fleet worker {worker.worker_id} died (exit code {exit_code})"
         )
@@ -581,7 +583,6 @@ class FleetServer(InferenceServer):
             "repro_fleet_worker_crashes_total", replica=replica
         ).inc()
         for flight in lost:
-            self._release_slot(flight.slot)
             error = ServingError(
                 f"fleet worker {worker.worker_id} crashed with the batch "
                 "in flight; request failed explicitly"
@@ -595,24 +596,10 @@ class FleetServer(InferenceServer):
             ).inc()
             self._spawn(worker)
             return
-        # Budget exhausted: remove the replica from the routing set and
-        # re-route its undispatched requests to the survivors.
+        # Budget exhausted: the survivors take every batch from here on.
         with self._cond:
             worker.removed = True
-            survivors = self._lanes()
-            stranded = [
-                request
-                for (_, lane), batcher in self._batchers.items()
-                if lane == worker.worker_id
-                for batch in batcher.drain()
-                for request in batch
-            ]
-            if survivors:
-                for index, request in enumerate(stranded):
-                    target = self.router.route(f"reroute/{index}", survivors)
-                    self._batcher(request.model, target).add(
-                        request, now=request.submitted_at
-                    )
+            survivors = any(not w.removed for w in self._workers.values())
             self._cond.notify_all()
         if not survivors:
             self._fail_pending(cause, "fleet")

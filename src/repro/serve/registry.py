@@ -277,7 +277,7 @@ class ModelRegistry:
                 breaker.record_failure()
 
     def circuit_state(self, name: str) -> str | None:
-        """``"closed"``/``"open"``/``"half_open"``, or ``None`` if ungated."""
+        """``"closed"``/``"open"``/``"half-open"``, or ``None`` if ungated."""
         with self._lock:
             self.entry(name)  # raise ServingError for unknown names
             breaker = self._breakers.get(name)

@@ -4,15 +4,13 @@
 system.  Clients call :meth:`~InferenceServer.submit` (non-blocking,
 returns a future) or :meth:`~InferenceServer.classify` (blocking
 convenience); a single dispatch thread moves admitted requests into
-per-(model, lane) :class:`~repro.serve.batcher.MicroBatcher`\\ s and
-hands every ready batch to its *lane* — the place a batch is flushed.
-The in-process server has one lane, the dispatch thread itself, which
-runs the batch through ``engine_backend(engine).classify_batch``.
-:class:`~repro.serve.fleet.FleetServer` is the same server with one
-lane per worker process: it overrides only the lane hooks
-(``_lane_for``, ``_accepts``, ``_flush`` and the lane lifecycle), so
-admission, SLO classes, batching, deadline shedding, retries, chaos and
-accounting are this module's, for both.
+per-model :class:`~repro.serve.batcher.MicroBatcher`\\ s and flushes
+every ready batch.  The in-process server flushes on the dispatch
+thread itself, through ``engine_backend(engine).classify_batch``.
+:class:`~repro.serve.fleet.FleetServer` is the same server with its
+flushes in worker processes: it overrides only ``_flush`` and the lane
+lifecycle, so admission, SLO classes, batching, deadline shedding,
+retries, chaos and accounting are this module's, for both.
 
 Admission is per SLO class (:class:`SloClass`): each class bounds its
 own in-flight depth — beyond it :meth:`~InferenceServer.submit` raises
@@ -126,8 +124,6 @@ class _Request:
     #: dispatched (``None`` = no deadline).
     deadline_at: float | None = None
     slo_class: str = "default"
-    #: Admission order; the key a multi-lane server routes on.
-    request_id: int = 0
     future: Future = field(default_factory=Future)
 
 
@@ -178,7 +174,7 @@ class InferenceServer:
         servable networks.  Must be non-empty before requests arrive.
     policy:
         The :class:`~repro.serve.batcher.BatchPolicy` applied per
-        (model, lane) (default: 64-image batches, 2 ms coalescing
+        model (default: 64-image batches, 2 ms coalescing
         window).
     max_queue_depth:
         In-flight bound of the ``default`` SLO class — the class
@@ -248,10 +244,10 @@ class InferenceServer:
         self._clock = clock
         self._tracer = tracer
         #: One lock for all serving state: inbox, batchers, depths and
-        #: (in the fleet) the lanes' in-flight batches.
+        #: (in the fleet) the workers' in-flight batches.
         self._cond = threading.Condition()
         self._inbox: list[_Request] = []
-        self._batchers: dict[tuple[str, int], MicroBatcher] = {}
+        self._batchers: dict[str, MicroBatcher] = {}
         self._flush_counts: dict[str, int] = {}
         #: Requests the dispatch thread has taken out of the batchers
         #: and not yet resolved or handed to a lane — kept so a crash
@@ -259,7 +255,6 @@ class InferenceServer:
         self._flushing: list[_Request] = []
         self._in_flight = 0
         self._class_depth = dict.fromkeys(self.slo_classes, 0)
-        self._next_request_id = 0
         self._running = False
         self._failed = False
         self._drain_on_stop = True
@@ -398,9 +393,8 @@ class InferenceServer:
                 model=model, spikes=spikes, submitted_at=now,
                 deadline_at=(None if deadline_ms is None
                              else now + deadline_ms / 1e3),
-                slo_class=slo.name, request_id=self._next_request_id,
+                slo_class=slo.name,
             )
-            self._next_request_id += 1
             self._class_depth[slo.name] = depth + 1
             self._in_flight += 1
             self._inbox.append(request)
@@ -425,14 +419,6 @@ class InferenceServer:
         """``(thread body, name)`` of every server thread."""
         return [(self._dispatch_forever, "dispatch")]
 
-    def _lane_for(self, request: _Request) -> int:
-        """The lane ``request`` is batched on.  (Call under the lock.)"""
-        return 0
-
-    def _accepts(self, lane: int) -> bool:
-        """Can ``lane`` take a batch right now?  (Call under the lock.)"""
-        return True
-
     def _held(self) -> list[_Request]:
         """Take every request taken out of the batchers but not yet
         resolved.  (Call under the lock.)"""
@@ -442,7 +428,7 @@ class InferenceServer:
     def _wake(self) -> None:
         """Rouse lane threads that block outside the condition."""
 
-    def _flush(self, model: str, lane: int, requests: list[_Request],
+    def _flush(self, model: str, requests: list[_Request],
                site: str) -> None:
         """Flush one batch on the dispatch thread and resolve it."""
         tracer = self._active_tracer()
@@ -495,39 +481,33 @@ class InferenceServer:
     def _active_tracer(self):
         return self._tracer if self._tracer is not None else get_tracer()
 
-    def _batcher(self, model: str, lane: int) -> MicroBatcher:
-        """The (model, lane) batcher.  (Call under the lock.)"""
-        batcher = self._batchers.get((model, lane))
-        if batcher is None:
-            batcher = MicroBatcher(self.policy, clock=self._clock)
-            self._batchers[(model, lane)] = batcher
-        return batcher
-
-    def _route_inbox(self) -> None:
-        """Move admitted requests into their batchers.  (Under the lock.)"""
+    def _batch_inbox(self) -> None:
+        """Move admitted requests into their model's batcher.  (Under
+        the lock.)"""
         for request in self._inbox:
-            self._batcher(request.model, self._lane_for(request)).add(
-                request, now=request.submitted_at
-            )
+            batcher = self._batchers.get(request.model)
+            if batcher is None:
+                batcher = MicroBatcher(self.policy, clock=self._clock)
+                self._batchers[request.model] = batcher
+            batcher.add(request, now=request.submitted_at)
         self._inbox = []
 
     def _take_ready(self):
         """Pop one flushable batch into ``_flushing``; returns it as
-        ``(model, requests, lane)``, or ``None``.  (Under the lock.)"""
+        ``(model, requests)``, or ``None``.  (Under the lock.)"""
         now = self._clock()
-        for (model, lane), batcher in self._batchers.items():
-            if batcher.ready(now) and self._accepts(lane):
+        for model, batcher in self._batchers.items():
+            if batcher.ready(now):
                 self._flushing = batcher.take(now)
-                return model, self._flushing, lane
+                return model, self._flushing
         return None
 
     def _wait_s(self) -> float | None:
-        """Seconds until the next coalescing deadline of a lane that can
-        take a batch; ``None`` waits for a notify.  (Under the lock.)"""
+        """Seconds until the next coalescing deadline; ``None`` waits
+        for a notify.  (Under the lock.)"""
         deadlines = [
             batcher.next_deadline()
-            for (_, lane), batcher in self._batchers.items()
-            if len(batcher) and self._accepts(lane)
+            for batcher in self._batchers.values() if len(batcher)
         ]
         if not deadlines:
             return None
@@ -536,7 +516,7 @@ class InferenceServer:
     def _dispatch_forever(self) -> None:
         while True:
             with self._cond:
-                self._route_inbox()
+                self._batch_inbox()
                 # Everything admitted is batched now: submit() rejects
                 # once _running is false (checked under this same lock),
                 # so the shutdown flush sees the complete final state.
@@ -559,29 +539,28 @@ class InferenceServer:
         """
         with self._cond:
             tails = [
-                (model, batch, lane)
-                for (model, lane), batcher in self._batchers.items()
+                (model, batch)
+                for model, batcher in self._batchers.items()
                 for batch in batcher.drain()
             ]
-            self._flushing = [r for _, batch, _ in tails for r in batch]
+            self._flushing = [r for _, batch in tails for r in batch]
         abandoned = ServingError(
             "server stopped without draining; request abandoned"
         )
-        for model, batch, lane in tails:
+        for model, batch in tails:
             if self._drain_on_stop:
-                self._run_batch(model, batch, lane)
+                self._run_batch(model, batch)
             else:
                 self._fail(batch, abandoned)
         self._flushing = []
         self._wake()
 
-    def _run_batch(self, model: str, requests: list[_Request],
-                   lane: int = 0) -> None:
-        """Shed the deadline-expired requests, flush the rest on ``lane``.
+    def _run_batch(self, model: str, requests: list[_Request]) -> None:
+        """Shed the deadline-expired requests, flush the rest.
 
         Shed requests fail with :class:`DeadlineExceededError` and never
-        reach the engine; the live rest is traced and handed to the
-        lane under a ``"<model>/<flush index>"`` site name.
+        reach the engine; the live rest is traced and flushed under a
+        ``"<model>/<flush index>"`` site name.
         """
         now = self._clock()
         live: list[_Request] = []
@@ -611,7 +590,7 @@ class InferenceServer:
                               now, model=model)
         index = self._flush_counts.get(model, 0)
         self._flush_counts[model] = index + 1
-        self._flush(model, lane, live, f"{model}/{index}")
+        self._flush(model, live, f"{model}/{index}")
 
     # -- resolution -----------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from repro.resilience.supervisor import supervised_map
 from repro.system.energy import SystemMetrics
 from repro.system.evaluate import SystemEvaluator
 from repro.sweep.cache import ResultCache, entry_key, weights_fingerprint
-from repro.sweep.spec import DesignPoint, SweepSpec
+from repro.sweep.spec import DesignPoint, SweepSpec, _integer
 from repro.sweep.results import SweepResult, SweepRow, SweepStats
 
 #: Per-process memo of evaluators, keyed by ``(quality, seed,
@@ -125,6 +125,7 @@ class CampaignRunner:
                  cache: ResultCache | bool | None = True,
                  supervisor: SupervisorPolicy | None = None,
                  chaos: ChaosPolicy | None = None) -> None:
+        n_workers = _integer("n_workers", n_workers)
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
         self.spec = spec

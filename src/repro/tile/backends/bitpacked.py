@@ -78,19 +78,12 @@ def packed_width(n_bits: int) -> int:
     return -(-n_bits // WORD_BITS)
 
 
-def pack_spike_rows(rows: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def pack_spike_rows(rows: np.ndarray) -> np.ndarray:
     """Pack binary ``(B, n)`` rows into ``(B, ceil(n / 64))`` uint64.
 
     Bit ``i`` of a row lands in word ``i // 64`` (big-endian within
     each byte, ``np.packbits`` order); trailing pad bits are zero, so
     popcounts over packed words never see phantom spikes.
-
-    ``out``, when given, receives the packed words in place and is
-    returned — the serving fleet packs straight into shared-memory
-    ring slots this way, so a batch crosses the process boundary
-    without an intermediate copy.  It must be uint64 of shape
-    ``(B, ceil(n / 64))``.
     """
     rows = np.atleast_2d(np.asarray(rows))
     if rows.ndim != 2:
@@ -100,16 +93,7 @@ def pack_spike_rows(rows: np.ndarray,
     pad = n_words * 8 - as_bytes.shape[1]
     if pad:
         as_bytes = np.pad(as_bytes, ((0, 0), (0, pad)))
-    packed = np.ascontiguousarray(as_bytes).view(np.uint64)
-    if out is None:
-        return packed
-    if out.dtype != np.uint64 or out.shape != packed.shape:
-        raise ConfigurationError(
-            f"out must be uint64 of shape {packed.shape}, got "
-            f"{out.dtype} {out.shape}"
-        )
-    out[...] = packed
-    return out
+    return np.ascontiguousarray(as_bytes).view(np.uint64)
 
 
 def unpack_spike_rows(packed: np.ndarray, n: int) -> np.ndarray:

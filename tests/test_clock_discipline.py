@@ -43,13 +43,6 @@ CLOCK_CALLS = frozenset({
 #: Subtrees (relative to ``src/repro``) allowed to read real clocks.
 ALLOWED_SUBTREES = ("obs", "serve")
 
-#: Modules *inside* an allowed subtree that must stay clock-free
-#: anyway.  The fleet's shared-memory data plane is pure layout and
-#: copies — a clock read there would be policy leaking into the data
-#: plane and a determinism hazard for the bit-identical fleet
-#: contract.
-CLOCK_FREE_MODULES = ("serve/shm.py",)
-
 
 def _bare_clock_calls(path: pathlib.Path) -> list[str]:
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -82,35 +75,6 @@ def test_no_bare_clock_calls_outside_designated_owners():
         "bare clock reads outside the designated owners — take an "
         "injectable clock= instead:\n" + "\n".join(violations)
     )
-
-
-def test_data_plane_modules_are_clock_free():
-    # The serve/ subtree is a designated clock owner, but its
-    # shared-memory data plane is explicitly not: no clocks, no
-    # policy, just layout (see the module docstring of serve/shm.py).
-    for relative in CLOCK_FREE_MODULES:
-        path = SRC_ROOT / relative
-        assert path.is_file(), f"{relative} disappeared; update the lint"
-        violations = _bare_clock_calls(path)
-        assert not violations, (
-            f"{relative} is data plane and must not read clocks:\n"
-            + "\n".join(violations)
-        )
-        tree = ast.parse(path.read_text(), filename=str(path))
-        imports = {
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Import)
-            for alias in node.names
-        } | {
-            node.module
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module
-        }
-        assert "time" not in imports, (
-            f"{relative} imports the time module; the data plane "
-            "takes no clocks at all"
-        )
 
 
 def test_lint_catches_a_violation(tmp_path):

@@ -1,18 +1,15 @@
-"""Property-based tests of the fleet's routing ring (hypothesis).
+"""Property-based tests of the fleet's worker choice (hypothesis).
 
-The fleet's bit-identical-serving claim leans on two pure-function
-properties of :class:`ConsistentHashRouter`:
+:func:`~repro.serve.fleet.choose_worker` is a pure function of each
+worker's ready / draining / removed state and its batches in flight.
+Hypothesis sweeps fleets of 0..8 workers in every such state and
+checks the whole rule:
 
-* **stability** — routing is a pure function of ``(seed, replica set,
-  key)``: the same key always lands on the same live replica, across
-  router instances and irrespective of how the live set is presented;
-* **consistency** — removing replicas remaps *only* the keys the
-  removed replicas owned; every other key keeps its assignment.  This
-  is what makes a worker crash (or a budget-exhausted removal) a local
-  event instead of a fleet-wide reshuffle.
-
-Hypothesis sweeps replica-set shapes, seeds and key spaces the
-example-based suite cannot.
+* the pick is eligible — ready, not draining, not removed and holding
+  fewer than :data:`~repro.serve.fleet.MAX_IN_FLIGHT` batches;
+* it has the fewest batches in flight of all eligible workers, and
+  the lowest id among those;
+* it is ``None`` only when no worker is eligible.
 """
 
 from __future__ import annotations
@@ -20,79 +17,34 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.pool import ConsistentHashRouter
+from repro.serve.fleet import MAX_IN_FLIGHT, choose_worker
 
-#: Replica sets of 1..8 workers (the fleet's realistic range), plus
-#: non-contiguous id sets (after budget-exhausted removals).
-replica_sets = st.lists(
-    st.integers(0, 15), min_size=1, max_size=8, unique=True
+#: ``(worker_id, ready, draining, removed, in_flight)`` rows with
+#: unique, non-contiguous ids (as after removals), in any order.
+fleets = st.lists(
+    st.tuples(st.integers(0, 15), st.booleans(), st.booleans(),
+              st.booleans(), st.integers(0, MAX_IN_FLIGHT)),
+    max_size=8, unique_by=lambda row: row[0],
 )
 
-seeds = st.integers(0, 2**32 - 1)
 
-#: Request keys: the fabric routes monotonically-assigned integer
-#: request ids, but the router accepts any stringable key.
-keys = st.one_of(st.integers(0, 10**6), st.text(max_size=20))
-
-
-@given(replicas=replica_sets, seed=seeds, key=keys)
-@settings(max_examples=200, deadline=None)
-def test_routing_is_stable_across_instances(replicas, seed, key):
-    a = ConsistentHashRouter(replicas, seed=seed)
-    b = ConsistentHashRouter(replicas, seed=seed)
-    owner = a.route(key)
-    assert owner in replicas
-    assert b.route(key) == owner
-    # Presenting the full set explicitly as `live` changes nothing.
-    assert a.route(key, live=set(replicas)) == owner
+def _eligible(row) -> bool:
+    _, ready, draining, removed, in_flight = row
+    return ready and not draining and not removed \
+        and in_flight < MAX_IN_FLIGHT
 
 
-@given(replicas=replica_sets, seed=seeds, key=keys,
-       data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_same_key_same_live_replica_for_fixed_seed(replicas, seed, key,
-                                                   data):
-    router = ConsistentHashRouter(replicas, seed=seed)
-    live = data.draw(
-        st.sets(st.sampled_from(replicas), min_size=1),
-        label="live subset",
-    )
-    first = router.route(key, live)
-    assert first in live
-    # Stable under repetition and under a fresh instance.
-    assert router.route(key, live) == first
-    assert ConsistentHashRouter(replicas, seed=seed).route(key, live) \
-        == first
-
-
-@given(replicas=st.lists(st.integers(0, 15), min_size=2, max_size=8,
-                         unique=True),
-       seed=seeds, data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_dead_replicas_remap_only_their_own_keys(replicas, seed, data):
-    router = ConsistentHashRouter(replicas, seed=seed)
-    dead = data.draw(
-        st.sets(st.sampled_from(replicas), min_size=1,
-                max_size=len(replicas) - 1),
-        label="dead replicas",
-    )
-    live = set(replicas) - dead
-    for key in range(200):
-        before = router.route(key)
-        after = router.route(key, live)
-        if before in live:
-            # Consistency: survivors keep every key they owned.
-            assert after == before
-        else:
-            assert after in live
-
-
-@given(replicas=replica_sets, seed=seeds)
-@settings(max_examples=100, deadline=None)
-def test_every_replica_is_reachable(replicas, seed):
-    # No replica may be starved: with enough keys, each replica owns
-    # at least one (vnodes make this overwhelmingly likely; a failure
-    # here means the ring construction dropped a replica).
-    router = ConsistentHashRouter(replicas, seed=seed)
-    owners = {router.route(key) for key in range(64 * len(replicas))}
-    assert owners == set(replicas)
+@given(workers=fleets)
+@settings(max_examples=300, deadline=None)
+def test_pick_is_the_least_loaded_eligible_worker(workers):
+    picked = choose_worker(iter(workers))
+    eligible = [row for row in workers if _eligible(row)]
+    if not eligible:
+        assert picked is None
+        return
+    rows = {row[0]: row for row in workers}
+    assert picked in rows
+    assert _eligible(rows[picked])
+    fewest = min(row[4] for row in eligible)
+    assert rows[picked][4] == fewest
+    assert picked == min(row[0] for row in eligible if row[4] == fewest)

@@ -246,6 +246,20 @@ class TestDeterminism:
         with pytest.raises(ConfigurationError, match="n_workers"):
             ReliabilityRunner(small_spec(), n_workers=0)
 
+    @pytest.mark.parametrize("n_workers", [True, 2.0, "2"])
+    def test_non_integer_worker_count_rejected(self, n_workers):
+        # Rejected at construction, before any model is fingerprinted
+        # or any cache entry scanned.
+        with pytest.raises(ConfigurationError,
+                           match="n_workers must be an integer"):
+            ReliabilityRunner(small_spec(), n_workers=n_workers)
+
+    def test_numpy_integer_worker_count_accepted(self):
+        runner = ReliabilityRunner(small_spec(), n_workers=np.int64(2),
+                                   cache=None)
+        assert runner.n_workers == 2
+        assert type(runner.n_workers) is int
+
 
 class TestAggregation:
     def make_curve(self, bers, means, **kwargs):

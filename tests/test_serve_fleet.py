@@ -1,11 +1,11 @@
 """The multi-process serving fleet, unit to end-to-end.
 
-Covers the three fleet layers bottom-up: the shared-memory spike ring
-(layout, round trips, boundary errors), the worker-pool plumbing
-(consistent-hash router, picklable model payloads), and the
-:class:`FleetServer` fabric itself — admission control per SLO class
-(shared with the in-process server, so those tests run on both),
-dispatch determinism, rolling hot-swap, crash supervision, and the
+Covers the fleet bottom-up: the worker-pool plumbing (picklable model
+payloads, the worker loop and its message vocabulary, the worker
+choice, draining a dead worker's pipe), and the :class:`FleetServer`
+itself — admission control per SLO class (shared with the in-process
+server, so those tests run on both), bit-identical serving at any
+worker count, rolling hot-swap, crash supervision, and the
 ``python -m repro.serve --workers N`` CLI path.
 
 Everything spawning real worker processes is marked ``multiprocess``
@@ -14,9 +14,14 @@ Everything spawning real worker processes is marked ``multiprocess``
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
+import struct
+import sys
+import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,24 +29,25 @@ import pytest
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
+    InjectedFaultError,
     QueueFullError,
     ServingError,
+    WorkerCrashError,
 )
-from repro.resilience import SupervisorPolicy
+from repro.resilience import ChaosPolicy, SupervisorPolicy
 from repro.serve import (
     DEFAULT_SLO_CLASSES,
     BatchPolicy,
-    ConsistentHashRouter,
     FleetServer,
     InferenceServer,
     ModelPayload,
     ModelRegistry,
-    RingGeometry,
     ServingMetrics,
     SloClass,
-    SpikeRing,
 )
-from repro.tile.backends.bitpacked import pack_spike_rows, packed_width
+from repro.serve.fleet import MAX_IN_FLIGHT, choose_worker, receive_all
+from repro.serve.pool import worker_main
+from repro.tile.backends.bitpacked import pack_spike_rows
 
 from tests.test_serve import SERVER_KINDS, random_network, random_spikes
 
@@ -63,166 +69,17 @@ def serve_all(server, spikes, slo_class="batch", timeout=60.0):
     return np.array([f.result(timeout=timeout) for f in futures])
 
 
-# -- shared-memory ring ---------------------------------------------------------------
+def slow_workers(ms: float) -> ChaosPolicy:
+    """Chaos that makes every worker flush sleep ``ms`` first."""
+    return ChaosPolicy(seed=0, latency_spike_ms=ms, latency_spike_p=1.0)
 
 
-class TestRingGeometry:
-    def test_shape_arithmetic(self):
-        g = RingGeometry(4, 8, 100)
-        assert g.n_words == packed_width(100) == 2
-        assert g.slot_words == 16
-        assert g.total_bytes == 4 * 16 * 8
-        assert g.to_tuple() == (4, 8, 100)
-        assert g == RingGeometry(*g.to_tuple())
-        assert g != RingGeometry(4, 8, 101)
-
-    @pytest.mark.parametrize("bad", [
-        (0, 8, 100), (4, 0, 100), (4, 8, 0),
-    ])
-    def test_rejects_degenerate_shapes(self, bad):
-        with pytest.raises(ConfigurationError):
-            RingGeometry(*bad)
-
-
-class TestSpikeRing:
-    def test_round_trip(self):
-        ring = SpikeRing(RingGeometry(4, 8, 100))
-        try:
-            rows = random_spikes(5, width=100)
-            assert ring.pack_into(2, rows) == 5
-            assert np.array_equal(ring.read_rows(2, 5, 100), rows)
-            packed = ring.read_packed(2, 5, 100)
-            assert np.array_equal(packed, pack_spike_rows(rows))
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_narrower_batches_use_leading_words(self):
-        # One ring serves models of different widths: a narrower
-        # batch occupies the leading words of its slot.
-        ring = SpikeRing(RingGeometry(2, 4, 128))
-        try:
-            rows = random_spikes(3, width=64)
-            ring.pack_into(0, rows)
-            assert np.array_equal(ring.read_rows(0, 3, 64), rows)
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_attach_by_name_sees_the_same_bytes(self):
-        geometry = RingGeometry(2, 4, 64)
-        ring = SpikeRing(geometry)
-        try:
-            rows = random_spikes(4)
-            ring.pack_into(1, rows)
-            attached = SpikeRing(geometry, name=ring.name, create=False)
-            try:
-                assert np.array_equal(attached.read_rows(1, 4), rows)
-            finally:
-                attached.close()
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_attach_requires_name_and_capacity(self):
-        ring = SpikeRing(RingGeometry(2, 4, 64))
-        try:
-            with pytest.raises(ConfigurationError, match="name"):
-                SpikeRing(RingGeometry(2, 4, 64), create=False)
-            with pytest.raises(ConfigurationError, match="bytes"):
-                SpikeRing(RingGeometry(64, 64, 512), name=ring.name,
-                          create=False)
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_boundary_errors(self):
-        ring = SpikeRing(RingGeometry(2, 4, 64))
-        try:
-            with pytest.raises(ConfigurationError, match="slot"):
-                ring.pack_into(2, random_spikes(1))
-            with pytest.raises(ConfigurationError, match="rows"):
-                ring.pack_into(0, random_spikes(5))
-            with pytest.raises(ConfigurationError, match="width"):
-                ring.pack_into(0, random_spikes(1, width=65))
-            with pytest.raises(ConfigurationError, match="n_rows"):
-                ring.read_packed(0, 5)
-        finally:
-            ring.close()
-            ring.unlink()
-
-    def test_unlink_is_creator_only_and_idempotent(self):
-        ring = SpikeRing(RingGeometry(1, 1, 64))
-        attached = SpikeRing(ring.geometry, name=ring.name, create=False)
-        attached.close()
-        attached.unlink()  # non-creator: no-op
-        ring.close()
-        ring.unlink()
-        ring.unlink()  # second unlink tolerated
-
-
-class TestPackInto:
-    def test_out_parameter_packs_in_place(self):
-        rows = random_spikes(3, width=100)
-        out = np.zeros((3, packed_width(100)), dtype=np.uint64)
-        result = pack_spike_rows(rows, out=out)
-        assert result is out
-        assert np.array_equal(out, pack_spike_rows(rows))
-
-    def test_out_parameter_rejects_mismatches(self):
-        rows = random_spikes(3, width=100)
-        with pytest.raises(ConfigurationError, match="shape"):
-            pack_spike_rows(
-                rows, out=np.zeros((3, 5), dtype=np.uint64)
-            )
-        with pytest.raises(ConfigurationError, match="uint64"):
-            pack_spike_rows(
-                rows,
-                out=np.zeros((3, packed_width(100)), dtype=np.int64),
-            )
-
-
-# -- consistent-hash router -----------------------------------------------------------
-
-
-class TestConsistentHashRouter:
-    def test_deterministic_for_fixed_seed(self):
-        a = ConsistentHashRouter(range(4), seed=7)
-        b = ConsistentHashRouter(range(4), seed=7)
-        assert all(a.route(k) == b.route(k) for k in range(500))
-
-    def test_seed_changes_the_assignment(self):
-        a = ConsistentHashRouter(range(4), seed=0)
-        b = ConsistentHashRouter(range(4), seed=1)
-        assert any(a.route(k) != b.route(k) for k in range(500))
-
-    def test_dead_replica_remaps_only_its_own_keys(self):
-        router = ConsistentHashRouter(range(4), seed=3)
-        before = {k: router.route(k) for k in range(1000)}
-        live = {0, 1, 3}
-        for key, owner in before.items():
-            after = router.route(key, live)
-            if owner != 2:
-                assert after == owner  # survivors keep their keys
-            else:
-                assert after in live
-
-    def test_spread_is_roughly_balanced(self):
-        router = ConsistentHashRouter(range(4), seed=0)
-        counts = np.bincount(
-            [router.route(k) for k in range(4000)], minlength=4
-        )
-        assert counts.min() > 0.5 * 1000 and counts.max() < 1.7 * 1000
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="at least one"):
-            ConsistentHashRouter([])
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            ConsistentHashRouter([0, 0])
-        with pytest.raises(ConfigurationError, match="vnodes"):
-            ConsistentHashRouter([0], vnodes=0)
-        with pytest.raises(ServingError, match="live"):
-            ConsistentHashRouter([0, 1]).route("k", live=set())
+def finishes(call, timeout: float = 60.0) -> bool:
+    """Run ``call`` on a thread; did it return within ``timeout``?"""
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return not thread.is_alive()
 
 
 # -- model payloads -------------------------------------------------------------------
@@ -240,6 +97,125 @@ class TestModelPayload:
         assert payload.versions == tuple(
             t.weight_version for t in network.tiles
         )
+
+
+# -- the worker loop ------------------------------------------------------------------
+
+
+class TestWorkerMain:
+    """The worker loop, run on a thread against the far end of a pipe."""
+
+    @staticmethod
+    def start(network, **kwargs):
+        parent, child = multiprocessing.Pipe()
+        thread = threading.Thread(
+            target=worker_main,
+            args=(3, child, [ModelPayload.from_network("demo", network)],
+                  "fast"),
+            kwargs=kwargs, daemon=True,
+        )
+        thread.start()
+        assert parent.recv() == ("ready", 3)
+        return parent, thread
+
+    @staticmethod
+    def stop(parent, thread):
+        parent.send(("stop",))
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_serves_packed_batches_until_stopped(self):
+        network = random_network()
+        spikes = random_spikes(7)
+        parent, thread = self.start(network)
+        parent.send(("batch", 11, "demo", pack_spike_rows(spikes), 7,
+                     "demo/0"))
+        kind, batch_id, predictions, stats = parent.recv()
+        assert (kind, batch_id) == ("ok", 11)
+        assert np.array_equal(predictions, network.classify_batch(spikes))
+        assert stats["rows"] == 7
+        assert stats["retried"] == 0
+        self.stop(parent, thread)
+
+    def test_failed_flush_reports_the_error(self):
+        parent, thread = self.start(
+            random_network(), chaos=ChaosPolicy(seed=0, flush_error_p=1.0)
+        )
+        parent.send(("batch", 4, "demo", pack_spike_rows(random_spikes(2)),
+                     2, "demo/0"))
+        kind, batch_id, error, stats = parent.recv()
+        assert (kind, batch_id) == ("error", 4)
+        assert isinstance(error, InjectedFaultError)
+        assert stats["rows"] == 2
+        self.stop(parent, thread)
+
+    def test_swap_acks_and_serves_the_new_weights(self):
+        first, second = random_network(seed=0), random_network(seed=1)
+        spikes = random_spikes(20)
+        assert not np.array_equal(first.classify_batch(spikes),
+                                  second.classify_batch(spikes))
+        parent, thread = self.start(first)
+        payload = ModelPayload.from_network("demo", second)
+        parent.send(("swap", "demo", payload))
+        assert parent.recv() == ("swapped", "demo", payload.versions)
+        parent.send(("batch", 0, "demo", pack_spike_rows(spikes), 20,
+                     "demo/0"))
+        _, _, predictions, _ = parent.recv()
+        assert np.array_equal(predictions, second.classify_batch(spikes))
+        self.stop(parent, thread)
+
+
+# -- worker choice and the dead pipe --------------------------------------------------
+
+
+#: ``(worker_id, ready, draining, removed, in_flight)`` rows.
+FULL = MAX_IN_FLIGHT
+
+
+@pytest.mark.parametrize("workers, expected", [
+    pytest.param([(0, True, False, False, 1), (1, True, False, False, 0)],
+                 1, id="fewest-in-flight"),
+    pytest.param([(1, True, False, False, 1), (0, True, False, False, 1)],
+                 0, id="tie-to-lowest-id"),
+    pytest.param([(0, False, False, False, 0), (1, True, False, False, 1)],
+                 1, id="skips-not-ready"),
+    pytest.param([(0, True, True, False, 0), (1, True, False, False, 1)],
+                 1, id="skips-draining"),
+    pytest.param([(0, True, False, True, 0), (1, True, False, False, 1)],
+                 1, id="skips-removed"),
+    pytest.param([(0, True, False, False, FULL),
+                  (1, True, False, False, FULL)], None, id="all-full"),
+    pytest.param([], None, id="no-workers"),
+])
+def test_choose_worker(workers, expected):
+    assert choose_worker(workers) == expected
+
+
+class TestReceiveAll:
+    def test_dead_pipe_keeps_complete_messages_and_drops_a_torn_tail(self):
+        parent, child = multiprocessing.Pipe()
+        child.send(("ok", 1))
+        child.send(("swapped", "demo", (0, 0)))
+        # A writer killed mid-message: a length header promising more
+        # bytes than ever arrive.
+        os.write(child.fileno(), struct.pack("!i", 1 << 20) + b"torn")
+        child.close()
+        drained = []
+        assert finishes(lambda: drained.append(receive_all(parent)), 10.0)
+        assert drained == [[("ok", 1), ("swapped", "demo", (0, 0))]]
+        # At end of file there is nothing more, and still no block.
+        assert finishes(lambda: drained.append(receive_all(parent)), 10.0)
+        assert drained[1] == []
+        parent.close()
+
+    def test_live_pipe_yields_what_has_arrived(self):
+        parent, child = multiprocessing.Pipe()
+        assert receive_all(parent) == []
+        child.send(("ready", 0))
+        child.send(("ready", 1))
+        assert receive_all(parent) == [("ready", 0), ("ready", 1)]
+        parent.close()
+        child.close()
 
 
 # -- SLO classes ----------------------------------------------------------------------
@@ -262,7 +238,7 @@ class TestSloClass:
             SloClass(**kwargs)
 
 
-# -- fabric construction --------------------------------------------------------------
+# -- fleet construction ---------------------------------------------------------------
 
 
 class TestFleetConstruction:
@@ -277,6 +253,21 @@ class TestFleetConstruction:
             FleetServer(
                 registry, slo_classes={"batch": SloClass("batch")}
             )
+
+    @pytest.mark.parametrize("n_workers", [True, 2.0, "2"])
+    def test_rejects_a_non_integer_worker_count(self, n_workers):
+        registry = ModelRegistry()
+        registry.register_network("demo", random_network())
+        with pytest.raises(ConfigurationError,
+                           match="n_workers must be an integer"):
+            FleetServer(registry, n_workers=n_workers)
+
+    def test_accepts_a_numpy_integer_worker_count(self):
+        registry = ModelRegistry()
+        registry.register_network("demo", random_network())
+        server = FleetServer(registry, n_workers=np.int64(3))
+        assert server.n_workers == 3
+        assert type(server.n_workers) is int
 
     def test_start_requires_a_registered_model(self):
         with pytest.raises(ConfigurationError, match="no models"):
@@ -325,7 +316,7 @@ class TestFleetServing:
             assert server.classify("demo", spikes[0]) == \
                 network.classify(spikes[0])
 
-    def test_two_models_share_the_ring(self):
+    def test_two_models_of_different_widths_share_the_fleet(self):
         registry = ModelRegistry()
         wide = random_network(layers=(128, 32, 10), seed=0)
         narrow = random_network(layers=(64, 16, 10), seed=1)
@@ -350,6 +341,47 @@ class TestFleetServing:
         assert np.array_equal(
             narrow_served, narrow.classify_batch(narrow_spikes)
         )
+
+    def test_saturation_spreads_batches_over_both_replicas(self):
+        # Slow flushes keep both workers busy, so batches pile up and
+        # each replica must take its share.
+        registry = ModelRegistry()
+        network = random_network()
+        registry.register_network("demo", network)
+        metrics = ServingMetrics()
+        spikes = random_spikes(200)
+        with fleet(registry, n_workers=2, metrics=metrics,
+                   chaos=slow_workers(20.0)) as server:
+            served = serve_all(server, spikes)
+        assert np.array_equal(served, network.classify_batch(spikes))
+        batches = {
+            replica: metrics.registry.counter(
+                "repro_fleet_batches_total", replica=replica, model="demo"
+            ).value
+            for replica in ("0", "1")
+        }
+        assert all(count > 0 for count in batches.values()), batches
+        flushes = metrics.to_dict()["batch_size_hist"].values()
+        assert sum(batches.values()) == sum(flushes)
+
+    def test_drained_stop_serves_batches_waiting_for_a_worker(self):
+        # One slow worker holds MAX_IN_FLIGHT batches, the dispatcher
+        # waits with the next, and the rest are still batched when
+        # stop() comes: a draining stop serves every one of them.
+        registry = ModelRegistry()
+        network = random_network()
+        registry.register_network("demo", network)
+        spikes = random_spikes(20)
+        server = fleet(registry, n_workers=1, chaos=slow_workers(30.0),
+                       policy=BatchPolicy(max_batch_size=4, max_wait_ms=1.0))
+        server.start()
+        futures = [server.submit("demo", row, slo_class="batch")
+                   for row in spikes]
+        assert finishes(server.stop)
+        served = [f.result(timeout=1.0) for f in futures]
+        assert np.array_equal(served, network.classify_batch(spikes))
+        m = server.metrics
+        assert m.completed == m.submitted == 20
 
     def test_describe_reports_workers(self):
         with fleet(n_workers=2) as server:
@@ -477,6 +509,43 @@ class TestWorkerCountInvariance:
                 served = serve_all(server, spikes)
             assert np.array_equal(served, expected), n_workers
 
+    def test_in_flight_bound_holds_under_thread_churn(self):
+        # More workers than cores and a tiny switch interval, so the
+        # client, dispatch and collector threads interleave as finely
+        # as they can: no worker may ever hold more than MAX_IN_FLIGHT
+        # batches, and nothing may be lost or changed.
+        registry = ModelRegistry()
+        network = random_network()
+        registry.register_network("demo", network)
+        spikes = random_spikes(600)
+        peaks = []
+        done = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with fleet(registry, n_workers=4, policy=BatchPolicy(
+                    max_batch_size=4, max_wait_ms=0.5)) as server:
+
+                def sample() -> None:
+                    while not done.is_set():
+                        with server._cond:
+                            loads = Counter(f.worker_id for f
+                                            in server._assigned.values())
+                        peaks.append(max(loads.values(), default=0))
+
+                sampler = threading.Thread(target=sample, daemon=True)
+                sampler.start()
+                served = serve_all(server, spikes)
+                done.set()
+                sampler.join(timeout=10.0)
+                assert not sampler.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(served, network.classify_batch(spikes))
+        assert 1 <= max(peaks) <= MAX_IN_FLIGHT
+        m = server.metrics
+        assert m.submitted == m.completed == len(spikes)
+
 
 # -- rolling hot-swap -----------------------------------------------------------------
 
@@ -553,7 +622,7 @@ class TestCrashSupervision:
         m = server.metrics
         assert m.submitted == m.completed + m.failed + m.shed == 60
 
-    def test_exhausted_budget_removes_replica_and_reroutes(self):
+    def test_exhausted_budget_removes_the_replica(self):
         registry = ModelRegistry()
         network = random_network()
         registry.register_network("demo", network)
@@ -579,6 +648,48 @@ class TestCrashSupervision:
         assert np.array_equal(rest, network.classify_batch(spikes[10:]))
         m = server.metrics
         assert m.submitted == m.completed + m.failed + m.shed == 40
+
+    def test_batch_held_while_a_replica_is_removed_is_not_lost(self):
+        # Both slow workers are full and the dispatcher holds the next
+        # batch when one replica dies for good.  The held batch must go
+        # to the survivor (or fail explicitly), never to the removed
+        # replica, and stop() must return.
+        registry = ModelRegistry()
+        network = random_network()
+        registry.register_network("demo", network)
+        spikes = random_spikes(24)
+        server = fleet(
+            registry, n_workers=2, chaos=slow_workers(200.0),
+            supervisor=SupervisorPolicy(retry_budget=0),
+            policy=BatchPolicy(max_batch_size=4, max_wait_ms=1.0),
+        )
+        server.start()
+        futures = [server.submit("demo", row, slo_class="batch")
+                   for row in spikes]
+        deadline = time.monotonic() + 30
+        while True:
+            with server._cond:
+                if (server._flushing and len(server._assigned)
+                        == 2 * MAX_IN_FLIGHT):
+                    break
+            assert time.monotonic() < deadline, "no batch was ever held"
+            time.sleep(0.002)
+        os.kill(server._workers[0].process.pid, signal.SIGKILL)
+        assert finishes(server.stop)
+        assert server.live_workers() == {1}
+        offline = network.classify_batch(spikes)
+        failed = 0
+        for row, future in enumerate(futures):
+            error = future.exception(timeout=1.0)
+            if error is None:
+                assert future.result() == offline[row]
+            else:
+                assert isinstance(error, ServingError)
+                assert isinstance(error.__cause__, WorkerCrashError)
+                failed += 1
+        m = server.metrics
+        assert 0 < failed == m.failed
+        assert m.submitted == m.completed + m.failed + m.shed == 24
 
     def test_fleet_metrics_label_replicas(self):
         metrics = ServingMetrics()

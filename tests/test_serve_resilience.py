@@ -220,6 +220,19 @@ class TestCircuitBreaking:
         assert registry.circuit_state("m") == "closed"
         registry.check("m")
 
+    def test_registry_reads_half_open_after_the_cooldown(self):
+        clock = FakeClock()
+        breaker = BreakerPolicy(failure_threshold=1, cooldown_s=5.0)
+        registry = ModelRegistry(breaker=breaker, clock=clock)
+        registry.register_network("m", random_network())
+        registry.record_flush_failure("m")
+        assert registry.circuit_state("m") == "open"
+        clock.advance(4.9)
+        assert registry.circuit_state("m") == "open"
+        clock.advance(0.1)
+        assert registry.circuit_state("m") == "half-open"
+        assert registry.describe()[0]["circuit"] == "half-open"
+
     def test_describe_reports_circuit_state(self):
         registry = ModelRegistry(breaker=BreakerPolicy(failure_threshold=1))
         registry.register_network("m", random_network())
@@ -245,7 +258,7 @@ class TestDispatchCrash:
     def test_crash_fails_pending_and_is_terminal(self, monkeypatch):
         _, _, server = make_stack()
 
-        def sabotaged(model, requests, lane):
+        def sabotaged(model, requests):
             raise RuntimeError("dispatch bug")
 
         monkeypatch.setattr(server, "_run_batch", sabotaged)
