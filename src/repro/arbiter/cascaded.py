@@ -82,8 +82,6 @@ class MultiPortArbiter:
         # Maintained incrementally so per-cycle bookkeeping does not
         # rescan the full pending vector (hot path of the simulator).
         self._pending_count = 0
-        self.cycles_elapsed = 0
-        self.grants_issued = 0
 
     # -- request interface ------------------------------------------------------
 
@@ -124,13 +122,11 @@ class MultiPortArbiter:
         pending bits win, exactly as ``ports`` cascaded priority
         encoders would select them.
         """
-        self.cycles_elapsed += 1
         no_request = self.r_empty
         pending_idx = np.flatnonzero(self._pending)
         granted = pending_idx[: self.ports]
         self._pending[granted] = False
         self._pending_count -= granted.size
-        self.grants_issued += granted.size
         return ArbiterGrant(
             granted_rows=granted.copy(),
             no_request=no_request,
@@ -143,7 +139,6 @@ class MultiPortArbiter:
         Slow path used by equivalence tests to show that :meth:`step`'s
         vectorised selection matches the cascaded-encoder definition.
         """
-        self.cycles_elapsed += 1
         no_request = self.r_empty
         r = self._pending.copy()
         grants: list[int] = []
@@ -155,7 +150,6 @@ class MultiPortArbiter:
         granted = np.asarray(grants, dtype=np.int64)
         self._pending[granted] = False
         self._pending_count -= granted.size
-        self.grants_issued += granted.size
         return ArbiterGrant(
             granted_rows=granted,
             no_request=no_request,
@@ -172,8 +166,6 @@ class MultiPortArbiter:
     def reset(self) -> None:
         self._pending[:] = False
         self._pending_count = 0
-        self.cycles_elapsed = 0
-        self.grants_issued = 0
 
     def __repr__(self) -> str:
         return (

@@ -3,7 +3,9 @@
 The per-neuron class (:class:`~repro.neuron.if_neuron.IFNeuron`) is the
 bit-accurate reference; this array is the numpy-vectorised equivalent
 used by the cycle-accurate tile simulator (the two are proven equal by
-the test suite).  It also keeps the energy ledger for the system model.
+the test suite).  It prices its activity for the system model
+(:meth:`NeuronArray.dynamic_energy_pj`); the owning tile's record
+(:class:`~repro.tile.tile.TileInferenceStats`) counts that activity.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class NeuronArray:
         self.vmem = np.zeros(self.n, dtype=np.int64)
         self.spike_requests = np.zeros(self.n, dtype=bool)
         self._timing = neuron_timing(ports)
-        # Energy ledger.
-        self.accumulate_events = 0
-        self.fire_checks = 0
 
     def accumulate(self, bits: np.ndarray, valid: np.ndarray) -> None:
         """One cycle: add the valid +-1 contributions to every Vmem.
@@ -73,7 +72,6 @@ class NeuronArray:
         self.vmem = np.clip(
             self.vmem + contributions.sum(axis=0), self._vmem_min, self._vmem_max
         )
-        self.accumulate_events += int(valid.sum())
 
     def fire_check(self, reset_all: bool = True) -> np.ndarray:
         """R_empty reached: compare all Vmem to Vth, fire and reset.
@@ -90,7 +88,6 @@ class NeuronArray:
             self.vmem[:] = 0
         else:
             self.vmem[fired] = 0
-        self.fire_checks += 1
         return fired
 
     def take_requests(self) -> np.ndarray:
@@ -112,14 +109,14 @@ class NeuronArray:
 
         return neuron_add_time_ns(self.ports, self.multiport)
 
-    def dynamic_energy_pj(self) -> float:
-        """Accumulated neuron energy from the ledger."""
-        acc = self.accumulate_events * self._timing.accumulate_energy_fj * self.n
-        cmp_ = self.fire_checks * self._timing.compare_energy_fj * self.n
+    def dynamic_energy_pj(self, accumulate_events: int,
+                          fire_checks: int) -> float:
+        """Energy of ``accumulate_events`` valid contributions and
+        ``fire_checks`` threshold comparisons across the array."""
+        acc = accumulate_events * self._timing.accumulate_energy_fj * self.n
+        cmp_ = fire_checks * self._timing.compare_energy_fj * self.n
         return (acc + cmp_) * 1e-3
 
     def reset(self) -> None:
         self.vmem[:] = 0
         self.spike_requests[:] = False
-        self.accumulate_events = 0
-        self.fire_checks = 0

@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.sweep.spec import _integer
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,10 @@ class BatchPolicy:
     min_batch_size: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("max_batch_size", "min_batch_size"):
+            object.__setattr__(
+                self, name, _integer(name, getattr(self, name))
+            )
         if self.max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"

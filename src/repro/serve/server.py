@@ -64,6 +64,7 @@ from repro.resilience.policy import RetryPolicy
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.metrics import ServingMetrics
 from repro.serve.registry import ModelRegistry
+from repro.sweep.spec import _integer
 from repro.tile.network import validate_engine, validate_spikes
 
 __all__ = [
@@ -90,6 +91,10 @@ class SloClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("SLO class name must be non-empty")
+        object.__setattr__(
+            self, "max_queue_depth",
+            _integer("max_queue_depth", self.max_queue_depth),
+        )
         if self.max_queue_depth < 1:
             raise ConfigurationError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"

@@ -1,15 +1,18 @@
 """SRAM macro: functional array plus timing/energy bookkeeping.
 
 A macro couples the bit-true :class:`~repro.sram.array.SramArray` with
-the calibrated electrical models and keeps a ledger of every access so
-that system-level simulations can report energy and time per workload
-(the paper's "simulate the network on a spike-by-spike basis in Python"
-methodology, section 4.1).
+the calibrated electrical models, so that system-level simulations can
+report energy and time per workload (the paper's "simulate the network
+on a spike-by-spike basis in Python" methodology, section 4.1).  Its
+inference reads are counted by the owning tile's record
+(:class:`~repro.tile.tile.TileInferenceStats`) and priced at
+:attr:`SramMacro.read_energy_pj`; the macro's own ledger holds only the
+learning accesses through the transposed port.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,35 +30,16 @@ if TYPE_CHECKING:  # repro.hw imports repro.sram; avoid the cycle at runtime
 
 @dataclass
 class MacroEnergyLedger:
-    """Accumulated activity of one macro.
+    """Learning activity of one macro, through its transposed port.
 
-    Dynamic energies are logged per access; leakage is integrated at
+    Energies and times are logged per access; leakage is integrated at
     the end from the elapsed time (the system model owns wall-clock).
     """
 
-    inference_reads: int = 0
-    inference_read_energy_pj: float = 0.0
     transposed_reads: int = 0
     transposed_writes: int = 0
     transposed_energy_pj: float = 0.0
     transposed_time_ns: float = 0.0
-
-    @property
-    def dynamic_energy_pj(self) -> float:
-        return self.inference_read_energy_pj + self.transposed_energy_pj
-
-    def merge(self, other: "MacroEnergyLedger") -> "MacroEnergyLedger":
-        """Element-wise sum (used to aggregate across macros)."""
-        return MacroEnergyLedger(
-            inference_reads=self.inference_reads + other.inference_reads,
-            inference_read_energy_pj=(
-                self.inference_read_energy_pj + other.inference_read_energy_pj
-            ),
-            transposed_reads=self.transposed_reads + other.transposed_reads,
-            transposed_writes=self.transposed_writes + other.transposed_writes,
-            transposed_energy_pj=self.transposed_energy_pj + other.transposed_energy_pj,
-            transposed_time_ns=self.transposed_time_ns + other.transposed_time_ns,
-        )
 
 
 class SramMacro:
@@ -103,6 +87,11 @@ class SramMacro:
     def leakage_power_mw(self) -> float:
         return self._operating_point.leakage_power_mw
 
+    @property
+    def read_energy_pj(self) -> float:
+        """Dynamic energy of one inference row read."""
+        return self._operating_point.read_energy_pj
+
     # -- inference path -----------------------------------------------------------
 
     def load_weights(self, bits: np.ndarray) -> None:
@@ -111,23 +100,10 @@ class SramMacro:
     def serve_spikes(self, row_indices: list[int] | np.ndarray) -> np.ndarray:
         """Serve up to ``p`` granted spikes: parallel row reads.
 
-        Logs one row-read worth of dynamic energy per spike and returns
-        the sensed bits, shape ``(n_spikes, cols)``.
+        Returns the sensed bits, shape ``(n_spikes, cols)``; the tile
+        counts the reads.
         """
-        data = self.array.read_rows(row_indices)
-        self.log_inference_reads(data.shape[0])
-        return data
-
-    def log_inference_reads(self, count: int) -> None:
-        """Charge ``count`` inference row reads to the energy ledger.
-
-        Used directly by the schedule-based fast engine, which knows
-        the read count in closed form without touching the array.
-        """
-        self.ledger.inference_reads += count
-        self.ledger.inference_read_energy_pj += (
-            count * self._operating_point.read_energy_pj
-        )
+        return self.array.read_rows(row_indices)
 
     # -- learning path --------------------------------------------------------------
 

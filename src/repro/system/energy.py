@@ -4,7 +4,8 @@ Combines the cycle-accurate activity of an :class:`EsamNetwork` run
 with the electrical models:
 
 * dynamic energy — SRAM reads, neuron updates, arbiter switching
-  (from the component ledgers) plus clock/register energy per cycle;
+  (the trace's per-tile counts, priced by each tile) plus
+  clock/register energy per cycle;
 * static energy — macro leakage plus periphery static power integrated
   over the pipelined inference time;
 * timing — tiles are pipelined, so sustained throughput is set by the
@@ -59,7 +60,12 @@ class SystemEnergyModel:
         self.network = network
 
     def metrics(self, trace: InferenceTrace) -> SystemMetrics:
-        """Roll up a completed multi-image trace into per-inference metrics."""
+        """Roll up a completed multi-image trace into per-inference metrics.
+
+        The dynamic energy prices the trace's own counts, so what the
+        network served outside the trace, and its learning ledgers, stay
+        out.
+        """
         if trace.images < 1:
             raise ConfigurationError("trace contains no inferences")
         n = trace.images
@@ -70,7 +76,10 @@ class SystemEnergyModel:
         latency_cycles = sum(per_tile_cycles)
         inference_time_ns = bottleneck * t_clk
         total_tile_cycles = sum(per_tile_cycles)
-        dynamic_pj = self.network.dynamic_energy_pj() / n
+        dynamic_pj = sum(
+            tile.inference_energy_pj(counts)
+            for tile, counts in zip(self.network.tiles, trace.counts)
+        ) / n
         clock_pj = total_tile_cycles * CLOCK_ENERGY_PER_TILE_CYCLE_PJ
         leak_mw = self.network.leakage_power_mw() + PERIPHERY_STATIC_MW
         leakage_pj = leak_mw * inference_time_ns

@@ -6,17 +6,18 @@ engine object implements the batched inference protocol over an
 
 * ``infer_batch(spikes, trace=None) -> (B, n_classes) float64`` —
   membrane readouts for a validated boolean ``(B, n_in)`` batch,
-  updating ``trace`` and every hardware ledger exactly as the
+  adding into ``trace`` and every tile's count record
+  (:class:`~repro.tile.tile.TileInferenceStats`) exactly as the
   per-cycle reference would;
 * ``classify_batch(spikes, trace=None) -> (B,) int64`` — arg-max
   readout;
 * ``run_temporal(spike_trains) -> TemporalResult`` — multi-timestep
-  IF dynamics with persistent membranes, leaving identical membrane
-  state behind.
+  IF dynamics with persistent membranes over validated boolean
+  ``(T, n_in)`` trains, leaving identical membrane state behind.
 
 Every backend is held to the same contract: bit-identical predictions,
-traces, stats counters and energy ledgers versus the ``"cycle"``
-reference.  The cross-backend conformance suite
+traces and count records versus the ``"cycle"`` reference, and so
+bit-identical energies, which are derived from the counts.  The cross-backend conformance suite
 (``tests/test_backend_conformance.py``) parametrizes over
 :func:`backend_names`, so a backend added to the table runs through the
 full equivalence matrix (cells x Vprech regimes x temporal x mid-run

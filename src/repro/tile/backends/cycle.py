@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-
 
 class CycleEngine:
     """Per-cycle bit-true reference, stepping every tile clock-by-clock."""
@@ -27,12 +25,12 @@ class CycleEngine:
         The trace records the rows as one batch, an empty one included.
         """
         tiles = self.network.tiles
-        cycles_before = [t.stats.total_cycles for t in tiles]
+        marks = None if trace is None else trace.mark(tiles)
         scores = np.zeros((len(spikes), tiles[-1].n_out))
         for b, row in enumerate(spikes):
             scores[b] = self.network.infer(row)
         if trace is not None:
-            trace.record(tiles, len(spikes), cycles_before)
+            trace.record(tiles, len(spikes), marks)
         return scores
 
     def classify_batch(self, spikes: np.ndarray, trace=None) -> np.ndarray:
@@ -45,10 +43,6 @@ class CycleEngine:
 
         network = self.network
         trains = np.atleast_2d(np.asarray(spike_trains)).astype(bool)
-        if trains.shape[1] != network.tiles[0].n_in:
-            raise ConfigurationError(
-                f"spike width {trains.shape[1]} != {network.tiles[0].n_in}"
-            )
         n_out = network.tiles[-1].n_out
         out_counts = np.zeros(n_out, dtype=np.int64)
         hidden_totals = np.zeros(trains.shape[0], dtype=np.int64)

@@ -12,14 +12,15 @@ last ``row_blocks`` columns every image's pending count per arbiter
 block, from which the drain schedule follows.
 
 :class:`FastEngine` runs that closed form over ``(B, n_in)`` batches
-and replays the results into the exact same bookkeeping the per-cycle
-path maintains — :class:`TileInferenceStats`, the per-macro energy
-ledgers, the neuron ledgers and the arbiter counters/energy — so every
-downstream consumer (:class:`InferenceTrace`,
+and adds each batch's counts into the tile's one integer record,
+:class:`~repro.tile.tile.TileInferenceStats`, which the per-cycle path
+fills step by step.  Every energy is derived from those counts, so
+every downstream consumer (:class:`InferenceTrace`,
 :class:`~repro.system.energy.SystemEnergyModel`, ``HardwareReport``)
-sees numbers *identical* to a sequential cycle-accurate run.  The
-equivalence test suite asserts this across cell types, Vprech regimes
-and temporal mode.
+sees numbers *identical*, to the last bit, to a sequential
+cycle-accurate run, however the rows are batched.  The equivalence
+test suite asserts this across cell types, Vprech regimes and temporal
+mode.
 
 Saturation is handled exactly without clipping: a membrane that
 starts at ``v`` and takes ``g`` grants stays within
@@ -47,7 +48,7 @@ class _TileKernel:
     Subclass hook for alternative backends
     (:mod:`repro.tile.backends`): override :meth:`_schedule_and_delta`
     to compute the pending counts and the drained charge with different
-    arithmetic — the schedule, the rail check and the engine's ledger
+    arithmetic — the schedule, the rail check and the engine's count
     replay are shared by every backend.
     """
 
@@ -162,7 +163,7 @@ class FastEngine:
 
     Subclasses swap the per-tile arithmetic by overriding
     :attr:`kernel_cls` (see :class:`~repro.tile.backends.bitpacked.
-    BitpackedEngine`); the batch orchestration, stats replay and
+    BitpackedEngine`); the batch orchestration, count replay and
     temporal loop are shared.
     """
 
@@ -179,8 +180,9 @@ class FastEngine:
     # -- bookkeeping ---------------------------------------------------------
 
     def _process_and_replay(self, index: int, kernel: _TileKernel,
-                            start: np.ndarray | None, x: np.ndarray, tracer):
-        """One tile pass plus ledger replay, per-stage traced when on.
+                            start: np.ndarray | None, x: np.ndarray,
+                            tracer) -> np.ndarray:
+        """One tile pass plus count replay, per-stage traced when on.
 
         The disabled path pays exactly one ``tracer.enabled`` check per
         tile — the serving benchmark's overhead gate measures this.
@@ -194,39 +196,25 @@ class FastEngine:
         else:
             schedule, vmem = kernel.process(start, x)
             self._replay(kernel, schedule)
-        return schedule, vmem
+        return vmem
 
-    def _replay(self, kernel: _TileKernel,
-                schedule: DrainSchedule) -> DrainSchedule:
-        """Replay a computed drain schedule into the hardware ledgers.
+    @staticmethod
+    def _replay(kernel: _TileKernel, schedule: DrainSchedule) -> None:
+        """Add a computed drain schedule to the tile's count record.
 
         Mirrors ``Tile.submit_spikes`` plus the ``step()``-until-
-        ``R_empty`` loop: every arbiter clocks on every drain cycle
-        (idle ones included), each granted row is read once per column
-        block, and each granted spike raises one validity flag at every
-        neuron segment.
+        ``R_empty`` loop: each granted row is read once per column
+        block and raises one validity flag at every neuron segment.
         """
         tile = kernel.tile
+        stats = tile.stats
         grants = schedule.total_grants
-        cycles = schedule.total_cycles
-        tile.stats.input_spikes += grants
-        tile.stats.cycles += cycles
-        tile.stats.grants += grants
-        tile.stats.array_reads += grants * tile.mapping.col_blocks
-        tile.arbiter_energy_pj += (
-            cycles * len(tile.arbiters) * tile._arbiter_cycle_energy_pj
-        )
-        per_block = schedule.grants_per_block()
-        for rb, arbiter in enumerate(tile.arbiters):
-            arbiter.cycles_elapsed += cycles
-            arbiter.grants_issued += int(per_block[rb])
-        for rb, macro_row in enumerate(tile.macros):
-            reads = int(per_block[rb])
-            for macro in macro_row:
-                macro.log_inference_reads(reads)
-        for neurons in tile.neurons:
-            neurons.accumulate_events += grants
-        return schedule
+        stats.input_spikes += grants
+        stats.grants += grants
+        stats.array_reads += grants * tile.mapping.col_blocks
+        stats.accumulate_events += grants
+        stats.cycles += schedule.total_cycles
+        stats.block_grants += schedule.grants_per_block()
 
     # -- time-static inference ------------------------------------------------
 
@@ -251,9 +239,9 @@ class FastEngine:
         """Run a validated 0/1 ``(B, n_in)`` spike batch through every tile.
 
         Returns the output-layer membrane readout ``(B, n_classes)``
-        (plus the digital bias) and updates ``trace`` and all hardware
-        ledgers exactly as ``B`` sequential ``infer`` calls would.  An
-        empty batch leaves every ledger and membrane as it was.
+        (plus the digital bias) and updates ``trace`` and every tile's
+        count record exactly as ``B`` sequential ``infer`` calls would.
+        An empty batch leaves every record and membrane as it was.
         """
         x = np.atleast_2d(np.asarray(spikes))
         tiles = self.network.tiles
@@ -262,39 +250,34 @@ class FastEngine:
                 f"spike width {x.shape[1]} != {tiles[0].n_in}"
             )
         batch = x.shape[0]
-        cycles_before = [t.stats.total_cycles for t in tiles]
+        marks = None if trace is None else trace.mark(tiles)
         tracer = self.tracer if self.tracer is not None else get_tracer()
         for k, kernel in enumerate(self._kernels[:-1]):
             tile = kernel.tile
-            schedule, vmem = self._process_and_replay(
+            vmem = self._process_and_replay(
                 k, kernel, self._starting_vmem(tile, batch), x, tracer
             )
             fired = vmem >= kernel.thresholds
             tile.stats.fire_cycles += batch
-            tile.stats.output_spikes += np.count_nonzero(fired)
-            for neurons in tile.neurons:
-                neurons.fire_checks += batch
+            tile.stats.fire_checks += batch
+            tile.stats.output_spikes += int(np.count_nonzero(fired))
+            if batch:
                 # fire_check(reset_all=True) clears every membrane.
-                if batch:
+                for neurons in tile.neurons:
                     neurons.vmem[:] = 0
             x = fired
         kernel = self._kernels[-1]
-        tile = kernel.tile
-        schedule, vmem = self._process_and_replay(
+        vmem = self._process_and_replay(
             len(self._kernels) - 1, kernel,
-            self._starting_vmem(tile, batch), x, tracer,
+            self._starting_vmem(kernel.tile, batch), x, tracer,
         )
-        tile.stats.fire_cycles += batch
-        # The readout path resets the output-tile neurons every image,
-        # which also clears their energy ledger — replicate that.
-        if batch:
-            for neurons in tile.neurons:
-                neurons.reset()
+        # Only the readout's counts and reset: the membranes are vmem.
+        kernel.tile.read_out(batch)
         scores = vmem.astype(np.float64)
         if self.network.output_bias is not None:
             scores = scores + self.network.output_bias
         if trace is not None:
-            trace.record(tiles, batch, cycles_before)
+            trace.record(tiles, batch, marks)
         return scores
 
     def classify_batch(self, spikes: np.ndarray, trace=None) -> np.ndarray:
@@ -316,10 +299,6 @@ class FastEngine:
 
         trains = np.atleast_2d(np.asarray(spike_trains)).astype(bool)
         tiles = self.network.tiles
-        if trains.shape[1] != tiles[0].n_in:
-            raise ConfigurationError(
-                f"spike width {trains.shape[1]} != {tiles[0].n_in}"
-            )
         timesteps = trains.shape[0]
         n_out = tiles[-1].n_out
         out_counts = np.zeros(n_out, dtype=np.int64)
@@ -330,15 +309,14 @@ class FastEngine:
             x = trains[t][None, :]
             for k, kernel in enumerate(self._kernels):
                 tile = kernel.tile
-                schedule, vmem[k] = self._process_and_replay(
+                vmem[k] = self._process_and_replay(
                     k, kernel, vmem[k], x, tracer
                 )
                 fired = vmem[k] >= kernel.thresholds
                 vmem[k][fired] = 0
                 tile.stats.fire_cycles += 1
+                tile.stats.fire_checks += 1
                 tile.stats.output_spikes += int(fired.sum())
-                for neurons in tile.neurons:
-                    neurons.fire_checks += 1
                 x = fired
                 if k < len(tiles) - 1:
                     hidden_totals[t] += int(fired.sum())

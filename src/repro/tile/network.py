@@ -28,7 +28,7 @@ from repro.sram.readport import ReadPortModel
 from repro.tile.backends import backend_factory
 from repro.tile.mapping import ARRAY_DIM
 from repro.tile.pipeline import PipelineModel
-from repro.tile.tile import Tile
+from repro.tile.tile import Tile, TileInferenceStats
 
 
 def validate_engine(engine: str) -> None:
@@ -82,13 +82,34 @@ def validate_spikes(spikes: np.ndarray, n_in: int, *,
 
 @dataclass
 class InferenceTrace:
-    """Cycle/energy record of one or more inferences through the network."""
+    """The counts of the static inferences traced through a network.
+
+    ``counts`` holds one :class:`~repro.tile.tile.TileInferenceStats`
+    per tile: the sum of each tile record's increase over the traced
+    batches only, whatever the network served before or between them.
+    :class:`~repro.system.energy.SystemEnergyModel` prices these
+    counts.
+    """
 
     images: int = 0
-    per_tile_cycles: list[int] = field(default_factory=list)
-    total_spikes: int = 0
-    total_grants: int = 0
-    total_array_reads: int = 0
+    counts: list[TileInferenceStats] = field(default_factory=list)
+
+    @property
+    def per_tile_cycles(self) -> list[int]:
+        """Cycles per tile, drain and fire, over the traced batches."""
+        return [c.total_cycles for c in self.counts]
+
+    @property
+    def total_spikes(self) -> int:
+        return sum(c.input_spikes for c in self.counts)
+
+    @property
+    def total_grants(self) -> int:
+        return sum(c.grants for c in self.counts)
+
+    @property
+    def total_array_reads(self) -> int:
+        return sum(c.array_reads for c in self.counts)
 
     @property
     def bottleneck_cycles(self) -> int:
@@ -102,25 +123,31 @@ class InferenceTrace:
         """Single-image latency in cycles (sum of all tiles)."""
         return sum(self.per_tile_cycles)
 
-    def record(self, tiles, images: int, cycles_before: list[int]) -> None:
-        """Accumulate a completed batch of inferences over ``tiles``.
+    @staticmethod
+    def mark(tiles) -> list[TileInferenceStats]:
+        """Copies of the tiles' records, taken before a batch."""
+        return [tile.stats.copy() for tile in tiles]
 
-        Shared by the per-cycle and fast engines so both update the
-        trace with the exact same arithmetic.
+    def record(self, tiles, images: int,
+               marks: list[TileInferenceStats]) -> None:
+        """Add a completed batch of ``images`` inferences over ``tiles``:
+        each record's increase since its :meth:`mark`.
+
+        Shared by every engine, so all update the trace with the exact
+        same arithmetic.
         """
         self.images += images
-        per_tile = [
-            t.stats.total_cycles - b for t, b in zip(tiles, cycles_before)
-        ]
-        if self.per_tile_cycles:
-            self.per_tile_cycles = [
-                a + b for a, b in zip(self.per_tile_cycles, per_tile)
-            ]
-        else:
-            self.per_tile_cycles = per_tile
-        self.total_spikes = sum(t.stats.input_spikes for t in tiles)
-        self.total_grants = sum(t.stats.grants for t in tiles)
-        self.total_array_reads = sum(t.stats.array_reads for t in tiles)
+        batch = [tile.stats - mark for tile, mark in zip(tiles, marks)]
+        if images:
+            # The batch ended with the output tile's readout, which
+            # clears that tile's neuron counts (Tile.read_out): the
+            # batch's share of them is what the readout left.
+            output = tiles[-1].stats
+            batch[-1].accumulate_events = output.accumulate_events
+            batch[-1].fire_checks = output.fire_checks
+        if self.counts:
+            batch = [a + b for a, b in zip(self.counts, batch)]
+        self.counts = batch
 
 
 class EsamNetwork:
@@ -235,7 +262,7 @@ class EsamNetwork:
         ``trace`` when given.
         """
         spikes = validate_spikes(spikes, self.tiles[0].n_in)
-        cycles_before = [t.stats.total_cycles for t in self.tiles]
+        marks = None if trace is None else trace.mark(self.tiles)
         x = spikes
         for tile in self.tiles[:-1]:
             x = tile.run_inference(x)
@@ -243,7 +270,7 @@ class EsamNetwork:
         if self.output_bias is not None:
             vmem = vmem + self.output_bias
         if trace is not None:
-            trace.record(self.tiles, 1, cycles_before)
+            trace.record(self.tiles, 1, marks)
         return vmem
 
     def classify(self, spikes: np.ndarray, trace: InferenceTrace | None = None) -> int:
@@ -280,7 +307,7 @@ class EsamNetwork:
         Returns output membrane readouts ``(B, n_classes)``.
         ``engine`` selects any backend (see
         :func:`~repro.tile.backends.backend_names`); every backend
-        produces identical results, traces and energy ledgers (asserted
+        produces identical results, traces and count records (asserted
         per backend by the conformance suite,
         ``tests/test_backend_conformance.py``).
         """
@@ -296,21 +323,27 @@ class EsamNetwork:
     def run_temporal(self, spike_trains: np.ndarray, engine: str = "fast"):
         """Multi-timestep operation with persistent membranes.
 
-        ``spike_trains`` has shape ``(T, n_in)``.  Every timestep each
+        ``spike_trains`` is a binary ``(T, n_in)`` array, validated like
+        a batch (:func:`validate_spikes`).  Every timestep each
         tile drains its spikes and fires with fired-only membrane reset
         (IF dynamics); output-layer spikes are counted for the rate
         readout.  Semantically identical to
         :class:`repro.snn.temporal.TemporalBinarySNN` (asserted by the
         test suite), but executed on the cycle-accurate hardware.
         ``engine`` selects any backend; all backends leave
-        identical stats, ledgers and membrane state, so engines are
+        identical count records and membrane state, so engines are
         interchangeable mid-run in any direction.
         """
+        spike_trains = validate_spikes(
+            spike_trains, self.tiles[0].n_in, batch=True
+        )
         return self.engine_backend(engine).run_temporal(spike_trains)
 
     # -- cost roll-ups -------------------------------------------------------------------
 
     def dynamic_energy_pj(self) -> float:
+        """All dynamic energy so far: every tile's count record, priced,
+        plus the learning ledgers."""
         return sum(t.dynamic_energy_pj() for t in self.tiles)
 
     def leakage_power_mw(self) -> float:

@@ -131,12 +131,7 @@ class PipelinedScheduler:
 
     def _read_out(self, stage: _TileStage) -> np.ndarray:
         """Membrane readout of the output tile (one fire cycle)."""
-        vmem = np.concatenate(
-            [n.membrane_potentials() for n in stage.tile.neurons]
-        )[: stage.tile.n_out].astype(np.float64)
-        for neurons in stage.tile.neurons:
-            neurons.reset()
-        stage.tile.stats.fire_cycles += 1
+        vmem = stage.tile.read_out().astype(np.float64)
         if self.network.output_bias is not None:
             vmem = vmem + self.network.output_bias
         return vmem

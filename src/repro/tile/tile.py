@@ -16,11 +16,18 @@ column arrays; the sensed bits (with validity flags) are accumulated by
 the neurons.  When every arbiter reports ``R_empty``, the neurons run
 their threshold comparison and raise output spike requests (one extra
 cycle).
+
+A tile counts its inference activity in one integer record,
+:class:`TileInferenceStats`; every engine adds into it, and the read,
+neuron and arbiter energies are derived from it (paper section 4.1:
+activity counts times per-access energies).  Only learning, through
+the macros' transposed ports, keeps a ledger of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -35,20 +42,60 @@ from repro.sram.electrical import TransposedPortModel
 from repro.tile.mapping import ARRAY_DIM, LayerMapping
 
 
-@dataclass
+@dataclass(eq=False)
 class TileInferenceStats:
-    """Per-inference activity of one tile."""
+    """The inference counts of one tile: the one record engines add into.
 
+    ``block_grants[rb]`` counts the grants of row block ``rb``'s
+    arbiter, which are also the row reads of every macro in that block
+    row.  ``accumulate_events`` and ``fire_checks`` are the neuron
+    segments' counts (every segment sees the same ones); a static
+    readout clears them (:meth:`Tile.read_out`).  Every other field
+    only grows until :meth:`Tile.reset_stats`.
+    """
+
+    block_grants: np.ndarray
     cycles: int = 0
     fire_cycles: int = 0
     input_spikes: int = 0
     grants: int = 0
     array_reads: int = 0
     output_spikes: int = 0
+    accumulate_events: int = 0
+    fire_checks: int = 0
+
+    @classmethod
+    def zeros(cls, row_blocks: int) -> "TileInferenceStats":
+        return cls(np.zeros(row_blocks, dtype=np.int64))
 
     @property
     def total_cycles(self) -> int:
         return self.cycles + self.fire_cycles
+
+    def copy(self) -> "TileInferenceStats":
+        return replace(self, block_grants=self.block_grants.copy())
+
+    def _combine(self, other: "TileInferenceStats", op) -> "TileInferenceStats":
+        return TileInferenceStats(
+            *(op(getattr(self, f), getattr(other, f)) for f in _FIELDS)
+        )
+
+    def __add__(self, other: "TileInferenceStats") -> "TileInferenceStats":
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other: "TileInferenceStats") -> "TileInferenceStats":
+        return self._combine(other, operator.sub)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TileInferenceStats):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in _FIELDS
+        )
+
+
+_FIELDS = tuple(f.name for f in fields(TileInferenceStats))
 
 
 class Tile:
@@ -114,8 +161,7 @@ class Tile:
         self._arbiter_cycle_energy_pj = arbiter_energy_per_cycle_pj(
             ARRAY_DIM, self.ports, tree=True
         )
-        self.arbiter_energy_pj = 0.0
-        self.stats = TileInferenceStats()
+        self.stats = TileInferenceStats.zeros(self.mapping.row_blocks)
         # Bumped on every in-place weight mutation so cached weight
         # snapshots (the fast engine) know to rebuild.
         self.weight_version = 0
@@ -169,23 +215,23 @@ class Tile:
 
     def step(self) -> int:
         """One clock cycle across all row blocks; returns grants issued."""
+        stats = self.stats
         grants_this_cycle = 0
         for rb, arbiter in enumerate(self.arbiters):
             grant = arbiter.step()
             if grant.grant_count == 0:
                 continue
             grants_this_cycle += grant.grant_count
+            stats.block_grants[rb] += grant.grant_count
             valid = np.ones(grant.grant_count, dtype=bool)
             for cb in range(self.mapping.col_blocks):
                 bits = self.macros[rb][cb].serve_spikes(grant.granted_rows)
                 cols = self.mapping.cols_in_block(cb)
                 self.neurons[cb].accumulate(bits[:, :cols], valid)
-                self.stats.array_reads += grant.grant_count
-        self.stats.cycles += 1
-        self.stats.grants += grants_this_cycle
-        self.arbiter_energy_pj += (
-            self._arbiter_cycle_energy_pj * len(self.arbiters)
-        )
+        stats.cycles += 1
+        stats.grants += grants_this_cycle
+        stats.array_reads += grants_this_cycle * self.mapping.col_blocks
+        stats.accumulate_events += grants_this_cycle
         return grants_this_cycle
 
     def fire(self, reset_all: bool = True) -> np.ndarray:
@@ -204,8 +250,32 @@ class Tile:
             cs = self.mapping.col_slice(cb)
             out[cs] = neurons.take_requests()
         self.stats.fire_cycles += 1
+        self.stats.fire_checks += 1
         self.stats.output_spikes += int(out.sum())
         return out
+
+    def read_out(self, images: int = 1) -> np.ndarray:
+        """Output-layer readout instead of a fire check, for ``images``
+        drained images at once (one fire cycle each).
+
+        Returns the membranes, then clears them and the neuron counts,
+        so the output tile's neuron energy stays out of a static
+        inference.  Zero images change nothing.
+        """
+        vmem = self.membrane_potentials()
+        if images:
+            for neurons in self.neurons:
+                neurons.reset()
+            self.stats.fire_cycles += images
+            self.stats.accumulate_events = 0
+            self.stats.fire_checks = 0
+        return vmem
+
+    def drain(self, spikes: np.ndarray) -> None:
+        """Latch ``spikes`` and clock until ``R_empty``."""
+        self.submit_spikes(spikes)
+        while not self.r_empty:
+            self.step()
 
     def run_timestep(self, spikes: np.ndarray) -> np.ndarray:
         """One temporal timestep: drain the spikes, fire, keep charge.
@@ -213,9 +283,7 @@ class Tile:
         Unlike :meth:`run_inference`, non-firing membranes persist —
         the multi-timestep IF dynamics of :mod:`repro.snn.temporal`.
         """
-        self.submit_spikes(spikes)
-        while not self.r_empty:
-            self.step()
+        self.drain(spikes)
         return self.fire(reset_all=False)
 
     def membrane_potentials(self) -> np.ndarray:
@@ -229,34 +297,43 @@ class Tile:
         """Process one full input spike vector to completion.
 
         With ``readout=True`` the membrane potentials are returned
-        *instead* of firing (output-layer classification readout); the
-        neurons are reset afterwards.
+        *instead* of firing (:meth:`read_out`).
         """
-        self.submit_spikes(spikes)
-        while not self.r_empty:
-            self.step()
-        if readout:
-            vmem = np.concatenate(
-                [
-                    self.neurons[cb].membrane_potentials()
-                    for cb in range(self.mapping.col_blocks)
-                ]
-            )[: self.n_out]
-            for neurons in self.neurons:
-                neurons.reset()
-            self.stats.fire_cycles += 1
-            return vmem
-        return self.fire()
+        self.drain(spikes)
+        return self.read_out() if readout else self.fire()
 
     # -- cost roll-ups ---------------------------------------------------------------
 
-    def dynamic_energy_pj(self) -> float:
-        """All dynamic energy logged so far (reads + neurons + arbiters)."""
+    def inference_energy_pj(self,
+                            counts: TileInferenceStats | None = None) -> float:
+        """Read, neuron and arbiter energy of ``counts`` (default: this
+        tile's record).
+
+        Counts times per-access energies, summed per macro in grid
+        order, then per neuron segment, then over the arbiters, which
+        clock on every drain cycle: the order of the golden capture.
+        """
+        counts = self.stats if counts is None else counts
+        reads = counts.block_grants.tolist()
         macro_pj = sum(
-            m.ledger.dynamic_energy_pj for row in self.macros for m in row
+            reads[rb] * macro.read_energy_pj
+            for rb, row in enumerate(self.macros) for macro in row
         )
-        neuron_pj = sum(n.dynamic_energy_pj() for n in self.neurons)
-        return macro_pj + neuron_pj + self.arbiter_energy_pj
+        neuron_pj = sum(
+            n.dynamic_energy_pj(counts.accumulate_events, counts.fire_checks)
+            for n in self.neurons
+        )
+        arbiter_pj = (
+            counts.cycles * len(self.arbiters) * self._arbiter_cycle_energy_pj
+        )
+        return macro_pj + neuron_pj + arbiter_pj
+
+    def dynamic_energy_pj(self) -> float:
+        """All dynamic energy so far: the record's inference energy plus
+        the macros' learning (transposed-port) ledgers."""
+        return self.inference_energy_pj() + sum(
+            m.ledger.transposed_energy_pj for row in self.macros for m in row
+        )
 
     def leakage_power_mw(self) -> float:
         """Static power of all macros in this tile."""
@@ -273,8 +350,7 @@ class Tile:
         return macro + arb + neurons
 
     def reset_stats(self) -> None:
-        self.stats = TileInferenceStats()
-        self.arbiter_energy_pj = 0.0
+        self.stats = TileInferenceStats.zeros(self.mapping.row_blocks)
         for row in self.macros:
             for macro in row:
                 macro.reset_ledger()

@@ -46,18 +46,20 @@ class TestGrantSemantics:
         assert arb.r_empty
 
     def test_counters(self):
+        """A drain's grants and cycles, counted from its grant trace."""
         arb = MultiPortArbiter(8, 2)
         arb.submit_rows([0, 1, 2])
-        arb.drain()
-        assert arb.grants_issued == 3
-        assert arb.cycles_elapsed == 2
+        trace = arb.drain()
+        assert sum(g.grant_count for g in trace) == 3
+        assert len(trace) == 2
 
     def test_reset(self):
         arb = MultiPortArbiter(8, 2)
-        arb.submit_rows([1])
+        arb.submit_rows([1, 5])
         arb.reset()
         assert arb.r_empty
-        assert arb.cycles_elapsed == 0
+        assert arb.pending_count == 0
+        assert arb.drain() == []
 
 
 class TestReferenceEquivalence:

@@ -2,8 +2,8 @@
 
 The engine-backend table (:mod:`repro.tile.backends`) promises that
 every backend is *indistinguishable* from the per-cycle reference:
-same predictions, same traces, same stats counters, same energy
-ledgers, same persisted membranes.  This suite enforces that promise
+same predictions, same traces, same count records, same energies to
+the last bit, same persisted membranes.  This suite enforces that promise
 structurally — the ``backend`` fixture (tests/conftest.py)
 parametrizes over :func:`repro.tile.backends.backend_names`, so a
 backend added to the table runs through the full equivalence matrix
@@ -29,6 +29,7 @@ from test_engine_equivalence import (
 
 from repro.errors import ConfigurationError
 from repro.sram.bitcell import CellType
+from repro.system.energy import SystemEnergyModel
 from repro.tile.backends import backend_factory, backend_names
 from repro.tile.network import EsamNetwork, InferenceTrace
 
@@ -98,6 +99,31 @@ class TestStaticConformance:
         assert net.engine_backend(backend, refresh=True) is not first
 
 
+class TestTraceCounts:
+    def test_trace_counts_only_its_own_batches(self, backend, rng):
+        """The same rows give equal traces and equal metrics, bit for
+        bit, on a fresh network and on one that served other rows
+        before and between the traced batches."""
+        rows = sample_spikes(rng, images=6)
+        other = sample_spikes(rng, images=5)
+        fresh = make_network(CellType.C1RW4R, 0.5)
+        fresh_trace = InferenceTrace()
+        fresh.infer_batch(rows, fresh_trace, engine=backend)
+
+        busy = make_network(CellType.C1RW4R, 0.5)
+        busy.infer_batch(other, engine=backend)
+        busy_trace = InferenceTrace()
+        busy.infer_batch(rows[:2], busy_trace, engine=backend)
+        busy.infer_batch(other[::-1], engine=backend)
+        busy.infer_batch(rows[2:], busy_trace, engine=backend)
+
+        assert busy_trace == fresh_trace
+        assert busy_trace.counts[0].input_spikes == int(rows.sum())
+        assert SystemEnergyModel(busy).metrics(busy_trace) == (
+            SystemEnergyModel(fresh).metrics(fresh_trace)
+        )
+
+
 class TestEmptyBatch:
     def test_empty_batch_is_a_no_op(self, backend, rng):
         """A ``(0, n_in)`` batch passes validation; every backend returns
@@ -131,6 +157,19 @@ class TestTemporalConformance:
             result.hidden_spike_totals, reference.hidden_spike_totals
         )
         assert_hardware_state_equal(net, ref_net)
+
+    def test_non_binary_trains_rejected(self, backend, non_binary):
+        net = make_network(CellType.C1RW4R, 0.5)
+        with pytest.raises(ConfigurationError):
+            net.run_temporal(non_binary((3, LAYER_SIZES[0])), engine=backend)
+        assert_hardware_state_equal(net, make_network(CellType.C1RW4R, 0.5))
+
+    def test_wrong_width_rejected(self, backend):
+        net = make_network(CellType.C1RW4R, 0.5)
+        for width in (LAYER_SIZES[0] - 1, LAYER_SIZES[0] + 1):
+            with pytest.raises(ConfigurationError, match="spike batch shape"):
+                net.run_temporal(np.zeros((3, width), dtype=bool),
+                                 engine=backend)
 
     def test_mid_run_switch_from_and_to_backend(self, backend, rng):
         """Any backend resumes from any other backend's membranes."""

@@ -1,9 +1,9 @@
 """Fast-engine equivalence: batched schedule vs cycle-accurate reference.
 
 The fast engine must be *indistinguishable* from the per-cycle
-simulator: same predictions, same per-tile cycle counts, same
-grant/read counts and same energy-ledger contents, across cell types,
-Vprech regimes (cycle stretch 1 and 2) and temporal mode.
+simulator: same predictions, same per-tile count records and the same
+energies to the last bit, across cell types, Vprech regimes (cycle
+stretch 1 and 2) and temporal mode.
 """
 
 from __future__ import annotations
@@ -50,28 +50,13 @@ def sample_spikes(rng, images: int = 6) -> np.ndarray:
 
 
 def assert_hardware_state_equal(fast: EsamNetwork, cycle: EsamNetwork) -> None:
-    """Every stat counter and energy ledger must match exactly."""
+    """Every count record, membrane and energy must match exactly."""
     for tf, tc in zip(fast.tiles, cycle.tiles):
-        assert dataclasses.asdict(tf.stats) == dataclasses.asdict(tc.stats)
-        assert tf.arbiter_energy_pj == pytest.approx(
-            tc.arbiter_energy_pj, rel=1e-12
-        )
-        for af, ac in zip(tf.arbiters, tc.arbiters):
-            assert af.cycles_elapsed == ac.cycles_elapsed
-            assert af.grants_issued == ac.grants_issued
-        for row_f, row_c in zip(tf.macros, tc.macros):
-            for mf, mc in zip(row_f, row_c):
-                assert mf.ledger.inference_reads == mc.ledger.inference_reads
-                assert mf.ledger.inference_read_energy_pj == pytest.approx(
-                    mc.ledger.inference_read_energy_pj, rel=1e-12
-                )
+        assert tf.stats == tc.stats
+        assert tf.inference_energy_pj() == tc.inference_energy_pj()
         for nf, nc in zip(tf.neurons, tc.neurons):
-            assert nf.accumulate_events == nc.accumulate_events
-            assert nf.fire_checks == nc.fire_checks
             assert np.array_equal(nf.vmem, nc.vmem)
-    assert fast.dynamic_energy_pj() == pytest.approx(
-        cycle.dynamic_energy_pj(), rel=1e-12
-    )
+    assert fast.dynamic_energy_pj() == cycle.dynamic_energy_pj()
 
 
 class TestBatchedInferenceEquivalence:
@@ -245,9 +230,9 @@ class TestSystemFacadeEquivalence:
         fast = system.classify_spikes(spikes, engine="fast")
         cycle = system.classify_spikes(spikes, engine="cycle")
         assert np.array_equal(fast.predictions, cycle.predictions)
-        fast_metrics = dataclasses.asdict(fast.report.metrics)
-        cycle_metrics = dataclasses.asdict(cycle.report.metrics)
-        assert fast_metrics == pytest.approx(cycle_metrics, rel=1e-12)
+        assert dataclasses.asdict(fast.report.metrics) == dataclasses.asdict(
+            cycle.report.metrics
+        )
 
     def test_unknown_engine_rejected(self, rng):
         system = EsamSystem.from_random((96, 48, 10), seed=3)

@@ -52,22 +52,30 @@ class TestArrayBehaviour:
 
     def test_no_valid_rows_is_noop(self):
         arr = NeuronArray(np.zeros(3), ports=4)
+        arr.accumulate(np.array([[1, 0, 1]]), np.array([1]))
         arr.accumulate(np.zeros((2, 3)), np.array([0, 0]))
-        assert arr.accumulate_events == 0
+        assert arr.membrane_potentials().tolist() == [1, -1, 1]
 
     def test_energy_ledger(self):
+        """Energy is a function of the accumulate and fire-check counts,
+        growing with each and scaling with the neuron count."""
         arr = NeuronArray(np.zeros(8), ports=4)
-        arr.accumulate(np.ones((2, 8)), np.array([1, 1]))
-        arr.fire_check()
-        assert arr.dynamic_energy_pj() > 0.0
+        assert arr.dynamic_energy_pj(0, 0) == 0.0
+        assert 0.0 < arr.dynamic_energy_pj(2, 0) < arr.dynamic_energy_pj(2, 1)
+        assert arr.dynamic_energy_pj(0, 1) > 0.0
+        wide = NeuronArray(np.zeros(16), ports=4)
+        assert wide.dynamic_energy_pj(2, 1) == pytest.approx(
+            2 * arr.dynamic_energy_pj(2, 1)
+        )
 
     def test_reset(self):
         arr = NeuronArray(np.zeros(4), ports=2)
         arr.accumulate(np.ones((1, 4)), np.array([1]))
-        arr.fire_check()
+        arr.fire_check(reset_all=False)
+        arr.accumulate(np.zeros((1, 4)), np.array([1]))
         arr.reset()
         assert (arr.membrane_potentials() == 0).all()
-        assert arr.dynamic_energy_pj() == 0.0
+        assert not arr.take_requests().any()
 
     def test_add_time_matches_port_count(self):
         arr = NeuronArray(np.zeros(4), ports=4)

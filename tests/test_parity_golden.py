@@ -51,35 +51,24 @@ def rows(evaluator):
 
 
 class TestParity:
-    def test_figure8_rows_bit_identical_to_seed(self, golden, rows):
+    def test_figure8_rows_bit_identical_to_seed(self, golden, evaluator,
+                                                backend):
+        """Every backend renders the golden figure — every metric bit for
+        bit, not just the predictions.
+
+        Energies are counts times per-access energies, summed in one
+        fixed order, so the per-cycle reference matches the capture
+        exactly too.
+        """
+        rows = evaluator.figure8(engine=backend)
         assert [r.cell_type.value for r in rows] == [
             r["cell_type"] for r in golden["rows"]
         ]
         for got, want in zip(rows, golden["rows"]):
             got_metrics = dataclasses.asdict(got.metrics)
             assert got_metrics == want["metrics"], (
-                f"{want['cell_type']}: refactored metrics diverge from the "
-                "pre-refactor golden capture"
-            )
-
-    def test_figure8_rows_via_bitpacked_engine_bit_identical_to_seed(
-            self, golden, evaluator):
-        """The popcount backend renders the same golden figure — every
-        metric bit-for-bit, not just the predictions.
-
-        The capture predates the engine-backend registry entirely, so
-        this pins the whole bitpacked path (packing, memoized drain
-        schedules, ledger replay) against a state that never knew it
-        existed.
-        """
-        rows = evaluator.figure8(engine="bitpacked")
-        assert [r.cell_type.value for r in rows] == [
-            r["cell_type"] for r in golden["rows"]
-        ]
-        for got, want in zip(rows, golden["rows"]):
-            assert dataclasses.asdict(got.metrics) == want["metrics"], (
-                f"{want['cell_type']}: bitpacked metrics diverge from the "
-                "pre-registry golden capture"
+                f"{want['cell_type']}: {backend} metrics diverge from the "
+                "golden capture"
             )
 
     def test_headline_claims_bit_identical_to_seed(self, golden, evaluator,

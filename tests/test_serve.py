@@ -30,7 +30,7 @@ from repro.serve.__main__ import main as serve_main
 from repro.sram.bitcell import CellType
 from repro.sweep.spec import DesignPoint
 from repro.learning.convert import ConvertedSNN
-from repro.tile.network import EsamNetwork, validate_spikes
+from repro.tile.network import EsamNetwork, InferenceTrace, validate_spikes
 
 
 def random_network(layers=(64, 32, 10), seed=0,
@@ -86,6 +86,21 @@ class TestBatchPolicy:
             BatchPolicy(max_batch_size=4, min_batch_size=5)
         with pytest.raises(ConfigurationError):
             BatchPolicy(min_batch_size=0)
+
+    @pytest.mark.parametrize("field", ["max_batch_size", "min_batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+    def test_rejects_a_non_integer_size(self, field, value):
+        """A float, bool or string size would fail on the dispatch
+        thread, leaving every admitted future unresolved."""
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be an integer"):
+            BatchPolicy(**{field: value})
+
+    def test_accepts_numpy_integer_sizes(self):
+        policy = BatchPolicy(max_batch_size=np.int64(8),
+                             min_batch_size=np.int32(2))
+        assert (policy.max_batch_size, policy.min_batch_size) == (8, 2)
+        assert type(policy.max_batch_size) is type(policy.min_batch_size) is int
 
 
 class TestMicroBatcher:
@@ -394,17 +409,21 @@ class TestSpikeValidation:
 # -- split invariance (the foundation micro-batching rests on) -----------------------
 
 
-@functools.lru_cache(maxsize=None)
 def _invariance_network(cell_value: str) -> EsamNetwork:
+    """A fresh network: every example starts from zero counts."""
     return random_network(
         layers=(32, 16, 10), seed=7, cell_type=CellType(cell_value)
     )
 
 
 @functools.lru_cache(maxsize=None)
-def _invariance_full(cell_value: str, engine: str) -> np.ndarray:
+def _invariance_full(cell_value: str, engine: str):
+    """Scores, trace and dynamic energy of the one-shot batch."""
     spikes = random_spikes(8, width=32, seed=11)
-    return _invariance_network(cell_value).infer_batch(spikes, engine=engine)
+    network = _invariance_network(cell_value)
+    trace = InferenceTrace()
+    scores = network.infer_batch(spikes, trace, engine=engine)
+    return scores, trace, network.dynamic_energy_pj()
 
 
 class TestSplitInvariance:
@@ -417,23 +436,28 @@ class TestSplitInvariance:
     def test_any_partition_concatenates_bit_identically(
         self, cuts, engine, cell
     ):
-        """Concatenated sub-batch results equal the one-shot batch."""
+        """Concatenated sub-batch results, their summed trace and the
+        network's dynamic energy equal the one-shot batch's, exactly."""
         spikes = random_spikes(8, width=32, seed=11)
         network = _invariance_network(cell)
-        full = _invariance_full(cell, engine)
+        full, full_trace, full_energy = _invariance_full(cell, engine)
         bounds = [0, *sorted(cuts), 8]
+        trace = InferenceTrace()
         parts = [
-            network.infer_batch(spikes[a:b], engine=engine)
+            network.infer_batch(spikes[a:b], trace, engine=engine)
             for a, b in zip(bounds, bounds[1:])
             if a < b
         ]
         assert np.array_equal(np.concatenate(parts), full)
+        assert trace == full_trace
+        assert network.dynamic_energy_pj() == full_energy
 
     def test_engines_agree_on_the_full_batch(self):
         for cell in ("1RW", "1RW+2R", "1RW+4R"):
-            assert np.array_equal(
-                _invariance_full(cell, "fast"), _invariance_full(cell, "cycle")
-            )
+            fast = _invariance_full(cell, "fast")
+            cycle = _invariance_full(cell, "cycle")
+            assert np.array_equal(fast[0], cycle[0])
+            assert fast[1:] == cycle[1:]
 
 
 # -- server --------------------------------------------------------------------------

@@ -237,6 +237,17 @@ class TestSloClass:
         with pytest.raises(ConfigurationError):
             SloClass(**kwargs)
 
+    @pytest.mark.parametrize("depth", [2.5, 4.0, True, "4"])
+    def test_rejects_a_non_integer_queue_depth(self, depth):
+        with pytest.raises(ConfigurationError,
+                           match="max_queue_depth must be an integer"):
+            SloClass("x", max_queue_depth=depth)
+
+    def test_accepts_a_numpy_integer_queue_depth(self):
+        slo = SloClass("x", max_queue_depth=np.int64(16))
+        assert slo.max_queue_depth == 16
+        assert type(slo.max_queue_depth) is int
+
 
 # -- fleet construction ---------------------------------------------------------------
 

@@ -22,17 +22,16 @@ class TestInferencePath:
         out = macro.serve_spikes([1, 2, 3])
         assert (out == ref[[1, 2, 3]]).all()
 
-    def test_ledger_counts_reads(self, macro):
-        macro.serve_spikes([0, 1])
-        macro.serve_spikes([7])
-        assert macro.ledger.inference_reads == 3
-
-    def test_ledger_energy_matches_model(self, macro):
-        macro.serve_spikes([0, 1, 2, 3])
+    def test_read_energy_matches_model(self, macro):
         per_read = macro.read_ports.operating_point(
             CellType.C1RW4R, 0.5
         ).read_energy_pj
-        assert macro.ledger.inference_read_energy_pj == pytest.approx(4 * per_read)
+        assert macro.read_energy_pj == per_read > 0.0
+
+    def test_inference_reads_leave_the_learning_ledger_alone(self, macro):
+        """The owning tile counts inference reads."""
+        macro.serve_spikes([0, 1])
+        assert macro.ledger == MacroEnergyLedger()
 
 
 class TestLearningPath:
@@ -64,19 +63,11 @@ class TestLearningPath:
 
 
 class TestLedger:
-    def test_merge(self):
-        a = MacroEnergyLedger(inference_reads=2, inference_read_energy_pj=1.0)
-        b = MacroEnergyLedger(inference_reads=3, transposed_writes=4)
-        merged = a.merge(b)
-        assert merged.inference_reads == 5
-        assert merged.transposed_writes == 4
-        assert merged.inference_read_energy_pj == pytest.approx(1.0)
-
     def test_reset(self, macro):
-        macro.serve_spikes([0])
+        macro.read_column(0)
+        assert macro.ledger.transposed_energy_pj > 0.0
         macro.reset_ledger()
-        assert macro.ledger.inference_reads == 0
-        assert macro.ledger.dynamic_energy_pj == 0.0
+        assert macro.ledger == MacroEnergyLedger()
 
 
 class TestStatics:

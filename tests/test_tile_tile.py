@@ -126,6 +126,87 @@ class TestEnergyAccounting:
         assert t4.area_um2() > 1.5 * t6.area_um2()
 
 
+class TestCountRecord:
+    """One record per tile counts what the arbiters, macros and neurons
+    did; every inference energy is derived from it."""
+
+    @pytest.fixture()
+    def grid_tile(self, rng) -> Tile:
+        """2 row blocks x 2 column blocks."""
+        w = rng.integers(0, 2, (256, 200)).astype(np.uint8)
+        return Tile(w, rng.integers(-5, 20, 200))
+
+    @staticmethod
+    def spikes(in_block0: int, in_block1: int) -> np.ndarray:
+        spikes = np.zeros(256, dtype=bool)
+        spikes[:in_block0] = True
+        spikes[128:128 + in_block1] = True
+        return spikes
+
+    def test_block_grants_count_the_reads_of_each_macro_row(self, grid_tile):
+        grid_tile.run_inference(self.spikes(5, 3))
+        grid_tile.run_inference(self.spikes(2, 0))
+        stats = grid_tile.stats
+        assert stats.block_grants.tolist() == [7, 3]
+        assert stats.grants == stats.input_spikes == 10
+        assert stats.array_reads == 10 * 2  # both column blocks read
+        assert stats.accumulate_events == 10
+        assert stats.fire_checks == stats.fire_cycles == 2
+        assert stats.cycles == 2 + 1  # ceil(5 / 4) + ceil(2 / 4)
+
+    def test_readout_clears_the_neuron_counts(self, grid_tile):
+        grid_tile.run_inference(self.spikes(5, 3))
+        vmem = grid_tile.run_inference(self.spikes(4, 4), readout=True)
+        stats = grid_tile.stats
+        assert vmem.shape == (200,)
+        assert (grid_tile.membrane_potentials() == 0).all()
+        assert (stats.accumulate_events, stats.fire_checks) == (0, 0)
+        assert stats.fire_cycles == 2
+        assert stats.grants == 16
+
+    def test_inference_energy_is_counts_times_access_energies(
+            self, grid_tile):
+        from repro.arbiter.analysis import arbiter_energy_per_cycle_pj
+
+        grid_tile.run_inference(self.spikes(9, 6))
+        stats = grid_tile.stats
+        read_pj = grid_tile.macros[0][0].read_energy_pj
+        neurons_pj = sum(
+            n.dynamic_energy_pj(stats.accumulate_events, stats.fire_checks)
+            for n in grid_tile.neurons
+        )
+        arbiter_pj = stats.cycles * 2 * arbiter_energy_per_cycle_pj(
+            128, grid_tile.ports, tree=True
+        )
+        # Per macro in grid order, then the neurons, then the arbiters.
+        expected = (9 * read_pj + 9 * read_pj + 6 * read_pj + 6 * read_pj
+                    + neurons_pj + arbiter_pj)
+        assert grid_tile.inference_energy_pj() == expected
+        assert grid_tile.dynamic_energy_pj() == grid_tile.inference_energy_pj()
+
+    def test_learning_counts_only_in_dynamic_energy(self, grid_tile):
+        grid_tile.run_inference(self.spikes(9, 6))
+        inference = grid_tile.inference_energy_pj()
+        grid_tile.macros[1][0].read_column(3)
+        learning = grid_tile.macros[1][0].ledger.transposed_energy_pj
+        assert learning > 0.0
+        assert grid_tile.inference_energy_pj() == inference
+        assert grid_tile.dynamic_energy_pj() == pytest.approx(
+            inference + learning
+        )
+
+    def test_records_subtract_and_add_back_exactly(self, grid_tile):
+        grid_tile.run_inference(self.spikes(5, 3))
+        mark = grid_tile.stats.copy()
+        grid_tile.run_inference(self.spikes(1, 7))
+        delta = grid_tile.stats - mark
+        assert delta.block_grants.tolist() == [1, 7]
+        assert delta.grants == 8 and delta.fire_cycles == 1
+        assert mark + delta == grid_tile.stats
+        assert mark != grid_tile.stats
+        assert mark.copy() == mark
+
+
 class TestStructure:
     def test_macro_for_neuron(self, rng):
         w = rng.integers(0, 2, (256, 200)).astype(np.uint8)
