@@ -123,6 +123,25 @@ class TestTraceCounts:
             SystemEnergyModel(fresh).metrics(fresh_trace)
         )
 
+    def test_readout_clear_after_a_temporal_run_is_not_counted(
+            self, backend, rng):
+        """A temporal run leaves neuron counts on the output tile, and
+        the next static readout clears them: the traced batch counts
+        none of them, as on the reference."""
+        trains = rng.random((3, LAYER_SIZES[0])) < 0.25
+        rows = sample_spikes(rng, images=4)
+        traces = []
+        for engine in (backend, "cycle"):
+            net = make_network(CellType.C1RW4R, 0.5)
+            net.run_temporal(trains, engine="cycle")
+            assert net.tiles[-1].stats.accumulate_events > 0
+            trace = InferenceTrace()
+            net.infer_batch(rows, trace, engine=engine)
+            traces.append(trace)
+        output = traces[0].counts[-1]
+        assert (output.accumulate_events, output.fire_checks) == (0, 0)
+        assert traces[0] == traces[1]
+
 
 class TestEmptyBatch:
     def test_empty_batch_is_a_no_op(self, backend, rng):
