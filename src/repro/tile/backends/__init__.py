@@ -17,11 +17,11 @@ engine object implements the batched inference protocol over an
 
 Every backend is held to the same contract: bit-identical predictions,
 traces and count records versus the ``"cycle"`` reference, and so
-bit-identical energies, which are derived from the counts.  The cross-backend conformance suite
-(``tests/test_backend_conformance.py``) parametrizes over
-:func:`backend_names`, so a backend added to the table runs through the
-full equivalence matrix (cells x Vprech regimes x temporal x mid-run
-switching x faulted weights).
+bit-identical energies, which are derived from the counts.  The
+cross-backend conformance suite (``tests/test_backend_conformance.py``)
+parametrizes over :func:`backend_names`, so a backend added to the
+table runs through the full equivalence matrix (cells x Vprech regimes
+x temporal x mid-run switching x faulted weights).
 
 The backends:
 

@@ -75,7 +75,8 @@ class TileInferenceStats:
     def copy(self) -> "TileInferenceStats":
         return replace(self, block_grants=self.block_grants.copy())
 
-    def _combine(self, other: "TileInferenceStats", op) -> "TileInferenceStats":
+    def _combine(self, other: "TileInferenceStats",
+                 op) -> "TileInferenceStats":
         return TileInferenceStats(
             *(op(getattr(self, f), getattr(other, f)) for f in _FIELDS)
         )

@@ -100,7 +100,8 @@ class TestBatchPolicy:
         policy = BatchPolicy(max_batch_size=np.int64(8),
                              min_batch_size=np.int32(2))
         assert (policy.max_batch_size, policy.min_batch_size) == (8, 2)
-        assert type(policy.max_batch_size) is type(policy.min_batch_size) is int
+        assert type(policy.max_batch_size) is int
+        assert type(policy.min_batch_size) is int
 
 
 class TestMicroBatcher:
