@@ -24,6 +24,7 @@ pass a counter), which makes the coalescing policy exactly testable.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -56,9 +57,11 @@ class BatchPolicy:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_wait_ms < 0:
+        # A NaN wait never expires and an infinite one overflows the
+        # dispatch thread's timed wait.
+        if not 0 <= self.max_wait_ms < math.inf:
             raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
+                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms}"
             )
         if not 1 <= self.min_batch_size <= self.max_batch_size:
             raise ConfigurationError(

@@ -11,11 +11,13 @@ bench_serving.py`` measures the curve).
 
 The moving parts and who owns what:
 
-* **client threads** — the core's ``submit``: validation, SLO-class
-  admission, breaker check.
-* **dispatch thread** — the core's loop: batches per model, sheds
-  deadline-expired requests, then (this module) packs each ready batch
-  with :func:`~repro.tile.backends.bitpacked.pack_spike_rows` and sends
+* **client threads** — the core's ``submit``: validation and a private
+  copy of the row, SLO-class admission, breaker check, and the add to
+  the model's batcher, all holding the interpreter lock.
+* **dispatch thread** — the core's loop: takes each ready batch, sheds
+  deadline-expired requests, then (this module) joins the batch's rows
+  (:func:`~repro.serve.server.batch_rows`), packs them with
+  :func:`~repro.tile.backends.bitpacked.pack_spike_rows` and sends
   it to the ready worker with the fewest batches in flight
   (:func:`choose_worker`), waiting while every worker holds
   :data:`MAX_IN_FLIGHT` batches.
@@ -59,12 +61,10 @@ from collections import Counter
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ServingError, WorkerCrashError
 from repro.resilience.policy import SupervisorPolicy
 from repro.serve.pool import ModelPayload, worker_main
-from repro.serve.server import InferenceServer
+from repro.serve.server import InferenceServer, batch_rows
 from repro.sweep.spec import _integer
 from repro.tile.backends.bitpacked import pack_spike_rows
 
@@ -325,7 +325,7 @@ class FleetServer(InferenceServer):
 
     def _flush(self, model: str, requests: list, site: str) -> None:
         """Pack the batch and send it to the least-loaded ready worker."""
-        packed = pack_spike_rows(np.stack([r.spikes for r in requests]))
+        packed = pack_spike_rows(batch_rows(requests))
         with self._cond:
             # Choosing the worker and registering the batch in one
             # lock hold means a worker the collector removes can never

@@ -6,7 +6,10 @@ into p50/p95/p99, and the batcher's behaviour is visible through exact
 batch-size and queue-depth histograms.  A :class:`ServingMetrics`
 instance is thread-safe (clients submit and the dispatch thread
 completes concurrently) and exports everything as a plain dict so the
-CLI and ``BENCH_serving.json`` can serialize it directly.
+CLI and ``BENCH_serving.json`` can serialize it directly.  Admission
+is recorded per request (:meth:`~ServingMetrics.record_submitted`),
+completion per answered batch (:meth:`~ServingMetrics.record_batch`:
+its size, its completions and each rider's latency in one call).
 
 Since the observability layer landed, :class:`ServingMetrics` is a
 *view* over a :class:`~repro.obs.metrics.MetricRegistry`: every
@@ -176,14 +179,15 @@ class ServingMetrics:
     def record_rejected(self) -> None:
         self._counters["rejected"].inc()
 
-    def record_batch(self, batch_size: int) -> None:
-        self._batch_sizes.observe(int(batch_size))
-
-    def record_completed(self, latency_s: float) -> None:
-        self._counters["completed"].inc()
-        self._latency_hist.observe(latency_s * 1e3)
+    def record_batch(self, latencies_s) -> None:
+        """One answered batch: its size, and each rider's latency."""
+        latencies_ms = [latency * 1e3 for latency in latencies_s]
+        self._batch_sizes.observe(len(latencies_ms))
+        self._counters["completed"].inc(len(latencies_ms))
+        for latency_ms in latencies_ms:
+            self._latency_hist.observe(latency_ms)
         with self._lock:
-            self._latencies_ms.append(latency_s * 1e3)
+            self._latencies_ms.extend(latencies_ms)
 
     def record_failed(self, count: int = 1) -> None:
         self._counters["failed"].inc(count)

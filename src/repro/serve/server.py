@@ -3,10 +3,10 @@
 ``InferenceServer`` turns the batched engine into a traffic-serving
 system.  Clients call :meth:`~InferenceServer.submit` (non-blocking,
 returns a future) or :meth:`~InferenceServer.classify` (blocking
-convenience); a single dispatch thread moves admitted requests into
-per-model :class:`~repro.serve.batcher.MicroBatcher`\\ s and flushes
-every ready batch.  The in-process server flushes on the dispatch
-thread itself, through ``engine_backend(engine).classify_batch``.
+convenience), which adds each admitted request to its model's
+:class:`~repro.serve.batcher.MicroBatcher`; a single dispatch thread
+flushes every ready batch.  The in-process server flushes on the
+dispatch thread itself, through ``engine_backend(engine).classify_batch``.
 :class:`~repro.serve.fleet.FleetServer` is the same server with its
 flushes in worker processes: it overrides only ``_flush`` and the lane
 lifecycle, so admission, SLO classes, batching, deadline shedding,
@@ -35,6 +35,16 @@ per model while its circuit is open
 flush faults and latency spikes for the acceptance tests.  Both run
 inside :func:`flush_batch`, wherever the lane runs it.
 
+The path from ``submit`` to the resolved future keeps CPython's
+interpreter lock: a one-byte row is checked and copied with ``bytes``
+methods (:func:`~repro.tile.network.validate_spikes`), and a batch is
+one join of those copies (:func:`batch_rows`).  numpy releases the
+lock inside its loops, so a numpy check or ``np.stack`` handed it to
+the other server threads and then waited to get it back.  What can be
+done once per batch is: ``submit`` wakes the dispatch thread only for
+a new coalescing deadline or a size trigger, and a batch's futures
+resolve from one ``tolist()`` with one metrics call.
+
 Predictions are deterministic: ``infer_batch`` is split-invariant (a
 property the test suite asserts), so however arrival timing partitions
 a request stream into micro-batches, every request gets the same
@@ -44,6 +54,7 @@ prediction the offline ``classify_batch`` would give it.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
@@ -99,10 +110,20 @@ class SloClass:
             raise ConfigurationError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be > 0 when set, got {self.deadline_ms}"
-            )
+        if self.deadline_ms is not None:
+            _check_deadline(self.deadline_ms)
+
+
+def _check_deadline(deadline_ms: float) -> None:
+    """Raise unless ``deadline_ms`` is a finite time after now.
+
+    A NaN deadline would shed its request, and an infinite one is no
+    deadline: both are configuration errors.
+    """
+    if not 0 < deadline_ms < math.inf:
+        raise ConfigurationError(
+            f"deadline_ms must be finite and > 0 when set, got {deadline_ms}"
+        )
 
 
 #: The stock admission classes the CLI exposes via ``--slo-class``.
@@ -118,9 +139,13 @@ DEFAULT_SLO_CLASSES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Request:
-    """One admitted classification request."""
+    """One admitted classification request.
+
+    ``spikes`` is the private read-only row :func:`validate_spikes`
+    returns, so the caller's buffer is never queued.
+    """
 
     model: str
     spikes: np.ndarray
@@ -144,6 +169,17 @@ def _settle(future: Future, error: BaseException) -> bool:
     except InvalidStateError:
         return False
     return True
+
+
+def batch_rows(requests: list[_Request]) -> np.ndarray:
+    """The requests' rows as one read-only ``(B, n_in)`` bool array.
+
+    One ``bytes`` join of the admitted rows keeps the interpreter lock,
+    where ``np.stack`` would hand it to the client threads inside its
+    copy loop.
+    """
+    rows = b"".join([request.spikes for request in requests])
+    return np.frombuffer(rows, np.bool_).reshape(len(requests), -1)
 
 
 def flush_batch(backend, rows: np.ndarray, site: str,
@@ -248,10 +284,9 @@ class InferenceServer:
         self.chaos = chaos if chaos is not None and chaos.active else None
         self._clock = clock
         self._tracer = tracer
-        #: One lock for all serving state: inbox, batchers, depths and
-        #: (in the fleet) the workers' in-flight batches.
+        #: One lock for all serving state: batchers, depths and (in the
+        #: fleet) the workers' in-flight batches.
         self._cond = threading.Condition()
-        self._inbox: list[_Request] = []
         self._batchers: dict[str, MicroBatcher] = {}
         self._flush_counts: dict[str, int] = {}
         #: Requests the dispatch thread has taken out of the batchers
@@ -342,7 +377,9 @@ class InferenceServer:
         This is the single validation point: the SLO class, the
         deadline, the model name and the spike vector
         (:func:`validate_spikes`, exactly once — no lane re-checks) are
-        all checked *before* admission.  Raises :class:`QueueFullError`
+        all checked *before* admission.  The request queues the private
+        copy of the row that check returns, so the caller may refill
+        its buffer as soon as ``submit`` returns.  Raises :class:`QueueFullError`
         when the class's ``max_queue_depth`` requests are already in
         flight (explicit backpressure — the request is not enqueued).
         When the registry runs circuit breakers, an open circuit raises
@@ -365,10 +402,8 @@ class InferenceServer:
             ) from None
         if deadline_ms is None:
             deadline_ms = slo.deadline_ms
-        elif deadline_ms <= 0:
-            raise ConfigurationError(
-                f"deadline_ms must be > 0 when set, got {deadline_ms}"
-            )
+        else:
+            _check_deadline(deadline_ms)
         network = self.registry.get(model)
         spikes = validate_spikes(spikes, network.tiles[0].n_in)
         with self._cond:
@@ -402,9 +437,19 @@ class InferenceServer:
             )
             self._class_depth[slo.name] = depth + 1
             self._in_flight += 1
-            self._inbox.append(request)
             self.metrics.record_submitted(queue_depth=self._in_flight)
-            self._cond.notify_all()
+            batcher = self._batchers.get(model)
+            if batcher is None:
+                batcher = MicroBatcher(self.policy, clock=self._clock)
+                self._batchers[model] = batcher
+            pending = batcher.add(request, now=now)
+            # Wake the dispatch thread only when this request changes
+            # what it waits for: a first pending request brings a new
+            # coalescing deadline, and reaching the target a size
+            # trigger.  It reads every batcher again after each flush,
+            # so no other submit can make a batch ready while it waits.
+            if pending == 1 or pending == batcher.target:
+                self._cond.notify_all()
         return request.future
 
     def classify(self, model: str, spikes: np.ndarray,
@@ -452,7 +497,7 @@ class InferenceServer:
         try:
             predictions = flush_batch(
                 self.registry.get(model).engine_backend(self.engine),
-                np.stack([r.spikes for r in requests]), site,
+                batch_rows(requests), site,
                 retry=self.retry, chaos=self.chaos, on_retry=on_retry,
             )
         except Exception as caught:  # noqa: BLE001 - forwarded to callers
@@ -486,17 +531,6 @@ class InferenceServer:
     def _active_tracer(self):
         return self._tracer if self._tracer is not None else get_tracer()
 
-    def _batch_inbox(self) -> None:
-        """Move admitted requests into their model's batcher.  (Under
-        the lock.)"""
-        for request in self._inbox:
-            batcher = self._batchers.get(request.model)
-            if batcher is None:
-                batcher = MicroBatcher(self.policy, clock=self._clock)
-                self._batchers[request.model] = batcher
-            batcher.add(request, now=request.submitted_at)
-        self._inbox = []
-
     def _take_ready(self):
         """Pop one flushable batch into ``_flushing``; returns it as
         ``(model, requests)``, or ``None``.  (Under the lock.)"""
@@ -521,10 +555,9 @@ class InferenceServer:
     def _dispatch_forever(self) -> None:
         while True:
             with self._cond:
-                self._batch_inbox()
-                # Everything admitted is batched now: submit() rejects
-                # once _running is false (checked under this same lock),
-                # so the shutdown flush sees the complete final state.
+                # submit() batches under this lock and rejects once
+                # _running is false, so the shutdown flush sees the
+                # complete final state.
                 if not self._running:
                     break
                 job = self._take_ready()
@@ -603,10 +636,9 @@ class InferenceServer:
                   done: float) -> None:
         """A lane answered the batch: resolve every future."""
         self.registry.record_flush_success(model)
-        self.metrics.record_batch(len(requests))
-        for request, prediction in zip(requests, predictions):
-            request.future.set_result(int(prediction))
-            self.metrics.record_completed(done - request.submitted_at)
+        self.metrics.record_batch([done - r.submitted_at for r in requests])
+        for request, prediction in zip(requests, predictions.tolist()):
+            request.future.set_result(prediction)
         self._release(requests)
 
     def _fail(self, requests: list[_Request], error: BaseException,
@@ -645,8 +677,7 @@ class InferenceServer:
                 return
             self._failed = True
             self._running = False
-            pending = [*self._held(), *self._inbox]
-            self._inbox = []
+            pending = self._held()
             for batcher in self._batchers.values():
                 for batch in batcher.drain():
                     pending.extend(batch)

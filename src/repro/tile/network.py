@@ -54,6 +54,15 @@ def validate_spikes(spikes: np.ndarray, n_in: int, *,
     wrong hardware activity.  Returns the input coerced to a bool
     array: shape ``(n_in,)`` for a single request, ``(B, n_in)`` when
     ``batch=True`` (a single vector is promoted to a 1-row batch).
+
+    A single row comes back as a read-only private copy, so a caller
+    may refill its buffer as soon as this returns.  A row of one-byte
+    dtype (bool, uint8, int8) is checked and copied with ``bytes``
+    methods, which keep the interpreter lock where numpy's loops
+    release it: admitting a request never hands the lock to a serving
+    thread.  Wider dtypes and batches take
+    :func:`~repro.binary.is_binary`, which accepts and rejects the
+    same values.
     """
     arr = np.asarray(spikes)
     expected = f"({n_in},) or (B, {n_in})" if batch else f"({n_in},)"
@@ -69,15 +78,24 @@ def validate_spikes(spikes: np.ndarray, n_in: int, *,
         raise ConfigurationError(
             f"spike vector shape {arr.shape} is not {expected}"
         )
-    if arr.dtype != np.bool_:
-        if not is_binary(arr):
-            raise ConfigurationError(
-                "spikes must be boolean or contain only 0/1 values "
-                f"(expected bool/uint8 of shape {expected}, got dtype "
-                f"{arr.dtype})"
-            )
+    kind = arr.dtype.kind
+    if not batch and arr.itemsize == 1 and kind in "biu":
+        row = arr.tobytes()
+        # Deleting the 0 and 1 bytes leaves nothing of a binary row.
+        if kind == "b" or not row.translate(None, b"\0\1"):
+            return np.frombuffer(row, np.bool_)
+    elif kind == "b":
+        return arr
+    elif is_binary(arr):
         arr = arr.astype(bool)
-    return arr
+        if not batch:
+            arr.flags.writeable = False
+        return arr
+    raise ConfigurationError(
+        "spikes must be boolean or contain only 0/1 values "
+        f"(expected bool/uint8 of shape {expected}, got dtype "
+        f"{arr.dtype})"
+    )
 
 
 @dataclass

@@ -10,6 +10,7 @@ prediction.
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.errors import ConfigurationError, QueueFullError, ServingError
 from repro.hw.config import HardwareConfig
 from repro.serve import (
     BatchPolicy,
+    FleetServer,
     InferenceServer,
     MicroBatcher,
     ModelRegistry,
@@ -27,6 +29,7 @@ from repro.serve import (
     latency_percentiles,
 )
 from repro.serve.__main__ import main as serve_main
+from repro.snn.encode import encode_images
 from repro.sram.bitcell import CellType
 from repro.sweep.spec import DesignPoint
 from repro.learning.convert import ConvertedSNN
@@ -60,6 +63,13 @@ SERVER_KINDS = [
 ]
 
 
+def make_server(kind: str, registry, **kwargs):
+    """An unstarted server of one of :data:`SERVER_KINDS`."""
+    if kind == "fleet":
+        return FleetServer(registry, n_workers=1, **kwargs)
+    return InferenceServer(registry, **kwargs)
+
+
 class FakeClock:
     """Deterministic injectable clock for batcher/metrics tests."""
 
@@ -82,6 +92,11 @@ class TestBatchPolicy:
             BatchPolicy(max_batch_size=0)
         with pytest.raises(ConfigurationError):
             BatchPolicy(max_wait_ms=-1.0)
+        # A NaN wait never flushes a lone request and an infinite one
+        # kills the dispatch thread.
+        for wait in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                BatchPolicy(max_wait_ms=wait)
         with pytest.raises(ConfigurationError):
             BatchPolicy(max_batch_size=4, min_batch_size=5)
         with pytest.raises(ConfigurationError):
@@ -197,9 +212,7 @@ class TestServingMetrics:
         metrics.record_submitted(queue_depth=1)
         metrics.record_submitted(queue_depth=2)
         metrics.record_rejected()
-        metrics.record_batch(2)
-        for latency_ms in (10.0, 30.0):
-            metrics.record_completed(latency_ms / 1e3)
+        metrics.record_batch([0.010, 0.030])
         clock.advance(0.5)
         metrics.mark_stopped()
         data = metrics.to_dict()
@@ -256,7 +269,7 @@ class TestServingMetrics:
 
         metrics = ServingMetrics(clock=FakeClock())
         metrics.record_submitted(queue_depth=1)
-        metrics.record_completed(0.010)
+        metrics.record_batch([0.010])
         metrics.record_shed(2)
         text = metrics.registry.to_text()
         samples = parse_prometheus_text(text)
@@ -573,6 +586,104 @@ class TestInferenceServer:
             served_b = [fb.result(timeout=10.0) for _, fb in futures]
         assert np.array_equal(served_a, net_a.classify_batch(spikes))
         assert np.array_equal(served_b, net_b.classify_batch(spikes))
+
+
+# -- admission on both servers --------------------------------------------------------
+
+
+@pytest.fixture(scope="class", params=SERVER_KINDS)
+def admitting(request):
+    """A running server of each kind over the 64:32:10 test network."""
+    registry = ModelRegistry()
+    network = random_network()
+    registry.register_network("demo", network)
+    server = make_server(
+        request.param, registry,
+        policy=BatchPolicy(max_batch_size=16, max_wait_ms=1.0),
+    )
+    with server:
+        yield server, network
+
+
+def not_binary_message(dtype) -> str:
+    """The whole message a non-binary spike vector of 64 is refused with."""
+    return "^" + re.escape(
+        "spikes must be boolean or contain only 0/1 values (expected "
+        f"bool/uint8 of shape (64,), got dtype {np.dtype(dtype)})"
+    ) + "$"
+
+
+class TestAdmission:
+    """``submit`` admits exactly the rows ``validate_spikes`` accepts."""
+
+    @staticmethod
+    def serve(server, rows) -> list:
+        futures = [server.submit("demo", row) for row in rows]
+        return [future.result(timeout=30.0) for future in futures]
+
+    def test_accepts_01_in_every_binary_dtype(self, admitting, binary_dtype):
+        server, network = admitting
+        spikes = random_spikes(8)
+        served = self.serve(server, spikes.astype(binary_dtype))
+        assert served == network.classify_batch(spikes).tolist()
+
+    def test_accepts_strided_rows(self, admitting):
+        # encode_images returns column-major spikes, so each of its
+        # rows, and any slice of one, is strided.
+        images = np.random.default_rng(2).random((8, 28, 28))
+        spikes = encode_images(images)[:, 100:164]
+        assert not spikes[0].flags.c_contiguous
+        server, network = admitting
+        served = self.serve(server, spikes)
+        assert served == network.classify_batch(spikes).tolist()
+
+    def test_rejects_non_binary_as_validation_does(self, admitting,
+                                                   non_binary):
+        server, _ = admitting
+        row = non_binary(64)
+        submitted = server.metrics.submitted
+        with pytest.raises(ConfigurationError,
+                           match=not_binary_message(row.dtype)):
+            server.submit("demo", row)
+        assert server.metrics.submitted == submitted
+
+    def test_rejects_a_negative_int8(self, admitting):
+        # One byte, 0xFF: the byte check must refuse it as is_binary
+        # does, not read it as a set bit.
+        server, _ = admitting
+        row = np.zeros(64, dtype=np.int8)
+        row[5] = -1
+        with pytest.raises(ConfigurationError,
+                           match=not_binary_message(np.int8)):
+            server.submit("demo", row)
+
+    def test_rejects_a_2d_row(self, admitting):
+        server, _ = admitting
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "spike vector shape (1, 64) is not (64,)")):
+            server.submit("demo", np.zeros((1, 64), dtype=bool))
+
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
+    def test_a_refilled_bool_buffer_is_never_queued(self, kind):
+        # A client that refills one buffer for every request must get
+        # each row's own prediction, though none is flushed before the
+        # last refill: admission queues a private copy.
+        registry = ModelRegistry()
+        network = random_network()
+        registry.register_network("demo", network)
+        spikes = random_spikes(200, seed=5)
+        buffer = np.empty(64, dtype=bool)
+        server = make_server(
+            kind, registry, max_queue_depth=len(spikes),
+            policy=BatchPolicy(max_batch_size=256, max_wait_ms=60_000.0),
+        )
+        with server:
+            futures = []
+            for row in spikes:
+                buffer[:] = row
+                futures.append(server.submit("demo", buffer))
+        served = [future.result(timeout=30.0) for future in futures]
+        assert served == network.classify_batch(spikes).tolist()
 
 
 # -- CLI -----------------------------------------------------------------------------

@@ -10,9 +10,12 @@ fails *explicitly*, and ``submitted == completed + failed + shed``.
 
 from __future__ import annotations
 
+import math
+import os
 import sys
 import threading
 import time
+from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -27,8 +30,15 @@ from repro.errors import (
     ServingError,
 )
 from repro.resilience import BreakerPolicy, ChaosPolicy, RetryPolicy
-from repro.serve import BatchPolicy, FleetServer, InferenceServer, ModelRegistry
+from repro.serve import (
+    BatchPolicy,
+    FleetServer,
+    InferenceServer,
+    ModelRegistry,
+    SloClass,
+)
 from repro.serve.server import _Request
+from repro.tile.network import validate_spikes
 
 from tests.test_serve import (
     SERVER_KINDS,
@@ -72,6 +82,18 @@ class TestDeadlines:
         with server:
             with pytest.raises(ConfigurationError):
                 server.submit("m", random_spikes(1)[0], deadline_ms=0.0)
+            # A NaN deadline would shed the request, an infinite one
+            # is no deadline.
+            for deadline_ms in (math.nan, math.inf):
+                with pytest.raises(ConfigurationError, match="finite"):
+                    server.submit("m", random_spikes(1)[0],
+                                  deadline_ms=deadline_ms)
+        assert server.metrics.submitted == 0
+
+    @pytest.mark.parametrize("deadline_ms", [math.nan, math.inf])
+    def test_slo_class_rejects_a_non_finite_deadline(self, deadline_ms):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SloClass("x", deadline_ms=deadline_ms)
 
     def test_expired_requests_are_shed_before_dispatch(self):
         # White-box against an injected clock: one request's deadline
@@ -79,7 +101,7 @@ class TestDeadlines:
         clock = FakeClock()
         _, _, server = make_stack()
         server._clock = clock
-        spikes = random_spikes(2)
+        spikes = [validate_spikes(row, 64) for row in random_spikes(2)]
         doomed = _Request(model="m", spikes=spikes[0], submitted_at=0.0,
                           deadline_at=0.5)
         alive = _Request(model="m", spikes=spikes[1], submitted_at=0.0,
@@ -336,6 +358,52 @@ class TestBackpressureHammer:
         # The observed queue depth never exceeded the bound.
         max_depth = max(int(k) for k in data["queue_depth_hist"])
         assert max_depth <= depth
+
+
+class TestSizeTrigger:
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
+    def test_size_trigger_alone_releases_every_batch(self, kind):
+        # The coalescing deadline lies far beyond the test's bound and
+        # each round of open-loop clients submits one batch, so only
+        # the size trigger can release it: a submit that fills the
+        # batch while the dispatch thread waits, without waking it,
+        # leaves the batch pending for good.
+        n_threads, rounds = (os.cpu_count() or 1) + 2, 24
+        _, network, server = make_stack(max_wait_ms=600_000.0, kind=kind)
+        per_round = server.policy.max_batch_size
+        spikes = random_spikes(rounds * per_round)
+        futures = [None] * len(spikes)
+
+        def client(first: int) -> None:
+            for i in range(first, first + per_round, n_threads):
+                futures[i] = server.submit("m", spikes[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                for start in range(0, len(spikes), per_round):
+                    threads = [
+                        threading.Thread(target=client, args=(start + k,))
+                        for k in range(n_threads)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=10.0)
+                    assert not any(thread.is_alive() for thread in threads)
+                    _, pending = wait(futures[start:start + per_round],
+                                      timeout=10.0)
+                    assert not pending, (
+                        f"{len(pending)} requests of round "
+                        f"{start // per_round} were never flushed"
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+        served = [future.result() for future in futures]
+        assert served == network.classify_batch(spikes).tolist()
+        assert server.metrics.submitted == len(spikes)
+        assert server.metrics.completed == len(spikes)
 
 
 # -- public API -----------------------------------------------------------------------

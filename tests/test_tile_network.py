@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.binary import is_binary
 from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
 from repro.snn.model import BinarySNN
@@ -34,10 +35,35 @@ class TestSpikeValidation:
             assert out.dtype == np.bool_ and (out == x).all()
 
     def test_rejects_non_binary(self, non_binary):
+        assert not is_binary(non_binary(64))
         with pytest.raises(ConfigurationError, match="0/1"):
             validate_spikes(non_binary(64), 64)
         with pytest.raises(ConfigurationError, match="0/1"):
             validate_spikes(non_binary((2, 64)), 64, batch=True)
+
+    def test_a_row_comes_back_as_a_private_read_only_copy(
+            self, rng, binary_dtype):
+        row = (rng.random(64) < 0.3).astype(binary_dtype)
+        assert is_binary(row)
+        out = validate_spikes(row, 64)
+        assert not out.flags.writeable
+        assert not np.shares_memory(out, row)
+        row[:] = 1 - row
+        assert (out != row.astype(bool)).all()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+    def test_one_byte_rows_agree_with_is_binary_on_every_byte(self, dtype):
+        # The byte check of a one-byte row must accept and reject
+        # exactly what is_binary does.
+        for byte in range(256):
+            row = np.zeros(64, dtype=np.uint8)
+            row[7] = byte
+            row = row.view(dtype)
+            if is_binary(row):
+                assert (validate_spikes(row, 64) == row.astype(bool)).all()
+            else:
+                with pytest.raises(ConfigurationError, match="0/1"):
+                    validate_spikes(row, 64)
 
 
 class TestEquivalenceWithFunctionalModel:
