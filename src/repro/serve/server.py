@@ -39,11 +39,11 @@ The path from ``submit`` to the resolved future keeps CPython's
 interpreter lock: a one-byte row is checked and copied with ``bytes``
 methods (:func:`~repro.tile.network.validate_spikes`), and a batch is
 one join of those copies (:func:`batch_rows`).  numpy releases the
-lock inside its loops, so a numpy check or ``np.stack`` handed it to
-the other server threads and then waited to get it back.  What can be
-done once per batch is: ``submit`` wakes the dispatch thread only for
-a new coalescing deadline or a size trigger, and a batch's futures
-resolve from one ``tolist()`` with one metrics call.
+lock inside its loops, so a numpy check or ``np.stack`` would hand it
+to another server thread and then wait to get it back.  Work is done
+once per batch where it can be: ``submit`` wakes the dispatch thread
+only for a new coalescing deadline or a size trigger, and a batch's
+futures resolve from one ``tolist()`` with one metrics call.
 
 Predictions are deterministic: ``infer_batch`` is split-invariant (a
 property the test suite asserts), so however arrival timing partitions
@@ -79,7 +79,8 @@ from repro.sweep.spec import _integer
 from repro.tile.network import validate_engine, validate_spikes
 
 __all__ = [
-    "DEFAULT_SLO_CLASSES", "InferenceServer", "SloClass", "flush_batch",
+    "DEFAULT_SLO_CLASSES", "InferenceServer", "SloClass", "batch_rows",
+    "flush_batch",
 ]
 
 
@@ -379,10 +380,11 @@ class InferenceServer:
         (:func:`validate_spikes`, exactly once — no lane re-checks) are
         all checked *before* admission.  The request queues the private
         copy of the row that check returns, so the caller may refill
-        its buffer as soon as ``submit`` returns.  Raises :class:`QueueFullError`
-        when the class's ``max_queue_depth`` requests are already in
-        flight (explicit backpressure — the request is not enqueued).
-        When the registry runs circuit breakers, an open circuit raises
+        its buffer as soon as ``submit`` returns.  Raises
+        :class:`QueueFullError` when the class's ``max_queue_depth``
+        requests are already in flight (explicit backpressure — the
+        request is not enqueued).  When the registry runs circuit
+        breakers, an open circuit raises
         :class:`~repro.errors.ModelUnavailableError` instead of
         admitting a doomed request.
 

@@ -588,7 +588,7 @@ class TestInferenceServer:
         assert np.array_equal(served_b, net_b.classify_batch(spikes))
 
 
-# -- admission on both servers --------------------------------------------------------
+# -- admission on both servers -------------------------------------------------------
 
 
 @pytest.fixture(scope="class", params=SERVER_KINDS)

@@ -360,6 +360,9 @@ class TestBackpressureHammer:
         assert max_depth <= depth
 
 
+# -- wake-ups -------------------------------------------------------------------------
+
+
 class TestSizeTrigger:
     @pytest.mark.parametrize("kind", SERVER_KINDS)
     def test_size_trigger_alone_releases_every_batch(self, kind):
