@@ -39,7 +39,6 @@ from repro.serve import (
     DEFAULT_SLO_CLASSES,
     BatchPolicy,
     FleetServer,
-    InferenceServer,
     ModelPayload,
     ModelRegistry,
     ServingMetrics,
@@ -49,7 +48,12 @@ from repro.serve.fleet import MAX_IN_FLIGHT, choose_worker, receive_all
 from repro.serve.pool import worker_main
 from repro.tile.backends.bitpacked import pack_spike_rows
 
-from tests.test_serve import SERVER_KINDS, random_network, random_spikes
+from tests.test_serve import (
+    SERVER_KINDS,
+    make_server,
+    random_network,
+    random_spikes,
+)
 
 
 def fleet(registry=None, n_workers=2, **kwargs):
@@ -433,12 +437,6 @@ class TestFleetServing:
 class TestSloAdmission:
     """SLO classes are the shared core's: both servers admit alike."""
 
-    @staticmethod
-    def server(kind, registry, **kwargs):
-        if kind == "fleet":
-            return fleet(registry, n_workers=1, **kwargs)
-        return InferenceServer(registry, **kwargs)
-
     def test_queue_full_per_slo_class(self, kind):
         registry = ModelRegistry()
         registry.register_network("demo", random_network())
@@ -449,7 +447,7 @@ class TestSloAdmission:
         spikes = random_spikes(16)
         # A generous batching window keeps admitted requests queued
         # while we probe the depth limits.
-        server = self.server(
+        server = make_server(
             kind, registry, slo_classes=tight,
             policy=BatchPolicy(max_batch_size=64, max_wait_ms=200.0),
         )
@@ -472,7 +470,7 @@ class TestSloAdmission:
         }
         spikes = random_spikes(2)
         # A 200 ms coalescing window outlasts the 1 ms class deadline.
-        server = self.server(
+        server = make_server(
             kind, registry, slo_classes=classes,
             policy=BatchPolicy(max_batch_size=64, max_wait_ms=200.0),
         )
@@ -489,7 +487,7 @@ class TestSloAdmission:
     def test_max_queue_depth_bounds_the_default_class(self, kind):
         registry = ModelRegistry()
         registry.register_network("demo", random_network())
-        server = self.server(
+        server = make_server(
             kind, registry, max_queue_depth=2,
             policy=BatchPolicy(max_batch_size=64, max_wait_ms=200.0),
         )
