@@ -377,8 +377,10 @@ class TestSizeTrigger:
         spikes = random_spikes(rounds * per_round)
         futures = [None] * len(spikes)
 
-        def client(first: int) -> None:
-            for i in range(first, first + per_round, n_threads):
+        def client(start: int, k: int) -> None:
+            # Client k takes every n_threads-th request of the round, so
+            # a round is exactly one batch whatever the thread count.
+            for i in range(start + k, start + per_round, n_threads):
                 futures[i] = server.submit("m", spikes[i])
 
         interval = sys.getswitchinterval()
@@ -387,7 +389,7 @@ class TestSizeTrigger:
             with server:
                 for start in range(0, len(spikes), per_round):
                     threads = [
-                        threading.Thread(target=client, args=(start + k,))
+                        threading.Thread(target=client, args=(start, k))
                         for k in range(n_threads)
                     ]
                     for thread in threads:
