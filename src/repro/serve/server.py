@@ -79,8 +79,7 @@ from repro.sweep.spec import _integer
 from repro.tile.network import validate_engine, validate_spikes
 
 __all__ = [
-    "DEFAULT_SLO_CLASSES", "InferenceServer", "SloClass", "batch_rows",
-    "flush_batch",
+    "DEFAULT_SLO_CLASSES", "InferenceServer", "SloClass", "flush_batch",
 ]
 
 
