@@ -127,7 +127,6 @@ def test_microbatched_serving_speedup(reference_model, bench_report):
         "policy": {
             "max_batch_size": POLICY.max_batch_size,
             "max_wait_ms": POLICY.max_wait_ms,
-            "adaptive": POLICY.adaptive,
         },
         "per_request": {
             "seconds": round(unbatched_s, 4),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import operator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
@@ -9,6 +12,20 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """An object was configured with inconsistent or unsupported parameters."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a plain ``int``: any integer, numpy's included, but
+    no bool, float or string.
+
+    Counts, sizes and seeds go through this, so a float can neither
+    change a cache key, be truncated into another Monte-Carlo stream,
+    nor reach a ``range()`` that fails long after the object was built.
+    """
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 class DesignRuleError(ReproError):

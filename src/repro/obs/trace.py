@@ -15,8 +15,9 @@ span` returns one shared no-op context manager — the instrumented hot
 paths (engine batches, serving flushes, campaign points) pay a single
 attribute check when tracing is off, which the serving benchmark's
 overhead gate measures.  Install a real tracer with
-:func:`set_tracer` (restoring the previous one when done) or inject
-one explicitly where the constructor takes ``tracer=``.
+:func:`set_tracer` (restoring the previous one when done): the
+instrumented paths read the global tracer at each batch or point, so
+that is the one way in.
 
 Two recording styles:
 

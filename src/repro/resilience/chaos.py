@@ -29,11 +29,12 @@ zero silent drops and zero recomputation on resume.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, InjectedFaultError
+from repro.errors import ConfigurationError, InjectedFaultError, _integer
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,15 @@ class ChaosPolicy:
                 raise ConfigurationError(
                     f"{name} must be in [0, 1], got {value}"
                 )
-        if self.latency_spike_ms < 0:
+        if not 0 <= self.latency_spike_ms < math.inf:
             raise ConfigurationError(
-                f"latency_spike_ms must be >= 0, got {self.latency_spike_ms}"
+                f"latency_spike_ms must be finite and >= 0, "
+                f"got {self.latency_spike_ms}"
             )
+        object.__setattr__(
+            self, "max_crashes_per_site",
+            _integer("max_crashes_per_site", self.max_crashes_per_site),
+        )
         if self.max_crashes_per_site < 0:
             raise ConfigurationError(
                 f"max_crashes_per_site must be >= 0, "

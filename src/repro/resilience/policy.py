@@ -28,12 +28,13 @@ they govern.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, InjectedFaultError
+from repro.errors import ConfigurationError, InjectedFaultError, _integer
 
 #: Exception classes a retry is expected to help with.  Chaos-injected
 #: faults are transient by definition; timeouts and connection drops
@@ -69,20 +70,25 @@ class RetryPolicy:
     retry_on: tuple[type[BaseException], ...] = TRANSIENT_ERRORS
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "retries",
+                           _integer("retries", self.retries))
         if self.retries < 0:
             raise ConfigurationError(f"retries must be >= 0, got {self.retries}")
-        if self.base_delay_ms < 0:
+        # Chained comparisons, which a NaN fails: a NaN delay would
+        # drop the backoff and a NaN cap would lift it.
+        if not 0 <= self.base_delay_ms < math.inf:
             raise ConfigurationError(
-                f"base_delay_ms must be >= 0, got {self.base_delay_ms}"
+                f"base_delay_ms must be finite and >= 0, "
+                f"got {self.base_delay_ms}"
             )
-        if self.multiplier < 1.0:
+        if not 1.0 <= self.multiplier < math.inf:
             raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier}"
+                f"multiplier must be finite and >= 1, got {self.multiplier}"
             )
-        if self.max_delay_ms < self.base_delay_ms:
+        if not self.base_delay_ms <= self.max_delay_ms < math.inf:
             raise ConfigurationError(
-                f"max_delay_ms ({self.max_delay_ms}) must be >= "
-                f"base_delay_ms ({self.base_delay_ms})"
+                f"max_delay_ms ({self.max_delay_ms}) must be finite and "
+                f">= base_delay_ms ({self.base_delay_ms})"
             )
         if not 0.0 <= self.jitter <= 1.0:
             raise ConfigurationError(
@@ -145,13 +151,18 @@ class BreakerPolicy:
     cooldown_s: float = 30.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "failure_threshold",
+            _integer("failure_threshold", self.failure_threshold),
+        )
         if self.failure_threshold < 1:
             raise ConfigurationError(
                 f"failure_threshold must be >= 1, got {self.failure_threshold}"
             )
-        if self.cooldown_s < 0:
+        # A NaN or infinite cooldown would never half-open the circuit.
+        if not 0 <= self.cooldown_s < math.inf:
             raise ConfigurationError(
-                f"cooldown_s must be >= 0, got {self.cooldown_s}"
+                f"cooldown_s must be finite and >= 0, got {self.cooldown_s}"
             )
 
 
@@ -247,11 +258,16 @@ class SupervisorPolicy:
     watchdog_s: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "retry_budget",
+                           _integer("retry_budget", self.retry_budget))
         if self.retry_budget < 0:
             raise ConfigurationError(
                 f"retry_budget must be >= 0, got {self.retry_budget}"
             )
-        if self.watchdog_s is not None and self.watchdog_s <= 0:
+        # threading.Timer fires a NaN wait at once and dies on an
+        # infinite one, so neither arms a watchdog.
+        if self.watchdog_s is not None and not 0 < self.watchdog_s < math.inf:
             raise ConfigurationError(
-                f"watchdog_s must be > 0 when set, got {self.watchdog_s}"
+                f"watchdog_s must be finite and > 0 when set, "
+                f"got {self.watchdog_s}"
             )

@@ -15,10 +15,10 @@ open-loop load generator against the stack.  See ``docs/serving.md``.
 
 :class:`~repro.serve.fleet.FleetServer` is the same server with its
 batches flushed in N engine worker processes instead of the dispatch
-thread: each batch goes bit-packed over one pipe per worker to the
-ready worker with the fewest batches in flight, with rolling hot-swap
-and supervised crash recovery — bit-identical to single-process
-serving at any worker count, because ``infer_batch`` is
+thread: each batch's admitted rows go as one ``bytes`` object over one
+pipe per worker to the ready worker with the fewest batches in flight,
+with rolling hot-swap and supervised crash recovery — bit-identical to
+single-process serving at any worker count, because ``infer_batch`` is
 split-invariant.
 
 Failure handling is opt-in through :mod:`repro.resilience`: request

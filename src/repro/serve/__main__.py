@@ -3,7 +3,7 @@
 Examples::
 
     python -m repro.serve --rate 2000 --duration 2
-    python -m repro.serve --rate 500 --duration 1 --clients 4 --adaptive
+    python -m repro.serve --rate 500 --duration 1 --clients 4
     python -m repro.serve --cell 1RW+2R --max-batch 32 --json serving.json
     python -m repro.serve --deadline-ms 50 --retries 3 --chaos-flush-p 0.2
     python -m repro.serve --open-loop --duration 2
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import threading
 import time
@@ -114,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-wait-ms", type=float, default=2.0, metavar="MS",
         help="coalescing deadline per request (default: 2.0)",
-    )
-    parser.add_argument(
-        "--adaptive", action="store_true",
-        help="let the batch target float with observed backlog",
     )
     parser.add_argument(
         "--queue-depth", type=int, default=512, metavar="N",
@@ -273,9 +270,21 @@ def run_open_loop(server, spikes: np.ndarray, predictions: np.ndarray,
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    n_requests = int(args.rate * args.duration)
-    if n_requests < 1:
+    # Every number is checked before anything is built.  A NaN or
+    # infinite rate or duration cannot size the trace.
+    for flag, value in (("--rate", args.rate),
+                        ("--duration", args.duration)):
+        if not 0 < value < math.inf:
+            parser.error(f"{flag} must be finite and > 0, got {value}")
+    if not 1 <= args.rate * args.duration < math.inf:
         parser.error("rate * duration must be >= 1 request")
+    n_requests = int(args.rate * args.duration)
+    if args.deadline_ms is not None and not 0 < args.deadline_ms < math.inf:
+        parser.error(
+            f"--deadline-ms must be finite and > 0, got {args.deadline_ms}"
+        )
+    if args.retries < 0:
+        parser.error("--retries must be >= 0")
     if args.clients < 1:
         parser.error("--clients must be >= 1")
     if args.workers < 0:
@@ -303,7 +312,6 @@ def main(argv: list[str] | None = None) -> int:
         registry.register(MODEL_NAME, point, snn=reference.snn)
         policy = BatchPolicy(
             max_batch_size=args.max_batch, max_wait_ms=args.max_wait_ms,
-            adaptive=args.adaptive,
         )
         retry = None
         if args.retries > 0:
@@ -344,8 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"serving {n_requests} requests through the {backend}, {mode} "
         f"(model {point.label}, max_batch {args.max_batch}, "
-        f"max_wait {args.max_wait_ms} ms"
-        f"{', adaptive' if args.adaptive else ''})"
+        f"max_wait {args.max_wait_ms} ms)"
     )
     try:
         # The observability scope closes (and writes --trace-out /
@@ -400,7 +407,6 @@ def main(argv: list[str] | None = None) -> int:
             "policy": {
                 "max_batch_size": args.max_batch,
                 "max_wait_ms": args.max_wait_ms,
-                "adaptive": args.adaptive,
             },
             "resilience": {
                 "deadline_ms": args.deadline_ms,

@@ -16,12 +16,11 @@ The moving parts and who owns what:
   the model's batcher, all holding the interpreter lock.
 * **dispatch thread** — the core's loop: takes each ready batch, sheds
   deadline-expired requests, then (this module) joins the batch's rows
-  (:func:`~repro.serve.server.batch_rows`), packs them with
-  :func:`~repro.tile.backends.bitpacked.pack_spike_rows` and sends
-  it to the ready worker with the fewest batches in flight
+  (:func:`~repro.serve.server.join_rows`) and sends that one ``bytes``
+  object to the ready worker with the fewest batches in flight
   (:func:`choose_worker`), waiting while every worker holds
   :data:`MAX_IN_FLIGHT` batches.
-* **worker processes** — :func:`~repro.serve.pool.worker_main`: unpack
+* **worker processes** — :func:`~repro.serve.pool.worker_main`: view
   the rows, run the same :func:`~repro.serve.server.flush_batch` the
   in-process server runs, and send predictions + stats back.  Each
   worker generation has one ``multiprocessing.Pipe()``: work one way,
@@ -61,12 +60,16 @@ from collections import Counter
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 
-from repro.errors import ConfigurationError, ServingError, WorkerCrashError
+from repro.errors import (
+    ConfigurationError,
+    ServingError,
+    WorkerCrashError,
+    _integer,
+)
+from repro.obs.trace import get_tracer
 from repro.resilience.policy import SupervisorPolicy
 from repro.serve.pool import ModelPayload, worker_main
-from repro.serve.server import InferenceServer, batch_rows
-from repro.sweep.spec import _integer
-from repro.tile.backends.bitpacked import pack_spike_rows
+from repro.serve.server import InferenceServer, join_rows
 
 __all__ = ["MAX_IN_FLIGHT", "FleetServer", "choose_worker", "receive_all"]
 
@@ -150,7 +153,7 @@ class FleetServer(InferenceServer):
 
     Takes every :class:`~repro.serve.server.InferenceServer` argument
     (``policy``, ``max_queue_depth``, ``engine``, ``metrics``,
-    ``retry``, ``chaos``, ``slo_classes``, ``clock``, ``tracer``).
+    ``retry``, ``chaos``, ``slo_classes``, ``clock``).
     Retries and flush chaos run inside the workers, where an active
     ``chaos`` policy's worker-crash schedule also decides which batches
     crash their worker mid-flight (test harness).  In addition:
@@ -324,8 +327,8 @@ class FleetServer(InferenceServer):
         return None if picked is None else self._workers[picked]
 
     def _flush(self, model: str, requests: list, site: str) -> None:
-        """Pack the batch and send it to the least-loaded ready worker."""
-        packed = pack_spike_rows(batch_rows(requests))
+        """Send the batch's rows to the least-loaded ready worker."""
+        rows = join_rows(requests)
         with self._cond:
             # Choosing the worker and registering the batch in one
             # lock hold means a worker the collector removes can never
@@ -354,9 +357,15 @@ class FleetServer(InferenceServer):
         # sends batches, a rollout sends its swap only once that
         # replica is ready with nothing in flight (and the dispatcher
         # skips a draining replica), and ``stop`` goes out after the
-        # server threads have exited.
+        # server threads have exited.  The rows go one byte per spike,
+        # and a send that waits behind the batch the worker has not
+        # read yet still does not block: the pipe is an AF_UNIX socket
+        # pair, whose send buffer is 208 KiB by default on Linux
+        # (``net.core.wmem_default``), and at most one batch
+        # (MAX_IN_FLIGHT = 2) queues behind the one running.  A
+        # 64-row batch of the 768-input reference model is 49 KB.
         try:
-            conn.send(("batch", batch_id, model, packed, len(requests),
+            conn.send(("batch", batch_id, model, rows, len(requests),
                        site))
         except OSError:
             # The worker died: the batch is registered, so the crash
@@ -413,8 +422,11 @@ class FleetServer(InferenceServer):
         The in-place hot-swap path: after online learning or fault
         injection mutated the registered network's tiles (bumping
         ``Tile.weight_version``), this ships a fresh snapshot to every
-        worker, one drained replica at a time.  Returns the weight
-        versions rolled out.
+        worker, one drained replica at a time.  It also deploys a
+        model registered after :meth:`start`: the workers were built
+        from the models registered at spawn, and fail a batch for any
+        other model until this has run.  Returns the weight versions
+        rolled out.
         """
         return self._rollout(name)
 
@@ -551,7 +563,7 @@ class FleetServer(InferenceServer):
         registry.histogram("repro_fleet_flush_ms", **labels).observe(
             round(stats["flush_s"] * 1e3, 3)
         )
-        tracer = self._active_tracer()
+        tracer = get_tracer()
         if tracer.enabled:
             tracer.record(
                 "fleet.flush", flight.dispatched_at, done,

@@ -7,8 +7,8 @@ Two pieces the :class:`~repro.serve.fleet.FleetServer` is built from:
   it crosses the process boundary only at worker spawn and at
   hot-swap, never per request.
 * :func:`worker_main` — the body of one ``EngineWorker`` process: loop
-  over the worker's end of its pipe, unpack each batch's bit-packed
-  rows, run them through the same
+  over the worker's end of its pipe, view each batch's joined rows,
+  run them through the same
   :func:`~repro.serve.server.flush_batch` the in-process server runs
   (retries and flush chaos included) **without re-validating** (the
   server validated every request exactly once at admission), and send
@@ -20,8 +20,7 @@ first element the kind; a pipe belongs to one worker generation, so
 replies name no worker:
 
 =================  =================================================
-to the worker      ``("batch", batch_id, model, packed_rows, n_rows,
-                   site)``
+to the worker      ``("batch", batch_id, model, rows, n_rows, site)``
                    ``("swap", model, payload)``
                    ``("stop",)``
 from the worker    ``("ready", generation)``
@@ -30,9 +29,9 @@ from the worker    ``("ready", generation)``
                    ``("swapped", model, versions)``
 =================  =================================================
 
-``packed_rows`` is the batch packed by
-:func:`~repro.tile.backends.bitpacked.pack_spike_rows` (1 bit per
-synapse).  ``stats`` is ``{"rows", "flush_s", "retried"}``.  A worker
+``rows`` is the batch's admitted rows as one ``bytes`` object, one
+byte per synapse (:func:`~repro.serve.server.join_rows`).  ``stats`` is
+``{"rows", "flush_s", "retried"}``.  A worker
 that dies mid-batch sends nothing — the fleet's collector notices the
 dead process, fails that worker's in-flight batches explicitly, and
 respawns it on a fresh pipe.
@@ -49,8 +48,7 @@ import numpy as np
 from repro.errors import ServingError
 from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.policy import RetryPolicy
-from repro.serve.server import flush_batch
-from repro.tile.backends.bitpacked import unpack_spike_rows
+from repro.serve.server import flush_batch, view_rows
 from repro.tile.network import EsamNetwork
 
 __all__ = ["ModelPayload", "worker_main"]
@@ -117,14 +115,16 @@ def worker_main(generation: int, conn, payloads: list, engine: str,
     schedule of which batches die mid-flight (``os._exit``, the hard
     death a segfault would be), which the acceptance suite uses to
     prove crash recovery never drops work silently.
+
+    A batch for a model this worker was never sent fails with a
+    :class:`~repro.errors.ServingError`: a model registered after the
+    fleet started reaches the workers only through
+    :meth:`~repro.serve.fleet.FleetServer.push_weights`.
     """
     backends = {}
-    widths = {}
 
     def install(payload: ModelPayload) -> None:
-        network = payload.build()
-        backends[payload.name] = network.engine_backend(engine)
-        widths[payload.name] = network.tiles[0].n_in
+        backends[payload.name] = payload.build().engine_backend(engine)
 
     for payload in payloads:
         install(payload)
@@ -139,7 +139,7 @@ def worker_main(generation: int, conn, payloads: list, engine: str,
             install(payload)
             conn.send(("swapped", model, payload.versions))
             continue
-        _, batch_id, model, packed_rows, n_rows, site = message
+        _, batch_id, model, rows, n_rows, site = message
         if chaos is not None:
             # In a worker process this is os._exit(86): the batch
             # dies with us and the collector must account for it.
@@ -147,11 +147,17 @@ def worker_main(generation: int, conn, payloads: list, engine: str,
         retries = []
         flush_s = 0.0
         try:
-            rows = unpack_spike_rows(packed_rows, widths[model])
+            backend = backends.get(model)
+            if backend is None:
+                raise ServingError(
+                    f"this fleet worker has no model {model!r}: a model "
+                    "registered after start() is deployed with "
+                    f"push_weights({model!r})"
+                )
             started = time.perf_counter()
             predictions = flush_batch(
-                backends[model], rows, site, retry=retry, chaos=chaos,
-                on_retry=lambda *args: retries.append(args),
+                backend, view_rows(rows, n_rows), site, retry=retry,
+                chaos=chaos, on_retry=lambda *args: retries.append(args),
             )
             flush_s = time.perf_counter() - started
         except Exception as error:  # noqa: BLE001 - reported upward

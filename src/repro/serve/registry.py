@@ -67,7 +67,8 @@ class RegisteredModel:
     reliability_weight_versions: tuple[int, ...] | None = None
 
     def describe(self) -> dict:
-        """JSON-ready summary (CLI ``--list-models``, metrics export)."""
+        """JSON-ready summary; :meth:`ModelRegistry.describe` lists one
+        per model."""
         out = {
             "name": self.name,
             "layers": self.network.layer_sizes,

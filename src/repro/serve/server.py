@@ -38,7 +38,7 @@ inside :func:`flush_batch`, wherever the lane runs it.
 The path from ``submit`` to the resolved future keeps CPython's
 interpreter lock: a one-byte row is checked and copied with ``bytes``
 methods (:func:`~repro.tile.network.validate_spikes`), and a batch is
-one join of those copies (:func:`batch_rows`).  numpy releases the
+one join of those copies (:func:`join_rows`).  numpy releases the
 lock inside its loops, so a numpy check or ``np.stack`` would hand it
 to another server thread and then wait to get it back.  Work is done
 once per batch where it can be: ``submit`` wakes the dispatch thread
@@ -68,6 +68,7 @@ from repro.errors import (
     ModelUnavailableError,
     QueueFullError,
     ServingError,
+    _integer,
 )
 from repro.obs.trace import get_tracer
 from repro.resilience.chaos import ChaosPolicy
@@ -75,7 +76,6 @@ from repro.resilience.policy import RetryPolicy
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.metrics import ServingMetrics
 from repro.serve.registry import ModelRegistry
-from repro.sweep.spec import _integer
 from repro.tile.network import validate_engine, validate_spikes
 
 __all__ = [
@@ -171,15 +171,20 @@ def _settle(future: Future, error: BaseException) -> bool:
     return True
 
 
-def batch_rows(requests: list[_Request]) -> np.ndarray:
-    """The requests' rows as one read-only ``(B, n_in)`` bool array.
+def join_rows(requests: list[_Request]) -> bytes:
+    """The requests' admitted rows, one byte per spike, in one object.
 
-    One ``bytes`` join of the admitted rows keeps the interpreter lock,
-    where ``np.stack`` would hand it to the client threads inside its
-    copy loop.
+    One ``bytes`` join keeps the interpreter lock, where ``np.stack``
+    would hand it to the client threads inside its copy loop.  The
+    fleet sends this object to its workers as it is.
     """
-    rows = b"".join([request.spikes for request in requests])
-    return np.frombuffer(rows, np.bool_).reshape(len(requests), -1)
+    return b"".join([request.spikes for request in requests])
+
+
+def view_rows(rows: bytes, n_rows: int) -> np.ndarray:
+    """:func:`join_rows`' bytes as a read-only ``(n_rows, n_in)`` bool
+    array, without a copy."""
+    return np.frombuffer(rows, np.bool_).reshape(n_rows, -1)
 
 
 def flush_batch(backend, rows: np.ndarray, site: str,
@@ -244,16 +249,16 @@ class InferenceServer:
     slo_classes:
         Admission classes by name (default
         :data:`DEFAULT_SLO_CLASSES`).  Must contain ``"default"``.
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer`.  ``None`` (default)
-        consults the process-global tracer at each flush, which is a
-        no-op :class:`~repro.obs.trace.NullTracer` unless one was
-        installed — so instrumentation costs one attribute check per
-        batch when tracing is off (the serving benchmark gates this).
-        Serve spans are recorded with the *server's* clock (queue
-        waits start at submit time), so a trace mixing serve and
-        engine spans should use one clock for both — construct the
-        server with ``clock=tracer.now`` as the CLI does.
+
+    Spans go to the process-global tracer
+    (:func:`~repro.obs.trace.set_tracer`), read at each batch: a no-op
+    :class:`~repro.obs.trace.NullTracer` unless one was installed, so
+    instrumentation costs one attribute check per batch when tracing
+    is off (the serving benchmark gates this).  Serve spans carry the
+    server's ``clock`` (queue waits start at submit time), so a trace
+    that mixes them with engine spans wants a tracer on the same
+    clock; the CLIs' tracers and the server both default to
+    ``time.monotonic``.
     """
 
     def __init__(self, registry: ModelRegistry,
@@ -264,8 +269,7 @@ class InferenceServer:
                  retry: RetryPolicy | None = None,
                  chaos: ChaosPolicy | None = None,
                  slo_classes: dict | None = None,
-                 clock=time.monotonic,
-                 tracer=None) -> None:
+                 clock=time.monotonic) -> None:
         validate_engine(engine)
         self.slo_classes = dict(slo_classes or DEFAULT_SLO_CLASSES)
         if "default" not in self.slo_classes:
@@ -283,7 +287,6 @@ class InferenceServer:
         self.retry = retry
         self.chaos = chaos if chaos is not None and chaos.active else None
         self._clock = clock
-        self._tracer = tracer
         #: One lock for all serving state: batchers, depths and (in the
         #: fleet) the workers' in-flight batches.
         self._cond = threading.Condition()
@@ -446,10 +449,10 @@ class InferenceServer:
             pending = batcher.add(request, now=now)
             # Wake the dispatch thread only when this request changes
             # what it waits for: a first pending request brings a new
-            # coalescing deadline, and reaching the target a size
-            # trigger.  It reads every batcher again after each flush,
-            # so no other submit can make a batch ready while it waits.
-            if pending == 1 or pending == batcher.target:
+            # coalescing deadline, and a full batch a size trigger.  It
+            # reads every batcher again after each flush, so no other
+            # submit can make a batch ready while it waits.
+            if pending == 1 or pending == self.policy.max_batch_size:
                 self._cond.notify_all()
         return request.future
 
@@ -482,7 +485,7 @@ class InferenceServer:
     def _flush(self, model: str, requests: list[_Request],
                site: str) -> None:
         """Flush one batch on the dispatch thread and resolve it."""
-        tracer = self._active_tracer()
+        tracer = get_tracer()
 
         def on_retry(attempt, error, delay_ms) -> None:
             self.metrics.record_retried()
@@ -498,7 +501,7 @@ class InferenceServer:
         try:
             predictions = flush_batch(
                 self.registry.get(model).engine_backend(self.engine),
-                batch_rows(requests), site,
+                view_rows(join_rows(requests), len(requests)), site,
                 retry=self.retry, chaos=self.chaos, on_retry=on_retry,
             )
         except Exception as caught:  # noqa: BLE001 - forwarded to callers
@@ -529,16 +532,13 @@ class InferenceServer:
             self._fail_pending(error, f"{name} thread")
             raise
 
-    def _active_tracer(self):
-        return self._tracer if self._tracer is not None else get_tracer()
-
     def _take_ready(self):
         """Pop one flushable batch into ``_flushing``; returns it as
         ``(model, requests)``, or ``None``.  (Under the lock.)"""
         now = self._clock()
         for model, batcher in self._batchers.items():
             if batcher.ready(now):
-                self._flushing = batcher.take(now)
+                self._flushing = batcher.take()
                 return model, self._flushing
         return None
 
@@ -617,7 +617,7 @@ class InferenceServer:
             self._release(shed)
         if not live:
             return
-        tracer = self._active_tracer()
+        tracer = get_tracer()
         if tracer.enabled:
             # Serve spans use the server's clock: a queue wait starts
             # at submit time, before any flush-scoped span could open.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _integer
 from repro.learning.convert import ConvertedSNN
 from repro.learning.pretrained import get_reference_model
 from repro.obs.metrics import get_registry
@@ -40,7 +40,7 @@ from repro.resilience.supervisor import supervised_map
 from repro.system.energy import SystemMetrics
 from repro.system.evaluate import SystemEvaluator
 from repro.sweep.cache import ResultCache, entry_key, weights_fingerprint
-from repro.sweep.spec import DesignPoint, SweepSpec, _integer
+from repro.sweep.spec import DesignPoint, SweepSpec
 from repro.sweep.results import SweepResult, SweepRow, SweepStats
 
 #: Per-process memo of evaluators, keyed by ``(quality, seed,

@@ -22,14 +22,12 @@ families run.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _integer
 from repro.hw.config import HardwareConfig
 from repro.learning.pretrained import QUALITY_PRESETS
 from repro.sram.bitcell import ALL_CELLS, CellType
@@ -47,16 +45,6 @@ VPRECH_GRID = (0.4, 0.5, 0.6, 0.7)
 #: the +-3 sigma guardband corners.
 CORNER_SWEEP_NODES = ("3nm", "5nm")
 CORNER_SWEEP_CORNERS = ("typical", "slow", "fast")
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a plain ``int``: any integer, numpy's included, but
-    no bool, float or string, so it can neither change a cache key nor
-    be truncated into another Monte-Carlo stream."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, init=False)

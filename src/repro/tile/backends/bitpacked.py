@@ -96,20 +96,6 @@ def pack_spike_rows(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(as_bytes).view(np.uint64)
 
 
-def unpack_spike_rows(packed: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_spike_rows`: back to boolean ``(B, n)``."""
-    packed = np.atleast_2d(np.asarray(packed, dtype=np.uint64))
-    if packed.shape[1] != packed_width(n):
-        raise ConfigurationError(
-            f"packed width {packed.shape[1]} cannot hold {n} bits "
-            f"(expected {packed_width(n)} words)"
-        )
-    bits = np.unpackbits(
-        np.ascontiguousarray(packed).view(np.uint8), axis=1
-    )
-    return bits[:, :n].astype(bool)
-
-
 def popcount_accumulate(packed_rows: np.ndarray,
                         packed_planes: np.ndarray) -> np.ndarray:
     """``counts[b, j] = popcount(rows[b] & planes[j])`` as int64.

@@ -170,11 +170,8 @@ class FastEngine:
     #: Per-tile kernel class; subclass hook for alternative backends.
     kernel_cls: type = _TileKernel
 
-    def __init__(self, network, tracer=None) -> None:
+    def __init__(self, network) -> None:
         self.network = network
-        #: Explicitly injected tracer; ``None`` means consult the
-        #: process-global tracer (a no-op by default) at each batch.
-        self.tracer = tracer
         self._kernels = [self.kernel_cls(tile) for tile in network.tiles]
 
     # -- bookkeeping ---------------------------------------------------------
@@ -251,7 +248,7 @@ class FastEngine:
             )
         batch = x.shape[0]
         marks = None if trace is None else trace.mark(tiles)
-        tracer = self.tracer if self.tracer is not None else get_tracer()
+        tracer = get_tracer()
         for k, kernel in enumerate(self._kernels[:-1]):
             tile = kernel.tile
             vmem = self._process_and_replay(
@@ -304,7 +301,7 @@ class FastEngine:
         out_counts = np.zeros(n_out, dtype=np.int64)
         hidden_totals = np.zeros(timesteps, dtype=np.int64)
         vmem = [t.membrane_potentials()[None, :].copy() for t in tiles]
-        tracer = self.tracer if self.tracer is not None else get_tracer()
+        tracer = get_tracer()
         for t in range(timesteps):
             x = trains[t][None, :]
             for k, kernel in enumerate(self._kernels):

@@ -5,9 +5,10 @@ Extracts the fenced ```python code blocks from README.md and
 share a namespace, so a guide can build state progressively the way a
 reader would type it.  A snippet that raises fails this suite — which
 means any API drift breaks CI instead of silently stranding the docs.
-The ``python -m repro.<cli>`` lines of the fenced ```bash blocks are
-parsed by that CLI's own argument parser, so a removed flag or
-subcommand cannot linger in the docs either.
+The ``python -m repro.<cli>`` lines of the fenced ```bash blocks, and
+the lines that call a ``setup.py`` console script (``repro-serve``
+and the like), are parsed by that CLI's own argument parser, so a
+removed flag or subcommand cannot linger in the docs either.
 
 Conventions for doc authors:
 
@@ -42,6 +43,13 @@ _CLI_LINE = re.compile(
     r"^python -m repro\.(sweep|reliability|store|serve|obs)(\s|$)"
 )
 
+#: ``setup.py``'s console scripts, each to the CLI it runs, read from
+#: its entry points (``repro-serve=repro.serve.__main__:main``).
+CONSOLE_SCRIPTS = dict(re.findall(
+    r"(repro-[\w-]+)=repro\.(\w+)\.__main__:main",
+    (REPO_ROOT / "setup.py").read_text(),
+))
+
 
 def extract_python_blocks(path: pathlib.Path) -> list[str]:
     """The fenced ```python blocks of one markdown file, in order."""
@@ -69,20 +77,25 @@ def test_doc_python_blocks_execute(doc, tmp_path, monkeypatch):
         exec(code, namespace)  # noqa: S102 - executing our own docs
 
 
-def extract_cli_lines(path: pathlib.Path) -> list[tuple[str, str]]:
-    """``(cli, line)`` for each ``python -m repro.<cli>`` line of the
-    fenced ```bash blocks, backslash continuations joined."""
+def extract_cli_lines(path: pathlib.Path) -> list[tuple[str, str, list]]:
+    """``(cli, line, argv)`` for each ``python -m repro.<cli>`` or
+    console-script line of the fenced ```bash blocks, backslash
+    continuations joined."""
     found = []
     for match in _BASH_BLOCK.finditer(path.read_text()):
         for line in match.group(1).replace("\\\n", " ").splitlines():
             line = line.strip()
             cli = _CLI_LINE.match(line)
             if cli:
-                found.append((cli.group(1), line))
+                argv = shlex.split(line, comments=True)[3:]
+                found.append((cli.group(1), line, argv))
+            elif line.split(" ", 1)[0] in CONSOLE_SCRIPTS:
+                script, *argv = shlex.split(line, comments=True)
+                found.append((CONSOLE_SCRIPTS[script], line, argv))
     return found
 
 
-#: The documentation files that show ``python -m repro.<cli>`` lines.
+#: The documentation files that show CLI lines.
 CLI_DOC_FILES = [doc for doc in DOC_FILES if extract_cli_lines(doc)]
 
 
@@ -105,7 +118,7 @@ def cli_parsers() -> dict:
 
 def test_doc_cli_lines_cover_every_cli():
     documented = {cli for doc in CLI_DOC_FILES
-                  for cli, _ in extract_cli_lines(doc)}
+                  for cli, _, _ in extract_cli_lines(doc)}
     assert documented == set(cli_parsers())
 
 
@@ -115,8 +128,7 @@ def test_doc_cli_lines_cover_every_cli():
 def test_doc_cli_lines_parse(doc):
     parsers = cli_parsers()
     stale = []
-    for cli, line in extract_cli_lines(doc):
-        argv = shlex.split(line, comments=True)[3:]
+    for cli, line, argv in extract_cli_lines(doc):
         stderr = io.StringIO()
         try:
             with contextlib.redirect_stderr(stderr):

@@ -358,30 +358,28 @@ class TestEngineInstrumentation:
 
 
 class TestServerInstrumentation:
-    def test_serving_emits_request_and_flush_spans(self):
-        tracer = Tracer()
+    def test_serving_emits_request_and_flush_spans(self, installed_tracer):
         registry = ModelRegistry()
         registry.register_network("demo", random_network())
         spikes = random_spikes(6)
         server = InferenceServer(
             registry, policy=BatchPolicy(max_batch_size=4, max_wait_ms=1.0),
-            tracer=tracer,
         )
         with server:
             futures = [server.submit("demo", row) for row in spikes]
             results = [f.result(timeout=10.0) for f in futures]
         assert all(isinstance(r, int) for r in results)
-        names = [s.name for s in tracer.spans()]
+        spans = installed_tracer.spans()
+        names = [s.name for s in spans]
         assert names.count("serve.queue_wait") == len(spikes)
         assert "serve.batch_assembly" in names
         assert "serve.flush" in names
-        flush = next(s for s in tracer.spans() if s.name == "serve.flush")
+        flush = next(s for s in spans if s.name == "serve.flush")
         assert flush.attrs["model"] == "demo"
         assert flush.attrs["outcome"] == "completed"
-        # Engine spans landed in the same trace (global default was
-        # not installed — the engine consults it, the server got an
-        # explicit tracer), so only serve.* spans are present here.
-        assert not any(name.startswith("engine.") for name in names)
+        # The engine reads the same installed tracer, so its spans
+        # land in the same trace as the flush that ran them.
+        assert "engine.kernel" in names
 
 
 class TestCampaignInstrumentation:

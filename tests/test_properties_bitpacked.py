@@ -1,7 +1,8 @@
 """Property-based tests of the bit-packed popcount kernel (hypothesis).
 
 The bitpacked backend's correctness rests on two pure-function claims:
-packing is lossless (pack/unpack round-trips any binary batch), and
+packing is lossless (``np.unpackbits`` of the packed words gives back
+any binary batch), and
 popcount accumulation over packed words equals the dense signed matmul
 ``spikes @ (2W - 1)`` exactly — for *arbitrary* widths, including
 ragged ones not divisible by 64 (where trailing pad bits must never
@@ -22,7 +23,6 @@ from repro.tile.backends.bitpacked import (
     packed_width,
     popcount_accumulate,
     popcount_words,
-    unpack_spike_rows,
 )
 
 #: Widths straddling word boundaries: 1, 63..66, 127..129, and a
@@ -72,9 +72,8 @@ class TestPackingRoundTrip:
         assert packed.shape == (
             spikes.shape[0], packed_width(spikes.shape[1])
         )
-        assert np.array_equal(
-            unpack_spike_rows(packed, spikes.shape[1]), spikes
-        )
+        bits = np.unpackbits(packed.view(np.uint8), axis=1)
+        assert np.array_equal(bits[:, :spikes.shape[1]], spikes)
 
     @given(batches())
     @settings(max_examples=80, deadline=None)

@@ -11,6 +11,7 @@ tests drive the full state machine with an injected clock.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,22 @@ from repro.resilience import (
     RetryPolicy,
     SupervisorPolicy,
 )
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: Each count field's rejected values: a fraction, a bool, a string.
+NOT_INTEGERS = (2.5, True, "2")
+
+
+def bad_fields(counts=(), floats=()):
+    """``{field: value}`` cases: every non-integer count and every
+    non-finite float, one field at a time."""
+    return [
+        pytest.param({name: value}, id=f"{name}={value!r}")
+        for names, values in ((counts, NOT_INTEGERS), (floats, (NAN, INF)))
+        for name in names for value in values
+    ]
 
 
 class FakeClock:
@@ -52,6 +69,19 @@ class TestRetryPolicy:
             RetryPolicy(base_delay_ms=50.0, max_delay_ms=10.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(retry_on=())
+
+    @pytest.mark.parametrize("fields", bad_fields(
+        counts=("retries",),
+        floats=("base_delay_ms", "multiplier", "max_delay_ms", "jitter"),
+    ))
+    def test_rejects_a_fractional_or_non_finite_field(self, fields):
+        """A fractional count failed every flush in ``range()``, and a
+        NaN delay dropped or uncapped the backoff."""
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            RetryPolicy(**fields)
+
+    def test_counts_are_plain_ints(self):
+        assert type(RetryPolicy(retries=np.int64(2)).retries) is int
 
     def test_schedule_shape(self):
         policy = RetryPolicy(retries=5, base_delay_ms=1.0, multiplier=2.0,
@@ -163,6 +193,14 @@ class TestCircuitBreaker:
         with pytest.raises(ConfigurationError):
             BreakerPolicy(cooldown_s=-1.0)
 
+    @pytest.mark.parametrize("fields", bad_fields(
+        counts=("failure_threshold",), floats=("cooldown_s",),
+    ))
+    def test_rejects_a_fractional_or_non_finite_field(self, fields):
+        """A NaN or infinite cooldown never half-opened the circuit."""
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            BreakerPolicy(**fields)
+
     def test_opens_after_consecutive_failures_only(self):
         breaker, _ = self.breaker(threshold=3)
         breaker.record_failure()
@@ -211,6 +249,15 @@ class TestChaosPolicy:
             ChaosPolicy(latency_spike_ms=-1.0)
         with pytest.raises(ConfigurationError):
             ChaosPolicy(max_crashes_per_site=-1)
+
+    @pytest.mark.parametrize("fields", bad_fields(
+        counts=("max_crashes_per_site",),
+        floats=("worker_crash_p", "flush_error_p", "latency_spike_ms",
+                "latency_spike_p"),
+    ))
+    def test_rejects_a_fractional_or_non_finite_field(self, fields):
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            ChaosPolicy(**fields)
 
     def test_inactive_by_default(self):
         assert not ChaosPolicy().active
@@ -269,6 +316,15 @@ class TestSupervisorPolicy:
             SupervisorPolicy(retry_budget=-1)
         with pytest.raises(ConfigurationError):
             SupervisorPolicy(watchdog_s=0.0)
+
+    @pytest.mark.parametrize("fields", bad_fields(
+        counts=("retry_budget",), floats=("watchdog_s",),
+    ))
+    def test_rejects_a_fractional_or_non_finite_field(self, fields):
+        """A NaN watchdog killed every worker as it started, and an
+        infinite one killed the timer thread instead."""
+        with pytest.raises(ConfigurationError, match=next(iter(fields))):
+            SupervisorPolicy(**fields)
 
     def test_defaults_cover_the_chaos_cap(self):
         # The default budget must cover the default chaos crash cap,

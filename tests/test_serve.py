@@ -9,6 +9,7 @@ prediction.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
 
@@ -97,12 +98,14 @@ class TestBatchPolicy:
         for wait in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="finite"):
                 BatchPolicy(max_wait_ms=wait)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(max_batch_size=4, min_batch_size=5)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(min_batch_size=0)
 
-    @pytest.mark.parametrize("field", ["max_batch_size", "min_batch_size"])
+    def test_has_one_batch_target(self):
+        """A size and a wait: no second batching rule."""
+        assert [f.name for f in dataclasses.fields(BatchPolicy)] == [
+            "max_batch_size", "max_wait_ms",
+        ]
+
+    @pytest.mark.parametrize("field", ["max_batch_size"])
     @pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
     def test_rejects_a_non_integer_size(self, field, value):
         """A float, bool or string size would fail on the dispatch
@@ -112,11 +115,9 @@ class TestBatchPolicy:
             BatchPolicy(**{field: value})
 
     def test_accepts_numpy_integer_sizes(self):
-        policy = BatchPolicy(max_batch_size=np.int64(8),
-                             min_batch_size=np.int32(2))
-        assert (policy.max_batch_size, policy.min_batch_size) == (8, 2)
+        policy = BatchPolicy(max_batch_size=np.int64(8))
+        assert policy.max_batch_size == 8
         assert type(policy.max_batch_size) is int
-        assert type(policy.min_batch_size) is int
 
 
 class TestMicroBatcher:
@@ -151,35 +152,6 @@ class TestMicroBatcher:
             batcher.add(i)
         assert batcher.take() == [0, 1, 2, 3]
         assert len(batcher) == 6
-
-    def test_adaptive_target_grows_under_backlog(self):
-        batcher, _ = self._batcher(max_batch_size=16, adaptive=True)
-        assert batcher.target == 1
-        for i in range(31):
-            batcher.add(i)
-        sizes = []
-        while len(batcher):
-            sizes.append(len(batcher.take()))
-        # Every size-triggered flush that leaves a full backlog doubles
-        # the target: 1, 2, 4, 8, 16, then capped.
-        assert sizes == [1, 2, 4, 8, 16]
-        assert batcher.target == 16
-
-    def test_adaptive_target_shrinks_when_idle(self):
-        batcher, clock = self._batcher(
-            max_batch_size=16, adaptive=True, max_wait_ms=5.0
-        )
-        for i in range(31):
-            batcher.add(i)
-        while len(batcher):
-            batcher.take()
-        assert batcher.target == 16
-        # Lone deadline-expired requests halve the target back down.
-        for expected in (8, 4, 2, 1, 1):
-            batcher.add("x")
-            clock.advance(0.006)
-            assert batcher.take() == ["x"]
-            assert batcher.target == expected
 
     def test_drain_empties_in_max_size_batches(self):
         batcher, _ = self._batcher(max_batch_size=4)
@@ -713,3 +685,23 @@ class TestServeCli:
     def test_rejects_empty_trace(self):
         with pytest.raises(SystemExit):
             serve_main(["--rate", "1", "--duration", "0"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--rate", "nan"], ["--rate", "inf"], ["--rate", "-500"],
+        ["--duration", "nan"], ["--duration", "inf"],
+        ["--retries", "-1"],
+        ["--deadline-ms", "0"], ["--deadline-ms", "nan"],
+        ["--deadline-ms", "inf"],
+        ["--adaptive"],
+    ], ids="=".join)
+    def test_rejects_a_bad_flag_before_building_anything(
+            self, argv, monkeypatch, capsys):
+        def build(*args, **kwargs):
+            raise AssertionError("built a model before checking the flags")
+
+        monkeypatch.setattr("repro.serve.__main__.get_reference_model",
+                            build)
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(argv)
+        assert exit_info.value.code == 2
+        assert argv[0] in capsys.readouterr().err.splitlines()[-1]

@@ -46,7 +46,6 @@ from repro.serve import (
 )
 from repro.serve.fleet import MAX_IN_FLIGHT, choose_worker, receive_all
 from repro.serve.pool import worker_main
-from repro.tile.backends.bitpacked import pack_spike_rows
 
 from tests.test_serve import (
     SERVER_KINDS,
@@ -128,12 +127,11 @@ class TestWorkerMain:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
 
-    def test_serves_packed_batches_until_stopped(self):
+    def test_serves_joined_batches_until_stopped(self):
         network = random_network()
         spikes = random_spikes(7)
         parent, thread = self.start(network)
-        parent.send(("batch", 11, "demo", pack_spike_rows(spikes), 7,
-                     "demo/0"))
+        parent.send(("batch", 11, "demo", spikes.tobytes(), 7, "demo/0"))
         kind, batch_id, predictions, stats = parent.recv()
         assert (kind, batch_id) == ("ok", 11)
         assert np.array_equal(predictions, network.classify_batch(spikes))
@@ -145,8 +143,8 @@ class TestWorkerMain:
         parent, thread = self.start(
             random_network(), chaos=ChaosPolicy(seed=0, flush_error_p=1.0)
         )
-        parent.send(("batch", 4, "demo", pack_spike_rows(random_spikes(2)),
-                     2, "demo/0"))
+        parent.send(("batch", 4, "demo", random_spikes(2).tobytes(), 2,
+                     "demo/0"))
         kind, batch_id, error, stats = parent.recv()
         assert (kind, batch_id) == ("error", 4)
         assert isinstance(error, InjectedFaultError)
@@ -162,10 +160,20 @@ class TestWorkerMain:
         payload = ModelPayload.from_network("demo", second)
         parent.send(("swap", "demo", payload))
         assert parent.recv() == ("swapped", "demo", payload.versions)
-        parent.send(("batch", 0, "demo", pack_spike_rows(spikes), 20,
-                     "demo/0"))
+        parent.send(("batch", 0, "demo", spikes.tobytes(), 20, "demo/0"))
         _, _, predictions, _ = parent.recv()
         assert np.array_equal(predictions, second.classify_batch(spikes))
+        self.stop(parent, thread)
+
+    def test_a_model_it_was_never_sent_fails_naming_push_weights(self):
+        parent, thread = self.start(random_network())
+        parent.send(("batch", 5, "late", random_spikes(2).tobytes(), 2,
+                     "late/0"))
+        kind, batch_id, error, stats = parent.recv()
+        assert (kind, batch_id) == ("error", 5)
+        assert isinstance(error, ServingError)
+        assert "push_weights('late')" in str(error)
+        assert stats["rows"] == 2
         self.stop(parent, thread)
 
 
@@ -598,6 +606,29 @@ class TestRollingSwap:
         assert versions == tuple(t.weight_version for t in network.tiles)
         assert np.array_equal(after, network.classify_batch(spikes))
         assert not np.array_equal(before, after)
+
+    def test_a_model_registered_after_start_serves_once_pushed(self):
+        """The workers were built at spawn: until ``push_weights``
+        deploys a later model, its batches fail with a ServingError
+        that says so."""
+        registry = ModelRegistry()
+        registry.register_network("demo", random_network(seed=0))
+        late = random_network(seed=1)
+        spikes = random_spikes(12)
+        with fleet(registry) as server:
+            registry.register_network("late", late)
+            early = [server.submit("late", row) for row in spikes[:5]]
+            for future in early:
+                with pytest.raises(ServingError,
+                                   match=r"push_weights\('late'\)"):
+                    future.result(timeout=60)
+            server.push_weights("late")
+            futures = [server.submit("late", row) for row in spikes]
+            served = [f.result(timeout=60) for f in futures]
+        assert served == late.classify_batch(spikes).tolist()
+        m = server.metrics
+        assert (m.submitted, m.completed, m.failed) == (17, 12, 5)
+        assert m.submitted == m.completed + m.failed + m.shed
 
 
 # -- crash supervision ----------------------------------------------------------------
