@@ -18,9 +18,9 @@ def _integer(name: str, value) -> int:
     """``value`` as a plain ``int``: any integer, numpy's included, but
     no bool, float or string.
 
-    Counts, sizes and seeds go through this, so a float can neither
-    change a cache key, be truncated into another Monte-Carlo stream,
-    nor reach a ``range()`` that fails long after the object was built.
+    Counts and sizes go through this, so a float can neither change a
+    cache key, be truncated into another Monte-Carlo stream, nor reach
+    a ``range()`` that fails long after the object was built.
     """
     if not isinstance(value, bool):
         with contextlib.suppress(TypeError):

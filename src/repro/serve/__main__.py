@@ -276,9 +276,10 @@ def main(argv: list[str] | None = None) -> int:
                         ("--duration", args.duration)):
         if not 0 < value < math.inf:
             parser.error(f"{flag} must be finite and > 0, got {value}")
-    if not 1 <= args.rate * args.duration < math.inf:
+    trace_length = args.rate * args.duration
+    if not 1 <= trace_length < math.inf:
         parser.error("rate * duration must be >= 1 request")
-    n_requests = int(args.rate * args.duration)
+    n_requests = int(trace_length)
     if args.deadline_ms is not None and not 0 < args.deadline_ms < math.inf:
         parser.error(
             f"--deadline-ms must be finite and > 0, got {args.deadline_ms}"

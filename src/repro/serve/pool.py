@@ -30,11 +30,11 @@ from the worker    ``("ready", generation)``
 =================  =================================================
 
 ``rows`` is the batch's admitted rows as one ``bytes`` object, one
-byte per synapse (:func:`~repro.serve.server.join_rows`).  ``stats`` is
-``{"rows", "flush_s", "retried"}``.  A worker
-that dies mid-batch sends nothing — the fleet's collector notices the
-dead process, fails that worker's in-flight batches explicitly, and
-respawns it on a fresh pipe.
+byte per synapse (:func:`~repro.serve.server.join_rows`).  ``stats``
+is ``{"rows", "flush_s", "retried"}``.  A worker that dies mid-batch
+sends nothing — the fleet's collector notices the dead process, fails
+that worker's in-flight batches explicitly, and respawns it on a fresh
+pipe.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def worker_main(generation: int, conn, payloads: list, engine: str,
     prove crash recovery never drops work silently.
 
     A batch for a model this worker was never sent fails with a
-    :class:`~repro.errors.ServingError`: a model registered after the
-    fleet started reaches the workers only through
+    :class:`~repro.errors.ServingError`: a model registered after this
+    worker was spawned reaches it through
     :meth:`~repro.serve.fleet.FleetServer.push_weights`.
     """
     backends = {}
