@@ -251,14 +251,10 @@ class InferenceServer:
         :data:`DEFAULT_SLO_CLASSES`).  Must contain ``"default"``.
 
     Spans go to the process-global tracer
-    (:func:`~repro.obs.trace.set_tracer`), read at each batch: a no-op
-    :class:`~repro.obs.trace.NullTracer` unless one was installed, so
-    instrumentation costs one attribute check per batch when tracing
-    is off (the serving benchmark gates this).  Serve spans carry the
-    server's ``clock`` (queue waits start at submit time), so a trace
-    that mixes them with engine spans wants a tracer on the same
-    clock; the CLIs' tracers and the server both default to
-    ``time.monotonic``.
+    (:func:`~repro.obs.trace.set_tracer`), read at each batch.  Serve
+    spans carry the server's ``clock``, so a trace that mixes them with
+    engine spans wants a tracer on the same clock, as the CLIs' tracers
+    are (``time.monotonic``).
     """
 
     def __init__(self, registry: ModelRegistry,
