@@ -302,7 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         point = DesignPoint(
             hardware=hardware, engine=args.engine, quality=args.quality,
         )
-        reference = get_reference_model(args.quality, seed)
         breaker = None
         if args.breaker_threshold is not None:
             breaker = BreakerPolicy(
@@ -310,7 +309,6 @@ def main(argv: list[str] | None = None) -> int:
                 cooldown_s=args.breaker_cooldown_s,
             )
         registry = ModelRegistry(breaker=breaker)
-        registry.register(MODEL_NAME, point, snn=reference.snn)
         policy = BatchPolicy(
             max_batch_size=args.max_batch, max_wait_ms=args.max_wait_ms,
         )
@@ -336,6 +334,10 @@ def main(argv: list[str] | None = None) -> int:
                                  **server_kwargs)
         else:
             server = InferenceServer(registry, **server_kwargs)
+        # Every setting has been checked by now: only then build the
+        # model, the slow step.
+        reference = get_reference_model(args.quality, seed)
+        registry.register(MODEL_NAME, point, snn=reference.snn)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -695,13 +695,35 @@ class TestServeCli:
         ["--adaptive"],
     ], ids="=".join)
     def test_rejects_a_bad_flag_before_building_anything(
-            self, argv, monkeypatch, capsys):
+            self, argv, no_model, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(argv)
+        assert exit_info.value.code == 2
+        assert argv[0] in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv, field", [
+        pytest.param(argv, field, id="=".join(argv[-2:]))
+        for argv, field in [
+            (["--max-batch", "0"], "max_batch_size"),
+            (["--max-wait-ms", "nan"], "max_wait_ms"),
+            (["--queue-depth", "0"], "max_queue_depth"),
+            (["--breaker-threshold", "2", "--breaker-cooldown-s", "nan"],
+             "cooldown_s"),
+            (["--chaos-spike-ms", "inf"], "latency_spike_ms"),
+        ]
+    ])
+    def test_rejects_a_bad_setting_before_building_the_model(
+            self, argv, field, no_model, capsys):
+        """The policies check these values themselves; the CLI builds
+        them all before the model."""
+        assert serve_main(argv) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_model(self, monkeypatch):
+        """Fail the test if the CLI starts building the model."""
         def build(*args, **kwargs):
             raise AssertionError("built a model before checking the flags")
 
         monkeypatch.setattr("repro.serve.__main__.get_reference_model",
                             build)
-        with pytest.raises(SystemExit) as exit_info:
-            serve_main(argv)
-        assert exit_info.value.code == 2
-        assert argv[0] in capsys.readouterr().err.splitlines()[-1]
