@@ -2,12 +2,11 @@
 
 The bitpacked backend's correctness rests on two pure-function claims:
 packing is lossless (``np.unpackbits`` of the packed words gives back
-any binary batch), and
-popcount accumulation over packed words equals the dense signed matmul
-``spikes @ (2W - 1)`` exactly — for *arbitrary* widths, including
-ragged ones not divisible by 64 (where trailing pad bits must never
-leak phantom spikes).  Hypothesis sweeps the shape space the
-example-based suites cannot.
+any binary batch), and popcount accumulation over packed words equals
+the dense signed matmul ``spikes @ (2W - 1)`` exactly — for
+*arbitrary* widths, including ragged ones not divisible by 64 (where
+trailing pad bits must never leak phantom spikes).  Hypothesis sweeps
+the shape space the example-based suites cannot.
 """
 
 from __future__ import annotations

@@ -686,6 +686,15 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             serve_main(["--rate", "1", "--duration", "0"])
 
+    @pytest.fixture
+    def no_model(self, monkeypatch):
+        """Fail the test if the CLI starts building the model."""
+        def build(*args, **kwargs):
+            raise AssertionError("built a model before checking the flags")
+
+        monkeypatch.setattr("repro.serve.__main__.get_reference_model",
+                            build)
+
     @pytest.mark.parametrize("argv", [
         ["--rate", "nan"], ["--rate", "inf"], ["--rate", "-500"],
         ["--duration", "nan"], ["--duration", "inf"],
@@ -718,12 +727,3 @@ class TestServeCli:
         them all before the model."""
         assert serve_main(argv) == 1
         assert field in capsys.readouterr().err
-
-    @pytest.fixture
-    def no_model(self, monkeypatch):
-        """Fail the test if the CLI starts building the model."""
-        def build(*args, **kwargs):
-            raise AssertionError("built a model before checking the flags")
-
-        monkeypatch.setattr("repro.serve.__main__.get_reference_model",
-                            build)
