@@ -105,12 +105,17 @@ class RetryPolicy:
         asserted on, and reproduced.
         """
         rng = random.Random(self.seed)
-        out = []
+        nominal, out = self.base_delay_ms, []
         for attempt in range(self.retries):
-            nominal = min(
-                self.base_delay_ms * self.multiplier ** attempt,
-                self.max_delay_ms,
-            )
+            # A zero delay and one at the cap stay there (multiplier
+            # >= 1), so the power is taken only while the delay grows:
+            # a long schedule would take it past the float range.
+            if 0 < nominal < self.max_delay_ms:
+                try:
+                    grown = self.base_delay_ms * self.multiplier ** attempt
+                except OverflowError:  # a base delay far below the cap
+                    grown = nominal * self.multiplier
+                nominal = min(grown, self.max_delay_ms)
             out.append(nominal * (1.0 - self.jitter * rng.random()))
         return tuple(out)
 

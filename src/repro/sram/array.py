@@ -58,6 +58,18 @@ class SramArray:
             raise ConfigurationError("weights must be binary (0/1)")
         self._bits = bits.astype(np.uint8).copy()
 
+    def load_block(self, bits: np.ndarray) -> None:
+        """Store ``bits`` in the top-left corner; every other cell reads 0.
+
+        The block of a larger matrix its caller has already checked to
+        hold only 0 and 1 (:meth:`repro.tile.tile.Tile.load_weights`),
+        so only :meth:`load_weights` repeats that check.
+        """
+        rows, cols = bits.shape
+        self._bits[:rows, :cols] = bits
+        self._bits[rows:] = 0
+        self._bits[:rows, cols:] = 0
+
     def dump_weights(self) -> np.ndarray:
         """Copy of the stored bits (test/debug path, not a hardware port)."""
         return self._bits.copy()

@@ -17,6 +17,14 @@ provably interchangeable (``tests/test_reliability_differential.py``):
   network's macros through their normal load path, so the
   cycle-accurate and fast engines see the same faults.
 
+Both paths draw their masks through one helper, :func:`_flip`: one
+``rng.random(shape) < rate`` draw per layer, XORed into the weights.
+:func:`flip_bits` checks its input and then calls it; an injector
+checks its clean weights once, at construction, and then draws every
+trial's layers with it.  A trial at bit-error rate 0 draws nothing:
+its generator belongs to that trial alone and no uniform draw is below
+0, so skipping it changes no mask, no count and no other trial.
+
 Seeding contract
 ----------------
 Fault masks derive from the network's :class:`~repro.hw.config.
@@ -54,8 +62,7 @@ def trial_seed_sequence(seed: int, bit_error_rate: float,
     * trial ``k`` is self-identifying: any partition of trials over
       campaign points reproduces it bit-identically.
     """
-    if trial < 0:
-        raise ConfigurationError(f"trial index must be >= 0, got {trial}")
+    _check_trial(trial)
     ber_bits = int(np.float64(bit_error_rate).view(np.uint64))
     return np.random.SeedSequence(
         seed, spawn_key=(ber_bits >> 32, ber_bits & 0xFFFFFFFF, trial)
@@ -69,18 +76,38 @@ def flip_bits(weights: np.ndarray, bit_error_rate: float,
     Returns the faulty copy and the number of flipped bits.  The mask
     is drawn as one ``rng.random(shape)`` call, so identically-seeded
     generators produce identical masks (and applying the same mask
-    twice restores the original weights — XOR is involutive).
+    twice restores the original weights — XOR is involutive).  The draw
+    is made at rate 0 too, so ``rng`` always advances by the mask size.
     """
+    _check_rate(bit_error_rate)
+    return _flip(_binary_uint8(weights), bit_error_rate, rng)
+
+
+def _flip(weights: np.ndarray, bit_error_rate: float,
+          rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """The mask draw of both fault paths, on checked ``uint8`` weights."""
+    mask = rng.random(weights.shape) < bit_error_rate
+    return weights ^ mask.view(np.uint8), int(np.count_nonzero(mask))
+
+
+def _binary_uint8(weights) -> np.ndarray:
+    """``weights`` as ``uint8``, checked to hold only 0 and 1 first."""
+    weights = np.asarray(weights)
+    if not is_binary(weights):
+        raise ConfigurationError("weights must be binary 0/1")
+    return weights.astype(np.uint8, copy=False)
+
+
+def _check_rate(bit_error_rate: float) -> None:
     if not 0.0 <= bit_error_rate <= 1.0:
         raise ConfigurationError(
             f"bit_error_rate must be in [0, 1], got {bit_error_rate}"
         )
-    weights = np.asarray(weights)
-    if not is_binary(weights):
-        raise ConfigurationError("weights must be binary 0/1")
-    mask = rng.random(weights.shape) < bit_error_rate
-    faulty = weights.astype(np.uint8) ^ mask.astype(np.uint8)
-    return faulty, int(mask.sum())
+
+
+def _check_trial(trial: int) -> None:
+    if trial < 0:
+        raise ConfigurationError(f"trial index must be >= 0, got {trial}")
 
 
 class FaultInjector:
@@ -91,6 +118,8 @@ class FaultInjector:
     weights / thresholds / output_bias:
         The *clean* converted network parameters.  Trial injection
         always starts from these, never from previously-faulted state.
+        Each weight matrix must hold only 0 and 1; it is checked here,
+        once, and never again per trial.
     config:
         The :class:`~repro.hw.config.HardwareConfig` whose ``seed``
         drives every fault mask (default: the paper's design point).
@@ -105,7 +134,9 @@ class FaultInjector:
             from repro.hw.config import HardwareConfig
 
             config = HardwareConfig()
-        self.weights = [np.asarray(w).astype(np.uint8) for w in weights]
+        # A copy each, so no caller's later write reaches the clean
+        # weights every trial starts from.
+        self.weights = [_binary_uint8(w).copy() for w in weights]
         self.thresholds = [np.asarray(t) for t in thresholds]
         self.output_bias = output_bias
         self.seed = config.seed
@@ -125,12 +156,20 @@ class FaultInjector:
 
         Layers consume the trial stream in order, so the functional
         path (:meth:`faulty_model_for_trial`) and the hardware path
-        (:meth:`apply_trial`) flip exactly the same bits.
+        (:meth:`apply_trial`) flip exactly the same bits, and both equal
+        :func:`flip_bits` applied layer by layer to one
+        :meth:`trial_rng` stream.  At rate 0 no generator is built: the
+        result is a copy of the clean weights and 0 flips, which is what
+        that draw would give.
         """
+        _check_trial(trial)
+        _check_rate(bit_error_rate)
+        if bit_error_rate == 0.0:
+            return [w.copy() for w in self.weights], 0
         rng = self.trial_rng(bit_error_rate, trial)
         faulty, total = [], 0
         for w in self.weights:
-            fw, flips = flip_bits(w, bit_error_rate, rng)
+            fw, flips = _flip(w, bit_error_rate, rng)
             faulty.append(fw)
             total += flips
         return faulty, total
@@ -161,14 +200,5 @@ class FaultInjector:
                 f"holds {len(matrices)} weight matrices"
             )
         for tile, matrix in zip(network.tiles, matrices):
-            if matrix.shape != (tile.n_in, tile.n_out):
-                raise ConfigurationError(
-                    f"tile {tile.name}: weights {matrix.shape} != "
-                    f"({tile.n_in}, {tile.n_out})"
-                )
-            for rb in range(tile.mapping.row_blocks):
-                for cb in range(tile.mapping.col_blocks):
-                    tile.macros[rb][cb].load_weights(
-                        tile.mapping.block_weights(matrix, rb, cb)
-                    )
+            tile.load_weights(matrix)
             tile.note_weight_update()

@@ -93,7 +93,11 @@ class VariationStudy:
 
     def sample_read_times(self, cell_type: CellType, n: int = 4096,
                           ) -> np.ndarray:
-        """Per-cell read times (ns) under drive-strength variation."""
+        """Per-cell read times (ns) under drive-strength variation.
+
+        Takes ``n`` corners from the study's generator as arrays; the
+        Vt shifts are drawn, in order, but do not enter the read time.
+        """
         if n < 1:
             raise ConfigurationError("n must be >= 1")
         shipped = self.read_ports.read_time_ns(cell_type)
@@ -101,8 +105,7 @@ class VariationStudy:
         worst = self.variation.worst_case(3.0)
         fixed = shipped * (1.0 - frac)
         discharge_typ = shipped * frac * worst.drive_factor
-        corners = self.variation.sample(n)
-        drives = np.array([c.drive_factor for c in corners])
+        _, drives = self.variation.draw(n)
         return fixed + discharge_typ / drives
 
     def distribution(self, cell_type: CellType, n: int = 4096,

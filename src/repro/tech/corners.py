@@ -161,13 +161,20 @@ class ProcessVariation:
         self.sigma_drive = sigma_drive
         self._rng = np.random.default_rng(seed)
 
-    def sample(self, n: int) -> list[CornerSample]:
-        """Draw ``n`` independent corner samples."""
+    def draw(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``n`` independent corners as two arrays: Vt shifts (V)
+        and drive factors, in that order from the generator."""
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
         vt = self._rng.normal(0.0, self.sigma_vt_v, size=n)
         # Lognormal keeps drive strictly positive.
         drive = np.exp(self._rng.normal(0.0, self.sigma_drive, size=n))
+        return vt, drive
+
+    def sample(self, n: int) -> list[CornerSample]:
+        """Draw ``n`` independent corner samples (:meth:`draw`, one
+        object per corner)."""
+        vt, drive = self.draw(n)
         return [CornerSample(float(v), float(d)) for v, d in zip(vt, drive)]
 
     def worst_case(self, n_sigma: float = 3.0) -> CornerSample:

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.arbiter.analysis import arbiter_energy_per_cycle_pj
 from repro.arbiter.cascaded import MultiPortArbiter
+from repro.binary import is_binary
 from repro.errors import ConfigurationError, SimulationError
 from repro.hw.config import HardwareConfig
 from repro.neuron.array import NeuronArray
@@ -137,17 +138,17 @@ class Tile:
             for _ in range(self.mapping.row_blocks)
         ]
         # Macro grid indexed [row_block][col_block].
-        self.macros: list[list[SramMacro]] = []
-        for rb in range(self.mapping.row_blocks):
-            row = []
-            for cb in range(self.mapping.col_blocks):
-                macro = SramMacro(
+        self.macros: list[list[SramMacro]] = [
+            [
+                SramMacro(
                     rows=ARRAY_DIM, cols=ARRAY_DIM, config=config,
                     read_port_model=read_ports, transposed_model=transposed,
                 )
-                macro.load_weights(self.mapping.block_weights(weights, rb, cb))
-                row.append(macro)
-            self.macros.append(row)
+                for _ in range(self.mapping.col_blocks)
+            ]
+            for _ in range(self.mapping.row_blocks)
+        ]
+        self.load_weights(weights)
         # Neurons: one segment per column block (padded columns excluded).
         self.neurons: list[NeuronArray] = []
         for cb in range(self.mapping.col_blocks):
@@ -168,6 +169,29 @@ class Tile:
         self.weight_version = 0
 
     # -- weight access (for online learning) --------------------------------------
+
+    def load_weights(self, weights: np.ndarray) -> None:
+        """Store a whole ``(n_in, n_out)`` binary matrix in the macro grid.
+
+        The matrix is checked once, here; each macro then takes its
+        block, zero-padded, without a check of its own.  This does not
+        bump :attr:`weight_version`: a caller replacing the weights of
+        a tile an engine may have snapshotted calls
+        :meth:`note_weight_update` after, as fault injection does.
+        """
+        weights = np.asarray(weights)
+        if weights.shape != (self.n_in, self.n_out):
+            raise ConfigurationError(
+                f"tile {self.name}: weights {weights.shape} != "
+                f"({self.n_in}, {self.n_out})"
+            )
+        if not is_binary(weights):
+            raise ConfigurationError("weights must be binary (0/1)")
+        mapping = self.mapping
+        for rb, row in enumerate(self.macros):
+            rows = weights[mapping.row_slice(rb)]
+            for cb, macro in enumerate(row):
+                macro.array.load_block(rows[:, mapping.col_slice(cb)])
 
     def weight_matrix(self) -> np.ndarray:
         """Reassemble the logical weight matrix from the macro grid."""

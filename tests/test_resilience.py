@@ -11,6 +11,8 @@ tests drive the full state machine with an injected clock.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,45 @@ class TestRetryPolicy:
         policy = RetryPolicy(retries=5, base_delay_ms=1.0, multiplier=2.0,
                              max_delay_ms=4.0, jitter=0.0)
         assert policy.delays_ms() == (1.0, 2.0, 4.0, 4.0, 4.0)
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"retries": 40, "base_delay_ms": 1.5, "multiplier": 1.1,
+         "max_delay_ms": 50.0, "jitter": 0.3, "seed": 7},
+        {"retries": 12, "base_delay_ms": 0.3, "multiplier": 3.0,
+         "max_delay_ms": 1e3, "jitter": 0.0},
+        {"retries": 9, "multiplier": 1.0},
+        {"retries": 9, "base_delay_ms": 0.0, "max_delay_ms": 5.0},
+        {"retries": 9, "base_delay_ms": 5.0, "max_delay_ms": 5.0},
+        {"retries": 1000, "multiplier": 2.0, "max_delay_ms": 1e300},
+    ], ids=["default", "slow-growth", "fast-growth", "flat", "zero-base",
+            "base-at-cap", "near-overflow"])
+    def test_schedule_equals_the_capped_power(self, fields):
+        """Every schedule the power formula could compute stays equal to
+        it, float for float."""
+        policy = RetryPolicy(**fields)
+        rng = random.Random(policy.seed)
+        expected = tuple(
+            min(policy.base_delay_ms * policy.multiplier ** attempt,
+                policy.max_delay_ms) * (1.0 - policy.jitter * rng.random())
+            for attempt in range(policy.retries)
+        )
+        assert policy.delays_ms() == expected
+
+    def test_a_long_schedule_does_not_overflow(self):
+        """The nominal delay was computed before the cap, so
+        ``multiplier ** 1024`` overflowed and every call() under the
+        policy failed before its first attempt."""
+        delays = RetryPolicy(retries=1100).delays_ms()
+        assert len(delays) == 1100
+        assert max(delays) <= 100.0
+        assert RetryPolicy(retries=1100).call(lambda attempt: "ok") == "ok"
+        # A base this far below the cap is still growing at the power's
+        # float limit; it grows on from the last delay to the cap.
+        tiny = RetryPolicy(retries=1100, base_delay_ms=1e-300,
+                           max_delay_ms=1e10, jitter=0.0).delays_ms()
+        assert tiny[1024] == 2 * tiny[1023]
+        assert list(tiny) == sorted(tiny) and tiny[-1] == 1e10
 
     def test_jitter_shrinks_delays_only(self):
         policy = RetryPolicy(retries=8, base_delay_ms=2.0, jitter=0.5,

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
 from repro.snn.encode import encode_images
+from repro.sram import faults
 from repro.sram.bitcell import CellType
 from repro.sram.faults import FaultInjector, flip_bits
 from repro.tile.network import EsamNetwork
@@ -48,6 +49,87 @@ class TestFlipBits:
             flip_bits(np.full((4, 4), 2), 0.1, rng)
         with pytest.raises(ConfigurationError, match="binary"):
             flip_bits(non_binary((4, 4)), 0.1, rng)
+
+    def test_zero_rate_still_draws(self, rng):
+        """The caller's generator advances by the mask size at rate 0 as
+        at any other rate; only an injector's private trial skips it."""
+        w = rng.integers(0, 2, (40, 30))
+        drawn, skipped = np.random.default_rng(9), np.random.default_rng(9)
+        flip_bits(w, 0.0, drawn)
+        skipped.random(w.shape)
+        assert drawn.random() == skipped.random()
+
+
+#: Layer sizes crossing the 128-row and 128-column block boundaries.
+LAYERS = (160, 130, 10)
+
+
+def clean_layers(rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    weights = [rng.integers(0, 2, (a, b)).astype(np.uint8)
+               for a, b in zip(LAYERS[:-1], LAYERS[1:])]
+    return weights, [np.full(b, 511) for b in LAYERS[1:]]
+
+
+class TestCleanWeights:
+    def test_non_binary_weights_are_rejected(self, non_binary):
+        """The injector cast to uint8 before any check, so 257 became 1
+        and 0.5 became 0, and every trial faulted that matrix."""
+        with pytest.raises(ConfigurationError, match="binary 0/1"):
+            FaultInjector([np.array([[257, 0], [0.5, 1]])], [np.zeros(2)])
+        with pytest.raises(ConfigurationError, match="binary 0/1"):
+            FaultInjector([np.zeros((4, 4)), non_binary((4, 4))],
+                          [np.zeros(4), np.zeros(4)])
+
+    def test_weights_are_a_private_uint8_copy(self, rng, binary_dtype):
+        w = rng.integers(0, 2, (8, 8)).astype(binary_dtype)
+        expected = w.astype(np.uint8)
+        injector = FaultInjector([w], [np.zeros(8)])
+        w.fill(0)
+        assert injector.weights[0].dtype == np.uint8
+        assert np.array_equal(injector.weights[0], expected)
+
+
+class TestTrialDraws:
+    """A trial's masks are pinned to flip_bits on one trial stream."""
+
+    @pytest.mark.parametrize("ber", [0.0, 1e-4, 5e-2, 1.0])
+    def test_trial_equals_flip_bits_on_its_stream(self, rng, ber):
+        weights, thresholds = clean_layers(rng)
+        injector = FaultInjector(weights, thresholds,
+                                 config=HardwareConfig(seed=11))
+        for trial in (0, 3):
+            faulty, flips = injector.faulty_weights_for_trial(ber, trial)
+            stream = injector.trial_rng(ber, trial)
+            expected = [flip_bits(w, ber, stream) for w in weights]
+            assert flips == sum(n for _, n in expected)
+            for got, (want, _) in zip(faulty, expected):
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, want)
+
+    def test_zero_rate_builds_no_generator(self, rng, monkeypatch):
+        weights, thresholds = clean_layers(rng)
+        injector = FaultInjector(weights, thresholds)
+
+        def no_generator(*args):
+            raise AssertionError("a BER-0 trial built a generator")
+
+        monkeypatch.setattr(FaultInjector, "trial_rng", no_generator)
+        monkeypatch.setattr(faults, "trial_seed_sequence", no_generator)
+        faulty, flips = injector.faulty_weights_for_trial(0.0, 5)
+        assert flips == 0
+        for got, clean in zip(faulty, injector.weights):
+            assert np.array_equal(got, clean) and got is not clean
+        network = EsamNetwork(weights, thresholds)
+        assert injector.apply_trial(network, 0.0, 2) == 0
+        assert np.array_equal(network.tiles[0].weight_matrix(), weights[0])
+
+    @pytest.mark.parametrize("ber, trial", [
+        (0.0, -1), (0.1, -1), (-0.1, 0), (1.5, 0), (np.nan, 0),
+    ])
+    def test_bad_trial_or_rate_is_rejected(self, rng, ber, trial):
+        injector = FaultInjector(*clean_layers(rng))
+        with pytest.raises(ConfigurationError):
+            injector.faulty_weights_for_trial(ber, trial)
 
 
 def mean_accuracy(injector, spikes, labels, rate, trials):

@@ -1,12 +1,13 @@
 """Monte-Carlo variation study of the read path."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.sram.bitcell import CellType
 from repro.sram.readport import CLOCK_PERIOD_NS
 from repro.sram.variation_study import VariationStudy
-from repro.tech.corners import ProcessVariation
+from repro.tech.corners import CornerSample, ProcessVariation
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,32 @@ class TestYield:
         cell = CellType.C1RW1R
         y = study.parametric_yield(cell, CLOCK_PERIOD_NS[cell] + 0.3, n=4096)
         assert y == pytest.approx(1.0)
+
+
+class TestArrayDraw:
+    @pytest.mark.parametrize("cell", [CellType.C6T, CellType.C1RW4R])
+    def test_read_times_equal_the_corner_sample_path(self, cell):
+        """The array draw gives the read times the list of CornerSample
+        objects gave, value for value, and leaves the generator where
+        that path left it."""
+        seed, n = 7, 1000
+        study = VariationStudy(variation=ProcessVariation(seed=seed))
+        times = study.sample_read_times(cell, n)
+
+        variation, rng = ProcessVariation(seed=seed), np.random.default_rng(seed)
+        vt = rng.normal(0.0, variation.sigma_vt_v, size=n)
+        drive = np.exp(rng.normal(0.0, variation.sigma_drive, size=n))
+        corners = [CornerSample(float(v), float(d)) for v, d in zip(vt, drive)]
+        shipped = study.read_ports.read_time_ns(cell)
+        frac = study._discharge_fraction(cell)
+        discharge_typ = shipped * frac * variation.worst_case(3.0).drive_factor
+        expected = shipped * (1.0 - frac) + discharge_typ / np.array(
+            [c.drive_factor for c in corners]
+        )
+        assert np.array_equal(times, expected)
+        next_vt, _ = study.variation.draw(4)
+        assert np.array_equal(next_vt,
+                              rng.normal(0.0, variation.sigma_vt_v, size=4))
 
 
 class TestValidation:

@@ -38,6 +38,12 @@ class TestProcessVariation:
         pv = ProcessVariation(seed=2)
         assert all(s.drive_factor > 0.0 for s in pv.sample(500))
 
+    def test_sample_wraps_the_array_draw(self):
+        vt, drive = ProcessVariation(seed=5).draw(50)
+        samples = ProcessVariation(seed=5).sample(50)
+        assert [s.vt_shift_v for s in samples] == vt.tolist()
+        assert [s.drive_factor for s in samples] == drive.tolist()
+
     def test_worst_case_3sigma(self):
         pv = ProcessVariation(sigma_vt_v=0.018, sigma_drive=0.06)
         worst = pv.worst_case(3.0)

@@ -226,6 +226,31 @@ class TestStructure:
                     config=HardwareConfig(cell_type=CellType.C1RW3R))
         assert (tile.weight_matrix() == w).all()
 
+    def test_load_weights_rewrites_every_block(self, rng, binary_dtype):
+        """A load writes each macro in full: the partial blocks' padded
+        rows and columns read 0 again, whatever was stored there."""
+        tile = Tile(rng.integers(0, 2, (300, 140)), np.zeros(140))
+        for row in tile.macros:
+            for macro in row:
+                macro.load_weights(np.ones((128, 128), dtype=np.uint8))
+        w = rng.integers(0, 2, (300, 140)).astype(binary_dtype)
+        version = tile.weight_version
+        tile.load_weights(w)
+        for rb, row in enumerate(tile.macros):
+            for cb, macro in enumerate(row):
+                assert np.array_equal(macro.array.dump_weights(),
+                                      tile.mapping.block_weights(w, rb, cb))
+        assert tile.weight_version == version
+
+    def test_load_weights_checks_before_writing(self, small_tile,
+                                                non_binary):
+        before = small_tile.weight_matrix()
+        with pytest.raises(ConfigurationError, match="binary"):
+            small_tile.load_weights(non_binary((256, 128)))
+        with pytest.raises(ConfigurationError, match="tile"):
+            small_tile.load_weights(np.zeros((128, 128)))
+        assert np.array_equal(small_tile.weight_matrix(), before)
+
     def test_fire_before_drain_rejected(self, small_tile, rng):
         small_tile.submit_spikes(rng.random(256) < 0.5)
         with pytest.raises(SimulationError):
