@@ -61,9 +61,9 @@ class SramArray:
     def load_block(self, bits: np.ndarray) -> None:
         """Store ``bits`` in the top-left corner; every other cell reads 0.
 
-        The block of a larger matrix its caller has already checked to
-        hold only 0 and 1 (:meth:`repro.tile.tile.Tile.load_weights`),
-        so only :meth:`load_weights` repeats that check.
+        Unlike :meth:`load_weights` this makes no 0/1 check: ``bits``
+        is a block of a matrix its caller checked once
+        (:meth:`repro.tile.tile.Tile.load_weights`).
         """
         rows, cols = bits.shape
         self._bits[:rows, :cols] = bits

@@ -87,7 +87,8 @@ class TestArrayDraw:
         study = VariationStudy(variation=ProcessVariation(seed=seed))
         times = study.sample_read_times(cell, n)
 
-        variation, rng = ProcessVariation(seed=seed), np.random.default_rng(seed)
+        variation = ProcessVariation(seed=seed)
+        rng = np.random.default_rng(seed)
         vt = rng.normal(0.0, variation.sigma_vt_v, size=n)
         drive = np.exp(rng.normal(0.0, variation.sigma_drive, size=n))
         corners = [CornerSample(float(v), float(d)) for v, d in zip(vt, drive)]
