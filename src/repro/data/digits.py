@@ -9,6 +9,10 @@ in the unit square, ellipse arcs included).  Rendering:
    width;
 3. add mild blur and pixel noise.
 
+Images render a stack at a time: a generator draws each image's
+variation in turn, then rasterises, blurs and scales a whole chunk in
+one pass of array operations.  One image is the stack of one.
+
 The result is MNIST-like in format (float images in [0, 1], centred
 28x28 glyphs) and difficulty class (linear models plateau well below
 MLPs, MLPs reach the high 90s).
@@ -20,7 +24,7 @@ import math
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _integer
 
 IMAGE_SIZE = 28
 
@@ -97,9 +101,9 @@ def _glyph(digit: int) -> tuple[np.ndarray, np.ndarray]:
 
     Segment ``k`` runs from point ``starts[k]`` to point
     ``starts[k] + 1``; no segment joins two polylines.  The shortest
-    segment is 0.06 long, and the jitter in :func:`render_digit` never
-    shrinks a length below 0.46 of itself, so no segment reaches the
-    rasteriser with zero length.
+    segment is 0.06 long, and the jitter never shrinks a length below
+    0.46 of itself, so no segment reaches the rasteriser with zero
+    length.
     """
     polylines = _digit_skeleton(digit)
     points = np.concatenate(polylines) - 0.5
@@ -116,82 +120,121 @@ _GLYPHS = {d: _glyph(d) for d in range(10)}
 # Rasterisation.
 # ---------------------------------------------------------------------------
 
+#: Images :meth:`DigitGenerator.generate` renders as one stack: enough to
+#: spread numpy's per-call cost, few enough that the rasteriser's
+#: temporaries stay at a few MB.
+CHUNK = 64
+
+# One image's jitter, in the order it is drawn: rotation (rad), x and y
+# scale, shear, x and y shift (px), pen width (px).
+_JITTER_LOW = np.array([-0.22, 0.85, 0.85, -0.18, -1.6, -1.6, 0.95])
+_JITTER_HIGH = np.array([0.22, 1.10, 1.10, 0.18, 1.6, 1.6, 1.45])
+_NO_JITTER = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.2])
+
 _LAST = IMAGE_SIZE - 1
 
 
-def _ink(a: np.ndarray, b: np.ndarray, pen: float) -> np.ndarray:
-    """Anti-aliased pen strokes along segments ``a[k]``-``b[k]`` (pixels).
+def _ranges(start: np.ndarray,
+            length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges ``start[i] + arange(length[i])``, one after another:
+    each element's ``i`` and its value."""
+    run = np.repeat(np.arange(len(length)), length)
+    offset = np.repeat(np.cumsum(length) - length - start, length)
+    return run, np.arange(run.size) - offset
 
-    Each pixel takes ``clip(1 + pen - dist, 0, 1)`` for the segment
-    nearest to it, ``dist`` being the exact distance.  A segment visits
-    only the pixels within ``reach = 2 + pen`` of its bounding box, and
-    measures ``dist`` only where the squared distance is below
-    ``reach**2``.  Every pixel it skips lies a whole pixel beyond the
-    pen's edge (``1 + pen``), where the ink is exactly 0.  Segments must
-    have positive length.
+
+def _ink(a: np.ndarray, b: np.ndarray, pens: np.ndarray,
+         image: np.ndarray) -> np.ndarray:
+    """A stack of anti-aliased pen strokes: segment ``a[k]``-``b[k]``
+    (pixels) on image ``image[k]``, drawn with pen ``pens[image[k]]``.
+
+    Returns ``len(pens)`` images.  Each pixel takes
+    ``clip(1 + pen - dist, 0, 1)`` for the segment nearest to it,
+    ``dist`` being the exact distance, so a pixel at ``dist >= 1 + pen``
+    gets exactly zero ink, the value its image starts from.  A segment
+    therefore visits only the pixels within ``reach = 1 + pen + 1e-6``
+    of its bounding box, and measures ``dist`` only where the squared
+    distance is below ``reach**2``.  The box bounds and the squared
+    distance err by rounding alone, about 1e-14 px at these sizes, far
+    below the 1e-6 margin: every pixel skipped has a computed ``dist``
+    above ``1 + pen``, and so would take zero ink.  Segments must have
+    positive length.
     """
     ab = b - a
     # Each segment's ``ab @ ab``, summed by the same matmul loop (BLAS's
     # dot) as the per-segment form the images were made with;
     # ``abx*abx + aby*aby`` rounds differently.
     denom = (ab[:, None, :] @ ab[:, :, None]).ravel()
-    reach = 2.0 + pen
-    lo = np.clip(np.ceil(np.minimum(a, b) - reach), 0, _LAST).astype(np.intp)
-    hi = np.clip(np.floor(np.maximum(a, b) + reach), 0, _LAST).astype(np.intp)
-    width = hi[:, 0] - lo[:, 0] + 1
-    count = width * (hi[:, 1] - lo[:, 1] + 1)
-    # One (segment, pixel) pair per pixel of each segment's window.
-    seg = np.repeat(np.arange(len(count)), count)
-    row, col = np.divmod(
-        np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count),
-        width[seg],
-    )
-    row += lo[seg, 1]
-    col += lo[seg, 0]
+    pen = pens[image]
+    reach = 1.0 + pen + 1e-6
+    lo = np.clip(np.ceil(np.minimum(a, b) - reach[:, None]), 0, _LAST)
+    hi = np.clip(np.floor(np.maximum(a, b) + reach[:, None]), 0, _LAST)
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    # One (segment, row) pair per row of each segment's window, then one
+    # (segment, pixel) pair per pixel of each such row.
+    seg, row = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
+    line, col = _ranges(lo[seg, 0], (hi[:, 0] - lo[:, 0] + 1)[seg])
+    seg, row = seg[line], row[line]
     gx, gy = col.astype(np.float64), row.astype(np.float64)
-    ax, ay, abx, aby = a[seg, 0], a[seg, 1], ab[seg, 0], ab[seg, 1]
+    ax, ay = a[:, 0][seg], a[:, 1][seg]
+    abx, aby = ab[:, 0][seg], ab[:, 1][seg]
     t = np.clip(((gx - ax) * abx + (gy - ay) * aby) / denom[seg], 0.0, 1.0)
     ex = gx - (ax + t * abx)
     ey = gy - (ay + t * aby)
-    near = ex * ex + ey * ey < reach * reach
-    img = np.zeros(IMAGE_SIZE * IMAGE_SIZE)
+    near = np.flatnonzero(ex * ex + ey * ey < (reach * reach)[seg])
+    seg = seg[near]
+    stack = np.zeros((len(pens), IMAGE_SIZE, IMAGE_SIZE))
     np.maximum.at(
-        img, (row * IMAGE_SIZE + col)[near],
-        np.clip(1.0 + pen - np.hypot(ex[near], ey[near]), 0.0, 1.0),
+        stack.reshape(-1),
+        (image[seg] * IMAGE_SIZE + row[near]) * IMAGE_SIZE + col[near],
+        np.clip(1.0 + pen[seg] - np.hypot(ex[near], ey[near]), 0.0, 1.0),
     )
-    return img.reshape(IMAGE_SIZE, IMAGE_SIZE)
+    return stack
 
 
 def _blur3(img: np.ndarray) -> np.ndarray:
-    """Separable 1-2-1 blur with zero padding: along rows, then columns.
+    """Separable 1-2-1 blur of each image, with zero padding: along rows,
+    then columns.
 
     Each pass sums ``(0.25*x[i-1] + 0.5*x[i]) + 0.25*x[i+1]``, in the
     order ``np.convolve`` sums.  Every product is by a power of two and
     so exact, and the result matches ``np.convolve`` bit for bit.
     """
-    p = np.zeros((IMAGE_SIZE + 2, IMAGE_SIZE + 2))
-    p[1:-1, 1:-1] = img
+    p = np.zeros(img.shape[:-2] + (IMAGE_SIZE + 2, IMAGE_SIZE + 2))
+    p[..., 1:-1, 1:-1] = img
     # The row pass keeps the zero rows that pad the column pass.
-    p = (0.25 * p[:, :-2] + 0.5 * p[:, 1:-1]) + 0.25 * p[:, 2:]
-    return (0.25 * p[:-2] + 0.5 * p[1:-1]) + 0.25 * p[2:]
+    p = (0.25 * p[..., :-2] + 0.5 * p[..., 1:-1]) + 0.25 * p[..., 2:]
+    return ((0.25 * p[..., :-2, :] + 0.5 * p[..., 1:-1, :])
+            + 0.25 * p[..., 2:, :])
 
 
-def render_digit(digit: int, rng: np.random.Generator | None = None,
-                 jitter: bool = True) -> np.ndarray:
-    """Render one digit as a float image in [0, 1], shape (28, 28)."""
-    if digit not in _GLYPHS:
-        raise ConfigurationError(f"digit must be 0..9, got {digit}")
-    rng = rng or np.random.default_rng()
-    angle = rng.uniform(-0.22, 0.22) if jitter else 0.0
-    scale_x = rng.uniform(0.85, 1.10) if jitter else 1.0
-    scale_y = rng.uniform(0.85, 1.10) if jitter else 1.0
-    shear = rng.uniform(-0.18, 0.18) if jitter else 0.0
-    dx = rng.uniform(-1.6, 1.6) if jitter else 0.0
-    dy = rng.uniform(-1.6, 1.6) if jitter else 0.0
-    pen = rng.uniform(0.95, 1.45) if jitter else 1.2
+def _draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """One image's jitter, pixel noise and gain, drawn in that order."""
+    return (rng.uniform(_JITTER_LOW, _JITTER_HIGH),
+            rng.normal(0.0, 0.04, (IMAGE_SIZE, IMAGE_SIZE)),
+            rng.uniform(0.85, 1.0))
 
-    cos_a, sin_a = math.cos(angle), math.sin(angle)
-    points, starts = _GLYPHS[digit]
+
+def _render(labels: np.ndarray, jitter: np.ndarray, noise: np.ndarray,
+            gain: np.ndarray) -> np.ndarray:
+    """Render digit ``labels[i]`` with ``jitter[i]``, ``noise[i]`` and
+    ``gain[i]`` as drawn by :func:`_draw`, for every ``i`` at once.
+
+    Returns a float64 stack in [0, 1], shape ``(len(labels), 28, 28)``.
+    Every image takes the same float operations, in the same order, as
+    it would alone.
+    """
+    glyphs = [_GLYPHS[label] for label in labels.tolist()]
+    sizes = [len(points) for points, _ in glyphs]
+    first = np.cumsum(sizes) - sizes
+    points = np.concatenate([points for points, _ in glyphs])
+    starts = np.concatenate([s + f for (_, s), f in zip(glyphs, first)])
+    image = np.repeat(np.arange(len(glyphs)), [len(s) for _, s in glyphs])
+    # Each point's affine transform: rotation, scale, shear, shift.
+    _, scale_x, scale_y, shear, dx, dy, _ = np.repeat(jitter, sizes, 0).T
+    angles = jitter[:, 0].tolist()
+    cos_a = np.repeat([math.cos(angle) for angle in angles], sizes)
+    sin_a = np.repeat([math.sin(angle) for angle in angles], sizes)
     x = points[:, 0] * scale_x + points[:, 1] * shear
     y = points[:, 1] * scale_y
     xr = x * cos_a - y * sin_a
@@ -200,32 +243,67 @@ def render_digit(digit: int, rng: np.random.Generator | None = None,
     px = (xr + 0.5) * 22.0 + 3.0 + dx
     py = (yr + 0.5) * 22.0 + 3.0 + dy
     pts_px = np.stack([px, py], axis=1)
-    img = _blur3(_ink(pts_px[starts], pts_px[starts + 1], pen))
+    stack = _blur3(_ink(pts_px[starts], pts_px[starts + 1], jitter[:, 6],
+                        image))
+    stack += noise
+    stack *= gain[:, None, None]
+    return np.clip(stack, 0.0, 1.0, out=stack)
+
+
+def _check_digit(name: str, value) -> int:
+    """``value`` as a digit 0..9: an integer, numpy's included, but no
+    bool, float or string."""
+    digit = _integer(name, value)
+    if digit not in _GLYPHS:
+        raise ConfigurationError(f"{name} must be 0..9, got {digit}")
+    return digit
+
+
+def render_digit(digit: int, rng: np.random.Generator | None = None,
+                 jitter: bool = True) -> np.ndarray:
+    """Render one digit as a float image in [0, 1], shape (28, 28).
+
+    With ``jitter``, draws the image's variation from ``rng`` as
+    :meth:`DigitGenerator.generate` does; without it, renders the
+    canonical glyph and draws nothing.
+    """
+    digit = _check_digit("digit", digit)
     if jitter:
-        img = img + rng.normal(0.0, 0.04, img.shape)
-    img *= rng.uniform(0.85, 1.0) if jitter else 1.0
-    return np.clip(img, 0.0, 1.0)
+        draws = _draw(rng or np.random.default_rng())
+    else:
+        draws = _NO_JITTER, np.zeros((IMAGE_SIZE, IMAGE_SIZE)), 1.0
+    return _render(np.array([digit]), *(np.array([d]) for d in draws))[0]
 
 
 class DigitGenerator:
     """Deterministic generator of labelled digit images."""
 
     def __init__(self, seed: int = 42) -> None:
+        seed = _integer("seed", seed)
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         self._rng = np.random.default_rng(seed)
 
     def generate(self, n: int, classes: tuple[int, ...] = tuple(range(10)),
                  ) -> tuple[np.ndarray, np.ndarray]:
         """``n`` images, classes drawn uniformly from ``classes``.
 
-        Returns ``(images, labels)`` with images of shape (n, 28, 28)
-        in [0, 1] and integer labels.
+        Returns ``(images, labels)`` with float32 images of shape
+        (n, 28, 28) in [0, 1] and int64 labels.  Draws every label
+        first, then each image's variation in turn, and renders
+        :data:`CHUNK` images at a time.
         """
+        n = _integer("n", n)
         if n < 1:
             raise ConfigurationError(f"n must be >= 1, got {n}")
+        classes = tuple(_check_digit("classes", c) for c in classes)
         if not classes:
             raise ConfigurationError("classes must be non-empty")
         labels = self._rng.choice(np.asarray(classes, dtype=np.int64), size=n)
-        images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float64)
-        for i, label in enumerate(labels):
-            images[i] = render_digit(int(label), self._rng)
-        return images.astype(np.float32), labels
+        images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+        for start in range(0, n, CHUNK):
+            chunk = labels[start:start + CHUNK]
+            draws = zip(*[_draw(self._rng) for _ in chunk])
+            images[start:start + CHUNK] = _render(chunk,
+                                                  *map(np.array, draws))
+        return images, labels

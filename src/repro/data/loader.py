@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.data.digits import DigitGenerator
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _integer
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,18 @@ _CACHE: dict[tuple[int, int, int], DigitDataset] = {}
 
 def load_dataset(n_train: int = 6000, n_test: int = 1500,
                  seed: int = 42) -> DigitDataset:
-    """Generate (or fetch from cache) a deterministic digit dataset."""
+    """Generate (or fetch from cache) a deterministic digit dataset.
+
+    Every argument is checked here, since the training split renders
+    only on its first read.
+    """
+    n_train = _integer("n_train", n_train)
+    n_test = _integer("n_test", n_test)
+    seed = _integer("seed", seed)
     if n_train < 1 or n_test < 1:
         raise ConfigurationError("n_train and n_test must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     key = (seed, n_train, n_test)
     if key not in _CACHE:
         test_images, test_labels = DigitGenerator(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.loader import DigitDataset, load_dataset
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _integer
 from repro.learning.bnn import BNNTrainer, TrainingConfig
 from repro.learning.convert import ConvertedSNN, bnn_to_snn
 from repro.snn.encode import CROPPED_PIXELS, encode_images
@@ -84,6 +84,8 @@ def get_reference_model(quality: str = "full", seed: int = 42,
         raise ConfigurationError(
             f"quality must be one of {sorted(_PRESETS)}, got {quality!r}"
         )
+    # A bool or float seed would name its own cache file.
+    seed = _integer("seed", seed)
     key = f"{quality}:{seed}"
     if key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]

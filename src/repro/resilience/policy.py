@@ -104,8 +104,12 @@ class RetryPolicy:
         from ``seed`` on every call), so the schedule can be inspected,
         asserted on, and reproduced.
         """
+        return tuple(self._delays())
+
+    def _delays(self):
+        """The schedule's delays, computed as they are asked for."""
         rng = random.Random(self.seed)
-        nominal, out = self.base_delay_ms, []
+        nominal = self.base_delay_ms
         for attempt in range(self.retries):
             # A zero delay and one at the cap stay there (multiplier
             # >= 1), so the power is taken only while the delay grows:
@@ -116,8 +120,7 @@ class RetryPolicy:
                 except OverflowError:  # a base delay far below the cap
                     grown = nominal * self.multiplier
                 nominal = min(grown, self.max_delay_ms)
-            out.append(nominal * (1.0 - self.jitter * rng.random()))
-        return tuple(out)
+            yield nominal * (1.0 - self.jitter * rng.random())
 
     def call(self, fn, *, sleep=time.sleep, on_retry=None):
         """``fn(attempt)`` with retries on :attr:`retry_on` failures.
@@ -127,9 +130,10 @@ class RetryPolicy:
         error, delay_ms)`` fires before each backoff sleep — the
         serving layer counts retries and feeds the circuit breaker
         there.  The final failure (budget exhausted) propagates
-        unchanged.
+        unchanged.  Each delay is computed only when its retry comes,
+        so an attempt that succeeds pays for no schedule.
         """
-        delays = iter(self.delays_ms())
+        delays = self._delays()
         attempt = 0
         while True:
             try:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.learning import pretrained
 from repro.learning.pretrained import (
     _load,
     _save,
@@ -44,6 +45,19 @@ class TestPresets:
     def test_unknown_quality_rejected(self):
         with pytest.raises(ConfigurationError):
             get_reference_model(quality="gigantic")
+
+    @pytest.mark.parametrize("seed", [True, 42.0, "42"], ids=repr)
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed, tmp_path,
+                                                   monkeypatch):
+        """``seed=True`` looked for ``esam_bnn_full_seedTrue.npz`` and,
+        with the file missing, trained a model and saved it there."""
+        monkeypatch.setattr(pretrained, "_ARTIFACT_DIR", tmp_path)
+        with pytest.raises(ConfigurationError, match="seed"):
+            get_reference_model("full", seed)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_numpy_seed_is_the_same_model(self, fast_model):
+        assert get_reference_model("fast", np.int64(42)) is fast_model
 
     def test_fast_model_shape(self, fast_model):
         assert fast_model.snn.layer_sizes == [768, 256, 256, 256, 10]

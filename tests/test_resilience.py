@@ -176,6 +176,32 @@ class TestRetryPolicy:
             policy.call(broken, sleep=lambda s: None)
         assert calls == [0]
 
+    def test_a_first_attempt_success_draws_no_schedule(self, monkeypatch):
+        """``call`` built the whole schedule before its first attempt,
+        0.27 s of it at a million retries."""
+        built, real = [], random.Random
+        monkeypatch.setattr(random, "Random",
+                            lambda seed: built.append(seed) or real(seed))
+        assert RetryPolicy(retries=10**6).call(lambda attempt: "ok") == "ok"
+        assert built == []
+        RetryPolicy(retries=1, seed=5).delays_ms()
+        assert built == [5]
+
+    def test_a_call_that_fails_twice_sleeps_the_schedule(self):
+        policy = RetryPolicy(retries=6, base_delay_ms=1.5, multiplier=3.0,
+                             jitter=0.4, seed=3)
+        seen, sleeps = [], []
+
+        def flaky(attempt):
+            if attempt < 2:
+                raise InjectedFaultError("transient")
+            return "ok"
+
+        assert policy.call(flaky, sleep=sleeps.append,
+                           on_retry=lambda a, e, d: seen.append(d)) == "ok"
+        assert seen == list(policy.delays_ms()[:2])
+        assert sleeps == [d / 1e3 for d in policy.delays_ms()[:2]]
+
     def test_on_retry_reports_each_backoff(self):
         policy = RetryPolicy(retries=2, base_delay_ms=1.0)
         seen = []
