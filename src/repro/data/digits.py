@@ -143,6 +143,30 @@ def _ranges(start: np.ndarray,
     return run, np.arange(run.size) - offset
 
 
+def _window_pixels(lo: np.ndarray, hi: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pixel of segment ``k``'s window, ``lo[k]`` to ``hi[k]``
+    inclusive, for every ``k``: its segment, ``x`` and ``y`` (floats).
+
+    One (segment, row) pair per row of a window, then one (segment,
+    pixel) pair per pixel of each such row.
+    """
+    seg, row = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
+    line, col = _ranges(lo[seg, 0], (hi[:, 0] - lo[:, 0] + 1)[seg])
+    return seg[line], col.astype(np.float64), row[line].astype(np.float64)
+
+
+def _offsets(a: np.ndarray, ab: np.ndarray, denom: np.ndarray,
+             seg: np.ndarray, x: np.ndarray,
+             y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel ``(x[i], y[i])`` less the point of segment ``seg[i]``
+    (from ``a`` along ``ab``) nearest to it."""
+    ax, ay = a[:, 0][seg], a[:, 1][seg]
+    abx, aby = ab[:, 0][seg], ab[:, 1][seg]
+    t = np.clip(((x - ax) * abx + (y - ay) * aby) / denom[seg], 0.0, 1.0)
+    return x - (ax + t * abx), y - (ay + t * aby)
+
+
 def _ink(a: np.ndarray, b: np.ndarray, pens: np.ndarray,
          image: np.ndarray) -> np.ndarray:
     """A stack of anti-aliased pen strokes: segment ``a[k]``-``b[k]``
@@ -169,24 +193,17 @@ def _ink(a: np.ndarray, b: np.ndarray, pens: np.ndarray,
     reach = 1.0 + pen + 1e-6
     lo = np.clip(np.ceil(np.minimum(a, b) - reach[:, None]), 0, _LAST)
     hi = np.clip(np.floor(np.maximum(a, b) + reach[:, None]), 0, _LAST)
-    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
-    # One (segment, row) pair per row of each segment's window, then one
-    # (segment, pixel) pair per pixel of each such row.
-    seg, row = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
-    line, col = _ranges(lo[seg, 0], (hi[:, 0] - lo[:, 0] + 1)[seg])
-    seg, row = seg[line], row[line]
-    gx, gy = col.astype(np.float64), row.astype(np.float64)
-    ax, ay = a[:, 0][seg], a[:, 1][seg]
-    abx, aby = ab[:, 0][seg], ab[:, 1][seg]
-    t = np.clip(((gx - ax) * abx + (gy - ay) * aby) / denom[seg], 0.0, 1.0)
-    ex = gx - (ax + t * abx)
-    ey = gy - (ay + t * aby)
+    # The helpers free each (segment, pixel) temporary once it is used
+    # up: a fresh process faults a chunk's peak in anew, since the heap
+    # hands its top back to the kernel after every chunk.
+    seg, x, y = _window_pixels(lo.astype(np.intp), hi.astype(np.intp))
+    ex, ey = _offsets(a, ab, denom, seg, x, y)
     near = np.flatnonzero(ex * ex + ey * ey < (reach * reach)[seg])
     seg = seg[near]
+    row, col = y[near].astype(np.intp), x[near].astype(np.intp)
     stack = np.zeros((len(pens), IMAGE_SIZE, IMAGE_SIZE))
     np.maximum.at(
-        stack.reshape(-1),
-        (image[seg] * IMAGE_SIZE + row[near]) * IMAGE_SIZE + col[near],
+        stack.reshape(-1), (image[seg] * IMAGE_SIZE + row) * IMAGE_SIZE + col,
         np.clip(1.0 + pen[seg] - np.hypot(ex[near], ey[near]), 0.0, 1.0),
     )
     return stack
