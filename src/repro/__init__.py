@@ -54,7 +54,7 @@ from repro.errors import (
     ServingError,
     WorkerCrashError,
 )
-from repro.hw.config import HardwareConfig, paper_point, validate_vprech
+from repro.hw.config import HardwareConfig, validate_vprech
 from repro.sram.bitcell import CellType
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "ClassificationResult",
     "HardwareReport",
     "HardwareConfig",
-    "paper_point",
     "validate_vprech",
     "CellType",
     "DeadlineExceededError",

@@ -150,10 +150,6 @@ class Netlist:
     def gate_count(self) -> int:
         return len(self._nodes)
 
-    @property
-    def primary_inputs(self) -> tuple[str, ...]:
-        return tuple(self._inputs)
-
     def area_ge(self) -> float:
         """Total area in NAND2 gate-equivalents."""
         return sum(node.gate.area_ge for node in self._nodes.values())

@@ -23,6 +23,8 @@ motivates the tree structure for 128-wide arrays
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -97,20 +99,22 @@ def build_flat_encoder_netlist(width: int, prefix: str = "pe") -> Netlist:
 
 
 class PriorityEncoder:
-    """Flat fixed-priority encoder with an optional gate-level backend.
+    """Flat fixed-priority encoder with a gate-level twin.
 
     The behavioral path (:meth:`encode`) is used by the cycle-accurate
-    simulator; the netlist (:attr:`netlist`) backs functional
-    equivalence tests and timing analysis.
+    simulator; the netlist (:attr:`netlist`, built on first use) backs
+    functional equivalence tests and timing analysis.
     """
 
-    def __init__(self, width: int, build_netlist: bool = False) -> None:
+    def __init__(self, width: int) -> None:
         if width < 1:
             raise ConfigurationError(f"width must be >= 1, got {width}")
         self.width = width
-        self.netlist: Netlist | None = (
-            build_flat_encoder_netlist(width) if build_netlist else None
-        )
+
+    @functools.cached_property
+    def netlist(self) -> Netlist:
+        """The encoder's gate-level netlist, built once on first use."""
+        return build_flat_encoder_netlist(self.width)
 
     def encode(self, requests: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         r = np.asarray(requests)
@@ -122,8 +126,6 @@ class PriorityEncoder:
 
     def encode_gate_level(self, requests: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         """Evaluate through the gate netlist (slow; verification only)."""
-        if self.netlist is None:
-            self.netlist = build_flat_encoder_netlist(self.width)
         r = np.asarray(requests).astype(bool)
         if r.shape != (self.width,):
             raise ConfigurationError(
@@ -138,6 +140,4 @@ class PriorityEncoder:
 
     def critical_path_ps(self) -> float:
         """Longest path through the select chain (to any output)."""
-        if self.netlist is None:
-            self.netlist = build_flat_encoder_netlist(self.width)
         return self.netlist.critical_path_ps()

@@ -18,7 +18,6 @@ deployment.
 from repro.hw.config import (
     PAPER_LAYER_SIZES,
     HardwareConfig,
-    paper_point,
     validate_layer_sizes,
     validate_vprech,
 )
@@ -26,7 +25,6 @@ from repro.hw.config import (
 __all__ = [
     "HardwareConfig",
     "PAPER_LAYER_SIZES",
-    "paper_point",
     "validate_layer_sizes",
     "validate_vprech",
 ]

@@ -30,9 +30,10 @@ def add_engine_argument(parser: argparse.ArgumentParser, *,
     """Attach the shared ``--engine`` flag to ``parser``.
 
     Choices come straight from the engine-backend table
-    (:func:`repro.tile.backends.backend_names`), so every CLI exposes exactly
-    the backends — a backend added to the table shows up in ``--help``
-    without a CLI edit.  Pass
+    (:func:`repro.tile.backends.backend_names`), so the sweep and
+    reliability CLIs expose exactly the backends — a backend added to
+    the table shows up in ``--help`` without a CLI edit.  Serving always
+    runs the fast engine and takes no ``--engine``.  Pass
     ``default=None`` for CLIs that must distinguish "not given" (e.g.
     to narrow a swept engine axis only when the user pinned one).
     """
@@ -65,34 +66,6 @@ def add_observability_arguments(parser: argparse.ArgumentParser) -> None:
         "--metrics-out", metavar="PATH", default=None,
         help="write the process metric registry here on exit "
              "(Prometheus-style text)",
-    )
-
-
-def add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--workers`` / ``--slo-class`` flags.
-
-    ``--workers 0`` (the default) selects in-process serving
-    (:class:`~repro.serve.server.InferenceServer`); any positive count
-    selects the multi-process :class:`~repro.serve.fleet.FleetServer`
-    with that many engine worker replicas.  SLO class choices come from
-    the stock admission classes, imported lazily so plain hardware CLIs
-    never pay for the serving stack.
-    """
-    from repro.serve.server import DEFAULT_SLO_CLASSES
-
-    group = parser.add_argument_group(
-        "fleet", "multi-process serving (see repro.serve.fleet)"
-    )
-    group.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="engine worker processes; 0 (default) serves in-process, "
-             "N >= 1 fans out to a FleetServer with N replicas",
-    )
-    group.add_argument(
-        "--slo-class", choices=sorted(DEFAULT_SLO_CLASSES),
-        default="default",
-        help="admission class applied to generated requests: per-class "
-             "queue-depth limits and default deadlines (default: default)",
     )
 
 

@@ -238,28 +238,6 @@ class HardwareConfig:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    # -- named presets ---------------------------------------------------------------
-
-    @classmethod
-    def for_cell(cls, cell_type: CellType, **changes) -> "HardwareConfig":
-        """The paper's operating point with a different cell option."""
-        return cls(cell_type=cell_type, **changes)
-
     def __repr__(self) -> str:
         return f"HardwareConfig({self.label}, seed={self.seed})"
 
-
-def paper_point() -> HardwareConfig:
-    """The paper's headline design point: 1RW+4R @ 500 mV, 3nm, typical."""
-    return HardwareConfig()
-
-
-#: Named presets: the paper's point plus one per cell option (keys like
-#: ``"paper"``, ``"cell:1RW"`` .. ``"cell:1RW+4R"``) and the two
-#: guardband corners of the selected cell.
-PRESETS: dict[str, HardwareConfig] = {
-    "paper": paper_point(),
-    **{f"cell:{cell.value}": HardwareConfig.for_cell(cell) for cell in ALL_CELLS},
-    "slow-corner": HardwareConfig(corner="slow"),
-    "fast-corner": HardwareConfig(corner="fast"),
-}

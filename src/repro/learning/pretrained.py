@@ -77,8 +77,8 @@ def _load(path: pathlib.Path) -> tuple[ConvertedSNN, float]:
         return snn, float(data["test_accuracy"])
 
 
-def get_reference_model(quality: str = "full", seed: int = 42,
-                        use_disk_cache: bool = True) -> ReferenceModel:
+def get_reference_model(quality: str = "full",
+                        seed: int = 42) -> ReferenceModel:
     """Return (training if necessary) the reference converted SNN."""
     if quality not in _PRESETS:
         raise ConfigurationError(
@@ -94,7 +94,7 @@ def get_reference_model(quality: str = "full", seed: int = 42,
     # the training branch below reads it.
     dataset = load_dataset(preset["n_train"], preset["n_test"], seed)
     path = _cache_path(quality, seed)
-    if use_disk_cache and path.exists():
+    if path.exists():
         snn, accuracy = _load(path)
     else:
         x_train = encode_images(dataset.train_images).astype(np.float64)
@@ -106,8 +106,7 @@ def get_reference_model(quality: str = "full", seed: int = 42,
         accuracy = float(
             (snn.to_model().classify(x_test) == dataset.test_labels).mean()
         )
-        if use_disk_cache:
-            _save(path, snn, accuracy)
+        _save(path, snn, accuracy)
     model = ReferenceModel(snn=snn, dataset=dataset, test_accuracy=accuracy)
     _MEMORY_CACHE[key] = model
     return model

@@ -38,10 +38,6 @@ from repro.errors import ConfigurationError
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
-#: Default cumulative bucket bounds for bucketed histograms (ms-scale).
-DEFAULT_BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-                   500.0, 1000.0)
-
 
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))

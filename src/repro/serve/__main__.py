@@ -48,8 +48,6 @@ from repro.envinfo import environment_info
 from repro.errors import ModelUnavailableError, QueueFullError, ReproError
 from repro.hw.cli import (
     ObservabilityScope,
-    add_engine_argument,
-    add_fleet_arguments,
     add_hardware_arguments,
     add_observability_arguments,
     hardware_from_args,
@@ -61,12 +59,15 @@ from repro.serve.batcher import BatchPolicy
 from repro.serve.fleet import FleetServer
 from repro.serve.metrics import ServingMetrics
 from repro.serve.registry import ModelRegistry
-from repro.serve.server import InferenceServer
+from repro.serve.server import DEFAULT_SLO_CLASSES, InferenceServer
 from repro.snn.encode import encode_images
 from repro.sweep.spec import DesignPoint
 
 #: Model name the load generator registers and targets.
 MODEL_NAME = "esam"
+
+#: Seconds a client waits for one answer, in either loop.
+RESULT_TIMEOUT_S = 120.0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="model + arrival-trace seed (default: the --config file's "
              "seed, else 42)",
     )
-    add_engine_argument(parser, help_suffix="applies to every batch")
     parser.add_argument(
         "--max-batch", type=int, default=64, metavar="N",
         help="micro-batch size cap (default: 64)",
@@ -121,7 +121,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-flight bound of the default SLO class before "
              "backpressure (default: 512)",
     )
-    add_fleet_arguments(parser)
+    fleet = parser.add_argument_group(
+        "fleet", "multi-process serving (see repro.serve.fleet)"
+    )
+    fleet.add_argument(
+        "--workers", type=int, default=0, metavar="N",
+        help="engine worker processes; 0 (default) serves in-process, "
+             "N >= 1 fans out to a FleetServer with N replicas",
+    )
+    fleet.add_argument(
+        "--slo-class", choices=sorted(DEFAULT_SLO_CLASSES),
+        default="default",
+        help="admission class applied to generated requests: per-class "
+             "queue-depth limits and default deadlines (default: default)",
+    )
     parser.add_argument(
         "--no-verify", action="store_true",
         help="skip the offline classify_batch equivalence check",
@@ -219,7 +232,7 @@ def _run_clients(server, spikes: np.ndarray,
                     server, spikes[i], deadline_ms, slo_class, retry_s
                 )
                 try:
-                    predictions[i] = future.result(timeout=60.0)
+                    predictions[i] = future.result(timeout=RESULT_TIMEOUT_S)
                 except ReproError:
                     pass  # explicitly failed; row stays -1, accounted
         except Exception as error:  # noqa: BLE001 - re-raised below
@@ -239,8 +252,7 @@ def _run_clients(server, spikes: np.ndarray,
 
 def run_open_loop(server, spikes: np.ndarray, predictions: np.ndarray,
                   deadline_ms: float | None = None,
-                  slo_class: str = "default",
-                  timeout_s: float = 120.0) -> None:
+                  slo_class: str = "default") -> None:
     """Drive the trace open-loop: saturate, then collect.
 
     Every request is submitted as fast as admission control allows —
@@ -262,7 +274,7 @@ def run_open_loop(server, spikes: np.ndarray, predictions: np.ndarray,
     ]
     for i, future in enumerate(futures):
         try:
-            predictions[i] = future.result(timeout=timeout_s)
+            predictions[i] = future.result(timeout=RESULT_TIMEOUT_S)
         except ReproError:
             pass  # explicitly failed; row stays -1, accounted
 
@@ -299,9 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         # resolved hardware seed drives the model and arrival trace.
         hardware = hardware_from_args(args, seed=args.seed)
         seed = hardware.seed
-        point = DesignPoint(
-            hardware=hardware, engine=args.engine, quality=args.quality,
-        )
+        point = DesignPoint(hardware=hardware, quality=args.quality)
         breaker = None
         if args.breaker_threshold is not None:
             breaker = BreakerPolicy(
@@ -324,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         server_kwargs = dict(
             policy=policy, max_queue_depth=args.queue_depth,
-            engine=args.engine, retry=retry, chaos=chaos,
+            retry=retry, chaos=chaos,
             # Serving series land in the run's scoped registry so
             # --metrics-out exports them alongside everything else.
             metrics=ServingMetrics(registry=scope.registry),
@@ -388,9 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         # Shed or failed requests never produced a prediction; verify
         # the ones that did (all of them, in the default fault-free run).
         answered = served >= 0
-        offline = registry.get(MODEL_NAME).classify_batch(
-            spikes, engine=args.engine
-        )
+        offline = registry.get(MODEL_NAME).classify_batch(spikes)
         verified = bool(np.array_equal(served[answered], offline[answered]))
         suffix = "" if bool(answered.all()) else (
             f" over {int(answered.sum())}/{len(served)} answered requests"

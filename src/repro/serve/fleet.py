@@ -152,8 +152,8 @@ class FleetServer(InferenceServer):
     """Multi-process micro-batching classification service.
 
     Takes every :class:`~repro.serve.server.InferenceServer` argument
-    (``policy``, ``max_queue_depth``, ``engine``, ``metrics``,
-    ``retry``, ``chaos``, ``slo_classes``, ``clock``).
+    (``policy``, ``max_queue_depth``, ``metrics``, ``retry``,
+    ``chaos``, ``slo_classes``, ``clock``).
     Retries and flush chaos run inside the workers, where an active
     ``chaos`` policy's worker-crash schedule also decides which batches
     crash their worker mid-flight (test harness).  In addition:
@@ -267,7 +267,7 @@ class FleetServer(InferenceServer):
             target=worker_main,
             name=f"repro-fleet-worker-{worker.worker_id}",
             args=(worker.generation, child_end, self._payloads(),
-                  self.engine, self.retry, self.chaos),
+                  self.retry, self.chaos),
             daemon=True,
         )
         worker.process.start()
@@ -395,7 +395,6 @@ class FleetServer(InferenceServer):
             ]
         return {
             "n_workers": self.n_workers,
-            "engine": self.engine,
             "slo_classes": sorted(self.slo_classes),
             "workers": workers,
         }
@@ -568,7 +567,7 @@ class FleetServer(InferenceServer):
             tracer.record(
                 "fleet.flush", flight.dispatched_at, done,
                 model=flight.model, replica=flight.worker_id,
-                size=len(flight.requests), engine=self.engine,
+                size=len(flight.requests),
             )
 
     def _handle_crash(self, worker: _Worker) -> None:

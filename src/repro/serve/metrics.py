@@ -16,10 +16,10 @@ Since the observability layer landed, :class:`ServingMetrics` is a
 counter (``submitted`` .. ``broken_circuit``) reads a registry
 counter, the batch-size/queue-depth histograms are exact registry
 histograms, and latencies feed a bucketed registry histogram alongside
-the raw sample list the percentiles are computed from.  The historical
-attribute/dict API is unchanged; the registry adds a Prometheus-style
-text export (``metrics.registry.to_text()``, the CLI's
-``--metrics-out``).  By default each collector owns a private
+a window of the most recent :data:`LATENCY_WINDOW` samples, which the
+percentiles are computed from.  The historical attribute/dict API is
+unchanged; the registry adds a Prometheus-style text export
+(``metrics.registry.to_text()``, the CLI's ``--metrics-out``).  By default each collector owns a private
 registry; passing a shared one (e.g. :func:`repro.obs.get_registry`)
 merges the serving series into it — note that two collectors sharing
 a registry share the underlying instruments.
@@ -27,6 +27,7 @@ a registry share the underlying instruments.
 
 from __future__ import annotations
 
+import collections
 import json
 import threading
 import time
@@ -38,6 +39,11 @@ from repro.obs.metrics import MetricRegistry
 
 #: The latency percentiles the serving SLO is stated over.
 SLO_PERCENTILES = (50.0, 95.0, 99.0)
+
+#: Latencies the percentiles are computed over: the most recent ones,
+#: so a long-running server's memory and snapshot cost stay bounded.
+#: ``mean_ms`` and ``max_ms`` still cover every completion.
+LATENCY_WINDOW = 65_536
 
 #: Cumulative latency-histogram bucket bounds (milliseconds).
 LATENCY_BUCKETS_MS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
@@ -85,6 +91,9 @@ class ServingMetrics:
     shed), the fail-fast counters (rejected / broken_circuit), the
     retry counter, per-request latencies, and exact histograms of
     flushed batch sizes and queue depth observed at submit time.
+    p50/p95/p99 cover the last :data:`LATENCY_WINDOW` latencies; the
+    latency mean (from the latency histogram's sum and count) and
+    maximum cover every completion.
 
     Accounting invariant — no admitted request is ever silently
     dropped, so at the end of any drained run::
@@ -127,7 +136,10 @@ class ServingMetrics:
         self._latency_hist = self.registry.histogram(
             "repro_serving_latency_ms", buckets=LATENCY_BUCKETS_MS
         )
-        self._latencies_ms: list[float] = []
+        self._latencies_ms: collections.deque[float] = collections.deque(
+            maxlen=LATENCY_WINDOW
+        )
+        self._max_latency_ms = 0.0
         self._started_at: float | None = None
         self._stopped_at: float | None = None
 
@@ -188,6 +200,7 @@ class ServingMetrics:
             self._latency_hist.observe(latency_ms)
         with self._lock:
             self._latencies_ms.extend(latencies_ms)
+            self._max_latency_ms = max([self._max_latency_ms, *latencies_ms])
 
     def record_failed(self, count: int = 1) -> None:
         self._counters["failed"].inc(count)
@@ -224,7 +237,8 @@ class ServingMetrics:
         return self.completed / elapsed
 
     def percentiles(self) -> dict:
-        """p50/p95/p99 of the window; all-``None`` before any request.
+        """p50/p95/p99 of the latency window; all-``None`` before any
+        request.
 
         The empty window is a defined state, not an error: a scraper
         reading a just-started server gets ``{"p50_ms": None, ...}``
@@ -245,6 +259,7 @@ class ServingMetrics:
         """
         with self._lock:
             samples = list(self._latencies_ms)
+            max_ms = self._max_latency_ms
         batch_sizes = self._batch_sizes.counts()
         queue_depths = self._queue_depths.counts()
         counters = {attr: getattr(self, attr) for attr in COUNTER_NAMES}
@@ -260,8 +275,8 @@ class ServingMetrics:
         if samples:
             out["latency"] = {
                 **latency_percentiles(samples),
-                "mean_ms": float(np.mean(samples)),
-                "max_ms": float(np.max(samples)),
+                "mean_ms": self._latency_hist.sum / self._latency_hist.count,
+                "max_ms": max_ms,
             }
         flushes = self._batch_sizes.count
         if flushes:

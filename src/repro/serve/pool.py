@@ -101,7 +101,7 @@ def _portable(error: Exception) -> Exception:
         return ServingError(f"{type(error).__name__}: {error}")
 
 
-def worker_main(generation: int, conn, payloads: list, engine: str,
+def worker_main(generation: int, conn, payloads: list,
                 retry: RetryPolicy | None = None,
                 chaos: ChaosPolicy | None = None) -> None:
     """One ``EngineWorker`` process: serve batches until told to stop.
@@ -124,7 +124,7 @@ def worker_main(generation: int, conn, payloads: list, engine: str,
     backends = {}
 
     def install(payload: ModelPayload) -> None:
-        backends[payload.name] = payload.build().engine_backend(engine)
+        backends[payload.name] = payload.build().engine_backend()
 
     for payload in payloads:
         install(payload)

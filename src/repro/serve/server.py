@@ -6,7 +6,8 @@ returns a future) or :meth:`~InferenceServer.classify` (blocking
 convenience), which adds each admitted request to its model's
 :class:`~repro.serve.batcher.MicroBatcher`; a single dispatch thread
 flushes every ready batch.  The in-process server flushes on the
-dispatch thread itself, through ``engine_backend(engine).classify_batch``.
+dispatch thread itself, through the network's fast engine
+(``engine_backend().classify_batch``).
 :class:`~repro.serve.fleet.FleetServer` is the same server with its
 flushes in worker processes: it overrides only ``_flush`` and the lane
 lifecycle, so admission, SLO classes, batching, deadline shedding,
@@ -76,7 +77,7 @@ from repro.resilience.policy import RetryPolicy
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.metrics import ServingMetrics
 from repro.serve.registry import ModelRegistry
-from repro.tile.network import validate_engine, validate_spikes
+from repro.tile.network import validate_spikes
 
 __all__ = [
     "DEFAULT_SLO_CLASSES", "InferenceServer", "SloClass", "flush_batch",
@@ -227,11 +228,6 @@ class InferenceServer:
         requests without an explicit one are admitted under; the
         explicit backpressure knob.  ``None`` keeps the class's own
         bound (256 for the stock classes).
-    engine:
-        Simulation engine used for every flush: any backend
-        (:func:`repro.tile.backend_names`; ``"fast"`` default).  Every
-        backend serves bit-identical predictions — only the flush
-        latency differs.
     metrics:
         Optional externally-owned :class:`ServingMetrics` collector.
     retry:
@@ -260,13 +256,11 @@ class InferenceServer:
     def __init__(self, registry: ModelRegistry,
                  policy: BatchPolicy | None = None,
                  max_queue_depth: int | None = None,
-                 engine: str = "fast",
                  metrics: ServingMetrics | None = None,
                  retry: RetryPolicy | None = None,
                  chaos: ChaosPolicy | None = None,
                  slo_classes: dict | None = None,
                  clock=time.monotonic) -> None:
-        validate_engine(engine)
         self.slo_classes = dict(slo_classes or DEFAULT_SLO_CLASSES)
         if "default" not in self.slo_classes:
             raise ConfigurationError(
@@ -278,7 +272,6 @@ class InferenceServer:
             )
         self.registry = registry
         self.policy = policy or BatchPolicy()
-        self.engine = engine
         self.metrics = metrics or ServingMetrics()
         self.retry = retry
         self.chaos = chaos if chaos is not None and chaos.active else None
@@ -496,7 +489,7 @@ class InferenceServer:
         error = None
         try:
             predictions = flush_batch(
-                self.registry.get(model).engine_backend(self.engine),
+                self.registry.get(model).engine_backend(),
                 view_rows(join_rows(requests), len(requests)), site,
                 retry=self.retry, chaos=self.chaos, on_retry=on_retry,
             )
@@ -505,7 +498,7 @@ class InferenceServer:
         done = self._clock()
         if tracer.enabled:
             tracer.record("serve.flush", started, done, model=model,
-                          size=len(requests), engine=self.engine,
+                          size=len(requests),
                           outcome="failed" if error else "completed")
         if error is None:
             self._complete(model, requests, predictions, done)

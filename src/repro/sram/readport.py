@@ -37,7 +37,7 @@ from repro.errors import ConfigurationError
 from repro.sram.bitcell import AREA_RATIO, CellType, bitcell_spec
 from repro.sram.layout import ArrayFloorplan
 from repro.sram.sense_amp import InverterCascadeSenseAmp
-from repro.tech.constants import IMEC_3NM, TechnologyNode
+from repro.tech.constants import FIG7_VPRECH_SWEEP_V, IMEC_3NM, TechnologyNode
 from repro.tech.finfet import FinFetDevice
 
 # ---------------------------------------------------------------------------
@@ -279,21 +279,16 @@ class ReadPortModel:
             leakage_power_mw=self.leakage_power_mw(cell_type, vprech),
         )
 
-    def figure7(self, vprech_sweep: tuple[float, ...] = (0.4, 0.5, 0.6, 0.7),
-                ) -> list[ReadPortOperatingPoint]:
-        """The full Figure-7 grid: multiport cells x precharge voltages."""
+    def figure7(self) -> list[ReadPortOperatingPoint]:
+        """The full Figure-7 grid: multiport cells x precharge voltages
+        (:data:`~repro.tech.constants.FIG7_VPRECH_SWEEP_V`)."""
         points = []
-        for vprech in vprech_sweep:
+        for vprech in FIG7_VPRECH_SWEEP_V:
             for ports in (1, 2, 3, 4):
                 points.append(
                     self.operating_point(CellType.from_ports(ports), vprech)
                 )
         return points
-
-    def spike_read_energy_pj(self, cell_type: CellType, vprech: float) -> float:
-        """Dynamic energy of serving one spike (one row read), for the
-        system-level model (leakage is integrated separately there)."""
-        return self.operating_point(cell_type, vprech).read_energy_pj
 
     def _validate_vprech(self, vprech: float) -> None:
         # Deferred import: repro.hw sits above repro.sram in the layer

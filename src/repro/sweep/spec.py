@@ -31,14 +31,10 @@ from repro.errors import ConfigurationError, _integer
 from repro.hw.config import HardwareConfig
 from repro.learning.pretrained import QUALITY_PRESETS
 from repro.sram.bitcell import ALL_CELLS, CellType
-from repro.tech.constants import DEFAULT_NODE
+from repro.tech.constants import DEFAULT_NODE, FIG7_VPRECH_SWEEP_V
 from repro.tech.corners import DEFAULT_CORNER, PROCESS_CORNERS
 from repro.tile.backends import backend_names
 from repro.tile.network import validate_engine
-
-#: The Vprech grid of the system-level ablation (Figure 7's axis,
-#: restricted to the voltages the paper tabulates).
-VPRECH_GRID = (0.4, 0.5, 0.6, 0.7)
 
 #: The node/corner grid of the named "corners" sweep: the paper's 3nm
 #: node next to the trailing 5nm reference, each at nominal silicon and
@@ -298,11 +294,12 @@ def figure8_spec(sample_images: int = 64, quality: str = "full",
 
 def vprech_spec(sample_images: int = 64, quality: str = "full",
                 seed: int = 42,
-                vprechs: Sequence[float] = VPRECH_GRID,
+                vprechs: Sequence[float] = FIG7_VPRECH_SWEEP_V,
                 engine: str = "fast",
                 node: str = DEFAULT_NODE,
                 corner: str = DEFAULT_CORNER) -> SweepSpec:
-    """System-level Vprech ablation on the selected 1RW+4R cell."""
+    """System-level Vprech ablation on the selected 1RW+4R cell, over
+    Figure 7's precharge grid by default."""
     return SweepSpec(
         name="vprech", cell_types=(CellType.C1RW4R,),
         vprechs=tuple(vprechs), sample_images=(sample_images,),

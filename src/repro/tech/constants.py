@@ -10,7 +10,7 @@ energies) are produced by models calibrated on top of these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -137,25 +137,6 @@ def resolve_node(node: str) -> TechnologyNode:
         raise ConfigurationError(
             f"unknown technology node {node!r} (known: {known})"
         ) from None
-
-
-@dataclass(frozen=True)
-class SupplySpec:
-    """Operating voltages of an ESAM macro.
-
-    ``vdd`` powers the 6T core, wordlines and logic.  ``vprech`` is the
-    scaled precharge level of the decoupled single-ended read ports — the
-    paper selects 500 mV (section 4.2) as the energy/speed sweet spot.
-    """
-
-    vdd: float = IMEC_3NM.vdd
-    vprech: float = 0.500
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.vprech <= self.vdd:
-            raise ConfigurationError(
-                f"vprech must be in (0, vdd]={self.vdd}, got {self.vprech}"
-            )
 
 
 #: Precharge voltages swept in Figure 7 of the paper.

@@ -56,7 +56,7 @@ class TestGateLevelEquivalence:
     @given(st.integers(min_value=0, max_value=2**16 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_behavioral_16bit(self, pattern):
-        pe = PriorityEncoder(16, build_netlist=True)
+        pe = PriorityEncoder(16)
         r = np.array([(pattern >> i) & 1 for i in range(16)], dtype=bool)
         g1, m1, n1 = pe.encode(r)
         g2, m2, n2 = pe.encode_gate_level(r)
@@ -65,7 +65,7 @@ class TestGateLevelEquivalence:
         assert n1 == n2
 
     def test_all_zeros_and_ones(self):
-        pe = PriorityEncoder(32, build_netlist=True)
+        pe = PriorityEncoder(32)
         for r in (np.zeros(32, bool), np.ones(32, bool)):
             g1, m1, n1 = pe.encode(r)
             g2, m2, n2 = pe.encode_gate_level(r)

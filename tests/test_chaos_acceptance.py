@@ -306,6 +306,7 @@ class TestCliInterrupt:
 # -- serving under chaos --------------------------------------------------------------
 
 
+@pytest.mark.serve
 class TestServingChaosAccounting:
     def test_every_admitted_request_is_accounted(self):
         # Deadlines tight enough to shed under injected latency spikes,
@@ -389,6 +390,7 @@ class TestServingChaosAccounting:
 # -- fleet under chaos ----------------------------------------------------------------
 
 
+@pytest.mark.serve
 @pytest.mark.multiprocess
 class TestFleetChaosAcceptance:
     """The fleet's claims, driven through real worker processes.

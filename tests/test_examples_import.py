@@ -151,10 +151,10 @@ def test_keyword_check_flags_a_stale_keyword():
         "from repro.tile.network import EsamNetwork\n"
         "from repro.hw.config import HardwareConfig as HW\n"
         "EsamNetwork([], [], cell_type=None, config=HW())\n"
-        "HW.for_cell(None, vprech=0.5)\n"
+        "HW.replace(HW(), vprech=0.5)\n"
     )
     checked, stale = stale_keywords(source, "snippet.py")
-    assert checked == 2  # for_cell takes **changes, so it is skipped
+    assert checked == 2  # replace takes **changes, so it is skipped
     assert stale == [
         "snippet.py:3: EsamNetwork() takes no keyword 'cell_type'"
     ]

@@ -16,10 +16,10 @@ import json
 
 import pytest
 
-from repro import EsamSystem, HardwareConfig, paper_point, validate_vprech
+from repro import EsamSystem, HardwareConfig, validate_vprech
 from repro.errors import ConfigurationError
 from repro.hw.cli import add_hardware_arguments, hardware_from_args
-from repro.hw.config import PAPER_LAYER_SIZES, PRESETS
+from repro.hw.config import PAPER_LAYER_SIZES
 from repro.sram.bitcell import ALL_CELLS, CellType
 from repro.sram.macro import SramMacro
 from repro.tech.constants import IMEC_3NM, IMEC_5NM, TECHNOLOGY_NODES
@@ -84,7 +84,6 @@ class TestValidation:
         assert config.layer_sizes == PAPER_LAYER_SIZES
         assert config.clock_period_ns is None
         assert config.seed == 42
-        assert config == paper_point()
 
     def test_vprech_validator_is_shared_and_single(self):
         with pytest.raises(ConfigurationError, match="vprech out of range"):
@@ -161,12 +160,6 @@ class TestRoundTripAndHashing:
         config = HardwareConfig(node="5nm", corner="slow")
         assert config.label == "1RW+4R@500mV/5nm/slow"
         assert "5nm" in repr(config)
-
-    def test_presets(self):
-        assert PRESETS["paper"] == HardwareConfig()
-        for cell in ALL_CELLS:
-            assert PRESETS[f"cell:{cell.value}"].cell_type is cell
-        assert PRESETS["slow-corner"].corner == "slow"
 
     def test_json_file_loading(self, tmp_path):
         path = tmp_path / "hw.json"

@@ -14,10 +14,13 @@ checks the whole rule:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve.fleet import MAX_IN_FLIGHT, choose_worker
+
+pytestmark = pytest.mark.serve
 
 #: ``(worker_id, ready, draining, removed, in_flight)`` rows with
 #: unique, non-contiguous ids (as after removals), in any order.

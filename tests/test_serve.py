@@ -30,11 +30,14 @@ from repro.serve import (
     latency_percentiles,
 )
 from repro.serve.__main__ import main as serve_main
+from repro.serve.metrics import LATENCY_WINDOW
 from repro.snn.encode import encode_images
 from repro.sram.bitcell import CellType
 from repro.sweep.spec import DesignPoint
 from repro.learning.convert import ConvertedSNN
 from repro.tile.network import EsamNetwork, InferenceTrace, validate_spikes
+
+pytestmark = pytest.mark.serve
 
 
 def random_network(layers=(64, 32, 10), seed=0,
@@ -222,6 +225,31 @@ class TestServingMetrics:
         import json
 
         assert json.loads(metrics.to_json())["latency"] is None
+
+    def test_percentiles_cover_the_latest_window_only(self):
+        """p50/p95/p99 read the last LATENCY_WINDOW latencies; the
+        mean and the maximum read every completion."""
+        metrics = ServingMetrics(clock=FakeClock())
+        batch = 4096
+        for latency_s in (0.050, 0.001):  # a slow window, then a fast one
+            for _ in range(LATENCY_WINDOW // batch):
+                metrics.record_batch([latency_s] * batch)
+        data = metrics.to_dict()
+        assert data["completed"] == 2 * LATENCY_WINDOW
+        assert data["latency"]["p50_ms"] == pytest.approx(1.0)
+        assert data["latency"]["p99_ms"] == pytest.approx(1.0)
+        assert metrics.percentiles()["p99_ms"] == pytest.approx(1.0)
+        assert data["latency"]["mean_ms"] == pytest.approx(25.5)
+        assert data["latency"]["max_ms"] == pytest.approx(50.0)
+
+    def test_an_empty_batch_records_no_latency(self):
+        metrics = ServingMetrics(clock=FakeClock())
+        metrics.record_batch([])
+        data = metrics.to_dict()
+        assert data["completed"] == 0
+        assert data["latency"] is None
+        metrics.record_batch([0.002])
+        assert metrics.to_dict()["latency"]["max_ms"] == pytest.approx(2.0)
 
     def test_empty_window_after_start_does_not_crash(self):
         clock = FakeClock()
@@ -537,8 +565,6 @@ class TestInferenceServer:
         registry, _ = self._registry()
         with pytest.raises(ConfigurationError):
             InferenceServer(registry, max_queue_depth=0)
-        with pytest.raises(ConfigurationError):
-            InferenceServer(registry, engine="fats")
 
     def test_serves_multiple_models(self):
         registry = ModelRegistry()
@@ -701,7 +727,7 @@ class TestServeCli:
         ["--retries", "-1"],
         ["--deadline-ms", "0"], ["--deadline-ms", "nan"],
         ["--deadline-ms", "inf"],
-        ["--adaptive"],
+        ["--adaptive"], ["--engine", "fast"],
     ], ids="=".join)
     def test_rejects_a_bad_flag_before_building_anything(
             self, argv, no_model, capsys):

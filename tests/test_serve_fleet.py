@@ -54,6 +54,8 @@ from tests.test_serve import (
     random_spikes,
 )
 
+pytestmark = pytest.mark.serve
+
 
 def fleet(registry=None, n_workers=2, **kwargs):
     if registry is None:
@@ -113,8 +115,7 @@ class TestWorkerMain:
         parent, child = multiprocessing.Pipe()
         thread = threading.Thread(
             target=worker_main,
-            args=(3, child, [ModelPayload.from_network("demo", network)],
-                  "fast"),
+            args=(3, child, [ModelPayload.from_network("demo", network)]),
             kwargs=kwargs, daemon=True,
         )
         thread.start()
@@ -270,8 +271,6 @@ class TestFleetConstruction:
         registry.register_network("demo", random_network())
         with pytest.raises(ConfigurationError, match="n_workers"):
             FleetServer(registry, n_workers=0)
-        with pytest.raises(ConfigurationError, match="engine"):
-            FleetServer(registry, engine="nope")
         with pytest.raises(ConfigurationError, match="default"):
             FleetServer(
                 registry, slo_classes={"batch": SloClass("batch")}

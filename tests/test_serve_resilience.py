@@ -47,6 +47,8 @@ from tests.test_serve import (
     random_spikes,
 )
 
+pytestmark = pytest.mark.serve
+
 
 def make_stack(*, breaker=None, retry=None, chaos=None, clock=None,
                max_queue_depth=256, max_wait_ms=0.0, seed=0,

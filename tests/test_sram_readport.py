@@ -9,6 +9,7 @@ from repro.sram.readport import (
     INFERENCE_READ_TIME_6T_NS,
     ReadPortModel,
 )
+from repro.tech.constants import FIG7_VPRECH_SWEEP_V
 
 MULTIPORT = [CellType.from_ports(p) for p in (1, 2, 3, 4)]
 
@@ -89,6 +90,15 @@ class TestPortScaling:
         assert len(points) == 16
         assert {p.ports for p in points} == {1, 2, 3, 4}
         assert {round(p.vprech, 1) for p in points} == {0.4, 0.5, 0.6, 0.7}
+
+    def test_figure7_grid_is_the_paper_sweep_in_order(self, model):
+        """Precharge voltages outermost, ports 1-4 within each: the
+        order the Figure 7 table and CSV print."""
+        assert FIG7_VPRECH_SWEEP_V == (0.4, 0.5, 0.6, 0.7)
+        assert [(p.vprech, p.ports) for p in model.figure7()] == [
+            (vprech, ports)
+            for vprech in FIG7_VPRECH_SWEEP_V for ports in (1, 2, 3, 4)
+        ]
 
 
 class TestTimingComponents:

@@ -29,6 +29,7 @@ from repro.sweep import (
     weights_fingerprint,
 )
 from repro.sweep.__main__ import main as sweep_main
+from repro.tech.constants import FIG7_VPRECH_SWEEP_V
 from repro.system.evaluate import SystemEvaluator
 
 QUALITY = "fast"
@@ -102,6 +103,12 @@ class TestSpec:
         for factory in NAMED_SWEEPS.values():
             spec = factory(sample_images=4, quality=QUALITY)
             assert len(spec.expand()) == len(spec) > 0
+
+    def test_vprech_spec_sweeps_the_figure7_grid(self):
+        spec = vprech_spec(sample_images=4, quality=QUALITY)
+        assert spec.vprechs == FIG7_VPRECH_SWEEP_V
+        assert [p.vprech for p in spec.expand()] == list(FIG7_VPRECH_SWEEP_V)
+        assert {p.cell_type for p in spec.expand()} == {CellType.C1RW4R}
 
     def test_corners_spec_walks_node_corner_grid(self):
         spec = NAMED_SWEEPS["corners"](sample_images=4, quality=QUALITY)
