@@ -227,7 +227,9 @@ def _blur3(img: np.ndarray) -> np.ndarray:
 
 def _draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
     """One image's jitter, pixel noise and gain, drawn in that order."""
-    return (rng.uniform(_JITTER_LOW, _JITTER_HIGH),
+    # numpy's own uniform formula, without its per-call bound checks.
+    return (_JITTER_LOW + (_JITTER_HIGH - _JITTER_LOW)
+            * rng.random(len(_JITTER_LOW)),
             rng.normal(0.0, 0.04, (IMAGE_SIZE, IMAGE_SIZE)),
             rng.uniform(0.85, 1.0))
 

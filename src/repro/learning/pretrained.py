@@ -12,7 +12,10 @@ so the trained weights are cached as an ``.npz`` under
 
 from __future__ import annotations
 
+import contextlib
+import os
 import pathlib
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,13 @@ def _cache_path(quality: str, seed: int) -> pathlib.Path:
 
 
 def _save(path: pathlib.Path, snn: ConvertedSNN, test_accuracy: float) -> None:
+    """Write the artifact whole or not at all.
+
+    The archive goes to a temporary sibling that replaces ``path`` only
+    once it is complete, so a process killed mid-save, or two processes
+    training one seed, never leave a torn zip that every later load
+    would fail on.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     payload: dict[str, np.ndarray] = {
         "n_layers": np.array(len(snn.weights)),
@@ -61,7 +71,16 @@ def _save(path: pathlib.Path, snn: ConvertedSNN, test_accuracy: float) -> None:
     for k, (w, t) in enumerate(zip(snn.weights, snn.thresholds)):
         payload[f"w{k}"] = w
         payload[f"t{k}"] = t
-    np.savez_compressed(path, **payload)
+    fd, tmp_name = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp",
+                                    dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
 
 
 def _load(path: pathlib.Path) -> tuple[ConvertedSNN, float]:

@@ -11,7 +11,7 @@ Subcommands::
 ``report`` folds every ``BENCH_*.json`` in the bench directory (the
 repo root by default), an optional captured trace (either export
 format — JSONL or Chrome ``trace_event``) and an optional campaign
-result store (``--store``, the SQLite index beside the sweep cache)
+result store (``--store``, the SQLite file in the sweep cache)
 into one self-contained HTML dashboard; see :mod:`repro.obs.report`.
 """
 
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--store", metavar="PATH", default=None,
-        help="optional campaign result store (store.sqlite beside the "
+        help="optional campaign result store (store.sqlite in the "
              "sweep cache) whose history to include",
     )
     return parser

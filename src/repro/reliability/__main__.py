@@ -22,9 +22,9 @@ to the cache as it completes, so Ctrl-C keeps partial results, prints
 the command that resumes the run and exits 130.  Re-running the same
 command evaluates only the unfinished points.
 
-Cached results are also indexed into the SQLite result store beside
-the cache (``--no-store`` opts out): ``--query "ber=0.05"`` answers
-from past campaigns with zero re-evaluation (see :mod:`repro.store`).
+The cache keeps its rows in a queryable SQLite result store:
+``--query "ber=0.05"`` answers from past campaigns with zero
+re-evaluation (see :mod:`repro.store`).
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Queryable result store over the content-addressed campaign cache.
+"""The result store: where every campaign row is kept, and queried.
 
-:class:`ResultStore` (:mod:`repro.store.index`) is a SQLite index
-beside the cache — one row per entry with flattened point axes,
-fingerprint, timestamps and dotted numeric scalars — filled
-incrementally on every ``cache.put`` and by an idempotent backfill
-scanner, queried with ``filter``/``aggregate``/``to_csv``.  Past
-sweeps and reliability campaigns are answerable with zero
-re-evaluation: ``python -m repro.sweep --query "cell=6T"``.  The
-campaign CLIs' shared base class lives in :mod:`repro.store.cli`.
+:class:`ResultStore` (:mod:`repro.store.index`) is one SQLite table in
+the cache directory — one row per evaluated point with its flattened
+point axes, fingerprint, timestamp, dotted numeric scalars and the row
+itself — written by every ``cache.put`` and queried with
+``filter``/``aggregate``/``to_csv``.  Past sweeps and reliability
+campaigns are answerable with zero re-evaluation:
+``python -m repro.sweep --query "cell=6T"``.  The campaign CLIs'
+shared base class lives in :mod:`repro.store.cli`.
 
 See ``docs/sweep.md`` ("The result store: querying past campaigns") for the guide.
 """

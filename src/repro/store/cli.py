@@ -1,4 +1,4 @@
-"""The one campaign CLI base class, plus the store helpers it uses.
+"""The one campaign CLI base class.
 
 ``python -m repro.sweep`` and ``python -m repro.reliability`` are two
 small :class:`CampaignCli` subclasses: each states only its grid
@@ -6,18 +6,15 @@ registry, runner, the flags of its own (``--trials``/``--bers``,
 hardware and engine), how flags map onto a spec factory, and its
 claims block.  The base class owns the rest, so both CLIs behave alike:
 ``--list``, ``--query`` (answered from the result store with zero
-re-evaluation), opening the cache and store, exit 130 on Ctrl-C with
-the command that resumes the run, closing the store, and rendering
-with ``--out``/``--csv``.
-The store's own CLI (``python -m repro.store``) opens the store through
-the same :func:`open_store`.
+re-evaluation), opening the cache, exit 130 on Ctrl-C with the command
+that resumes the run, closing the cache's store, and rendering with
+``--out``/``--csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import pathlib
 import shlex
 import sys
 
@@ -29,35 +26,11 @@ from repro.hw.cli import (
     narrowed_axes,
 )
 from repro.learning.pretrained import QUALITY_PRESETS
-from repro.store.index import (
-    STORE_FILENAME,
-    ResultStore,
-    parse_filter,
-    render_records,
-)
+from repro.store.index import parse_filter, render_records
 from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
 
 #: Conventional exit status for a run ended by SIGINT (128 + 2).
 SIGINT_EXIT = 130
-
-
-def store_path_for(cache_root) -> pathlib.Path:
-    """Where a cache directory's store index lives."""
-    return pathlib.Path(cache_root) / STORE_FILENAME
-
-
-def open_store(cache, *, backfill: bool = False) -> ResultStore:
-    """The store beside ``cache``; a brand-new index is always
-    backfilled so pre-store cache dirs become queryable immediately.
-    ``backfill=True`` also rescans an existing index (idempotent — only
-    unseen entries are added, e.g. ones written under ``--no-store``).
-    """
-    path = store_path_for(cache.root)
-    fresh = not path.exists()
-    store = ResultStore(path)
-    if fresh or backfill:
-        store.backfill(cache.root)
-    return store
 
 
 def print_interrupted(prog: str, argv: list[str] | None, *,
@@ -183,12 +156,8 @@ class CampaignCli:
             "--claims", action="store_true", help=self.claims_help,
         )
         group = parser.add_argument_group(
-            "result store", "the queryable SQLite index (see repro.store)",
-        )
-        group.add_argument(
-            "--no-store", action="store_true",
-            help="do not index results into the store (the SQLite index "
-                 "beside the cache; the cache itself is unaffected)",
+            "result store", "the cache's queryable SQLite store (see "
+            "repro.store)",
         )
         group.add_argument(
             "--query", metavar="FILTER", nargs="?", const="", default=None,
@@ -221,14 +190,12 @@ class CampaignCli:
             if args.no_cache:
                 parser.error("--query answers from the cache's result "
                              "store; drop --no-cache")
-            # Nothing is evaluated: the store is opened (and backfilled,
-            # so even a cache written before the store existed
-            # answers), filtered to this CLI's kind plus the user's
-            # axis=value terms, and rendered.
+            # Nothing is evaluated: the cache's store is filtered to
+            # this CLI's kind plus the user's axis=value terms, and
+            # rendered.
             where = parse_filter(args.query)
             where.setdefault("kind", self.runner_type.kind)
-            with open_store(ResultCache(args.cache_dir),
-                            backfill=True) as store:
+            with ResultCache(args.cache_dir).store as store:
                 print(render_records(store.filter(**where)))
                 if args.csv:
                     print(f"wrote {store.to_csv(args.csv, **where)}")
@@ -253,8 +220,6 @@ class CampaignCli:
         spec = factory(**kwargs)
 
         cache = None if args.no_cache else ResultCache(args.cache_dir)
-        if cache is not None and not args.no_store:
-            cache.store = open_store(cache)
         try:
             runner = self.runner_type(spec, n_workers=args.workers,
                                       cache=cache)
@@ -264,7 +229,7 @@ class CampaignCli:
             return print_interrupted(self.prog, argv,
                                      cached=cache is not None)
         finally:
-            if cache is not None and cache.store is not None:
+            if cache is not None:
                 cache.store.close()
 
         print(result.render())

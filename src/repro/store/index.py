@@ -1,34 +1,21 @@
-"""SQLite index over the content-addressed result cache.
+"""The result store: one SQLite table that keeps every campaign row.
 
-The :class:`~repro.sweep.cache.ResultCache` is the durable truth — one
-JSON file per evaluated point, keyed by a config+weights hash.  That
-layout is perfect for exact-match satisfaction and atomic concurrent
-writes, and useless for questions: "every 3nm sweep row", "mean
-accuracy per cell at BER 1e-3", "what did last week's campaign
-measure" all require re-expanding a grid and re-hashing every point.
+Each evaluated campaign point is one row of the ``entries`` table in
+``<cache root>/store.sqlite``: the cache key, the entry kind, the
+flattened point axes (cell / node / corner / Vprech / BER / engine /
+...), the weights fingerprint, a commit timestamp, every numeric result
+leaf flattened to a dotted scalar (``metrics.latency_ns``,
+``accuracies.mean``) and the row itself (``row_json``).  A
+:class:`~repro.sweep.cache.ResultCache` reads its hits back with
+:meth:`ResultStore.get` and writes each evaluated point with
+:meth:`ResultStore.put`, one commit per row: a killed campaign keeps
+every row it committed, and a reader never sees part of a row.
 
-:class:`ResultStore` fixes that with one SQLite table beside the cache
-(``<cache root>/store.sqlite``): one row per cache entry carrying the
-entry kind, the cache key, the flattened point axes (cell / node /
-corner / Vprech / BER / engine / ...), the weights fingerprint,
-an ingest timestamp and every numeric result leaf flattened to dotted
-scalars (``metrics.latency_ns``, ``accuracies.mean``).  Rows arrive
-two ways:
-
-* **incrementally** — a cache constructed with ``store=`` ingests every
-  ``put`` the moment the JSON lands (the campaign runners wire this up
-  through the CLIs);
-* **by backfill** — :meth:`ResultStore.backfill` scans a pre-existing
-  cache directory and indexes every entry it has not seen, so caches
-  that predate the store (or were written with ``--no-store``) become
-  queryable without re-evaluating anything.  Backfill is idempotent:
-  already-indexed keys are skipped, so running it twice adds zero rows.
-
-The query API is deliberately small: :meth:`filter` returns
-:class:`StoreRecord` rows, :meth:`aggregate` folds one scalar over
-grouping axes, :meth:`to_csv` exports flat rows.  The store is an
-*index*, never an authority — deleting ``store.sqlite`` loses nothing
-that a backfill cannot rebuild.
+The query API is deliberately small: :meth:`~ResultStore.filter`
+returns :class:`StoreRecord` rows, :meth:`~ResultStore.aggregate` folds
+one scalar over grouping axes, :meth:`~ResultStore.to_csv` exports flat
+rows.  Deleting ``store.sqlite`` loses only evaluations: the next run
+re-evaluates its points.
 """
 
 from __future__ import annotations
@@ -36,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 import pathlib
 import sqlite3
 import time
@@ -43,11 +31,12 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
-#: Bump when the table layout changes; a mismatched store file is
-#: rebuilt from the cache (it is only an index).
-STORE_SCHEMA_VERSION = 1
+#: Bump when the table layout changes; a store of another version
+#: starts empty, and its points re-evaluate on their next run.
+#: v2: the table keeps the row itself (``row_json``).
+STORE_SCHEMA_VERSION = 2
 
-#: Default store filename, created beside the cache's fan-out dirs.
+#: The store's filename inside a cache directory.
 STORE_FILENAME = "store.sqlite"
 
 #: Queryable axis columns, in table order.  ``kind`` discriminates the
@@ -87,7 +76,8 @@ CREATE TABLE IF NOT EXISTS entries (
     fingerprint TEXT,
     created_s REAL NOT NULL,
     point_json TEXT NOT NULL,
-    scalars_json TEXT NOT NULL
+    scalars_json TEXT NOT NULL,
+    row_json TEXT NOT NULL
 )
 """
 
@@ -130,18 +120,6 @@ def flatten_scalars(payload: dict) -> dict[str, float]:
     return out
 
 
-def _infer_kind(payload: dict) -> str:
-    """Entry kind of a pre-store cache row (shape-based fallback)."""
-    kind = payload.get("kind")
-    if isinstance(kind, str):
-        return kind
-    if "metrics" in payload:
-        return "sweep"
-    if "accuracies" in payload:
-        return "reliability"
-    return "unknown"
-
-
 def parse_filter(text: str) -> dict:
     """``"cell=6T,node=3nm"`` → keyword filters for :meth:`filter`.
 
@@ -178,7 +156,7 @@ def parse_filter(text: str) -> dict:
 
 @dataclass(frozen=True)
 class StoreRecord:
-    """One indexed cache entry: axes, scalars and provenance."""
+    """One stored campaign row: axes, scalars and provenance."""
 
     cache_key: str
     kind: str
@@ -219,16 +197,35 @@ class Aggregate:
 
 
 class ResultStore:
-    """The queryable SQLite index; see the module docstring."""
+    """The SQLite table of campaign rows; see the module docstring.
+
+    Opening a file that SQLite cannot read (not a database, or a
+    damaged one) raises :class:`~repro.errors.ConfigurationError`;
+    :meth:`for_cache` moves such a file aside instead.
+    """
 
     def __init__(self, path, *, clock=time.time) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock
         self._conn = sqlite3.connect(str(self.path))
+        try:
+            damage = [line for (line,) in
+                      self._conn.execute("PRAGMA quick_check")
+                      if line != "ok"]
+        except sqlite3.OperationalError:
+            raise  # locked or not openable: the file is not damaged
+        except sqlite3.DatabaseError as error:
+            damage = [str(error)]
+        if damage:
+            self._conn.close()
+            raise ConfigurationError(
+                f"{self.path} is not a readable result store: {damage[0]}"
+            )
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version not in (0, STORE_SCHEMA_VERSION):
-            # The store is only an index — rebuild rather than migrate.
+            # No migration: the store starts empty and its points
+            # re-evaluate on their next run.
             self._conn.execute("DROP TABLE IF EXISTS entries")
             version = 0
         self._conn.execute(_CREATE_TABLE)
@@ -241,6 +238,21 @@ class ResultStore:
             "ON entries (kind, cell_type, node, corner)"
         )
         self._conn.commit()
+
+    @classmethod
+    def for_cache(cls, root) -> "ResultStore":
+        """The store of the cache directory ``root``.
+
+        A file there that SQLite cannot read is moved aside to
+        ``store.sqlite.corrupt`` and an empty store takes its place, so
+        its points re-evaluate on their next run.
+        """
+        path = pathlib.Path(root) / STORE_FILENAME
+        try:
+            return cls(path)
+        except ConfigurationError:
+            os.replace(path, path.with_name(f"{STORE_FILENAME}.corrupt"))
+            return cls(path)
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -265,33 +277,30 @@ class ResultStore:
         ).fetchone()
         return row is not None
 
-    # -- ingest ----------------------------------------------------------------------
+    # -- rows ------------------------------------------------------------------------
 
-    def ingest(self, key: str, payload: dict) -> None:
-        """Index one cache entry (idempotent; re-ingest overwrites)."""
-        point = payload.get("point") or {}
-        kind = _infer_kind(payload)
-        scalars = flatten_scalars(payload)
-        axes = {
-            "kind": kind,
-            "cell_type": point.get("cell_type"),
-            "vprech": point.get("vprech"),
-            "node": point.get("node"),
-            "corner": point.get("corner"),
-            "engine": point.get("engine"),
-            "quality": point.get("quality"),
-            "seed": point.get("seed"),
-            "sample_images": point.get("sample_images"),
-            "bit_error_rate": point.get("bit_error_rate"),
-            "trials": point.get("trials"),
-            "trial_start": point.get("trial_start"),
-            "fingerprint": payload.get("fingerprint"),
-        }
+    def get(self, key: str) -> dict | None:
+        """The row kept under ``key``, or ``None``."""
+        found = self._conn.execute(
+            "SELECT row_json FROM entries WHERE cache_key = ?", (key,)
+        ).fetchone()
+        return None if found is None else json.loads(found[0])
+
+    def put(self, key: str, row: dict) -> None:
+        """Keep ``row`` under ``key`` in one commit (a re-put replaces).
+
+        The row names its ``kind`` and may carry its weights
+        ``fingerprint``; both are indexed beside its point's axes.
+        """
+        point = row.get("point") or {}
+        axes = {name: point.get(name) for name in AXIS_COLUMNS}
+        axes.update(kind=row["kind"], fingerprint=row.get("fingerprint"))
         columns = ["cache_key", *axes, "created_s", "point_json",
-                   "scalars_json"]
+                   "scalars_json", "row_json"]
         values = [key, *axes.values(), float(self._clock()),
                   json.dumps(point, sort_keys=True),
-                  json.dumps(scalars, sort_keys=True)]
+                  json.dumps(flatten_scalars(row), sort_keys=True),
+                  json.dumps(row)]
         placeholders = ", ".join("?" for _ in columns)
         self._conn.execute(
             f"INSERT OR REPLACE INTO entries ({', '.join(columns)}) "
@@ -300,28 +309,11 @@ class ResultStore:
         )
         self._conn.commit()
 
-    def backfill(self, cache_root) -> int:
-        """Index every unseen entry of a cache directory; returns added.
-
-        Skips keys already indexed (double backfill adds zero rows) and
-        unreadable/corrupt files (those are the cache's problem — its
-        ``get`` quarantines them on first read).
-        """
-        root = pathlib.Path(cache_root)
-        added = 0
-        for path in sorted(root.glob("*/*.json")):
-            key = path.stem
-            if key in self:
-                continue
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            self.ingest(key, payload)
-            added += 1
-        return added
+    def clear(self) -> int:
+        """Delete every row; returns how many were removed."""
+        removed = self._conn.execute("DELETE FROM entries").rowcount
+        self._conn.commit()
+        return removed
 
     # -- queries ---------------------------------------------------------------------
 
@@ -342,7 +334,7 @@ class ResultStore:
         return where, params
 
     def filter(self, **filters) -> list[StoreRecord]:
-        """Indexed rows matching every given axis, newest-first stable.
+        """Stored rows matching every given axis, newest-first stable.
 
         Axes are exact matches (``kind="sweep"``, ``cell_type="6T"``,
         ``node="3nm"``, ``bit_error_rate=1e-3``, ...); aliases
@@ -391,13 +383,6 @@ class ResultStore:
                 groups.items(), key=lambda item: tuple(map(str, item[0]))
             )
         }
-
-    def kinds(self) -> dict[str, int]:
-        """Entry count per kind (``{"sweep": 40, "reliability": 12}``)."""
-        rows = self._conn.execute(
-            "SELECT kind, COUNT(*) FROM entries GROUP BY kind ORDER BY kind"
-        ).fetchall()
-        return dict(rows)
 
     def to_csv(self, path, **filters) -> pathlib.Path:
         """Flat CSV export of matching rows: axes + union of scalars."""

@@ -24,10 +24,9 @@ command that resumes the run and exits 130.  Re-running the same
 command evaluates only the unfinished points; finished ones are cache
 hits (zero recomputation).
 
-Cached results are also indexed into the SQLite result store beside
-the cache (``--no-store`` opts out): ``--query "cell=6T,node=3nm"``
-answers from past runs with zero re-evaluation (see
-:mod:`repro.store`).
+The cache keeps its rows in a queryable SQLite result store:
+``--query "cell=6T,node=3nm"`` answers from past runs with zero
+re-evaluation (see :mod:`repro.store`).
 """
 
 from __future__ import annotations

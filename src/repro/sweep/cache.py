@@ -1,8 +1,10 @@
-"""On-disk result cache for design-space sweeps.
+"""The result cache of the campaign grids, and its entry keys.
 
-A cache entry is one evaluated :class:`~repro.sweep.spec.DesignPoint`,
-stored as a small JSON file under ``<root>/<key>.json``.  The key is a
-SHA-256 over
+A cache entry is one evaluated campaign point (a
+:class:`~repro.sweep.spec.DesignPoint` or a fault point), kept as one
+row of the cache directory's result store
+(:class:`~repro.store.index.ResultStore`, ``<root>/store.sqlite``).
+The key is a SHA-256 over
 
 * the cache schema version (bumped when the stored row format or the
   evaluation semantics change),
@@ -18,24 +20,21 @@ config change — sample size, Vprech, engine, seed — is a different
 entry.  Re-running an overlapping sweep therefore only evaluates the
 points that are genuinely new.
 
-JSON round-trips Python floats exactly (``repr`` shortest round-trip),
-so rows served from the cache are bit-identical to freshly evaluated
-ones.
+The store keeps each row as JSON, which round-trips Python floats
+exactly (``repr`` shortest round-trip), so rows served from the cache
+are bit-identical to freshly evaluated ones.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
 import pathlib
-import tempfile
-import time
 
 import numpy as np
 
 from repro.learning.convert import ConvertedSNN
+from repro.store.index import ResultStore
 
 #: Bump when the cached-row schema or evaluation semantics change.
 #: v2: design points carry explicit ``node``/``corner`` fields
@@ -51,11 +50,6 @@ CACHE_VERSION = 3
 DEFAULT_CACHE_DIR = (
     pathlib.Path(__file__).resolve().parents[3] / ".artifacts" / "sweep_cache"
 )
-
-#: Age beyond which a stranded ``*.tmp`` sibling (a hard-killed writer:
-#: chaos ``os._exit``, SIGKILL, power loss) is presumed dead and
-#: garbage-collected.  Healthy writes hold a tmp file for milliseconds.
-DEFAULT_TMP_MAX_AGE_S = 3600.0
 
 
 def weights_fingerprint(snn: ConvertedSNN) -> str:
@@ -95,117 +89,40 @@ def entry_key(kind: str, point_dict: dict, fingerprint: str) -> str:
 
 
 class ResultCache:
-    """Directory of evaluated design points, one JSON file per key.
+    """The evaluated points of one cache directory, kept in its store.
 
-    ``store`` optionally attaches a
-    :class:`~repro.store.index.ResultStore` (duck-typed: anything with
-    an ``ingest(key, row)`` method): every successful :meth:`put` is
-    then indexed the moment the JSON lands, which is how campaign CLIs
-    keep the queryable store incrementally up to date.  Opening a cache
-    also garbage-collects ``*.tmp`` siblings older than
-    ``tmp_max_age_s`` — leftovers of hard-killed writers that an
-    in-process ``except`` can never clean up (pass ``None`` to skip).
+    ``store`` is the :class:`~repro.store.index.ResultStore` that keeps
+    the rows; by default the cache opens ``<root>/store.sqlite``
+    (:meth:`ResultStore.for_cache`).  Reads, writes and counts all go
+    to that store: each :meth:`put` is one commit, so an interrupted
+    campaign keeps every row it finished.
     """
 
     def __init__(self, root: pathlib.Path | str | None = None, *,
-                 store=None,
-                 tmp_max_age_s: float | None = DEFAULT_TMP_MAX_AGE_S,
-                 ) -> None:
+                 store: ResultStore | None = None) -> None:
         self.root = pathlib.Path(root) if root is not None else DEFAULT_CACHE_DIR
+        if store is None:
+            store = ResultStore.for_cache(self.root)
         self.store = store
-        if tmp_max_age_s is not None and self.root.exists():
-            self.gc_stale_tmp(max_age_s=tmp_max_age_s)
-
-    def path(self, key: str) -> pathlib.Path:
-        """File backing ``key`` (two-level fan-out keeps dirs small)."""
-        return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
-        """The stored row dict, or ``None`` on a miss or unreadable file.
+        """The stored row dict, or ``None`` on a miss."""
+        return self.store.get(key)
 
-        A corrupt entry (torn write that still got renamed, disk
-        damage) is quarantined — renamed to ``<name>.json.corrupt`` —
-        so neither future reads nor the store's backfill scanner can
-        re-ingest the garbage; the key simply misses until re-evaluated.
-        """
-        path = self.path(key)
-        try:
-            with path.open() as handle:
-                return json.load(handle)
-        except FileNotFoundError:
-            return None
-        except json.JSONDecodeError:
-            with contextlib.suppress(OSError):
-                os.replace(path, path.with_name(path.name + ".corrupt"))
-            return None
-        except OSError:
-            return None
-
-    def put(self, key: str, row: dict) -> pathlib.Path:
-        """Persist one evaluated row; returns the written path.
-
-        Writes via a uniquely-named temporary sibling + atomic rename,
-        so a concurrent reader never observes a half-written entry and
-        concurrent writers of the same key (two cold sweeps racing)
-        don't clobber each other mid-write.
-        """
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f"{key[:8]}.", suffix=".tmp", dir=path.parent,
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(row, handle, indent=1)
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        if self.store is not None:
-            self.store.ingest(key, row)
-        return path
-
-    def gc_stale_tmp(self, *, max_age_s: float = DEFAULT_TMP_MAX_AGE_S,
-                     clock=time.time) -> int:
-        """Remove ``*.tmp`` leftovers older than ``max_age_s``.
-
-        ``put``'s in-process exception handler unlinks its tmp sibling,
-        but a hard-killed writer (chaos ``os._exit``, SIGKILL) strands
-        the file forever; this sweep reclaims them.  The age threshold
-        keeps in-flight writes of live concurrent writers safe — they
-        hold a tmp file for milliseconds, not hours.  Returns how many
-        files were removed.
-        """
-        if not self.root.exists():
-            return 0
-        cutoff = clock() - max_age_s
-        removed = 0
-        for tmp in self.root.glob("*/*.tmp"):
-            try:
-                if tmp.stat().st_mtime <= cutoff:
-                    tmp.unlink()
-                    removed += 1
-            except OSError:
-                continue
-        return removed
+    def put(self, key: str, row: dict) -> None:
+        """Keep one evaluated row, committed when this returns."""
+        self.store.put(key, row)
 
     def __contains__(self, key: str) -> bool:
-        return self.path(key).exists()
+        return key in self.store
 
     def __len__(self) -> int:
-        """Number of cached entries under the root."""
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """Number of cached entries."""
+        return len(self.store)
 
     def clear(self) -> int:
         """Delete every cached entry; returns how many were removed."""
-        removed = 0
-        for path in list(self.root.glob("*/*.json")):
-            path.unlink()
-            removed += 1
-        return removed
+        return self.store.clear()
 
     def __repr__(self) -> str:
         return f"ResultCache({str(self.root)!r}, entries={len(self)})"

@@ -230,9 +230,9 @@ class CampaignRunner:
             index = misses[position]
             row = self._row(points[index], output)
             if self.cache is not None:
-                # kind + fingerprint travel inside the stored JSON so
-                # the result store can index an entry without
-                # recomputing hashes; from_dict ignores them on reload.
+                # kind + fingerprint travel inside the stored row, so
+                # the result store can index it without recomputing
+                # hashes; from_dict ignores them on reload.
                 self.cache.put(keys[index], {
                     **row.to_dict(), "kind": self.kind,
                     "fingerprint": fingerprints[index],

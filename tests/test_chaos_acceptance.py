@@ -18,6 +18,8 @@ the real stack with a seeded :class:`ChaosPolicy`:
 from __future__ import annotations
 
 import importlib
+import multiprocessing
+import os
 import shlex
 
 import numpy as np
@@ -25,6 +27,7 @@ import pytest
 
 import repro.reliability.runner as reliability_runner
 from repro.errors import QueueFullError, ReproError, WorkerCrashError
+from repro.learning.pretrained import get_reference_model
 from repro.reliability import FaultCampaignSpec, ReliabilityRunner
 from repro.resilience import ChaosPolicy, RetryPolicy, SupervisorPolicy
 from repro.serve import (
@@ -34,10 +37,17 @@ from repro.serve import (
     ModelRegistry,
 )
 from repro.sram.bitcell import CellType
-from repro.sweep import ResultCache, SweepRunner
+from repro.store import STORE_FILENAME
+from repro.sweep import (
+    ResultCache,
+    SweepRunner,
+    entry_key,
+    weights_fingerprint,
+)
 from repro.sweep.spec import SweepSpec
 
 from tests.test_serve import random_network, random_spikes
+from tests.test_store import damage_store
 
 QUALITY = "fast"
 
@@ -78,6 +88,40 @@ def interrupting(task, after: int):
         return result
 
     return interruptible
+
+
+#: Exit status of a campaign process killed in the middle of a commit.
+KILLED_EXIT = 77
+
+
+class DieBeforeCommit:
+    """A store connection whose process dies in its last commit.
+
+    Once ``commits`` commits have gone through, the next one ends the
+    process with ``os._exit``: its row's insert ran, its commit never
+    did, as a kill between the two would leave it.
+    """
+
+    def __init__(self, connection, commits: int) -> None:
+        self._connection = connection
+        self._left = commits
+
+    def execute(self, *args):
+        return self._connection.execute(*args)
+
+    def commit(self) -> None:
+        if self._left == 0:
+            os._exit(KILLED_EXIT)
+        self._left -= 1
+        self._connection.commit()
+
+
+def campaign_killed_at_its_last_commit(spec, root: str) -> None:
+    """Writer-process body: run ``spec`` into a fresh cache at ``root``
+    and die between the last point's insert and its commit."""
+    cache = ResultCache(root)
+    cache.store._conn = DieBeforeCommit(cache.store._conn, len(spec) - 1)
+    ReliabilityRunner(spec, cache=cache).run()
 
 
 # -- bit-identical recovery -----------------------------------------------------------
@@ -147,6 +191,7 @@ class TestBitIdenticalRecovery:
 # -- resumable campaigns --------------------------------------------------------------
 
 
+@pytest.mark.store
 class TestResume:
     def test_interrupted_campaign_resumes_with_zero_recompute(
             self, tmp_path, monkeypatch):
@@ -207,13 +252,47 @@ class TestResume:
         assert len(cache) == len(spec)
         assert campaign_payload(result) == campaign_payload(reference)
 
-    def test_torn_entry_is_re_evaluated_on_rerun(self, tmp_path):
+    @pytest.mark.parametrize("how", ["garbage", "truncated"])
+    def test_unreadable_store_re_evaluates_every_point(self, how,
+                                                       tmp_path):
         spec = small_campaign(trials=1, bers=(0.0, 1e-3))
-        cache = ResultCache(tmp_path / "cache")
+        cache = ResultCache(tmp_path)
         reference = ReliabilityRunner(spec, cache=cache).run()
-        # A torn write that still got renamed: valid prefix, cut off.
-        entry = sorted(cache.root.glob("*/*.json"))[0]
-        entry.write_text(entry.read_text()[:40])
+        cache.store.close()
+        damage_store(tmp_path / STORE_FILENAME, how)
+        result = ReliabilityRunner(spec, cache=ResultCache(tmp_path)).run()
+        assert result.stats.evaluated == len(spec)
+        assert campaign_payload(result) == campaign_payload(reference)
+        assert (tmp_path / f"{STORE_FILENAME}.corrupt").exists()
+
+    @pytest.mark.multiprocess
+    def test_writer_killed_between_insert_and_commit(self, tmp_path):
+        spec = small_campaign()
+        reference_cache = ResultCache(tmp_path / "reference")
+        reference = ReliabilityRunner(spec, cache=reference_cache).run()
+        root = tmp_path / "killed"
+        writer = multiprocessing.Process(
+            target=campaign_killed_at_its_last_commit,
+            args=(spec, str(root)),
+        )
+        writer.start()
+        writer.join(timeout=60.0)
+        assert writer.exitcode == KILLED_EXIT
+        assert (root / f"{STORE_FILENAME}-journal").exists()
+
+        # The store opens and holds every row committed before the
+        # kill, each equal to the reference's, and not the last point's.
+        cache = ResultCache(root)
+        point = spec.expand()[-1]
+        last = entry_key("reliability", point.to_dict(), weights_fingerprint(
+            get_reference_model(point.quality, point.seed).snn))
+        expected = {record.cache_key: reference_cache.get(record.cache_key)
+                    for record in reference_cache.store.filter()
+                    if record.cache_key != last}
+        assert {record.cache_key: cache.get(record.cache_key)
+                for record in cache.store.filter()} == expected
+        assert len(cache) == len(spec) - 1
+
         result = ReliabilityRunner(spec, cache=cache).run()
         assert result.stats.evaluated == 1
         assert result.stats.cache_hits == len(spec) - 1
@@ -246,6 +325,7 @@ def rerun_command(err: str) -> list[str]:
     return shlex.split(err.splitlines()[-1])
 
 
+@pytest.mark.store
 class TestCliInterrupt:
     def test_reliability_cli_exits_130_with_resume_hint(
             self, tmp_path, monkeypatch, capsys):

@@ -36,6 +36,35 @@ class TestRoundTrip:
         ).all()
 
 
+def _torn_savez(handle, **payload):
+    """A save that dies mid-write: half an archive, then an error."""
+    handle.write(b"PK\x03\x04 half of a zip")
+    raise OSError("disk full")
+
+
+class TestAtomicSave:
+    def test_a_failed_save_leaves_no_file(self, tmp_path, fast_model,
+                                          monkeypatch):
+        monkeypatch.setattr(np, "savez_compressed", _torn_savez)
+        path = tmp_path / "model.npz"
+        with pytest.raises(OSError, match="disk full"):
+            _save(path, fast_model.snn, fast_model.test_accuracy)
+        assert list(tmp_path.iterdir()) == []  # no artifact, no temporary
+
+    def test_an_existing_artifact_survives_a_failed_re_save(
+            self, tmp_path, fast_model, monkeypatch):
+        path = tmp_path / "model.npz"
+        _save(path, fast_model.snn, fast_model.test_accuracy)
+        saved = path.read_bytes()
+        monkeypatch.setattr(np, "savez_compressed", _torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            _save(path, fast_model.snn, 0.5)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == saved
+        _, accuracy = _load(path)
+        assert accuracy == pytest.approx(fast_model.test_accuracy)
+
+
 class TestPresets:
     def test_memory_cache_returns_same_object(self):
         a = get_reference_model(quality="fast", seed=42)

@@ -1,21 +1,22 @@
-"""Result store, the supervised campaign map and cache-hygiene fixes.
+"""Result store, the supervised campaign map and the store's CLIs.
 
 Four concerns share this suite because they share one contract — the
-content-addressed cache is the durable truth and everything else
-(store index, worker pool, CLI messages) must agree with it:
+result store is where a campaign row lives, and everything else (the
+worker pool, CLI messages, the dashboard) must agree with it:
 
-* cache hygiene: corrupt entries are quarantined, stranded tmp files
-  of hard-killed writers are garbage-collected, concurrent readers
-  never observe a half-written entry;
-* the SQLite store: ingest-on-put, idempotent backfill, filters,
-  aggregation, CSV export, CLI and dashboard wiring;
+* keeping rows: a row is committed whole, a reader never sees part of
+  one or a locked database while a writer commits, and a store file
+  SQLite cannot read is moved aside so its points re-evaluate;
+* querying them: filters, aggregation, CSV export, CLI and dashboard
+  wiring;
 * the supervised map returns results in input order for any worker
   count, reports each one as it completes and hands a task's own error
   to the caller;
 * CLI honesty: ``--query`` needs the cache, an interrupted cached run
   prints a re-run command the shell splits back into its argv, an
   interrupted ``--no-cache`` run reports that nothing was persisted,
-  and the removed ``--resume``/executor flags exit 2.
+  and the removed ``--resume``/executor/``--no-store`` flags and
+  store upkeep commands exit 2.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 import importlib
 import json
 import multiprocessing
-import os
 import pathlib
 import shlex
+import sqlite3
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.errors import ConfigurationError
 from repro.resilience.supervisor import supervised_map
 from repro.store import (
     AXIS_COLUMNS,
+    STORE_FILENAME,
     ResultStore,
     flatten_scalars,
     parse_filter,
@@ -71,126 +73,140 @@ def _put_n(cache: ResultCache, count: int, *, kind="sweep") -> list[str]:
     return keys
 
 
-# -- cache hygiene ---------------------------------------------------------------------
+def damage_store(path: pathlib.Path, how: str) -> bytes:
+    """Leave a store file SQLite cannot read at ``path``; returns it.
+
+    ``"garbage"`` is not a database at all; ``"truncated"`` is a real
+    store (the one at ``path``, else a new one) cut to half its length,
+    as a torn copy or a full disk leaves one; ``"scribbled"`` keeps its
+    length but has a page in the middle overwritten, which only a read
+    of the whole file finds.
+    """
+    if how == "garbage":
+        path.write_bytes(b"not a database " * 512)
+        return path.read_bytes()
+    if not path.exists():
+        with ResultStore(path) as store:
+            for n in range(40):
+                store.put(_key(n), {**_ROW, "payload": "x" * 4096})
+    data = bytearray(path.read_bytes())
+    half = len(data) // 2
+    if how == "truncated":
+        del data[half:]
+    else:
+        data[half:half + 4096] = b"\xde\xad\xbe\xef" * 1024
+    path.write_bytes(bytes(data))
+    return bytes(data)
 
 
-class TestCorruptEntryQuarantine:
-    def test_truncated_json_is_quarantined_not_reread(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = _key(1)
-        path = cache.put(key, dict(_ROW))
-        # A torn write that still got renamed: valid prefix, cut off.
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
+# -- keeping rows ----------------------------------------------------------------------
 
-        assert cache.get(key) is None
-        quarantined = path.with_name(path.name + ".corrupt")
-        assert quarantined.exists() and not path.exists()
-        # The key now simply misses; nothing re-reads the garbage.
-        assert cache.get(key) is None
-        assert key not in cache
 
-    def test_quarantined_entry_invisible_to_backfill(self, tmp_path,
-                                                     result_store):
-        cache = ResultCache(tmp_path / "cache")
-        keys = _put_n(cache, 3)
-        path = cache.path(keys[0])
-        path.write_text("{\"point\": {")
-        assert cache.get(keys[0]) is None  # quarantines
-        assert result_store.backfill(cache.root) == 2
-
+class TestStoreRows:
     def test_missing_and_healthy_entries_unaffected(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get(_key(9)) is None
         key = _key(2)
         cache.put(key, dict(_ROW))
         assert cache.get(key) == _ROW
+        assert key in cache and _key(9) not in cache
+
+    def test_the_cache_keeps_its_rows_in_its_store_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = _put_n(cache, 3)
+        assert [path.name for path in tmp_path.iterdir()] == [STORE_FILENAME]
+        with ResultStore(tmp_path / STORE_FILENAME) as store:
+            assert len(store) == len(cache) == 3
+            assert store.get(keys[1])["point"]["seed"] == 1
+
+    def test_a_cache_on_a_passed_store_uses_it(self, tmp_path,
+                                               result_store):
+        cache = ResultCache(tmp_path / "cache", store=result_store)
+        key = _put_n(cache, 1)[0]
+        assert cache.store is result_store
+        assert result_store.get(key) == cache.get(key)
+        assert not (tmp_path / "cache").exists()
+
+    def test_clear_removes_every_row(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        _put_n(cache, 4)
+        assert cache.clear() == 4
+        assert len(cache) == 0 and cache.get(_key(0)) is None
+        assert cache.clear() == 0
 
 
-class TestStaleTmpGc:
-    @staticmethod
-    def _strand_tmp(cache: ResultCache, *, age_s: float,
-                    name: str = "stranded") -> pathlib.Path:
-        """Plant a tmp file as a hard-killed writer would leave it."""
-        sub = cache.root / "ab"
-        sub.mkdir(parents=True, exist_ok=True)
-        tmp = sub / f"abcdef12.{name}.tmp"
-        tmp.write_text("{\"half\": ")
-        old = os.stat(tmp).st_mtime - age_s
-        os.utime(tmp, (old, old))
-        return tmp
+class TestUnreadableStore:
+    @pytest.mark.parametrize("how", ["garbage", "truncated", "scribbled"])
+    def test_store_refuses_a_file_sqlite_cannot_read(self, how, tmp_path):
+        path = tmp_path / STORE_FILENAME
+        damaged = damage_store(path, how)
+        with pytest.raises(ConfigurationError,
+                           match="not a readable result store"):
+            ResultStore(path)
+        assert path.read_bytes() == damaged  # refused, not touched
 
-    def test_explicit_gc_removes_only_stale(self, tmp_path):
-        cache = ResultCache(tmp_path, tmp_max_age_s=None)
-        stale = self._strand_tmp(cache, age_s=7200.0)
-        fresh = self._strand_tmp(cache, age_s=0.0, name="fresh")
-
-        assert cache.gc_stale_tmp(max_age_s=3600.0) == 1
-        assert not stale.exists()
-        assert fresh.exists()  # a live writer's in-flight file survives
-
-    def test_gc_runs_on_cache_open(self, tmp_path):
-        setup = ResultCache(tmp_path, tmp_max_age_s=None)
-        stale = self._strand_tmp(setup, age_s=7200.0)
-
-        ResultCache(tmp_path)  # default tmp_max_age_s sweeps on open
-        assert not stale.exists()
-
-    def test_open_gc_can_be_disabled(self, tmp_path):
-        setup = ResultCache(tmp_path, tmp_max_age_s=None)
-        stale = self._strand_tmp(setup, age_s=7200.0)
-
-        ResultCache(tmp_path, tmp_max_age_s=None)
-        assert stale.exists()
-
-    def test_injected_clock_controls_the_cutoff(self, tmp_path):
-        cache = ResultCache(tmp_path, tmp_max_age_s=None)
-        tmp = self._strand_tmp(cache, age_s=0.0)
-        far_future = os.stat(tmp).st_mtime + 10_000.0
-        assert cache.gc_stale_tmp(max_age_s=3600.0,
-                                  clock=lambda: far_future) == 1
-
-    def test_torn_writer_leaves_no_entry_and_gc_reclaims(self, tmp_path):
-        # A writer hard-killed mid-put: tmp exists, entry does not.
-        cache = ResultCache(tmp_path, tmp_max_age_s=None)
-        self._strand_tmp(cache, age_s=7200.0)
+    @pytest.mark.parametrize("how", ["garbage", "truncated", "scribbled"])
+    def test_cache_moves_it_aside_and_starts_empty(self, how, tmp_path):
+        damaged = damage_store(tmp_path / STORE_FILENAME, how)
+        cache = ResultCache(tmp_path)
         assert len(cache) == 0
-        assert cache.gc_stale_tmp() == 1
-        assert list(cache.root.glob("*/*.tmp")) == []
+        assert (tmp_path / f"{STORE_FILENAME}.corrupt").read_bytes() == \
+            damaged
+        key = _put_n(cache, 1)[0]
+        assert ResultCache(tmp_path).get(key) == cache.get(key)
 
-    def test_gc_cli(self, tmp_path, capsys):
-        from repro.store.__main__ import main as store_main
+    @pytest.mark.parametrize("cli, argv", [
+        ("repro.sweep.__main__", ["--query", ""]),
+        ("repro.reliability.__main__", ["--query", ""]),
+        ("repro.store.__main__", ["query"]),
+    ])
+    def test_queries_answer_from_an_empty_store(self, cli, argv, tmp_path,
+                                                capsys):
+        damage_store(tmp_path / STORE_FILENAME, "garbage")
+        main = importlib.import_module(cli).main
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+        assert "store: no matching rows" in capsys.readouterr().out
 
-        cache = ResultCache(tmp_path, tmp_max_age_s=None)
-        self._strand_tmp(cache, age_s=7200.0)
-        assert store_main(["gc", "--cache-dir", str(tmp_path)]) == 0
-        assert "removed 1" in capsys.readouterr().out
-        assert list(tmp_path.glob("*/*.tmp")) == []
+    def test_dashboard_reports_it_and_exits_1(self, tmp_path, capsys):
+        from repro.obs.__main__ import main as obs_main
+
+        path = tmp_path / STORE_FILENAME
+        damaged = damage_store(path, "garbage")
+        assert obs_main(["report", "--out", str(tmp_path / "r.html"),
+                         "--bench-dir", str(tmp_path),
+                         "--store", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a readable" in err
+        assert "Traceback" not in err
+        assert path.read_bytes() == damaged
 
 
-def _hammer_puts(root: str, key: str, row: dict, rounds: int) -> None:
+def _hammer_puts(root: str, key: str, rows: list, rounds: int) -> None:
     """Writer-process body: overwrite one key as fast as possible."""
-    cache = ResultCache(root, tmp_max_age_s=None)
-    for _ in range(rounds):
-        cache.put(key, row)
+    cache = ResultCache(root)
+    for n in range(rounds):
+        cache.put(key, rows[n % len(rows)])
 
 
 @pytest.mark.multiprocess
 class TestConcurrentSameKey:
     def test_reader_never_sees_partial_entry(self, tmp_path):
         key = _key(7)
-        row = {**_ROW, "metrics": {"latency_ns": 1.0,
-                                   "payload": "x" * 65536}}
-        cache = ResultCache(tmp_path, tmp_max_age_s=None)
+        rows = [{**_ROW, "metrics": {"latency_ns": float(n),
+                                     "payload": fill * 65536}}
+                for n, fill in enumerate("xy")]
+        cache = ResultCache(tmp_path)
         writer = multiprocessing.Process(
-            target=_hammer_puts, args=(str(tmp_path), key, row, 150),
+            target=_hammer_puts, args=(str(tmp_path), key, rows, 150),
         )
         writer.start()
         observed = 0
         try:
             for _ in range(200_000):
+                # A locked database would raise here: readers wait.
                 got = cache.get(key)
                 if got is not None:
-                    assert got == row  # complete or absent, never torn
+                    assert got in rows  # one whole row, never a mix
                     observed += 1
                 if not writer.is_alive() and observed > 0:
                     break
@@ -198,10 +214,10 @@ class TestConcurrentSameKey:
             writer.join(timeout=30.0)
         assert writer.exitcode == 0
         assert observed > 0
-        assert cache.get(key) == row
+        assert cache.get(key) == rows[1] and len(cache) == 1
 
 
-# -- the SQLite store ------------------------------------------------------------------
+# -- querying rows ---------------------------------------------------------------------
 
 
 class TestFlattenAndFilters:
@@ -261,29 +277,12 @@ class TestStoreIndex:
         assert record.fingerprint == "f" * 64
         assert record.axis("cell") == "6T"
 
-    def test_backfill_is_idempotent(self, tmp_path, result_store):
-        cache = ResultCache(tmp_path / "cache")  # no store attached
-        _put_n(cache, 4)
-        assert result_store.backfill(cache.root) == 4
-        assert result_store.backfill(cache.root) == 0  # double: zero rows
-        assert len(result_store) == 4
-
     def test_reingest_same_key_replaces_not_duplicates(self, tmp_path,
                                                        result_store):
         cache = ResultCache(tmp_path / "cache", store=result_store)
         key = _put_n(cache, 1)[0]
         cache.put(key, dict(_ROW))
         assert len(result_store) == 1
-
-    def test_pre_store_rows_get_kind_inferred(self, result_store, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        legacy = {k: v for k, v in _ROW.items()
-                  if k not in ("kind", "fingerprint")}
-        cache.put(_key(3), legacy)
-        assert result_store.backfill(cache.root) == 1
-        (record,) = result_store.filter()
-        assert record.kind == "sweep"  # shape-based fallback
-        assert record.fingerprint is None
 
     def test_filter_rejects_unknown_axis(self, result_store):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -307,11 +306,28 @@ class TestStoreIndex:
     def test_schema_mismatch_rebuilds_the_index(self, tmp_path):
         path = tmp_path / "store.sqlite"
         with ResultStore(path) as store:
-            store.ingest(_key(1), dict(_ROW))
+            store.put(_key(1), dict(_ROW))
             store._conn.execute("PRAGMA user_version = 999")
             store._conn.commit()
         with ResultStore(path) as reopened:
-            assert len(reopened) == 0  # only an index: dropped, rebuilt
+            assert len(reopened) == 0  # dropped: its points re-evaluate
+
+    def test_a_store_from_before_rows_were_kept_starts_empty(self,
+                                                             tmp_path):
+        # Version 1 indexed rows kept elsewhere; there is no migration.
+        path = tmp_path / "store.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE entries (cache_key TEXT PRIMARY KEY, "
+                     "kind TEXT NOT NULL, scalars_json TEXT NOT NULL)")
+        conn.execute("INSERT INTO entries VALUES (?, 'sweep', '{}')",
+                     (_key(1),))
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+        with ResultStore(path) as store:
+            assert len(store) == 0 and store.get(_key(1)) is None
+            store.put(_key(1), dict(_ROW))
+            assert store.get(_key(1)) == _ROW
 
     def test_render_records(self, tmp_path, result_store):
         cache = ResultCache(tmp_path / "cache", store=result_store)
@@ -426,6 +442,25 @@ class TestCliHonesty:
         assert exited.value.code == 2
         assert error in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cli, argv, error", [
+        *[pytest.param(cli, [grid, "--no-store"],
+                       "unrecognized arguments: --no-store",
+                       id=f"{cli}-no-store")
+          for cli, grid in (("sweep", "vprech"), ("reliability", "cells"))],
+        *[pytest.param("store", [command, "--cache-dir", "cache"],
+                       f"invalid choice: '{command}'", id=f"store-{command}")
+          for command in ("backfill", "gc")],
+    ])
+    def test_removed_store_upkeep_exits_2(self, cli, argv, error, capsys):
+        # Caching is storing, and a commit leaves nothing to backfill
+        # or to reap, so these must fail loudly rather than be taken
+        # for something else.
+        main = importlib.import_module(f"repro.{cli}.__main__").main
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert error in capsys.readouterr().err
+
 
 # -- CLI and dashboard wiring (small real campaigns) -----------------------------------
 
@@ -482,19 +517,46 @@ class TestCampaignStoreAcceptance:
         assert "accuracies.mean" in out and "rows" in out
         assert calls == []  # zero point re-evaluation
 
-    def test_no_store_runs_become_queryable_via_backfill(
-            self, tmp_path, capsys):
-        from repro.sweep.__main__ import main as sweep_main
+    def test_warm_rows_equal_cold_rows_bit_for_bit(self, tmp_path):
+        from repro.reliability import FaultCampaignSpec, ReliabilityRunner
+        from repro.sram.bitcell import CellType
+        from repro.sweep import SweepRunner, SweepSpec
 
-        argv = ["vprech", "--quality", QUALITY, "--sample-images", "2",
-                "--cache-dir", str(tmp_path), "--no-store"]
-        assert sweep_main(argv) == 0
-        assert not (tmp_path / "store.sqlite").exists()
-        capsys.readouterr()
-        # --query backfills the fresh index from the cache dir.
-        assert sweep_main(["--query", "", "--cache-dir",
-                           str(tmp_path)]) == 0
-        assert "4 rows" in capsys.readouterr().out
+        campaigns = [
+            (SweepRunner, SweepSpec(
+                name="cold-warm", cell_types=(CellType.C6T, CellType.C1RW4R),
+                sample_images=(2,), quality=QUALITY)),
+            (ReliabilityRunner, FaultCampaignSpec(
+                name="cold-warm", bit_error_rates=(0.0, 5e-2), trials=2,
+                sample_images=2, quality=QUALITY)),
+        ]
+        points = 0
+        for runner, spec in campaigns:
+            cold = runner(spec, cache=ResultCache(tmp_path)).run()
+            warm = runner(spec, cache=ResultCache(tmp_path)).run()
+            assert (warm.stats.evaluated, warm.stats.cache_hits) == \
+                (0, len(spec))
+
+            def text(result):
+                return [json.dumps({**row.to_dict(), "cached": None})
+                        for row in result.rows]
+
+            assert text(warm) == text(cold)
+            points += len(spec)
+            assert len(ResultCache(tmp_path)) == points  # one row a point
+
+    def test_cached_cli_run_survives_an_unreadable_store(self, tmp_path,
+                                                         capsys):
+        from repro.reliability.__main__ import main as reliability_main
+
+        damage_store(tmp_path / STORE_FILENAME, "garbage")
+        assert reliability_main([
+            "cells", "--quality", QUALITY, "--trials", "1",
+            "--sample-images", "2", "--bers", "0,5e-2",
+            "--cache-dir", str(tmp_path)]) == 0
+        assert "(4 evaluated, 0 cache hits)" in capsys.readouterr().out
+        assert (tmp_path / f"{STORE_FILENAME}.corrupt").exists()
+        assert len(ResultCache(tmp_path)) == 4
 
     def test_store_cli_query_aggregate_and_csv(self, tmp_path, capsys):
         from repro.store.__main__ import main as store_main
@@ -538,9 +600,10 @@ class TestCampaignStoreAcceptance:
         assert pooled.rows == serial.rows  # bit-identical across pools
 
         def payloads(root):
+            cache = ResultCache(root)
             return sorted(
-                (path.name, path.read_text())
-                for path in pathlib.Path(root).glob("*/*.json")
+                (record.cache_key, json.dumps(cache.get(record.cache_key)))
+                for record in cache.store.filter()
             )
 
         # The stored entries, byte for byte, whichever process wrote them.

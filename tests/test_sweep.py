@@ -16,6 +16,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.learning.convert import ConvertedSNN
 from repro.sram.bitcell import ALL_CELLS, CellType
+from repro.store import STORE_FILENAME
 from repro.sweep import (
     NAMED_SWEEPS,
     DesignPoint,
@@ -177,6 +178,7 @@ class TestShardingParity:
             SweepRunner(small_spec(), n_workers=0)
 
 
+@pytest.mark.store
 class TestCache:
     def test_warm_cache_skips_every_evaluation(self, tmp_path):
         """Acceptance: warm figure-8 re-run does zero network evaluations."""
@@ -253,10 +255,10 @@ class TestCache:
         spec = small_spec(cells=(CellType.C6T,))
         first = SweepRunner(spec, cache=cache).run()
         assert first.stats.evaluated == 1
-        for path in tmp_path.glob("*/*.json"):
-            path.write_text("{not json")
-        again = SweepRunner(spec, cache=cache).run()
-        assert again.stats.evaluated == 1  # corrupt entry re-evaluated
+        cache.store.close()
+        (tmp_path / STORE_FILENAME).write_bytes(b"{not a database")
+        again = SweepRunner(spec, cache=ResultCache(tmp_path)).run()
+        assert again.stats.evaluated == 1  # corrupt store re-evaluated
 
     def test_cache_len_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
