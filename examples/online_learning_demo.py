@@ -3,8 +3,9 @@
 Demonstrates the paper's on-chip learning path (sections 2.2, 3.2 and
 4.4.1): stochastic 1-bit STDP imprints input patterns into a tile's
 synapse columns using column-wise read-modify-write accesses, and the
-cost ledger shows why the transposed port matters — the same session on
-the 6T baseline costs >10x more time.
+learning cost (the tile's count of column updates, each priced by the
+transposed-port model) shows why the transposed port matters — the
+same session on the 6T baseline costs >10x more time.
 
 Run:  python examples/online_learning_demo.py
 """

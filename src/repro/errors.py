@@ -14,6 +14,24 @@ class ConfigurationError(ReproError):
     """An object was configured with inconsistent or unsupported parameters."""
 
 
+class OutputError(ReproError):
+    """An output file (a CLI's ``--out``, ``--csv``, ``--json``,
+    ``--trace-out`` or ``--metrics-out``) could not be written."""
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Turn an ``OSError`` in the block into an :class:`OutputError`
+    naming ``path``, so a CLI ends with ``error: cannot write PATH:
+    reason`` and exit 1 instead of a traceback."""
+    try:
+        yield
+    except OSError as error:
+        raise OutputError(
+            f"cannot write {path}: {error.strerror or error}"
+        ) from None
+
+
 def _integer(name: str, value) -> int:
     """``value`` as a plain ``int``: any integer, numpy's included, but
     no bool, float or string.

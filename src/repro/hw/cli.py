@@ -15,6 +15,7 @@ import argparse
 import pathlib
 import time
 
+from repro.errors import writing
 from repro.hw.config import PAPER_VPRECH, HardwareConfig
 from repro.obs.metrics import MetricRegistry, set_registry
 from repro.obs.trace import Tracer, set_tracer
@@ -113,14 +114,16 @@ class ObservabilityScope:
         if self.tracer is not None:
             set_tracer(self._previous)
             path = pathlib.Path(self.trace_out)
-            if path.suffix == ".json":
-                self.tracer.write_chrome_trace(path)
-            else:
-                self.tracer.write_jsonl(path)
+            with writing(path):
+                if path.suffix == ".json":
+                    self.tracer.write_chrome_trace(path)
+                else:
+                    self.tracer.write_jsonl(path)
             stats = self.tracer.stats()
             print(f"wrote {path} ({stats['spans_recorded']} spans)")
         if self.metrics_out:
-            print(f"wrote {self.registry.write_text(self.metrics_out)}")
+            with writing(self.metrics_out):
+                print(f"wrote {self.registry.write_text(self.metrics_out)}")
 
 
 def add_hardware_arguments(parser: argparse.ArgumentParser, *,

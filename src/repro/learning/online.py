@@ -3,10 +3,13 @@
 Connects the plasticity rule to the hardware cost model: every learning
 event on a post-synaptic neuron triggers a column read-modify-write
 through the transposed port of each row-block macro holding that
-neuron's synapses.  For the multiport cells this costs ``2 x 4``
-transposed accesses per 128-row block; the 6T baseline must instead
-read-modify-write all 128 rows (section 4.4.1) — the engine reproduces
-the paper's 257.8 ns / 157 pJ vs 9.9 ns + 8.04 ns comparison.
+neuron's synapses (:meth:`~repro.tile.tile.Tile.update_neuron_column`).
+For the multiport cells this costs ``2 x 4`` transposed accesses per
+128-row block; the 6T baseline must instead read-modify-write all 128
+rows (section 4.4.1).  The tile counts the macro columns and
+:meth:`~repro.sram.electrical.TransposedPortModel.column_update_cost`
+prices each one, the same model behind :func:`column_update_comparison`
+and the paper's 257.8 ns / 157 pJ vs 9.9 ns + 8.04 ns comparison.
 """
 
 from __future__ import annotations
@@ -19,33 +22,24 @@ from repro.errors import ConfigurationError
 from repro.learning.stdp import StochasticSTDP
 from repro.sram.bitcell import CellType
 from repro.sram.electrical import TransposedPortModel
-from repro.tile.mapping import ARRAY_DIM
 from repro.tile.tile import Tile
 
 
 @dataclass
 class OnlineLearningReport:
-    """Accumulated cost of the on-chip learning activity."""
+    """Accumulated cost of the on-chip learning activity.
+
+    ``learning_events`` and ``column_updates`` (one per neuron updated)
+    count the engine's calls; the accesses, time and energy are the
+    tile's :attr:`~repro.tile.tile.Tile.column_updates` priced at its
+    :attr:`~repro.tile.tile.Tile.column_update_cost`.
+    """
 
     learning_events: int = 0
     column_updates: int = 0
     transposed_accesses: int = 0
     time_ns: float = 0.0
     energy_pj: float = 0.0
-
-    def merge_ledger(self, tile: Tile) -> None:
-        """Pull the transposed-port ledgers from ``tile``'s macros."""
-        self.transposed_accesses = 0
-        self.time_ns = 0.0
-        self.energy_pj = 0.0
-        for row in tile.macros:
-            for macro in row:
-                ledger = macro.ledger
-                self.transposed_accesses += (
-                    ledger.transposed_reads + ledger.transposed_writes
-                )
-                self.time_ns += ledger.transposed_time_ns
-                self.energy_pj += ledger.transposed_energy_pj
 
 
 class OnlineLearningEngine:
@@ -77,32 +71,17 @@ class OnlineLearningEngine:
         neurons = np.asarray(learning_neurons)
         if neurons.dtype == bool:
             neurons = np.flatnonzero(neurons)
-        updates = 0
-        for neuron in neurons.astype(int):
-            self._update_neuron_column(pre, int(neuron))
-            updates += 1
-        self.report.learning_events += 1
-        self.report.column_updates += updates
-        self.report.merge_ledger(self.tile)
-        return updates
-
-    def _update_neuron_column(self, pre: np.ndarray, neuron: int) -> None:
-        """Column RMW across every row block holding this neuron."""
-        transposable = self.tile.cell_type.is_transposable
-        for rb in range(self.tile.mapping.row_blocks):
-            macro, local_col = self.tile.macro_for_neuron(neuron, rb)
-            rs = self.tile.mapping.row_slice(rb)
-            pre_block = np.zeros(ARRAY_DIM, dtype=bool)
-            pre_block[: rs.stop - rs.start] = pre[rs]
-            if transposable:
-                column = macro.read_column(local_col)
-                new_column = self.rule.update_column(column, pre_block)
-                macro.write_column(local_col, new_column)
-            else:
-                column = macro.array.dump_weights()[:, local_col]
-                new_column = self.rule.update_column(column, pre_block)
-                macro.update_column_6t(local_col, new_column)
-        self.tile.note_weight_update()
+        neurons = neurons.astype(int)
+        tile, report = self.tile, self.report
+        for neuron in neurons:
+            tile.update_neuron_column(int(neuron), pre, self.rule.update_column)
+        report.learning_events += 1
+        report.column_updates += len(neurons)
+        cost = tile.column_update_cost
+        report.transposed_accesses = tile.column_updates * cost.total_accesses
+        report.time_ns = tile.column_updates * cost.total_time_ns
+        report.energy_pj = tile.column_updates * cost.energy_pj
+        return len(neurons)
 
 
 def column_update_comparison(rows: int = 128, cols: int = 128,

@@ -31,7 +31,7 @@ class NeuronArray:
     """
 
     def __init__(self, thresholds: np.ndarray, ports: int = 4,
-                 vmem_bits: int = DEFAULT_VMEM_BITS, multiport: bool = True) -> None:
+                 vmem_bits: int = DEFAULT_VMEM_BITS) -> None:
         thresholds = np.asarray(thresholds)
         if thresholds.ndim != 1 or thresholds.size == 0:
             raise ConfigurationError("thresholds must be a non-empty 1-D array")
@@ -39,7 +39,6 @@ class NeuronArray:
             raise ConfigurationError(f"ports must be >= 1, got {ports}")
         self.n = thresholds.size
         self.ports = ports
-        self.multiport = multiport
         self.thresholds = thresholds.astype(np.int64).copy()
         self._vmem_max = 2 ** (vmem_bits - 1) - 1
         self._vmem_min = -(2 ** (vmem_bits - 1))
@@ -102,12 +101,6 @@ class NeuronArray:
         return self.vmem.copy()
 
     # -- costs -------------------------------------------------------------------
-
-    @property
-    def add_time_ns(self) -> float:
-        from repro.neuron.if_neuron import neuron_add_time_ns
-
-        return neuron_add_time_ns(self.ports, self.multiport)
 
     def dynamic_energy_pj(self, accumulate_events: int,
                           fire_checks: int) -> float:

@@ -68,8 +68,8 @@ class NeuronTiming:
 def neuron_timing(ports: int) -> NeuronTiming:
     """Timing/energy datasheet for a ``ports``-input neuron.
 
-    Cached: tile construction and the fast engine's ledger roll-ups
-    look this datasheet up repeatedly for the same port count.
+    Cached: every neuron segment of every tile looks this datasheet
+    up when it is built, for the same few port counts.
 
     Energy figures: each valid input toggles the +-1 decode and one
     adder slice of every neuron (~0.3 fJ per neuron at 3nm/0.7 V); the

@@ -27,7 +27,7 @@ import json
 import pathlib
 
 from repro.envinfo import environment_info
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, writing
 from repro.obs.trace import Span, load_trace
 
 #: Spans drawn in the timeline SVG before it cuts off (a serving trace
@@ -325,17 +325,14 @@ def write_report(out_path, *, bench_dir=None, trace_path=None,
         spans = load_trace(trace_path)
     store_summary = None
     if store_path is not None:
-        if not pathlib.Path(store_path).is_file():
-            raise ConfigurationError(
-                f"store file {store_path} does not exist"
-            )
         from repro.store import ResultStore
-        with ResultStore(store_path) as store:
+        with ResultStore.for_reading(store_path) as store:
             store_summary = store.summary()
-    benches = collect_bench_files(bench_dir)
-    out_path = pathlib.Path(out_path)
-    out_path.write_text(
-        render_report(benches, trace_path=trace_path, spans=spans,
-                      store_path=store_path, store_summary=store_summary)
+    html = render_report(
+        collect_bench_files(bench_dir), trace_path=trace_path, spans=spans,
+        store_path=store_path, store_summary=store_summary,
     )
+    out_path = pathlib.Path(out_path)
+    with writing(out_path):
+        out_path.write_text(html)
     return out_path

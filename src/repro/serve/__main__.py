@@ -45,7 +45,13 @@ import time
 import numpy as np
 
 from repro.envinfo import environment_info
-from repro.errors import ModelUnavailableError, QueueFullError, ReproError
+from repro.errors import (
+    ModelUnavailableError,
+    OutputError,
+    QueueFullError,
+    ReproError,
+    writing,
+)
 from repro.hw.cli import (
     ObservabilityScope,
     add_hardware_arguments,
@@ -380,6 +386,9 @@ def main(argv: list[str] | None = None) -> int:
                 _run_clients(server, spikes, served, args.rate,
                              args.clients, deadline_ms=args.deadline_ms,
                              slo_class=args.slo_class)
+    except OutputError as error:  # --trace-out / --metrics-out
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     except Exception as error:  # noqa: BLE001 - CLI boundary
         print(f"error: load generation failed: {error!r}", file=sys.stderr)
         return 1
@@ -434,9 +443,13 @@ def main(argv: list[str] | None = None) -> int:
         }
         if args.workers >= 1:
             report["fleet"] = server.describe()
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        try:
+            with writing(args.json), open(args.json, "w") as handle:
+                json.dump(report, handle, indent=2)
+                handle.write("\n")
+        except OutputError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
         print(f"wrote {args.json}")
 
     if verified is False or not accounted:

@@ -15,7 +15,7 @@ from repro.sram.sense_amp import (
     InverterCascadeSenseAmp,
 )
 from repro.sram.array import SramArray
-from repro.sram.macro import SramMacro, MacroEnergyLedger
+from repro.sram.macro import SramMacro
 from repro.sram.variation_study import VariationStudy, ReadTimingDistribution
 from repro.sram.faults import (
     FaultInjector,
@@ -42,5 +42,4 @@ __all__ = [
     "InverterCascadeSenseAmp",
     "SramArray",
     "SramMacro",
-    "MacroEnergyLedger",
 ]

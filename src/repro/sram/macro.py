@@ -1,18 +1,17 @@
-"""SRAM macro: functional array plus timing/energy bookkeeping.
+"""SRAM macro: the functional array plus its read-port cost model.
 
 A macro couples the bit-true :class:`~repro.sram.array.SramArray` with
-the calibrated electrical models, so that system-level simulations can
+the calibrated read-port model, so that system-level simulations can
 report energy and time per workload (the paper's "simulate the network
-on a spike-by-spike basis in Python" methodology, section 4.1).  Its
-inference reads are counted by the owning tile's record
-(:class:`~repro.tile.tile.TileInferenceStats`) and priced at
-:attr:`SramMacro.read_energy_pj`; the macro's own ledger holds only the
-learning accesses through the transposed port.
+on a spike-by-spike basis in Python" methodology, section 4.1).  The
+macro keeps no counts: the owning tile counts its inference reads
+(:class:`~repro.tile.tile.TileInferenceStats`), priced at
+:attr:`SramMacro.read_energy_pj`, and its learning column updates
+(:attr:`~repro.tile.tile.Tile.column_updates`), priced by the
+transposed-port model.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,30 +19,14 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.sram.array import SramArray
-from repro.sram.electrical import TransposedPortModel
-from repro.sram.layout import TRANSPOSED_MUX_FACTOR
 from repro.sram.readport import ReadPortModel
 
 if TYPE_CHECKING:  # repro.hw imports repro.sram; avoid the cycle at runtime
     from repro.hw.config import HardwareConfig
 
 
-@dataclass
-class MacroEnergyLedger:
-    """Learning activity of one macro, through its transposed port.
-
-    Energies and times are logged per access; leakage is integrated at
-    the end from the elapsed time (the system model owns wall-clock).
-    """
-
-    transposed_reads: int = 0
-    transposed_writes: int = 0
-    transposed_energy_pj: float = 0.0
-    transposed_time_ns: float = 0.0
-
-
 class SramMacro:
-    """One physical SRAM array with its periphery and cost models.
+    """One physical SRAM array with its periphery and read-port model.
 
     The macro's electrical identity (cell option, Vprech, technology
     node) is one :class:`~repro.hw.config.HardwareConfig`; ``None``
@@ -52,8 +35,7 @@ class SramMacro:
 
     def __init__(self, config: "HardwareConfig | None" = None,
                  rows: int = 128, cols: int = 128,
-                 read_port_model: ReadPortModel | None = None,
-                 transposed_model: TransposedPortModel | None = None) -> None:
+                 read_port_model: ReadPortModel | None = None) -> None:
         if config is None:
             # Imported here: repro.hw imports repro.sram.
             from repro.hw.config import HardwareConfig
@@ -67,8 +49,6 @@ class SramMacro:
         self.node = node
         self.vprech = config.vprech
         self.read_ports = read_port_model or ReadPortModel(rows, cols, node)
-        self.transposed = transposed_model or TransposedPortModel(rows, cols, node)
-        self.ledger = MacroEnergyLedger()
         self._operating_point = self.read_ports.operating_point(
             self.cell_type, self.vprech
         )
@@ -107,63 +87,25 @@ class SramMacro:
 
     # -- learning path --------------------------------------------------------------
 
-    def read_column(self, col: int) -> np.ndarray:
-        """Column read for learning; transposable cells only.
-
-        Cost: ``mux_factor`` transposed accesses (section 4.4.1).
-        """
-        bits = self.array.read_column(col)
-        access = self.transposed.access(self.cell_type)
-        n = TRANSPOSED_MUX_FACTOR
-        self.ledger.transposed_reads += n
-        self.ledger.transposed_energy_pj += n * access.read_energy_pj
-        self.ledger.transposed_time_ns += n * access.read_time_ns
-        return bits
-
-    def write_column(self, col: int, bits: np.ndarray) -> None:
-        """Column write for learning; transposable cells only."""
-        self.array.write_column(col, bits)
-        access = self.transposed.access(self.cell_type)
-        n = TRANSPOSED_MUX_FACTOR
-        self.ledger.transposed_writes += n
-        self.ledger.transposed_energy_pj += n * access.write_energy_pj
-        self.ledger.transposed_time_ns += n * access.write_time_ns
-
     def update_column_6t(self, col: int, bits: np.ndarray) -> None:
         """6T-baseline column update: read-modify-write every row.
 
-        Costs ``2 x rows`` clocked accesses through the single RW port —
-        the paper's 257.8 ns / 157 pJ reference when applied to the full
-        array (section 4.4.1).
+        The 6T cell has no transposed port, so a column update takes
+        ``2 x rows`` clocked accesses through the single RW port: the
+        paper's 257.8 ns / 157 pJ reference when applied to the full
+        array (section 4.4.1).  Transposable cells write a column with
+        :meth:`SramArray.write_column` instead.
         """
         if self.cell_type.is_transposable:
             raise ConfigurationError(
                 "update_column_6t models the non-transposable baseline; "
-                f"{self.cell_type} should use write_column instead"
+                f"{self.cell_type} writes a column through its transposed port"
             )
         bits = np.asarray(bits)
-        access = self.transposed.access(self.cell_type)
         for row in range(self.rows):
             row_bits = self.array.read_row_rw(row)
             row_bits[col] = bits[row]
             self.array.write_row_rw(row, row_bits)
-        self.ledger.transposed_reads += self.rows
-        self.ledger.transposed_writes += self.rows
-        self.ledger.transposed_energy_pj += self.rows * access.rw_energy_pj
-        from repro.sram.electrical import C6T_CYCLE_NS
-
-        self.ledger.transposed_time_ns += 2 * self.rows * C6T_CYCLE_NS
-
-    # -- bookkeeping -------------------------------------------------------------
-
-    def leakage_energy_pj(self, elapsed_ns: float) -> float:
-        """Static energy over ``elapsed_ns`` of wall-clock."""
-        if elapsed_ns < 0.0:
-            raise ConfigurationError("elapsed time must be >= 0")
-        return self.leakage_power_mw * elapsed_ns
-
-    def reset_ledger(self) -> None:
-        self.ledger = MacroEnergyLedger()
 
     def __repr__(self) -> str:
         return (

@@ -6,8 +6,9 @@ point axes, fingerprint, timestamp, dotted numeric scalars and the row
 itself — written by every ``cache.put`` and queried with
 ``filter``/``aggregate``/``to_csv``.  Past sweeps and reliability
 campaigns are answerable with zero re-evaluation:
-``python -m repro.sweep --query "cell=6T"``.  The campaign CLIs'
-shared base class lives in :mod:`repro.store.cli`.
+``python -m repro.sweep --query "cell=6T"``.  Readers open the store
+read-only (:meth:`ResultStore.for_reading`) and change nothing.  The
+campaign CLIs' shared base class lives in :mod:`repro.store.cli`.
 
 See ``docs/sweep.md`` ("The result store: querying past campaigns") for the guide.
 """

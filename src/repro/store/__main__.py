@@ -6,17 +6,26 @@ Subcommands::
     python -m repro.store query --aggregate metrics.latency_ns --by cell,node
 
 ``query`` answers from the cache's SQLite store with zero
-re-evaluation.
+re-evaluation.  It opens the store read-only
+(:meth:`~repro.store.index.ResultStore.for_reading`): a missing,
+damaged or other-version store exits 1 with an ``error:`` line and
+is left as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 
-from repro.errors import ReproError
-from repro.store.index import parse_filter, render_records
-from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.errors import ReproError, writing
+from repro.store.index import (
+    STORE_FILENAME,
+    ResultStore,
+    parse_filter,
+    render_records,
+)
+from repro.sweep.cache import DEFAULT_CACHE_DIR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +76,8 @@ def _run_query(args: argparse.Namespace) -> int:
     where = parse_filter(args.where)
     if args.kind is not None:
         where["kind"] = args.kind
-    with ResultCache(args.cache_dir).store as store:
+    root = pathlib.Path(args.cache_dir or DEFAULT_CACHE_DIR)
+    with ResultStore.for_reading(root / STORE_FILENAME) as store:
         if args.aggregate is not None:
             by = tuple(
                 part.strip() for part in args.by.split(",") if part.strip()
@@ -84,7 +94,8 @@ def _run_query(args: argparse.Namespace) -> int:
             print(render_records(store.filter(**where),
                                  scalars=args.scalar))
         if args.csv:
-            print(f"wrote {store.to_csv(args.csv, **where)}")
+            with writing(args.csv):
+                print(f"wrote {store.to_csv(args.csv, **where)}")
     return 0
 
 

@@ -5,20 +5,22 @@ small :class:`CampaignCli` subclasses: each states only its grid
 registry, runner, the flags of its own (``--trials``/``--bers``,
 hardware and engine), how flags map onto a spec factory, and its
 claims block.  The base class owns the rest, so both CLIs behave alike:
-``--list``, ``--query`` (answered from the result store with zero
-re-evaluation), opening the cache, exit 130 on Ctrl-C with the command
-that resumes the run, closing the cache's store, and rendering with
-``--out``/``--csv``.
+``--list``, ``--query`` (answered from the result store, opened
+read-only, with zero re-evaluation), opening the cache, exit 130 on
+Ctrl-C with the command that resumes the run, closing the cache's
+store, and rendering with ``--out``/``--csv`` (a path that cannot be
+written is an ``error:`` line and exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import pathlib
 import shlex
 import sys
 
-from repro.errors import ReproError
+from repro.errors import ReproError, writing
 from repro.hw.cli import (
     ObservabilityScope,
     add_observability_arguments,
@@ -26,7 +28,12 @@ from repro.hw.cli import (
     narrowed_axes,
 )
 from repro.learning.pretrained import QUALITY_PRESETS
-from repro.store.index import parse_filter, render_records
+from repro.store.index import (
+    STORE_FILENAME,
+    ResultStore,
+    parse_filter,
+    render_records,
+)
 from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
 
 #: Conventional exit status for a run ended by SIGINT (128 + 2).
@@ -195,10 +202,12 @@ class CampaignCli:
             # rendered.
             where = parse_filter(args.query)
             where.setdefault("kind", self.runner_type.kind)
-            with ResultCache(args.cache_dir).store as store:
+            root = pathlib.Path(args.cache_dir or DEFAULT_CACHE_DIR)
+            with ResultStore.for_reading(root / STORE_FILENAME) as store:
                 print(render_records(store.filter(**where)))
                 if args.csv:
-                    print(f"wrote {store.to_csv(args.csv, **where)}")
+                    with writing(args.csv):
+                        print(f"wrote {store.to_csv(args.csv, **where)}")
             return 0
         name = getattr(args, self.noun)
         if name is None:
@@ -236,7 +245,9 @@ class CampaignCli:
         if args.claims:
             print(f"\n{self.claims(result)}")
         if args.out:
-            print(f"wrote {result.to_json(args.out)}")
+            with writing(args.out):
+                print(f"wrote {result.to_json(args.out)}")
         if args.csv:
-            print(f"wrote {result.to_csv(args.csv)}")
+            with writing(args.csv):
+                print(f"wrote {result.to_csv(args.csv)}")
         return 0

@@ -196,32 +196,41 @@ class Aggregate:
     max: float
 
 
+def _checked(conn: sqlite3.Connection, path) -> sqlite3.Connection:
+    """``conn`` once SQLite has read the whole file without finding
+    damage; a damaged file closes it and raises
+    :class:`~repro.errors.ConfigurationError`."""
+    try:
+        damage = [line for (line,) in conn.execute("PRAGMA quick_check")
+                  if line != "ok"]
+    except sqlite3.OperationalError:
+        conn.close()
+        raise  # locked or not openable: the file is not damaged
+    except sqlite3.DatabaseError as error:
+        damage = [str(error)]
+    if damage:
+        conn.close()
+        raise ConfigurationError(
+            f"{path} is not a readable result store: {damage[0]}"
+        )
+    return conn
+
+
 class ResultStore:
     """The SQLite table of campaign rows; see the module docstring.
 
     Opening a file that SQLite cannot read (not a database, or a
     damaged one) raises :class:`~repro.errors.ConfigurationError`;
-    :meth:`for_cache` moves such a file aside instead.
+    :meth:`for_cache` moves such a file aside instead.  A store of
+    another schema version is emptied: only the cache opens a store
+    this way.  Readers use :meth:`for_reading`, which changes nothing.
     """
 
     def __init__(self, path, *, clock=time.time) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock
-        self._conn = sqlite3.connect(str(self.path))
-        try:
-            damage = [line for (line,) in
-                      self._conn.execute("PRAGMA quick_check")
-                      if line != "ok"]
-        except sqlite3.OperationalError:
-            raise  # locked or not openable: the file is not damaged
-        except sqlite3.DatabaseError as error:
-            damage = [str(error)]
-        if damage:
-            self._conn.close()
-            raise ConfigurationError(
-                f"{self.path} is not a readable result store: {damage[0]}"
-            )
+        self._conn = _checked(sqlite3.connect(str(self.path)), self.path)
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version not in (0, STORE_SCHEMA_VERSION):
             # No migration: the store starts empty and its points
@@ -253,6 +262,47 @@ class ResultStore:
         except ConfigurationError:
             os.replace(path, path.with_name(f"{STORE_FILENAME}.corrupt"))
             return cls(path)
+
+    @classmethod
+    def for_reading(cls, path) -> "ResultStore":
+        """The existing store at ``path``, opened read-only.
+
+        For the readers (``--query``, ``python -m repro.store query``,
+        the dashboard): a missing file, one SQLite cannot read or a
+        store of another schema version raises
+        :class:`~repro.errors.ConfigurationError`, and the file is left
+        byte for byte as it was; nothing is created.
+        """
+        path = pathlib.Path(path)
+        if not path.is_file():
+            raise ConfigurationError(f"store file {path} does not exist")
+        uri = f"{path.resolve().as_uri()}?mode=ro"
+        try:
+            conn = _checked(sqlite3.connect(uri, uri=True), path)
+        except sqlite3.Error as error:
+            if getattr(error, "sqlite_errorname", "") == \
+                    "SQLITE_READONLY_ROLLBACK":
+                # A writer was killed mid-commit; rolling its journal
+                # back is a write, which a reader does not make.
+                raise ConfigurationError(
+                    f"{path} holds a commit a killed writer left "
+                    "unfinished; a cached campaign run into its "
+                    "directory rolls it back"
+                ) from None
+            raise ConfigurationError(
+                f"{path} is not a readable result store: {error}"
+            ) from None
+        version = conn.execute("PRAGMA user_version").fetchone()[0]
+        if version != STORE_SCHEMA_VERSION:
+            conn.close()
+            raise ConfigurationError(
+                f"{path} is a result store of schema version {version}, "
+                f"not {STORE_SCHEMA_VERSION}; a cached campaign run into "
+                "its directory starts it afresh"
+            )
+        store = cls.__new__(cls)
+        store.path, store._clock, store._conn = path, time.time, conn
+        return store
 
     # -- lifecycle -------------------------------------------------------------------
 

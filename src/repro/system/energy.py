@@ -62,9 +62,9 @@ class SystemEnergyModel:
     def metrics(self, trace: InferenceTrace) -> SystemMetrics:
         """Roll up a completed multi-image trace into per-inference metrics.
 
-        The dynamic energy prices the trace's own counts, so what the
-        network served outside the trace, and its learning ledgers, stay
-        out.
+        The dynamic energy prices the trace's own inference counts, so
+        what the network served outside the trace, and its tiles'
+        learning column updates, stay out.
         """
         if trace.images < 1:
             raise ConfigurationError("trace contains no inferences")

@@ -18,8 +18,9 @@ the counts into grants and cycles.  :func:`drain_schedule` and
 the spikes; the tests hold the engine to them.
 
 This module holds the pure-numpy primitives; the stateful engine that
-replays the schedule into the tile statistics and energy ledgers lives
-in :mod:`repro.tile.engine`.
+adds the schedule into each tile's count record
+(:class:`~repro.tile.tile.TileInferenceStats`) lives in
+:mod:`repro.tile.engine`.
 """
 
 from __future__ import annotations

@@ -360,8 +360,8 @@ class EsamNetwork:
     # -- cost roll-ups -------------------------------------------------------------------
 
     def dynamic_energy_pj(self) -> float:
-        """All dynamic energy so far: every tile's count record, priced,
-        plus the learning ledgers."""
+        """All dynamic energy so far: every tile's inference count
+        record and learning column updates, priced."""
         return sum(t.dynamic_energy_pj() for t in self.tiles)
 
     def leakage_power_mw(self) -> float:

@@ -20,14 +20,17 @@ cycle).
 A tile counts its inference activity in one integer record,
 :class:`TileInferenceStats`; every engine adds into it, and the read,
 neuron and arbiter energies are derived from it (paper section 4.1:
-activity counts times per-access energies).  Only learning, through
-the macros' transposed ports, keeps a ledger of its own.
+activity counts times per-access energies).  Learning is counted the
+same way: :meth:`Tile.update_neuron_column` adds one to
+:attr:`Tile.column_updates` per macro column it rewrites, and that
+count is priced at :attr:`Tile.column_update_cost` (section 4.4.1).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from repro.hw.config import HardwareConfig
 from repro.neuron.array import NeuronArray
 from repro.sram.macro import SramMacro
 from repro.sram.readport import ReadPortModel
-from repro.sram.electrical import TransposedPortModel
+from repro.sram.electrical import ColumnUpdateCost, TransposedPortModel
 from repro.tile.mapping import ARRAY_DIM, LayerMapping
 
 
@@ -127,11 +130,10 @@ class Tile:
         self.ports = self.cell_type.inference_ports
         # Shared electrical models (one instance across all macros).
         read_ports = read_port_model or ReadPortModel(ARRAY_DIM, ARRAY_DIM, node)
-        transposed = transposed_model or TransposedPortModel(
+        self._read_port_model = read_ports
+        self._transposed_model = transposed_model or TransposedPortModel(
             ARRAY_DIM, ARRAY_DIM, node
         )
-        self._read_port_model = read_ports
-        self._transposed_model = transposed
         # Arbiters: one per row block.
         self.arbiters = [
             MultiPortArbiter(ARRAY_DIM, self.ports)
@@ -142,7 +144,7 @@ class Tile:
             [
                 SramMacro(
                     rows=ARRAY_DIM, cols=ARRAY_DIM, config=config,
-                    read_port_model=read_ports, transposed_model=transposed,
+                    read_port_model=read_ports,
                 )
                 for _ in range(self.mapping.col_blocks)
             ]
@@ -157,13 +159,15 @@ class Tile:
                 NeuronArray(
                     thresholds[cs],
                     ports=self.ports * self.mapping.row_blocks,
-                    multiport=self.cell_type.is_multiport,
                 )
             )
         self._arbiter_cycle_energy_pj = arbiter_energy_per_cycle_pj(
             ARRAY_DIM, self.ports, tree=True
         )
         self.stats = TileInferenceStats.zeros(self.mapping.row_blocks)
+        #: Learning's count: macro columns rewritten since the last
+        #: :meth:`reset_stats`, one per row block a neuron spans.
+        self.column_updates = 0
         # Bumped on every in-place weight mutation so cached weight
         # snapshots (the fast engine) know to rebuild.
         self.weight_version = 0
@@ -204,17 +208,46 @@ class Tile:
                 out[rs, cs] = bits[: rs.stop - rs.start, : cs.stop - cs.start]
         return out
 
-    def macro_for_neuron(self, neuron: int, row_block: int) -> tuple[SramMacro, int]:
-        """The macro and local column storing ``neuron``'s synapses for
-        one row block (used by the online-learning engine)."""
-        if not 0 <= neuron < self.n_out:
-            raise ConfigurationError(f"neuron {neuron} out of range")
-        cb, local_col = divmod(neuron, ARRAY_DIM)
-        return self.macros[row_block][cb], local_col
-
     def note_weight_update(self) -> None:
         """Record that macro weights were mutated in place (learning)."""
         self.weight_version += 1
+
+    # -- online learning (section 4.4.1) ----------------------------------------------
+
+    def update_neuron_column(
+            self, neuron: int, pre: np.ndarray,
+            update: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+        """Read-modify-write ``neuron``'s synapse column in every row block.
+
+        ``update(column, pre_block)`` returns a block's new column from
+        its stored one and the block's slice of the ``n_in`` pre-synaptic
+        vector ``pre`` (zero-padded to the array); blocks are visited in
+        ascending order, one call each.  Transposable cells read and
+        write the column through the transposed port; the 6T baseline
+        read-modify-writes every row through its RW port.  Each macro
+        column adds one to :attr:`column_updates`.
+        """
+        if not 0 <= neuron < self.n_out:
+            raise ConfigurationError(f"neuron {neuron} out of range")
+        cb, col = divmod(neuron, ARRAY_DIM)
+        for rb, row in enumerate(self.macros):
+            macro = row[cb]
+            rs = self.mapping.row_slice(rb)
+            pre_block = np.zeros(ARRAY_DIM, dtype=bool)
+            pre_block[: rs.stop - rs.start] = pre[rs]
+            if self.cell_type.is_transposable:
+                column = update(macro.array.read_column(col), pre_block)
+                macro.array.write_column(col, column)
+            else:
+                column = macro.array.dump_weights()[:, col]
+                macro.update_column_6t(col, update(column, pre_block))
+            self.column_updates += 1
+        self.note_weight_update()
+
+    @property
+    def column_update_cost(self) -> ColumnUpdateCost:
+        """Accesses, time and energy of one macro column update."""
+        return self._transposed_model.column_update_cost(self.cell_type)
 
     # -- cycle-accurate inference ---------------------------------------------------
 
@@ -355,10 +388,10 @@ class Tile:
 
     def dynamic_energy_pj(self) -> float:
         """All dynamic energy so far: the record's inference energy plus
-        the macros' learning (transposed-port) ledgers."""
-        return self.inference_energy_pj() + sum(
-            m.ledger.transposed_energy_pj for row in self.macros for m in row
-        )
+        learning's :attr:`column_updates`, each at
+        :attr:`column_update_cost`."""
+        return (self.inference_energy_pj()
+                + self.column_updates * self.column_update_cost.energy_pj)
 
     def leakage_power_mw(self) -> float:
         """Static power of all macros in this tile."""
@@ -376,9 +409,7 @@ class Tile:
 
     def reset_stats(self) -> None:
         self.stats = TileInferenceStats.zeros(self.mapping.row_blocks)
-        for row in self.macros:
-            for macro in row:
-                macro.reset_ledger()
+        self.column_updates = 0
         for neurons in self.neurons:
             neurons.reset()
         for arbiter in self.arbiters:

@@ -1,10 +1,12 @@
-"""Smoke tests for the scripts tier-1 never runs end to end.
+"""Smoke tests for the example, benchmark and perfbench scripts.
 
-Running the examples and the benchmarks needs the full trained model.
+Running most examples and the benchmarks needs the full trained model.
 Importing them, and checking every keyword they pass to the library
 against the callee's signature, catches API drift, typos and missing
 modules cheaply in CI.  The repo benchmark's scripts (``perfbench/``)
-get the keyword check only: they are parsed, never imported.
+get the keyword check only: they are parsed, never imported.  The
+online-learning demo builds random systems and runs in well under a
+second, so it runs end to end against its golden capture.
 """
 
 import ast
@@ -108,6 +110,16 @@ def test_example_imports_and_has_main(path):
     assert callable(getattr(module, "main", None)), (
         f"{path.name} must define a main() entry point"
     )
+
+
+@pytest.mark.learning
+def test_online_learning_demo_prints_its_golden_capture(capsys):
+    """The demo's whole output, learning costs included, is pinned to
+    ``tests/golden/online_learning_demo.txt``; a change that moves a
+    weight or a priced cost shows up as a diff here."""
+    _load(ROOT / "examples" / "online_learning_demo.py").main()
+    golden = ROOT / "tests" / "golden" / "online_learning_demo.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 @pytest.mark.parametrize(

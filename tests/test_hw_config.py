@@ -355,15 +355,19 @@ class TestThreading:
         assert default.leakage_power_mw == paper.leakage_power_mw
 
     def test_network_neurons_follow_the_config_cell(self):
-        """A 6T network's neurons take the single-input update path."""
+        """A 6T network's neurons take one bitline input a cycle, and
+        its clock takes the single-input update path."""
         import numpy as np
+        from repro.neuron.if_neuron import neuron_add_time_ns
 
         weights = [np.eye(8, dtype=np.uint8)]
         net = EsamNetwork(weights, [np.zeros(8)],
                           config=HardwareConfig(cell_type=CellType.C6T))
-        segments = net.tiles[0].neurons
-        assert not any(segment.multiport for segment in segments)
-        assert all(segment.add_time_ns == 0.20 for segment in segments)
+        assert all(segment.ports == 1 for segment in net.tiles[0].neurons)
+        pipeline = net.pipeline
+        read_ns = pipeline.read_ports.read_time_ns(CellType.C6T)
+        assert pipeline.sram_neuron_stage_ns(CellType.C6T) - read_ns \
+            == pytest.approx(neuron_add_time_ns(1, multiport=False))
 
     def test_network_records_actual_topology(self):
         net = tiny_network(HardwareConfig())

@@ -10,9 +10,10 @@ from repro.learning.online import (
     column_update_comparison,
 )
 from repro.learning.stdp import StochasticSTDP
-from repro.sram.bitcell import CellType
+from repro.sram.bitcell import ALL_CELLS, CellType
 from repro.tile.tile import Tile
 
+pytestmark = pytest.mark.learning
 
 @pytest.fixture()
 def tile(rng) -> Tile:
@@ -69,6 +70,65 @@ class TestEngine:
         engine = OnlineLearningEngine(tile)
         with pytest.raises(ConfigurationError):
             engine.learn(np.zeros(100), np.array([0]))
+
+
+class TestSingleCostModel:
+    """Learning is priced once: the tile's count of macro column updates
+    times the transposed-port model's per-column cost, the model behind
+    the section 4.4.1 comparison."""
+
+    @staticmethod
+    def session(cell: CellType, n_in: int = 256, steps: int = 12):
+        rng = np.random.default_rng(23)
+        w = rng.integers(0, 2, (n_in, 40)).astype(np.uint8)
+        tile = Tile(w, np.zeros(40), config=HardwareConfig(cell_type=cell))
+        engine = OnlineLearningEngine(tile, StochasticSTDP(0.3, 0.2, seed=4))
+        for step in range(steps):
+            tile.run_inference(rng.random(n_in) < 0.2)
+            engine.learn(rng.random(n_in) < 0.3,
+                         rng.choice(40, size=1 + step % 3, replace=False))
+        return tile, engine.report
+
+    @pytest.mark.parametrize("cell", ALL_CELLS, ids=lambda c: c.value)
+    def test_report_prices_the_tiles_count(self, cell):
+        tile, report = self.session(cell)
+        cost = tile.column_update_cost
+        assert report.column_updates == 24
+        assert tile.column_updates == 2 * 24  # two row blocks
+        assert report.transposed_accesses == (
+            tile.column_updates * cost.total_accesses
+        )
+        assert report.time_ns == tile.column_updates * cost.total_time_ns
+        assert report.energy_pj == tile.column_updates * cost.energy_pj
+
+    @pytest.mark.parametrize("cell", ALL_CELLS, ids=lambda c: c.value)
+    def test_dynamic_energy_adds_the_report_to_inference(self, cell):
+        tile, report = self.session(cell)
+        assert report.energy_pj > 0.0
+        assert tile.dynamic_energy_pj() == (
+            tile.inference_energy_pj() + report.energy_pj
+        )
+
+    @pytest.mark.parametrize("cell", ALL_CELLS, ids=lambda c: c.value)
+    def test_reset_stats_clears_the_learning_count(self, cell):
+        tile, _ = self.session(cell)
+        tile.reset_stats()
+        assert tile.column_updates == 0
+        assert tile.dynamic_energy_pj() == tile.inference_energy_pj() == 0.0
+
+    @pytest.mark.parametrize("cell", ALL_CELLS, ids=lambda c: c.value)
+    def test_one_update_is_the_section_441_column(self, cell):
+        tile, _ = self.session(cell, n_in=128, steps=0)
+        engine = OnlineLearningEngine(tile)
+        engine.learn(np.ones(128), np.array([9]))
+        report, cost = engine.report, tile.column_update_cost
+        paper = column_update_comparison()[cell.value]
+        assert tile.column_updates == 1
+        assert report.transposed_accesses == paper["accesses"]
+        assert cost.read_time_ns == paper["read_time_ns"]
+        assert cost.write_time_ns == paper["write_time_ns"]
+        assert report.time_ns == paper["time_ns"]
+        assert report.energy_pj == paper["energy_pj"]
 
 
 class TestSection441Comparison:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.learning.stdp import StochasticSTDP
 
+pytestmark = pytest.mark.learning
 
 class TestUpdateColumn:
     def test_output_binary(self, rng):

@@ -77,10 +77,6 @@ class TestArrayBehaviour:
         assert (arr.membrane_potentials() == 0).all()
         assert not arr.take_requests().any()
 
-    def test_add_time_matches_port_count(self):
-        arr = NeuronArray(np.zeros(4), ports=4)
-        assert arr.add_time_ns == pytest.approx(0.40)
-
 
 class TestValidation:
     def test_too_many_rows(self):

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.sram.bitcell import ALL_CELLS, CellType
 from repro.sram.electrical import C6T_CYCLE_NS, TransposedPortModel
 
+pytestmark = pytest.mark.learning
 
 @pytest.fixture(scope="module")
 def model() -> TransposedPortModel:

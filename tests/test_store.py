@@ -8,7 +8,9 @@ worker pool, CLI messages, the dashboard) must agree with it:
   one or a locked database while a writer commits, and a store file
   SQLite cannot read is moved aside so its points re-evaluate;
 * querying them: filters, aggregation, CSV export, CLI and dashboard
-  wiring;
+  wiring; the readers open the store read-only, so a store they cannot
+  read (missing, damaged, another schema version, a killed writer's
+  unfinished commit) is an ``error:`` line and stays byte for byte;
 * the supervised map returns results in input order for any worker
   count, reports each one as it completes and hands a task's own error
   to the caller;
@@ -21,9 +23,12 @@ worker pool, CLI messages, the dashboard) must agree with it:
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import importlib
 import json
 import multiprocessing
+import os
 import pathlib
 import shlex
 import sqlite3
@@ -155,18 +160,6 @@ class TestUnreadableStore:
         key = _put_n(cache, 1)[0]
         assert ResultCache(tmp_path).get(key) == cache.get(key)
 
-    @pytest.mark.parametrize("cli, argv", [
-        ("repro.sweep.__main__", ["--query", ""]),
-        ("repro.reliability.__main__", ["--query", ""]),
-        ("repro.store.__main__", ["query"]),
-    ])
-    def test_queries_answer_from_an_empty_store(self, cli, argv, tmp_path,
-                                                capsys):
-        damage_store(tmp_path / STORE_FILENAME, "garbage")
-        main = importlib.import_module(cli).main
-        assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
-        assert "store: no matching rows" in capsys.readouterr().out
-
     def test_dashboard_reports_it_and_exits_1(self, tmp_path, capsys):
         from repro.obs.__main__ import main as obs_main
 
@@ -179,6 +172,104 @@ class TestUnreadableStore:
         assert err.startswith("error: ") and "not a readable" in err
         assert "Traceback" not in err
         assert path.read_bytes() == damaged
+
+
+def _read_store(reader: str, root: pathlib.Path, tmp_path) -> int:
+    """Run one store reader over the store of the cache dir ``root``."""
+    if reader == "obs":
+        from repro.obs.__main__ import main
+
+        return main(["report", "--out", str(tmp_path / "r.html"),
+                     "--bench-dir", str(tmp_path),
+                     "--store", str(root / STORE_FILENAME)])
+    main = importlib.import_module(f"repro.{reader}.__main__").main
+    argv = ["query"] if reader == "store" else ["--query", ""]
+    return main([*argv, "--cache-dir", str(root)])
+
+
+READERS = ["sweep", "reliability", "store", "obs"]
+
+
+class TestStoreReaders:
+    """``--query``, ``python -m repro.store query`` and the dashboard
+    read a store and change nothing: a store they cannot read ends in
+    an ``error:`` line and exit 1, and the file stays byte for byte."""
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("how", ["garbage", "truncated", "scribbled",
+                                     "other-version"])
+    def test_an_unreadable_store_is_an_error_and_left_alone(
+            self, reader, how, tmp_path, capsys):
+        root = tmp_path / "cache"
+        path = root / STORE_FILENAME
+        if how == "other-version":
+            with ResultStore(path) as store:
+                store.put(_key(1), _ROW)
+            with contextlib.closing(sqlite3.connect(path)) as conn:
+                conn.execute("PRAGMA user_version = 1")
+                conn.commit()
+        else:
+            root.mkdir()
+            damage_store(path, how)
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert _read_store(reader, root, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+        assert sorted(p.name for p in root.iterdir()) == [STORE_FILENAME]
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_missing_store_is_an_error_and_nothing_is_created(
+            self, reader, tmp_path, capsys):
+        root = tmp_path / "typo_dir"
+        assert _read_store(reader, root, tmp_path) == 1
+        assert "does not exist" in capsys.readouterr().err
+        assert not root.exists()
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_healthy_store_is_read_and_left_alone(self, reader, tmp_path,
+                                                    capsys):
+        root = tmp_path / "cache"
+        cache = ResultCache(root)
+        _put_n(cache, 3)
+        cache.store.close()
+        path = root / STORE_FILENAME
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert _read_store(reader, root, tmp_path) == 0
+        shown = {"sweep": "3 rows", "store": "3 rows", "obs": "wrote",
+                 "reliability": "store: no matching rows"}  # sweep rows
+        assert shown[reader] in capsys.readouterr().out
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+        assert sorted(p.name for p in root.iterdir()) == [STORE_FILENAME]
+
+    def test_a_killed_writers_store_is_an_error_until_a_run_rolls_it_back(
+            self, tmp_path, capsys):
+        """Rolling back a hot journal is a write: the reader names it and
+        leaves it; the next cached open rolls it back."""
+        root = tmp_path / "cache"
+        cache = ResultCache(root)
+        _put_n(cache, 3)
+        cache.store.close()
+        pid = os.fork()
+        if pid == 0:  # a writer killed mid-commit leaves its journal
+            conn = sqlite3.connect(root / STORE_FILENAME,
+                                   isolation_level=None)
+            conn.execute("PRAGMA cache_size = 1")
+            conn.execute("BEGIN IMMEDIATE")
+            conn.execute("DELETE FROM entries")
+            os._exit(0)
+        os.waitpid(pid, 0)
+        journal = root / f"{STORE_FILENAME}-journal"
+        assert journal.exists()
+        before = (root / STORE_FILENAME).read_bytes()
+        assert _read_store("store", root, tmp_path) == 1
+        assert "killed writer" in capsys.readouterr().err
+        assert (root / STORE_FILENAME).read_bytes() == before
+        assert journal.exists()
+        assert len(ResultCache(root)) == 3  # the cache rolls it back
+        assert _read_store("store", root, tmp_path) == 0
+        assert "3 rows" in capsys.readouterr().out
 
 
 def _hammer_puts(root: str, key: str, rows: list, rounds: int) -> None:

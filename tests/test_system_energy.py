@@ -64,6 +64,33 @@ class TestMetrics:
             m.dynamic_energy_pj + m.clock_energy_pj + m.leakage_energy_pj
         )
 
+    def test_leakage_is_static_power_times_inference_time(
+            self, small_network, rng):
+        from repro.system.config import PERIPHERY_STATIC_MW
+
+        trace = InferenceTrace()
+        small_network.infer(rng.random(128) < 0.3, trace)
+        m = SystemEnergyModel(small_network).metrics(trace)
+        static_mw = small_network.leakage_power_mw() + PERIPHERY_STATIC_MW
+        assert m.leakage_energy_pj == static_mw * m.inference_time_ns > 0.0
+
+    @pytest.mark.learning
+    def test_learning_stays_out_of_the_priced_inference(self, small_network,
+                                                        rng):
+        from repro.learning.online import OnlineLearningEngine
+
+        model = SystemEnergyModel(small_network)
+        trace = InferenceTrace()
+        small_network.infer(rng.random(128) < 0.3, trace)
+        before = model.metrics(trace)
+        dynamic = small_network.dynamic_energy_pj()
+        engine = OnlineLearningEngine(small_network.tiles[0])
+        engine.learn(rng.random(128) < 0.3, np.array([0, 5]))
+        assert model.metrics(trace) == before
+        assert small_network.dynamic_energy_pj() == pytest.approx(
+            dynamic + engine.report.energy_pj
+        )
+
     def test_more_spikes_cost_more(self, small_network, rng):
         model = SystemEnergyModel(small_network)
         sparse_trace = InferenceTrace()

@@ -184,17 +184,6 @@ class TestCountRecord:
         assert grid_tile.inference_energy_pj() == expected
         assert grid_tile.dynamic_energy_pj() == grid_tile.inference_energy_pj()
 
-    def test_learning_counts_only_in_dynamic_energy(self, grid_tile):
-        grid_tile.run_inference(self.spikes(9, 6))
-        inference = grid_tile.inference_energy_pj()
-        grid_tile.macros[1][0].read_column(3)
-        learning = grid_tile.macros[1][0].ledger.transposed_energy_pj
-        assert learning > 0.0
-        assert grid_tile.inference_energy_pj() == inference
-        assert grid_tile.dynamic_energy_pj() == pytest.approx(
-            inference + learning
-        )
-
     def test_records_subtract_and_add_back_exactly(self, grid_tile):
         grid_tile.run_inference(self.spikes(5, 3))
         mark = grid_tile.stats.copy()
@@ -207,19 +196,77 @@ class TestCountRecord:
         assert mark.copy() == mark
 
 
+@pytest.mark.learning
+class TestLearning:
+    """A column update rewrites one neuron's column in every row block
+    and counts one per macro column; only dynamic energy prices it."""
+
+    @pytest.fixture(params=ALL_CELLS, ids=lambda cell: cell.value)
+    def grid_tile(self, request, rng) -> Tile:
+        """3 row blocks (the last one padded) x 2 column blocks."""
+        w = rng.integers(0, 2, (300, 140)).astype(np.uint8)
+        return Tile(w, rng.integers(-5, 20, 140),
+                    config=HardwareConfig(cell_type=request.param))
+
+    def test_rewrites_the_neurons_column_block_by_block(self, grid_tile,
+                                                        rng):
+        before = grid_tile.weight_matrix()
+        version = grid_tile.weight_version
+        pre = rng.random(300) < 0.5
+        calls = []
+
+        def invert(column, pre_block):
+            calls.append((column.copy(), pre_block.copy()))
+            return 1 - column
+
+        grid_tile.update_neuron_column(130, pre, invert)
+        after = grid_tile.weight_matrix()
+        assert (after[:, 130] == 1 - before[:, 130]).all()
+        assert np.array_equal(np.delete(after, 130, axis=1),
+                              np.delete(before, 130, axis=1))
+        # Ascending row blocks, one call each, on the stored column
+        # (macro column 2 of column block 1) and the zero-padded pre.
+        assert len(calls) == 3
+        padded = np.zeros(384, dtype=bool)
+        padded[:300] = pre
+        for rb, (column, pre_block) in enumerate(calls):
+            stored = grid_tile.mapping.block_weights(before, rb, 1)[:, 2]
+            assert np.array_equal(column, stored)
+            assert np.array_equal(pre_block, padded[128 * rb:][:128])
+        assert grid_tile.column_updates == 3
+        assert grid_tile.weight_version == version + 1
+
+    def test_neuron_range_checked(self, grid_tile, rng):
+        before = grid_tile.weight_matrix()
+        for neuron in (140, -1):
+            with pytest.raises(ConfigurationError, match="out of range"):
+                grid_tile.update_neuron_column(
+                    neuron, rng.random(300) < 0.5, lambda c, p: c
+                )
+        assert grid_tile.column_updates == 0
+        assert np.array_equal(grid_tile.weight_matrix(), before)
+
+    def test_learning_counts_only_in_dynamic_energy(self, grid_tile, rng):
+        spikes = rng.random(300) < 0.3
+        grid_tile.run_inference(spikes)
+        stats = grid_tile.stats.copy()
+        inference = grid_tile.inference_energy_pj()
+        grid_tile.update_neuron_column(3, spikes, lambda c, p: 1 - c)
+        cost = grid_tile.column_update_cost
+        assert cost.energy_pj > 0.0
+        assert grid_tile.stats == stats
+        assert grid_tile.inference_energy_pj() == inference
+        assert grid_tile.dynamic_energy_pj() == inference + 3 * cost.energy_pj
+
+    def test_reset_stats_clears_the_learning_count(self, grid_tile, rng):
+        grid_tile.update_neuron_column(7, rng.random(300) < 0.5,
+                                       lambda c, p: c)
+        grid_tile.reset_stats()
+        assert grid_tile.column_updates == 0
+        assert grid_tile.dynamic_energy_pj() == 0.0
+
+
 class TestStructure:
-    def test_macro_for_neuron(self, rng):
-        w = rng.integers(0, 2, (256, 200)).astype(np.uint8)
-        tile = Tile(w, np.zeros(200),
-                    config=HardwareConfig(cell_type=CellType.C1RW2R))
-        macro, col = tile.macro_for_neuron(130, row_block=1)
-        assert col == 2
-        assert macro is tile.macros[1][1]
-
-    def test_macro_for_neuron_range_checked(self, small_tile):
-        with pytest.raises(ConfigurationError):
-            small_tile.macro_for_neuron(500, 0)
-
     def test_weight_matrix_roundtrip(self, rng):
         w = rng.integers(0, 2, (300, 140)).astype(np.uint8)
         tile = Tile(w, np.zeros(140),
