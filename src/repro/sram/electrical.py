@@ -30,7 +30,6 @@ increase" the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.errors import ConfigurationError
 from repro.sram.bitcell import ALL_CELLS, CellType, bitcell_spec
@@ -228,7 +227,6 @@ class TransposedPortModel:
 
     # -- public API ---------------------------------------------------------
 
-    @lru_cache(maxsize=None)
     def access(self, cell_type: CellType) -> TransposedAccess:
         """Figure-6 data point for ``cell_type``."""
         a_w, b_w = self._time_calibration["write"]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -130,10 +131,11 @@ class Tile:
         self.ports = self.cell_type.inference_ports
         # Shared electrical models (one instance across all macros).
         read_ports = read_port_model or ReadPortModel(ARRAY_DIM, ARRAY_DIM, node)
-        self._read_port_model = read_ports
-        self._transposed_model = transposed_model or TransposedPortModel(
+        transposed = transposed_model or TransposedPortModel(
             ARRAY_DIM, ARRAY_DIM, node
         )
+        self._read_port_model = read_ports
+        self._transposed_model = transposed
         # Arbiters: one per row block.
         self.arbiters = [
             MultiPortArbiter(ARRAY_DIM, self.ports)
@@ -244,7 +246,7 @@ class Tile:
             self.column_updates += 1
         self.note_weight_update()
 
-    @property
+    @cached_property
     def column_update_cost(self) -> ColumnUpdateCost:
         """Accesses, time and energy of one macro column update."""
         return self._transposed_model.column_update_cost(self.cell_type)
