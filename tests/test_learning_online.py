@@ -15,6 +15,7 @@ from repro.tile.tile import Tile
 
 pytestmark = pytest.mark.learning
 
+
 @pytest.fixture()
 def tile(rng) -> Tile:
     w = rng.integers(0, 2, (256, 64)).astype(np.uint8)

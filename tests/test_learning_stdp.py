@@ -10,6 +10,7 @@ from repro.learning.stdp import StochasticSTDP
 
 pytestmark = pytest.mark.learning
 
+
 class TestUpdateColumn:
     def test_output_binary(self, rng):
         rule = StochasticSTDP(seed=1)

@@ -8,6 +8,7 @@ from repro.sram.electrical import C6T_CYCLE_NS, TransposedPortModel
 
 pytestmark = pytest.mark.learning
 
+
 @pytest.fixture(scope="module")
 def model() -> TransposedPortModel:
     return TransposedPortModel()

@@ -28,10 +28,11 @@ import hashlib
 import importlib
 import json
 import multiprocessing
-import os
 import pathlib
 import shlex
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -251,15 +252,16 @@ class TestStoreReaders:
         cache = ResultCache(root)
         _put_n(cache, 3)
         cache.store.close()
-        pid = os.fork()
-        if pid == 0:  # a writer killed mid-commit leaves its journal
-            conn = sqlite3.connect(root / STORE_FILENAME,
-                                   isolation_level=None)
-            conn.execute("PRAGMA cache_size = 1")
-            conn.execute("BEGIN IMMEDIATE")
-            conn.execute("DELETE FROM entries")
-            os._exit(0)
-        os.waitpid(pid, 0)
+        writer = (  # killed mid-commit, it leaves its journal behind
+            "import os, sqlite3, sys\n"
+            "conn = sqlite3.connect(sys.argv[1], isolation_level=None)\n"
+            "conn.execute('PRAGMA cache_size = 1')\n"  # spill to the file
+            "conn.execute('BEGIN IMMEDIATE')\n"
+            "conn.execute('DELETE FROM entries')\n"
+            "os._exit(0)\n"
+        )
+        subprocess.run([sys.executable, "-c", writer,
+                        str(root / STORE_FILENAME)], check=True, timeout=60)
         journal = root / f"{STORE_FILENAME}-journal"
         assert journal.exists()
         before = (root / STORE_FILENAME).read_bytes()
