@@ -16,7 +16,8 @@ class ConfigurationError(ReproError):
 
 class OutputError(ReproError):
     """An output file (a CLI's ``--out``, ``--csv``, ``--json``,
-    ``--trace-out`` or ``--metrics-out``) could not be written."""
+    ``--trace-out`` or ``--metrics-out``, or a cache's result store)
+    could not be written."""
 
 
 @contextlib.contextmanager

@@ -30,13 +30,17 @@ class OnlineLearningReport:
     """Accumulated cost of the on-chip learning activity.
 
     ``learning_events`` and ``column_updates`` (one per neuron updated)
-    count the engine's calls; the accesses, time and energy are the
-    tile's :attr:`~repro.tile.tile.Tile.column_updates` priced at its
-    :attr:`~repro.tile.tile.Tile.column_update_cost`.
+    count the engine's calls, and ``macro_columns`` the macro columns
+    they rewrote (one per row block of each neuron); the accesses, time
+    and energy are ``macro_columns`` priced at the tile's
+    :attr:`~repro.tile.tile.Tile.column_update_cost`.  The report keeps
+    its own count because a classification resets the tile's
+    :attr:`~repro.tile.tile.Tile.column_updates`.
     """
 
     learning_events: int = 0
     column_updates: int = 0
+    macro_columns: int = 0
     transposed_accesses: int = 0
     time_ns: float = 0.0
     energy_pj: float = 0.0
@@ -58,8 +62,10 @@ class OnlineLearningEngine:
         pre_spikes:
             Pre-synaptic activity vector for the tile's inputs (0/1).
         learning_neurons:
-            Indices (or boolean mask) of post-neurons with a learning
-            event this step.
+            Post-neurons with a learning event this step: integer
+            indices in ``[0, n_out)`` (a scalar is one neuron) or a
+            boolean mask of length ``n_out``.  The whole set is checked
+            before any column is written.
 
         Returns the number of column updates performed.
         """
@@ -68,20 +74,44 @@ class OnlineLearningEngine:
             raise ConfigurationError(
                 f"pre_spikes shape {pre.shape} != ({self.tile.n_in},)"
             )
-        neurons = np.asarray(learning_neurons)
-        if neurons.dtype == bool:
-            neurons = np.flatnonzero(neurons)
-        neurons = neurons.astype(int)
+        neurons = self._neuron_indices(learning_neurons)
         tile, report = self.tile, self.report
+        columns_before = tile.column_updates
         for neuron in neurons:
             tile.update_neuron_column(int(neuron), pre, self.rule.update_column)
         report.learning_events += 1
         report.column_updates += len(neurons)
+        report.macro_columns += tile.column_updates - columns_before
         cost = tile.column_update_cost
-        report.transposed_accesses = tile.column_updates * cost.total_accesses
-        report.time_ns = tile.column_updates * cost.total_time_ns
-        report.energy_pj = tile.column_updates * cost.energy_pj
+        report.transposed_accesses = report.macro_columns * cost.total_accesses
+        report.time_ns = report.macro_columns * cost.total_time_ns
+        report.energy_pj = report.macro_columns * cost.energy_pj
         return len(neurons)
+
+    def _neuron_indices(self, learning_neurons) -> np.ndarray:
+        """``learning_neurons`` as checked indices into the tile's
+        neurons; a :class:`ConfigurationError` otherwise."""
+        n_out = self.tile.n_out
+        neurons = np.atleast_1d(np.asarray(learning_neurons))
+        if neurons.dtype == bool:
+            if neurons.shape != (n_out,):
+                raise ConfigurationError(
+                    f"learning_neurons mask shape {neurons.shape} != "
+                    f"({n_out},)"
+                )
+            return np.flatnonzero(neurons)
+        if neurons.ndim != 1 or (
+                neurons.size and not np.issubdtype(neurons.dtype, np.integer)):
+            raise ConfigurationError(
+                "learning_neurons must be integer indices or a boolean "
+                f"mask, got {neurons.dtype} of shape {neurons.shape}"
+            )
+        outside = neurons[(neurons < 0) | (neurons >= n_out)]
+        if outside.size:
+            raise ConfigurationError(
+                f"neuron {outside[0]} out of range [0, {n_out})"
+            )
+        return neurons.astype(int)
 
 
 def column_update_comparison(rows: int = 128, cols: int = 128,

@@ -14,10 +14,15 @@ into the macros (:meth:`~repro.sram.faults.FaultInjector.apply_trial`)
 and classifies the whole image sample in one batched
 ``EsamNetwork.infer_batch`` call on the fast engine — the per-cycle
 path is never needed because the engines are proven trace-identical on
-faulted networks (``tests/test_reliability_differential.py``).
+faulted networks (``tests/test_reliability_differential.py``).  Points
+that differ only in technology node or process corner evaluate to the
+same output, so a run evaluates them once
+(:meth:`ReliabilityRunner._outcome_key`).
 """
 
 from __future__ import annotations
+
+import json
 
 from repro.learning.pretrained import get_reference_model
 from repro.reliability.spec import FaultPoint
@@ -99,6 +104,22 @@ class ReliabilityRunner(CampaignRunner):
 
     def _task(self):
         return evaluate_fault_point
+
+    def _outcome_key(self, point: FaultPoint) -> str:
+        """The point's ``to_dict()`` less ``node`` and ``corner``.
+
+        Only the timing, energy and area models read those two axes:
+        :func:`evaluate_fault_point` classifies the same weights under
+        the same masks (config seed, error rate, trial index) whatever
+        the node or corner, and each corner enters afterwards, as its
+        read-timing yield in :func:`build_yield_curves`.  The key drops
+        fields instead of naming the ones it keeps, so a field added
+        to the point keeps points apart until it is shown to be
+        timing-only.
+        """
+        fields = point.to_dict()
+        del fields["node"], fields["corner"]
+        return json.dumps(fields, sort_keys=True)
 
     def _row(self, point: FaultPoint, output) -> ReliabilityRow:
         accuracies, flips = output

@@ -29,7 +29,7 @@ import sqlite3
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, OutputError
 
 #: Bump when the table layout changes; a store of another version
 #: starts empty, and its points re-evaluate on their next run.
@@ -221,16 +221,24 @@ class ResultStore:
 
     Opening a file that SQLite cannot read (not a database, or a
     damaged one) raises :class:`~repro.errors.ConfigurationError`;
-    :meth:`for_cache` moves such a file aside instead.  A store of
-    another schema version is emptied: only the cache opens a store
-    this way.  Readers use :meth:`for_reading`, which changes nothing.
+    :meth:`for_cache` moves such a file aside instead.  A path SQLite
+    cannot open at all (a directory, a locked store, a file where its
+    directory should be) raises :class:`~repro.errors.OutputError`
+    naming it, and nothing is moved.  A store of another schema version is emptied: only the
+    cache opens a store this way.  Readers use :meth:`for_reading`,
+    which changes nothing.
     """
 
     def __init__(self, path, *, clock=time.time) -> None:
         self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._clock = clock
-        self._conn = _checked(sqlite3.connect(str(self.path)), self.path)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._conn = _checked(sqlite3.connect(str(self.path)),
+                                  self.path)
+        except (OSError, sqlite3.OperationalError) as error:
+            reason = getattr(error, "strerror", None) or error
+            raise OutputError(f"cannot open {self.path}: {reason}") from None
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
         if version not in (0, STORE_SCHEMA_VERSION):
             # No migration: the store starts empty and its points

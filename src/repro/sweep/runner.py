@@ -10,11 +10,14 @@ point of a spec's ``expand()`` in three steps:
    point.to_dict(), weights_fingerprint(snn))``, the fingerprint taken
    once per ``(quality, seed)`` model; hits load without touching the
    simulator;
-2. **evaluate** — the misses go to
+2. **evaluate** — the misses are grouped by *outcome key* (a point's
+   key names what its evaluation reads; by default the point itself),
+   and each group's first miss goes to
    :func:`~repro.resilience.supervisor.supervised_map`: in-process for
    ``n_workers == 1``, supervised ``ProcessPoolExecutor`` shards above
    that;
-3. **commit** — each row is cached and traced the moment it arrives,
+3. **commit** — each group's output becomes one row per member, each
+   built from its own point, cached and traced the moment it arrives,
    so an interrupted run keeps everything finished so far, and
    re-running it resumes: the finished points come back as cache hits.
 
@@ -110,8 +113,9 @@ class CampaignRunner:
         run (the chaos acceptance suite pins this).
 
     A subclass states only what differs between campaign families:
-    :attr:`kind`, :attr:`result_type`, the worker task (:meth:`_task`)
-    and how a task's output becomes a row (:meth:`_row`).
+    :attr:`kind`, :attr:`result_type`, the worker task (:meth:`_task`),
+    how a task's output becomes a row (:meth:`_row`) and which points
+    share one evaluation (:meth:`_outcome_key`).
     """
 
     #: Entry family: the cache-key namespace and the ``kind`` stored
@@ -146,6 +150,12 @@ class CampaignRunner:
         """The freshly evaluated row a task's output becomes."""
         raise NotImplementedError
 
+    def _outcome_key(self, point):
+        """What the task's output for ``point`` depends on: misses with
+        equal keys share one evaluation.  By default the point itself,
+        so every miss is evaluated."""
+        return point
+
     def _result(self, rows: list, stats: SweepStats):
         """The campaign result, from rows in expansion order."""
         return self.result_type(spec_name=self.spec.name, rows=rows,
@@ -174,6 +184,12 @@ class CampaignRunner:
     def run(self):
         """Evaluate the grid; rows follow the spec's expansion order.
 
+        Misses with equal outcome keys are evaluated once, through the
+        first in expansion order, and their rows commit back to back;
+        ``SweepStats.evaluated`` counts every row not served from the
+        cache, and ``supervised_map`` indices and chaos sites number
+        these groups, not points.
+
         ``KeyboardInterrupt`` propagates; finished rows are already
         committed, so re-running the campaign recomputes nothing that
         finished.
@@ -183,11 +199,14 @@ class CampaignRunner:
         (``repro_cache_{hits,misses}_total{kind=...}`` — cross-campaign,
         where :class:`SweepStats` is per-run).  With a real tracer
         installed the run records a ``campaign.cache_scan`` span, a
-        ``campaign.evaluate`` span around the misses and one
-        ``campaign.point`` span per committed row.  Point spans measure
-        the interval since the previous commit in this process — with
-        worker shards that is completion cadence, not worker-side
-        compute time.
+        ``campaign.evaluate`` span around the misses (its
+        ``evaluations`` counts the groups, ``evaluated`` the rows) and
+        one ``campaign.point`` span per committed row.  Point spans
+        measure the interval since the previous commit in this process
+        — with worker shards that is completion cadence, not
+        worker-side compute time — and the rows of one group commit
+        back to back, so only the first of their spans holds the
+        evaluation.
         """
         tracer = get_tracer()
         points = self.spec.expand()
@@ -222,38 +241,45 @@ class CampaignRunner:
                           kind=self.kind, points=len(points),
                           hits=stats.cache_hits, misses=len(misses))
 
+        by_outcome: dict = {}
+        for index in misses:
+            by_outcome.setdefault(
+                self._outcome_key(points[index]), []).append(index)
+        groups = list(by_outcome.values())
+
         evaluate_started = tracer.now() if tracer.enabled else 0.0
         last_done_at = evaluate_started
 
-        def commit(position: int, output) -> None:
+        def commit(group: int, output) -> None:
             nonlocal last_done_at
-            index = misses[position]
-            row = self._row(points[index], output)
-            if self.cache is not None:
-                # kind + fingerprint travel inside the stored row, so
-                # the result store can index it without recomputing
-                # hashes; from_dict ignores them on reload.
-                self.cache.put(keys[index], {
-                    **row.to_dict(), "kind": self.kind,
-                    "fingerprint": fingerprints[index],
-                })
-            rows[index] = row
-            stats.evaluated += 1
-            if tracer.enabled:
-                done_at = tracer.now()
-                tracer.record("campaign.point", last_done_at, done_at,
-                              kind=self.kind, index=index)
-                last_done_at = done_at
+            for index in groups[group]:
+                row = self._row(points[index], output)
+                if self.cache is not None:
+                    # kind + fingerprint travel inside the stored row,
+                    # so the result store can index it without
+                    # recomputing hashes; from_dict ignores them on
+                    # reload.
+                    self.cache.put(keys[index], {
+                        **row.to_dict(), "kind": self.kind,
+                        "fingerprint": fingerprints[index],
+                    })
+                rows[index] = row
+                stats.evaluated += 1
+                if tracer.enabled:
+                    done_at = tracer.now()
+                    tracer.record("campaign.point", last_done_at, done_at,
+                                  kind=self.kind, index=index)
+                    last_done_at = done_at
 
         supervised_map(
-            self._task(), [points[index] for index in misses],
+            self._task(), [points[members[0]] for members in groups],
             n_workers=self.n_workers, supervisor=self.supervisor,
             chaos=self.chaos, on_done=commit,
         )
         if tracer.enabled:
             tracer.record("campaign.evaluate", evaluate_started,
                           tracer.now(), kind=self.kind,
-                          evaluated=len(misses))
+                          evaluated=len(misses), evaluations=len(groups))
         return self._result(rows, stats)
 
 

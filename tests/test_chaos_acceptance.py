@@ -127,6 +127,7 @@ def campaign_killed_at_its_last_commit(spec, root: str) -> None:
 # -- bit-identical recovery -----------------------------------------------------------
 
 
+@pytest.mark.campaign
 class TestBitIdenticalRecovery:
     def test_serial_campaign_survives_injected_crashes(self, tmp_path):
         spec = small_campaign()

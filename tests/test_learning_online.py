@@ -1,8 +1,11 @@
 """On-chip online learning engine and the section 4.4.1 comparison."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import EsamSystem
 from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
 from repro.learning.online import (
@@ -130,6 +133,70 @@ class TestSingleCostModel:
         assert cost.write_time_ns == paper["write_time_ns"]
         assert report.time_ns == paper["time_ns"]
         assert report.energy_pj == paper["energy_pj"]
+
+
+class TestReportSurvivesClassification:
+    """The report prices the macro columns its engine rewrote, so a
+    classification, which resets the tile's count, leaves it whole."""
+
+    def test_classify_spikes_keeps_the_learning_cost(self):
+        system = EsamSystem.from_random((128, 32, 10), seed=5)
+        engine = system.online_learning_engine(layer=0)
+        rng = np.random.default_rng(3)
+        for step in range(10):
+            engine.learn(rng.random(128) < 0.3, np.array([step % 32]))
+        one_event = system.network.tiles[0].column_update_cost.energy_pj
+        assert engine.report.transposed_accesses == 80
+        system.classify_spikes((rng.random((4, 128)) < 0.3).astype(np.uint8))
+        assert system.network.tiles[0].column_updates == 0
+        engine.learn(rng.random(128) < 0.3, np.array([3]))
+        report = engine.report
+        assert (report.learning_events, report.column_updates,
+                report.macro_columns) == (11, 11, 11)
+        assert report.transposed_accesses == 88
+        assert report.energy_pj == 11 * one_event
+
+
+class TestNeuronSetChecked:
+    """``learn`` checks the whole neuron set before it writes a column."""
+
+    @staticmethod
+    def engine(seed: int = 4) -> OnlineLearningEngine:
+        system = EsamSystem.from_random((128, 32, 10), seed=5)
+        return system.online_learning_engine(
+            layer=0, rule=StochasticSTDP(0.5, 0.5, seed=seed))
+
+    @pytest.mark.parametrize("neurons", [
+        np.array([1, 99]), np.array([1, -1]), 32, np.array([1.0, 2.0]),
+        np.array([[1, 2]]), np.zeros(31, dtype=bool),
+    ], ids=["above", "negative", "scalar-above", "float", "2-d",
+            "short-mask"])
+    def test_a_rejected_call_writes_and_counts_nothing(self, neurons):
+        engine = self.engine()
+        pre = np.ones(128, dtype=bool)
+        engine.learn(pre, np.array([0]))
+        tile = engine.tile
+        weights = tile.weight_matrix()
+        before = (tile.column_updates, dataclasses.astuple(engine.report))
+        with pytest.raises(ConfigurationError):
+            engine.learn(pre, neurons)
+        assert np.array_equal(tile.weight_matrix(), weights)
+        assert (tile.column_updates,
+                dataclasses.astuple(engine.report)) == before
+
+    def test_a_scalar_index_is_one_neuron(self):
+        pre = np.random.default_rng(8).random(128) < 0.4
+        scalar, listed = self.engine(), self.engine()
+        assert scalar.learn(pre, 3) == listed.learn(pre, [3]) == 1
+        assert np.array_equal(scalar.tile.weight_matrix(),
+                              listed.tile.weight_matrix())
+        assert scalar.report == listed.report
+
+    def test_an_empty_set_is_an_event_without_updates(self):
+        engine = self.engine()
+        assert engine.learn(np.ones(128), []) == 0
+        assert (engine.report.learning_events,
+                engine.report.column_updates) == (1, 0)
 
 
 class TestSection441Comparison:

@@ -27,6 +27,8 @@ from repro.reliability import (
 )
 from repro.sram.faults import FaultInjector, flip_bits, trial_seed_sequence
 
+pytestmark = pytest.mark.campaign
+
 QUALITY = "fast"
 SAMPLE = 4
 

@@ -15,8 +15,10 @@ import json
 import numpy as np
 import pytest
 
+import repro.reliability.runner as reliability_runner
 from repro.errors import ConfigurationError
 from repro.hw.config import HardwareConfig
+from repro.obs import Tracer, set_tracer
 from repro.reliability import (
     NAMED_CAMPAIGNS,
     CampaignResult,
@@ -39,6 +41,10 @@ from repro.sweep import (
     figure8_spec,
 )
 from repro.sweep.results import SweepStats
+
+from tests.test_store import _count_calls
+
+pytestmark = pytest.mark.campaign
 
 QUALITY = "fast"
 SAMPLE = 8
@@ -259,6 +265,179 @@ class TestDeterminism:
                                    cache=None)
         assert runner.n_workers == 2
         assert type(runner.n_workers) is int
+
+
+#: The hardware variants one fault evaluation serves: both nodes, each
+#: at nominal silicon and the +-3 sigma corners.
+NODES = ("3nm", "5nm")
+CORNERS = ("typical", "slow", "fast")
+
+
+def variant_spec(nodes=NODES, corners=CORNERS) -> FaultCampaignSpec:
+    return FaultCampaignSpec(
+        name="variants", bit_error_rates=BERS, trials=2, nodes=nodes,
+        corners=corners, sample_images=SAMPLE, quality=QUALITY,
+    )
+
+
+def rows_of(result) -> list[tuple]:
+    return [(row.point, row.accuracies, row.flipped_bits)
+            for row in result.rows]
+
+
+class WatchedCache(ResultCache):
+    """A result cache that records the (corner, BER) of each row it
+    commits, and takes a Ctrl-C once ``commits`` rows are in, as one
+    would land between two commits (never, by default)."""
+
+    def __init__(self, root, commits: int | None = None) -> None:
+        super().__init__(root)
+        self.committed: list[tuple[str, float]] = []
+        self._commits = commits
+
+    def put(self, key: str, row: dict) -> None:
+        if len(self.committed) == self._commits:
+            raise KeyboardInterrupt
+        super().put(key, row)
+        point = row["point"]
+        self.committed.append((point["corner"], point["bit_error_rate"]))
+
+
+class TestSharedEvaluation:
+    """Points that differ only in node or corner share one evaluation;
+    every row is still its own, built from its own point."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch) -> list[tuple]:
+        """The argument tuples ``evaluate_fault_point`` is called with."""
+        return _count_calls(monkeypatch, reliability_runner,
+                            "evaluate_fault_point")
+
+    def test_node_and_corner_leave_the_output_alone(self):
+        for ber in BERS:
+            outputs = {
+                evaluate_fault_point(FaultPoint(
+                    node=node, corner=corner, bit_error_rate=ber, trials=2,
+                    sample_images=SAMPLE, quality=QUALITY,
+                ))
+                for node in NODES for corner in CORNERS
+            }
+            assert len(outputs) == 1
+            ((_, flips),) = outputs
+            assert (min(flips) > 0) == (ber > 0)
+
+    def test_every_other_field_keeps_points_apart(self):
+        key = ReliabilityRunner(variant_spec(), cache=None)._outcome_key
+        base = FaultPoint(bit_error_rate=1e-3, trials=2,
+                          sample_images=SAMPLE, quality=QUALITY)
+        assert {
+            key(dataclasses.replace(base, node=node, corner=corner))
+            for node in NODES for corner in CORNERS
+        } == {key(base)}
+        variants = [
+            dataclasses.replace(base, cell_type=CellType.C6T),
+            dataclasses.replace(base, seed=7),
+            dataclasses.replace(base, bit_error_rate=5e-2),
+            dataclasses.replace(base, trials=4),
+            dataclasses.replace(base, trial_start=2),
+            dataclasses.replace(base, sample_images=16),
+            dataclasses.replace(base, engine="cycle"),
+            dataclasses.replace(base, vprech=0.6),
+            dataclasses.replace(base, quality="full"),
+        ]
+        assert len({key(p) for p in [base, *variants]}) == 1 + len(variants)
+
+    def test_a_campaign_evaluates_each_group_once(self, tmp_path, calls):
+        spec = variant_spec()
+        cache = ResultCache(tmp_path)
+        cold = ReliabilityRunner(spec, cache=cache).run()
+        # One (cell, BER) group per error rate, each evaluated through
+        # its first point in expansion order.
+        assert [(p.node, p.corner, p.bit_error_rate) for (p,) in calls] == [
+            ("3nm", "typical", ber) for ber in BERS
+        ]
+        assert (cold.stats.evaluated, cold.stats.cache_hits) == (len(spec), 0)
+        assert [row.point for row in cold.rows] == spec.expand()
+        warm = ReliabilityRunner(spec, cache=cache).run()
+        assert len(calls) == len(BERS)
+        assert (warm.stats.evaluated, warm.stats.cache_hits) == (0, len(spec))
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_sharing_changes_no_row_curve_or_file(self, n_workers, tmp_path,
+                                                  monkeypatch):
+        spec = variant_spec()
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            shared = ReliabilityRunner(
+                spec, n_workers=n_workers,
+                cache=ResultCache(tmp_path / "shared"),
+            ).run()
+        finally:
+            set_tracer(previous)
+        assert [s.attrs for s in tracer.spans()
+                if s.name == "campaign.evaluate"] == [{
+                    "kind": "reliability", "evaluated": len(spec),
+                    "evaluations": len(BERS),
+                }]
+        monkeypatch.setattr(ReliabilityRunner, "_outcome_key",
+                            lambda self, point: point)
+        whole = ReliabilityRunner(
+            spec, n_workers=n_workers, cache=ResultCache(tmp_path / "whole"),
+        ).run()
+        assert rows_of(shared) == rows_of(whole)
+        assert shared.curves == whole.curves
+        assert shared.stats == whole.stats
+        for suffix in ("json", "csv"):
+            write = getattr(CampaignResult, f"to_{suffix}")
+            assert write(shared, tmp_path / f"shared.{suffix}").read_bytes() \
+                == write(whole, tmp_path / f"whole.{suffix}").read_bytes()
+
+    def test_a_partly_warm_cache_commits_only_the_missing_rows(
+            self, tmp_path, calls):
+        spec = variant_spec(nodes=("3nm",))
+        ReliabilityRunner(variant_spec(nodes=("3nm",), corners=("typical",)),
+                          cache=ResultCache(tmp_path)).run()
+        calls.clear()
+        cache = WatchedCache(tmp_path)
+        result = ReliabilityRunner(spec, cache=cache).run()
+        # Each group is evaluated once, through its first miss.
+        assert [(p.corner, p.bit_error_rate) for (p,) in calls] == [
+            ("slow", ber) for ber in BERS
+        ]
+        assert cache.committed == [
+            (corner, ber) for ber in BERS for corner in ("slow", "fast")
+        ]
+        assert (result.stats.cache_hits, result.stats.evaluated) == (3, 6)
+        assert rows_of(result) == rows_of(
+            ReliabilityRunner(spec, cache=None).run())
+
+    def test_an_interrupt_inside_a_group_keeps_its_committed_rows(
+            self, tmp_path, calls):
+        spec = variant_spec(nodes=("3nm",))
+        reference = ReliabilityRunner(spec, cache=None).run()
+        calls.clear()
+        # A group's rows commit back to back: the Ctrl-C lands after
+        # the first row of the BER 1e-3 group.
+        cache = WatchedCache(tmp_path, commits=4)
+        with pytest.raises(KeyboardInterrupt):
+            ReliabilityRunner(spec, cache=cache).run()
+        cache.store.close()
+        assert cache.committed == [
+            ("typical", 0.0), ("slow", 0.0), ("fast", 0.0),
+            ("typical", 1e-3),
+        ]
+        assert len(calls) == 2
+        calls.clear()
+        rerun = ReliabilityRunner(spec, cache=ResultCache(tmp_path)).run()
+        # The re-run evaluates the interrupted group and the one never
+        # reached, nothing else.
+        assert [(p.corner, p.bit_error_rate) for (p,) in calls] == [
+            ("typical", 5e-2), ("slow", 1e-3),
+        ]
+        assert (rerun.stats.cache_hits, rerun.stats.evaluated) == (4, 5)
+        assert rows_of(rerun) == rows_of(reference)
+        assert rerun.curves == reference.curves
 
 
 class TestAggregation:

@@ -25,6 +25,8 @@ from repro.sram.faults import FaultInjector, trial_seed_sequence
 from repro.tile.network import EsamNetwork
 from tests.test_engine_equivalence import assert_hardware_state_equal
 
+pytestmark = pytest.mark.campaign
+
 #: Cross block boundaries (160 > 128 rows, 130 > 128 cols) so faults
 #: land in partial blocks too.
 LAYER_SIZES = (160, 130, 10)

@@ -23,6 +23,8 @@ import pytest
 from repro.reliability import ReliabilityRunner, reliability_spec
 from repro.reliability.__main__ import main as reliability_main
 
+pytestmark = pytest.mark.campaign
+
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent / "golden" / "reliability_fast8.json"
 )

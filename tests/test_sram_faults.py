@@ -13,6 +13,8 @@ from repro.sram.bitcell import CellType
 from repro.sram.faults import FaultInjector, flip_bits
 from repro.tile.network import EsamNetwork
 
+pytestmark = pytest.mark.campaign
+
 
 class TestFlipBits:
     def test_zero_rate_is_identity(self, rng, binary_dtype):

@@ -161,6 +161,40 @@ class TestUnreadableStore:
         key = _put_n(cache, 1)[0]
         assert ResultCache(tmp_path).get(key) == cache.get(key)
 
+    @pytest.mark.parametrize("blocked, reason", [
+        ("store", "unable to open database file"),
+        ("cache-dir", "File exists"),
+    ])
+    @pytest.mark.parametrize("cli, task, argv", [
+        ("sweep", "evaluate_point",
+         ["vprech", "--quality", QUALITY, "--sample-images", "2"]),
+        ("reliability", "evaluate_fault_point",
+         ["--quality", QUALITY, "--sample-images", "2", "--trials", "1",
+          "--bers", "0,1e-3"]),
+    ])
+    def test_campaign_clis_report_a_store_they_cannot_open(
+            self, cli, task, argv, blocked, reason, tmp_path, monkeypatch,
+            capsys):
+        # A directory where the store file should be, or a file where
+        # the cache directory should be: neither is damage, so nothing
+        # may move it aside.
+        cache_dir = tmp_path / "cache"
+        if blocked == "store":
+            (cache_dir / STORE_FILENAME).mkdir(parents=True)
+        else:
+            cache_dir.write_text("not a directory")
+        before = sorted((p, p.is_dir()) for p in tmp_path.rglob("*"))
+        main = importlib.import_module(f"repro.{cli}.__main__").main
+        calls = _count_calls(
+            monkeypatch, importlib.import_module(f"repro.{cli}.runner"), task)
+        assert main([*argv, "--cache-dir", str(cache_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: cannot open {cache_dir / STORE_FILENAME}: {reason}"
+        ]
+        assert calls == []  # nothing was evaluated
+        assert sorted((p, p.is_dir()) for p in tmp_path.rglob("*")) == before
+
     def test_dashboard_reports_it_and_exits_1(self, tmp_path, capsys):
         from repro.obs.__main__ import main as obs_main
 

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.sweep.runner as sweep_runner
 from repro.errors import ConfigurationError
 from repro.learning.convert import ConvertedSNN
 from repro.sram.bitcell import ALL_CELLS, CellType
@@ -32,6 +33,10 @@ from repro.sweep import (
 from repro.sweep.__main__ import main as sweep_main
 from repro.tech.constants import FIG7_VPRECH_SWEEP_V
 from repro.system.evaluate import SystemEvaluator
+
+from tests.test_store import _count_calls
+
+pytestmark = pytest.mark.campaign
 
 QUALITY = "fast"
 SAMPLE = 8
@@ -193,6 +198,20 @@ class TestCache:
         for a, b in zip(cold.rows, warm.rows):
             assert a.metrics == b.metrics  # cache round-trip is lossless
             assert not a.cached and b.cached
+
+    def test_each_miss_is_its_own_evaluation(self, tmp_path, monkeypatch):
+        # Node and corner change a design point's metrics, so a sweep
+        # shares no evaluation between its points.
+        calls = _count_calls(monkeypatch, sweep_runner, "evaluate_point")
+        spec = SweepSpec(name="variants", cell_types=(CellType.C1RW4R,),
+                         nodes=("3nm", "5nm"),
+                         corners=("typical", "slow", "fast"),
+                         sample_images=(2,), quality=QUALITY)
+        result = SweepRunner(spec, cache=ResultCache(tmp_path)).run()
+        assert [point for (point,) in calls] == spec.expand()
+        assert result.stats.evaluated == len(spec) == 6
+        assert len({dataclasses.astuple(row.metrics)
+                    for row in result.rows}) == 6
 
     def test_overlapping_sweep_reuses_shared_points(self, tmp_path):
         cache = ResultCache(tmp_path)
