@@ -42,22 +42,31 @@ Public API overview
     campaign runners: retry/backoff policies, per-model circuit
     breakers, crash-supervised sharding and the seeded chaos harness
     (``docs/resilience.md``).
+
+The names in ``__all__`` are imported on their first use, so importing
+one subpackage (``repro.learning.pretrained``, say) does not load the
+simulator behind ``EsamSystem``.
 """
 
-from repro.core.esam import EsamSystem
-from repro.core.results import ClassificationResult, HardwareReport
-from repro.errors import (
-    DeadlineExceededError,
-    InjectedFaultError,
-    ModelUnavailableError,
-    QueueFullError,
-    ServingError,
-    WorkerCrashError,
-)
-from repro.hw.config import HardwareConfig, validate_vprech
-from repro.sram.bitcell import CellType
+from repro._lazy import lazy_exports
 
 __version__ = "0.1.0"
+
+#: Where each re-exported name lives.
+_EXPORTS = {
+    "EsamSystem": "repro.core.esam",
+    "ClassificationResult": "repro.core.results",
+    "HardwareReport": "repro.core.results",
+    "HardwareConfig": "repro.hw.config",
+    "validate_vprech": "repro.hw.config",
+    "CellType": "repro.sram.bitcell",
+    "DeadlineExceededError": "repro.errors",
+    "InjectedFaultError": "repro.errors",
+    "ModelUnavailableError": "repro.errors",
+    "QueueFullError": "repro.errors",
+    "ServingError": "repro.errors",
+    "WorkerCrashError": "repro.errors",
+}
 
 __all__ = [
     "EsamSystem",
@@ -74,3 +83,5 @@ __all__ = [
     "WorkerCrashError",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

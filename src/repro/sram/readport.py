@@ -31,7 +31,6 @@ asserted by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.errors import ConfigurationError
 from repro.sram.bitcell import AREA_RATIO, CellType, bitcell_spec
@@ -148,6 +147,9 @@ class ReadPortModel:
         self.sense_amp = sense_amp or InverterCascadeSenseAmp()
         self._access_fet = FinFetDevice(fins=1)
         self._dim_scale = (rows / 128.0, cols / 128.0)
+        # Every macro of a network asks for the same point; the memo
+        # lives and dies with this model.
+        self._points: dict[tuple[CellType, float], ReadPortOperatingPoint] = {}
 
     # -- geometry-derived loads ---------------------------------------------
 
@@ -240,7 +242,6 @@ class ReadPortModel:
 
     # -- composed operating point ---------------------------------------------
 
-    @lru_cache(maxsize=None)
     def operating_point(self, cell_type: CellType,
                         vprech: float) -> ReadPortOperatingPoint:
         """Full Figure-7 data point for ``(cell_type, vprech)``.
@@ -250,6 +251,9 @@ class ReadPortModel:
         read margin (this is precisely the saving the decoupled ports
         unlock — section 3.2).
         """
+        key = (cell_type, vprech)
+        if key in self._points:
+            return self._points[key]
         if cell_type is CellType.C6T:
             vprech = self.node.vdd
         self._validate_vprech(vprech)
@@ -267,7 +271,7 @@ class ReadPortModel:
         if extended:
             access += CLOCK_PERIOD_NS[cell_type]
             energy += self._crowbar_penalty_pj(cell_type)
-        return ReadPortOperatingPoint(
+        point = self._points[key] = ReadPortOperatingPoint(
             cell_type=cell_type,
             vprech=vprech,
             ports=ports,
@@ -278,6 +282,7 @@ class ReadPortModel:
             read_energy_pj=energy,
             leakage_power_mw=self.leakage_power_mw(cell_type, vprech),
         )
+        return point
 
     def figure7(self) -> list[ReadPortOperatingPoint]:
         """The full Figure-7 grid: multiport cells x precharge voltages

@@ -392,18 +392,20 @@ class ResultStore:
         return where, params
 
     def filter(self, **filters) -> list[StoreRecord]:
-        """Stored rows matching every given axis, newest-first stable.
+        """Stored rows matching every given axis, ordered by their axes.
 
         Axes are exact matches (``kind="sweep"``, ``cell_type="6T"``,
         ``node="3nm"``, ``bit_error_rate=1e-3``, ...); aliases
         ``cell``/``ber``/``key`` are accepted.  No filters returns
-        everything.
+        everything.  Rows sort on :data:`AXIS_COLUMNS` in turn, then on
+        their key, so one set of rows lists the same whatever order it
+        was committed in.
         """
         where, params = self._where(filters)
         rows = self._conn.execute(
             "SELECT cache_key, kind, fingerprint, created_s, point_json, "
             f"scalars_json FROM entries{where} "
-            "ORDER BY created_s DESC, cache_key",
+            f"ORDER BY {', '.join(AXIS_COLUMNS)}, cache_key",
             params,
         ).fetchall()
         return [
@@ -468,7 +470,8 @@ class ResultStore:
         return out
 
     def summary(self, *, recent: int = 12) -> dict:
-        """Roll-up for dashboards: totals per kind plus recent entries."""
+        """Roll-up for dashboards: totals per kind plus the newest
+        entries, newest first."""
         records = self.filter()
         by_kind: dict[str, dict] = {}
         for record in records:
@@ -502,7 +505,9 @@ class ResultStore:
                     "created_s": record.created_s,
                     "scalars": len(record.scalars),
                 }
-                for record in records[:recent]
+                for record in sorted(
+                    records, key=lambda r: (-r.created_s, r.cache_key)
+                )[:recent]
             ],
         }
 

@@ -7,9 +7,13 @@ after the first run.
 
 from __future__ import annotations
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from repro.data import digits, loader
+from repro.learning import pretrained
 from repro.learning.pretrained import ReferenceModel, get_reference_model
 from repro.sram.electrical import TransposedPortModel
 from repro.sram.readport import ReadPortModel
@@ -56,6 +60,48 @@ def pytest_collection_modifyitems(items) -> None:
 def fast_model() -> ReferenceModel:
     """Small trained network + dataset (cached across the session)."""
     return get_reference_model(quality="fast", seed=42)
+
+
+@pytest.fixture()
+def model_cache(tmp_path, monkeypatch) -> pathlib.Path:
+    """An empty artifact directory and empty in-memory model and dataset
+    caches, so a model load sees only what the test put there.  The
+    caches other tests share stay untouched."""
+    monkeypatch.setattr(pretrained, "_ARTIFACT_DIR", tmp_path)
+    monkeypatch.setattr(pretrained, "_MEMORY_CACHE", {})
+    monkeypatch.setattr(loader, "_CACHE", {})
+    return tmp_path
+
+
+@pytest.fixture()
+def previous_format_artifact(fast_model, model_cache) -> pathlib.Path:
+    """The fast model's artifact in ``model_cache`` as it was written
+    before it kept a test split: weights and accuracy, compressed."""
+    snn = fast_model.snn
+    payload = {
+        "n_layers": np.array(len(snn.weights)),
+        "output_bias": snn.output_bias,
+        "test_accuracy": np.array(fast_model.test_accuracy),
+    }
+    for k, (w, t) in enumerate(zip(snn.weights, snn.thresholds)):
+        payload[f"w{k}"] = w
+        payload[f"t{k}"] = t
+    path = pretrained._cache_path("fast", 42)
+    np.savez_compressed(path, **payload)
+    return path
+
+
+@pytest.fixture()
+def rendered_digits(monkeypatch) -> list[int]:
+    """The label of every digit rendered while the test runs."""
+    rendered, render = [], digits._render
+
+    def counting_render(labels, *args):
+        rendered.extend(labels.tolist())
+        return render(labels, *args)
+
+    monkeypatch.setattr(digits, "_render", counting_render)
+    return rendered
 
 
 @pytest.fixture(scope="session")

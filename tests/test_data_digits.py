@@ -1,6 +1,7 @@
 """Synthetic digit dataset (the MNIST substitute)."""
 
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
@@ -266,30 +267,66 @@ class TestLoader:
 
 class TestLazyTrainingSplit:
     def test_cached_model_renders_only_the_test_split(
-            self, tmp_path, monkeypatch, fast_model):
-        """A disk-cache hit renders ``n_test`` digits and no more.
+            self, previous_format_artifact, rendered_digits):
+        """A model cached without its test split renders ``n_test``
+        digits and no more.
 
         The training split waits for its first read, and then matches
-        its pin.  Fresh in-memory caches leave the ones other tests
-        share untouched.
+        its pin.
         """
-        monkeypatch.setattr(pretrained, "_ARTIFACT_DIR", tmp_path)
-        monkeypatch.setattr(pretrained, "_MEMORY_CACHE", {})
-        monkeypatch.setattr(loader, "_CACHE", {})
-        pretrained._save(pretrained._cache_path("fast", 42),
-                         fast_model.snn, fast_model.test_accuracy)
-        rendered, render = [], digits._render
-
-        def counting_render(labels, *args):
-            rendered.extend(labels.tolist())
-            return render(labels, *args)
-
-        monkeypatch.setattr(digits, "_render", counting_render)
         model = get_reference_model("fast", 42)
         n_test = _PRESETS["fast"]["n_test"]
-        assert len(rendered) == n_test == model.dataset.n_test
+        assert len(rendered_digits) == n_test == model.dataset.n_test
         assert model.dataset.n_train == 1500
-        assert len(rendered) == n_test
+        assert len(rendered_digits) == n_test
         assert split_sha256(model.dataset, "train") == PINNED_SHA256[
             "fast", "train"]
-        assert len(rendered) == n_test + 1500
+        assert len(rendered_digits) == n_test + 1500
+
+
+class TestStoredTestSplit:
+    @pytest.mark.parametrize("quality", list(_PRESETS))
+    def test_an_artifact_with_its_split_renders_no_digit(
+            self, quality, fast_model, model_cache, rendered_digits):
+        """The split comes back from the artifact bit for bit.  The fast
+        model's weights stand in for the full model's, which take long
+        to train: the split does not depend on them."""
+        preset = _PRESETS[quality]
+        dataset = load_dataset(preset["n_train"], preset["n_test"], seed=42)
+        pretrained._save(pretrained._cache_path(quality, 42), fast_model.snn,
+                         fast_model.test_accuracy, dataset,
+                         pretrained._split_key(preset["n_test"], 42))
+        loader._CACHE.clear()
+        rendered_digits.clear()
+        model = get_reference_model(quality, 42)
+        assert rendered_digits == []
+        assert split_sha256(model.dataset, "test") == PINNED_SHA256[
+            quality, "test"]
+        assert model.dataset is load_dataset(preset["n_train"],
+                                             preset["n_test"], seed=42)
+        assert rendered_digits == []
+
+    def test_an_edit_to_the_renderer_renders_the_split_again(
+            self, fast_model, model_cache, rendered_digits, monkeypatch):
+        """A split drawn by other rendering code is not used: editing
+        ``digits.py`` changes the key, so the load renders the split and
+        keeps it under the new key."""
+        path = pretrained._cache_path("fast", 42)
+        old_key = pretrained._split_key(500, 42)
+        pretrained._save(path, fast_model.snn, fast_model.test_accuracy,
+                         fast_model.dataset, old_key)
+        edited = model_cache / "edited" / "digits.py"
+        edited.parent.mkdir()
+        edited.write_text(pathlib.Path(digits.__file__).read_text()
+                          + "# an edit\n")
+        monkeypatch.setattr(digits, "__file__", str(edited))
+        new_key = pretrained._split_key(500, 42)
+        assert new_key != old_key
+        model = get_reference_model("fast", 42)
+        assert len(rendered_digits) == 500
+        assert split_sha256(model.dataset, "test") == PINNED_SHA256[
+            "fast", "test"]
+        assert pretrained._load(path, old_key)[2] is None
+        images, labels = pretrained._load(path, new_key)[2]
+        assert images.tobytes() == model.dataset.test_images.tobytes()
+        assert labels.tobytes() == model.dataset.test_labels.tobytes()

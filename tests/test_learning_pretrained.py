@@ -1,34 +1,53 @@
 """Pretrained-model cache: save/load round-trips and presets."""
 
+import errno
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+from repro.data import loader
 from repro.errors import ConfigurationError
 from repro.learning import pretrained
+from repro.learning.convert import ConvertedSNN
 from repro.learning.pretrained import (
     _load,
     _save,
     get_reference_model,
 )
 
+KEY = "n_test=500 seed=42 numpy=any source=any"
+
+
+def _same_model(snn: ConvertedSNN, other: ConvertedSNN) -> bool:
+    """Equal arrays of equal dtypes, layer by layer."""
+    pairs = [*zip(snn.weights, other.weights),
+             *zip(snn.thresholds, other.thresholds),
+             (snn.output_bias, other.output_bias)]
+    return len(snn.weights) == len(other.weights) and all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in pairs)
+
 
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path, fast_model):
         path = tmp_path / "model.npz"
-        _save(path, fast_model.snn, fast_model.test_accuracy)
-        loaded, accuracy = _load(path)
-        assert accuracy == pytest.approx(fast_model.test_accuracy)
+        dataset = fast_model.dataset
+        _save(path, fast_model.snn, fast_model.test_accuracy, dataset, KEY)
+        loaded, accuracy, (images, labels) = _load(path, KEY)
+        assert accuracy == fast_model.test_accuracy
         assert loaded.layer_sizes == fast_model.snn.layer_sizes
-        for a, b in zip(loaded.weights, fast_model.snn.weights):
-            assert (a == b).all()
-        for a, b in zip(loaded.thresholds, fast_model.snn.thresholds):
-            assert (a == b).all()
-        assert np.allclose(loaded.output_bias, fast_model.snn.output_bias)
+        assert _same_model(loaded, fast_model.snn)
+        assert images.dtype == np.float32 and labels.dtype == np.int64
+        assert images.tobytes() == dataset.test_images.tobytes()
+        assert labels.tobytes() == dataset.test_labels.tobytes()
+        assert _load(path, KEY.replace("numpy=any", "numpy=other"))[2] is None
 
     def test_loaded_model_classifies_identically(self, tmp_path, fast_model, rng):
         path = tmp_path / "model.npz"
-        _save(path, fast_model.snn, fast_model.test_accuracy)
-        loaded, _ = _load(path)
+        _save(path, fast_model.snn, fast_model.test_accuracy,
+              fast_model.dataset, KEY)
+        loaded, _, _ = _load(path, KEY)
         x = (rng.random((16, 768)) < 0.2).astype(np.uint8)
         assert (
             loaded.to_model().classify(x)
@@ -45,24 +64,92 @@ def _torn_savez(handle, **payload):
 class TestAtomicSave:
     def test_a_failed_save_leaves_no_file(self, tmp_path, fast_model,
                                           monkeypatch):
-        monkeypatch.setattr(np, "savez_compressed", _torn_savez)
+        monkeypatch.setattr(np, "savez", _torn_savez)
         path = tmp_path / "model.npz"
         with pytest.raises(OSError, match="disk full"):
-            _save(path, fast_model.snn, fast_model.test_accuracy)
+            _save(path, fast_model.snn, fast_model.test_accuracy,
+                  fast_model.dataset, KEY)
         assert list(tmp_path.iterdir()) == []  # no artifact, no temporary
 
     def test_an_existing_artifact_survives_a_failed_re_save(
             self, tmp_path, fast_model, monkeypatch):
         path = tmp_path / "model.npz"
-        _save(path, fast_model.snn, fast_model.test_accuracy)
+        _save(path, fast_model.snn, fast_model.test_accuracy,
+              fast_model.dataset, KEY)
         saved = path.read_bytes()
-        monkeypatch.setattr(np, "savez_compressed", _torn_savez)
+        monkeypatch.setattr(np, "savez", _torn_savez)
         with pytest.raises(OSError, match="disk full"):
-            _save(path, fast_model.snn, 0.5)
+            _save(path, fast_model.snn, 0.5, fast_model.dataset, KEY)
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == saved
-        _, accuracy = _load(path)
-        assert accuracy == pytest.approx(fast_model.test_accuracy)
+        _, accuracy, _ = _load(path, KEY)
+        assert accuracy == fast_model.test_accuracy
+
+
+def _load_previous_format(path) -> tuple[ConvertedSNN, float]:
+    """The artifact reader from before the test split was kept: it must
+    still read an artifact that keeps one."""
+    with np.load(path) as data:
+        n_layers = int(data["n_layers"])
+        snn = ConvertedSNN(
+            weights=[data[f"w{k}"] for k in range(n_layers)],
+            thresholds=[data[f"t{k}"] for k in range(n_layers)],
+            output_bias=data["output_bias"],
+        )
+        return snn, float(data["test_accuracy"])
+
+
+class TestStoredTestSplit:
+    def test_an_artifact_without_its_split_gains_it_on_the_first_load(
+            self, previous_format_artifact, fast_model, rendered_digits,
+            monkeypatch):
+        path = previous_format_artifact
+        model = get_reference_model("fast", 42)
+        assert len(rendered_digits) == 500  # the test split, once
+        assert model.test_accuracy == fast_model.test_accuracy
+        assert _same_model(model.snn, fast_model.snn)
+        rewritten = path.read_bytes()
+        assert list(path.parent.iterdir()) == [path]
+        snn, accuracy = _load_previous_format(path)
+        assert _same_model(snn, fast_model.snn)
+        assert accuracy == fast_model.test_accuracy
+
+        # A later process takes the split from the artifact and leaves
+        # the file as it is.
+        monkeypatch.setattr(pretrained, "_MEMORY_CACHE", {})
+        monkeypatch.setattr(loader, "_CACHE", {})
+        again = get_reference_model("fast", 42)
+        assert len(rendered_digits) == 500
+        assert path.read_bytes() == rewritten
+        assert _same_model(again.snn, fast_model.snn)
+        assert again.test_accuracy == fast_model.test_accuracy
+        for name in ("test_images", "test_labels"):
+            assert (getattr(again.dataset, name).tobytes()
+                    == getattr(model.dataset, name).tobytes())
+
+    def test_a_read_only_artifact_directory_still_loads(
+            self, previous_format_artifact, fast_model, rendered_digits,
+            monkeypatch):
+        path = previous_format_artifact
+        saved = path.read_bytes()
+        path.parent.chmod(0o555)
+        try:
+            if os.access(path.parent, os.W_OK):
+                # Root writes through the mode bits: fail the write the
+                # way the directory would for any other user.
+                def denied(*args, **kwargs):
+                    raise PermissionError(errno.EACCES, "Permission denied")
+
+                monkeypatch.setattr(tempfile, "mkstemp", denied)
+            model = get_reference_model("fast", 42)
+        finally:
+            path.parent.chmod(0o755)
+        # The test split only: training would render the 1,500
+        # training digits too.
+        assert len(rendered_digits) == 500
+        assert _same_model(model.snn, fast_model.snn)
+        assert path.read_bytes() == saved
+        assert list(path.parent.iterdir()) == [path]
 
 
 class TestPresets:

@@ -1,8 +1,12 @@
 """Figure 7: decoupled read-port precharge/sense model."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import CellType
 from repro.sram.readport import (
     CLOCK_PERIOD_NS,
@@ -10,6 +14,7 @@ from repro.sram.readport import (
     ReadPortModel,
 )
 from repro.tech.constants import FIG7_VPRECH_SWEEP_V
+from repro.tile.network import EsamNetwork
 
 MULTIPORT = [CellType.from_ports(p) for p in (1, 2, 3, 4)]
 
@@ -163,3 +168,25 @@ class TestScaledArrays:
     def test_rejects_bad_dims(self):
         with pytest.raises(ConfigurationError):
             ReadPortModel(rows=0)
+
+
+class TestOperatingPointMemo:
+    def test_a_model_computes_each_point_once(self):
+        model = ReadPortModel()
+        point = model.operating_point(CellType.C1RW4R, 0.5)
+        assert model.operating_point(CellType.C1RW4R, 0.5) is point
+        other = ReadPortModel().operating_point(CellType.C1RW4R, 0.5)
+        assert other is not point and other == point
+
+    def test_a_dropped_network_frees_its_model(self, fast_model):
+        """Building a network prices its point on the network's model.  A
+        method-level ``lru_cache`` kept every model it had priced, and so
+        one per network built, for the life of the process."""
+        snn = fast_model.snn
+        network = EsamNetwork(snn.weights, snn.thresholds,
+                              output_bias=snn.output_bias,
+                              config=HardwareConfig())
+        model = weakref.ref(network.pipeline.read_ports)
+        del network
+        gc.collect()
+        assert model() is None

@@ -456,6 +456,32 @@ class TestStoreIndex:
             store.put(_key(1), dict(_ROW))
             assert store.get(_key(1)) == _ROW
 
+    def test_a_listing_does_not_follow_the_commit_order(self, tmp_path):
+        """The same rows committed in two orders list alike, by their
+        axes; only the summary's recent rows follow the clock, newest
+        first."""
+        rows = []
+        for cell, seed in (("6T", 1), ("1RW+4R", 2), ("1RW+4R", 1),
+                           ("1RW", 9)):
+            row = json.loads(json.dumps(_ROW))
+            row["point"].update(cell_type=cell, seed=seed)
+            rows.append(row)
+
+        def listing(order: list[int]) -> tuple[list[str], list[float]]:
+            ticks = iter(range(len(order)))
+            path = tmp_path / f"{''.join(map(str, order))}.sqlite"
+            with ResultStore(path, clock=lambda: float(next(ticks))) as store:
+                for n in order:
+                    store.put(_key(n), rows[n])
+                recent = store.summary()["recent"]
+                return ([r.cache_key for r in store.filter()],
+                        [r["created_s"] for r in recent])
+
+        keys, recent = listing([0, 1, 2, 3])
+        assert keys == [_key(3), _key(2), _key(1), _key(0)]
+        assert listing([2, 0, 3, 1]) == (keys, recent)
+        assert recent == [3.0, 2.0, 1.0, 0.0]
+
     def test_render_records(self, tmp_path, result_store):
         cache = ResultCache(tmp_path / "cache", store=result_store)
         _put_n(cache, 1)
