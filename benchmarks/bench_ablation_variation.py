@@ -22,12 +22,12 @@ MULTIPORT = [CellType.from_ports(p) for p in (1, 2, 3, 4)]
 
 def run_study():
     study = VariationStudy()
-    distributions = {c: study.distribution(c, n=4096) for c in MULTIPORT}
+    distributions = {c: study.distribution(c) for c in MULTIPORT}
     yields = {}
     for cell in MULTIPORT:
         shipped = CLOCK_PERIOD_NS[cell]
         yields[cell] = {
-            scale: study.parametric_yield(cell, shipped * scale, n=4096)
+            scale: study.parametric_yield(cell, shipped * scale)
             for scale in (1.0, 0.95, 0.90)
         }
     return distributions, yields

@@ -30,10 +30,10 @@ Public API overview
     report rendering.
 ``repro.sweep`` / ``repro.reliability`` / ``repro.serve``
     Design-space sweep engine (sharded, cached grids), Monte-Carlo
-    fault & variation campaigns (yield curves, accuracy floors,
-    shared result cache), and the micro-batching inference-serving
-    subsystem (bounded-queue backpressure, model registry, latency
-    SLO metrics).
+    fault campaigns (yield curves, accuracy floors, closed-form
+    timing yield, shared result cache), and the micro-batching
+    inference-serving subsystem (bounded-queue backpressure, model
+    registry, latency SLO metrics).
 ``repro.data`` / ``repro.snn``
     Synthetic MNIST-like digits, input encoding and the functional
     binary-SNN reference.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 
@@ -137,9 +138,12 @@ class HardwareConfig:
         object.__setattr__(
             self, "layer_sizes", validate_layer_sizes(self.layer_sizes)
         )
-        if self.clock_period_ns is not None and self.clock_period_ns <= 0.0:
+        if self.clock_period_ns is not None and not (
+                math.isfinite(self.clock_period_ns)
+                and self.clock_period_ns > 0.0):
             raise ConfigurationError(
-                f"clock_period_ns must be positive, got {self.clock_period_ns}"
+                f"clock_period_ns must be finite and positive, "
+                f"got {self.clock_period_ns}"
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigurationError(f"seed must be an int, got {self.seed!r}")

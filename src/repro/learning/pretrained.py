@@ -27,7 +27,7 @@ import contextlib
 import hashlib
 import os
 import pathlib
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +102,10 @@ def _save(path: pathlib.Path, snn: ConvertedSNN, test_accuracy: float,
     for k, (w, t) in enumerate(zip(snn.weights, snn.thresholds)):
         payload[f"w{k}"] = w
         payload[f"t{k}"] = t
-    fd, tmp_name = tempfile.mkstemp(prefix=f"{path.stem}.", suffix=".tmp",
-                                    dir=path.parent)
+    # Not ``tempfile.mkstemp``: its file is mode 0600, which
+    # ``os.replace`` would keep.  This one gets 0666 less the umask.
+    tmp_name = path.with_name(f"{path.stem}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp_name, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             np.savez(handle, **payload)

@@ -1,4 +1,4 @@
-"""Monte-Carlo fault & variation campaigns on the fast engine.
+"""Monte-Carlo fault campaigns on the fast engine.
 
 The paper's always-on edge story assumes binary weights surviving in
 advanced-node SRAM under ±3 sigma guardbands.  This package makes

@@ -4,8 +4,9 @@ A :class:`ReliabilityRow` pairs one
 :class:`~repro.reliability.spec.FaultPoint` with its per-trial
 accuracies; :class:`YieldCurve` aggregates one hardware group's rows
 over the bit-error-rate axis (mean/worst accuracy per BER, the
-accuracy-floor BER, and the corner-folded parametric read-timing yield
-from :class:`~repro.sram.variation_study.VariationStudy`);
+accuracy-floor BER, and the corner-folded parametric read-timing yield,
+computed in closed form by
+:class:`~repro.sram.variation_study.VariationStudy`);
 :class:`CampaignResult` holds everything, serializes to JSON/CSV and
 renders the degradation claims the CLI prints (pinned by the golden
 test, like the figure-8 claims).
@@ -22,16 +23,13 @@ from repro.sram.variation_study import VariationStudy
 from repro.system.report import render_table
 from repro.sweep.results import GridResult
 from repro.tech.constants import DEFAULT_NODE
-from repro.tech.corners import DEFAULT_CORNER, ProcessVariation
+from repro.tech.corners import DEFAULT_CORNER
 from repro.sram.readport import CLOCK_PERIOD_NS
 
 #: Accuracy drop (absolute) that defines the campaign's default
 #: "accuracy floor": the largest BER whose mean accuracy stays within
 #: this much of the clean anchor.
 DEFAULT_MAX_DROP = 0.05
-
-#: Monte-Carlo sample count behind each curve's timing yield.
-TIMING_YIELD_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class YieldCurve:
 
     One curve per distinct campaign hardware (cell x node x corner);
     rows are sorted by BER.  ``timing_yield`` folds the group's process
-    corner into the Monte-Carlo read-timing yield — the parametric
+    corner into the closed-form read-timing yield — the parametric
     (timing) half of the paper's Table-1 guardband story next to the
     functional (fault) half.
     """
@@ -179,26 +177,23 @@ class YieldCurve:
         )
 
 
-def build_yield_curves(rows: list[ReliabilityRow],
-                       mc_seed: int,
-                       mc_samples: int = TIMING_YIELD_SAMPLES,
-                       ) -> list[YieldCurve]:
+def build_yield_curves(rows: list[ReliabilityRow]) -> list[YieldCurve]:
     """Aggregate campaign rows into per-hardware yield curves.
 
     Deterministic: groups follow first appearance in ``rows`` (the
     spec's expansion order), rows within a group sort by BER, and the
-    timing yield draws from a fresh seeded
-    :class:`~repro.tech.corners.ProcessVariation` per group — so the
-    same rows always aggregate to bit-identical curves, regardless of
-    worker count or cache state.
+    timing yield is the closed-form
+    :meth:`~repro.sram.variation_study.VariationStudy.parametric_yield`
+    at the group's corner — so the same rows always aggregate to
+    bit-identical curves, regardless of worker count or cache state.
     """
     groups: dict[HardwareConfig, list[ReliabilityRow]] = {}
     for row in rows:
         groups.setdefault(row.point.hardware, []).append(row)
+    study = VariationStudy()
     curves = []
     for hardware, members in groups.items():
         members = sorted(members, key=lambda r: r.point.bit_error_rate)
-        study = VariationStudy(variation=ProcessVariation(seed=mc_seed))
         corner = hardware.corner_spec
         curves.append(
             YieldCurve(
@@ -210,8 +205,8 @@ def build_yield_curves(rows: list[ReliabilityRow],
                 ),
                 mean_accuracy=tuple(r.mean_accuracy for r in members),
                 worst_accuracy=tuple(r.worst_accuracy for r in members),
-                timing_yield=study.corner_parametric_yield(
-                    hardware.cell_type, corner, n=mc_samples,
+                timing_yield=study.parametric_yield(
+                    hardware.cell_type, corner=corner,
                 ),
                 clock_period_ns=(
                     CLOCK_PERIOD_NS[hardware.cell_type]

@@ -130,6 +130,6 @@ class ReliabilityRunner(CampaignRunner):
                 stats: SweepStats) -> CampaignResult:
         return CampaignResult(
             spec_name=self.spec.name, rows=rows,
-            curves=build_yield_curves(rows, mc_seed=self.spec.seed),
+            curves=build_yield_curves(rows),
             stats=stats,
         )

@@ -215,6 +215,11 @@ class CampaignCli:
                          "required")
 
         hardware = hardware_from_args(args, seed=args.seed)
+        if hardware.clock_period_ns is not None:
+            # No grid has a clock axis: every point runs at its cell's
+            # shipped clock, so the file's clock would be dropped.
+            parser.error("--config sets clock_period_ns, which no "
+                         f"{self.noun} takes; remove it from the file")
         factory = self.named[name]
         accepted = inspect.signature(factory).parameters
         available = {

@@ -18,13 +18,7 @@ from repro.tech.constants import (
 )
 from repro.tech.finfet import FinFetDevice, DeviceType, VtFlavor
 from repro.tech.wire import MetalLayer, Wire, elmore_delay_ns
-from repro.tech.corners import (
-    PROCESS_CORNERS,
-    CornerSample,
-    CornerSpec,
-    ProcessVariation,
-    resolve_corner,
-)
+from repro.tech.corners import PROCESS_CORNERS, CornerSpec, resolve_corner
 from repro.tech.write_assist import NegativeBitlineAssist, WriteAssistResult
 
 __all__ = [
@@ -43,8 +37,6 @@ __all__ = [
     "MetalLayer",
     "Wire",
     "elmore_delay_ns",
-    "ProcessVariation",
-    "CornerSample",
     "NegativeBitlineAssist",
     "WriteAssistResult",
 ]

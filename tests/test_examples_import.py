@@ -10,6 +10,7 @@ second, so it runs end to end against its golden capture.
 """
 
 import ast
+import collections
 import dataclasses
 import importlib
 import importlib.util
@@ -49,13 +50,41 @@ def _repro_names(tree: ast.AST) -> dict:
     return names
 
 
-def _callee(func: ast.expr, names: dict):
+def _instances(tree: ast.AST, names: dict) -> dict:
+    """Local name -> class for each name that ``tree`` binds only by
+    ``name = ReproClass(...)``, every time with the same class."""
+    stores = collections.Counter(
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    )
+    parameters = {node.arg for node in ast.walk(tree)
+                  if isinstance(node, ast.arg)}
+    classes: dict = {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)):
+            continue
+        owner = names.get(node.value.func.id)
+        if isinstance(owner, type):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    classes.setdefault(target.id, []).append(owner)
+    return {
+        name: owners[0] for name, owners in classes.items()
+        if len(set(owners)) == 1 and len(owners) == stores[name]
+        and name not in parameters
+    }
+
+
+def _callee(func: ast.expr, names: dict, instances: dict):
     """The library object a call resolves to: ``Name(...)`` or
-    ``Name.method(...)`` for a name imported from ``repro``."""
+    ``Name.method(...)`` for a name imported from ``repro``, or
+    ``x.method(...)`` for an ``x`` bound by ``x = ReproClass(...)``."""
     if isinstance(func, ast.Name):
         return names.get(func.id)
     if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        owner = names.get(func.value.id)
+        owner = names.get(func.value.id, instances.get(func.value.id))
         return None if owner is None else getattr(owner, func.attr, None)
     return None
 
@@ -70,11 +99,12 @@ def stale_keywords(source: str, filename: str) -> tuple[int, list[str]]:
     """
     tree = ast.parse(source, filename=filename)
     names = _repro_names(tree)
+    instances = _instances(tree, names)
     checked, stale = 0, []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        callee = _callee(node.func, names)
+        callee = _callee(node.func, names, instances)
         if callee is None or not callable(callee):
             continue
         try:
@@ -170,6 +200,29 @@ def test_keyword_check_flags_a_stale_keyword():
     assert stale == [
         "snippet.py:3: EsamNetwork() takes no keyword 'cell_type'"
     ]
+
+
+def test_keyword_check_resolves_calls_on_instances():
+    """``x.method(...)`` is checked where ``x = ReproClass(...)`` is the
+    file's only binding of ``x``; a name bound otherwise too is not."""
+    source = (
+        "from repro.sram.variation_study import VariationStudy\n"
+        "study = VariationStudy(sigma_drive=0.06)\n"
+        "study.distribution(None, n=4096)\n"
+        "study.parametric_yield(None, clock_period_ns=1.0)\n"
+        "other = VariationStudy()\n"
+        "other = None\n"
+        "other.distribution(None, n=4096)\n"
+    )
+    checked, stale = stale_keywords(source, "snippet.py")
+    assert checked == 3
+    assert stale == [
+        "snippet.py:3: study.distribution() takes no keyword 'n'"
+    ]
+    # As a parameter, ``study`` may hold anything.
+    checked, stale = stale_keywords(source + "def run(study): pass\n",
+                                    "snippet.py")
+    assert (checked, stale) == (1, [])
 
 
 def test_keyword_check_bounds_a_dataclass_kwargs_by_its_fields():

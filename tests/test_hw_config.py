@@ -172,6 +172,16 @@ class TestRoundTripAndHashing:
         with pytest.raises(ConfigurationError, match="read"):
             HardwareConfig.from_json(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("clock", ["NaN", "Infinity", "-Infinity"])
+    def test_json_rejects_a_clock_that_is_not_finite(self, tmp_path,
+                                                     clock):
+        """``json.load`` reads these tokens as floats; a NaN clock
+        priced every evaluation at NaN, an infinite one at 0 MInf/s."""
+        path = tmp_path / "hw.json"
+        path.write_text(f'{{"clock_period_ns": {clock}}}')
+        with pytest.raises(ConfigurationError, match="finite"):
+            HardwareConfig.from_json(path)
+
 
 class TestGoldenCacheKey:
     def test_paper_point_cache_key_is_pinned(self):

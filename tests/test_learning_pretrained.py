@@ -2,7 +2,7 @@
 
 import errno
 import os
-import tempfile
+import stat
 
 import numpy as np
 import pytest
@@ -86,6 +86,27 @@ class TestAtomicSave:
         assert accuracy == fast_model.test_accuracy
 
 
+class TestArtifactMode:
+    def test_a_save_and_a_rewrite_follow_the_umask(self, tmp_path,
+                                                   fast_model):
+        """An artifact is readable by whoever may read the directory:
+        under umask 022 it is 0644, also when it replaces one that an
+        earlier save left owner-only."""
+        path = tmp_path / "model.npz"
+        previous = os.umask(0o022)
+        try:
+            _save(path, fast_model.snn, fast_model.test_accuracy,
+                  fast_model.dataset, KEY)
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+            path.chmod(0o600)
+            _save(path, fast_model.snn, fast_model.test_accuracy,
+                  fast_model.dataset, KEY)
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        finally:
+            os.umask(previous)
+        assert list(tmp_path.iterdir()) == [path]
+
+
 def _load_previous_format(path) -> tuple[ConvertedSNN, float]:
     """The artifact reader from before the test split was kept: it must
     still read an artifact that keeps one."""
@@ -135,12 +156,18 @@ class TestStoredTestSplit:
         path.parent.chmod(0o555)
         try:
             if os.access(path.parent, os.W_OK):
-                # Root writes through the mode bits: fail the write the
-                # way the directory would for any other user.
-                def denied(*args, **kwargs):
-                    raise PermissionError(errno.EACCES, "Permission denied")
+                # Root writes through the mode bits: fail the file's
+                # creation the way the directory would for any other
+                # user.
+                real_open = os.open
 
-                monkeypatch.setattr(tempfile, "mkstemp", denied)
+                def denied(name, flags, *args, **kwargs):
+                    if flags & os.O_CREAT:
+                        raise PermissionError(errno.EACCES,
+                                              "Permission denied")
+                    return real_open(name, flags, *args, **kwargs)
+
+                monkeypatch.setattr(os, "open", denied)
             model = get_reference_model("fast", 42)
         finally:
             path.parent.chmod(0o755)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.reliability import (
 )
 from repro.reliability.__main__ import main as reliability_main
 from repro.sram.bitcell import CellType
+from repro.sram.variation_study import VariationStudy
 from repro.sweep import (
     DesignPoint,
     ResultCache,
@@ -41,6 +43,7 @@ from repro.sweep import (
     figure8_spec,
 )
 from repro.sweep.results import SweepStats
+from repro.tech.corners import PROCESS_CORNERS
 
 from tests.test_store import _count_calls
 
@@ -482,21 +485,28 @@ class TestAggregation:
                     point=point, accuracies=(0.9, 0.8),
                     flipped_bits=(3, 4),
                 ))
-        curves = build_yield_curves(rows, mc_seed=42, mc_samples=64)
+        curves = build_yield_curves(rows)
         assert [(c.corner, c.bit_error_rates) for c in curves] == [
             ("typical", (0.0, 1e-2)), ("slow", (0.0, 1e-2)),
         ]
+        # Each curve's yield is the closed form at its corner.
+        study = VariationStudy()
+        assert [c.timing_yield for c in curves] == [
+            study.parametric_yield(CellType.C1RW4R,
+                                   corner=PROCESS_CORNERS[c.corner])
+            for c in curves
+        ]
         # Aggregation is deterministic for the same rows.
-        again = build_yield_curves(rows, mc_seed=42, mc_samples=64)
-        assert curves == again
+        assert build_yield_curves(rows) == curves
 
     def test_typical_timing_yield_is_the_designed_guardband(self):
         row = ReliabilityRow(
             point=FaultPoint(bit_error_rate=0.0, trials=1, quality=QUALITY),
             accuracies=(1.0,), flipped_bits=(0,),
         )
-        (curve,) = build_yield_curves([row], mc_seed=42)
-        assert curve.timing_yield == pytest.approx(0.9987, abs=0.01)
+        (curve,) = build_yield_curves([row])
+        phi_3 = 0.5 * math.erfc(-3.0 / math.sqrt(2.0))
+        assert curve.timing_yield == pytest.approx(phi_3, abs=1e-12)
 
     def test_claims_curve_prefers_nominal_group(self):
         nominal = self.make_curve((0.0,), (0.9,))
@@ -666,6 +676,26 @@ class TestCli:
         assert code == 0
         loaded = CampaignResult.from_json(tmp_path / "r.json")
         assert {row.point.seed for row in loaded.rows} == {7}
+
+    def test_config_file_clock_is_refused(self, tmp_path, capsys):
+        """No campaign has a clock axis, so the file's clock would be
+        dropped: the CLI exits 2 with one error line and evaluates
+        nothing."""
+        cfg = tmp_path / "hw.json"
+        cfg.write_text('{"clock_period_ns": 2.0}')
+        with pytest.raises(SystemExit) as exit_info:
+            reliability_main([
+                "--trials", "1", "--sample-images", "2", "--quality",
+                QUALITY, "--bers", "0", "--config", str(cfg),
+                "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "clock_period_ns" in errors[0]
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
 
     def test_warm_rerun_is_all_hits(self, tmp_path, capsys):
         argv = [

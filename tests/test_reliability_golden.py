@@ -6,8 +6,10 @@ introduction of :mod:`repro.reliability` (PR 5): the named
 trials over BER (0, 1e-3, 5e-2) x corner (typical/slow/fast), stored
 with full ``repr`` float precision — mirroring
 ``tests/test_parity_golden.py`` for the sweep path.  Every mask
-derives from the config seed and the timing yield from a seeded
-Monte-Carlo, so the run must be bit-identical, no tolerance.
+derives from the config seed and the timing yield is closed form
+(exactly Phi(3) at the typical corner; its ``timing_yield`` and the
+claims line were re-captured when it stopped being sampled), so the
+run must be bit-identical, no tolerance.
 
 If a deliberate modelling change ever breaks this, re-capture the
 golden file in the same commit and say so in the commit message.

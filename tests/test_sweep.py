@@ -451,6 +451,25 @@ class TestCli:
         assert "| slow" in out
         assert "| typical" not in out
 
+    def test_config_file_clock_is_refused(self, tmp_path, capsys):
+        """No sweep has a clock axis, so the file's clock would be
+        dropped: the CLI exits 2 with one error line and evaluates
+        nothing."""
+        cfg = tmp_path / "hw.json"
+        cfg.write_text('{"clock_period_ns": 2.0}')
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_main([
+                "figure8", "--sample-images", "2", "--quality", QUALITY,
+                "--config", str(cfg), "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "clock_period_ns" in errors[0]
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
     def test_claims_on_non_figure8_sweep_fails_cleanly(self, tmp_path, capsys):
         code = sweep_main([
             "vprech", "--sample-images", "4", "--quality", QUALITY,
