@@ -14,7 +14,10 @@ asserts the server sustains >= 5x the baseline with *bit-identical*
 predictions (both must equal the offline ``classify_batch`` of the
 trace), and writes ``BENCH_serving.json`` (schema in PAPER.md) with
 latency percentiles and the host environment so the serving trajectory
-is comparable across PRs.
+is comparable across PRs.  The fleet's open-loop curve also records
+where each request's CPU goes: the parent process's (admission,
+batching, pipes, resolution) against the workers' (the kernels), and
+each worker's OpenBLAS thread budget.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ MIN_SPEEDUP = 5.0
 #: scale, so the curve is recorded but not gated (the JSON carries
 #: ``cpu_count`` so readers can tell which regime produced it).
 WORKER_COUNTS = (1, 2, 4)
+#: Requests per fleet point: enough for the CPU split to resolve
+#: (``os.times`` and ``/proc/<pid>/stat`` count in 10 ms ticks).
+FLEET_REQUESTS = 8192
 MIN_FLEET_SCALING = 2.5
 MIN_SCALING_CORES = 4
 #: Tracing overhead gate: serving a traced run may cost at most 5%
@@ -75,6 +81,23 @@ def _serve_trace(server: InferenceServer, spikes: np.ndarray) -> np.ndarray:
     for thread in threads:
         thread.join()
     return served
+
+
+def _process_cpu_s(pid: int) -> float | None:
+    """CPU seconds (user + system) process ``pid`` has used, all its
+    threads included; ``None`` where ``/proc`` is missing (off Linux)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # The command name may hold spaces: fields count from after it.
+    fields = stat.rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _workers_cpu_s(pids) -> float | None:
+    readings = [_process_cpu_s(pid) for pid in pids]
+    return None if None in readings else sum(readings)
 
 
 def test_microbatched_serving_speedup(reference_model, bench_report):
@@ -175,7 +198,7 @@ def test_fleet_worker_scaling(reference_model, bench_report):
     point = DesignPoint(cell_type=CellType.C1RW4R)
     pool = encode_images(reference_model.dataset.test_images)
     rng = np.random.default_rng(point.seed)
-    spikes = pool[rng.integers(0, pool.shape[0], size=N_REQUESTS)]
+    spikes = pool[rng.integers(0, pool.shape[0], size=FLEET_REQUESTS)]
 
     offline = None
     curve = {}
@@ -189,19 +212,34 @@ def test_fleet_worker_scaling(reference_model, bench_report):
         # start() returns once every worker is ready and stop() is
         # outside the timed region: the curve is steady-state serving.
         with server:
+            workers = server.describe()["workers"]
+            pids = [w["pid"] for w in workers]
+            parent_before = os.times()
+            workers_before = _workers_cpu_s(pids)
             t0 = time.perf_counter()
             run_open_loop(server, spikes, served, slo_class="batch")
             seconds = time.perf_counter() - t0
+            parent_after = os.times()
+            workers_after = _workers_cpu_s(pids)
         assert np.array_equal(served, offline), (
             f"{n_workers}-worker fleet diverged from offline classify_batch"
         )
         metrics = server.metrics.to_dict()
-        assert metrics["completed"] == N_REQUESTS
+        assert metrics["completed"] == FLEET_REQUESTS
         assert metrics["failed"] == 0
+        parent_s = (parent_after.user + parent_after.system
+                    - parent_before.user - parent_before.system)
         curve[n_workers] = {
             "seconds": round(seconds, 4),
-            "inf_per_s": round(N_REQUESTS / seconds, 2),
+            "inf_per_s": round(FLEET_REQUESTS / seconds, 2),
             "mean_batch_size": metrics["mean_batch_size"],
+            "parent_cpu_us_per_request": round(
+                parent_s / FLEET_REQUESTS * 1e6, 2),
+            "workers_cpu_us_per_request": (
+                None if workers_before is None or workers_after is None
+                else round((workers_after - workers_before)
+                           / FLEET_REQUESTS * 1e6, 2)),
+            "blas_threads": [w["blas_threads"] for w in workers],
         }
 
     scaling_4x = round(
@@ -211,7 +249,7 @@ def test_fleet_worker_scaling(reference_model, bench_report):
     gated = cpu_count >= MIN_SCALING_CORES
     section = {
         "mode": "open_loop",
-        "requests": N_REQUESTS,
+        "requests": FLEET_REQUESTS,
         "workers": {str(n): curve[n] for n in WORKER_COUNTS},
         "scaling_4x_over_1x": scaling_4x,
         "min_scaling_gate": MIN_FLEET_SCALING,
@@ -232,7 +270,9 @@ def test_fleet_worker_scaling(reference_model, bench_report):
     print(
         "\nfleet scaling (open loop): "
         + ", ".join(
-            f"{n}w {curve[n]['inf_per_s']:,.0f} inf/s"
+            f"{n}w {curve[n]['inf_per_s']:,.0f} inf/s (parent "
+            f"{curve[n]['parent_cpu_us_per_request']} us, workers "
+            f"{curve[n]['workers_cpu_us_per_request']} us a request)"
             for n in WORKER_COUNTS
         )
         + f" -> {scaling_4x:.2f}x on {cpu_count} cores"

@@ -14,7 +14,12 @@ instruments:
 ``registry.counter(name, **labels)`` is get-or-create: the same
 ``(name, labels)`` always resolves to the same instrument, so two
 subsystems incrementing ``repro_cache_hits_total{kind="sweep"}`` share
-one total.  All instruments are thread-safe.
+one total.  All instruments are thread-safe.  A component that counts
+too often to take an instrument's lock per event keeps plain integers
+under a lock of its own and hands them over in bulk
+(:meth:`Histogram.observe` takes a count, :meth:`Histogram.observe_all`
+a batch); :meth:`MetricRegistry.add_collector` has the registry ask for
+them before every export.
 
 The text exporter (:meth:`MetricRegistry.to_text`) writes the familiar
 Prometheus exposition style — ``# TYPE`` comments, ``name{label="v"}
@@ -28,10 +33,13 @@ contract every BENCH JSON follows.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import json
 import pathlib
 import re
 import threading
+import weakref
 
 from repro.envinfo import environment_info
 from repro.errors import ConfigurationError
@@ -148,18 +156,43 @@ class Histogram(_Instrument):
         self._count = 0
         self._sum = 0.0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
+        key = self._key(value)
         with self._lock:
-            self._count += 1
-            self._sum += value
-            if self.buckets is None:
-                key = value
-                self._counts[key] = self._counts.get(key, 0) + 1
-            else:
-                for bound in self.buckets:
-                    if value <= bound:
-                        self._counts[bound] = self._counts.get(bound, 0) + 1
-                        break  # stored per-bucket; the exporter cumulates
+            self._count += count
+            self._sum += value * count
+            if key is not None:
+                self._counts[key] = self._counts.get(key, 0) + count
+
+    def observe_all(self, values) -> None:
+        """Record each of ``values`` under one lock hold.
+
+        The values are summed in order, so the sum equals the one that
+        repeated :meth:`observe` calls would give.
+        """
+        values = list(values)
+        keys = collections.Counter(map(self._key, values))
+        keys.pop(None, None)
+        with self._lock:
+            self._count += len(values)
+            total = self._sum
+            for value in values:
+                total += value
+            self._sum = total
+            for key, count in keys.items():
+                self._counts[key] = self._counts.get(key, 0) + count
+
+    def _key(self, value):
+        """Where ``value`` is counted: itself in exact mode, else the
+        first bound at or above it (``None`` for ``+Inf``, and for NaN,
+        which no bound holds)."""
+        if self.buckets is None:
+            return value
+        index = bisect.bisect_left(self.buckets, value)
+        if index < len(self.buckets) and value <= self.buckets[index]:
+            return self.buckets[index]  # stored per bucket; export cumulates
+        return None
 
     @property
     def count(self) -> int:
@@ -185,6 +218,8 @@ class MetricRegistry:
         self._lock = threading.Lock()
         #: name -> (kind, {label_key: instrument})
         self._families: dict[str, tuple[str, dict]] = {}
+        #: Weak references to the methods :meth:`add_collector` took.
+        self._collectors: list = []
 
     def _get_or_create(self, cls, name: str, labels: dict, **kwargs):
         if not _NAME_RE.match(name):
@@ -229,8 +264,31 @@ class MetricRegistry:
             )
         return instrument
 
+    def add_collector(self, collect) -> None:
+        """Call ``collect()`` at the start of every whole-registry read.
+
+        For a component that counts in plain integers under its own
+        lock and hands them to its instruments in bulk: :meth:`collect`,
+        :meth:`snapshot` and :meth:`to_text` then read current values,
+        while a read of one instrument sees what was last handed over.
+        ``collect`` runs outside the registry's lock, so it may take
+        its own lock and call the instruments.  It is a bound method,
+        held weakly: the registry never keeps its owner alive.
+        """
+        ref = weakref.WeakMethod(collect)
+        with self._lock:
+            self._collectors.append(ref)
+
     def collect(self) -> list[_Instrument]:
         """Every instrument, ordered by (name, labels)."""
+        with self._lock:
+            collectors = [ref() for ref in self._collectors]
+            self._collectors = [ref for ref, collect
+                                in zip(self._collectors, collectors)
+                                if collect is not None]
+        for collect in collectors:
+            if collect is not None:
+                collect()
         with self._lock:
             out = []
             for name in sorted(self._families):

@@ -12,8 +12,12 @@ bench_serving.py`` measures the curve).
 The moving parts and who owns what:
 
 * **client threads** — the core's ``submit``: validation and a private
-  copy of the row, SLO-class admission, breaker check, and the add to
-  the model's batcher, all holding the interpreter lock.
+  ``bytes`` copy of the row, then, under the server's one lock,
+  SLO-class admission, the breaker check (only with a breaker policy),
+  the counts as plain integers and the add to the model's batcher, all
+  holding the interpreter lock.  No instrument or registry lock is
+  taken per request: the parent process admits, ships and resolves
+  every request, so its CPU is what bounds the fleet.
 * **dispatch thread** — the core's loop: takes each ready batch, sheds
   deadline-expired requests, then (this module) joins the batch's rows
   (:func:`~repro.serve.server.join_rows`) and sends that one ``bytes``
@@ -24,7 +28,9 @@ The moving parts and who owns what:
   the rows, run the same :func:`~repro.serve.server.flush_batch` the
   in-process server runs, and send predictions + stats back.  Each
   worker generation has one ``multiprocessing.Pipe()``: work one way,
-  replies the other.
+  replies the other.  Each worker runs its kernels on
+  :func:`~repro.serve.pool.blas_budget` OpenBLAS threads, one core
+  being left to the parent, and sets them before its first batch.
 * **collector thread** — one wait over every worker's pipe, every
   worker's process sentinel and a wake-up pipe: resolves futures from
   results, replays worker stats into the
@@ -68,7 +74,13 @@ from repro.errors import (
 )
 from repro.obs.trace import get_tracer
 from repro.resilience.policy import SupervisorPolicy
-from repro.serve.pool import ModelPayload, worker_main
+from repro.serve.pool import (
+    ModelPayload,
+    blas_budget,
+    blas_threads_settable,
+    usable_cpus,
+    worker_main,
+)
 from repro.serve.server import InferenceServer, join_rows
 
 __all__ = ["MAX_IN_FLIGHT", "FleetServer", "choose_worker", "receive_all"]
@@ -172,6 +184,13 @@ class FleetServer(InferenceServer):
     Swaps and weight pushes go through the registry first (interface
     validation, breaker reset) and then roll out to the workers one
     replica at a time.
+
+    Each worker runs its kernels on ``max(1, (usable CPUs - 1) //
+    n_workers)`` OpenBLAS threads (:func:`~repro.serve.pool.
+    blas_budget`): the parent keeps a core for admission and
+    collection, and no worker's pool spins on it.  :meth:`describe`
+    reports the budget per worker, ``None`` where numpy's OpenBLAS has
+    no thread setter.
     """
 
     def __init__(self, registry, n_workers: int = 2,
@@ -185,6 +204,8 @@ class FleetServer(InferenceServer):
         super().__init__(registry, **kwargs)
         self.n_workers = n_workers
         self.supervisor = supervisor or SupervisorPolicy()
+        self._blas_threads = (blas_budget(usable_cpus(), n_workers)
+                              if blas_threads_settable() else None)
         self._next_batch_id = 0
         self._assigned: dict[int, _InFlight] = {}
         self._draining: set[int] = set()
@@ -267,7 +288,7 @@ class FleetServer(InferenceServer):
             target=worker_main,
             name=f"repro-fleet-worker-{worker.worker_id}",
             args=(worker.generation, child_end, self._payloads(),
-                  self.retry, self.chaos),
+                  self.retry, self.chaos, self._blas_threads),
             daemon=True,
         )
         worker.process.start()
@@ -386,10 +407,12 @@ class FleetServer(InferenceServer):
             workers = [
                 {
                     "worker_id": w.worker_id,
+                    "pid": None if w.process is None else w.process.pid,
                     "generation": w.generation,
                     "ready": w.ready,
                     "respawns": w.respawns,
                     "removed": w.removed,
+                    "blas_threads": self._blas_threads,
                 }
                 for w in self._workers.values()
             ]

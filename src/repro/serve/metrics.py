@@ -11,18 +11,25 @@ is recorded per request (:meth:`~ServingMetrics.record_submitted`),
 completion per answered batch (:meth:`~ServingMetrics.record_batch`:
 its size, its completions and each rider's latency in one call).
 
-Since the observability layer landed, :class:`ServingMetrics` is a
-*view* over a :class:`~repro.obs.metrics.MetricRegistry`: every
-counter (``submitted`` .. ``broken_circuit``) reads a registry
-counter, the batch-size/queue-depth histograms are exact registry
-histograms, and latencies feed a bucketed registry histogram alongside
-a window of the most recent :data:`LATENCY_WINDOW` samples, which the
-percentiles are computed from.  The historical attribute/dict API is
-unchanged; the registry adds a Prometheus-style text export
-(``metrics.registry.to_text()``, the CLI's ``--metrics-out``).  By default each collector owns a private
-registry; passing a shared one (e.g. :func:`repro.obs.get_registry`)
-merges the serving series into it — note that two collectors sharing
-a registry share the underlying instruments.
+Every count is a plain integer kept under :attr:`ServingMetrics.lock`,
+and a server builds its condition on that lock: admission counts a
+request under the one lock it already holds, and takes no instrument
+or registry lock per request.  The counts reach the registry when it
+is read and when the run stops: :class:`ServingMetrics` is a *view*
+over a :class:`~repro.obs.metrics.MetricRegistry`, which asks it for
+them before every export (:meth:`~repro.obs.metrics.MetricRegistry.
+add_collector`), and every counter attribute (``submitted`` ..
+``broken_circuit``) reads its registry counter after the hand-over.
+The batch-size and queue-depth histograms are exact registry
+histograms fed the same way.  Latencies feed a bucketed registry
+histogram once per answered batch, alongside a window of the most
+recent :data:`LATENCY_WINDOW` samples, which the percentiles are
+computed from.  The historical attribute/dict API is unchanged; the
+registry adds a Prometheus-style text export
+(``metrics.registry.to_text()``, the CLI's ``--metrics-out``).  By
+default each collector owns a private registry; passing a shared one
+(e.g. :func:`repro.obs.get_registry`) merges the serving series into
+it — two collectors sharing a registry add into the same instruments.
 """
 
 from __future__ import annotations
@@ -121,7 +128,10 @@ class ServingMetrics:
     def __init__(self, clock=time.perf_counter,
                  registry: MetricRegistry | None = None) -> None:
         self._clock = clock
-        self._lock = threading.Lock()
+        #: The lock every count is kept under.  An
+        #: :class:`~repro.serve.server.InferenceServer` builds its
+        #: condition on it, so it records while holding it.
+        self.lock = threading.RLock()
         self.registry = registry if registry is not None else MetricRegistry()
         self._counters = {
             attr: self.registry.counter(name)
@@ -136,93 +146,133 @@ class ServingMetrics:
         self._latency_hist = self.registry.histogram(
             "repro_serving_latency_ms", buckets=LATENCY_BUCKETS_MS
         )
+        #: Counts not yet handed to the registry (see :meth:`_publish`).
+        self._counts = dict.fromkeys(COUNTER_NAMES, 0)
+        self._batch_size_counts: dict[int, int] = {}
+        self._queue_depth_counts: dict[int, int] = {}
         self._latencies_ms: collections.deque[float] = collections.deque(
             maxlen=LATENCY_WINDOW
         )
         self._max_latency_ms = 0.0
         self._started_at: float | None = None
         self._stopped_at: float | None = None
+        self.registry.add_collector(self._publish)
+
+    def _publish(self) -> None:
+        """Hand every count not yet in the registry to its instrument."""
+        with self.lock:
+            for attr, count in self._counts.items():
+                if count:
+                    self._counters[attr].inc(count)
+                    self._counts[attr] = 0
+            for counts, histogram in (
+                    (self._batch_size_counts, self._batch_sizes),
+                    (self._queue_depth_counts, self._queue_depths)):
+                for value, count in counts.items():
+                    histogram.observe(value, count)
+                counts.clear()
+
+    def _count(self, attr: str) -> int:
+        with self.lock:
+            self._publish()
+            return int(self._counters[attr].value)
 
     # -- counter views (the historical attribute API) --------------------------------
 
     @property
     def submitted(self) -> int:
-        return int(self._counters["submitted"].value)
+        return self._count("submitted")
 
     @property
     def completed(self) -> int:
-        return int(self._counters["completed"].value)
+        return self._count("completed")
 
     @property
     def failed(self) -> int:
-        return int(self._counters["failed"].value)
+        return self._count("failed")
 
     @property
     def rejected(self) -> int:
-        return int(self._counters["rejected"].value)
+        return self._count("rejected")
 
     @property
     def shed(self) -> int:
-        return int(self._counters["shed"].value)
+        return self._count("shed")
 
     @property
     def retried(self) -> int:
-        return int(self._counters["retried"].value)
+        return self._count("retried")
 
     @property
     def broken_circuit(self) -> int:
-        return int(self._counters["broken_circuit"].value)
+        return self._count("broken_circuit")
 
     # -- recording (called by the server and its clients) ---------------------------
 
     def mark_started(self) -> None:
-        with self._lock:
+        with self.lock:
             self._started_at = self._clock()
             self._stopped_at = None
 
     def mark_stopped(self) -> None:
-        with self._lock:
+        """End the run, handing every count to the registry: a shared
+        registry keeps a stopped server's counts after the collector
+        is gone."""
+        with self.lock:
             self._stopped_at = self._clock()
+            self._publish()
 
     def record_submitted(self, queue_depth: int) -> None:
-        self._counters["submitted"].inc()
-        self._queue_depths.observe(int(queue_depth))
+        queue_depth = int(queue_depth)
+        depths = self._queue_depth_counts
+        with self.lock:
+            self._counts["submitted"] += 1
+            depths[queue_depth] = depths.get(queue_depth, 0) + 1
 
     def record_rejected(self) -> None:
-        self._counters["rejected"].inc()
+        self._add("rejected", 1)
 
     def record_batch(self, latencies_s) -> None:
         """One answered batch: its size, and each rider's latency."""
         latencies_ms = [latency * 1e3 for latency in latencies_s]
-        self._batch_sizes.observe(len(latencies_ms))
-        self._counters["completed"].inc(len(latencies_ms))
-        for latency_ms in latencies_ms:
-            self._latency_hist.observe(latency_ms)
-        with self._lock:
+        size = len(latencies_ms)
+        self._latency_hist.observe_all(latencies_ms)
+        sizes = self._batch_size_counts
+        with self.lock:
+            self._counts["completed"] += size
+            sizes[size] = sizes.get(size, 0) + 1
             self._latencies_ms.extend(latencies_ms)
             self._max_latency_ms = max([self._max_latency_ms, *latencies_ms])
 
     def record_failed(self, count: int = 1) -> None:
-        self._counters["failed"].inc(count)
+        self._add("failed", count)
 
     def record_shed(self, count: int = 1) -> None:
         """Admitted requests failed fast because their deadline expired."""
-        self._counters["shed"].inc(count)
+        self._add("shed", count)
 
     def record_retried(self, count: int = 1) -> None:
         """Transient flush failures absorbed by the retry policy."""
-        self._counters["retried"].inc(count)
+        self._add("retried", count)
 
     def record_broken_circuit(self, count: int = 1) -> None:
         """Submissions failed fast because the model's circuit is open."""
-        self._counters["broken_circuit"].inc(count)
+        self._add("broken_circuit", count)
+
+    def _add(self, attr: str, count: int) -> None:
+        if count < 0:
+            raise ConfigurationError(
+                f"serving counts cannot decrease ({attr} += {count})"
+            )
+        with self.lock:
+            self._counts[attr] += count
 
     # -- roll-ups --------------------------------------------------------------------
 
     @property
     def elapsed_s(self) -> float:
         """Wall-clock seconds between start and stop (or now)."""
-        with self._lock:
+        with self.lock:
             if self._started_at is None:
                 return 0.0
             end = self._stopped_at if self._stopped_at is not None else self._clock()
@@ -244,7 +294,7 @@ class ServingMetrics:
         reading a just-started server gets ``{"p50_ms": None, ...}``
         rather than a crash or NaN.
         """
-        with self._lock:
+        with self.lock:
             samples = list(self._latencies_ms)
         if not samples:
             return {f"p{pct:g}_ms": None for pct in SLO_PERCENTILES}
@@ -257,7 +307,8 @@ class ServingMetrics:
         ``None`` (JSON ``null``) until the first completion / flush,
         so consumers can rely on the keys existing in every snapshot.
         """
-        with self._lock:
+        with self.lock:
+            self._publish()
             samples = list(self._latencies_ms)
             max_ms = self._max_latency_ms
         batch_sizes = self._batch_sizes.counts()

@@ -1,6 +1,6 @@
 """Fleet worker pool: model payloads and the worker loop.
 
-Two pieces the :class:`~repro.serve.fleet.FleetServer` is built from:
+The pieces the :class:`~repro.serve.fleet.FleetServer` is built from:
 
 * :class:`ModelPayload` — a picklable snapshot of a servable network
   (weights, thresholds, bias, hardware config).  Control-plane data:
@@ -12,7 +12,10 @@ Two pieces the :class:`~repro.serve.fleet.FleetServer` is built from:
   :func:`~repro.serve.server.flush_batch` the in-process server runs
   (retries and flush chaos included) **without re-validating** (the
   server validated every request exactly once at admission), and send
-  predictions + per-batch stats back over the same pipe.
+  predictions + per-batch stats back over the same pipe;
+* :func:`blas_budget` — the OpenBLAS threads each worker runs its
+  kernels on, which :func:`limit_blas_threads` sets through numpy's
+  bundled library.
 
 Each worker generation has one duplex ``multiprocessing.Pipe()``:
 work goes one way, replies the other.  Messages are plain tuples,
@@ -39,6 +42,10 @@ pipe.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import pathlib
 import pickle
 import time
 from dataclasses import dataclass
@@ -51,7 +58,83 @@ from repro.resilience.policy import RetryPolicy
 from repro.serve.server import flush_batch, view_rows
 from repro.tile.network import EsamNetwork
 
-__all__ = ["ModelPayload", "worker_main"]
+__all__ = [
+    "ModelPayload", "blas_budget", "blas_threads_settable",
+    "limit_blas_threads", "usable_cpus", "worker_main",
+]
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def blas_budget(cpus: int, n_workers: int) -> int:
+    """OpenBLAS threads for each of ``n_workers`` fleet workers.
+
+    One of the ``cpus`` is left to the parent process, which admits,
+    batches, ships and resolves every request: at one-worker
+    saturation on a 2-vCPU host it spent 24–36 µs of CPU a request,
+    most of a core.  The workers share the rest, each with at least
+    one thread.  Without a budget each worker starts one BLAS thread
+    per core, so N workers run N × cores threads, and a pool thread
+    spins on after every product, on the core the parent needs.
+    """
+    return max(1, (cpus - 1) // n_workers)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """``(set_num_threads, shutdown_pool)`` of the OpenBLAS numpy
+    wheels bundle (``numpy.libs/libscipy_openblas64_-*.so``); either is
+    ``None`` where the library or its symbol is missing.
+
+    The library is already loaded, so this only looks the functions
+    up.  Cached per process: a forked worker inherits its parent's
+    lookup.
+    """
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        controls = []
+        for name, argtypes in (("scipy_openblas_set_num_threads64_",
+                                [ctypes.c_int]),
+                               ("blas_thread_shutdown_", [])):
+            function = getattr(library, name, None)
+            if function is not None:
+                function.argtypes = argtypes
+                function.restype = None
+            controls.append(function)
+        return tuple(controls)
+    return None, None
+
+
+def blas_threads_settable() -> bool:
+    """Can :func:`limit_blas_threads` set this process's thread count?"""
+    return _openblas_controls()[0] is not None
+
+
+def limit_blas_threads(threads: int) -> None:
+    """Run this process's BLAS kernels on ``threads`` threads.
+
+    A no-op where numpy's OpenBLAS has no thread setter.  At one
+    thread the pool is also shut down: the setter re-creates the pool
+    a fork shut down, and its thread would keep spinning on a core
+    with nothing to run.  The thread count cannot change a
+    prediction: every float32 partial sum of ±1 terms is an exact
+    integer below 2**24.
+    """
+    set_threads, shutdown = _openblas_controls()
+    if set_threads is None:
+        return
+    set_threads(threads)
+    if threads == 1 and shutdown is not None:
+        shutdown()
 
 
 @dataclass(frozen=True)
@@ -103,12 +186,17 @@ def _portable(error: Exception) -> Exception:
 
 def worker_main(generation: int, conn, payloads: list,
                 retry: RetryPolicy | None = None,
-                chaos: ChaosPolicy | None = None) -> None:
+                chaos: ChaosPolicy | None = None,
+                blas_threads: int | None = None) -> None:
     """One ``EngineWorker`` process: serve batches until told to stop.
 
     ``generation`` counts respawns of this worker slot (0 for the
     original spawn) and is echoed in the ready handshake.  ``conn`` is
-    this process's end of its generation's pipe.  Each batch runs
+    this process's end of its generation's pipe.  ``blas_threads``
+    (:func:`blas_budget`) is set once, before the first batch's
+    kernel, by :func:`limit_blas_threads`: set before the ready
+    handshake, re-creating the pool a fork shut down would lengthen
+    every fleet start by milliseconds.  Each batch runs
     through :func:`~repro.serve.server.flush_batch` under ``retry`` and
     ``chaos``, exactly as an in-process flush.  Before that, the chaos
     worker-crash hook runs keyed on the batch's site — a deterministic
@@ -140,6 +228,9 @@ def worker_main(generation: int, conn, payloads: list,
             conn.send(("swapped", model, payload.versions))
             continue
         _, batch_id, model, rows, n_rows, site = message
+        if blas_threads is not None:
+            limit_blas_threads(blas_threads)
+            blas_threads = None
         if chaos is not None:
             # In a worker process this is os._exit(86): the batch
             # dies with us and the collector must account for it.

@@ -242,6 +242,12 @@ class ModelRegistry:
 
     # -- circuit breaking -----------------------------------------------------------
 
+    @property
+    def breaker(self) -> BreakerPolicy | None:
+        """The policy every model's circuit breaker follows, or
+        ``None`` when admission is never gated."""
+        return self._breaker_policy
+
     def check(self, name: str) -> EsamNetwork:
         """Admission gate: the network, if ``name``'s circuit admits it.
 
@@ -265,6 +271,8 @@ class ModelRegistry:
 
     def record_flush_success(self, name: str) -> None:
         """Close ``name``'s circuit (no-op without a breaker policy)."""
+        if self._breaker_policy is None:
+            return
         with self._lock:
             breaker = self._breakers.get(name)
             if breaker is not None:
@@ -272,6 +280,8 @@ class ModelRegistry:
 
     def record_flush_failure(self, name: str) -> None:
         """Count one flush failure against ``name``'s circuit."""
+        if self._breaker_policy is None:
+            return
         with self._lock:
             breaker = self._breakers.get(name)
             if breaker is not None:

@@ -38,13 +38,18 @@ inside :func:`flush_batch`, wherever the lane runs it.
 
 The path from ``submit`` to the resolved future keeps CPython's
 interpreter lock: a one-byte row is checked and copied with ``bytes``
-methods (:func:`~repro.tile.network.validate_spikes`), and a batch is
-one join of those copies (:func:`join_rows`).  numpy releases the
-lock inside its loops, so a numpy check or ``np.stack`` would hand it
-to another server thread and then wait to get it back.  Work is done
-once per batch where it can be: ``submit`` wakes the dispatch thread
-only for a new coalescing deadline or a size trigger, and a batch's
-futures resolve from one ``tolist()`` with one metrics call.
+methods (:func:`~repro.tile.network.spike_row`), and a batch is one
+join of those copies (:func:`join_rows`).  numpy releases the lock
+inside its loops, so a numpy check or ``np.stack`` would hand it to
+another server thread and then wait to get it back.  Admission takes
+one registry read (the row width) and one lock, the server's: the
+request and its future are built before it, and the counts are plain
+integers of :class:`~repro.serve.metrics.ServingMetrics`, whose lock
+the server's condition is built on.  Work is done once per batch where
+it can be: ``submit`` wakes the dispatch thread only for a new
+coalescing deadline or a size trigger, and a batch's futures resolve
+from one ``tolist()`` with one metrics call and one release of its
+in-flight depths.
 
 Predictions are deterministic: ``infer_batch`` is split-invariant (a
 property the test suite asserts), so however arrival timing partitions
@@ -54,6 +59,7 @@ prediction the offline ``classify_batch`` would give it.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 import threading
@@ -77,7 +83,7 @@ from repro.resilience.policy import RetryPolicy
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.metrics import ServingMetrics
 from repro.serve.registry import ModelRegistry
-from repro.tile.network import validate_spikes
+from repro.tile.network import spike_row
 
 __all__ = [
     "DEFAULT_SLO_CLASSES", "InferenceServer", "SloClass", "flush_batch",
@@ -144,12 +150,13 @@ DEFAULT_SLO_CLASSES = {
 class _Request:
     """One admitted classification request.
 
-    ``spikes`` is the private read-only row :func:`validate_spikes`
-    returns, so the caller's buffer is never queued.
+    ``spikes`` is the private ``bytes`` copy of the row
+    :func:`~repro.tile.network.spike_row` returns, so the caller's
+    buffer is never queued.
     """
 
     model: str
-    spikes: np.ndarray
+    spikes: bytes
     submitted_at: float
     #: Absolute clock time after which the request is shed instead of
     #: dispatched (``None`` = no deadline).
@@ -230,6 +237,8 @@ class InferenceServer:
         bound (256 for the stock classes).
     metrics:
         Optional externally-owned :class:`ServingMetrics` collector.
+        The server's condition is built on its ``lock``, so the counts
+        are kept under the lock admission already holds.
     retry:
         Optional :class:`RetryPolicy` applied to every micro-batch
         flush: transient failures (:data:`~repro.resilience.policy.
@@ -276,9 +285,10 @@ class InferenceServer:
         self.retry = retry
         self.chaos = chaos if chaos is not None and chaos.active else None
         self._clock = clock
-        #: One lock for all serving state: batchers, depths and (in the
-        #: fleet) the workers' in-flight batches.
-        self._cond = threading.Condition()
+        #: One lock for all serving state: batchers, depths, the counts
+        #: (the metrics' lock is this lock) and, in the fleet, the
+        #: workers' in-flight batches.
+        self._cond = threading.Condition(self.metrics.lock)
         self._batchers: dict[str, MicroBatcher] = {}
         self._flush_counts: dict[str, int] = {}
         #: Requests the dispatch thread has taken out of the batchers
@@ -368,16 +378,23 @@ class InferenceServer:
 
         This is the single validation point: the SLO class, the
         deadline, the model name and the spike vector
-        (:func:`validate_spikes`, exactly once — no lane re-checks) are
-        all checked *before* admission.  The request queues the private
-        copy of the row that check returns, so the caller may refill
-        its buffer as soon as ``submit`` returns.  Raises
-        :class:`QueueFullError` when the class's ``max_queue_depth``
-        requests are already in flight (explicit backpressure — the
-        request is not enqueued).  When the registry runs circuit
-        breakers, an open circuit raises
+        (:func:`~repro.tile.network.spike_row`, exactly once — no lane
+        re-checks) are all checked *before* admission.  The request
+        queues the private copy of the row that check returns, so the
+        caller may refill its buffer as soon as ``submit`` returns.
+        Raises :class:`QueueFullError` when the class's
+        ``max_queue_depth`` requests are already in flight (explicit
+        backpressure — the request is not enqueued).  When the registry
+        runs circuit breakers, an open circuit raises
         :class:`~repro.errors.ModelUnavailableError` instead of
         admitting a doomed request.
+
+        The admission path is lean on purpose, since a saturated server
+        runs it once per request: one registry read for the row width,
+        the request and its future built before the server's lock, and
+        under that one lock the depth check, the breaker gate (only
+        when the registry has a breaker policy), the counts as plain
+        integers and the add to the model's batcher.
 
         ``deadline_ms`` (default: the class's deadline) bounds the
         request's queueing time: if the deadline has passed when the
@@ -398,7 +415,14 @@ class InferenceServer:
         else:
             _check_deadline(deadline_ms)
         network = self.registry.get(model)
-        spikes = validate_spikes(spikes, network.tiles[0].n_in)
+        row = spike_row(spikes, network.tiles[0].n_in)
+        now = self._clock()
+        request = _Request(
+            model=model, spikes=row, submitted_at=now,
+            deadline_at=(None if deadline_ms is None
+                         else now + deadline_ms / 1e3),
+            slo_class=slo.name,
+        )
         with self._cond:
             if self._failed:
                 raise ServingError(
@@ -416,21 +440,15 @@ class InferenceServer:
             # Breaker gate *after* the depth check, so a half-open
             # probe slot is only consumed by a request that would
             # actually be admitted.
-            try:
-                self.registry.check(model)
-            except ModelUnavailableError:
-                self.metrics.record_broken_circuit()
-                raise
-            now = self._clock()
-            request = _Request(
-                model=model, spikes=spikes, submitted_at=now,
-                deadline_at=(None if deadline_ms is None
-                             else now + deadline_ms / 1e3),
-                slo_class=slo.name,
-            )
+            if self.registry.breaker is not None:
+                try:
+                    self.registry.check(model)
+                except ModelUnavailableError:
+                    self.metrics.record_broken_circuit()
+                    raise
             self._class_depth[slo.name] = depth + 1
             self._in_flight += 1
-            self.metrics.record_submitted(queue_depth=self._in_flight)
+            self.metrics.record_submitted(self._in_flight)
             batcher = self._batchers.get(model)
             if batcher is None:
                 batcher = MicroBatcher(self.policy, clock=self._clock)
@@ -649,10 +667,11 @@ class InferenceServer:
 
     def _release(self, requests: list[_Request]) -> None:
         """Account resolved requests out of the in-flight depths."""
+        per_class = collections.Counter(r.slo_class for r in requests)
         with self._cond:
             self._in_flight -= len(requests)
-            for request in requests:
-                self._class_depth[request.slo_class] -= 1
+            for slo_class, count in per_class.items():
+                self._class_depth[slo_class] -= count
             self._cond.notify_all()
 
     def _fail_pending(self, error: BaseException, where: str) -> None:

@@ -27,6 +27,7 @@ from repro.hw.cli import (
     hardware_from_args,
     narrowed_axes,
 )
+from repro.hw.config import PAPER_LAYER_SIZES
 from repro.learning.pretrained import QUALITY_PRESETS
 from repro.store.index import (
     STORE_FILENAME,
@@ -220,6 +221,16 @@ class CampaignCli:
             # shipped clock, so the file's clock would be dropped.
             parser.error("--config sets clock_period_ns, which no "
                          f"{self.noun} takes; remove it from the file")
+        if hardware.layer_sizes != PAPER_LAYER_SIZES:
+            # Every grid evaluates the reference model, whose layers
+            # are the paper's: the file's layers would be dropped.
+            paper = ":".join(map(str, PAPER_LAYER_SIZES))
+            parser.error(
+                "--config sets layer_sizes "
+                f"{':'.join(map(str, hardware.layer_sizes))}, but every "
+                f"{self.noun} evaluates the {paper} reference model; "
+                "remove it from the file"
+            )
         factory = self.named[name]
         accepted = inspect.signature(factory).parameters
         available = {

@@ -55,46 +55,60 @@ def validate_spikes(spikes: np.ndarray, n_in: int, *,
     array: shape ``(n_in,)`` for a single request, ``(B, n_in)`` when
     ``batch=True`` (a single vector is promoted to a 1-row batch).
 
-    A single row comes back as a read-only private copy, so a caller
-    may refill its buffer as soon as this returns.  A row of one-byte
-    dtype (bool, uint8, int8) is checked and copied with ``bytes``
-    methods, which keep the interpreter lock where numpy's loops
-    release it: admitting a request never hands the lock to a serving
-    thread.  Wider dtypes and batches take
+    A single row comes back as a read-only view of :func:`spike_row`'s
+    private copy, so a caller may refill its buffer as soon as this
+    returns.  Batches take :func:`~repro.binary.is_binary`, which
+    accepts and rejects the same values.
+    """
+    if not batch:
+        return np.frombuffer(spike_row(spikes, n_in), np.bool_)
+    arr = np.asarray(spikes)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    expected = f"({n_in},) or (B, {n_in})"
+    if arr.ndim != 2 or arr.shape[1] != n_in:
+        raise ConfigurationError(
+            f"spike batch shape {np.asarray(spikes).shape} is not "
+            f"{expected}"
+        )
+    if arr.dtype.kind == "b":
+        return arr
+    if is_binary(arr):
+        return arr.astype(bool)
+    raise _not_binary(arr.dtype, expected)
+
+
+def spike_row(spikes: np.ndarray, n_in: int) -> bytes:
+    """One spike vector of shape ``(n_in,)``, checked to hold only 0
+    and 1, as a private ``bytes`` copy: one byte per input.
+
+    A row of one-byte dtype (bool, uint8, int8) is checked and copied
+    with ``bytes`` methods, which keep the interpreter lock where
+    numpy's loops release it: admitting a request never hands the lock
+    to a serving thread.  Wider dtypes take
     :func:`~repro.binary.is_binary`, which accepts and rejects the
     same values.
     """
     arr = np.asarray(spikes)
-    expected = f"({n_in},) or (B, {n_in})" if batch else f"({n_in},)"
-    if batch:
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != n_in:
-            raise ConfigurationError(
-                f"spike batch shape {np.asarray(spikes).shape} is not "
-                f"{expected}"
-            )
-    elif arr.shape != (n_in,):
+    if arr.shape != (n_in,):
         raise ConfigurationError(
-            f"spike vector shape {arr.shape} is not {expected}"
+            f"spike vector shape {arr.shape} is not ({n_in},)"
         )
     kind = arr.dtype.kind
-    if not batch and arr.itemsize == 1 and kind in "biu":
+    if arr.itemsize == 1 and kind in "biu":
         row = arr.tobytes()
         # Deleting the 0 and 1 bytes leaves nothing of a binary row.
         if kind == "b" or not row.translate(None, b"\0\1"):
-            return np.frombuffer(row, np.bool_)
-    elif kind == "b":
-        return arr
+            return row
     elif is_binary(arr):
-        arr = arr.astype(bool)
-        if not batch:
-            arr.flags.writeable = False
-        return arr
-    raise ConfigurationError(
+        return arr.astype(bool).tobytes()
+    raise _not_binary(arr.dtype, f"({n_in},)")
+
+
+def _not_binary(dtype, expected: str) -> ConfigurationError:
+    return ConfigurationError(
         "spikes must be boolean or contain only 0/1 values "
-        f"(expected bool/uint8 of shape {expected}, got dtype "
-        f"{arr.dtype})"
+        f"(expected bool/uint8 of shape {expected}, got dtype {dtype})"
     )
 
 

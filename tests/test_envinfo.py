@@ -15,13 +15,14 @@ from repro.envinfo import (
     TRACKED_DEPENDENCIES,
     dependency_versions,
     environment_info,
+    git_dirty,
     git_sha,
 )
 
 #: The pinned key set, in order.
 EXPECTED_KEYS = (
     "python", "numpy", "scipy", "hypothesis", "pytest",
-    "platform", "machine", "git_sha", "timestamp_utc",
+    "platform", "machine", "git_sha", "git_dirty", "timestamp_utc",
 )
 
 
@@ -75,3 +76,58 @@ class TestGitSha:
 
     def test_cached_per_process(self):
         assert git_sha() is git_sha()
+
+
+class TestGitDirty:
+    def test_a_bool_in_a_checkout(self):
+        # The repo under test is a git checkout: the flag says whether
+        # its tracked files differ from HEAD, never None.
+        assert git_dirty() in (True, False)
+        assert environment_info()["git_dirty"] is git_dirty()
+
+    def test_cached_per_process(self):
+        git_dirty.cache_clear()
+        first = git_dirty()
+        assert git_dirty.cache_info().hits == 0
+        assert git_dirty() is first
+        assert git_dirty.cache_info().hits == 1
+
+    def test_reports_a_changed_tracked_file(self, tmp_path, monkeypatch):
+        """A checkout whose tracked file differs from HEAD is dirty;
+        an untracked file alone leaves it clean."""
+        import subprocess
+
+        import repro.envinfo as envinfo
+
+        def git(*args):
+            subprocess.run(["git", "-C", str(tmp_path), *args],
+                           check=True, capture_output=True)
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("a\n")
+        git("add", "tracked.txt")
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm",
+            "init")
+        package = tmp_path / "pkg"
+        package.mkdir()
+        monkeypatch.setattr(envinfo, "__file__", str(package / "envinfo.py"))
+        try:
+            git_dirty.cache_clear()
+            (tmp_path / "untracked.txt").write_text("b\n")
+            assert git_dirty() is False
+            git_dirty.cache_clear()
+            (tmp_path / "tracked.txt").write_text("changed\n")
+            assert git_dirty() is True
+        finally:
+            git_dirty.cache_clear()
+
+    def test_none_outside_a_checkout(self, tmp_path, monkeypatch):
+        import repro.envinfo as envinfo
+
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        monkeypatch.setattr(envinfo, "__file__", str(tmp_path / "envinfo.py"))
+        try:
+            git_dirty.cache_clear()
+            assert git_dirty() is None
+        finally:
+            git_dirty.cache_clear()

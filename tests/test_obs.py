@@ -317,6 +317,62 @@ class TestMetricRegistry:
         registry.histogram("repro_h").observe(3)
         assert json.loads(json.dumps(registry.snapshot()))
 
+    def test_bulk_observations_equal_repeated_ones(self):
+        """``observe(value, count)`` and ``observe_all(values)`` leave a
+        histogram exactly as one ``observe`` per value would, its float
+        sum included (the values are added in order)."""
+        values = [0.1, 0.7, 3.3, 55.0, float("nan"), 1000.0, 0.2, 7.9]
+        for buckets in (None, (1.0, 10.0, 100.0)):
+            one, bulk, weighted = (MetricRegistry().histogram(
+                "repro_h", buckets=buckets) for _ in range(3))
+            for value in values:
+                one.observe(value)
+            bulk.observe(0.3)
+            bulk.observe_all(values[:3])
+            bulk.observe_all(values[3:])
+            one.observe(0.3)
+            assert bulk.count == one.count == len(values) + 1
+            assert repr(bulk.sum) == repr(one.sum)
+            if buckets is None:
+                continue  # NaN keys never compare equal
+            assert bulk.counts() == one.counts()
+            for value in (2, 2, 2, 9):
+                one.observe(value)
+            weighted.observe(2, 3)
+            weighted.observe(9)
+            assert weighted.counts() == {10.0: 4}
+            assert weighted.count == 4 and weighted.sum == 15.0
+
+    def test_collectors_run_before_every_export(self):
+        """A collector hands its plain counts to the instruments when
+        the registry is read, and is held weakly."""
+        registry = MetricRegistry()
+
+        class Source:
+            def __init__(self) -> None:
+                self.pending = 0
+                self.counter = registry.counter("repro_src_total")
+                registry.add_collector(self.publish)
+
+            def publish(self) -> None:
+                self.counter.inc(self.pending)
+                self.pending = 0
+
+        source = Source()
+        source.pending = 5
+        assert source.counter.value == 0  # not handed over yet
+        samples = parse_prometheus_text(registry.to_text())
+        assert samples[("repro_src_total", ())] == 5
+        source.pending = 2
+        assert registry.snapshot()["repro_src_total"]["series"][0][
+            "value"] == 7
+        del source
+        import gc
+
+        gc.collect()
+        registry.to_text()  # a collected owner is dropped, not called
+        assert registry._collectors == []
+
 
 # -- instrumentation sites -----------------------------------------------------------
 

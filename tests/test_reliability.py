@@ -697,6 +697,40 @@ class TestCli:
         assert captured.out == ""
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("layers", [[768, 128, 10], [768, 256, 10]])
+    def test_config_file_layers_are_refused(self, tmp_path, capsys,
+                                            layers):
+        """Every campaign evaluates the paper's 768:256:256:256:10
+        reference model, so other layers in the file would be dropped:
+        the CLI exits 2 with one error line and evaluates nothing."""
+        cfg = tmp_path / "hw.json"
+        cfg.write_text(json.dumps({"layer_sizes": layers}))
+        with pytest.raises(SystemExit) as exit_info:
+            reliability_main([
+                "--trials", "1", "--sample-images", "2", "--quality",
+                QUALITY, "--bers", "0", "--config", str(cfg),
+                "--cache-dir", str(tmp_path / "cache"),
+            ])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and "layer_sizes" in errors[0]
+        assert ":".join(map(str, layers)) in errors[0]
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
+    def test_config_file_paper_layers_are_accepted(self, tmp_path, capsys):
+        """The paper's own layers are what every campaign runs anyway."""
+        cfg = tmp_path / "hw.json"
+        cfg.write_text('{"layer_sizes": [768, 256, 256, 256, 10]}')
+        code = reliability_main([
+            "--trials", "1", "--sample-images", "2", "--quality",
+            QUALITY, "--bers", "0", "--config", str(cfg),
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert code == 0
+
     def test_warm_rerun_is_all_hits(self, tmp_path, capsys):
         argv = [
             "--trials", "1", "--sample-images", "2", "--quality", QUALITY,

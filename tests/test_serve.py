@@ -285,6 +285,99 @@ class TestServingMetrics:
         assert b.submitted == 0
         assert a.registry is not b.registry
 
+    def test_two_collectors_on_one_registry_add_up(self):
+        from repro.obs import MetricRegistry, parse_prometheus_text
+
+        shared = MetricRegistry()
+        a = ServingMetrics(registry=shared)
+        b = ServingMetrics(registry=shared)
+        a.record_submitted(queue_depth=1)
+        b.record_submitted(queue_depth=1)
+        b.record_submitted(queue_depth=2)
+        samples = parse_prometheus_text(shared.to_text())
+        assert samples[("repro_serving_submitted_total", ())] == 3
+        assert samples[
+            ("repro_serving_queue_depth_bucket", (("value", "1"),))] == 2
+        assert a.submitted == b.submitted == 3
+
+    def test_a_stopped_collectors_counts_outlive_it(self):
+        """Counts reach a shared registry by the end of the run, so an
+        export after the server and its collector are gone keeps them."""
+        import gc
+
+        from repro.obs import MetricRegistry, parse_prometheus_text
+
+        shared = MetricRegistry()
+        metrics = ServingMetrics(clock=FakeClock(), registry=shared)
+        metrics.mark_started()
+        metrics.record_submitted(queue_depth=1)
+        metrics.record_batch([0.002])
+        metrics.mark_stopped()
+        del metrics
+        gc.collect()
+        samples = parse_prometheus_text(shared.to_text())
+        assert samples[("repro_serving_submitted_total", ())] == 1
+        assert samples[("repro_serving_completed_total", ())] == 1
+        assert samples[
+            ("repro_serving_queue_depth_bucket", (("value", "1"),))] == 1
+
+    def test_counts_stay_exact_under_concurrent_recording(self):
+        """Plain counts under one lock: threads recording while another
+        exports lose nothing, and the export agrees with to_dict()."""
+        import sys
+        import threading
+
+        from repro.obs import parse_prometheus_text
+
+        metrics = ServingMetrics(clock=FakeClock())
+        n_threads, rounds = 6, 400
+        stop = threading.Event()
+
+        def record() -> None:
+            for i in range(rounds):
+                metrics.record_submitted(queue_depth=1 + i % 3)
+                metrics.record_batch([0.001])
+                metrics.record_shed(0)
+
+        def export() -> None:
+            while not stop.is_set():
+                metrics.registry.to_text()
+                metrics.to_dict()
+
+        # A short switch interval interleaves the threads finely
+        # enough to expose a lost update.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            exporter = threading.Thread(target=export)
+            exporter.start()
+            workers = [threading.Thread(target=record)
+                       for _ in range(n_threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60.0)
+            stop.set()
+            exporter.join(timeout=60.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (exporter, *workers))
+        total = n_threads * rounds
+        data = metrics.to_dict()
+        assert data["submitted"] == data["completed"] == total
+        assert sum(data["queue_depth_hist"].values()) == total
+        assert data["batch_size_hist"] == {"1": total}
+        samples = parse_prometheus_text(metrics.registry.to_text())
+        assert samples[("repro_serving_submitted_total", ())] == total
+        assert samples[("repro_serving_latency_ms_count", ())] == total
+
+    def test_a_count_cannot_decrease(self):
+        metrics = ServingMetrics(clock=FakeClock())
+        with pytest.raises(ConfigurationError, match="decrease"):
+            metrics.record_failed(-1)
+        assert metrics.failed == 0
+
 
 # -- registry ------------------------------------------------------------------------
 

@@ -29,6 +29,7 @@ from repro.errors import (
     QueueFullError,
     ServingError,
 )
+from repro.obs import parse_prometheus_text
 from repro.resilience import BreakerPolicy, ChaosPolicy, RetryPolicy
 from repro.serve import (
     BatchPolicy,
@@ -357,9 +358,16 @@ class TestBackpressureHammer:
         assert data["submitted"] == len(spikes)
         assert data["completed"] == len(spikes)
         assert data["failed"] == data["shed"] == 0
+        assert (data["submitted"]
+                == data["completed"] + data["failed"] + data["shed"])
         # The observed queue depth never exceeded the bound.
         max_depth = max(int(k) for k in data["queue_depth_hist"])
         assert max_depth <= depth
+        assert sum(data["queue_depth_hist"].values()) == len(spikes)
+        # The registry export reads the same plain counts.
+        samples = parse_prometheus_text(server.metrics.registry.to_text())
+        assert samples[("repro_serving_submitted_total", ())] == len(spikes)
+        assert samples[("repro_serving_completed_total", ())] == len(spikes)
 
 
 # -- wake-ups -------------------------------------------------------------------------
