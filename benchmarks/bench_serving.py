@@ -17,7 +17,7 @@ latency percentiles and the host environment so the serving trajectory
 is comparable across PRs.  The fleet's open-loop curve also records
 where each request's CPU goes: the parent process's (admission,
 batching, pipes, resolution) against the workers' (the kernels), and
-each worker's OpenBLAS thread budget.
+each worker's OpenBLAS thread count.
 """
 
 from __future__ import annotations

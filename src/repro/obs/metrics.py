@@ -39,7 +39,6 @@ import json
 import pathlib
 import re
 import threading
-import weakref
 
 from repro.envinfo import environment_info
 from repro.errors import ConfigurationError
@@ -218,7 +217,7 @@ class MetricRegistry:
         self._lock = threading.Lock()
         #: name -> (kind, {label_key: instrument})
         self._families: dict[str, tuple[str, dict]] = {}
-        #: Weak references to the methods :meth:`add_collector` took.
+        #: The callables :meth:`add_collector` took.
         self._collectors: list = []
 
     def _get_or_create(self, cls, name: str, labels: dict, **kwargs):
@@ -272,23 +271,20 @@ class MetricRegistry:
         :meth:`snapshot` and :meth:`to_text` then read current values,
         while a read of one instrument sees what was last handed over.
         ``collect`` runs outside the registry's lock, so it may take
-        its own lock and call the instruments.  It is a bound method,
-        held weakly: the registry never keeps its owner alive.
+        its own lock and call the instruments.  The registry keeps it
+        for its own life, so counts still pending when their owner is
+        dropped reach the next export: ``collect`` should hold the
+        pending counts and their instruments, not the owner.
         """
-        ref = weakref.WeakMethod(collect)
         with self._lock:
-            self._collectors.append(ref)
+            self._collectors.append(collect)
 
     def collect(self) -> list[_Instrument]:
         """Every instrument, ordered by (name, labels)."""
         with self._lock:
-            collectors = [ref() for ref in self._collectors]
-            self._collectors = [ref for ref, collect
-                                in zip(self._collectors, collectors)
-                                if collect is not None]
+            collectors = list(self._collectors)
         for collect in collectors:
-            if collect is not None:
-                collect()
+            collect()
         with self._lock:
             out = []
             for name in sorted(self._families):

@@ -28,9 +28,9 @@ The moving parts and who owns what:
   the rows, run the same :func:`~repro.serve.server.flush_batch` the
   in-process server runs, and send predictions + stats back.  Each
   worker generation has one ``multiprocessing.Pipe()``: work one way,
-  replies the other.  Each worker runs its kernels on
-  :func:`~repro.serve.pool.blas_budget` OpenBLAS threads, one core
-  being left to the parent, and sets them before its first batch.
+  replies the other.  Each worker runs its kernels on one OpenBLAS
+  thread (:func:`~repro.serve.pool.limit_blas_threads`, set before
+  its first batch), so no pool thread spins on the parent's core.
 * **collector thread** — one wait over every worker's pipe, every
   worker's process sentinel and a wake-up pipe: resolves futures from
   results, replays worker stats into the
@@ -74,13 +74,7 @@ from repro.errors import (
 )
 from repro.obs.trace import get_tracer
 from repro.resilience.policy import SupervisorPolicy
-from repro.serve.pool import (
-    ModelPayload,
-    blas_budget,
-    blas_threads_settable,
-    usable_cpus,
-    worker_main,
-)
+from repro.serve.pool import ModelPayload, blas_threads_settable, worker_main
 from repro.serve.server import InferenceServer, join_rows
 
 __all__ = ["MAX_IN_FLIGHT", "FleetServer", "choose_worker", "receive_all"]
@@ -185,12 +179,12 @@ class FleetServer(InferenceServer):
     validation, breaker reset) and then roll out to the workers one
     replica at a time.
 
-    Each worker runs its kernels on ``max(1, (usable CPUs - 1) //
-    n_workers)`` OpenBLAS threads (:func:`~repro.serve.pool.
-    blas_budget`): the parent keeps a core for admission and
-    collection, and no worker's pool spins on it.  :meth:`describe`
-    reports the budget per worker, ``None`` where numpy's OpenBLAS has
-    no thread setter.
+    Each worker runs its kernels on one OpenBLAS thread
+    (:func:`~repro.serve.pool.limit_blas_threads`): the parent, which
+    admits, ships and resolves every request, keeps a core, and no
+    worker's pool thread spins on it.  :meth:`describe` reports each
+    worker's ``blas_threads``, ``None`` where numpy's OpenBLAS has no
+    thread setter.
     """
 
     def __init__(self, registry, n_workers: int = 2,
@@ -204,8 +198,7 @@ class FleetServer(InferenceServer):
         super().__init__(registry, **kwargs)
         self.n_workers = n_workers
         self.supervisor = supervisor or SupervisorPolicy()
-        self._blas_threads = (blas_budget(usable_cpus(), n_workers)
-                              if blas_threads_settable() else None)
+        self._blas_threads = 1 if blas_threads_settable() else None
         self._next_batch_id = 0
         self._assigned: dict[int, _InFlight] = {}
         self._draining: set[int] = set()
@@ -288,7 +281,7 @@ class FleetServer(InferenceServer):
             target=worker_main,
             name=f"repro-fleet-worker-{worker.worker_id}",
             args=(worker.generation, child_end, self._payloads(),
-                  self.retry, self.chaos, self._blas_threads),
+                  self.retry, self.chaos),
             daemon=True,
         )
         worker.process.start()

@@ -15,16 +15,19 @@ Every count is a plain integer kept under :attr:`ServingMetrics.lock`,
 and a server builds its condition on that lock: admission counts a
 request under the one lock it already holds, and takes no instrument
 or registry lock per request.  The counts reach the registry when it
-is read and when the run stops: :class:`ServingMetrics` is a *view*
-over a :class:`~repro.obs.metrics.MetricRegistry`, which asks it for
-them before every export (:meth:`~repro.obs.metrics.MetricRegistry.
+is read: :class:`ServingMetrics` is a *view* over a
+:class:`~repro.obs.metrics.MetricRegistry`, which has them handed over
+before every export (:meth:`~repro.obs.metrics.MetricRegistry.
 add_collector`), and every counter attribute (``submitted`` ..
 ``broken_circuit``) reads its registry counter after the hand-over.
-The batch-size and queue-depth histograms are exact registry
-histograms fed the same way.  Latencies feed a bucketed registry
-histogram once per answered batch, alongside a window of the most
-recent :data:`LATENCY_WINDOW` samples, which the percentiles are
-computed from.  The historical attribute/dict API is unchanged; the
+The registry keeps the pending counts, not the collector, so the
+counts of a collector that is dropped unstopped still reach its next
+export; a read of one serving instrument on its own sees what the
+last export handed over.  The batch-size and queue-depth histograms
+are exact registry histograms fed the same way.  Latencies feed a
+bucketed registry histogram once per answered batch, alongside a
+window of the most recent :data:`LATENCY_WINDOW` samples, which the
+percentiles are computed from.  The historical attribute/dict API is unchanged; the
 registry adds a Prometheus-style text export
 (``metrics.registry.to_text()``, the CLI's ``--metrics-out``).  By
 default each collector owns a private registry; passing a shared one
@@ -35,6 +38,7 @@ it — two collectors sharing a registry add into the same instruments.
 from __future__ import annotations
 
 import collections
+import functools
 import json
 import threading
 import time
@@ -68,6 +72,26 @@ COUNTER_NAMES = {
     "retried": "repro_serving_retried_total",
     "broken_circuit": "repro_serving_broken_circuit_total",
 }
+
+
+def _publish(lock, counts: dict, counters: dict, histograms) -> None:
+    """Hand every count not yet in the registry to its instrument.
+
+    ``counts`` maps a counter attribute to its pending count,
+    ``counters`` the attribute to its instrument, and ``histograms``
+    pairs each pending ``{value: count}`` dict with its histogram.  It
+    holds no :class:`ServingMetrics`: the registry keeps it, so counts
+    still pending when their collector is dropped reach the next export.
+    """
+    with lock:
+        for attr, count in counts.items():
+            if count:
+                counters[attr].inc(count)
+                counts[attr] = 0
+        for pending, histogram in histograms:
+            for value, count in pending.items():
+                histogram.observe(value, count)
+            pending.clear()
 
 
 def latency_percentiles(samples_ms, percentiles=SLO_PERCENTILES) -> dict:
@@ -146,10 +170,15 @@ class ServingMetrics:
         self._latency_hist = self.registry.histogram(
             "repro_serving_latency_ms", buckets=LATENCY_BUCKETS_MS
         )
-        #: Counts not yet handed to the registry (see :meth:`_publish`).
+        #: Counts not yet handed to the registry (see :func:`_publish`).
         self._counts = dict.fromkeys(COUNTER_NAMES, 0)
         self._batch_size_counts: dict[int, int] = {}
         self._queue_depth_counts: dict[int, int] = {}
+        self._publish = functools.partial(
+            _publish, self.lock, self._counts, self._counters,
+            ((self._batch_size_counts, self._batch_sizes),
+             (self._queue_depth_counts, self._queue_depths)),
+        )
         self._latencies_ms: collections.deque[float] = collections.deque(
             maxlen=LATENCY_WINDOW
         )
@@ -157,20 +186,6 @@ class ServingMetrics:
         self._started_at: float | None = None
         self._stopped_at: float | None = None
         self.registry.add_collector(self._publish)
-
-    def _publish(self) -> None:
-        """Hand every count not yet in the registry to its instrument."""
-        with self.lock:
-            for attr, count in self._counts.items():
-                if count:
-                    self._counters[attr].inc(count)
-                    self._counts[attr] = 0
-            for counts, histogram in (
-                    (self._batch_size_counts, self._batch_sizes),
-                    (self._queue_depth_counts, self._queue_depths)):
-                for value, count in counts.items():
-                    histogram.observe(value, count)
-                counts.clear()
 
     def _count(self, attr: str) -> int:
         with self.lock:
@@ -215,12 +230,8 @@ class ServingMetrics:
             self._stopped_at = None
 
     def mark_stopped(self) -> None:
-        """End the run, handing every count to the registry: a shared
-        registry keeps a stopped server's counts after the collector
-        is gone."""
         with self.lock:
             self._stopped_at = self._clock()
-            self._publish()
 
     def record_submitted(self, queue_depth: int) -> None:
         queue_depth = int(queue_depth)

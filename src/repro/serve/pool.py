@@ -13,9 +13,9 @@ The pieces the :class:`~repro.serve.fleet.FleetServer` is built from:
   (retries and flush chaos included) **without re-validating** (the
   server validated every request exactly once at admission), and send
   predictions + per-batch stats back over the same pipe;
-* :func:`blas_budget` — the OpenBLAS threads each worker runs its
-  kernels on, which :func:`limit_blas_threads` sets through numpy's
-  bundled library.
+* :func:`limit_blas_threads` — puts a worker's kernels on one
+  OpenBLAS thread, through numpy's bundled library, so no pool thread
+  spins on the core the parent process needs.
 
 Each worker generation has one duplex ``multiprocessing.Pipe()``:
 work goes one way, replies the other.  Messages are plain tuples,
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
 import pathlib
 import pickle
 import time
@@ -59,30 +58,9 @@ from repro.serve.server import flush_batch, view_rows
 from repro.tile.network import EsamNetwork
 
 __all__ = [
-    "ModelPayload", "blas_budget", "blas_threads_settable",
-    "limit_blas_threads", "usable_cpus", "worker_main",
+    "ModelPayload", "blas_threads_settable", "limit_blas_threads",
+    "worker_main",
 ]
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def blas_budget(cpus: int, n_workers: int) -> int:
-    """OpenBLAS threads for each of ``n_workers`` fleet workers.
-
-    One of the ``cpus`` is left to the parent process, which admits,
-    batches, ships and resolves every request: at one-worker
-    saturation on a 2-vCPU host it spent 24–36 µs of CPU a request,
-    most of a core.  The workers share the rest, each with at least
-    one thread.  Without a budget each worker starts one BLAS thread
-    per core, so N workers run N × cores threads, and a pool thread
-    spins on after every product, on the core the parent needs.
-    """
-    return max(1, (cpus - 1) // n_workers)
 
 
 @functools.cache
@@ -119,21 +97,21 @@ def blas_threads_settable() -> bool:
     return _openblas_controls()[0] is not None
 
 
-def limit_blas_threads(threads: int) -> None:
-    """Run this process's BLAS kernels on ``threads`` threads.
+def limit_blas_threads() -> None:
+    """Run this process's BLAS kernels on one thread, with no pool.
 
-    A no-op where numpy's OpenBLAS has no thread setter.  At one
-    thread the pool is also shut down: the setter re-creates the pool
-    a fork shut down, and its thread would keep spinning on a core
-    with nothing to run.  The thread count cannot change a
-    prediction: every float32 partial sum of ±1 terms is an exact
-    integer below 2**24.
+    A no-op where numpy's OpenBLAS has no thread setter.  The pool is
+    shut down after the setter runs: the setter re-creates the pool a
+    fork shut down, and its thread would keep spinning on a core with
+    nothing to run.  The thread count cannot change a prediction:
+    every float32 partial sum of ±1 terms is an exact integer below
+    2**24.
     """
     set_threads, shutdown = _openblas_controls()
     if set_threads is None:
         return
-    set_threads(threads)
-    if threads == 1 and shutdown is not None:
+    set_threads(1)
+    if shutdown is not None:
         shutdown()
 
 
@@ -186,17 +164,16 @@ def _portable(error: Exception) -> Exception:
 
 def worker_main(generation: int, conn, payloads: list,
                 retry: RetryPolicy | None = None,
-                chaos: ChaosPolicy | None = None,
-                blas_threads: int | None = None) -> None:
+                chaos: ChaosPolicy | None = None) -> None:
     """One ``EngineWorker`` process: serve batches until told to stop.
 
     ``generation`` counts respawns of this worker slot (0 for the
     original spawn) and is echoed in the ready handshake.  ``conn`` is
-    this process's end of its generation's pipe.  ``blas_threads``
-    (:func:`blas_budget`) is set once, before the first batch's
-    kernel, by :func:`limit_blas_threads`: set before the ready
-    handshake, re-creating the pool a fork shut down would lengthen
-    every fleet start by milliseconds.  Each batch runs
+    this process's end of its generation's pipe.  The worker runs its
+    kernels on one BLAS thread, set by :func:`limit_blas_threads`
+    before the first batch's kernel: set before the ready handshake,
+    re-creating the pool a fork shut down would lengthen every fleet
+    start by milliseconds.  Each batch runs
     through :func:`~repro.serve.server.flush_batch` under ``retry`` and
     ``chaos``, exactly as an in-process flush.  Before that, the chaos
     worker-crash hook runs keyed on the batch's site — a deterministic
@@ -217,6 +194,7 @@ def worker_main(generation: int, conn, payloads: list,
     for payload in payloads:
         install(payload)
     conn.send(("ready", generation))
+    blas_limited = False
     while True:
         message = conn.recv()
         kind = message[0]
@@ -228,9 +206,9 @@ def worker_main(generation: int, conn, payloads: list,
             conn.send(("swapped", model, payload.versions))
             continue
         _, batch_id, model, rows, n_rows, site = message
-        if blas_threads is not None:
-            limit_blas_threads(blas_threads)
-            blas_threads = None
+        if not blas_limited:
+            limit_blas_threads()
+            blas_limited = True
         if chaos is not None:
             # In a worker process this is os._exit(86): the batch
             # dies with us and the collector must account for it.

@@ -300,9 +300,10 @@ class TestServingMetrics:
             ("repro_serving_queue_depth_bucket", (("value", "1"),))] == 2
         assert a.submitted == b.submitted == 3
 
-    def test_a_stopped_collectors_counts_outlive_it(self):
-        """Counts reach a shared registry by the end of the run, so an
-        export after the server and its collector are gone keeps them."""
+    @pytest.mark.parametrize("stopped", [True, False])
+    def test_a_dropped_collectors_counts_reach_the_registry(self, stopped):
+        """The registry keeps a collector's pending counts, so an export
+        after the collector is gone, stopped or not, still has them."""
         import gc
 
         from repro.obs import MetricRegistry, parse_prometheus_text
@@ -312,7 +313,8 @@ class TestServingMetrics:
         metrics.mark_started()
         metrics.record_submitted(queue_depth=1)
         metrics.record_batch([0.002])
-        metrics.mark_stopped()
+        if stopped:
+            metrics.mark_stopped()
         del metrics
         gc.collect()
         samples = parse_prometheus_text(shared.to_text())

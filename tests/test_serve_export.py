@@ -4,8 +4,13 @@ One in-process server runs a fixed script on an injected clock: size-
 and deadline-triggered batches, shed and rejected requests, flush
 failures absorbed by retries or failing their batch, and a circuit
 breaker that opens and admits its half-open probe.  Every step waits
-until the server holds nothing in flight, so the batches, the queue
-depths seen at admission and every latency are the same on every run.
+until the server holds nothing in flight.  Within a step the dispatch
+thread can find a batch ready at one moment only: a full step fills
+the batch with its last submit and the clock does not move until the
+step has settled, and any other step stays below the batch size and
+moves the clock once, after its last submit, past every deadline.
+However the threads interleave, the batches, the queue depths seen at
+admission and every latency are then the same on every run.
 ``metrics.to_dict()`` and the registry's text export (without its
 environment line) must equal ``tests/golden/serving_export.json``,
 captured from the same script: a change to how the server counts must
@@ -70,7 +75,7 @@ def scripted_run() -> tuple[dict, str]:
     registry.register_network("demo", random_network())
     metrics = ServingMetrics(clock=clock)
     server = InferenceServer(
-        registry, policy=BatchPolicy(max_batch_size=4, max_wait_ms=1.0),
+        registry, policy=BatchPolicy(max_batch_size=8, max_wait_ms=1.0),
         metrics=metrics,
         retry=RetryPolicy(retries=1, base_delay_ms=0.0),
         chaos=ChaosPolicy(seed=5, flush_error_p=0.35),
@@ -95,14 +100,15 @@ def scripted_run() -> tuple[dict, str]:
             clock.advance(0.0003)
             if step % 3 == 0:
                 # A full batch: the size trigger flushes it at once.
-                _settle(server, submit(4))
+                _settle(server, submit(8))
                 continue
+            # At most 3 + 2 + 2 admitted, below the batch size.
             futures = submit(1 + step % 3)
             futures += submit(2, deadline_ms=0.5)
             futures += submit(3, slo_class="tight")
-            clock.advance(0.0004 * (1 + step % 4))
-            # Past every coalescing deadline: the rest flushes.
-            clock.advance(0.001)
+            # Past every coalescing deadline: all of it flushes, less
+            # the requests whose deadline passed, which are shed.
+            clock.advance(0.001 + 0.0004 * (1 + step % 4))
             _settle(server, futures)
             if step % 8 == 7:
                 # Past the breaker's cooldown: a probe may go through.

@@ -44,14 +44,8 @@ from repro.serve import (
     ServingMetrics,
     SloClass,
 )
-import repro.serve.fleet as fleet_module
 from repro.serve.fleet import MAX_IN_FLIGHT, choose_worker, receive_all
-from repro.serve.pool import (
-    blas_budget,
-    blas_threads_settable,
-    usable_cpus,
-    worker_main,
-)
+from repro.serve.pool import blas_threads_settable, worker_main
 
 from tests.test_serve import (
     SERVER_KINDS,
@@ -318,37 +312,18 @@ class TestFleetConstruction:
             server.submit("demo", np.zeros(65, dtype=bool))
 
 
-# -- the BLAS thread budget -----------------------------------------------------------
+# -- one BLAS thread per worker -------------------------------------------------------
 
 
-class TestBlasBudget:
-    @pytest.mark.parametrize("cpus, n_workers, threads", [
-        (2, 1, 1), (2, 4, 1), (8, 2, 3), (1, 1, 1), (8, 1, 7), (16, 3, 5),
-    ])
-    def test_leaves_the_parent_a_core(self, cpus, n_workers, threads):
-        assert blas_budget(cpus, n_workers) == threads
-
-    def test_counts_the_cpus_this_process_may_use(self):
-        cpus = usable_cpus()
-        assert 1 <= cpus <= (os.cpu_count() or cpus)
-        if hasattr(os, "sched_getaffinity"):
-            assert cpus == len(os.sched_getaffinity(0))
-
-    def test_describe_reports_the_budget_before_start(self, monkeypatch):
-        monkeypatch.setattr(fleet_module, "usable_cpus", lambda: 9)
-        server = fleet(n_workers=2)
-        expected = 4 if blas_threads_settable() else None
-        assert server._blas_threads == expected
-
+class TestBlasThreads:
     @pytest.mark.multiprocess
-    def test_a_one_thread_worker_runs_no_pool_thread(self, monkeypatch):
-        """After its first batch a one-thread worker is one thread: the
-        pool the fork shut down is not left spinning beside it."""
+    def test_a_worker_runs_no_pool_thread(self):
+        """After its first batch a worker is one thread: the pool the
+        fork shut down is not left spinning beside it."""
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc to count a process's threads")
         if not blas_threads_settable():
             pytest.skip("numpy's OpenBLAS has no thread setter here")
-        monkeypatch.setattr(fleet_module, "usable_cpus", lambda: 2)
         registry = ModelRegistry()
         # Wide enough that a (64 x 768) @ (768 x 256) product would
         # start the default pool's threads.
@@ -469,10 +444,9 @@ class TestFleetServing:
             # the first requests' latency.
             assert all(w["ready"] for w in info["workers"])
             assert len({w["pid"] for w in info["workers"]}) == 2
-            budget = (blas_budget(usable_cpus(), 2)
-                      if blas_threads_settable() else None)
+            threads = 1 if blas_threads_settable() else None
             assert [w["blas_threads"] for w in info["workers"]] == [
-                budget, budget,
+                threads, threads,
             ]
 
     def test_stop_without_drain_fails_pending_explicitly(self):
