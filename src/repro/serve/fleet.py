@@ -12,12 +12,14 @@ bench_serving.py`` measures the curve).
 The moving parts and who owns what:
 
 * **client threads** — the core's ``submit``: validation and a private
-  ``bytes`` copy of the row, then, under the server's one lock,
+  ``bytes`` copy of the row, one object built (the request, which is
+  the future ``submit`` returns), then, under the server's one lock,
   SLO-class admission, the breaker check (only with a breaker policy),
   the counts as plain integers and the add to the model's batcher, all
-  holding the interpreter lock.  No instrument or registry lock is
-  taken per request: the parent process admits, ships and resolves
-  every request, so its CPU is what bounds the fleet.
+  holding the interpreter lock.  No metric instrument's lock is taken
+  per request, and a request builds no lock of its own: the parent
+  process admits, ships and resolves every request, so its CPU is
+  what bounds the fleet.
 * **dispatch thread** — the core's loop: takes each ready batch, sheds
   deadline-expired requests, then (this module) joins the batch's rows
   (:func:`~repro.serve.server.join_rows`) and sends that one ``bytes``
@@ -32,8 +34,9 @@ The moving parts and who owns what:
   thread (:func:`~repro.serve.pool.limit_blas_threads`, set before
   its first batch), so no pool thread spins on the parent's core.
 * **collector thread** — one wait over every worker's pipe, every
-  worker's process sentinel and a wake-up pipe: resolves futures from
-  results, replays worker stats into the
+  worker's process sentinel and a wake-up pipe: resolves each answered
+  batch's futures under one hold of the resolution condition, replays
+  worker stats into the
   :class:`~repro.serve.metrics.ServingMetrics` registry (per-replica
   labels), records ``fleet.flush`` spans — and supervises: a dead
   worker's pipe is drained once, its in-flight batches are failed

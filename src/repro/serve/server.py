@@ -2,8 +2,9 @@
 
 ``InferenceServer`` turns the batched engine into a traffic-serving
 system.  Clients call :meth:`~InferenceServer.submit` (non-blocking,
-returns a future) or :meth:`~InferenceServer.classify` (blocking
-convenience), which adds each admitted request to its model's
+returns the admitted request, which is its own
+``concurrent.futures.Future``) or :meth:`~InferenceServer.classify`
+(blocking convenience), which adds each admitted request to its model's
 :class:`~repro.serve.batcher.MicroBatcher`; a single dispatch thread
 flushes every ready batch.  The in-process server flushes on the
 dispatch thread itself, through the network's fast engine
@@ -16,8 +17,9 @@ retries, chaos and accounting are this module's, for both.
 Admission is per SLO class (:class:`SloClass`): each class bounds its
 own in-flight depth — beyond it :meth:`~InferenceServer.submit` raises
 :class:`~repro.errors.QueueFullError` without enqueueing anything — and
-may give requests a default queueing deadline.  No admitted request is
-ever dropped silently: every future is resolved with a prediction,
+may give requests a default queueing deadline.  An admitted request
+cannot be cancelled (its future starts running), and none is ever
+dropped silently: every future is resolved with a prediction,
 failed with the flush exception, failed with
 :class:`~repro.errors.DeadlineExceededError` when its deadline expired
 before dispatch (load shedding), or failed with
@@ -42,14 +44,17 @@ methods (:func:`~repro.tile.network.spike_row`), and a batch is one
 join of those copies (:func:`join_rows`).  numpy releases the lock
 inside its loops, so a numpy check or ``np.stack`` would hand it to
 another server thread and then wait to get it back.  Admission takes
-one registry read (the row width) and one lock, the server's: the
-request and its future are built before it, and the counts are plain
+one registry read (the row width, under the registry's lock) and then
+one lock, the server's: the request is built before it, as one object
+that is also the future ``submit`` returns, and the counts are plain
 integers of :class:`~repro.serve.metrics.ServingMetrics`, whose lock
-the server's condition is built on.  Work is done once per batch where
-it can be: ``submit`` wakes the dispatch thread only for a new
-coalescing deadline or a size trigger, and a batch's futures resolve
-from one ``tolist()`` with one metrics call and one release of its
-in-flight depths.
+the server's condition is built on.  A request builds no lock,
+condition or list of its own: every served future waits on one
+resolution condition.  Work is done once per batch where it can be:
+``submit`` wakes the dispatch thread only for a new coalescing
+deadline or a size trigger, and a batch resolves from one ``tolist()``
+with one metrics call, one hold of the resolution condition with one
+notify (:func:`_resolve`) and one release of its in-flight depths.
 
 Predictions are deterministic: ``infer_batch`` is split-invariant (a
 property the test suite asserts), so however arrival timing partitions
@@ -59,13 +64,14 @@ prediction the offline ``classify_batch`` would give it.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
+import itertools
 import math
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from concurrent.futures._base import FINISHED, RUNNING
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,37 +152,119 @@ DEFAULT_SLO_CLASSES = {
 }
 
 
-@dataclass(slots=True)
-class _Request:
-    """One admitted classification request.
+#: The condition every served future waits on and every lane resolves
+#: under, built on an ``RLock`` because ``concurrent.futures.wait``
+#: acquires each future's ``_condition`` in turn.  It is one per
+#: process, not one per server: ``wait`` orders those acquisitions by
+#: future, so with a condition per server two ``wait`` calls over the
+#: futures of two servers could take the two locks in opposite orders
+#: and deadlock.
+_RESOLUTION = threading.Condition(threading.RLock())
+
+
+class _Request(Future):
+    """One admitted request, and the future ``submit`` returns for it.
 
     ``spikes`` is the private ``bytes`` copy of the row
     :func:`~repro.tile.network.spike_row` returns, so the caller's
-    buffer is never queued.
+    buffer is never queued; :func:`join_rows` drops it, so a future a
+    client keeps pins no row.  ``deadline_at`` is the clock time after
+    which the request is shed (``None``: never).  The request builds
+    none of a ``Future``'s state: it waits on :data:`_RESOLUTION`, and
+    ``_state``, ``_result``, ``_exception`` and the waiter and callback
+    lists (which ``wait`` and ``as_completed`` read) are class defaults
+    until it needs its own.  It starts running, so ``cancel()`` returns
+    ``False``: its server answers, sheds or fails it.
     """
 
-    model: str
-    spikes: bytes
-    submitted_at: float
-    #: Absolute clock time after which the request is shed instead of
-    #: dispatched (``None`` = no deadline).
-    deadline_at: float | None = None
-    slo_class: str = "default"
-    future: Future = field(default_factory=Future)
+    _condition = _RESOLUTION
+    _state = RUNNING
+    _result = None
+    _exception = None
+    _waiting: list | None = None
+    _callbacks: list | None = None
+
+    def __init__(self, spikes: bytes, submitted_at: float,
+                 deadline_at: float | None, slo_class: str) -> None:
+        self.spikes = spikes
+        self.submitted_at = submitted_at
+        self.deadline_at = deadline_at
+        self.slo_class = slo_class
+
+    @property
+    def _waiters(self) -> list:
+        if self._waiting is None:
+            self._waiting = []
+        return self._waiting
+
+    @property
+    def _done_callbacks(self) -> list:
+        if self._callbacks is None:
+            self._callbacks = []
+        return self._callbacks
+
+    def result(self, timeout: float | None = None):
+        if self._state != FINISHED:
+            self._await(timeout)
+        if self._exception is None:
+            return self._result
+        try:
+            raise self._exception
+        finally:
+            # As Future.result: break the cycle through the traceback.
+            self = None
+
+    def exception(self, timeout: float | None = None):
+        if self._state != FINISHED:
+            self._await(timeout)
+        return self._exception
+
+    def _await(self, timeout: float | None) -> None:
+        """Wait until resolved; ``TimeoutError`` once ``timeout`` passes.
+
+        Every resolved batch notifies the one condition, so a wake-up
+        proves nothing about this request: ``wait_for`` loops on it.
+        """
+        with _RESOLUTION:
+            if not _RESOLUTION.wait_for(self.done, timeout):
+                raise TimeoutError()
 
 
-def _settle(future: Future, error: BaseException) -> bool:
-    """Fail ``future`` unless it is already resolved; True if this did.
+def _resolve(requests: list[_Request], outcomes, failed: bool) -> list:
+    """Resolve each still-running request with its outcome; returns the
+    requests this call resolved.
 
-    ``Future`` resolves exactly once under its own lock, so when a
-    crash path and a lane race to fail the same request, exactly one
-    of them accounts for it.
+    ``outcomes`` pairs with ``requests``: results, or exceptions when
+    ``failed``.  The batch resolves under one hold of
+    :data:`_RESOLUTION` with one notify, and each installed ``wait`` or
+    ``as_completed`` waiter is told under that hold.  Done callbacks run
+    after it; one that raises is logged, as ``Future`` logs it, and the
+    lane goes on.  A request already resolved is skipped, so when a
+    crash path and a lane race to fail the same request, exactly one of
+    them resolves it (and counts it).
     """
-    try:
-        future.set_exception(error)
-    except InvalidStateError:
-        return False
-    return True
+    resolved = []
+    with _RESOLUTION:
+        for request, outcome in zip(requests, outcomes):
+            if request._state == FINISHED:
+                continue
+            if failed:
+                request._exception = outcome
+            else:
+                request._result = outcome
+            request._state = FINISHED
+            if request._waiting:
+                for waiter in request._waiting:
+                    if failed:
+                        waiter.add_exception(request)
+                    else:
+                        waiter.add_result(request)
+            resolved.append(request)
+        _RESOLUTION.notify_all()
+    for request in resolved:
+        if request._callbacks:
+            request._invoke_callbacks()
+    return resolved
 
 
 def join_rows(requests: list[_Request]) -> bytes:
@@ -184,9 +272,13 @@ def join_rows(requests: list[_Request]) -> bytes:
 
     One ``bytes`` join keeps the interpreter lock, where ``np.stack``
     would hand it to the client threads inside its copy loop.  The
-    fleet sends this object to its workers as it is.
+    fleet sends this object to its workers as it is.  Each request
+    drops its own row here: the join is all a lane reads from then on.
     """
-    return b"".join([request.spikes for request in requests])
+    rows = b"".join([request.spikes for request in requests])
+    for request in requests:
+        request.spikes = None
+    return rows
 
 
 def view_rows(rows: bytes, n_rows: int) -> np.ndarray:
@@ -287,8 +379,10 @@ class InferenceServer:
         self._clock = clock
         #: One lock for all serving state: batchers, depths, the counts
         #: (the metrics' lock is this lock) and, in the fleet, the
-        #: workers' in-flight batches.
-        self._cond = threading.Condition(self.metrics.lock)
+        #: workers' in-flight batches.  ``submit`` takes it directly,
+        #: not through the condition's Python-level ``__enter__``.
+        self._lock = self.metrics.lock
+        self._cond = threading.Condition(self._lock)
         self._batchers: dict[str, MicroBatcher] = {}
         self._flush_counts: dict[str, int] = {}
         #: Requests the dispatch thread has taken out of the batchers
@@ -376,6 +470,12 @@ class InferenceServer:
                slo_class: str = "default") -> Future:
         """Admit one request; returns a future resolving to the class.
 
+        The future is the admitted request itself, a
+        ``concurrent.futures.Future`` (``wait``, ``as_completed``,
+        ``add_done_callback`` and ``asyncio.wrap_future`` take it).  It
+        starts running: ``cancel()`` returns ``False``, and the server
+        answers, sheds or fails every request it admits.
+
         This is the single validation point: the SLO class, the
         deadline, the model name and the spike vector
         (:func:`~repro.tile.network.spike_row`, exactly once — no lane
@@ -391,10 +491,10 @@ class InferenceServer:
 
         The admission path is lean on purpose, since a saturated server
         runs it once per request: one registry read for the row width,
-        the request and its future built before the server's lock, and
-        under that one lock the depth check, the breaker gate (only
-        when the registry has a breaker policy), the counts as plain
-        integers and the add to the model's batcher.
+        one object built before the server's lock (the request, which
+        is the future), and under that one lock the depth check, the
+        breaker gate (only when the registry has a breaker policy), the
+        counts as plain integers and the add to the model's batcher.
 
         ``deadline_ms`` (default: the class's deadline) bounds the
         request's queueing time: if the deadline has passed when the
@@ -418,12 +518,10 @@ class InferenceServer:
         row = spike_row(spikes, network.tiles[0].n_in)
         now = self._clock()
         request = _Request(
-            model=model, spikes=row, submitted_at=now,
-            deadline_at=(None if deadline_ms is None
-                         else now + deadline_ms / 1e3),
-            slo_class=slo.name,
+            row, now, None if deadline_ms is None else now + deadline_ms / 1e3,
+            slo.name,
         )
-        with self._cond:
+        with self._lock:
             if self._failed:
                 raise ServingError(
                     "the server crashed; restart it before submitting"
@@ -461,7 +559,7 @@ class InferenceServer:
             # submit can make a batch ready while it waits.
             if pending == 1 or pending == self.policy.max_batch_size:
                 self._cond.notify_all()
-        return request.future
+        return request
 
     def classify(self, model: str, spikes: np.ndarray,
                  timeout: float | None = 30.0) -> int:
@@ -610,18 +708,23 @@ class InferenceServer:
         """
         now = self._clock()
         live: list[_Request] = []
-        shed: list[_Request] = []
+        expired: list[_Request] = []
         for request in requests:
             if request.deadline_at is None or request.deadline_at > now:
                 live.append(request)
-            elif _settle(request.future, DeadlineExceededError(
+            else:
+                expired.append(request)
+        if expired:
+            shed = _resolve(expired, [
+                DeadlineExceededError(
                     f"deadline expired "
                     f"{(now - request.deadline_at) * 1e3:.1f} ms before "
-                    "dispatch; request shed")):
-                shed.append(request)
-        if shed:
-            self.metrics.record_shed(len(shed))
-            self._release(shed)
+                    "dispatch; request shed")
+                for request in expired
+            ], failed=True)
+            if shed:
+                self.metrics.record_shed(len(shed))
+                self._release(shed)
         if not live:
             return
         tracer = get_tracer()
@@ -642,11 +745,10 @@ class InferenceServer:
 
     def _complete(self, model: str, requests: list[_Request], predictions,
                   done: float) -> None:
-        """A lane answered the batch: resolve every future."""
+        """A lane answered the batch: count it, then resolve it."""
         self.registry.record_flush_success(model)
         self.metrics.record_batch([done - r.submitted_at for r in requests])
-        for request, prediction in zip(requests, predictions.tolist()):
-            request.future.set_result(prediction)
+        _resolve(requests, predictions.tolist(), failed=False)
         self._release(requests)
 
     def _fail(self, requests: list[_Request], error: BaseException,
@@ -660,18 +762,18 @@ class InferenceServer:
         """
         if model is not None:
             self.registry.record_flush_failure(model)
-        failed = [r for r in requests if _settle(r.future, error)]
+        failed = _resolve(requests, itertools.repeat(error), failed=True)
         if failed:
             self.metrics.record_failed(len(failed))
             self._release(failed)
 
     def _release(self, requests: list[_Request]) -> None:
         """Account resolved requests out of the in-flight depths."""
-        per_class = collections.Counter(r.slo_class for r in requests)
-        with self._cond:
+        depths = self._class_depth
+        with self._lock:
             self._in_flight -= len(requests)
-            for slo_class, count in per_class.items():
-                self._class_depth[slo_class] -= count
+            for request in requests:
+                depths[request.slo_class] -= 1
             self._cond.notify_all()
 
     def _fail_pending(self, error: BaseException, where: str) -> None:

@@ -105,17 +105,17 @@ class TestDeadlines:
         _, _, server = make_stack()
         server._clock = clock
         spikes = [validate_spikes(row, 64) for row in random_spikes(2)]
-        doomed = _Request(model="m", spikes=spikes[0], submitted_at=0.0,
-                          deadline_at=0.5)
-        alive = _Request(model="m", spikes=spikes[1], submitted_at=0.0,
-                         deadline_at=5.0)
+        doomed = _Request(spikes[0], submitted_at=0.0, deadline_at=0.5,
+                          slo_class="default")
+        alive = _Request(spikes[1], submitted_at=0.0, deadline_at=5.0,
+                         slo_class="default")
         with server._cond:
             server._in_flight = 2
         clock.advance(1.0)
         server._run_batch("m", [doomed, alive])
         with pytest.raises(DeadlineExceededError):
-            doomed.future.result(timeout=0)
-        assert alive.future.result(timeout=0) >= 0
+            doomed.result(timeout=0)
+        assert alive.result(timeout=0) >= 0
         assert server.metrics.shed == 1
         assert server.metrics.completed == 1
         assert server.in_flight == 0
