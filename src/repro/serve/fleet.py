@@ -35,8 +35,8 @@ The moving parts and who owns what:
   its first batch), so no pool thread spins on the parent's core.
 * **collector thread** — one wait over every worker's pipe, every
   worker's process sentinel and a wake-up pipe: resolves each answered
-  batch's futures under one hold of the resolution condition, replays
-  worker stats into the
+  batch's futures under one hold of the server's resolution condition,
+  replays worker stats into the
   :class:`~repro.serve.metrics.ServingMetrics` registry (per-replica
   labels), records ``fleet.flush`` spans — and supervises: a dead
   worker's pipe is drained once, its in-flight batches are failed

@@ -49,12 +49,15 @@ one lock, the server's: the request is built before it, as one object
 that is also the future ``submit`` returns, and the counts are plain
 integers of :class:`~repro.serve.metrics.ServingMetrics`, whose lock
 the server's condition is built on.  A request builds no lock,
-condition or list of its own: every served future waits on one
-resolution condition.  Work is done once per batch where it can be:
+condition or list of its own: every served future of a server waits on
+the server's one resolution condition, and only a future that a
+``concurrent.futures`` consumer such as ``wait`` touches gets a
+condition of its own.  Work is done once per batch where it can be:
 ``submit`` wakes the dispatch thread only for a new coalescing
 deadline or a size trigger, and a batch resolves from one ``tolist()``
 with one metrics call, one hold of the resolution condition with one
-notify (:func:`_resolve`) and one release of its in-flight depths.
+notify (:meth:`~InferenceServer._resolve`) and one release of its
+in-flight depths.
 
 Predictions are deterministic: ``infer_batch`` is split-invariant (a
 property the test suite asserts), so however arrival timing partitions
@@ -70,6 +73,7 @@ import math
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures._base import FINISHED, RUNNING
 from dataclasses import dataclass
 
@@ -152,16 +156,6 @@ DEFAULT_SLO_CLASSES = {
 }
 
 
-#: The condition every served future waits on and every lane resolves
-#: under, built on an ``RLock`` because ``concurrent.futures.wait``
-#: acquires each future's ``_condition`` in turn.  It is one per
-#: process, not one per server: ``wait`` orders those acquisitions by
-#: future, so with a condition per server two ``wait`` calls over the
-#: futures of two servers could take the two locks in opposite orders
-#: and deadlock.
-_RESOLUTION = threading.Condition(threading.RLock())
-
-
 class _Request(Future):
     """One admitted request, and the future ``submit`` returns for it.
 
@@ -169,39 +163,73 @@ class _Request(Future):
     :func:`~repro.tile.network.spike_row` returns, so the caller's
     buffer is never queued; :func:`join_rows` drops it, so a future a
     client keeps pins no row.  ``deadline_at`` is the clock time after
-    which the request is shed (``None``: never).  The request builds
-    none of a ``Future``'s state: it waits on :data:`_RESOLUTION`, and
-    ``_state``, ``_result``, ``_exception`` and the waiter and callback
-    lists (which ``wait`` and ``as_completed`` read) are class defaults
-    until it needs its own.  It starts running, so ``cancel()`` returns
+    which the request is shed (``None``: never).  ``resolution`` is its
+    server's resolution condition, the one its ``result`` and
+    ``exception`` wait on.
+
+    The request builds none of a ``Future``'s state: ``_state``,
+    ``_result`` and ``_exception`` are class defaults until its lane
+    resolves it, and it has no condition, waiter list or callback list
+    until a ``concurrent.futures`` consumer (``wait``, ``as_completed``,
+    ``add_done_callback``, ``asyncio.wrap_future``) reads its
+    ``_condition``.  It starts running, so ``cancel()`` returns
     ``False``: its server answers, sheds or fails it.
     """
 
-    _condition = _RESOLUTION
     _state = RUNNING
     _result = None
     _exception = None
-    _waiting: list | None = None
-    _callbacks: list | None = None
+    #: The request's own condition, once a consumer has asked for it.
+    _own: threading.Condition | None = None
+    _waiters = _done_callbacks = ()
 
     def __init__(self, spikes: bytes, submitted_at: float,
-                 deadline_at: float | None, slo_class: str) -> None:
+                 deadline_at: float | None, slo_class: str,
+                 resolution: threading.Condition) -> None:
         self.spikes = spikes
         self.submitted_at = submitted_at
         self.deadline_at = deadline_at
         self.slo_class = slo_class
+        self._resolution = resolution
 
     @property
-    def _waiters(self) -> list:
-        if self._waiting is None:
-            self._waiting = []
-        return self._waiting
+    def _condition(self) -> threading.Condition:
+        """The request's own condition, with its waiter and callback
+        lists, built on first use.
 
-    @property
-    def _done_callbacks(self) -> list:
-        if self._callbacks is None:
-            self._callbacks = []
-        return self._callbacks
+        ``wait`` and ``as_completed`` take their futures' conditions in
+        the order of the futures' ids.  That is one order for every
+        thread only while each future's lock is its own: a lock shared
+        by several futures is taken where the lowest of them sorts, so
+        two threads waiting on it beside another future's lock could
+        take the two in opposite orders and deadlock.  It is built under
+        the resolution condition, which a lane holds while it decides
+        whether the request has one (see
+        :meth:`InferenceServer._resolve`).
+        """
+        own = self._own
+        if own is None:
+            with self._resolution:
+                if self._own is None:
+                    self._waiters = []
+                    self._done_callbacks = []
+                    self._own = threading.Condition()
+                own = self._own
+        return own
+
+    # The state only ever moves from RUNNING to FINISHED, so these read
+    # it without a lock (and build no condition, as Future's would).
+    def cancel(self) -> bool:
+        return False
+
+    def cancelled(self) -> bool:
+        return False
+
+    def running(self) -> bool:
+        return self._state == RUNNING
+
+    def done(self) -> bool:
+        return self._state == FINISHED
 
     def result(self, timeout: float | None = None):
         if self._state != FINISHED:
@@ -220,51 +248,36 @@ class _Request(Future):
         return self._exception
 
     def _await(self, timeout: float | None) -> None:
-        """Wait until resolved; ``TimeoutError`` once ``timeout`` passes.
+        """Wait until resolved; ``concurrent.futures.TimeoutError`` once
+        ``timeout`` passes.
 
-        Every resolved batch notifies the one condition, so a wake-up
-        proves nothing about this request: ``wait_for`` loops on it.
+        Every batch the server resolves notifies its resolution
+        condition, so a wake-up proves nothing about this request:
+        ``wait_for`` loops on it.
         """
-        with _RESOLUTION:
-            if not _RESOLUTION.wait_for(self.done, timeout):
-                raise TimeoutError()
+        resolution = self._resolution
+        with resolution:
+            if not resolution.wait_for(self.done, timeout):
+                raise FutureTimeoutError()
 
-
-def _resolve(requests: list[_Request], outcomes, failed: bool) -> list:
-    """Resolve each still-running request with its outcome; returns the
-    requests this call resolved.
-
-    ``outcomes`` pairs with ``requests``: results, or exceptions when
-    ``failed``.  The batch resolves under one hold of
-    :data:`_RESOLUTION` with one notify, and each installed ``wait`` or
-    ``as_completed`` waiter is told under that hold.  Done callbacks run
-    after it; one that raises is logged, as ``Future`` logs it, and the
-    lane goes on.  A request already resolved is skipped, so when a
-    crash path and a lane race to fail the same request, exactly one of
-    them resolves it (and counts it).
-    """
-    resolved = []
-    with _RESOLUTION:
-        for request, outcome in zip(requests, outcomes):
-            if request._state == FINISHED:
-                continue
+    def _resolve_own(self, outcome, failed: bool) -> bool:
+        """Resolve under the request's own condition and tell its
+        waiters, as ``Future.set_result`` does; ``False`` if it was
+        already resolved."""
+        with self._own:
+            if self._state == FINISHED:
+                return False
             if failed:
-                request._exception = outcome
+                self._exception = outcome
             else:
-                request._result = outcome
-            request._state = FINISHED
-            if request._waiting:
-                for waiter in request._waiting:
-                    if failed:
-                        waiter.add_exception(request)
-                    else:
-                        waiter.add_result(request)
-            resolved.append(request)
-        _RESOLUTION.notify_all()
-    for request in resolved:
-        if request._callbacks:
-            request._invoke_callbacks()
-    return resolved
+                self._result = outcome
+            self._state = FINISHED
+            for waiter in self._waiters:
+                if failed:
+                    waiter.add_exception(self)
+                else:
+                    waiter.add_result(self)
+        return True
 
 
 def join_rows(requests: list[_Request]) -> bytes:
@@ -379,10 +392,12 @@ class InferenceServer:
         self._clock = clock
         #: One lock for all serving state: batchers, depths, the counts
         #: (the metrics' lock is this lock) and, in the fleet, the
-        #: workers' in-flight batches.  ``submit`` takes it directly,
-        #: not through the condition's Python-level ``__enter__``.
-        self._lock = self.metrics.lock
-        self._cond = threading.Condition(self._lock)
+        #: workers' in-flight batches.
+        self._cond = threading.Condition(self.metrics.lock)
+        #: What every served future of this server waits on and every
+        #: lane resolves under.  No other lock is taken while it is
+        #: held, so it can never close a cycle of locks.
+        self._resolution = threading.Condition()
         self._batchers: dict[str, MicroBatcher] = {}
         self._flush_counts: dict[str, int] = {}
         #: Requests the dispatch thread has taken out of the batchers
@@ -519,9 +534,9 @@ class InferenceServer:
         now = self._clock()
         request = _Request(
             row, now, None if deadline_ms is None else now + deadline_ms / 1e3,
-            slo.name,
+            slo.name, self._resolution,
         )
-        with self._lock:
+        with self._cond:
             if self._failed:
                 raise ServingError(
                     "the server crashed; restart it before submitting"
@@ -715,7 +730,7 @@ class InferenceServer:
             else:
                 expired.append(request)
         if expired:
-            shed = _resolve(expired, [
+            shed = self._resolve(expired, [
                 DeadlineExceededError(
                     f"deadline expired "
                     f"{(now - request.deadline_at) * 1e3:.1f} ms before "
@@ -743,12 +758,53 @@ class InferenceServer:
 
     # -- resolution -----------------------------------------------------------------
 
+    def _resolve(self, requests: list[_Request], outcomes,
+                 failed: bool) -> list[_Request]:
+        """Resolve each still-running request with its outcome; returns
+        the requests this call resolved.
+
+        ``outcomes`` pairs with ``requests``: results, or exceptions
+        when ``failed``.  The batch resolves under one hold of the
+        resolution condition with one notify.  A request that a
+        ``concurrent.futures`` consumer has given a condition of its own
+        (``_Request._condition``) resolves after that hold instead,
+        under its own condition, where its ``wait`` and ``as_completed``
+        waiters are told, and its done callbacks run after that; one
+        that raises is logged, as ``Future`` logs it, and the lane goes
+        on.  A request already resolved is skipped, so when a crash path
+        and a lane race to fail the same request, exactly one of them
+        resolves it (and counts it).
+        """
+        resolution = self._resolution
+        resolved, watched = [], []
+        with resolution:
+            for request, outcome in zip(requests, outcomes):
+                if request._own is not None:
+                    watched.append((request, outcome))
+                elif request._state != FINISHED:
+                    if failed:
+                        request._exception = outcome
+                    else:
+                        request._result = outcome
+                    request._state = FINISHED
+                    resolved.append(request)
+            resolution.notify_all()
+        if watched:
+            told = [request for request, outcome in watched
+                    if request._resolve_own(outcome, failed)]
+            with resolution:
+                resolution.notify_all()
+            for request in told:
+                request._invoke_callbacks()
+            resolved += told
+        return resolved
+
     def _complete(self, model: str, requests: list[_Request], predictions,
                   done: float) -> None:
         """A lane answered the batch: count it, then resolve it."""
         self.registry.record_flush_success(model)
         self.metrics.record_batch([done - r.submitted_at for r in requests])
-        _resolve(requests, predictions.tolist(), failed=False)
+        self._resolve(requests, predictions.tolist(), failed=False)
         self._release(requests)
 
     def _fail(self, requests: list[_Request], error: BaseException,
@@ -762,7 +818,8 @@ class InferenceServer:
         """
         if model is not None:
             self.registry.record_flush_failure(model)
-        failed = _resolve(requests, itertools.repeat(error), failed=True)
+        failed = self._resolve(requests, itertools.repeat(error),
+                               failed=True)
         if failed:
             self.metrics.record_failed(len(failed))
             self._release(failed)
@@ -770,7 +827,7 @@ class InferenceServer:
     def _release(self, requests: list[_Request]) -> None:
         """Account resolved requests out of the in-flight depths."""
         depths = self._class_depth
-        with self._lock:
+        with self._cond:
             self._in_flight -= len(requests)
             for request in requests:
                 depths[request.slo_class] -= 1

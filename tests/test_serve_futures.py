@@ -1,13 +1,13 @@
 """Served futures: each request is its own ``concurrent.futures`` future.
 
 ``submit`` returns the admitted request itself, a
-``concurrent.futures.Future`` subclass that waits on one resolution
-condition instead of a condition of its own.  ``wait`` and
-``as_completed`` read the private fields of a ``Future``
-(``_condition``, ``_state``, ``_waiters``, ``_result``, ``_exception``,
-``_done_callbacks``), so these tests drive every stdlib consumer of a
-future through both server kinds: a Python release that changes those
-fields fails here.  An admitted request starts running, so it cannot be
+``concurrent.futures.Future`` subclass that waits on its server's
+resolution condition and builds a condition of its own only when a
+stdlib consumer asks for one.  ``wait`` and ``as_completed`` read the
+private fields of a ``Future`` (``_condition``, ``_state``,
+``_waiters``, ``_result``, ``_exception``, ``_done_callbacks``), so
+these tests drive every stdlib consumer of a future through both server
+kinds: a Python release that changes those fields fails here.  An admitted request starts running, so it cannot be
 cancelled: the lane that answers its batch must find it unresolved,
 and a cancelled future would make that resolution raise on the
 dispatch thread (in process) or the collector (in the fleet).
@@ -43,7 +43,7 @@ BATCH = 4
 FAR_MS = 600_000.0
 
 
-def make_stack(kind: str, batch: int = BATCH, models=("m",)):
+def make_stack(kind: str, batch: int = BATCH, models=("m",), **kwargs):
     """A server whose models all serve one random network."""
     registry = ModelRegistry()
     network = random_network()
@@ -52,6 +52,7 @@ def make_stack(kind: str, batch: int = BATCH, models=("m",)):
     server = make_server(
         kind, registry,
         policy=BatchPolicy(max_batch_size=batch, max_wait_ms=FAR_MS),
+        **kwargs,
     )
     return network, server
 
@@ -200,7 +201,7 @@ class TestServedFutures:
                 server.submit("n", row) for row in spikes[BATCH:]))
             timer.start()
             started = time.monotonic()
-            with pytest.raises(TimeoutError):
+            with pytest.raises(concurrent.futures.TimeoutError):
                 queued.result(timeout=0.5)
             assert time.monotonic() - started >= 0.5
             timer.join()
@@ -261,20 +262,16 @@ class TestServedFutures:
         assert_accounted(server, completed=2 * BATCH)
 
 
-def test_wait_over_two_servers_from_two_threads():
-    """``wait`` takes each future's condition in the order of the
-    futures' ids.  With a condition per server, two threads waiting on
-    futures of two servers in opposite orders would deadlock."""
-    stacks = [make_stack("inproc", batch=64) for _ in range(2)]
-    spikes = random_spikes(2 * 16, seed=19)
-    for _, server in stacks:
-        server.start()
-    # Alternate the submits so the two servers' ids interleave.
-    futures: tuple[list, list] = ([], [])
-    for row_a, row_b in zip(spikes[0::2], spikes[1::2]):
-        for (_, server), mine, row in zip(stacks, futures, (row_a, row_b)):
-            mine.append(server.submit("m", row))
-    pairs = [(a, b) for a in futures[0] for b in futures[1]]
+def wait_from_two_threads(pairs) -> bool:
+    """``wait`` on each pair 50 times over from two threads at a 1 µs
+    switch interval, one thread taking the pairs whose first future has
+    the lower id and the other the rest; returns whether both finished
+    within 30 s.
+
+    ``wait`` takes its futures' conditions in the order of their ids,
+    so the two threads take the locks of the two sides in opposite
+    orders wherever one lock stands for several futures.
+    """
     ordered = [pair for pair in pairs if id(pair[0]) < id(pair[1])]
     reversed_ = [pair for pair in pairs if id(pair[0]) > id(pair[1])]
     assert ordered and reversed_
@@ -297,9 +294,100 @@ def test_wait_over_two_servers_from_two_threads():
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
+    return not any(thread.is_alive() for thread in threads)
+
+
+def test_wait_over_two_servers_from_two_threads():
+    """Futures of two servers in one ``wait``, from two threads."""
+    stacks = [make_stack("inproc", batch=64) for _ in range(2)]
+    spikes = random_spikes(2 * 16, seed=19)
+    for _, server in stacks:
+        server.start()
+    # Alternate the submits so the two servers' ids interleave.
+    futures: tuple[list, list] = ([], [])
+    for row_a, row_b in zip(spikes[0::2], spikes[1::2]):
+        for (_, server), mine, row in zip(stacks, futures, (row_a, row_b)):
+            mine.append(server.submit("m", row))
+    pairs = [(a, b) for a in futures[0] for b in futures[1]]
     # A deadlocked pair holds the locks stop() would need: fail first.
-    assert not any(thread.is_alive() for thread in threads), "deadlock"
+    # (Not on the call itself: the report would print the futures, and
+    # a future's repr takes its lock.)
+    finished = wait_from_two_threads(pairs)
+    assert finished, "deadlock"
     for (network, server), mine, rows in zip(stacks, futures,
                                              (spikes[0::2], spikes[1::2])):
         server.stop(drain=True)
         assert served(mine) == network.classify_batch(rows).tolist()
+
+
+def test_wait_over_served_and_executor_futures_from_two_threads():
+    """Served futures and a thread pool's futures in one ``wait``, from
+    two threads.  Every served future ``wait`` touches gets a lock of
+    its own: one lock shared by the served futures would be taken
+    before a pool future's lock by one thread and after it by the
+    other, and the two would deadlock."""
+    network, server = make_stack("inproc", batch=64)
+    spikes = random_spikes(16, seed=23)
+    server.start()
+    queued, executed = [], []
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as executor:
+        # Alternate the two kinds so their ids interleave.  The pool's
+        # futures finish at once; ``wait`` still takes their locks.
+        for row in spikes:
+            queued.append(server.submit("m", row))
+            executed.append(executor.submit(int))
+        wait(executed, timeout=30.0)
+    finished = wait_from_two_threads(
+        [(a, b) for a in queued for b in executed])
+    assert finished, "deadlock"
+    assert len({future._condition for future in queued}) == len(queued)
+    server.stop(drain=True)
+    assert served(queued) == network.classify_batch(spikes).tolist()
+
+
+def test_waits_race_the_lane():
+    """``wait`` and ``as_completed`` give a batch's requests conditions
+    of their own while the lane resolves the batch: every waiter is told
+    once, whichever comes first."""
+    batches = 2000
+    spikes = random_spikes(BATCH * batches, seed=29)
+    network, server = make_stack("inproc")
+    answered: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with server:
+            for index in range(batches):
+                # The last submit flushes the batch: the dispatch thread
+                # resolves it while this thread starts waiting on it.
+                batch = [server.submit("m", row)
+                         for row in spikes[BATCH * index:][:BATCH]]
+                if index % 2:
+                    yielded = list(as_completed(batch, timeout=30.0))
+                    assert sorted(map(id, yielded)) == sorted(map(id, batch))
+                else:
+                    done, not_done = wait(batch, timeout=30.0)
+                    assert done == set(batch) and not not_done
+                answered += batch
+    finally:
+        sys.setswitchinterval(interval)
+    assert served(answered) == network.classify_batch(spikes).tolist()
+    assert_accounted(server, completed=len(spikes))
+
+
+def test_a_request_builds_its_condition_outside_a_resolution():
+    """A request's own condition is built under the resolution
+    condition: a lane that found a request without one has written its
+    outcome before any waiter can be installed on it."""
+    _, server = make_stack("inproc")
+    with server:
+        future = server.submit("m", random_spikes(1)[0])
+        built = threading.Event()
+        thread = threading.Thread(
+            target=lambda: (future._condition, built.set()), daemon=True)
+        with server._resolution:
+            thread.start()
+            assert not built.wait(0.1)
+        assert built.wait(30.0)
+        thread.join()
+    assert future.result(timeout=30.0) >= 0

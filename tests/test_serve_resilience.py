@@ -106,9 +106,10 @@ class TestDeadlines:
         server._clock = clock
         spikes = [validate_spikes(row, 64) for row in random_spikes(2)]
         doomed = _Request(spikes[0], submitted_at=0.0, deadline_at=0.5,
-                          slo_class="default")
+                          slo_class="default",
+                          resolution=server._resolution)
         alive = _Request(spikes[1], submitted_at=0.0, deadline_at=5.0,
-                         slo_class="default")
+                         slo_class="default", resolution=server._resolution)
         with server._cond:
             server._in_flight = 2
         clock.advance(1.0)
