@@ -55,23 +55,21 @@ def test_port_count_design_space(benchmark):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_port_count_system_sweep(benchmark, evaluator):
+def test_port_count_system_sweep(benchmark, figure8_sweep):
     """End-to-end view of the same axis: the named ``ports`` sweep."""
     spec = ports_spec(
-        sample_images=evaluator.sample_images,
-        quality=evaluator.quality,
-        seed=evaluator.config.seed,
+        sample_images=figure8_sweep.sample_images[0],
+        quality=figure8_sweep.quality,
+        seed=figure8_sweep.seed,
     )
     runner = SweepRunner(spec, cache=None)
     result = benchmark.pedantic(runner.run, rounds=1, iterations=1)
     print()
     print(result.render())
-    by_ports = {
-        row.point.read_ports: row.to_figure8_row() for row in result.rows
-    }
+    by_ports = {row.point.read_ports: row.metrics for row in result.rows}
     # More ports drain spikes faster: throughput rises monotonically...
     throughputs = [by_ports[p].throughput_minf_s for p in (1, 2, 3, 4)]
     assert all(b > a for a, b in zip(throughputs, throughputs[1:]))
     # ...and energy per inference falls monotonically.
-    energies = [by_ports[p].energy_per_inf_pj for p in (1, 2, 3, 4)]
+    energies = [by_ports[p].energy_per_inference_pj for p in (1, 2, 3, 4)]
     assert all(b < a for a, b in zip(energies, energies[1:]))

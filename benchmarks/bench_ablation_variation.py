@@ -76,17 +76,17 @@ def test_corner_sweep_system_guardband(benchmark):
     by_corner: dict = {}
     for row in result.rows:
         by_corner[(row.point.cell_type, row.point.node,
-                   row.point.corner)] = row.to_figure8_row()
+                   row.point.corner)] = row.metrics
 
     print()
     print("system metrics across process corners (1RW+4R):")
     for node in ("3nm", "5nm"):
         for corner in ("typical", "slow", "fast"):
-            fig = by_corner[(CellType.C1RW4R, node, corner)]
+            m = by_corner[(CellType.C1RW4R, node, corner)]
             print(
-                f"  {node}/{corner:7s}: {fig.throughput_minf_s:6.1f} MInf/s, "
-                f"{fig.energy_per_inf_pj:6.0f} pJ/Inf, "
-                f"{fig.power_mw:5.1f} mW"
+                f"  {node}/{corner:7s}: {m.throughput_minf_s:6.1f} MInf/s, "
+                f"{m.energy_per_inference_pj:6.0f} pJ/Inf, "
+                f"{m.power_mw:5.1f} mW"
             )
 
     for node in ("3nm", "5nm"):
@@ -97,17 +97,17 @@ def test_corner_sweep_system_guardband(benchmark):
         assert slow.throughput_minf_s < typical.throughput_minf_s
         assert fast.throughput_minf_s > typical.throughput_minf_s
         delay = PROCESS_CORNERS["slow"].delay_factor
-        assert slow.metrics.clock_period_ns == pytest.approx(
-            typical.metrics.clock_period_ns * delay
+        assert slow.clock_period_ns == pytest.approx(
+            typical.clock_period_ns * delay
         )
         # Fast silicon leaks more per unit time; per inference the
         # shorter integration window partially compensates, so compare
         # leakage *power* via energy/time.
         leak_power = {
             corner: (by_corner[(CellType.C1RW4R, node, corner)]
-                     .metrics.leakage_energy_pj
+                     .leakage_energy_pj
                      / by_corner[(CellType.C1RW4R, node, corner)]
-                     .metrics.inference_time_ns)
+                     .inference_time_ns)
             for corner in ("typical", "slow", "fast")
         }
         assert leak_power["fast"] > leak_power["typical"] > leak_power["slow"]

@@ -15,9 +15,11 @@ from repro.tech.finfet import VtFlavor
 
 
 @pytest.mark.benchmark(group="extension")
-def test_lowpower_operating_points(benchmark, evaluator):
-    nominal_row = evaluator.evaluate_cell(CellType.C1RW4R)
-    scaler = LowPowerScaler(nominal_row.metrics)
+def test_lowpower_operating_points(benchmark, figure8):
+    scaler = LowPowerScaler(next(
+        row.metrics for row in figure8
+        if row.point.cell_type is CellType.C1RW4R
+    ))
     points = benchmark(scaler.sweep)
     print()
     print("low-power operating points (scaled from the measured 1RW+4R):")

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 from repro.sram.bitcell import CellType
+from repro.sweep import DesignPoint, build_network
 from repro.tile.network import InferenceTrace
 from repro.tile.scheduler import PipelinedScheduler
 
 
 @pytest.mark.benchmark(group="extension")
-def test_pipelined_stream(benchmark, evaluator, reference_model):
+def test_pipelined_stream(benchmark, reference_model):
     from repro.snn.encode import encode_images
 
-    network = evaluator.build_network(CellType.C1RW4R)
+    network = build_network(DesignPoint(cell_type=CellType.C1RW4R),
+                            reference_model.snn)
     spikes = encode_images(reference_model.dataset.test_images[:16])
 
     # Analytic bottleneck from a sequential trace.

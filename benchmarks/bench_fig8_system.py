@@ -14,23 +14,17 @@ import pytest
 
 from repro.sram.bitcell import CellType
 from repro.system.report import render_figure8
-from repro.sweep import SweepRunner, figure8_spec
+from repro.sweep import SweepRunner
 
 
 @pytest.mark.benchmark(group="figure8")
-def test_fig8_system_comparison(benchmark, evaluator):
-    spec = figure8_spec(
-        sample_images=evaluator.sample_images,
-        quality=evaluator.quality,
-        seed=evaluator.config.seed,
-    )
-    runner = SweepRunner(spec, cache=None)
+def test_fig8_system_comparison(benchmark, figure8_sweep):
+    runner = SweepRunner(figure8_sweep, cache=None)
     result = benchmark.pedantic(runner.run, rounds=1, iterations=1)
-    assert result.stats.evaluated == len(spec)
-    rows = result.figure8_rows()
+    assert result.stats.evaluated == len(figure8_sweep)
     print()
-    print(render_figure8(rows))
-    by_cell = {row.cell_type: row for row in rows}
+    print(render_figure8([row.metrics for row in result]))
+    by_cell = {row.point.cell_type: row.metrics for row in result}
     p = {c: by_cell[c].power_mw for c in by_cell}
     # Paper: 1RW power higher than 1RW+1R and 1RW+2R.
     assert p[CellType.C6T] > p[CellType.C1RW1R]
@@ -41,7 +35,7 @@ def test_fig8_system_comparison(benchmark, evaluator):
     assert t[CellType.C1RW2R] > t[CellType.C6T]
     assert t[CellType.C1RW4R] > t[CellType.C1RW3R]
     # Paper: energy/inference decreases with every added port.
-    energies = [by_cell[c].energy_per_inf_pj for c in (
+    energies = [by_cell[c].energy_per_inference_pj for c in (
         CellType.C6T, CellType.C1RW1R, CellType.C1RW2R,
         CellType.C1RW3R, CellType.C1RW4R,
     )]

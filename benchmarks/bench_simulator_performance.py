@@ -19,6 +19,7 @@ import pytest
 
 from repro.snn.encode import encode_images
 from repro.sram.bitcell import CellType
+from repro.sweep import DesignPoint, build_network
 from repro.tile.backends import backend_names
 from repro.tile.network import InferenceTrace
 
@@ -32,8 +33,9 @@ TIMED_REPEATS = 3
 
 
 @pytest.mark.benchmark(group="simulator")
-def test_cycle_accurate_inference_speed(benchmark, evaluator, reference_model):
-    net = evaluator.build_network(CellType.C1RW4R)
+def test_cycle_accurate_inference_speed(benchmark, reference_model):
+    net = build_network(DesignPoint(cell_type=CellType.C1RW4R),
+                        reference_model.snn)
     spikes = encode_images(reference_model.dataset.test_images[0])
 
     def run():
@@ -56,9 +58,10 @@ def test_functional_batch_speed(benchmark, reference_model):
 
 
 @pytest.mark.benchmark(group="simulator")
-def test_fast_engine_batch_speed(benchmark, evaluator, reference_model):
+def test_fast_engine_batch_speed(benchmark, reference_model):
     """Schedule-based engine on a 256-image cycle-accurate batch."""
-    net = evaluator.build_network(CellType.C1RW4R)
+    net = build_network(DesignPoint(cell_type=CellType.C1RW4R),
+                        reference_model.snn)
     spikes = encode_images(reference_model.dataset.test_images[:BATCH_IMAGES])
     net.engine_backend("fast")  # build outside the timed region
 
@@ -70,8 +73,7 @@ def test_fast_engine_batch_speed(benchmark, evaluator, reference_model):
     assert predictions.shape == (BATCH_IMAGES,)
 
 
-def test_engine_speedup_and_equivalence(evaluator, reference_model,
-                                        bench_report):
+def test_engine_speedup_and_equivalence(reference_model, bench_report):
     """Every backend vs the cycle reference on 768:256:256:256:10.
 
     Times each registered optimized backend over the same 256-image
@@ -80,7 +82,8 @@ def test_engine_speedup_and_equivalence(evaluator, reference_model,
     per-backend section in BENCH_simulator.json for cross-PR tracking.
     """
     spikes = encode_images(reference_model.dataset.test_images[:BATCH_IMAGES])
-    net = evaluator.build_network(CellType.C1RW4R)
+    net = build_network(DesignPoint(cell_type=CellType.C1RW4R),
+                        reference_model.snn)
 
     net.reset_stats()
     cycle_trace = InferenceTrace()

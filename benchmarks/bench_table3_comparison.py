@@ -7,6 +7,7 @@ measured from the cycle-accurate simulation of the 1RW+4R system.
 import pytest
 
 from repro.sram.bitcell import CellType
+from repro.sweep import build_network, evaluate_point
 from repro.system.comparison import (
     TABLE3_PAPER_THIS_WORK,
     table3,
@@ -16,13 +17,15 @@ from repro.system.report import render_table3
 
 
 @pytest.mark.benchmark(group="table3")
-def test_table3(benchmark, evaluator, reference_model):
-    row = benchmark.pedantic(
-        lambda: evaluator.evaluate_cell(CellType.C1RW4R), rounds=1, iterations=1
+def test_table3(benchmark, figure8_sweep, reference_model):
+    point = next(p for p in figure8_sweep.expand()
+                 if p.cell_type is CellType.C1RW4R)
+    metrics = benchmark.pedantic(
+        evaluate_point, args=(point,), rounds=1, iterations=1
     )
-    network = evaluator.build_network(CellType.C1RW4R)
+    network = build_network(point)
     measured = this_work_row(
-        row,
+        metrics,
         accuracy_pct=reference_model.test_accuracy * 100.0,
         neuron_count=network.neuron_count,
         synapse_count=network.synapse_count,

@@ -18,7 +18,7 @@ from repro.envinfo import environment_info
 from repro.hw.config import HardwareConfig
 from repro.learning.pretrained import ReferenceModel, get_reference_model
 from repro.obs import get_tracer
-from repro.system.evaluate import SystemEvaluator
+from repro.sweep import SweepResult, SweepRunner, SweepSpec, figure8_spec
 
 
 @pytest.fixture(scope="session")
@@ -28,9 +28,16 @@ def reference_model() -> ReferenceModel:
 
 
 @pytest.fixture(scope="session")
-def evaluator(reference_model) -> SystemEvaluator:
-    """System evaluator over a 32-image cycle-accurate sample."""
-    return SystemEvaluator(sample_images=32, quality="full")
+def figure8_sweep(reference_model) -> SweepSpec:
+    """Figure 8's five cells, each simulated over 32 test digits of
+    ``reference_model``; the ablation sweeps take the same sample."""
+    return figure8_spec(sample_images=32, quality="full", seed=42)
+
+
+@pytest.fixture(scope="session")
+def figure8(figure8_sweep) -> SweepResult:
+    """The ``figure8`` sweep, run once a session without the cache."""
+    return SweepRunner(figure8_sweep, cache=None).run()
 
 
 @pytest.fixture

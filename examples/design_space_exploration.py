@@ -21,6 +21,7 @@ from repro.sram.electrical import TransposedPortModel
 from repro.sram.readport import ReadPortModel
 from repro.sweep import SweepRunner, figure8_spec
 from repro.system.report import (
+    render_claims,
     render_figure6,
     render_figure7,
     render_figure8,
@@ -42,17 +43,9 @@ def main() -> None:
     result = SweepRunner(figure8_spec(sample_images=16)).run()
     print(f"  {result.stats.evaluated} evaluated, "
           f"{result.stats.cache_hits} served from cache")
-    print(render_figure8(result.figure8_rows()))
-
-    claims = result.headline_claims()
+    print(render_figure8([row.metrics for row in result]))
     print()
-    print("headline claims (paper -> measured):")
-    print(f"  speed vs single-port:  3.1x -> {claims.speedup_vs_1rw:.2f}x")
-    print(f"  energy efficiency:     2.2x -> "
-          f"{claims.energy_efficiency_vs_1rw:.2f}x")
-    print(f"  throughput:       44 MInf/s -> {claims.throughput_minf_s:.1f}")
-    print(f"  energy/inference:    607 pJ -> {claims.energy_per_inf_pj:.0f}")
-    print(f"  power:                29 mW -> {claims.power_mw:.1f}")
+    print(render_claims(result.headline_claims()))
 
 
 if __name__ == "__main__":

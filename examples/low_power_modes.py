@@ -10,20 +10,21 @@ Run:  python examples/low_power_modes.py
 """
 
 from repro.sram.bitcell import CellType
-from repro.system.evaluate import SystemEvaluator
+from repro.sweep import DesignPoint, evaluate_point
 from repro.system.lowpower import LowPowerScaler
 from repro.tech.finfet import VtFlavor
 
 
 def main() -> None:
     print("measuring the nominal 1RW+4R design point ...")
-    evaluator = SystemEvaluator(sample_images=16, quality="full")
-    nominal = evaluator.evaluate_cell(CellType.C1RW4R)
+    nominal = evaluate_point(
+        DesignPoint(cell_type=CellType.C1RW4R, sample_images=16)
+    )
     print(f"  nominal: {nominal.throughput_minf_s:.1f} MInf/s, "
-          f"{nominal.energy_per_inf_pj:.0f} pJ/Inf, "
+          f"{nominal.energy_per_inference_pj:.0f} pJ/Inf, "
           f"{nominal.power_mw:.1f} mW")
 
-    scaler = LowPowerScaler(nominal.metrics)
+    scaler = LowPowerScaler(nominal)
     print("\nVDD / Vt sweep:")
     print(f"  {'point':>14s} {'clock':>9s} {'throughput':>12s} "
           f"{'energy':>9s} {'power':>9s}")

@@ -4,9 +4,9 @@
 description of an ESAM hardware instance — SRAM cell option, read-port
 precharge voltage, technology node, process corner, network topology,
 optional clock override and seed.  Every layer above the bitcell
-(``SramMacro``, ``Tile``, ``EsamNetwork``, ``EsamSystem``,
-``SystemEvaluator``, the sweep engine's ``DesignPoint`` and the serving
-registry) consumes the same descriptor, so a design point means the
+(``SramMacro``, ``Tile``, ``EsamNetwork``, ``EsamSystem``, the sweep
+engine's ``DesignPoint`` and the serving registry) consumes the same
+descriptor, so a design point means the
 same thing in a unit test, a sweep shard, a benchmark and a serving
 deployment.
 

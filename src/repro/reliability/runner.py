@@ -31,29 +31,13 @@ from repro.reliability.results import (
     ReliabilityRow,
     build_yield_curves,
 )
-from repro.snn.encode import encode_images
 from repro.sram.faults import FaultInjector
 from repro.sweep.results import SweepStats
-from repro.sweep.runner import CampaignRunner
-from repro.tile.network import EsamNetwork
-
-#: Per-process memo of encoded evaluation samples, keyed by
-#: ``(quality, seed, sample_images)`` — shared by every point of a
-#: shard the way the sweep runner memoizes evaluators.
-_SAMPLE_MEMO: dict[tuple[str, int, int], tuple] = {}
-
-
-def _evaluation_sample(quality: str, seed: int, sample_images: int):
-    """Encoded spikes + labels of the reference model's test digits."""
-    memo_key = (quality, seed, sample_images)
-    cached = _SAMPLE_MEMO.get(memo_key)
-    if cached is None:
-        reference = get_reference_model(quality, seed)
-        spikes = encode_images(reference.dataset.test_images[:sample_images])
-        labels = reference.dataset.test_labels[:sample_images]
-        cached = (spikes, labels)
-        _SAMPLE_MEMO[memo_key] = cached
-    return cached
+from repro.sweep.runner import (
+    CampaignRunner,
+    build_network,
+    evaluation_sample,
+)
 
 
 def evaluate_fault_point(point: FaultPoint,
@@ -66,18 +50,14 @@ def evaluate_fault_point(point: FaultPoint,
     hardware network per point, per-trial self-seeded masks, batched
     classification on the point's engine.
     """
-    reference = get_reference_model(point.quality, point.seed)
-    spikes, labels = _evaluation_sample(
+    snn = get_reference_model(point.quality, point.seed).snn
+    spikes, labels = evaluation_sample(
         point.quality, point.seed, point.sample_images
     )
     injector = FaultInjector(
-        reference.snn.weights, reference.snn.thresholds,
-        reference.snn.output_bias, config=point.hardware,
+        snn.weights, snn.thresholds, snn.output_bias, config=point.hardware,
     )
-    network = EsamNetwork(
-        reference.snn.weights, reference.snn.thresholds,
-        output_bias=reference.snn.output_bias, config=point.hardware,
-    )
+    network = build_network(point, snn)
     accuracies = []
     flipped = []
     for trial in point.trial_indices:

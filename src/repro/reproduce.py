@@ -3,26 +3,30 @@
 Regenerates every table and figure of the paper, prints them, and
 writes the underlying series as CSV plus a markdown summary to the
 output directory (default ``./reproduction/``).  This is the scripted
-equivalent of running the full benchmark suite.
+equivalent of running the full benchmark suite.  Figure 8 and the
+headline claims are the ``figure8`` sweep, run on the default result
+cache as ``python -m repro.sweep figure8`` runs it, so a second run
+serves them from the cache.
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import sys
 
+from repro.errors import ReproError, writing
+from repro.learning.pretrained import get_reference_model
 from repro.sram.bitcell import CellType
 from repro.sram.electrical import TransposedPortModel
 from repro.sram.readport import ReadPortModel
+from repro.sweep.cache import ResultCache
+from repro.sweep.runner import SweepRunner, build_network
+from repro.sweep.spec import figure8_spec
 from repro.system.comparison import table3, this_work_row
-from repro.system.evaluate import SystemEvaluator
-from repro.system.export import (
-    export_figure6,
-    export_figure7,
-    export_figure8,
-    export_table2,
-)
+from repro.system.export import export_figure6, export_figure7, export_table2
 from repro.system.report import (
+    render_claims,
     render_figure6,
     render_figure7,
     render_figure8,
@@ -34,9 +38,14 @@ from repro.tile.pipeline import PipelineModel
 
 def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
                   quality: str = "full") -> dict[str, pathlib.Path]:
-    """Run everything; returns the written artifact paths."""
+    """Run everything; returns the written artifact paths.
+
+    An ``outdir`` that cannot be created is an
+    :class:`~repro.errors.OutputError`, raised before anything runs.
+    """
     outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, pathlib.Path] = {}
     sections: list[str] = []
 
@@ -56,17 +65,24 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
     sections.append(render_table2(table2))
 
     print(f"running the system sweep ({sample_images} images/cell) ...")
-    evaluator = SystemEvaluator(sample_images=sample_images, quality=quality)
-    fig8 = evaluator.figure8()
-    print(render_figure8(fig8), "\n")
-    artifacts["figure8"] = export_figure8(fig8, outdir / "figure8.csv")
-    sections.append(render_figure8(fig8))
+    spec = figure8_spec(sample_images=sample_images, quality=quality)
+    cache = ResultCache()
+    try:
+        fig8 = SweepRunner(spec, cache=cache).run()
+    finally:
+        cache.store.close()
+    figure8 = render_figure8([row.metrics for row in fig8])
+    print(figure8, "\n")
+    artifacts["figure8"] = fig8.to_csv(outdir / "figure8.csv")
+    sections.append(figure8)
 
-    claims = evaluator.headline_claims(fig8)
-    network = evaluator.build_network(CellType.C1RW4R)
-    best = next(r for r in fig8 if r.cell_type is CellType.C1RW4R)
+    claims = fig8.headline_claims(
+        get_reference_model(quality, spec.seed).test_accuracy
+    )
+    best = next(row for row in fig8 if row.point.cell_type is CellType.C1RW4R)
+    network = build_network(best.point)
     measured = this_work_row(
-        best,
+        best.metrics,
         accuracy_pct=claims.accuracy * 100.0,
         neuron_count=network.neuron_count,
         synapse_count=network.synapse_count,
@@ -75,17 +91,7 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
     print(t3, "\n")
     sections.append(t3)
 
-    headline = (
-        "headline claims (paper -> measured):\n"
-        f"  speedup vs 1RW:      3.1x -> {claims.speedup_vs_1rw:.2f}x\n"
-        f"  energy efficiency:   2.2x -> "
-        f"{claims.energy_efficiency_vs_1rw:.2f}x\n"
-        f"  throughput:     44 MInf/s -> {claims.throughput_minf_s:.1f}\n"
-        f"  energy/inference:  607 pJ -> {claims.energy_per_inf_pj:.0f}\n"
-        f"  power:              29 mW -> {claims.power_mw:.1f}\n"
-        f"  accuracy:          97.64% -> {claims.accuracy * 100:.2f}% "
-        "(synthetic digits)"
-    )
+    headline = render_claims(claims)
     print(headline)
     sections.append(headline)
 
@@ -99,10 +105,27 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
     return artifacts
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.reproduce",
+        description="Regenerate every table and figure of the paper and "
+                    "write their series as CSV plus summary.md.",
+    )
+    parser.add_argument(
+        "outdir", nargs="?", type=pathlib.Path,
+        default=pathlib.Path("reproduction"),
+        help="output directory (default: reproduction/)",
+    )
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    outdir = pathlib.Path(argv[0]) if argv else pathlib.Path("reproduction")
-    artifacts = reproduce_all(outdir)
+    args = build_parser().parse_args(argv)
+    try:
+        artifacts = reproduce_all(args.outdir)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print("\nwritten artifacts:")
     for name, path in artifacts.items():
         print(f"  {name}: {path}")

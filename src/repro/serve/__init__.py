@@ -31,7 +31,7 @@ from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.fleet import FleetServer
 from repro.serve.metrics import ServingMetrics, latency_percentiles
 from repro.serve.pool import ModelPayload
-from repro.serve.registry import ModelRegistry, RegisteredModel, build_network
+from repro.serve.registry import ModelRegistry, RegisteredModel
 from repro.serve.server import DEFAULT_SLO_CLASSES, InferenceServer, SloClass
 
 __all__ = [
@@ -45,6 +45,5 @@ __all__ = [
     "RegisteredModel",
     "ServingMetrics",
     "SloClass",
-    "build_network",
     "latency_percentiles",
 ]

@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.resilience.policy import BreakerPolicy, CircuitBreaker
 from repro.learning.convert import ConvertedSNN
-from repro.learning.pretrained import get_reference_model
+from repro.sweep.runner import build_network
 from repro.sweep.spec import DesignPoint
 from repro.tile.network import EsamNetwork
 
@@ -91,23 +91,6 @@ class RegisteredModel:
         return tuple(t.weight_version for t in self.network.tiles)
 
 
-def build_network(point: DesignPoint,
-                  snn: ConvertedSNN | None = None) -> EsamNetwork:
-    """Materialize the network a design point describes.
-
-    With ``snn=None`` the reference model for the point's
-    ``quality``/``seed`` is used (same resolution rule as the sweep
-    runner), so a registry entry and a sweep row built from the same
-    point simulate the same hardware.
-    """
-    if snn is None:
-        snn = get_reference_model(point.quality, point.seed).snn
-    return EsamNetwork(
-        snn.weights, snn.thresholds, output_bias=snn.output_bias,
-        config=point.hardware,
-    )
-
-
 class ModelRegistry:
     """Thread-safe name -> network mapping used by the server.
 
@@ -136,7 +119,9 @@ class ModelRegistry:
 
     def register(self, name: str, point: DesignPoint,
                  snn: ConvertedSNN | None = None) -> EsamNetwork:
-        """Build and register the network of a design point."""
+        """Build and register the network of a design point, as a
+        sweep of that point builds it
+        (:func:`~repro.sweep.runner.build_network`)."""
         return self.register_network(name, build_network(point, snn),
                                      point=point)
 

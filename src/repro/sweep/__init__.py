@@ -33,7 +33,12 @@ from repro.sweep.cache import (
     entry_key,
     weights_fingerprint,
 )
-from repro.sweep.runner import CampaignRunner, SweepRunner, evaluate_point
+from repro.sweep.runner import (
+    CampaignRunner,
+    SweepRunner,
+    build_network,
+    evaluate_point,
+)
 from repro.sweep.spec import (
     NAMED_SWEEPS,
     DesignPoint,
@@ -61,6 +66,7 @@ __all__ = [
     "ports_spec",
     "engines_spec",
     "corners_spec",
+    "build_network",
     "evaluate_point",
     "entry_key",
     "weights_fingerprint",

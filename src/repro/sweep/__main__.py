@@ -40,6 +40,7 @@ from repro.store.cli import CampaignCli
 from repro.sweep.results import SweepResult
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import NAMED_SWEEPS
+from repro.system.report import render_claims
 
 
 class SweepCli(CampaignCli):
@@ -78,21 +79,10 @@ class SweepCli(CampaignCli):
         claims_at = result.claims_group()
         groups = {(r.point.node, r.point.corner) for r in result.rows}
         if groups != {claims_at}:
-            title = (f"headline claims at {claims_at[0]}/{claims_at[1]} "
-                     "(paper -> measured):")
-        else:
-            title = "headline claims (paper -> measured):"
-        return "\n".join([
-            title,
-            f"  speedup vs 1RW:      3.1x  -> {claims.speedup_vs_1rw:.2f}x",
-            f"  energy efficiency:   2.2x  -> "
-            f"{claims.energy_efficiency_vs_1rw:.2f}x",
-            f"  throughput:     44 MInf/s  -> "
-            f"{claims.throughput_minf_s:.1f} MInf/s",
-            f"  energy/inference: 607 pJ   -> "
-            f"{claims.energy_per_inf_pj:.0f} pJ",
-            f"  power:             29 mW   -> {claims.power_mw:.1f} mW",
-        ])
+            return render_claims(
+                claims, title=f"headline claims at {claims_at[0]}/"
+                              f"{claims_at[1]} (paper -> measured):")
+        return render_claims(claims)
 
 
 main = SweepCli().main

@@ -19,8 +19,8 @@ from typing import ClassVar
 from repro.errors import ConfigurationError
 from repro.tech.constants import DEFAULT_NODE
 from repro.tech.corners import DEFAULT_CORNER
+from repro.system.claims import HeadlineClaims, headline_claims
 from repro.system.energy import SystemMetrics
-from repro.system.evaluate import Figure8Row, HeadlineClaims, claims_from_rows
 from repro.system.report import render_table
 from repro.sweep.spec import DesignPoint
 
@@ -51,25 +51,21 @@ class SweepRow:
             cached=data.get("cached", False) if cached is None else cached,
         )
 
-    def to_figure8_row(self) -> Figure8Row:
-        """The classic Figure-8 view of this row."""
-        return Figure8Row(cell_type=self.point.cell_type, metrics=self.metrics)
-
     def flat_dict(self) -> dict:
         """Single-level dict for CSV export: point + metrics + derived."""
-        fig = self.to_figure8_row()
+        metrics = self.metrics
         flat = dict(self.point.to_dict())
         # CSV-friendly forms, and keep the config's clock *override*
         # distinct from the measured clock_period_ns metric below.
         flat["layer_sizes"] = ":".join(str(s) for s in flat["layer_sizes"])
         flat["clock_override_ns"] = flat.pop("clock_period_ns")
-        flat.update(asdict(self.metrics))
+        flat.update(asdict(metrics))
         flat.pop("cell_type_label", None)  # duplicate of point cell_type
         flat.update(
-            throughput_minf_s=fig.throughput_minf_s,
-            energy_per_inf_pj=fig.energy_per_inf_pj,
-            power_mw=fig.power_mw,
-            area_mm2=fig.area_mm2,
+            throughput_minf_s=metrics.throughput_minf_s,
+            energy_per_inf_pj=metrics.energy_per_inference_pj,
+            power_mw=metrics.power_mw,
+            area_mm2=metrics.area_mm2,
             cached=self.cached,
         )
         return flat
@@ -174,10 +170,6 @@ class SweepResult(GridResult):
 
     # -- views ---------------------------------------------------------------------
 
-    def figure8_rows(self) -> list[Figure8Row]:
-        """The rows in the shape ``SystemEvaluator.figure8()`` returns."""
-        return [row.to_figure8_row() for row in self.rows]
-
     def by_corner(self) -> dict[tuple[str, str], SweepRow]:
         """Last row per ``(node, corner)`` pair (the guardband lookup)."""
         return {(row.point.node, row.point.corner): row for row in self.rows}
@@ -209,7 +201,8 @@ class SweepResult(GridResult):
         known.  Claims are always derived within exactly one
         ``(node, corner)`` group: by default :meth:`claims_group`; a
         partially-specified override fills the missing half with the
-        nominal default, never by mixing corners.
+        nominal default, never by mixing corners.  The group must hold
+        one row per cell (:func:`~repro.system.claims.headline_claims`).
         """
         if node is None and corner is None:
             node, corner = self.claims_group()
@@ -217,11 +210,11 @@ class SweepResult(GridResult):
             node = DEFAULT_NODE
         elif corner is None:
             corner = DEFAULT_CORNER
-        rows = [
-            r.to_figure8_row() for r in self.rows
-            if r.point.node == node and r.point.corner == corner
-        ]
-        return claims_from_rows(rows, accuracy)
+        return headline_claims(
+            [r.metrics for r in self.rows
+             if r.point.node == node and r.point.corner == corner],
+            accuracy,
+        )
 
     def render(self) -> str:
         """Generic fixed-width table over every sweep axis and metric."""
@@ -233,14 +226,13 @@ class SweepResult(GridResult):
                 r.point.corner,
                 str(r.point.sample_images),
                 r.point.engine,
-                f"{f.throughput_minf_s:.1f}",
-                f"{f.energy_per_inf_pj:.0f}",
-                f"{f.power_mw:.1f}",
-                f"{f.area_mm2 * 1e3:.1f}",
+                f"{r.metrics.throughput_minf_s:.1f}",
+                f"{r.metrics.energy_per_inference_pj:.0f}",
+                f"{r.metrics.power_mw:.1f}",
+                f"{r.metrics.area_mm2 * 1e3:.1f}",
                 "hit" if r.cached else "eval",
             ]
             for r in self.rows
-            for f in (r.to_figure8_row(),)
         ]
         return render_table(
             ["cell", "Vprech [mV]", "node", "corner", "images", "engine",

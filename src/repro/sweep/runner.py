@@ -24,13 +24,15 @@ point of a spec's ``expand()`` in three steps:
 Because every point carries its own seed and the evaluation builds a
 fresh network per point, results are bit-identical regardless of
 worker count, shard assignment or execution order — the test suite
-asserts ``n_workers=4`` equals ``n_workers=1`` equals
-``SystemEvaluator.figure8()``, float for float.
+asserts ``n_workers=4`` equals :func:`evaluate_point` run in process,
+float for float.
 """
 
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from repro.errors import ConfigurationError, _integer
 from repro.learning.convert import ConvertedSNN
@@ -40,51 +42,71 @@ from repro.obs.trace import get_tracer
 from repro.resilience.chaos import ChaosPolicy
 from repro.resilience.policy import SupervisorPolicy
 from repro.resilience.supervisor import supervised_map
-from repro.system.energy import SystemMetrics
-from repro.system.evaluate import SystemEvaluator
+from repro.snn.encode import encode_images
+from repro.system.energy import SystemEnergyModel, SystemMetrics
 from repro.sweep.cache import ResultCache, entry_key, weights_fingerprint
 from repro.sweep.spec import DesignPoint, SweepSpec
 from repro.sweep.results import SweepResult, SweepRow, SweepStats
+from repro.tile.network import EsamNetwork, InferenceTrace
 
-#: Per-process memo of evaluators, keyed by ``(quality, seed,
-#: sample_images)``.  Points of one sweep share the trained model and
-#: the encoded spike sample; only the per-point network differs.  The
-#: memo lives at module level so worker processes reuse it across the
-#: points of their shard.
-_EVALUATOR_MEMO: dict[tuple[str, int, int], SystemEvaluator] = {}
+
+def build_network(point: DesignPoint,
+                  snn: ConvertedSNN | None = None) -> EsamNetwork:
+    """The network a design point describes: ``snn`` on the point's
+    hardware, by default the reference model for the point's
+    ``quality``/``seed``."""
+    if snn is None:
+        snn = get_reference_model(point.quality, point.seed).snn
+    return EsamNetwork(
+        snn.weights, snn.thresholds, output_bias=snn.output_bias,
+        config=point.hardware,
+    )
+
+
+@functools.cache
+def evaluation_sample(quality: str, seed: int,
+                      sample_images: int) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded spikes and labels of the reference model's first
+    ``sample_images`` test digits.
+
+    Memoized per process: the sample is hardware-independent, so every
+    point of a sweep or a fault campaign that shares the model and the
+    sample size shares it, and worker processes reuse it across the
+    points of their shard.  Both arrays are read-only, as every caller
+    gets the same ones.
+    """
+    dataset = get_reference_model(quality, seed).dataset
+    sample = (encode_images(dataset.test_images[:sample_images]),
+              dataset.test_labels[:sample_images])
+    for array in sample:
+        array.flags.writeable = False
+    return sample
 
 
 def evaluate_point(point: DesignPoint,
                    snn: ConvertedSNN | None = None) -> SystemMetrics:
     """Evaluate one design point from scratch (no cache involved).
 
-    With ``snn=None`` the reference model for ``point.quality`` /
-    ``point.seed`` is used (disk-cached training artifact); passing an
-    explicit network evaluates that network instead.  This is the
-    function worker processes run, and the single place sweep
-    evaluation semantics are defined.
+    Simulates :func:`build_network` over ``point.sample_images``
+    inputs on ``point.engine`` and rolls the run up into Figure-8
+    metrics.  With ``snn=None`` the network is the point's reference
+    model and the inputs its :func:`evaluation_sample`; an explicit
+    network is driven by random spikes at 16 % density, seeded by the
+    point.  This is the function worker processes run, and the single
+    place sweep evaluation semantics are defined.
     """
-    if snn is not None:
-        evaluator = SystemEvaluator(
-            point.hardware, sample_images=point.sample_images, snn=snn,
-            quality=point.quality,
-        )
+    if snn is None:
+        spikes, _ = evaluation_sample(point.quality, point.seed,
+                                      point.sample_images)
     else:
-        # Memoized per (quality, seed, sample size): the trained model
-        # and encoded spike sample are hardware-independent, so points
-        # that differ only in cell/Vprech/node/corner share them.
-        memo_key = (point.quality, point.seed, point.sample_images)
-        evaluator = _EVALUATOR_MEMO.get(memo_key)
-        if evaluator is None:
-            evaluator = SystemEvaluator(
-                point.hardware, sample_images=point.sample_images,
-                quality=point.quality,
-            )
-            _EVALUATOR_MEMO[memo_key] = evaluator
-    row = evaluator.evaluate_cell(
-        engine=point.engine, hardware=point.hardware,
-    )
-    return row.metrics
+        rng = np.random.default_rng(point.seed)
+        spikes = (
+            rng.random((point.sample_images, snn.layer_sizes[0])) < 0.16
+        ).astype(np.uint8)
+    network = build_network(point, snn)
+    trace = InferenceTrace()
+    network.infer_batch(spikes, trace, engine=point.engine)
+    return SystemEnergyModel(network).metrics(trace)
 
 
 class CampaignRunner:

@@ -2,7 +2,6 @@
 
 from repro.system.area import neuron_array_area_um2, system_area_um2
 from repro.system.energy import SystemEnergyModel, SystemMetrics
-from repro.system.evaluate import SystemEvaluator, Figure8Row
 from repro.system.comparison import TABLE3_LITERATURE, table3, Table3Row
 from repro.system.lowpower import LowPowerScaler, OperatingPoint
 
@@ -13,8 +12,6 @@ __all__ = [
     "system_area_um2",
     "SystemEnergyModel",
     "SystemMetrics",
-    "SystemEvaluator",
-    "Figure8Row",
     "TABLE3_LITERATURE",
     "table3",
     "Table3Row",

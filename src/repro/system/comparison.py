@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.system.evaluate import Figure8Row
+from repro.system.energy import SystemMetrics
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,9 @@ TABLE3_PAPER_THIS_WORK = Table3Row(
 )
 
 
-def this_work_row(row: Figure8Row, accuracy_pct: float,
+def this_work_row(metrics: SystemMetrics, accuracy_pct: float,
                   neuron_count: int, synapse_count: int) -> Table3Row:
     """Build the measured "This Work" column from a Figure-8 row."""
-    metrics = row.metrics
     return Table3Row(
         label="ESAM (this reproduction)",
         technology_nm=3,

@@ -48,9 +48,17 @@ class SystemMetrics:
         return throughput_per_s(1.0, self.inference_time_ns)
 
     @property
+    def throughput_minf_s(self) -> float:
+        return self.throughput_inf_s / 1e6
+
+    @property
     def power_mw(self) -> float:
         # pJ/inf * inf/s = pW; 1e-9 converts to mW.
         return self.energy_per_inference_pj * self.throughput_inf_s * 1e-9
+
+    @property
+    def area_mm2(self) -> float:
+        return self.area_um2 / 1e6
 
 
 class SystemEnergyModel:

@@ -2,7 +2,9 @@
 
 The paper's figures are bar/line charts; this module writes the exact
 series behind each one as CSV so users can regenerate the plots with
-their tool of choice without re-running the simulations.
+their tool of choice without re-running the simulations.  Figure 8's
+series is the ``figure8`` sweep's own CSV
+(:meth:`repro.sweep.SweepResult.to_csv`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import pathlib
 from repro.errors import ConfigurationError
 from repro.sram.electrical import TransposedAccess
 from repro.sram.readport import ReadPortOperatingPoint
-from repro.system.evaluate import Figure8Row
 from repro.tile.pipeline import PipelineStageReport
 
 
@@ -72,17 +73,3 @@ def export_table2(reports: list[PipelineStageReport], path) -> pathlib.Path:
         ],
     )
 
-
-def export_figure8(rows: list[Figure8Row], path) -> pathlib.Path:
-    if not rows:
-        raise ConfigurationError("no data points to export")
-    return _write_csv(
-        pathlib.Path(path),
-        ["cell", "throughput_minf_s", "energy_per_inf_pj", "power_mw",
-         "area_mm2"],
-        [
-            [r.cell_type.value, r.throughput_minf_s, r.energy_per_inf_pj,
-             r.power_mw, r.area_mm2]
-            for r in rows
-        ],
-    )

@@ -6,10 +6,13 @@ with the paper; ``python -m repro.reproduce`` writes them all.
 
 from __future__ import annotations
 
+import math
+
 from repro.sram.electrical import TransposedAccess
 from repro.sram.readport import ReadPortOperatingPoint
+from repro.system.claims import HeadlineClaims
 from repro.system.comparison import Table3Row
-from repro.system.evaluate import Figure8Row
+from repro.system.energy import SystemMetrics
 from repro.tile.pipeline import PipelineStageReport
 from repro.units import si_format
 
@@ -80,16 +83,16 @@ def render_table2(reports: list[PipelineStageReport]) -> str:
     )
 
 
-def render_figure8(rows: list[Figure8Row]) -> str:
+def render_figure8(metrics: list[SystemMetrics]) -> str:
     table_rows = [
         [
-            r.cell_type.value,
-            f"{r.throughput_minf_s:.1f}",
-            f"{r.energy_per_inf_pj:.0f}",
-            f"{r.power_mw:.1f}",
-            f"{r.area_mm2 * 1e3:.1f}",
+            m.cell_type_label,
+            f"{m.throughput_minf_s:.1f}",
+            f"{m.energy_per_inference_pj:.0f}",
+            f"{m.power_mw:.1f}",
+            f"{m.area_mm2 * 1e3:.1f}",
         ]
-        for r in rows
+        for m in metrics
     ]
     return render_table(
         ["cell", "throughput [MInf/s]", "energy [pJ/Inf]", "power [mW]",
@@ -97,6 +100,28 @@ def render_figure8(rows: list[Figure8Row]) -> str:
         table_rows,
         title="Figure 8 — system-level comparison of the SRAM cell options",
     )
+
+
+def render_claims(claims: HeadlineClaims,
+                  title: str = "headline claims (paper -> measured):") -> str:
+    """The abstract's claims beside the paper's values; the accuracy
+    line only when the accuracy is known."""
+    lines = [
+        title,
+        f"  speedup vs 1RW:      3.1x  -> {claims.speedup_vs_1rw:.2f}x",
+        f"  energy efficiency:   2.2x  -> "
+        f"{claims.energy_efficiency_vs_1rw:.2f}x",
+        f"  throughput:     44 MInf/s  -> "
+        f"{claims.throughput_minf_s:.1f} MInf/s",
+        f"  energy/inference: 607 pJ   -> "
+        f"{claims.energy_per_inf_pj:.0f} pJ",
+        f"  power:             29 mW   -> {claims.power_mw:.1f} mW",
+    ]
+    if not math.isnan(claims.accuracy):
+        lines.append(f"  accuracy:          97.64%  -> "
+                     f"{claims.accuracy * 100:.2f}% (paper: MNIST; here: "
+                     "synthetic digits)")
+    return "\n".join(lines)
 
 
 def render_table3(rows: list[Table3Row]) -> str:

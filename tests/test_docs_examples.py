@@ -40,7 +40,7 @@ DOC_FILES = sorted(
 _PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _BASH_BLOCK = re.compile(r"```bash\n(.*?)```", re.DOTALL)
 _CLI_LINE = re.compile(
-    r"^python -m repro\.(sweep|reliability|store|serve|obs)(\s|$)"
+    r"^python -m repro\.(sweep|reliability|store|serve|obs|reproduce)(\s|$)"
 )
 
 #: ``setup.py``'s console scripts, each to the CLI it runs, read from
@@ -103,6 +103,7 @@ def cli_parsers() -> dict:
     """Each documented CLI's own argument-parser factory, by name."""
     from repro.obs.__main__ import build_parser as obs_parser
     from repro.reliability.__main__ import ReliabilityCli
+    from repro.reproduce import build_parser as reproduce_parser
     from repro.serve.__main__ import build_parser as serve_parser
     from repro.store.__main__ import build_parser as store_parser
     from repro.sweep.__main__ import SweepCli
@@ -113,6 +114,7 @@ def cli_parsers() -> dict:
         "store": store_parser,
         "serve": serve_parser,
         "obs": obs_parser,
+        "reproduce": reproduce_parser,
     }
 
 

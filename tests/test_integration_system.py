@@ -1,7 +1,5 @@
 """Cross-module integration: trained network through the full stack."""
 
-import inspect
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from repro.hw.config import HardwareConfig
 from repro.sram.bitcell import ALL_CELLS, CellType
 from repro.snn.encode import encode_images
 from repro.snn.simulate import evaluate_accuracy
-from repro.system.evaluate import SystemEvaluator
+from repro.sweep import DesignPoint, evaluate_point
 from repro.tile.network import EsamNetwork, InferenceTrace
 
 
@@ -83,53 +81,55 @@ class TestAccuracyPipeline:
 
 class TestEvaluatorSweep:
     @pytest.fixture(scope="class")
-    def evaluator(self, fast_model):
-        return SystemEvaluator(sample_images=6, snn=fast_model.snn)
+    def evaluate(self, fast_model):
+        """The metrics of ``cell`` (and any other hardware axes) over a
+        6-input sample."""
+        def evaluate(cell, **axes):
+            point = DesignPoint(cell_type=cell, sample_images=6, **axes)
+            return evaluate_point(point, fast_model.snn)
+        return evaluate
 
-    def test_throughput_improves_with_ports(self, evaluator):
+    def test_throughput_improves_with_ports(self, evaluate):
         rows = [
-            evaluator.evaluate_cell(c)
+            evaluate(c)
             for c in (CellType.C1RW1R, CellType.C1RW2R, CellType.C1RW4R)
         ]
         throughputs = [r.throughput_minf_s for r in rows]
         assert throughputs[0] < throughputs[1] < throughputs[2]
 
-    def test_energy_per_inf_improves_with_ports(self, evaluator):
-        e1 = evaluator.evaluate_cell(CellType.C1RW1R).energy_per_inf_pj
-        e4 = evaluator.evaluate_cell(CellType.C1RW4R).energy_per_inf_pj
+    def test_energy_per_inf_improves_with_ports(self, evaluate):
+        e1 = evaluate(CellType.C1RW1R).energy_per_inference_pj
+        e4 = evaluate(CellType.C1RW4R).energy_per_inference_pj
         assert e4 < e1
 
-    def test_area_grows_with_ports(self, evaluator):
-        a6 = evaluator.evaluate_cell(CellType.C6T).area_mm2
-        a4 = evaluator.evaluate_cell(CellType.C1RW4R).area_mm2
+    def test_area_grows_with_ports(self, evaluate):
+        a6 = evaluate(CellType.C6T).area_mm2
+        a4 = evaluate(CellType.C1RW4R).area_mm2
         assert 1.8 < a4 / a6 < 3.0
 
-    def test_vprech_override(self, evaluator):
+    def test_vprech_override(self, evaluate):
         """Running the decoupled ports at VDD must cost energy."""
-        e500 = evaluator.evaluate_cell(CellType.C1RW4R)
-        e700 = evaluator.evaluate_cell(
-            hardware=evaluator.config.replace(vprech=0.7)
-        )
-        assert e700.energy_per_inf_pj > e500.energy_per_inf_pj
-
-    def test_cell_is_the_only_per_call_hardware_axis(self, evaluator):
-        for method in (evaluator.evaluate_cell, evaluator.build_network):
-            parameters = inspect.signature(method).parameters
-            assert {"cell_type", "hardware"} <= set(parameters)
-            assert not {"vprech", "node", "corner"} & set(parameters)
+        e500 = evaluate(CellType.C1RW4R)
+        e700 = evaluate(CellType.C1RW4R, vprech=0.7)
+        assert e700.energy_per_inference_pj > e500.energy_per_inference_pj
 
     def test_figure8_keeps_the_clock_override(self, fast_model):
-        """Every figure-8 bar is evaluate_cell at the evaluator's config:
-        a pinned clock holds for all five cells."""
-        evaluator = SystemEvaluator(
-            HardwareConfig(clock_period_ns=3.0), sample_images=2,
-            snn=fast_model.snn,
-        )
-        rows = evaluator.figure8()
-        assert [row.cell_type for row in rows] == list(ALL_CELLS)
+        """A pinned clock holds for all five cells: the cell is the only
+        axis a figure-8 point changes."""
+        pinned = HardwareConfig(clock_period_ns=3.0)
+        rows = [
+            evaluate_point(
+                DesignPoint(hardware=pinned, cell_type=cell,
+                            sample_images=2),
+                fast_model.snn,
+            )
+            for cell in ALL_CELLS
+        ]
+        assert [row.cell_type_label for row in rows] == [
+            cell.value for cell in ALL_CELLS
+        ]
         for row in rows:
-            assert row.metrics.clock_period_ns == 3.0
-            assert row == evaluator.evaluate_cell(row.cell_type)
+            assert row.clock_period_ns == 3.0
 
 
 class TestTraceConsistency:

@@ -20,12 +20,18 @@ import pathlib
 
 import pytest
 
-from repro.hw.config import HardwareConfig
+from repro.learning.pretrained import get_reference_model
 from repro.sram.bitcell import CellType
-from repro.sweep import DesignPoint, SweepResult, SweepRow, SweepStats
+from repro.sweep import (
+    DesignPoint,
+    SweepResult,
+    SweepRow,
+    SweepRunner,
+    SweepStats,
+    figure8_spec,
+)
 from repro.sweep.__main__ import main as sweep_main
 from repro.system.energy import SystemMetrics
-from repro.system.evaluate import SystemEvaluator
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "figure8_fast8.json"
 
@@ -36,22 +42,21 @@ def golden() -> dict:
         return json.load(handle)
 
 
-@pytest.fixture(scope="module")
-def evaluator(golden) -> SystemEvaluator:
-    return SystemEvaluator(
-        HardwareConfig(seed=golden["config"]["seed"]),
-        sample_images=golden["config"]["sample_images"],
-        quality=golden["config"]["quality"],
-    )
-
-
-@pytest.fixture(scope="module")
-def rows(evaluator):
-    return evaluator.figure8()
+@pytest.fixture
+def result(golden, backend) -> SweepResult:
+    """The ``figure8`` sweep at the golden configuration on ``backend``,
+    evaluated fresh."""
+    config = golden["config"]
+    return SweepRunner(
+        figure8_spec(sample_images=config["sample_images"],
+                     quality=config["quality"], seed=config["seed"],
+                     engine=backend),
+        cache=None,
+    ).run()
 
 
 class TestParity:
-    def test_figure8_rows_bit_identical_to_seed(self, golden, evaluator,
+    def test_figure8_metrics_bit_identical_to_seed(self, golden, result,
                                                 backend):
         """Every backend renders the golden figure — every metric bit for
         bit, not just the predictions.
@@ -60,25 +65,22 @@ class TestParity:
         fixed order, so the per-cycle reference matches the capture
         exactly too.
         """
-        rows = evaluator.figure8(engine=backend)
-        assert [r.cell_type.value for r in rows] == [
+        assert [r.point.cell_type.value for r in result] == [
             r["cell_type"] for r in golden["rows"]
         ]
-        for got, want in zip(rows, golden["rows"]):
+        for got, want in zip(result, golden["rows"]):
             got_metrics = dataclasses.asdict(got.metrics)
             assert got_metrics == want["metrics"], (
                 f"{want['cell_type']}: {backend} metrics diverge from the "
                 "golden capture"
             )
 
-    def test_headline_claims_bit_identical_to_seed(self, golden, evaluator,
-                                                   rows):
-        claims = dataclasses.asdict(evaluator.headline_claims(rows))
-        want = dict(golden["claims"])
-        # NaN-free comparison: accuracy is checked for exact equality
-        # separately because NaN != NaN.
-        assert claims.pop("accuracy") == want.pop("accuracy")
-        assert claims == want
+    def test_headline_claims_bit_identical_to_seed(self, golden, result):
+        config = golden["config"]
+        accuracy = get_reference_model(
+            config["quality"], config["seed"]).test_accuracy
+        claims = dataclasses.asdict(result.headline_claims(accuracy))
+        assert claims == golden["claims"]
 
     def test_cli_claims_output_pinned(self, golden, capsys):
         """`python -m repro.sweep figure8 --claims` prints exactly the

@@ -27,13 +27,13 @@ from repro.sweep import (
     SweepRunner,
     SweepSpec,
     entry_key,
+    evaluate_point,
     figure8_spec,
     vprech_spec,
     weights_fingerprint,
 )
 from repro.sweep.__main__ import main as sweep_main
 from repro.tech.constants import FIG7_VPRECH_SWEEP_V
-from repro.system.evaluate import SystemEvaluator
 
 from tests.test_store import _count_calls
 
@@ -164,20 +164,18 @@ class TestShardingParity:
             assert a.point == b.point
             assert a.metrics == b.metrics  # exact float equality
 
-    def test_sharded_figure8_matches_evaluator_bit_identically(self, tmp_path):
-        """Acceptance: n_workers=4 reproduces SystemEvaluator.figure8()."""
-        evaluator = SystemEvaluator(
-            sample_images=SAMPLE, quality=QUALITY,
-        )
-        expected = evaluator.figure8()
+    def test_sharded_figure8_matches_evaluate_point_bit_identically(
+            self, tmp_path):
+        """Acceptance: n_workers=4 reproduces evaluate_point run in
+        this process, point for point."""
+        spec = figure8_spec(sample_images=SAMPLE, quality=QUALITY)
         result = SweepRunner(
-            figure8_spec(sample_images=SAMPLE, quality=QUALITY),
-            n_workers=4, cache=ResultCache(tmp_path),
+            spec, n_workers=4, cache=ResultCache(tmp_path),
         ).run()
         assert [r.point.cell_type for r in result.rows] == list(ALL_CELLS)
-        for got, want in zip(result.figure8_rows(), expected):
-            assert got.cell_type == want.cell_type
-            assert got.metrics == want.metrics  # bit-identical
+        for row, point in zip(result.rows, spec.expand()):
+            assert row.point == point
+            assert row.metrics == evaluate_point(point)  # bit-identical
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ConfigurationError, match="n_workers"):
@@ -333,7 +331,6 @@ class TestHardwareFidelity:
     def test_clock_pinned_point_evaluates_at_the_pinned_clock(self, fast_model):
         """The clock override must survive the whole evaluation path."""
         from repro.hw import HardwareConfig
-        from repro.sweep import evaluate_point
 
         base = DesignPoint(cell_type=CellType.C1RW4R, quality=QUALITY,
                            sample_images=2)
@@ -346,31 +343,34 @@ class TestHardwareFidelity:
         assert overridden.clock_period_ns == 2.0
         assert nominal.clock_period_ns != overridden.clock_period_ns
 
-    def test_claims_on_corner_grid_use_the_nominal_group(self):
-        """A node/corner grid derives claims at 3nm/typical, not at
-        whichever group happens to sort last."""
+    @staticmethod
+    def hand_built_row(cell, t_ns, **axes):
+        """A sweep row of ``cell`` whose inference takes ``t_ns``."""
         from repro.sweep.results import SweepRow
         from repro.system.energy import SystemMetrics
 
-        def metrics(label, t_ns):
-            return SystemMetrics(
-                cell_type_label=label, clock_period_ns=1.0,
+        return SweepRow(
+            point=DesignPoint(cell_type=cell, quality=QUALITY, **axes),
+            metrics=SystemMetrics(
+                cell_type_label=cell.value, clock_period_ns=1.0,
                 cycles_per_inference=t_ns, latency_ns=t_ns,
                 inference_time_ns=t_ns, dynamic_energy_pj=100.0,
                 clock_energy_pj=10.0, leakage_energy_pj=10.0,
                 area_um2=1000.0,
-            )
+            ),
+        )
 
+    def test_claims_on_corner_grid_use_the_nominal_group(self):
+        """A node/corner grid derives claims at 3nm/typical, not at
+        whichever group happens to sort last."""
         rows = []
         # 3nm/typical: 3x speedup; 5nm/fast: 5x speedup.
         for node, corner, base_t, best_t in (
             ("3nm", "typical", 30.0, 10.0), ("5nm", "fast", 50.0, 10.0),
         ):
             for cell, t in ((CellType.C6T, base_t), (CellType.C1RW4R, best_t)):
-                point = DesignPoint(cell_type=cell, node=node, corner=corner,
-                                    quality=QUALITY)
-                rows.append(SweepRow(point=point,
-                                     metrics=metrics(cell.value, t)))
+                rows.append(self.hand_built_row(cell, t, node=node,
+                                                corner=corner))
         result = SweepResult(spec_name="corners", rows=rows)
         assert result.claims_group() == ("3nm", "typical")
         assert result.headline_claims().speedup_vs_1rw == pytest.approx(3.0)
@@ -383,15 +383,24 @@ class TestHardwareFidelity:
         with pytest.raises(ConfigurationError):
             result.headline_claims(node="5nm")
 
+    def test_claims_reject_two_rows_of_one_cell(self):
+        """A group holding one cell twice (two Vprech values here) has
+        no single 1RW+4R row to report: the claims name the cell
+        instead of reading whichever row comes last."""
+        result = SweepResult(spec_name="vprech", rows=[
+            self.hand_built_row(CellType.C6T, 30.0),
+            self.hand_built_row(CellType.C1RW4R, 10.0, vprech=0.5),
+            self.hand_built_row(CellType.C1RW4R, 20.0, vprech=0.7),
+        ])
+        with pytest.raises(ConfigurationError, match=r"1RW\+4R"):
+            result.headline_claims()
+
 
 class TestEarlyEngineValidation:
-    def test_evaluate_cell_rejects_unknown_engine_before_simulation(
-            self, fast_model):
-        evaluator = SystemEvaluator(
-            sample_images=2, snn=fast_model.snn,
-        )
+    def test_design_point_rejects_unknown_engine_before_simulation(self):
         with pytest.raises(ConfigurationError, match="engine"):
-            evaluator.evaluate_cell(CellType.C6T, engine="fats")
+            DesignPoint(cell_type=CellType.C6T, sample_images=2,
+                        engine="fats")
 
 
 class TestCli:

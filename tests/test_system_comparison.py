@@ -45,9 +45,7 @@ class TestLiteratureRows:
 class TestMeasuredRow:
     def test_this_work_row_from_metrics(self, rng):
         import numpy as np
-        from repro.sram.bitcell import CellType
         from repro.system.energy import SystemEnergyModel
-        from repro.system.evaluate import Figure8Row
         from repro.tile.network import EsamNetwork, InferenceTrace
 
         weights = [rng.integers(0, 2, (128, 10)).astype(np.uint8)]
@@ -56,8 +54,7 @@ class TestMeasuredRow:
         net.infer(rng.random(128) < 0.3, trace)
         metrics = SystemEnergyModel(net).metrics(trace)
         row = this_work_row(
-            Figure8Row(cell_type=CellType.C1RW4R, metrics=metrics),
-            accuracy_pct=99.0, neuron_count=10, synapse_count=1280,
+            metrics, accuracy_pct=99.0, neuron_count=10, synapse_count=1280,
         )
         assert row.technology_nm == 3
         assert row.transposable

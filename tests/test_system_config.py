@@ -1,4 +1,4 @@
-"""System configuration (hardware topology, evaluator sample size,
+"""System configuration (hardware topology, design-point sample size,
 calibration constants) and result containers."""
 
 import numpy as np
@@ -11,17 +11,17 @@ from repro.system.config import (
     CLOCK_ENERGY_PER_TILE_CYCLE_PJ,
     PERIPHERY_STATIC_MW,
 )
+from repro.sweep import DesignPoint
 from repro.system.energy import SystemMetrics
-from repro.system.evaluate import SystemEvaluator
 
 
 class TestConfiguration:
-    def test_evaluator_defaults_match_paper(self, fast_model):
-        evaluator = SystemEvaluator(sample_images=2, snn=fast_model.snn)
-        assert evaluator.config.layer_sizes == (768, 256, 256, 256, 10)
-        assert evaluator.config.cell_type is CellType.C1RW4R
-        assert evaluator.config.vprech == 0.500
-        assert evaluator.sample_images == 2
+    def test_design_point_defaults_match_paper(self):
+        point = DesignPoint(hardware=HardwareConfig(), sample_images=2)
+        assert point.hardware.layer_sizes == (768, 256, 256, 256, 10)
+        assert point.cell_type is CellType.C1RW4R
+        assert point.vprech == 0.500
+        assert point.sample_images == 2
 
     def test_paper_layer_sizes_constant(self):
         assert PAPER_LAYER_SIZES[0] == 768
@@ -37,7 +37,7 @@ class TestConfiguration:
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ConfigurationError, match="sample_images"):
-            SystemEvaluator(sample_images=0)
+            DesignPoint(cell_type=CellType.C1RW4R, sample_images=0)
 
     def test_rejects_bad_vprech(self):
         with pytest.raises(ConfigurationError):
