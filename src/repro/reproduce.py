@@ -67,19 +67,18 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
     print(f"running the system sweep ({sample_images} images/cell) ...")
     spec = figure8_spec(sample_images=sample_images, quality=quality)
     cache = ResultCache()
-    try:
-        fig8 = SweepRunner(spec, cache=cache).run()
-    finally:
-        cache.store.close()
-    figure8 = render_figure8([row.metrics for row in fig8])
-    print(figure8, "\n")
-    artifacts["figure8"] = fig8.to_csv(outdir / "figure8.csv")
-    sections.append(figure8)
+    with cache.store:
+        result = SweepRunner(spec, cache=cache).run()
+    fig8 = render_figure8([row.metrics for row in result])
+    print(fig8, "\n")
+    artifacts["figure8"] = result.to_csv(outdir / "figure8.csv")
+    sections.append(fig8)
 
-    claims = fig8.headline_claims(
+    claims = result.headline_claims(
         get_reference_model(quality, spec.seed).test_accuracy
     )
-    best = next(row for row in fig8 if row.point.cell_type is CellType.C1RW4R)
+    best = next(row for row in result
+                if row.point.cell_type is CellType.C1RW4R)
     network = build_network(best.point)
     measured = this_work_row(
         best.metrics,

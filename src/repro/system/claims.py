@@ -38,9 +38,9 @@ def headline_claims(metrics: Iterable[SystemMetrics],
 
     ``metrics`` are one Figure-8 group's rows, at most one per cell; a
     cell that appears twice (two Vprech values, say) is a
-    :class:`ConfigurationError` naming it, since either row could be
-    the baseline.  ``accuracy`` is carried through verbatim: it comes
-    from the functional model, not from the hardware rows.
+    :class:`ConfigurationError` naming it, not a silent pick of one of
+    its rows.  ``accuracy`` is carried through verbatim: it comes from
+    the functional model, not from the hardware rows.
     """
     by_cell: dict[str, SystemMetrics] = {}
     for row in metrics:
