@@ -41,7 +41,8 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
     """Run everything; returns the written artifact paths.
 
     An ``outdir`` that cannot be created is an
-    :class:`~repro.errors.OutputError`, raised before anything runs.
+    :class:`~repro.errors.OutputError`, raised before anything runs; so
+    is an artifact that cannot be written, raised when it is reached.
     """
     outdir = pathlib.Path(outdir)
     with writing(outdir):
@@ -51,17 +52,20 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
 
     fig6 = TransposedPortModel().figure6()
     print(render_figure6(fig6), "\n")
-    artifacts["figure6"] = export_figure6(fig6, outdir / "figure6.csv")
+    with writing(outdir / "figure6.csv"):
+        artifacts["figure6"] = export_figure6(fig6, outdir / "figure6.csv")
     sections.append(render_figure6(fig6))
 
     fig7 = ReadPortModel().figure7()
     print(render_figure7(fig7), "\n")
-    artifacts["figure7"] = export_figure7(fig7, outdir / "figure7.csv")
+    with writing(outdir / "figure7.csv"):
+        artifacts["figure7"] = export_figure7(fig7, outdir / "figure7.csv")
     sections.append(render_figure7(fig7))
 
     table2 = PipelineModel().table2()
     print(render_table2(table2), "\n")
-    artifacts["table2"] = export_table2(table2, outdir / "table2.csv")
+    with writing(outdir / "table2.csv"):
+        artifacts["table2"] = export_table2(table2, outdir / "table2.csv")
     sections.append(render_table2(table2))
 
     print(f"running the system sweep ({sample_images} images/cell) ...")
@@ -71,7 +75,8 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
         result = SweepRunner(spec, cache=cache).run()
     fig8 = render_figure8([row.metrics for row in result])
     print(fig8, "\n")
-    artifacts["figure8"] = result.to_csv(outdir / "figure8.csv")
+    with writing(outdir / "figure8.csv"):
+        artifacts["figure8"] = result.to_csv(outdir / "figure8.csv")
     sections.append(fig8)
 
     claims = result.headline_claims(
@@ -95,11 +100,12 @@ def reproduce_all(outdir: pathlib.Path, sample_images: int = 32,
     sections.append(headline)
 
     summary = outdir / "summary.md"
-    summary.write_text(
-        "# ESAM reproduction summary\n\n```\n"
-        + "\n\n".join(sections)
-        + "\n```\n"
-    )
+    with writing(summary):
+        summary.write_text(
+            "# ESAM reproduction summary\n\n```\n"
+            + "\n\n".join(sections)
+            + "\n```\n"
+        )
     artifacts["summary"] = summary
     return artifacts
 

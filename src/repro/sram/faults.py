@@ -17,13 +17,16 @@ provably interchangeable (``tests/test_reliability_differential.py``):
   network's macros through their normal load path, so the
   cycle-accurate and fast engines see the same faults.
 
-Both paths draw their masks through one helper, :func:`_flip`: one
-``rng.random(shape) < rate`` draw per layer, XORed into the weights.
-:func:`flip_bits` checks its input and then calls it; an injector
-checks its clean weights once, at construction, and then draws every
-trial's layers with it.  A trial at bit-error rate 0 draws nothing:
-its generator belongs to that trial alone and no uniform draw is below
-0, so skipping it changes no mask, no count and no other trial.
+Both paths draw their masks through one helper, :func:`_flip`, which
+draws each layer's flipped positions directly: it walks the flattened
+layer by geometric gaps between successive flips, one uniform a flip,
+and XORs the positions into a copy of the weights.  A layer of ``n``
+bits thus costs about ``n * rate`` draws, not ``n``.  :func:`flip_bits`
+checks its input and then calls it; an injector checks its clean
+weights once, at construction, and then draws every trial's layers
+with it.  A trial at bit-error rate 0 builds no generator: the walk
+draws nothing at rate 0, so skipping it changes no mask, no count and
+no other trial.
 
 Seeding contract
 ----------------
@@ -73,11 +76,12 @@ def flip_bits(weights: np.ndarray, bit_error_rate: float,
               rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Flip each bit of ``weights`` independently with the given rate.
 
-    Returns the faulty copy and the number of flipped bits.  The mask
-    is drawn as one ``rng.random(shape)`` call, so identically-seeded
-    generators produce identical masks (and applying the same mask
-    twice restores the original weights — XOR is involutive).  The draw
-    is made at rate 0 too, so ``rng`` always advances by the mask size.
+    Returns the faulty copy and the number of flipped bits.  Only the
+    flipped positions are drawn (:func:`_flip`), about one uniform per
+    flip, so identically-seeded generators produce identical masks (and
+    applying the same mask twice restores the original weights — XOR is
+    involutive).  At rates 0 and 1 the outcome is certain and nothing is
+    drawn: ``rng`` does not advance.
     """
     _check_rate(bit_error_rate)
     return _flip(_binary_uint8(weights), bit_error_rate, rng)
@@ -85,9 +89,40 @@ def flip_bits(weights: np.ndarray, bit_error_rate: float,
 
 def _flip(weights: np.ndarray, bit_error_rate: float,
           rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """The mask draw of both fault paths, on checked ``uint8`` weights."""
-    mask = rng.random(weights.shape) < bit_error_rate
-    return weights ^ mask.view(np.uint8), int(np.count_nonzero(mask))
+    """The mask draw of both fault paths, on checked ``uint8`` weights.
+
+    Walks the flattened (C-order) weights by the gaps between successive
+    flips.  Each gap takes one uniform ``u`` in (0, 1] and is
+    ``floor(log(u) / log1p(-rate)) + 1``, a geometric draw with
+    parameter ``rate``, which is the law of the distance to the next
+    success of independent Bernoulli(``rate``) bits.  The uniforms come
+    in chunks of ``m + 4 * sqrt(m) + 1``, ``m`` the expected flips among
+    the bits left, so one chunk almost always covers the layer; the walk
+    draws another only if it has not yet passed the last bit.  Each
+    gap's whole part is clamped at the layer size before the integer
+    cast: at a subnormal rate the quotient is ``inf``.
+    """
+    flipped = weights.copy()
+    n = flipped.size
+    if bit_error_rate == 0.0 or not n:
+        return flipped, 0
+    if bit_error_rate == 1.0:
+        flipped ^= 1
+        return flipped, n
+    flat = flipped.reshape(-1)
+    log_keep = np.log1p(-bit_error_rate)
+    positions, last = [], -1
+    while last < n - 1:
+        expected = (n - 1 - last) * bit_error_rate
+        u = 1.0 - rng.random(int(expected + 4.0 * np.sqrt(expected)) + 1)
+        with np.errstate(over="ignore"):
+            skipped = np.minimum(np.floor(np.log(u) / log_keep), n)
+        walk = last + np.cumsum(skipped.astype(np.int64) + 1)
+        positions.append(walk[:np.searchsorted(walk, n)])
+        last = int(walk[-1])
+    hits = np.concatenate(positions)
+    flat[hits] ^= 1
+    return flipped, int(hits.size)
 
 
 def _binary_uint8(weights) -> np.ndarray:

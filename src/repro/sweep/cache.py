@@ -44,7 +44,10 @@ from repro.store.index import ResultStore
 #: (:mod:`repro.reliability`); key payloads carry a ``kind``
 #: discriminator ("sweep" / "reliability") so the two entry families
 #: can never alias inside one cache directory.
-CACHE_VERSION = 3
+#: v4: fault masks are drawn as geometric gaps between flips
+#: (:func:`repro.sram.faults.flip_bits`), so a reliability row holds
+#: other masks' outcomes; sweep rows re-evaluate once, to equal values.
+CACHE_VERSION = 4
 
 #: Default cache root, shared with the trained-model artifacts.
 DEFAULT_CACHE_DIR = (

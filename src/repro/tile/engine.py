@@ -165,13 +165,19 @@ class FastEngine:
     :attr:`kernel_cls` (see :class:`~repro.tile.backends.bitpacked.
     BitpackedEngine`); the batch orchestration, count replay and
     temporal loop are shared.
+
+    The engine keeps what it reads, the network's tiles and output
+    bias, not the network: the network caches its engines, so a
+    reference back would make every network that ran a batch a cycle
+    that only the cyclic garbage collector frees.
     """
 
     #: Per-tile kernel class; subclass hook for alternative backends.
     kernel_cls: type = _TileKernel
 
     def __init__(self, network) -> None:
-        self.network = network
+        self.tiles = network.tiles
+        self.output_bias = network.output_bias
         self._kernels = [self.kernel_cls(tile) for tile in network.tiles]
 
     # -- bookkeeping ---------------------------------------------------------
@@ -241,7 +247,7 @@ class FastEngine:
         An empty batch leaves every record and membrane as it was.
         """
         x = np.atleast_2d(np.asarray(spikes))
-        tiles = self.network.tiles
+        tiles = self.tiles
         if x.shape[1] != tiles[0].n_in:
             raise ConfigurationError(
                 f"spike width {x.shape[1]} != {tiles[0].n_in}"
@@ -271,8 +277,8 @@ class FastEngine:
         # Only the readout's counts and reset: the membranes are vmem.
         kernel.tile.read_out(batch)
         scores = vmem.astype(np.float64)
-        if self.network.output_bias is not None:
-            scores = scores + self.network.output_bias
+        if self.output_bias is not None:
+            scores = scores + self.output_bias
         if trace is not None:
             trace.record(tiles, batch, marks)
         return scores
@@ -295,7 +301,7 @@ class FastEngine:
         from repro.snn.temporal import TemporalResult
 
         trains = np.atleast_2d(np.asarray(spike_trains)).astype(bool)
-        tiles = self.network.tiles
+        tiles = self.tiles
         timesteps = trains.shape[0]
         n_out = tiles[-1].n_out
         out_counts = np.zeros(n_out, dtype=np.int64)
@@ -322,8 +328,8 @@ class FastEngine:
             for cb, neurons in enumerate(tile.neurons):
                 neurons.vmem[:] = vmem[k][0, tile.mapping.col_slice(cb)]
         final = vmem[-1][0].astype(np.float64)
-        if self.network.output_bias is not None:
-            final = final + self.network.output_bias
+        if self.output_bias is not None:
+            final = final + self.output_bias
         return TemporalResult(
             spike_counts=out_counts[None, :],
             final_vmem=final[None, :],

@@ -9,6 +9,8 @@ stretch 1 and 2) and temporal mode.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -127,6 +129,28 @@ class TestBatchedInferenceEquivalence:
         assert np.array_equal(
             refreshed._kernels[0].signed, 2.0 * flipped.astype(np.float64) - 1.0
         )
+
+    @pytest.mark.parametrize("engine", ["fast", "bitpacked"])
+    def test_a_network_that_ran_a_batch_needs_no_collector(self, engine,
+                                                           rng):
+        """A network caches its engines, and the engine keeps the tiles
+        and the output bias, not the network: with the cyclic collector
+        off, the network is gone once its last name is deleted, and an
+        engine kept on its own still runs."""
+        spikes = sample_spikes(rng)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            net = make_network(CellType.C1RW4R, 0.5)
+            expected = net.classify_batch(spikes, engine=engine)
+            freed = weakref.ref(net)
+            del net
+            assert freed() is None
+            kept = make_network(CellType.C1RW4R, 0.5).engine_backend(engine)
+            assert np.array_equal(kept.classify_batch(spikes), expected)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTemporalEquivalence:

@@ -32,13 +32,13 @@ from repro.tile.tile import Tile
 #: cache in the wild silently invalidates — bump CACHE_VERSION and this
 #: constant together, deliberately.
 GOLDEN_PAPER_POINT_KEY = (
-    "dffe3a876447d2e763eb5dc715eb27cdd967a8f7f440693ceaf8d539eb5785d5"
+    "8420ee8a18609af18456fa6ed76ac6b9e62400f4298b8d439ba7f1d7dac1165a"
 )
 
 #: The same pin for the paper point's fault-campaign entry
 #: (``FaultPoint(hardware=HardwareConfig())`` under ``kind="reliability"``).
 GOLDEN_PAPER_FAULT_POINT_KEY = (
-    "00a890e338ba85df5d9a040cb34345828f5288fdb99b737bf30b2bb2fb75be4a"
+    "2909eda8b597bf34bfb72f8a45d7a6372fc870188fdabf6ee7605dea316a1aff"
 )
 
 #: Hardware with every field off its default, behind the two
@@ -59,10 +59,10 @@ OFF_DEFAULT_HARDWARE_ITEMS = [
 #: Cache keys of a design point and a fault point with every field off
 #: its default, under an all-'f' weights fingerprint.
 GOLDEN_OFF_DEFAULT_POINT_KEY = (
-    "bbcdc28a995f0ce2521c996ab26aff48f690b05781257ca8143e8cd520eb91e7"
+    "625d657324a464472115f5afcc97386cceed921c02c2755ce50e7f4231b81a1f"
 )
 GOLDEN_OFF_DEFAULT_FAULT_POINT_KEY = (
-    "d057e4a795634d0fd90b7d8ef486bd9dc826ef35be73eeb2a9be0f6ebc028ef8"
+    "dd05f4963a7d4121e703b4b42739dd0eb40230d70c7e13192477ece2ff6c83d4"
 )
 
 

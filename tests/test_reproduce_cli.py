@@ -1,9 +1,11 @@
 """One-shot reproduction driver."""
 
 import csv
+import functools
 
 import pytest
 
+import repro.reproduce
 import repro.sweep.cache
 from repro.reproduce import main, reproduce_all
 
@@ -89,4 +91,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: cannot write {outdir}: Not a directory"
+        ]
+
+    @pytest.mark.parametrize("name", [
+        "figure6.csv", "figure7.csv", "table2.csv", "figure8.csv",
+        "summary.md",
+    ])
+    def test_unwritable_artifact_is_one_error_line(
+            self, tmp_path, sweep_cache, fast_model, monkeypatch, capsys,
+            name):
+        """An artifact path that is a directory ends the run with one
+        ``error:`` line and exit 1 when the run reaches it, not with a
+        traceback (the run is shrunk to the fast model and 3 images)."""
+        monkeypatch.setattr(repro.reproduce, "reproduce_all", functools.partial(
+            reproduce_all, sample_images=3, quality="fast",
+        ))
+        outdir = tmp_path / "out"
+        (outdir / name).mkdir(parents=True)
+        assert main([str(outdir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write {outdir / name}: Is a directory"
         ]

@@ -1,16 +1,18 @@
 """Weight-memory fault injection."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.config import HardwareConfig
+from repro.hw.config import PAPER_LAYER_SIZES, HardwareConfig
 from repro.snn.encode import encode_images
 from repro.sram import faults
 from repro.sram.bitcell import CellType
 from repro.sram.faults import FaultInjector, flip_bits
+from repro.tile.mapping import ARRAY_DIM
 from repro.tile.network import EsamNetwork
 
 pytestmark = pytest.mark.campaign
@@ -52,14 +54,14 @@ class TestFlipBits:
         with pytest.raises(ConfigurationError, match="binary"):
             flip_bits(non_binary((4, 4)), 0.1, rng)
 
-    def test_zero_rate_still_draws(self, rng):
-        """The caller's generator advances by the mask size at rate 0 as
-        at any other rate; only an injector's private trial skips it."""
+    @pytest.mark.parametrize("ber", [0.0, 1.0])
+    def test_certain_rates_draw_nothing(self, rng, ber):
+        """At rates 0 and 1 the outcome is certain: the caller's
+        generator does not advance."""
         w = rng.integers(0, 2, (40, 30))
-        drawn, skipped = np.random.default_rng(9), np.random.default_rng(9)
-        flip_bits(w, 0.0, drawn)
-        skipped.random(w.shape)
-        assert drawn.random() == skipped.random()
+        drawn, untouched = np.random.default_rng(9), np.random.default_rng(9)
+        flip_bits(w, ber, drawn)
+        assert drawn.random() == untouched.random()
 
 
 #: Layer sizes crossing the 128-row and 128-column block boundaries.
@@ -132,6 +134,128 @@ class TestTrialDraws:
         injector = FaultInjector(*clean_layers(rng))
         with pytest.raises(ConfigurationError):
             injector.faulty_weights_for_trial(ber, trial)
+
+
+#: The ``full`` model's weight shapes, 330,240 bits in all.
+FULL_SHAPES = tuple(zip(PAPER_LAYER_SIZES[:-1], PAPER_LAYER_SIZES[1:]))
+
+
+def zero_injector(shapes, seed: int = 42) -> FaultInjector:
+    """An injector over all-zero layers: its faulty weights are its masks."""
+    return FaultInjector([np.zeros(shape, np.uint8) for shape in shapes],
+                         [np.zeros(shape[1]) for shape in shapes],
+                         config=HardwareConfig(seed=seed))
+
+
+class CountingGenerator:
+    """A generator that counts the uniforms drawn through it.
+
+    It offers ``random`` alone, so a sampler that draws any other way
+    fails here rather than going uncounted.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng, self.drawn = rng, 0
+
+    def random(self, size=None):
+        self.drawn += 1 if size is None else int(np.prod(size))
+        return self._rng.random(size)
+
+
+def chi_square_bound(dof: int, z: float = 6.0) -> float:
+    """The chi-square quantile ``z`` standard normal deviations up, by
+    the Wilson-Hilferty cube-root approximation.  At ``z = 6`` a correct
+    sampler exceeds it about once in 1e9 draws of the statistic."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * np.sqrt(c)) ** 3
+
+
+def chi_square(observed: np.ndarray, expected: np.ndarray) -> float:
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+class TestGapSampler:
+    """The positions each trial flips are drawn directly, as geometric
+    gaps between flips: about one uniform per flip, with each bit still
+    flipped independently at the trial's rate."""
+
+    @pytest.mark.parametrize("ber", [1e-6, 1e-3, 5e-2])
+    def test_a_trial_draws_about_one_uniform_per_flip(self, monkeypatch,
+                                                      ber):
+        injector = zero_injector(FULL_SHAPES)
+        streams = []
+
+        def counting_rng(bit_error_rate, trial):
+            streams.append(CountingGenerator(
+                FaultInjector.trial_rng(injector, bit_error_rate, trial)
+            ))
+            return streams[-1]
+
+        monkeypatch.setattr(injector, "trial_rng", counting_rng)
+        _, flips = injector.faulty_weights_for_trial(ber, 0)
+        (stream,) = streams
+        bits = sum(a * b for a, b in FULL_SHAPES)
+        # A dense draw takes one uniform per bit: 330,240 at any rate.
+        assert flips <= stream.drawn <= 2 * bits * ber + 16 * len(FULL_SHAPES)
+
+    def test_flips_are_uniform_over_macro_blocks(self):
+        """Chi-square of the flips per 128x128 macro block of the
+        768x256 layer (12 blocks) over 300 trials at BER 1e-3."""
+        rows, cols = FULL_SHAPES[0]
+        injector = zero_injector([(rows, cols)])
+        per_block = np.zeros((rows // ARRAY_DIM, cols // ARRAY_DIM))
+        for trial in range(300):
+            (mask,), _ = injector.faulty_weights_for_trial(1e-3, trial)
+            per_block += mask.reshape(
+                rows // ARRAY_DIM, ARRAY_DIM, cols // ARRAY_DIM, ARRAY_DIM,
+            ).sum(axis=(1, 3))
+        expected = np.full(per_block.shape, per_block.sum() / per_block.size)
+        assert per_block.sum() == pytest.approx(300 * rows * cols * 1e-3,
+                                                rel=0.02)
+        assert chi_square(per_block, expected) < chi_square_bound(
+            per_block.size - 1
+        )
+
+    @pytest.mark.parametrize("ber", [1e-3, 5e-2])
+    def test_gaps_are_geometric(self, ber):
+        """Chi-square of the gaps between successive flips (from the
+        layer's start) against Geometric(BER), in 20 bins of about equal
+        probability."""
+        injector = zero_injector([(256, 256)])
+        gaps = []
+        for trial in range(40):
+            (mask,), _ = injector.faulty_weights_for_trial(ber, trial)
+            gaps.append(np.diff(np.flatnonzero(mask), prepend=-1))
+        gaps = np.concatenate(gaps)
+        # Bin j holds the gaps k with edges[j] < k <= edges[j + 1], and
+        # P(gap <= k) = 1 - (1 - BER) ** k.
+        quantiles = np.log1p(-np.linspace(0.0, 1.0, 21)[1:-1]) / np.log1p(-ber)
+        edges = np.unique(np.concatenate([[0], np.ceil(quantiles), [np.inf]]))
+        cdf = 1.0 - (1.0 - ber) ** edges
+        observed = np.diff(np.searchsorted(np.sort(gaps), edges, "right"))
+        expected = np.diff(cdf) * gaps.size
+        assert chi_square(observed, expected) < chi_square_bound(
+            edges.size - 2
+        )
+
+    def test_rate_one_flips_every_bit(self):
+        faulty, flips = zero_injector(FULL_SHAPES).faulty_weights_for_trial(
+            1.0, 0
+        )
+        assert flips == sum(a * b for a, b in FULL_SHAPES)
+        assert all(layer.all() for layer in faulty)
+
+    @pytest.mark.parametrize("ber", [5e-324, 1e-310, 1e-300])
+    def test_tiny_rates_flip_nothing_and_raise_nothing(self, ber):
+        """At a tiny rate the gap quotient is past the int64 range, and
+        ``inf`` at a subnormal one; it is clamped before the integer
+        cast, which would otherwise wrap it to a negative index."""
+        injector = zero_injector(FULL_SHAPES)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            faulty, flips = injector.faulty_weights_for_trial(ber, 0)
+        assert flips == 0
+        assert not any(layer.any() for layer in faulty)
 
 
 def mean_accuracy(injector, spikes, labels, rate, trials):
